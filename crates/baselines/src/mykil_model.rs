@@ -380,15 +380,15 @@ mod tests {
         let mut rng = Drbg::from_seed(2);
         let mut m = MykilModel::new(4, TreeConfig::binary(), &mut rng);
         crate::populate(&mut m, 400, &mut rng);
-        let keys_before: Vec<_> = (0..4).map(|a| m.area_tree(a).area_key().clone()).collect();
+        let keys_before: Vec<_> = (0..4).map(|a| m.area_tree(a).area_key()).collect();
         let victim = MemberId(5);
         let victim_area = m.area_of(victim).unwrap();
         m.leave(victim, &mut rng);
         for (a, before) in keys_before.iter().enumerate() {
             if a == victim_area {
-                assert_ne!(m.area_tree(a).area_key(), before);
+                assert_ne!(m.area_tree(a).area_key(), *before);
             } else {
-                assert_eq!(m.area_tree(a).area_key(), before);
+                assert_eq!(m.area_tree(a).area_key(), *before);
             }
         }
     }

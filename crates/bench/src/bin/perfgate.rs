@@ -29,7 +29,7 @@ use mykil::wire::{Reader, Writer};
 use mykil_bench::alloc_track::{alloc_count, CountingAllocator};
 use mykil_crypto::drbg::Drbg;
 use mykil_crypto::sha256::Sha256;
-use mykil_tree::{ExplicitKeys, KeyStore, KhfKeys, MemberId, Tree, TreeConfig};
+use mykil_tree::{KeyTree, MemberId, TreeBackend, TreeConfig};
 use std::time::Instant;
 
 #[global_allocator]
@@ -51,9 +51,9 @@ struct Sample {
 /// envelope sealing and wire encoding of the key-update body. The
 /// vacated slot is re-joined outside the measured region to keep the
 /// population stable.
-fn rekey_single_leave<S: KeyStore>(name: &'static str) -> Sample {
+fn rekey_single_leave(name: &'static str, backend: TreeBackend) -> Sample {
     let mut rng = Drbg::from_seed(0xBE9C_0001);
-    let mut tree = Tree::<S>::new(TreeConfig::quad(), &mut rng);
+    let mut tree = KeyTree::new(TreeConfig::quad().with_backend(backend), &mut rng);
     const N: u64 = 1024;
     const OPS: u64 = 2000;
     for m in 0..N {
@@ -94,9 +94,9 @@ fn rekey_single_leave<S: KeyStore>(name: &'static str) -> Sample {
 
 /// Batched mixed join/leave (Section III-E aggregation): eight leavers
 /// and eight joiners per flush, one combined plan, sealed and encoded.
-fn rekey_batch_mixed<S: KeyStore>(name: &'static str) -> Sample {
+fn rekey_batch_mixed(name: &'static str, backend: TreeBackend) -> Sample {
     let mut rng = Drbg::from_seed(0xBE9C_0002);
-    let mut tree = Tree::<S>::new(TreeConfig::quad(), &mut rng);
+    let mut tree = KeyTree::new(TreeConfig::quad().with_backend(backend), &mut rng);
     const N: u64 = 4096;
     const OPS: u64 = 250;
     const CHURN: u64 = 8;
@@ -140,9 +140,9 @@ fn rekey_batch_mixed<S: KeyStore>(name: &'static str) -> Sample {
 /// mixed 64-leave/64-join batch (so the KHF override table reflects
 /// realistic leave churn). The headline metric is `resident_key_bytes`
 /// — O(n) for the explicit store, O(overrides) for the forest.
-fn resident_keys_5000<S: KeyStore>(name: &'static str) -> Sample {
+fn resident_keys_5000(name: &'static str, backend: TreeBackend) -> Sample {
     let mut rng = Drbg::from_seed(0xBE9C_0003);
-    let mut tree = Tree::<S>::new(TreeConfig::quad(), &mut rng);
+    let mut tree = KeyTree::new(TreeConfig::quad().with_backend(backend), &mut rng);
     const N: u64 = 5000;
     const CHURN: u64 = 64;
     let t0 = Instant::now();
@@ -378,12 +378,12 @@ fn main() {
 
     let calibration = calibrate();
     let samples = vec![
-        rekey_single_leave::<ExplicitKeys>("rekey_single_leave"),
-        rekey_single_leave::<KhfKeys>("rekey_single_leave_khf"),
-        rekey_batch_mixed::<ExplicitKeys>("rekey_batch_mixed"),
-        rekey_batch_mixed::<KhfKeys>("rekey_batch_mixed_khf"),
-        resident_keys_5000::<ExplicitKeys>("resident_keys_5000"),
-        resident_keys_5000::<KhfKeys>("resident_keys_5000_khf"),
+        rekey_single_leave("rekey_single_leave", TreeBackend::Explicit),
+        rekey_single_leave("rekey_single_leave_khf", TreeBackend::Khf),
+        rekey_batch_mixed("rekey_batch_mixed", TreeBackend::Explicit),
+        rekey_batch_mixed("rekey_batch_mixed_khf", TreeBackend::Khf),
+        resident_keys_5000("resident_keys_5000", TreeBackend::Explicit),
+        resident_keys_5000("resident_keys_5000_khf", TreeBackend::Khf),
         wire_encode_decode(),
     ];
 

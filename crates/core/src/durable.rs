@@ -5,7 +5,7 @@
 //! replaced by its backup. This module makes the first half honest: it
 //! defines the write-ahead-log records and checkpoint images that an
 //! area controller and the registration server commit to simulated
-//! stable storage ([`mykil_net::NodeStorage`]), so that a crash wipes
+//! stable storage ([`mykil_net::StableStore`]), so that a crash wipes
 //! volatile memory but `on_restarted` can rebuild from the durable
 //! prefix.
 //!
@@ -23,7 +23,9 @@
 //! checker ([`replay_ac`], [`replay_rs`]): at every quiescent point the
 //! durable view of a live node must agree with its in-memory state —
 //! same role and fencing epoch, same membership, no acknowledged change
-//! lost, no evicted member resurrected.
+//! lost, no evicted member resurrected. For the registration server
+//! that replay is the recovery path itself: `on_restarted` assigns what
+//! [`replay_rs`] returns.
 
 use crate::directory::AcDirectory;
 use crate::wire::{Reader, Writer};
@@ -94,7 +96,7 @@ pub enum AcWalRecord {
 }
 
 impl AcWalRecord {
-    /// Serializes the record for [`mykil_net::NodeStorage::wal_commit`].
+    /// Serializes the record for [`mykil_net::StableStore::wal_commit`].
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = Writer::new();
         match self {
@@ -218,7 +220,7 @@ pub struct AcCheckpoint {
 
 impl AcCheckpoint {
     /// Serializes the checkpoint for
-    /// [`mykil_net::NodeStorage::checkpoint`].
+    /// [`mykil_net::StableStore::checkpoint`].
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = Writer::new();
         if self.primary {
@@ -465,7 +467,7 @@ pub struct DurableAcView {
 }
 
 /// Replays an area controller's durable state (as returned by
-/// [`mykil_net::NodeStorage::load`]) into the view recovery must
+/// [`mykil_net::StableStore::load`]) into the view recovery must
 /// produce. `None` only when the checkpoint exists but does not parse;
 /// unparseable WAL records end the replay early (mirroring recovery's
 /// torn-tail handling).
@@ -535,49 +537,34 @@ pub fn replay_ac(checkpoint: Option<&[u8]>, wal: &[Vec<u8>]) -> Option<DurableAc
     Some(view)
 }
 
-/// The registration server's durable view: checkpoint plus WAL suffix.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DurableRsView {
-    /// Durable next client id.
-    pub next_client: u64,
-    /// Durable next round-robin area.
-    pub next_area: u64,
-    /// Durable AC directory.
-    pub directory: AcDirectory,
-}
-
-/// Replays the registration server's durable state. `None` when the
-/// checkpoint exists but does not parse.
-pub fn replay_rs(checkpoint: Option<&[u8]>, wal: &[Vec<u8>]) -> Option<DurableRsView> {
-    let mut view = DurableRsView {
-        next_client: 1,
-        next_area: 0,
-        directory: AcDirectory::default(),
-    };
-    if let Some(bytes) = checkpoint {
-        let cp = RsCheckpoint::from_bytes(bytes)?;
-        view.next_client = cp.next_client;
-        view.next_area = cp.next_area;
-        view.directory = cp.directory;
-    }
+/// Folds the registration server's WAL suffix over `state` — its
+/// decoded checkpoint, or the state it was deployed with when stable
+/// storage holds no usable one. This is the fold crash recovery runs
+/// and the durability invariant checks. Returns the resulting state
+/// and how many records were folded: an unparseable record ends the
+/// replay early (a torn tail), so a count below `wal.len()` says one
+/// was met.
+pub fn replay_rs(mut state: RsCheckpoint, wal: &[Vec<u8>]) -> (RsCheckpoint, usize) {
+    let mut folded = 0;
     for raw in wal {
         let Some(rec) = RsWalRecord::from_bytes(raw) else {
             break;
         };
         match rec {
             RsWalRecord::ClientAssigned { client } => {
-                view.next_client = view.next_client.max(client + 1);
+                state.next_client = state.next_client.max(client + 1);
             }
             RsWalRecord::DirectoryUpsert { area, node, pubkey } => {
-                view.directory.upsert(crate::directory::AcInfo {
+                state.directory.upsert(crate::directory::AcInfo {
                     area: crate::identity::AreaId(area),
                     node,
                     pubkey,
                 });
             }
         }
+        folded += 1;
     }
-    Some(view)
+    (state, folded)
 }
 
 #[cfg(test)]
@@ -796,8 +783,9 @@ mod tests {
             RsWalRecord::ClientAssigned { client: 5 }.to_bytes(),
             RsWalRecord::ClientAssigned { client: 6 }.to_bytes(),
         ];
-        let view = replay_rs(Some(&cp.to_bytes()), &wal).unwrap();
+        let (view, folded) = replay_rs(cp, &wal);
         assert_eq!(view.next_client, 7);
         assert_eq!(view.next_area, 1);
+        assert_eq!(folded, 2);
     }
 }

@@ -36,7 +36,7 @@
 //! produced it for replay.
 
 use crate::area::Role;
-use crate::durable::{replay_ac, replay_rs};
+use crate::durable::{replay_ac, replay_rs, RsCheckpoint};
 use crate::group::GroupHandle;
 use crate::scale::{AreaState, ScaleEvent, ScaleGroup};
 use mykil_baselines::{ColdAreaModel, RekeyTraffic};
@@ -521,7 +521,10 @@ impl InvariantChecker {
         let rs_node = g.rs();
         if !g.sim.is_crashed(rs_node) && g.sim.storage(rs_node).has_durable_state() {
             let rec = g.sim.storage(rs_node).load();
-            match replay_rs(rec.checkpoint.as_ref().map(|(_, b)| b.as_slice()), &rec.wal) {
+            // The RS checkpoints when it starts, so durable state
+            // without a decodable checkpoint is itself a violation.
+            let checkpoint = rec.checkpoint.as_ref().and_then(|(_, b)| RsCheckpoint::from_bytes(b));
+            match checkpoint.map(|cp| replay_rs(cp, &rec.wal).0) {
                 None => out.push(InvariantViolation::RsDurabilityDrift {
                     detail: "stable storage does not replay".into(),
                 }),

@@ -11,7 +11,7 @@ use crate::auth::{AuthDb, AuthDecision};
 use crate::config::MykilConfig;
 use crate::crypto_cost::CryptoCost;
 use crate::directory::{AcDirectory, AcInfo};
-use crate::durable::{RsCheckpoint, RsWalRecord};
+use crate::durable::{replay_rs, RsCheckpoint, RsWalRecord};
 use crate::error::ProtocolError;
 use crate::identity::{AreaId, ClientId};
 use crate::msg::Msg;
@@ -120,15 +120,18 @@ impl RegistrationServer {
         self.next_client
     }
 
-    /// Writes the full-state checkpoint (id allocators + directory).
-    fn persist_checkpoint(&mut self, ctx: &mut Context<'_>) {
-        let bytes = RsCheckpoint {
+    /// The state a checkpoint captures (id allocators + directory).
+    fn durable_state(&self) -> RsCheckpoint {
+        RsCheckpoint {
             next_client: self.next_client,
             next_area: self.next_area as u64,
             directory: self.directory.clone(),
         }
-        .to_bytes();
-        ctx.storage().checkpoint(bytes);
+    }
+
+    /// Writes the full-state checkpoint.
+    fn persist_checkpoint(&mut self, ctx: &mut Context<'_>) {
+        ctx.storage().checkpoint(self.durable_state().to_bytes());
     }
 
     /// Chooses an area for a new member. The paper allows proximity or
@@ -399,39 +402,27 @@ impl Node for RegistrationServer {
             self.wiped_pending = 0;
         }
         // Rebuild the id allocators and the takeover-updated directory
-        // from stable storage.
+        // from stable storage: the checkpoint, or the deployed state the
+        // volatile reset put back when none is usable, with the WAL
+        // suffix folded over it.
         let rec = ctx.storage().load();
-        let mut applied = false;
-        if let Some((_seq, bytes)) = rec.checkpoint {
-            if let Some(cp) = RsCheckpoint::from_bytes(&bytes) {
-                self.next_client = cp.next_client;
-                self.next_area = cp.next_area as usize;
-                self.directory = cp.directory;
-                applied = true;
-            } else {
+        let checkpoint = rec.checkpoint.and_then(|(_seq, bytes)| {
+            let cp = RsCheckpoint::from_bytes(&bytes);
+            if cp.is_none() {
                 ctx.stats().bump("rs-recovery-bad-checkpoint", 1);
             }
+            cp
+        });
+        let had_checkpoint = checkpoint.is_some();
+        let base = checkpoint.unwrap_or_else(|| self.durable_state());
+        let (state, folded) = replay_rs(base, &rec.wal);
+        self.next_client = state.next_client;
+        self.next_area = state.next_area as usize;
+        self.directory = state.directory;
+        if folded < rec.wal.len() {
+            ctx.stats().bump("rs-recovery-bad-wal-record", 1);
         }
-        for raw in &rec.wal {
-            let Some(rec) = RsWalRecord::from_bytes(raw) else {
-                ctx.stats().bump("rs-recovery-bad-wal-record", 1);
-                break;
-            };
-            match rec {
-                RsWalRecord::ClientAssigned { client } => {
-                    self.next_client = self.next_client.max(client + 1);
-                }
-                RsWalRecord::DirectoryUpsert { area, node, pubkey } => {
-                    self.directory.upsert(AcInfo {
-                        area: AreaId(area),
-                        node,
-                        pubkey,
-                    });
-                }
-            }
-            applied = true;
-        }
-        if applied {
+        if had_checkpoint || folded > 0 {
             ctx.stats().bump("rs-recoveries", 1);
         }
         // Compact the replayed WAL into a fresh checkpoint.

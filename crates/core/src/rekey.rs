@@ -522,7 +522,7 @@ mod tests {
             }
         }
         for st in states.values() {
-            assert_eq!(st.area_key().as_ref(), Some(tree.area_key()));
+            assert_eq!(st.area_key(), Some(tree.area_key()));
         }
 
         // One member leaves; the rest keep up, the departed one stalls.
@@ -530,10 +530,10 @@ mod tests {
         let entries = entries_from_plan(&plan, &mut rng);
         let mut departed = states.remove(&4).unwrap();
         assert_eq!(departed.apply_entries(&entries).learned, 0);
-        assert_ne!(departed.area_key().as_ref(), Some(tree.area_key()));
+        assert_ne!(departed.area_key(), Some(tree.area_key()));
         for (m, st) in states.iter_mut() {
             st.apply_entries(&entries);
-            assert_eq!(st.area_key().as_ref(), Some(tree.area_key()), "member {m}");
+            assert_eq!(st.area_key(), Some(tree.area_key()), "member {m}");
         }
     }
 

@@ -35,7 +35,7 @@
 //!    the journal, so [`crate::invariants::check_scale`] can recompute
 //!    it independently and demand byte-for-byte agreement.
 //! 2. **Crash recovery** — in durable mode every journaled event is
-//!    write-ahead committed ([`mykil_net::NodeStorage`]) and
+//!    write-ahead committed ([`mykil_net::StableStore`]) and
 //!    checkpointed every [`ScaleConfig::checkpoint_every`] events;
 //!    [`Node::on_restarted`] reloads checkpoint + WAL suffix and
 //!    refolds. Replay never re-bumps the simulator's stats counters —

@@ -233,11 +233,20 @@ fn run_durable_replay(data: &[u8]) {
     }
     if let Some(c) = &ckpt {
         let _ = AcCheckpoint::from_bytes(c);
-        let _ = RsCheckpoint::from_bytes(c);
         let _ = snapshot_summary(c);
     }
     let _ = replay_ac(ckpt.as_deref(), &wal);
-    let _ = replay_rs(ckpt.as_deref(), &wal);
+    // The RS fold runs over the decoded checkpoint, or over a freshly
+    // deployed server's state when there is none to decode.
+    let rs_base = ckpt.as_deref().and_then(RsCheckpoint::from_bytes);
+    let _ = replay_rs(
+        rs_base.unwrap_or(RsCheckpoint {
+            next_client: 1,
+            next_area: 0,
+            directory: AcDirectory::default(),
+        }),
+        &wal,
+    );
 }
 
 fn frame_up(flags: u8, frames: &[Vec<u8>]) -> Vec<u8> {

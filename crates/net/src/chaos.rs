@@ -6,7 +6,7 @@
 //! restarts, partitions and heals, link cuts, loss/duplication/reorder
 //! knobs, per-node timer skew, and storage faults (lying fsync with a
 //! lost or torn tail, checkpoint corruption — see
-//! [`NodeStorage`](crate::NodeStorage)). Plans are either hand-written (for
+//! [`StableStore`](crate::StableStore)). Plans are either hand-written (for
 //! regression tests) or generated from a seed ([`FaultPlan::random`]),
 //! and a [`ChaosDriver`] injects them into a [`Simulator`] at the
 //! scheduled virtual times, recording each injection into the trace as

@@ -73,7 +73,7 @@ pub use latency::LatencyModel;
 pub use sim::{Node, Simulator, StorageFactory};
 pub use stats::Stats;
 pub use storage::{
-    FaultyStore, NodeStorage, Recovered, SecretBytes, SimStore, StableStore, StoreFault,
+    FaultyStore, Recovered, SecretBytes, SimStore, StableStore, StoreFault,
 };
 pub use time::{Duration, Time};
 pub use trace::{DropReason, TraceEvent};

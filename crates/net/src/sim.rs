@@ -355,7 +355,7 @@ impl Simulator {
     /// each cancellation bumps the `reliable-cancelled` stat).
     ///
     /// The node's *volatile* state dies with the process: any armed
-    /// storage fault is applied to its [`NodeStorage`] (unsynced tail
+    /// storage fault is applied to its [`StableStore`] (unsynced tail
     /// lost, possibly a torn final record) and then
     /// [`Node::on_crashed_volatile_reset`] wipes the in-memory struct
     /// down to durable local configuration. [`Node::on_restarted`] must

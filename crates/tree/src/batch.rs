@@ -9,8 +9,7 @@
 
 use crate::error::TreeError;
 use crate::plan::{RekeyPlan, UnicastKeys};
-use crate::store::KeyStore;
-use crate::tree::{NodeIdx, Tree};
+use crate::tree::{KeyTree, NodeIdx};
 use crate::MemberId;
 use rand::RngCore;
 use std::collections::BTreeSet;
@@ -26,7 +25,7 @@ pub struct BatchOutcome {
     pub left: Vec<MemberId>,
 }
 
-impl<S: KeyStore> Tree<S> {
+impl KeyTree {
     /// Processes a batch of leave events as one rekey (Figure 6).
     ///
     /// # Errors
@@ -113,7 +112,7 @@ impl<S: KeyStore> Tree<S> {
         let mut new_leaves = Vec::with_capacity(joins.len());
         for &m in joins {
             let (leaf, moved) = self.place_leaf(rng);
-            self.occupy(leaf, m, rng);
+            self.occupy_leaf(leaf, m, rng);
             new_leaves.push((m, leaf));
             if let Some((dm, _)) = moved {
                 displaced.insert(dm);
@@ -153,16 +152,12 @@ impl<S: KeyStore> Tree<S> {
             left: leaves.to_vec(),
         })
     }
-
-    fn occupy<R: RngCore + ?Sized>(&mut self, leaf: NodeIdx, member: MemberId, rng: &mut R) {
-        self.occupy_leaf(leaf, member, rng);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tree::{KeyTree, TreeConfig};
+    use crate::tree::TreeConfig;
     use mykil_crypto::drbg::Drbg;
 
     fn tree_with(n: u64, cfg: TreeConfig, r: &mut Drbg) -> KeyTree {
@@ -237,7 +232,7 @@ mod tests {
         // Every newcomer got a full path ending at the root.
         for u in &out.plan.unicasts {
             assert_eq!(u.keys.last().unwrap().0, t.root());
-            assert_eq!(&u.keys.last().unwrap().1, t.area_key());
+            assert_eq!(u.keys.last().unwrap().1, t.area_key());
         }
         t.check_invariants();
     }
@@ -290,10 +285,10 @@ mod tests {
     fn empty_batch_is_noop() {
         let mut r = Drbg::from_seed(6);
         let mut t = tree_with(4, TreeConfig::quad(), &mut r);
-        let key_before = t.area_key().clone();
+        let key_before = t.area_key();
         let out = t.batch(&[], &[], &mut r).unwrap();
         assert!(out.plan.is_empty());
-        assert_eq!(t.area_key(), &key_before);
+        assert_eq!(t.area_key(), key_before);
     }
 
     #[test]

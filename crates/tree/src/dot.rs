@@ -4,11 +4,10 @@
 //! interior auxiliary-key nodes, occupied leaves labeled with their
 //! member, and vacant leaves (Mykil keeps them) dashed.
 
-use crate::store::KeyStore;
-use crate::tree::{NodeIdx, Tree};
+use crate::tree::{KeyTree, NodeIdx};
 use std::fmt::Write;
 
-impl<S: KeyStore> Tree<S> {
+impl KeyTree {
     /// Renders the tree in Graphviz `dot` syntax.
     ///
     /// Key *values* are never included — only structure, key versions,

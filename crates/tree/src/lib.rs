@@ -21,6 +21,13 @@
 //!   join/leave events so shared path segments are refreshed only once,
 //!   saving the 40–60% of key-update traffic the paper reports.
 //!
+//! There is one tree type, [`KeyTree`] ([`AreaTree`] is the same type
+//! under the name the protocol crate uses). Where its node keys come
+//! from — stored explicitly as in the paper, or derived from a
+//! keyed-hash forest — is chosen once from [`TreeConfig::backend`] when
+//! the tree is built, and from the snapshot magic when it is restored;
+//! nothing else in the crate depends on the choice.
+//!
 //! The tree produces [`RekeyPlan`]s — a description of which keys changed
 //! and what each new key must be encrypted under — which the `mykil`
 //! protocol crate turns into actual wire messages, and which the
@@ -43,7 +50,6 @@
 //! # Ok::<(), mykil_tree::TreeError>(())
 //! ```
 
-mod aux;
 mod batch;
 mod dot;
 mod error;
@@ -53,14 +59,12 @@ mod snapshot;
 mod store;
 mod tree;
 
-pub use aux::{AreaTree, AuxTree};
 pub use batch::BatchOutcome;
 pub use error::TreeError;
 pub use member_view::MemberView;
 pub use plan::{EncryptUnder, KeyChange, RekeyPlan, UnicastKeys};
 pub use snapshot::SnapshotError;
-pub use store::{ExplicitKeys, KeyStore, KhfKeys, RotateStyle};
-pub use tree::{KeyTree, KhfTree, NodeIdx, Tree, TreeBackend, TreeConfig};
+pub use tree::{AreaTree, KeyTree, NodeIdx, TreeBackend, TreeConfig};
 
 /// Identifier of a group member within one area's key tree.
 ///

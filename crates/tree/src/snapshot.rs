@@ -2,15 +2,16 @@
 //!
 //! Section IV-C of the paper: a Mykil area controller is replicated with
 //! a primary-backup scheme, and the replicated state includes "the
-//! complete auxiliary tree". [`Tree::snapshot`] serializes exactly that
-//! state; [`Tree::restore`] rebuilds a tree a backup can take over with.
+//! complete auxiliary tree". [`KeyTree::snapshot`] serializes exactly
+//! that state; [`KeyTree::restore`] rebuilds a tree a backup can take
+//! over with.
 //!
-//! Two formats exist, one per [`KeyStore`] backend, distinguished by a
-//! 4-byte magic:
+//! Two formats exist, one per [`TreeBackend`](crate::TreeBackend),
+//! distinguished by a 4-byte magic:
 //!
-//! - `MKT1` ([`crate::KeyTree`]): structure, per-node key bytes,
-//!   versions, occupancy — byte-for-byte the original format.
-//! - `MKH1` ([`crate::KhfTree`]): structure, versions, occupancy, then
+//! - `MKT1` (explicit keys): structure, per-node key bytes, versions,
+//!   occupancy — byte-for-byte the original format.
+//! - `MKH1` (keyed-hash forest): structure, versions, occupancy, then
 //!   the 32-byte forest secret and the override table. Derived keys are
 //!   never serialized; the backup re-derives them, so the snapshot is
 //!   O(updated set) like the resident state. Per-node `version`
@@ -18,23 +19,18 @@
 //!   them would derive stale `(node, version)` keys and desynchronize
 //!   from the members.
 //!
-//! [`crate::AreaTree::restore`] dispatches on the magic so replicated
-//! state moves between controllers regardless of backend.
+//! `snapshot` writes the magic of the tree's backend and `restore`
+//! picks the backend from the magic, so replicated state moves between
+//! controllers regardless of backend and `config().backend()` of a
+//! restored tree always names the format it came from.
 
-use crate::store::KeyStore;
-use crate::tree::{Tree, TreeConfig};
+use crate::tree::{KeyTree, TreeBackend, TreeConfig};
 use crate::MemberId;
 use std::fmt;
 
-/// Error returned by [`Tree::restore`] on corrupt input.
+/// Error returned by [`KeyTree::restore`] on corrupt input.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SnapshotError(&'static str);
-
-impl SnapshotError {
-    pub(crate) fn new(what: &'static str) -> SnapshotError {
-        SnapshotError(what)
-    }
-}
 
 impl fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -64,12 +60,20 @@ impl Reader<'_> {
     }
 }
 
-impl<S: KeyStore> Tree<S> {
+/// Magic prefix of each backend's snapshot format.
+fn magic(backend: TreeBackend) -> &'static [u8; 4] {
+    match backend {
+        TreeBackend::Explicit => b"MKT1",
+        TreeBackend::Khf => b"MKH1",
+    }
+}
+
+impl KeyTree {
     /// Serializes the complete tree (structure, key state, versions,
     /// occupancy) for transfer to a backup controller.
     pub fn snapshot(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.node_count() * 40 + 16);
-        out.extend_from_slice(S::SNAPSHOT_MAGIC);
+        out.extend_from_slice(magic(self.config().backend()));
         out.push(self.config().arity() as u8);
         out.extend_from_slice(&(self.node_count() as u64).to_be_bytes());
         for i in 0..self.node_count() {
@@ -92,17 +96,17 @@ impl<S: KeyStore> Tree<S> {
         out
     }
 
-    /// Rebuilds a tree from [`Self::snapshot`] output of the same
-    /// backend (use [`crate::AreaTree::restore`] when the backend is
-    /// not statically known).
+    /// Rebuilds a tree from [`Self::snapshot`] output of either
+    /// backend, chosen by the 4-byte magic.
     ///
     /// # Errors
     ///
     /// Returns [`SnapshotError`] on truncated or malformed input.
-    pub fn restore(bytes: &[u8]) -> Result<Tree<S>, SnapshotError> {
-        if bytes.len() < 4 || &bytes[..4] != S::SNAPSHOT_MAGIC {
-            return Err(SnapshotError("bad magic"));
-        }
+    pub fn restore(bytes: &[u8]) -> Result<KeyTree, SnapshotError> {
+        let backend = [TreeBackend::Explicit, TreeBackend::Khf]
+            .into_iter()
+            .find(|&b| bytes.starts_with(magic(b)))
+            .ok_or(SnapshotError("bad magic"))?;
         let mut r = Reader(&bytes[4..]);
         let arity = r.u8()? as usize;
         if !(2..=16).contains(&arity) {
@@ -120,7 +124,7 @@ impl<S: KeyStore> Tree<S> {
             return Err(SnapshotError("node count exceeds input"));
         }
         let mut tree =
-            Tree::<S>::restore_shell(TreeConfig::with_arity(arity).with_backend(S::BACKEND), count);
+            KeyTree::restore_shell(TreeConfig::with_arity(arity).with_backend(backend), count);
         for i in 0..count {
             let parent_raw = r.u64()?;
             let parent = if parent_raw == 0 {
@@ -137,7 +141,7 @@ impl<S: KeyStore> Tree<S> {
             }
             tree.store_mut()
                 .restore_node(i, parent.map(|p| p.raw()), &mut r.0)
-                .map_err(SnapshotError::new)?;
+                .map_err(SnapshotError)?;
             let version = r.u64()?;
             let occupant = match r.u8()? {
                 0 => None,
@@ -149,7 +153,7 @@ impl<S: KeyStore> Tree<S> {
         }
         tree.store_mut()
             .restore_tail(count, &mut r.0)
-            .map_err(SnapshotError::new)?;
+            .map_err(SnapshotError)?;
         if !r.0.is_empty() {
             return Err(SnapshotError("trailing bytes"));
         }
@@ -164,12 +168,14 @@ impl<S: KeyStore> Tree<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tree::{KeyTree, KhfTree, TreeConfig};
+    use crate::tree::NodeIdx;
     use mykil_crypto::drbg::Drbg;
 
-    fn sample_tree(n: u64) -> KeyTree {
+    const BACKENDS: [TreeBackend; 2] = [TreeBackend::Explicit, TreeBackend::Khf];
+
+    fn sample_tree(backend: TreeBackend, n: u64) -> KeyTree {
         let mut rng = Drbg::from_seed(9);
-        let mut t = KeyTree::new(TreeConfig::quad(), &mut rng);
+        let mut t = KeyTree::new(TreeConfig::quad().with_backend(backend), &mut rng);
         for m in 0..n {
             t.join(MemberId(m), &mut rng).unwrap();
         }
@@ -181,21 +187,7 @@ mod tests {
         t
     }
 
-    fn sample_khf(n: u64) -> KhfTree {
-        let mut rng = Drbg::from_seed(9);
-        let mut t = KhfTree::new(TreeConfig::quad(), &mut rng);
-        for m in 0..n {
-            t.join(MemberId(m), &mut rng).unwrap();
-        }
-        for m in [1u64, 4, 9] {
-            if m < n {
-                t.leave(MemberId(m), &mut rng).unwrap();
-            }
-        }
-        t
-    }
-
-    fn paths_equal<S: KeyStore>(a: &Tree<S>, b: &Tree<S>) {
+    fn paths_equal(a: &KeyTree, b: &KeyTree) {
         let (mut pa, mut pb) = (Vec::new(), Vec::new());
         for m in a.members() {
             assert!(b.contains(m));
@@ -207,38 +199,32 @@ mod tests {
 
     #[test]
     fn round_trip_preserves_everything() {
-        let tree = sample_tree(30);
-        let restored = KeyTree::restore(&tree.snapshot()).unwrap();
-        restored.check_invariants();
-        assert_eq!(restored.node_count(), tree.node_count());
-        assert_eq!(restored.member_count(), tree.member_count());
-        assert_eq!(restored.area_key(), tree.area_key());
-        paths_equal(&tree, &restored);
-    }
-
-    #[test]
-    fn khf_round_trip_preserves_everything() {
-        let tree = sample_khf(30);
-        let restored = KhfTree::restore(&tree.snapshot()).unwrap();
-        restored.check_invariants();
-        assert_eq!(restored.node_count(), tree.node_count());
-        assert_eq!(restored.member_count(), tree.member_count());
-        assert_eq!(restored.node_key(tree.root()), tree.node_key(tree.root()));
-        assert_eq!(
-            restored.store().override_count(),
-            tree.store().override_count()
-        );
-        for i in 0..tree.node_count() {
-            let n = crate::tree::NodeIdx::from_raw(i);
-            assert_eq!(restored.version_of(n), tree.version_of(n), "{n} version");
+        for backend in BACKENDS {
+            let tree = sample_tree(backend, 30);
+            let snap = tree.snapshot();
+            let restored = KeyTree::restore(&snap).unwrap();
+            restored.check_invariants();
+            // The config, the format written and the tree read back
+            // name the same backend.
+            assert_eq!(tree.config().backend(), backend);
+            assert_eq!(&snap[..4], magic(backend));
+            assert_eq!(restored.config().backend(), backend);
+            assert_eq!(restored.node_count(), tree.node_count());
+            assert_eq!(restored.member_count(), tree.member_count());
+            assert_eq!(restored.area_key(), tree.area_key());
+            assert_eq!(restored.resident_key_bytes(), tree.resident_key_bytes());
+            for i in 0..tree.node_count() {
+                let n = NodeIdx::from_raw(i);
+                assert_eq!(restored.version_of(n), tree.version_of(n), "{n} version");
+            }
+            paths_equal(&tree, &restored);
         }
-        paths_equal(&tree, &restored);
     }
 
     #[test]
     fn khf_snapshot_is_compact() {
-        let tree = sample_khf(200);
-        let explicit = sample_tree(200);
+        let tree = sample_tree(TreeBackend::Khf, 200);
+        let explicit = sample_tree(TreeBackend::Explicit, 200);
         // No per-node key bytes: the KHF image is 16 bytes/node smaller,
         // minus the forest secret and the (small) override table.
         assert!(
@@ -251,25 +237,16 @@ mod tests {
 
     #[test]
     fn restored_tree_is_operable() {
-        let tree = sample_tree(20);
-        let mut rng = Drbg::from_seed(10);
-        let mut restored = KeyTree::restore(&tree.snapshot()).unwrap();
-        // The backup can continue where the primary stopped.
-        restored.join(MemberId(1000), &mut rng).unwrap();
-        restored.leave(MemberId(0), &mut rng).unwrap();
-        restored.check_invariants();
-        assert_eq!(restored.member_count(), tree.member_count());
-    }
-
-    #[test]
-    fn restored_khf_tree_is_operable() {
-        let tree = sample_khf(20);
-        let mut rng = Drbg::from_seed(10);
-        let mut restored = KhfTree::restore(&tree.snapshot()).unwrap();
-        restored.join(MemberId(1000), &mut rng).unwrap();
-        restored.leave(MemberId(0), &mut rng).unwrap();
-        restored.check_invariants();
-        assert_eq!(restored.member_count(), tree.member_count());
+        for backend in BACKENDS {
+            let tree = sample_tree(backend, 20);
+            let mut rng = Drbg::from_seed(10);
+            let mut restored = KeyTree::restore(&tree.snapshot()).unwrap();
+            // The backup can continue where the primary stopped.
+            restored.join(MemberId(1000), &mut rng).unwrap();
+            restored.leave(MemberId(0), &mut rng).unwrap();
+            restored.check_invariants();
+            assert_eq!(restored.member_count(), tree.member_count());
+        }
     }
 
     #[test]
@@ -284,41 +261,32 @@ mod tests {
 
     #[test]
     fn corrupt_snapshots_rejected() {
-        let tree = sample_tree(10);
-        let snap = tree.snapshot();
         assert!(KeyTree::restore(&[]).is_err());
         assert!(KeyTree::restore(b"XXXX").is_err());
-        assert!(KeyTree::restore(&snap[..snap.len() - 1]).is_err());
-        let mut extra = snap.clone();
-        extra.push(0);
-        assert!(KeyTree::restore(&extra).is_err());
-        let mut bad_magic = snap.clone();
-        bad_magic[0] = b'Z';
-        assert!(KeyTree::restore(&bad_magic).is_err());
-    }
-
-    #[test]
-    fn corrupt_khf_snapshots_rejected() {
-        let tree = sample_khf(10);
-        let snap = tree.snapshot();
-        assert!(KhfTree::restore(&snap[..snap.len() - 1]).is_err());
-        let mut extra = snap.clone();
-        extra.push(0);
-        assert!(KhfTree::restore(&extra).is_err());
-        // One backend's image does not restore as the other's.
-        assert!(KeyTree::restore(&snap).is_err());
-        assert!(KhfTree::restore(&sample_tree(10).snapshot()).is_err());
+        assert!(KeyTree::restore(b"ZZZZrest").is_err());
+        for backend in BACKENDS {
+            let snap = sample_tree(backend, 10).snapshot();
+            assert!(KeyTree::restore(&snap[..snap.len() - 1]).is_err());
+            let mut extra = snap.clone();
+            extra.push(0);
+            assert!(KeyTree::restore(&extra).is_err());
+            let mut bad_magic = snap.clone();
+            bad_magic[0] = b'Z';
+            assert!(KeyTree::restore(&bad_magic).is_err());
+            // One backend's body does not parse under the other's magic.
+            let mut other_magic = snap;
+            other_magic[2] ^= b'T' ^ b'H';
+            assert!(KeyTree::restore(&other_magic).is_err());
+        }
     }
 
     #[test]
     fn snapshot_is_deterministic() {
-        let tree = sample_tree(15);
-        assert_eq!(tree.snapshot(), tree.snapshot());
-        let restored = KeyTree::restore(&tree.snapshot()).unwrap();
-        assert_eq!(restored.snapshot(), tree.snapshot());
-        let khf = sample_khf(15);
-        assert_eq!(khf.snapshot(), khf.snapshot());
-        let restored = KhfTree::restore(&khf.snapshot()).unwrap();
-        assert_eq!(restored.snapshot(), khf.snapshot());
+        for backend in BACKENDS {
+            let tree = sample_tree(backend, 15);
+            assert_eq!(tree.snapshot(), tree.snapshot());
+            let restored = KeyTree::restore(&tree.snapshot()).unwrap();
+            assert_eq!(restored.snapshot(), tree.snapshot());
+        }
     }
 }

@@ -2,7 +2,7 @@
 
 use crate::error::TreeError;
 use crate::plan::{EncryptUnder, KeyChange, RekeyPlan, UnicastKeys};
-use crate::store::{ExplicitKeys, KeyStore, KhfKeys, RotateStyle};
+use crate::store::{Keys, RotateStyle};
 use crate::MemberId;
 use mykil_crypto::keys::SymmetricKey;
 use rand::RngCore;
@@ -40,7 +40,7 @@ impl std::fmt::Display for NodeIdx {
     }
 }
 
-/// Which [`KeyStore`] backend an area's tree uses (selected through
+/// Where an area's tree keeps its node keys (selected through
 /// `TreeConfig` and, one level up, `GroupBuilder::tree_backend`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum TreeBackend {
@@ -103,9 +103,9 @@ impl TreeConfig {
         self.prune_on_leave
     }
 
-    /// Selects the key-storage backend used when the tree is built
-    /// through [`crate::AreaTree::new`] (a concrete `Tree<S>` ignores
-    /// this and is whatever its type parameter says).
+    /// Selects the key-storage backend of a tree built from this
+    /// config. A restored tree reports the backend its snapshot was
+    /// written by.
     pub fn with_backend(mut self, backend: TreeBackend) -> TreeConfig {
         self.backend = backend;
         self
@@ -143,18 +143,20 @@ impl NodeEntry {
     }
 }
 
-/// An area's auxiliary-key tree (see the [crate docs](crate)), generic
-/// over where key material lives.
+/// An area's auxiliary-key tree (see the [crate docs](crate)).
 ///
 /// Node 0 is the root and its key is the **area key**. Interior nodes
 /// hold auxiliary keys; occupied leaves hold member individual keys.
-/// The structure (arena, placement, rekey planning) is shared by every
-/// backend; key storage and derivation is delegated to `S`.
+/// The structure (arena, placement, rekey planning) is the same for
+/// every backend; only where a node's key comes from follows
+/// [`TreeConfig::backend`]. Plans, wire encodings and placement
+/// decisions are therefore identical across backends — key values and
+/// the controller's storage bill differ.
 #[derive(Debug, Clone)]
-pub struct Tree<S: KeyStore> {
+pub struct KeyTree {
     cfg: TreeConfig,
     nodes: Vec<NodeEntry>,
-    store: S,
+    store: Keys,
     members: BTreeMap<MemberId, NodeIdx>,
     /// Vacant leaves ordered by (depth, index): shallowest-leftmost first.
     vacant: BTreeSet<(u32, NodeIdx)>,
@@ -171,16 +173,14 @@ pub struct Tree<S: KeyStore> {
     visit_epoch: u32,
 }
 
-/// The paper's tree: every key stored explicitly.
-pub type KeyTree = Tree<ExplicitKeys>;
+/// The tree as an area controller holds it: the same type as
+/// [`KeyTree`], under the name the protocol crate uses.
+pub type AreaTree = KeyTree;
 
-/// Keyed-hash-forest tree: keys derived on demand, O(updated set)
-/// resident key bytes.
-pub type KhfTree = Tree<KhfKeys>;
-
-impl<S: KeyStore> Tree<S> {
-    /// Creates a tree containing only the root (area-key) node.
-    pub fn new<R: RngCore + ?Sized>(cfg: TreeConfig, rng: &mut R) -> Tree<S> {
+impl KeyTree {
+    /// Creates a tree containing only the root (area-key) node, with
+    /// the key storage `cfg.backend()` selects.
+    pub fn new<R: RngCore + ?Sized>(cfg: TreeConfig, rng: &mut R) -> KeyTree {
         let root = NodeEntry {
             parent: None,
             children: Vec::new(),
@@ -190,10 +190,10 @@ impl<S: KeyStore> Tree<S> {
         };
         let mut open_internal = BTreeSet::new();
         open_internal.insert((0, NodeIdx(0)));
-        Tree {
+        KeyTree {
             cfg,
             nodes: vec![root],
-            store: S::new_root(rng),
+            store: Keys::new_root(cfg.backend(), rng),
             members: BTreeMap::new(),
             vacant: BTreeSet::new(),
             open_internal,
@@ -231,9 +231,13 @@ impl<S: KeyStore> Tree<S> {
         NodeIdx(0)
     }
 
+    /// The current area key (the root key), owned.
+    pub fn area_key(&self) -> SymmetricKey {
+        self.node_key(NodeIdx(0))
+    }
+
     /// Current key of a node, owned (a derivation backend has no stored
-    /// key to borrow; explicit trees additionally offer the borrowed
-    /// [`KeyTree::key_of`]).
+    /// key to borrow).
     ///
     /// # Panics
     ///
@@ -281,8 +285,7 @@ impl<S: KeyStore> Tree<S> {
     ///
     /// This is exactly the key set a Mykil member stores — about 11 keys
     /// for a 5000-member area in the paper's Section V-A arithmetic.
-    /// Callers on hot paths reuse `out` across calls; explicit trees can
-    /// iterate [`KeyTree::path_key_refs`] instead and copy nothing.
+    /// Callers on hot paths reuse `out` across calls.
     ///
     /// # Errors
     ///
@@ -305,7 +308,7 @@ impl<S: KeyStore> Tree<S> {
     /// without allocating. The precomputed parent links and depths make
     /// this (and the sibling lookups during leave-style rekeys) a pure
     /// pointer chase.
-    pub fn ancestors(&self, node: NodeIdx) -> Ancestors<'_, S> {
+    pub fn ancestors(&self, node: NodeIdx) -> Ancestors<'_> {
         Ancestors {
             tree: self,
             cur: Some(node),
@@ -654,11 +657,11 @@ impl<S: KeyStore> Tree<S> {
     // ---- snapshot-restore plumbing (see `snapshot.rs`) ----
 
     /// Creates an empty tree shell for restore.
-    pub(crate) fn restore_shell(cfg: TreeConfig, capacity: usize) -> Tree<S> {
-        Tree {
+    pub(crate) fn restore_shell(cfg: TreeConfig, capacity: usize) -> KeyTree {
+        KeyTree {
             cfg,
             nodes: Vec::with_capacity(capacity),
-            store: S::restore_shell(capacity),
+            store: Keys::restore_shell(cfg.backend(), capacity),
             members: BTreeMap::new(),
             vacant: BTreeSet::new(),
             open_internal: BTreeSet::new(),
@@ -668,11 +671,11 @@ impl<S: KeyStore> Tree<S> {
         }
     }
 
-    pub(crate) fn store(&self) -> &S {
+    pub(crate) fn store(&self) -> &Keys {
         &self.store
     }
 
-    pub(crate) fn store_mut(&mut self) -> &mut S {
+    pub(crate) fn store_mut(&mut self) -> &mut Keys {
         &mut self.store
     }
 
@@ -795,49 +798,14 @@ impl<S: KeyStore> Tree<S> {
     }
 }
 
-impl Tree<ExplicitKeys> {
-    /// The current area key (the root key), borrowed from the tree.
-    ///
-    /// Explicit key storage lives in the store's arena; accessors hand
-    /// out borrowed views so reading a key never copies (or later
-    /// zeroizes) key material. Callers that must retain a key across a
-    /// tree mutation clone explicitly. Derivation backends have nothing
-    /// to borrow — generic code uses the owned
-    /// [`Tree::node_key`]/[`crate::AuxTree::area_key`] instead.
-    pub fn area_key(&self) -> &SymmetricKey {
-        self.store.key_ref(0)
-    }
-
-    /// Current key of a node, borrowed from the tree.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an index from a different tree.
-    pub fn key_of(&self, node: NodeIdx) -> &SymmetricKey {
-        self.store.key_ref(node.0)
-    }
-
-    /// Borrowed `(node, key)` pairs on the member's path, leaf first,
-    /// root last — the allocation-free view behind
-    /// [`Tree::path_keys_into`]. Serializers iterate this directly
-    /// instead of materializing a cloned path vector.
-    pub fn path_key_refs(
-        &self,
-        member: MemberId,
-    ) -> Result<impl Iterator<Item = (NodeIdx, &SymmetricKey)> + '_, TreeError> {
-        let leaf = self.leaf_of(member)?;
-        Ok(self.ancestors(leaf).map(|n| (n, self.store.key_ref(n.0))))
-    }
-}
-
 /// Iterator over a node's path to the root via the stored parent links.
-/// See [`Tree::ancestors`].
-pub struct Ancestors<'a, S: KeyStore> {
-    tree: &'a Tree<S>,
+/// See [`KeyTree::ancestors`].
+pub struct Ancestors<'a> {
+    tree: &'a KeyTree,
     cur: Option<NodeIdx>,
 }
 
-impl<S: KeyStore> Iterator for Ancestors<'_, S> {
+impl Iterator for Ancestors<'_> {
     type Item = NodeIdx;
 
     fn next(&mut self) -> Option<NodeIdx> {
@@ -863,7 +831,8 @@ mod tests {
         assert_eq!(tree.member_count(), 0);
         assert_eq!(tree.node_count(), 1);
         assert_eq!(tree.height(), 0);
-        assert_eq!(tree.key_of(tree.root()), tree.area_key());
+        assert_eq!(tree.node_key(tree.root()), tree.area_key());
+        assert_eq!(tree.config().backend(), TreeBackend::Explicit);
         tree.check_invariants();
     }
 
@@ -922,9 +891,9 @@ mod tests {
         for m in 0..8 {
             tree.join(MemberId(m), &mut r).unwrap();
         }
-        let area_key_before = tree.area_key().clone();
+        let area_key_before = tree.area_key();
         let plan = tree.join(MemberId(100), &mut r).unwrap();
-        assert_ne!(tree.area_key(), &area_key_before, "area key must rotate");
+        assert_ne!(tree.area_key(), area_key_before, "area key must rotate");
         // Every change is distributed under the previous self key.
         for c in &plan.changes {
             assert_eq!(c.encryptions.len(), 1);
@@ -1006,16 +975,9 @@ mod tests {
         tree.path_keys_into(MemberId(5), &mut path).unwrap();
         assert!(path.len() >= 2);
         assert_eq!(path.last().unwrap().0, tree.root());
-        assert_eq!(&path.last().unwrap().1, tree.area_key());
+        assert_eq!(path.last().unwrap().1, tree.area_key());
         // First entry is the member's own leaf.
         assert_eq!(tree.occupant_of(path[0].0), Some(MemberId(5)));
-        // The borrowed view walks the same pairs without copying.
-        let refs: Vec<(NodeIdx, SymmetricKey)> = tree
-            .path_key_refs(MemberId(5))
-            .unwrap()
-            .map(|(n, k)| (n, k.clone()))
-            .collect();
-        assert_eq!(refs, path);
     }
 
     #[test]
@@ -1067,7 +1029,8 @@ mod tests {
     #[test]
     fn khf_tree_runs_the_same_protocol() {
         let mut r = rng();
-        let mut tree: KhfTree = KhfTree::new(TreeConfig::quad(), &mut r);
+        let mut tree = KeyTree::new(TreeConfig::quad().with_backend(TreeBackend::Khf), &mut r);
+        assert_eq!(tree.config().backend(), TreeBackend::Khf);
         for m in 0..20 {
             let plan = tree.join(MemberId(m), &mut r).unwrap();
             assert!(!plan.unicasts.is_empty());
@@ -1089,14 +1052,15 @@ mod tests {
     #[test]
     fn khf_leave_key_is_not_forest_derived() {
         let mut r = rng();
-        let mut tree: KhfTree = KhfTree::new(TreeConfig::quad(), &mut r);
+        let mut tree = KeyTree::new(TreeConfig::quad().with_backend(TreeBackend::Khf), &mut r);
         for m in 0..5 {
             tree.join(MemberId(m), &mut r).unwrap();
         }
-        let overrides_before = tree.store().override_count();
+        // Only overrides add resident bytes to a forest.
+        let resident_before = tree.resident_key_bytes();
         let plan = tree.leave(MemberId(2), &mut r).unwrap();
         assert!(
-            tree.store().override_count() > overrides_before,
+            tree.resident_key_bytes() > resident_before,
             "leave must add overrides"
         );
         // The plan's new keys match what the tree now reports.
@@ -1220,9 +1184,9 @@ mod prune_tests {
     fn forward_secrecy_holds_in_prune_mode() {
         let mut r = Drbg::from_seed(4);
         let mut t = build(true, 16, &mut r);
-        let key_before = t.area_key().clone();
+        let key_before = t.area_key();
         let plan = t.leave(MemberId(5), &mut r).unwrap();
-        assert_ne!(t.area_key(), &key_before);
+        assert_ne!(t.area_key(), key_before);
         // No encryption under the departed leaf's key.
         for c in &plan.changes {
             for (under, _) in &c.encryptions {

@@ -11,7 +11,7 @@
 //! - both backends pass `check_invariants` at every step.
 
 use mykil_crypto::drbg::Drbg;
-use mykil_tree::{EncryptUnder, KeyStore, MemberId, MemberView, RekeyPlan, Tree, TreeConfig};
+use mykil_tree::{EncryptUnder, KeyTree, MemberId, MemberView, RekeyPlan, TreeBackend, TreeConfig};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -59,17 +59,17 @@ fn shape(plan: &RekeyPlan) -> PlanShape {
 
 /// One backend's protocol state: the tree plus live per-member views,
 /// updated exactly as the real distribution flow would.
-struct Side<S: KeyStore> {
-    tree: Tree<S>,
+struct Side {
+    tree: KeyTree,
     views: BTreeMap<MemberId, MemberView>,
     rng: Drbg,
 }
 
-impl<S: KeyStore> Side<S> {
-    fn new(cfg: TreeConfig, seed: u64) -> Self {
+impl Side {
+    fn new(cfg: TreeConfig, backend: TreeBackend, seed: u64) -> Self {
         let mut rng = Drbg::from_seed(seed);
         Side {
-            tree: Tree::<S>::new(cfg, &mut rng),
+            tree: KeyTree::new(cfg.with_backend(backend), &mut rng),
             views: BTreeMap::new(),
             rng,
         }
@@ -106,8 +106,8 @@ fn run_equivalence(arity: usize, seed: u64, ops: &[Op]) {
     let cfg = TreeConfig::with_arity(arity);
     // Different RNG streams on purpose: equivalence must not depend on
     // the backends drawing the same bytes.
-    let mut e: Side<mykil_tree::ExplicitKeys> = Side::new(cfg, seed);
-    let mut k: Side<mykil_tree::KhfKeys> = Side::new(cfg, seed ^ 0x5eed_cafe);
+    let mut e = Side::new(cfg, TreeBackend::Explicit, seed);
+    let mut k = Side::new(cfg, TreeBackend::Khf, seed ^ 0x5eed_cafe);
     let mut next_member = 0u64;
 
     for op in ops {
@@ -237,9 +237,9 @@ proptest! {
         seed in any::<u64>(),
         ops in proptest::collection::vec(op_strategy(), 1..10),
     ) {
-        fn check<S: KeyStore>(tree: &Tree<S>) {
+        fn check(tree: &KeyTree) {
             let snap = tree.snapshot();
-            let restored = Tree::<S>::restore(&snap).unwrap();
+            let restored = KeyTree::restore(&snap).unwrap();
             restored.check_invariants();
             for i in 0..tree.node_count() {
                 let n = mykil_tree::NodeIdx::from_raw(i);
@@ -256,8 +256,8 @@ proptest! {
         }
 
         let cfg = TreeConfig::quad();
-        let mut e: Side<mykil_tree::ExplicitKeys> = Side::new(cfg, seed);
-        let mut k: Side<mykil_tree::KhfKeys> = Side::new(cfg, seed ^ 1);
+        let mut e = Side::new(cfg, TreeBackend::Explicit, seed);
+        let mut k = Side::new(cfg, TreeBackend::Khf, seed ^ 1);
         let mut next = 0u64;
         for op in &ops {
             match op {

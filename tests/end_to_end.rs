@@ -63,7 +63,7 @@ fn khf_backend_full_protocol_with_failover() {
     for &m in &members {
         assert!(g.is_member(m));
     }
-    assert_eq!(g.ac(0).tree().backend(), TreeBackend::Khf);
+    assert_eq!(g.ac(0).tree().config().backend(), TreeBackend::Khf);
 
     g.send_data(members[0], b"khf frame");
     g.run_for(Duration::from_secs(1));
@@ -85,7 +85,7 @@ fn khf_backend_full_protocol_with_failover() {
     g.crash_ac(0);
     g.run_for(Duration::from_secs(3));
     assert_eq!(g.backup(0).role(), mykil::area::Role::Primary);
-    assert_eq!(g.backup(0).tree().backend(), TreeBackend::Khf);
+    assert_eq!(g.backup(0).tree().config().backend(), TreeBackend::Khf);
 
     let late = g.register_member(50);
     g.run_for(Duration::from_secs(3));
