@@ -41,14 +41,14 @@ impl AreaController {
         }
 
         // Record member liveness.
-        if let Some(rec) = self.members.values_mut().find(|r| r.node == from) {
+        if let Some(rec) = self.durable.image.members.values_mut().find(|r| r.node == from) {
             rec.last_heard = ctx.now();
         }
 
         // Unwrap K_r with the key of the region the packet came from.
-        let from_parent = self.parent.as_ref().is_some_and(|p| p.node == from);
+        let from_parent = self.durable.image.parent.as_ref().is_some_and(|p| p.node == from);
         let unwrap_keys = if from_parent {
-            self.parent_keys.area_keys_with_history()
+            self.durable.image.parent_keys.area_keys_with_history()
         } else {
             self.own_area_keys()
         };
@@ -72,7 +72,8 @@ impl AreaController {
 
         // Multicast into our area under the (possibly new) area key.
         ctx.charge_compute(self.cost.symmetric_op);
-        let rewrapped = envelope::seal(&self.tree.area_key(), k_r.as_bytes(), ctx.rng());
+        let area_key = self.durable.image.tree.area_key();
+        let rewrapped = envelope::seal(&area_key, k_r.as_bytes(), ctx.rng());
         ctx.multicast(
             self.deploy.group,
             "data",
@@ -89,8 +90,8 @@ impl AreaController {
 
         // Forward upward unless the packet came from above.
         if !from_parent {
-            if let Some(parent) = self.parent.clone() {
-                if let Some(parent_key) = self.parent_keys.area_key() {
+            if let Some(parent) = self.durable.image.parent.clone() {
+                if let Some(parent_key) = self.durable.image.parent_keys.area_key() {
                     ctx.charge_compute(self.cost.symmetric_op);
                     let up = envelope::seal(&parent_key, k_r.as_bytes(), ctx.rng());
                     ctx.send(

@@ -1,7 +1,7 @@
 //! Join steps 4, 6 and 7 at the area controller, plus the shared
 //! admission path used by joins and rejoins.
 
-use super::{AreaController, MemberRecord, PendingAdmission};
+use super::{AreaController, PendingAdmission};
 use crate::durable::AcWalRecord;
 use crate::error::ProtocolError;
 use crate::identity::{ClientId, DeviceId};
@@ -92,7 +92,7 @@ impl AreaController {
         let Ok(welcome) = self.admit(
             ctx,
             pending.client,
-            pending.pubkey.clone(),
+            &pending.pubkey,
             Some(device),
             pending.valid_until,
             from,
@@ -125,7 +125,7 @@ impl AreaController {
         &mut self,
         ctx: &mut Context<'_>,
         client: ClientId,
-        pubkey: RsaPublicKey,
+        pubkey: &RsaPublicKey,
         device: Option<DeviceId>,
         valid_until: Time,
         node: NodeId,
@@ -133,18 +133,20 @@ impl AreaController {
     ) -> Result<Welcome, ProtocolError> {
         let member = MemberId(client.0);
         self.note_area_key();
-        // Re-admission cancels any departure still queued in the batch
-        // window — otherwise the next flush would evict the fresh
-        // membership it just granted.
-        self.pending_leaves.retain(|c| *c != client);
-        // Re-admission after a missed eviction: clear the stale record.
-        if self.tree.contains(member) {
-            let _ = self.tree.leave(member, ctx.rng());
-            self.members.remove(&client);
-        }
+        // Write-ahead: the admission is durable before the welcome (or
+        // rejoin grant) leaves this node, so a crash cannot orphan a
+        // member that believes it was admitted.
         let plan = self
-            .tree
-            .join(member, ctx.rng())
+            .wal_commit_record(
+                ctx,
+                &AcWalRecord::Join {
+                    client: client.0,
+                    node: node.index() as u32,
+                    pubkey: pubkey.to_bytes(),
+                    device: device.map(|d| d.0),
+                    valid_until_us: valid_until.as_micros(),
+                },
+            )
             .map_err(|_| ProtocolError::UnexpectedMessage("key tree refused the join"))?;
         self.buffer_join_plan(&plan);
         self.send_displaced_unicasts(ctx, &plan, member);
@@ -172,48 +174,21 @@ impl AreaController {
         }
         .seal(&self.k_shared, ctx.rng());
 
-        let pubkey_bytes = pubkey.to_bytes();
-        self.members.insert(
-            client,
-            MemberRecord {
-                node,
-                pubkey,
-                device,
-                valid_until,
-                last_heard: ctx.now(),
-            },
-        );
-        self.recorded_members.insert(client, self.epoch);
+        self.recorded_members.insert(client, self.durable.image.epoch);
         self.update_needed = true;
-        // Write-ahead: the admission is durable before the welcome (or
-        // rejoin grant) leaves this node, so a crash cannot orphan a
-        // member that believes it was admitted.
-        self.wal_commit_record(
-            ctx,
-            &AcWalRecord::Join {
-                client: client.0,
-                node: node.index() as u32,
-                pubkey: pubkey_bytes,
-                device: device.map(|d| d.0),
-                valid_until_us: valid_until.as_micros(),
-            },
-        );
 
+        let backup = self.durable.backup.as_ref();
         Ok(Welcome {
             nonce_echo,
             client,
             area: self.deploy.area,
             group_raw: self.deploy.group.index() as u32,
             ac_node: ctx.id().index() as u32,
-            backup_node: self
-                .deploy
-                .backup
-                .map(|b| b.index() as u32)
-                .unwrap_or(u32::MAX),
-            backup_pubkey: self.deploy.backup_pubkey.clone(),
+            backup_node: backup.map_or(u32::MAX, |(b, _)| b.index() as u32),
+            backup_pubkey: backup.map_or_else(Vec::new, |(_, pubkey)| pubkey.clone()),
             ticket: ticket.0,
             path,
-            epoch: self.epoch,
+            epoch: self.durable.image.epoch,
             valid_until_us: valid_until.as_micros(),
         })
     }
@@ -233,10 +208,10 @@ impl AreaController {
             }
             // The displaced occupant is a client — or a child AC whose
             // leaf in this tree was split.
-            let target = if let Some(rec) = self.members.get(&ClientId(u.member.0)) {
+            let target = if let Some(rec) = self.durable.image.members.get(&ClientId(u.member.0)) {
                 Some((rec.node, rec.pubkey.clone()))
             } else {
-                self.child_ac_members.get(&u.member.0).and_then(|&node| {
+                self.durable.image.child_ac_members.get(&u.member.0).and_then(|&node| {
                     self.directory_pubkey(node).map(|pk| (node, pk))
                 })
             };

@@ -26,7 +26,7 @@ impl AreaController {
                 "alive",
                 Msg::AcAlive {
                     area: self.deploy.area,
-                    epoch: self.epoch,
+                    epoch: self.durable.image.epoch,
                 }
                 .to_bytes(),
             );
@@ -41,6 +41,8 @@ impl AreaController {
         let now = ctx.now();
         let evict_after = self.cfg.ac_evict_after();
         let stale: Vec<ClientId> = self
+            .durable
+            .image
             .members
             .iter()
             .filter(|(_, rec)| {
@@ -50,15 +52,15 @@ impl AreaController {
             .collect();
         let mut changed = false;
         for client in stale {
-            self.queue_leave(client);
             // Durable before effective: a crash right after the sweep
             // must not resurrect the evicted member on recovery.
-            self.wal_commit_record(ctx, &AcWalRecord::Evict { client: client.0 });
+            let _ = self.wal_commit_record(ctx, &AcWalRecord::Evict { client: client.0 });
             self.stats.evictions += 1;
             ctx.stats().bump("ac-evictions", 1);
             changed = true;
         }
         if changed {
+            self.update_needed = true;
             self.after_membership_change(ctx);
         }
 
@@ -82,7 +84,7 @@ impl AreaController {
         if self.update_needed {
             self.flush_key_updates(ctx);
             self.sync_backup(ctx);
-        } else if self.cfg.idle_freshness_rekey && self.tree.member_count() > 0 {
+        } else if self.cfg.idle_freshness_rekey && self.durable.image.tree.member_count() > 0 {
             self.freshness_rotate(ctx);
         }
         ctx.set_timer(self.cfg.rekey_interval, TIMER_REKEY);
@@ -92,14 +94,14 @@ impl AreaController {
     /// the periodic freshness rekey of Section III-E.
     pub(crate) fn freshness_rotate(&mut self, ctx: &mut Context<'_>) {
         self.note_area_key();
-        let plan = self.tree.rotate_area_key(ctx.rng());
-        self.epoch += 1;
+        let plan = self.durable.image.tree.rotate_area_key(ctx.rng());
+        self.durable.image.epoch += 1;
         // The plan's single change carries (PreviousSelf, old key), so the
         // streaming encoder seals under the superseded area key directly.
         let mut w = crate::wire::Writer::with_capacity(crate::rekey::entries_wire_len(&plan));
         crate::rekey::write_entries_from_plan(&plan, ctx.rng(), &mut w);
         let body = w.into_bytes();
-        let signed = self.key_update_signed_bytes(&body, self.epoch);
+        let signed = self.key_update_signed_bytes(&body, self.durable.image.epoch);
         ctx.charge_compute(self.cost.rsa_private(self.cfg.rsa_bits));
         let sig = self.keypair.sign(&signed);
         ctx.multicast(
@@ -107,7 +109,7 @@ impl AreaController {
             "key-update",
             Msg::KeyUpdate {
                 area: self.deploy.area,
-                epoch: self.epoch,
+                epoch: self.durable.image.epoch,
                 body,
                 sig,
             }
@@ -124,7 +126,7 @@ impl AreaController {
     /// Parent-liveness check: switch parents after `5·T_idle` of
     /// silence.
     pub(crate) fn tick_parent_check(&mut self, ctx: &mut Context<'_>) {
-        if self.parent.is_some()
+        if self.durable.image.parent.is_some()
             && ctx.now().since(self.last_heard_parent) >= self.cfg.member_disconnect_after()
         {
             self.start_parent_switch(ctx);
@@ -144,7 +146,7 @@ impl AreaController {
     /// only knows primaries would retry a demoted (or dead) node
     /// forever.
     pub(crate) fn start_parent_switch(&mut self, ctx: &mut Context<'_>) {
-        let current = self.parent.as_ref().map(|p| p.node);
+        let current = self.durable.image.parent.as_ref().map(|p| p.node);
         let mut candidates: Vec<ParentLink> = Vec::new();
         for p in &self.deploy.preferred_parents {
             candidates.push(p.clone());
@@ -234,20 +236,20 @@ impl AreaController {
         // Enroll the child AC as a member of this area's tree.
         self.note_area_key();
         let member = MemberId(super::AC_MEMBER_BASE + child_area.0 as u64);
-        if self.tree.contains(member) {
-            let _ = self.tree.leave(member, ctx.rng());
+        if self.durable.image.tree.contains(member) {
+            let _ = self.durable.image.tree.leave(member, ctx.rng());
         }
         // The membership was cleared just above; refusal means the tree
         // and the child registry drifted — reject the enrollment.
-        let Ok(plan) = self.tree.join(member, ctx.rng()) else {
+        let Ok(plan) = self.durable.image.tree.join(member, ctx.rng()) else {
             ctx.stats().bump("ac-admissions-rejected", 1);
             return;
         };
-        self.child_ac_members.insert(member.0, from);
+        self.durable.image.child_ac_members.insert(member.0, from);
         self.buffer_join_plan(&plan);
         self.send_displaced_unicasts(ctx, &plan, member);
         self.update_needed = true;
-        self.child_acs.insert(from);
+        self.durable.image.child_acs.insert(from);
         let path_bytes = plan
             .unicasts
             .iter()
@@ -260,7 +262,7 @@ impl AreaController {
         let mut w = Writer::new();
         w.u32(self.deploy.area.0)
             .u32(self.deploy.group.index() as u32)
-            .u64(self.epoch)
+            .u64(self.durable.image.epoch)
             .bytes(&path_bytes)
             .u64(ctx.now().as_micros());
         ctx.charge_compute(self.cost.rsa_public(self.cfg.rsa_bits));
@@ -332,7 +334,7 @@ impl AreaController {
             return;
         }
         // Leave the old parent's multicast group, join the new one.
-        if let Some(old) = &self.parent {
+        if let Some(old) = &self.durable.image.parent {
             ctx.leave_group(old.group);
         }
         let link = ParentLink {
@@ -341,14 +343,14 @@ impl AreaController {
             group: GroupId::from_index(group_raw as usize),
         };
         ctx.join_group(link.group);
-        self.parent = Some(link);
+        self.durable.image.parent = Some(link);
         // The exchange completed; stop any still-pending retransmission
         // of the request.
         if let Some((_, token)) = self.pending_parent_join.take() {
             ctx.cancel_reliable(token);
         }
-        self.parent_keys.clear();
-        self.parent_keys.install_path(&path);
+        self.durable.image.parent_keys.clear();
+        self.durable.image.parent_keys.install_path(&path);
         self.parent_epoch = parent_epoch;
         self.last_heard_parent = ctx.now();
         self.stats.parent_switches += 1;
@@ -369,7 +371,7 @@ impl AreaController {
         body: &[u8],
         sig: &[u8],
     ) {
-        let Some(parent) = &self.parent else { return };
+        let Some(parent) = &self.durable.image.parent else { return };
         if parent.node != from || parent.area != area {
             return;
         }
@@ -392,7 +394,7 @@ impl AreaController {
         let Ok(count) = Reader::new(body).u32() else {
             return;
         };
-        let Ok(outcome) = self.parent_keys.apply_encoded(body) else {
+        let Ok(outcome) = self.durable.image.parent_keys.apply_encoded(body) else {
             return;
         };
         ctx.charge_compute(self.cost.symmetric_op.saturating_mul(count as u64));
@@ -405,7 +407,7 @@ impl AreaController {
     /// Asks the parent controller to re-send this AC's key path in the
     /// parent tree (missed-update recovery).
     pub(crate) fn request_parent_key_refresh(&mut self, ctx: &mut Context<'_>) {
-        let Some(parent) = &self.parent else { return };
+        let Some(parent) = &self.durable.image.parent else { return };
         let me = ClientId(super::AC_MEMBER_BASE + self.deploy.area.0 as u64);
         ctx.send(
             parent.node,
@@ -423,7 +425,7 @@ impl AreaController {
     ) {
         if client.0 >= super::AC_MEMBER_BASE {
             // A child controller: re-send its path in this tree.
-            if self.child_ac_members.get(&client.0) != Some(&from) {
+            if self.durable.image.child_ac_members.get(&client.0) != Some(&from) {
                 // An unknown child controller believes it is enrolled
                 // here (we evicted it during a partition, or a takeover
                 // snapshot predates its enrollment). Dropping the
@@ -433,34 +435,14 @@ impl AreaController {
                 self.deny_rejoin(ctx, from, RejoinDenyReason::NotMember);
                 return;
             }
-            let mut path = Vec::new();
-            if self
-                .tree
-                .path_keys_into(mykil_tree::MemberId(client.0), &mut path)
-                .is_err()
-            {
-                return;
-            }
-            let Some(pubkey) = self.directory_pubkey(from) else {
-                return;
-            };
-            ctx.charge_compute(self.cost.rsa_public(self.cfg.rsa_bits));
-            if let Ok(ct) = HybridCiphertext::encrypt(
-                &pubkey,
-                &crate::rekey::encode_tree_path(&path),
-                ctx.rng(),
-            ) {
-                ctx.send(
-                    from,
-                    "key-unicast",
-                    Msg::KeyUnicast { ct: ct.to_bytes() }.to_bytes(),
-                );
+            if let Some(pubkey) = self.directory_pubkey(from) {
+                self.unicast_path(ctx, MemberId(client.0), from, &pubkey);
             }
             return;
         }
-        match self.members.get(&client) {
+        match self.durable.image.members.get(&client) {
             Some(r) if r.node == from => {
-                if let Some(rec) = self.members.get_mut(&client) {
+                if let Some(rec) = self.durable.image.members.get_mut(&client) {
                     rec.last_heard = ctx.now();
                 }
                 self.unicast_current_path(ctx, client);
@@ -486,7 +468,7 @@ impl AreaController {
             return;
         };
         if let Ok(path) = decode_path(&plain) {
-            self.parent_keys.install_path(&path);
+            self.durable.image.parent_keys.install_path(&path);
         }
     }
 
@@ -500,7 +482,7 @@ impl AreaController {
         sig: &[u8],
         pubkey: &[u8],
     ) {
-        let Some(parent) = &self.parent else { return };
+        let Some(parent) = &self.durable.image.parent else { return };
         if parent.area != area {
             return;
         }
@@ -520,7 +502,7 @@ impl AreaController {
         if !pk.verify(&w.into_bytes(), sig) {
             return;
         }
-        self.parent = Some(ParentLink {
+        self.durable.image.parent = Some(ParentLink {
             node: from,
             area,
             group: parent.group,
@@ -569,7 +551,7 @@ mod tests {
             .to_bytes();
         let sig = ac2_keypair.sign(&ct);
 
-        let parent_before = g.sim.node::<AreaController>(ac1).parent.clone();
+        let parent_before = g.sim.node::<AreaController>(ac1).parent().cloned();
         assert_eq!(parent_before.as_ref().map(|p| p.area.0), Some(0));
 
         // No switch is in flight: the ack is unsolicited and must die
@@ -579,7 +561,7 @@ mod tests {
         });
         let ac1_state = g.sim.node::<AreaController>(ac1);
         assert_eq!(
-            ac1_state.parent.as_ref().map(|p| p.area.0),
+            ac1_state.parent().map(|p| p.area.0),
             Some(0),
             "unsolicited ack rewired the parent link"
         );
@@ -595,7 +577,7 @@ mod tests {
             ac.handle_area_join_ack(ctx, ac2, &ct, &sig);
         });
         let ac1_state = g.sim.node::<AreaController>(ac1);
-        assert_eq!(ac1_state.parent.as_ref().map(|p| p.node), Some(ac2));
+        assert_eq!(ac1_state.parent().map(|p| p.node), Some(ac2));
         assert!(ac1_state.pending_parent_join.is_none());
     }
 
@@ -636,7 +618,7 @@ mod tests {
             ac.handle_area_join_ack(ctx, ac2, &ct, &sig);
         });
         let ac1_state = g.sim.node::<AreaController>(ac1);
-        assert_eq!(ac1_state.parent.as_ref().map(|p| p.area.0), Some(0));
+        assert_eq!(ac1_state.parent().map(|p| p.area.0), Some(0));
         assert_eq!(ac1_state.pending_parent_join.as_ref().map(|p| p.0), Some(decoy));
         assert_eq!(g.stats().counter("ac-ack-unexpected"), 1);
     }

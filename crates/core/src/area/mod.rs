@@ -27,14 +27,17 @@ mod replication;
 use crate::config::{BatchPolicy, MykilConfig};
 use crate::crypto_cost::CryptoCost;
 use crate::directory::AcDirectory;
+use crate::durable::RECOVERY_EPOCH_JUMP;
 use crate::identity::{AreaId, ClientId, DeviceId};
 use crate::msg::{Msg, RejoinDenyReason};
-use crate::rekey::KeyState;
 use mykil_crypto::keys::SymmetricKey;
 use mykil_crypto::rsa::{RsaKeyPair, RsaPublicKey};
-use mykil_net::{Context, GroupId, MsgToken, Node, NodeId, SecretBytes, Time};
+use mykil_net::{Context, GroupId, MsgToken, Node, NodeId, Time};
 use mykil_tree::{AreaTree, MemberId};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+
+pub use persist::AcDurable;
+pub(crate) use replication::AreaImage;
 
 pub(crate) const TIMER_IDLE_ALIVE: u64 = 1;
 pub(crate) const TIMER_SWEEP: u64 = 2;
@@ -164,27 +167,23 @@ pub struct AreaController {
     pub(crate) keypair: RsaKeyPair,
     pub(crate) rs_pub: RsaPublicKey,
     pub(crate) k_shared: SymmetricKey,
+    /// The deployment record: read-only at run time, it models the
+    /// on-disk configuration a crashed node reads back at boot.
     pub(crate) deploy: AcDeployment,
-    /// The deployment record as handed to [`AreaController::new`] —
-    /// `deploy` mutates at runtime (backup address after a promotion);
-    /// this copy models the on-disk configuration a crashed node reads
-    /// back at boot (see `persist::wipe_volatile`).
-    pub(crate) deploy_pristine: AcDeployment,
     /// Seed the deployment-time key tree was drawn from, kept so a
     /// crash-wipe can rebuild the same pristine tree before recovery
     /// replays storage on top of it.
     pub(crate) tree_seed: u64,
-    pub(crate) role: Role,
+    /// Everything a checkpoint plus a WAL suffix reproduce; every other
+    /// field is volatile (see `persist`).
+    pub(crate) durable: AcDurable,
 
-    pub(crate) tree: AreaTree,
-    pub(crate) members: BTreeMap<ClientId, MemberRecord>,
     pub(crate) pending_admissions: BTreeMap<u64, PendingAdmission>,
     pub(crate) pending_rejoins: BTreeMap<NodeId, PendingRejoin>,
     /// Per pending rejoin: the previous AC (node, area) from the ticket.
     pub(crate) pending_rejoin_prev_ac: BTreeMap<NodeId, (u32, AreaId)>,
 
     // Batching state (Section III-E).
-    pub(crate) epoch: u64,
     pub(crate) update_needed: bool,
     /// node → its key value before the first buffered join update.
     pub(crate) buffered_join_updates: BTreeMap<u32, SymmetricKey>,
@@ -194,17 +193,11 @@ pub struct AreaController {
     /// flush, covering the window before it subscribed to the area
     /// multicast.
     pub(crate) recorded_members: BTreeMap<ClientId, u64>,
-    pub(crate) pending_leaves: Vec<ClientId>,
 
     // Hierarchy state.
-    pub(crate) parent: Option<ParentLink>,
-    pub(crate) parent_keys: KeyState,
     /// Last parent-area rekey epoch applied (ordering guard).
     pub(crate) parent_epoch: u64,
     pub(crate) last_heard_parent: Time,
-    pub(crate) child_acs: BTreeSet<NodeId>,
-    /// Tree member id → node address for enrolled child controllers.
-    pub(crate) child_ac_members: BTreeMap<u64, NodeId>,
     /// In-flight parent switch/enrollment: the only node whose
     /// `AreaJoinAck` will be accepted, plus the reliable-send token of
     /// the outstanding request (replay/impostor hardening).
@@ -225,14 +218,6 @@ pub struct AreaController {
     pub(crate) repl_key: SymmetricKey,
     pub(crate) hb_seq: u64,
     pub(crate) last_heartbeat: Time,
-    /// Latest decrypted state snapshot (backup role). Held zeroizing —
-    /// the snapshot embeds the primary's full key tree.
-    pub(crate) replica_state: Option<SecretBytes>,
-    /// Monotonic snapshot sequence (primary role) so a retransmitted or
-    /// reordered `StateSync` can never regress the backup.
-    pub(crate) sync_seq: u64,
-    /// Highest snapshot sequence applied (backup role).
-    pub(crate) applied_sync_seq: u64,
     /// Reliable-send token of the outstanding `StateSync`, cancelled
     /// when a newer snapshot supersedes it.
     pub(crate) pending_sync: Option<MsgToken>,
@@ -241,16 +226,6 @@ pub struct AreaController {
     /// Set after `failover_threshold` unacknowledged heartbeats; stops
     /// `StateSync` traffic to the dead backup until it acks again.
     pub(crate) backup_presumed_dead: bool,
-    /// Fencing epoch for split-brain reconciliation: bumped on every
-    /// takeover, carried in heartbeats, and compared after a heal — the
-    /// lower-epoch primary demotes itself (Section IV-C extension).
-    pub(crate) takeover_epoch: u64,
-    /// The counterpart's takeover epoch as last seen in heartbeat
-    /// traffic (a backup tracks its primary; a primary its backup).
-    pub(crate) peer_takeover_epoch: u64,
-    /// After a takeover: the primary this node took over from, i.e. the
-    /// only node whose stale heartbeats warrant a signed `Demote`.
-    pub(crate) stale_peer: Option<NodeId>,
     /// Reliable-send token of the outstanding `Demote`, if any.
     pub(crate) pending_demote: Option<MsgToken>,
 
@@ -262,9 +237,9 @@ impl std::fmt::Debug for AreaController {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("AreaController")
             .field("area", &self.deploy.area)
-            .field("role", &self.role)
-            .field("members", &self.members.len())
-            .field("epoch", &self.epoch)
+            .field("role", &self.durable.role)
+            .field("members", &self.durable.image.members.len())
+            .field("epoch", &self.durable.image.epoch)
             .finish_non_exhaustive()
     }
 }
@@ -281,33 +256,22 @@ impl AreaController {
         deploy: AcDeployment,
         tree_seed: u64,
     ) -> AreaController {
-        let mut rng = mykil_crypto::drbg::Drbg::from_seed(tree_seed);
-        let tree = AreaTree::new(cfg.tree, &mut rng);
         let repl_key = k_shared.derive(format!("repl-{}", deploy.area.0).as_bytes());
-        let role = deploy.role;
         AreaController {
+            durable: Self::deployed_state(&cfg, &deploy, tree_seed),
             cfg,
             cost,
             keypair,
             rs_pub,
             k_shared,
-            role,
-            tree,
-            members: BTreeMap::new(),
             pending_admissions: BTreeMap::new(),
             pending_rejoins: BTreeMap::new(),
             pending_rejoin_prev_ac: BTreeMap::new(),
-            epoch: 0,
             update_needed: false,
             buffered_join_updates: BTreeMap::new(),
             recorded_members: BTreeMap::new(),
-            pending_leaves: Vec::new(),
-            parent: deploy.parent.clone(),
-            parent_keys: KeyState::new(),
             parent_epoch: 0,
             last_heard_parent: Time::ZERO,
-            child_acs: BTreeSet::new(),
-            child_ac_members: BTreeMap::new(),
             pending_parent_join: None,
             parent_switch_cursor: 0,
             prev_area_keys: VecDeque::new(),
@@ -317,18 +281,11 @@ impl AreaController {
             repl_key,
             hb_seq: 0,
             last_heartbeat: Time::ZERO,
-            replica_state: None,
-            sync_seq: 0,
-            applied_sync_seq: 0,
             pending_sync: None,
             last_backup_ack: Time::ZERO,
             backup_presumed_dead: false,
-            takeover_epoch: 0,
-            peer_takeover_epoch: 0,
-            stale_peer: None,
             pending_demote: None,
             stats: AcStats::default(),
-            deploy_pristine: deploy.clone(),
             tree_seed,
             deploy,
         }
@@ -343,22 +300,24 @@ impl AreaController {
 
     /// Current role.
     pub fn role(&self) -> Role {
-        self.role
+        self.durable.role
     }
 
     /// Number of members in the area (child ACs excluded).
     pub fn member_count(&self) -> usize {
-        self.members.len()
+        self.durable.image.members.len()
     }
 
     /// Whether a client is currently a member here.
     pub fn has_member(&self, client: ClientId) -> bool {
-        self.members.contains_key(&client)
+        self.durable.image.members.contains_key(&client)
     }
 
-    /// Ids of all current members (durability invariant checks).
-    pub fn member_ids(&self) -> std::collections::BTreeSet<u64> {
-        self.members.keys().map(|c| c.0).collect()
+    /// The state a crash would have to reproduce: role, fencing epoch,
+    /// replication sequences, member rows, tree (the invariant checks
+    /// compare it with a replay of stable storage).
+    pub fn durable(&self) -> &AcDurable {
+        &self.durable
     }
 
     /// The controller's public key.
@@ -368,45 +327,28 @@ impl AreaController {
 
     /// The current area key (root of the auxiliary tree).
     pub fn area_key(&self) -> SymmetricKey {
-        self.tree.area_key()
+        self.durable.image.tree.area_key()
     }
 
     /// The auxiliary-key tree (inspection only).
     pub fn tree(&self) -> &AreaTree {
-        &self.tree
+        &self.durable.image.tree
     }
 
     /// Current rekey epoch.
     pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Current takeover (fencing) epoch — bumped on every promotion.
-    pub fn takeover_epoch(&self) -> u64 {
-        self.takeover_epoch
-    }
-
-    /// Snapshot sequence this controller last shipped to its backup
-    /// (primary role; replication monotonicity checks).
-    pub fn sync_seq(&self) -> u64 {
-        self.sync_seq
-    }
-
-    /// Snapshot sequence this controller last applied from its primary
-    /// (backup role; replication monotonicity checks).
-    pub fn applied_sync_seq(&self) -> u64 {
-        self.applied_sync_seq
+        self.durable.image.epoch
     }
 
     /// The current parent link, if any.
     pub fn parent(&self) -> Option<&ParentLink> {
-        self.parent.as_ref()
+        self.durable.image.parent.as_ref()
     }
 
     /// This controller's current view of its parent area's key
     /// (diagnostics and tests).
     pub fn parent_area_key(&self) -> Option<SymmetricKey> {
-        self.parent_keys.area_key()
+        self.durable.image.parent_keys.area_key()
     }
 
     /// Whether a key-update flush is pending (batching).
@@ -429,34 +371,34 @@ impl AreaController {
         // Deployment-time wiring, not a message handler: duplicate
         // enrollment is an operator configuration bug worth stopping on.
         // mykil-lint: allow(L001)
-        let plan = self.tree.join(member, rng).expect("child not yet enrolled");
-        self.child_ac_members.insert(member.0, child_node);
+        let plan = self.durable.image.tree.join(member, rng).expect("child not yet enrolled");
+        self.durable.image.child_ac_members.insert(member.0, child_node);
         // Deployment-time enrollment: hand the child its path directly.
         for u in &plan.unicasts {
             if u.member == member {
-                child.parent_keys.install_tree_path(&u.keys);
+                child.durable.image.parent_keys.install_tree_path(&u.keys);
             }
         }
-        self.child_acs.insert(child_node);
+        self.durable.image.child_acs.insert(child_node);
     }
 
     /// Re-seeds this controller's view of its parent area's keys
     /// (deployment-time helper; see [`Self::enroll_child_static`]).
     pub fn seed_parent_keys(&mut self, path: &[(u32, SymmetricKey)]) {
-        self.parent_keys.clear();
-        self.parent_keys.install_path(path);
+        self.durable.image.parent_keys.clear();
+        self.durable.image.parent_keys.install_path(path);
     }
 
     /// [`Self::seed_parent_keys`] straight from a tree plan's
     /// `(NodeIdx, key)` form.
     pub fn seed_parent_tree_keys(&mut self, path: &[(mykil_tree::NodeIdx, SymmetricKey)]) {
-        self.parent_keys.clear();
-        self.parent_keys.install_tree_path(path);
+        self.durable.image.parent_keys.clear();
+        self.durable.image.parent_keys.install_tree_path(path);
     }
 
     /// Records the current area key before a tree mutation rotates it.
     pub(crate) fn note_area_key(&mut self) {
-        let current = self.tree.area_key();
+        let current = self.durable.image.tree.area_key();
         if self.prev_area_keys.front() != Some(&current) {
             self.prev_area_keys.push_front(current);
             self.prev_area_keys.truncate(crate::rekey::AREA_KEY_HISTORY);
@@ -467,7 +409,7 @@ impl AreaController {
     /// first).
     pub(crate) fn own_area_keys(&self) -> Vec<SymmetricKey> {
         let mut out = Vec::with_capacity(1 + self.prev_area_keys.len());
-        out.push(self.tree.area_key());
+        out.push(self.durable.image.tree.area_key());
         out.extend(self.prev_area_keys.iter().cloned());
         out
     }
@@ -489,29 +431,24 @@ impl AreaController {
     }
 
     fn is_backup(&self) -> bool {
-        matches!(self.role, Role::Backup { .. })
+        matches!(self.durable.role, Role::Backup { .. })
     }
-}
 
-impl Node for AreaController {
-    fn on_start(&mut self, ctx: &mut Context<'_>) {
-        ctx.join_group(self.deploy.group);
-        if let Some(p) = &self.parent {
-            ctx.join_group(p.group);
-        }
-        // Baseline checkpoint: from t=0 a crash always finds durable
-        // state to recover from, even before the first rekey flush.
-        self.persist_checkpoint(ctx);
+    /// Restarts the liveness clocks and arms the timers of the current
+    /// role: at start-up, after recovery, and whenever the role changes
+    /// hands. The other role's timers die on their next firing
+    /// (`on_timer` is role-gated).
+    pub(crate) fn resume_role(&mut self, ctx: &mut Context<'_>) {
         self.last_heard_parent = ctx.now();
         self.last_heartbeat = ctx.now();
         self.last_backup_ack = ctx.now();
-        match self.role {
+        match self.durable.role {
             Role::Primary => {
                 ctx.set_timer(self.cfg.t_idle, TIMER_IDLE_ALIVE);
                 ctx.set_timer(self.cfg.t_active, TIMER_SWEEP);
                 ctx.set_timer(self.cfg.rekey_interval, TIMER_REKEY);
                 ctx.set_timer(self.cfg.t_idle, TIMER_PARENT_CHECK);
-                if self.deploy.backup.is_some() {
+                if self.durable.backup.is_some() {
                     ctx.set_timer(self.cfg.heartbeat_interval, TIMER_HEARTBEAT);
                 }
             }
@@ -520,12 +457,25 @@ impl Node for AreaController {
             }
         }
     }
+}
+
+impl Node for AreaController {
+    fn on_start(&mut self, ctx: &mut Context<'_>) {
+        ctx.join_group(self.deploy.group);
+        if let Some(p) = &self.durable.image.parent {
+            ctx.join_group(p.group);
+        }
+        // Baseline checkpoint: from t=0 a crash always finds durable
+        // state to recover from, even before the first rekey flush.
+        self.persist_checkpoint(ctx);
+        self.resume_role(ctx);
+    }
 
     fn on_message(&mut self, ctx: &mut Context<'_>, from: NodeId, bytes: &[u8]) {
         let Ok(msg) = Msg::from_bytes(bytes) else {
             return;
         };
-        if let Some(p) = &self.parent {
+        if let Some(p) = &self.durable.image.parent {
             if from == p.node {
                 self.last_heard_parent = ctx.now();
             }
@@ -557,7 +507,7 @@ impl Node for AreaController {
             Msg::KeyRefreshRequest { client } => self.handle_key_refresh(ctx, from, client),
             Msg::LeaveRequest { ct } => self.handle_leave_request(ctx, from, &ct),
             Msg::MemberAlive { client } => {
-                if let Some(rec) = self.members.get_mut(&client) {
+                if let Some(rec) = self.durable.image.members.get_mut(&client) {
                     if rec.node == from {
                         rec.last_heard = ctx.now();
                     }
@@ -566,10 +516,8 @@ impl Node for AreaController {
             Msg::AcAlive { area, epoch } => {
                 // A parent alive with a newer epoch means we missed a
                 // parent-area key update.
-                let is_parent = self
-                    .parent
-                    .as_ref()
-                    .is_some_and(|p| p.node == from && p.area == area);
+                let parent = self.durable.image.parent.as_ref();
+                let is_parent = parent.is_some_and(|p| p.node == from && p.area == area);
                 if is_parent && epoch > self.parent_epoch {
                     self.parent_epoch = epoch;
                     self.request_parent_key_refresh(ctx);
@@ -598,7 +546,7 @@ impl Node for AreaController {
             // the subtree would stay key-partitioned forever; re-run the
             // signed area-join enrollment.
             Msg::RejoinDenied { reason: RejoinDenyReason::NotMember } => {
-                if let Some(p) = self.parent.clone() {
+                if let Some(p) = self.durable.image.parent.clone() {
                     if from == p.node && self.pending_parent_join.is_none() {
                         ctx.stats().bump("ac-reenrollments", 1);
                         self.request_parent_enrollment(ctx, &p);
@@ -657,7 +605,7 @@ impl Node for AreaController {
                 // next preferred candidate right away.
                 self.pending_parent_join = None;
                 ctx.stats().bump("ac-parent-join-expired", 1);
-                if self.role == Role::Primary {
+                if self.durable.role == Role::Primary {
                     self.start_parent_switch(ctx);
                 }
             }
@@ -670,53 +618,66 @@ impl Node for AreaController {
 
     fn on_restarted(&mut self, ctx: &mut Context<'_>) {
         ctx.stats().bump("ac-restarts", 1);
-        // The crash wiped all volatile state (`wipe_volatile`);
-        // reconstruct from stable storage. Note the recovered role may
-        // differ from the deployment role — a promoted backup recovers
-        // as primary.
-        let recovered = self.recover_from_storage(ctx);
+        // The crash wiped all volatile state and left the deployed
+        // durable state (`wipe_volatile`); stable storage replaces it:
+        // the newest valid checkpoint, folded over the WAL suffix. Note
+        // the recovered role may differ from the deployment role — a
+        // promoted backup recovers as primary.
+        let rec = ctx.storage().load();
+        let now = ctx.now();
+        let mut recovered = false;
+        if let Some((_seq, bytes)) = &rec.checkpoint {
+            match AcDurable::decode(bytes, now, &self.durable.image) {
+                Some(state) => {
+                    self.durable = state;
+                    recovered = true;
+                }
+                None => ctx.stats().bump("ac-recovery-bad-checkpoint", 1),
+            }
+        }
+        let (folded, refused) = self.durable.fold(&rec.wal, ctx.rng(), now);
+        if folded < rec.wal.len() {
+            ctx.stats().bump("ac-recovery-bad-wal-record", 1);
+        }
+        for counter in refused {
+            ctx.stats().bump(counter, 1);
+        }
+        recovered |= folded > 0;
         if recovered {
             ctx.stats().bump("ac-recoveries", 1);
-        }
-        self.last_heard_parent = ctx.now();
-        self.last_heartbeat = ctx.now();
-        self.last_backup_ack = ctx.now();
-        ctx.join_group(self.deploy.group);
-        match self.role {
-            Role::Primary => {
-                ctx.set_timer(self.cfg.t_idle, TIMER_IDLE_ALIVE);
-                ctx.set_timer(self.cfg.t_active, TIMER_SWEEP);
-                ctx.set_timer(self.cfg.rekey_interval, TIMER_REKEY);
-                ctx.set_timer(self.cfg.t_idle, TIMER_PARENT_CHECK);
-                if self.deploy.backup.is_some() {
-                    ctx.set_timer(self.cfg.heartbeat_interval, TIMER_HEARTBEAT);
-                }
-                if recovered {
-                    // Members hold pre-crash path keys; the replayed
-                    // tree drew fresh randomness. Re-issue every path,
-                    // compact the WAL, and push a snapshot to the
-                    // backup.
-                    self.post_recovery_resync(ctx);
-                }
-                // Re-enter the hierarchy rather than silently resuming
-                // with possibly-stale keys: re-enrolling with the parent
-                // re-issues this AC's parent-area path. If the backup
-                // was promoted during the outage, its epoch fence
-                // (`Demote`) will step this node down and resync it
-                // through the StateSync path.
-                if let Some(p) = self.parent.clone() {
-                    ctx.join_group(p.group);
-                    self.request_parent_enrollment(ctx, &p);
-                }
+            if self.durable.role == Role::Primary {
+                // Both counters can lag their durable image; re-fence
+                // them (see `RECOVERY_EPOCH_JUMP`).
+                self.durable.image.epoch += RECOVERY_EPOCH_JUMP;
+                self.durable.sync_seq += RECOVERY_EPOCH_JUMP;
             }
-            Role::Backup { .. } => {
-                ctx.set_timer(self.cfg.heartbeat_interval, TIMER_BACKUP_WATCH);
+            self.adopt_departures();
+        }
+        ctx.join_group(self.deploy.group);
+        self.resume_role(ctx);
+        if self.durable.role == Role::Primary {
+            if recovered {
+                // Members hold pre-crash path keys; the replayed
+                // tree drew fresh randomness. Re-issue every path,
+                // compact the WAL, and push a snapshot to the
+                // backup.
+                self.post_recovery_resync(ctx);
+            }
+            // Re-enter the hierarchy rather than silently resuming
+            // with possibly-stale keys: re-enrolling with the parent
+            // re-issues this AC's parent-area path. If the backup
+            // was promoted during the outage, its epoch fence
+            // (`Demote`) will step this node down and resync it
+            // through the StateSync path.
+            if let Some(p) = self.durable.image.parent.clone() {
+                ctx.join_group(p.group);
+                self.request_parent_enrollment(ctx, &p);
             }
         }
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_>, tag: u64) {
-        match (self.role, tag) {
+        match (self.durable.role, tag) {
             (Role::Primary, TIMER_IDLE_ALIVE) => self.tick_idle_alive(ctx),
             (Role::Primary, TIMER_SWEEP) => self.tick_sweep(ctx),
             (Role::Primary, TIMER_REKEY) => self.tick_rekey(ctx),

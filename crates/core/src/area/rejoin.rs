@@ -126,12 +126,8 @@ impl AreaController {
 
         // Local case: the member is rejoining its own previous area
         // (e.g. after a transient disconnection) — no steps 4/5 needed.
+        // Admission clears the stale membership.
         if prev_ac == ctx.id().index() as u32 {
-            let client = self.pending_rejoins[&from].client;
-            if self.tree.contains(mykil_tree::MemberId(client.0)) {
-                // Clear the stale membership before re-admitting.
-                self.queue_leave(client);
-            }
             self.complete_rejoin(ctx, from);
             return;
         }
@@ -200,7 +196,7 @@ impl AreaController {
             ctx.stats().bump("ac-replays-rejected", 1);
             return;
         }
-        let departed = match self.members.get(&client) {
+        let departed = match self.durable.image.members.get(&client) {
             None => true,
             Some(rec) => {
                 let silent = ctx.now().since(rec.last_heard) >= self.cfg.member_disconnect_after();
@@ -209,8 +205,8 @@ impl AreaController {
                     // durably, before telling the new controller it may
                     // admit (the member must never hold membership in
                     // two areas across a crash of this one).
-                    self.queue_leave(client);
-                    self.wal_commit_record(ctx, &AcWalRecord::Evict { client: client.0 });
+                    let _ = self.wal_commit_record(ctx, &AcWalRecord::Evict { client: client.0 });
+                    self.update_needed = true;
                     self.after_membership_change(ctx);
                     self.stats.evictions += 1;
                     true
@@ -298,7 +294,7 @@ impl AreaController {
         let Ok(welcome) = self.admit(
             ctx,
             pending.client,
-            pending.pubkey.clone(),
+            &pending.pubkey,
             Some(pending.device),
             pending.valid_until,
             client_node,

@@ -15,9 +15,10 @@ use crate::identity::ClientId;
 use crate::msg::Msg;
 use crate::rekey::{entries_wire_len, write_plan_entries, KEY_ENV_LEN};
 use crate::wire::Writer;
-use mykil_crypto::envelope;
-use mykil_net::Context;
-use mykil_tree::{MemberId, RekeyPlan};
+use mykil_crypto::envelope::{self, HybridCiphertext};
+use mykil_crypto::rsa::RsaPublicKey;
+use mykil_net::{Context, NodeId};
+use mykil_tree::{MemberId, NodeIdx, RekeyPlan};
 
 impl AreaController {
     /// Buffers the multicast part of a join rekey plan. For every
@@ -36,21 +37,29 @@ impl AreaController {
     }
 
     /// Unicasts a member's current full key path (flush refresh).
-    pub(crate) fn unicast_current_path(&mut self, ctx: &mut Context<'_>, client: ClientId) {
-        let Some(rec) = self.members.get(&client) else {
-            return;
-        };
+    pub(crate) fn unicast_current_path(&self, ctx: &mut Context<'_>, client: ClientId) {
+        if let Some(rec) = self.durable.image.members.get(&client) {
+            self.unicast_path(ctx, MemberId(client.0), rec.node, &rec.pubkey);
+        }
+    }
+
+    /// Unicasts the current full key path of `member` — a client or an
+    /// enrolled child controller — to `node`, sealed to `pubkey`.
+    pub(crate) fn unicast_path(
+        &self,
+        ctx: &mut Context<'_>,
+        member: MemberId,
+        node: NodeId,
+        pubkey: &RsaPublicKey,
+    ) {
         let mut path = Vec::new();
-        if self.tree.path_keys_into(MemberId(client.0), &mut path).is_err() {
+        if self.durable.image.tree.path_keys_into(member, &mut path).is_err() {
             return;
         }
         ctx.charge_compute(self.cost.rsa_public(self.cfg.rsa_bits));
-        if let Ok(ct) = mykil_crypto::envelope::HybridCiphertext::encrypt(
-            &rec.pubkey,
-            &crate::rekey::encode_tree_path(&path),
-            ctx.rng(),
-        ) {
-            let node = rec.node;
+        if let Ok(ct) =
+            HybridCiphertext::encrypt(pubkey, &crate::rekey::encode_tree_path(&path), ctx.rng())
+        {
             ctx.send(
                 node,
                 "key-unicast",
@@ -67,11 +76,11 @@ impl AreaController {
     pub(crate) fn handle_leave_request(
         &mut self,
         ctx: &mut Context<'_>,
-        from: mykil_net::NodeId,
+        from: NodeId,
         ct: &[u8],
     ) {
         ctx.charge_compute(self.cost.rsa_private(self.cfg.rsa_bits));
-        let Some(plain) = mykil_crypto::envelope::HybridCiphertext::from_bytes(ct)
+        let Some(plain) = HybridCiphertext::from_bytes(ct)
             .ok()
             .and_then(|hc| hc.decrypt(&self.keypair).ok())
         else {
@@ -81,31 +90,26 @@ impl AreaController {
         let Ok(client) = r.u64().map(ClientId) else {
             return;
         };
-        if self.members.get(&client).is_none_or(|rec| rec.node != from) {
+        if self.durable.image.members.get(&client).is_none_or(|rec| rec.node != from) {
             return;
         }
-        self.queue_leave(client);
         // The departure must survive a crash: a recovered controller
         // re-admitting a member that left would resurrect its access.
-        self.wal_commit_record(ctx, &AcWalRecord::Leave { client: client.0 });
+        // The record takes the member's row; its leaf waits for the
+        // next flush.
+        let _ = self.wal_commit_record(ctx, &AcWalRecord::Leave { client: client.0 });
+        self.update_needed = true;
         ctx.stats().bump("ac-voluntary-leaves", 1);
         self.after_membership_change(ctx);
-    }
-
-    /// Queues a member departure for the next flush.
-    pub(crate) fn queue_leave(&mut self, client: ClientId) {
-        self.members.remove(&client);
-        self.pending_leaves.push(client);
-        self.update_needed = true;
     }
 
     /// Performs the aggregated rekey and multicasts one signed
     /// key-update message (Figures 5/6 semantics over real envelopes).
     pub(crate) fn flush_key_updates(&mut self, ctx: &mut Context<'_>) {
-        if !self.update_needed
-            && self.buffered_join_updates.is_empty()
-            && self.pending_leaves.is_empty()
-        {
+        // Departures never wait without the flag: the handler that
+        // commits one sets it, and so does adopting a snapshot that
+        // holds one.
+        if !self.update_needed && self.buffered_join_updates.is_empty() {
             return;
         }
 
@@ -114,21 +118,17 @@ impl AreaController {
         //    again — their join-era values die with the leave rekey.
         let join_nodes = std::mem::take(&mut self.buffered_join_updates);
 
-        // 2. Batched leaves (single combined tree operation).
-        let leavers: Vec<MemberId> = self
-            .pending_leaves
-            .drain(..)
-            .map(|c| MemberId(c.0))
-            .filter(|m| self.tree.contains(*m))
-            .collect();
+        // 2. Batched leaves (single combined tree operation): every
+        //    client leaf whose row a `Leave`/`Evict` record took.
+        let leavers: Vec<MemberId> = self.durable.departed().collect();
         let leave_plan = if leavers.is_empty() {
             None
         } else {
             self.note_area_key();
-            // Leavers are pre-filtered with `contains`; a refusal here
-            // means tree-state drift. Defer the eviction batch to the
+            // Leavers are read off the tree; a refusal here means
+            // tree-state drift. Defer the eviction batch to the
             // next sweep instead of panicking mid-rekey.
-            let plan = self.tree.batch_leave(&leavers, ctx.rng());
+            let plan = self.durable.image.tree.batch_leave(&leavers, ctx.rng());
             if plan.is_err() {
                 ctx.stats().bump("ac-evictions-deferred", 1);
             }
@@ -169,7 +169,7 @@ impl AreaController {
             if leave_changed.contains(node) {
                 continue;
             }
-            let current = self.tree.node_key(mykil_tree::NodeIdx::from_raw(*node as usize));
+            let current = self.durable.image.tree.node_key(NodeIdx::from_raw(*node as usize));
             ctx.charge_compute(self.cost.symmetric_op);
             w.u32(*node).u8(0).u32(KEY_ENV_LEN as u32);
             w.append_with(|buf| envelope::seal_into(old_key, current.as_bytes(), ctx.rng(), buf));
@@ -197,24 +197,24 @@ impl AreaController {
         let this_window: Vec<ClientId> = self
             .recorded_members
             .iter()
-            .filter(|(_, e)| **e == self.epoch)
+            .filter(|(_, e)| **e == self.durable.image.epoch)
             .map(|(c, _)| *c)
             .collect();
         let earlier: Vec<ClientId> = self
             .recorded_members
             .iter()
-            .filter(|(_, e)| **e < self.epoch)
+            .filter(|(_, e)| **e < self.durable.image.epoch)
             .map(|(c, _)| *c)
             .collect();
         for client in earlier {
             self.recorded_members.remove(&client);
-            if self.members.contains_key(&client) {
+            if self.durable.image.members.contains_key(&client) {
                 self.unicast_current_path(ctx, client);
             }
         }
         if this_window.len() + leavers.len() > 1 {
             for client in &this_window {
-                if self.members.contains_key(client) {
+                if self.durable.image.members.contains_key(client) {
                     self.unicast_current_path(ctx, *client);
                 }
             }
@@ -222,14 +222,19 @@ impl AreaController {
 
         if total_entries == 0 {
             self.update_needed = false;
+            // The last members left: nobody to tell, but the leaves
+            // are gone and the durable image must say so.
+            if leave_plan.is_some() {
+                self.persist_checkpoint(ctx);
+            }
             return;
         }
 
-        self.epoch += 1;
+        self.durable.image.epoch += 1;
         let body = w.into_bytes();
         // Key updates are signed with the AC's private key so members
         // cannot forge them (Section III-E).
-        let signed = self.key_update_signed_bytes(&body, self.epoch);
+        let signed = self.key_update_signed_bytes(&body, self.durable.image.epoch);
         ctx.charge_compute(self.cost.rsa_private(self.cfg.rsa_bits));
         let sig = self.keypair.sign(&signed);
         ctx.multicast(
@@ -237,7 +242,7 @@ impl AreaController {
             "key-update",
             Msg::KeyUpdate {
                 area: self.deploy.area,
-                epoch: self.epoch,
+                epoch: self.durable.image.epoch,
                 body,
                 sig,
             }

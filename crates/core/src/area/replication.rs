@@ -9,7 +9,6 @@
 
 use super::{
     AreaController, MemberRecord, ParentLink, Role, TIMER_BACKUP_WATCH, TIMER_HEARTBEAT,
-    TIMER_IDLE_ALIVE, TIMER_PARENT_CHECK, TIMER_REKEY, TIMER_SWEEP,
 };
 use crate::durable::AcWalRecord;
 use crate::identity::{AreaId, ClientId, DeviceId};
@@ -19,18 +18,50 @@ use crate::wire::{Reader, Writer};
 use mykil_crypto::envelope;
 use mykil_crypto::rsa::RsaPublicKey;
 use mykil_net::{Context, GroupId, NodeId, SecretBytes, Time};
-use mykil_tree::AreaTree;
+use mykil_tree::{AreaTree, TreeConfig};
+use rand::RngCore;
+use std::collections::{BTreeMap, BTreeSet};
 
-impl AreaController {
+/// The area state a primary replicates to its backup, and the payload
+/// of its own checkpoint: the same bytes either way.
+#[derive(Debug, Clone)]
+pub(crate) struct AreaImage {
+    pub tree: AreaTree,
+    pub members: BTreeMap<ClientId, MemberRecord>,
+    pub parent: Option<ParentLink>,
+    pub parent_keys: KeyState,
+    /// Rekey epoch of the last key-update multicast.
+    pub epoch: u64,
+    pub child_acs: BTreeSet<NodeId>,
+    /// Tree member id → node address for enrolled child controllers.
+    pub child_ac_members: BTreeMap<u64, NodeId>,
+}
+
+impl AreaImage {
+    /// An area nobody has joined yet.
+    pub fn blank<R: RngCore + ?Sized>(
+        cfg: TreeConfig,
+        parent: Option<ParentLink>,
+        rng: &mut R,
+    ) -> AreaImage {
+        AreaImage {
+            tree: AreaTree::new(cfg, rng),
+            members: BTreeMap::new(),
+            parent,
+            parent_keys: KeyState::new(),
+            epoch: 0,
+            child_acs: BTreeSet::new(),
+            child_ac_members: BTreeMap::new(),
+        }
+    }
+
     /// Serializes the replicated state (tree, members, hierarchy,
     /// epoch).
-    pub(crate) fn replica_snapshot(&self) -> Vec<u8> {
+    pub fn encode(&self) -> Vec<u8> {
         let mut w = Writer::new();
         w.bytes(&self.tree.snapshot());
         w.u32(self.members.len() as u32);
-        let mut members: Vec<(&ClientId, &MemberRecord)> = self.members.iter().collect();
-        members.sort_by_key(|(c, _)| **c);
-        for (client, rec) in members {
+        for (client, rec) in &self.members {
             w.u64(client.0)
                 .u32(rec.node.index() as u32)
                 .bytes(&rec.pubkey.to_bytes())
@@ -54,32 +85,28 @@ impl AreaController {
         w.bytes(&self.parent_keys.to_bytes());
         w.u64(self.epoch);
         w.u32(self.child_acs.len() as u32);
-        let mut children: Vec<u32> = self.child_acs.iter().map(|n| n.index() as u32).collect();
-        children.sort_unstable();
-        for c in children {
-            w.u32(c);
+        for c in &self.child_acs {
+            w.u32(c.index() as u32);
         }
         // Child-AC enrollments (tree member id → node). Without these a
         // promoted backup rejects every child-AC `KeyRefreshRequest`,
         // cutting children off from parent-area keys forever.
         w.u32(self.child_ac_members.len() as u32);
-        let mut enrolled: Vec<(u64, u32)> = self
-            .child_ac_members
-            .iter()
-            .map(|(m, n)| (*m, n.index() as u32))
-            .collect();
-        enrolled.sort_unstable();
-        for (member, node) in enrolled {
-            w.u64(member).u32(node);
+        for (member, node) in &self.child_ac_members {
+            w.u64(*member).u32(node.index() as u32);
         }
         w.into_bytes()
     }
 
-    pub(crate) fn apply_replica_snapshot(&mut self, bytes: &[u8], now: Time) -> Option<()> {
+    /// Parses [`Self::encode`]'s bytes; `None` on any malformed input.
+    /// Every member gets a fresh liveness grace period from `now`: the
+    /// image arrives by takeover or recovery, and silence during the
+    /// outage was the controller's, not the members'.
+    pub fn decode(bytes: &[u8], now: Time) -> Option<AreaImage> {
         let mut r = Reader::new(bytes);
         let tree = AreaTree::restore(r.bytes().ok()?).ok()?;
         let count = r.u32().ok()? as usize;
-        let mut members = std::collections::BTreeMap::new();
+        let mut members = BTreeMap::new();
         for _ in 0..count {
             let client = ClientId(r.u64().ok()?);
             let node = NodeId::from_index(r.u32().ok()? as usize);
@@ -97,8 +124,6 @@ impl AreaController {
                     pubkey,
                     device,
                     valid_until,
-                    // Give everyone a fresh liveness grace period after
-                    // the takeover.
                     last_heard: now,
                 },
             );
@@ -115,28 +140,31 @@ impl AreaController {
         let parent_keys = KeyState::from_bytes(r.bytes().ok()?).ok()?;
         let epoch = r.u64().ok()?;
         let child_count = r.u32().ok()? as usize;
-        let mut child_acs = std::collections::BTreeSet::new();
+        let mut child_acs = BTreeSet::new();
         for _ in 0..child_count {
             child_acs.insert(NodeId::from_index(r.u32().ok()? as usize));
         }
         let enrolled_count = r.u32().ok()? as usize;
-        let mut child_ac_members = std::collections::BTreeMap::new();
+        let mut child_ac_members = BTreeMap::new();
         for _ in 0..enrolled_count {
             let member = r.u64().ok()?;
             let node = NodeId::from_index(r.u32().ok()? as usize);
             child_ac_members.insert(member, node);
         }
         r.finish().ok()?;
-        self.tree = tree;
-        self.members = members;
-        self.parent = parent;
-        self.parent_keys = parent_keys;
-        self.epoch = epoch;
-        self.child_acs = child_acs;
-        self.child_ac_members = child_ac_members;
-        Some(())
+        Some(AreaImage {
+            tree,
+            members,
+            parent,
+            parent_keys,
+            epoch,
+            child_acs,
+            child_ac_members,
+        })
     }
+}
 
+impl AreaController {
     /// Pushes current state to the backup (called after every key
     /// update, membership change, or hierarchy change).
     ///
@@ -146,15 +174,15 @@ impl AreaController {
     /// outstanding one (its retransmissions are cancelled); nothing is
     /// sent while the backup is presumed dead.
     pub(crate) fn sync_backup(&mut self, ctx: &mut Context<'_>) {
-        let Some(backup) = self.deploy.backup else {
+        let Some(backup) = self.durable.backup_node() else {
             return;
         };
-        if self.role != Role::Primary || self.backup_presumed_dead {
+        if self.durable.role != Role::Primary || self.backup_presumed_dead {
             return;
         }
-        self.sync_seq += 1;
+        self.durable.sync_seq += 1;
         let mut plain = Writer::new();
-        plain.u64(self.sync_seq).bytes(&self.replica_snapshot());
+        plain.u64(self.durable.sync_seq).bytes(&self.durable.image.encode());
         ctx.charge_compute(self.cost.symmetric_op);
         let ct = envelope::seal(&self.repl_key, &plain.into_bytes(), ctx.rng());
         if let Some(old) = self.pending_sync.take() {
@@ -168,14 +196,14 @@ impl AreaController {
     /// dead backup (they are cheap and detect its recovery); only the
     /// expensive `StateSync` snapshots stop.
     pub(crate) fn tick_heartbeat(&mut self, ctx: &mut Context<'_>) {
-        if let Some(backup) = self.deploy.backup {
+        if let Some(backup) = self.durable.backup_node() {
             self.hb_seq += 1;
             ctx.send(
                 backup,
                 "replication",
                 Msg::Heartbeat {
                     seq: self.hb_seq,
-                    takeover_epoch: self.takeover_epoch,
+                    takeover_epoch: self.durable.takeover_epoch,
                 }
                 .to_bytes(),
             );
@@ -206,10 +234,10 @@ impl AreaController {
         _seq: u64,
         takeover_epoch: u64,
     ) {
-        if self.deploy.backup != Some(from) {
+        if self.durable.backup_node() != Some(from) {
             return;
         }
-        self.peer_takeover_epoch = self.peer_takeover_epoch.max(takeover_epoch);
+        self.durable.peer_takeover_epoch = self.durable.peer_takeover_epoch.max(takeover_epoch);
         self.last_backup_ack = ctx.now();
         if self.backup_presumed_dead {
             self.backup_presumed_dead = false;
@@ -220,7 +248,7 @@ impl AreaController {
 
     /// Message dispatch while in the backup role.
     pub(crate) fn on_backup_message(&mut self, ctx: &mut Context<'_>, from: NodeId, msg: Msg) {
-        let Role::Backup { primary } = self.role else {
+        let Role::Backup { primary } = self.durable.role else {
             return;
         };
         match msg {
@@ -228,13 +256,14 @@ impl AreaController {
                 self.last_heartbeat = ctx.now();
                 // Remember the primary's fencing epoch so a later
                 // takeover fences strictly above it.
-                self.peer_takeover_epoch = self.peer_takeover_epoch.max(takeover_epoch);
+                let peer_epoch = &mut self.durable.peer_takeover_epoch;
+                *peer_epoch = (*peer_epoch).max(takeover_epoch);
                 ctx.send(
                     from,
                     "replication",
                     Msg::HeartbeatAck {
                         seq,
-                        takeover_epoch: self.takeover_epoch,
+                        takeover_epoch: self.durable.takeover_epoch,
                     }
                     .to_bytes(),
                 );
@@ -252,12 +281,12 @@ impl AreaController {
                     let Some((seq, snapshot)) = parsed else {
                         return;
                     };
-                    if seq <= self.applied_sync_seq {
+                    if seq <= self.durable.applied_sync_seq {
                         ctx.stats().bump("backup-stale-sync-dropped", 1);
                         return;
                     }
-                    self.applied_sync_seq = seq;
-                    self.replica_state = Some(SecretBytes::new(snapshot));
+                    self.durable.applied_sync_seq = seq;
+                    self.durable.escrow = Some(SecretBytes::new(snapshot));
                     // Durability: an accepted snapshot must survive a
                     // backup crash, or a post-crash takeover promotes an
                     // empty replica.
@@ -302,7 +331,7 @@ impl AreaController {
     /// Backup watchdog: take over after `failover_threshold` missed
     /// heartbeats.
     pub(crate) fn tick_backup_watch(&mut self, ctx: &mut Context<'_>) {
-        let Role::Backup { primary } = self.role else {
+        let Role::Backup { primary } = self.durable.role else {
             return;
         };
         let silence = ctx.now().since(self.last_heartbeat);
@@ -321,53 +350,37 @@ impl AreaController {
     /// to the area, the registration server and the parent, and start
     /// the primary timers.
     fn take_over(&mut self, ctx: &mut Context<'_>, old_primary: NodeId) {
-        if let Some(state) = self.replica_state.take() {
-            if self.apply_replica_snapshot(state.as_slice(), ctx.now()).is_none() {
-                ctx.stats().bump("ac-takeover-corrupt-state", 1);
-            }
-        }
-        self.role = Role::Primary;
-        // Fence strictly above anything the old primary ever announced:
-        // after a partition heal, whichever of the two primaries holds
-        // the lower epoch demotes itself (split-brain reconciliation).
-        self.takeover_epoch = self.takeover_epoch.max(self.peer_takeover_epoch) + 1;
-        self.stale_peer = Some(old_primary);
-        // This node no longer has a backup of its own.
-        self.deploy.backup = None;
-        self.deploy.backup_pubkey = Vec::new();
-        self.stats.takeovers += 1;
-        ctx.stats().bump("ac-takeovers", 1);
-
         // The promotion must be durable before it is announced: a
         // promoted backup that crashes and forgets it was primary would
         // leave the area with no controller at all. WAL first, then the
         // compacting checkpoint — if the checkpoint write is later lost
         // to a lying disk, the older slot plus this record still
-        // replays the promotion.
-        self.wal_commit_record(
-            ctx,
-            &AcWalRecord::Promoted {
-                takeover_epoch: self.takeover_epoch,
-                old_primary: old_primary.index() as u32,
-            },
-        );
+        // replays the promotion. Applying the record adopts the
+        // escrowed snapshot.
+        let promoted = AcWalRecord::Promoted {
+            // Fence strictly above anything the old primary ever
+            // announced: after a partition heal, whichever of the two
+            // primaries holds the lower epoch demotes itself
+            // (split-brain reconciliation).
+            takeover_epoch: self.durable.takeover_epoch.max(self.durable.peer_takeover_epoch) + 1,
+            old_primary: old_primary.index() as u32,
+        };
+        if self.wal_commit_record(ctx, &promoted).is_err() {
+            ctx.stats().bump("ac-takeover-corrupt-state", 1);
+        }
+        self.adopt_departures();
+        self.stats.takeovers += 1;
+        ctx.stats().bump("ac-takeovers", 1);
         self.persist_checkpoint(ctx);
 
         self.announce_takeover(ctx);
 
         // Re-enroll with the parent so parent-area keys are fresh.
-        if self.parent.is_some() {
-            self.last_heard_parent = ctx.now();
-            if let Some(p) = self.parent.clone() {
-                ctx.join_group(p.group);
-                self.request_parent_enrollment(ctx, &p);
-            }
+        if let Some(p) = self.durable.image.parent.clone() {
+            ctx.join_group(p.group);
+            self.request_parent_enrollment(ctx, &p);
         }
-
-        ctx.set_timer(self.cfg.t_idle, TIMER_IDLE_ALIVE);
-        ctx.set_timer(self.cfg.t_active, TIMER_SWEEP);
-        ctx.set_timer(self.cfg.rekey_interval, TIMER_REKEY);
-        ctx.set_timer(self.cfg.t_idle, TIMER_PARENT_CHECK);
+        self.resume_role(ctx);
     }
 
     /// Signed takeover announcement: members switch their AC pointer,
@@ -411,7 +424,7 @@ impl AreaController {
         _seq: u64,
         takeover_epoch: u64,
     ) {
-        if takeover_epoch >= self.takeover_epoch || self.stale_peer != Some(from) {
+        if takeover_epoch >= self.durable.takeover_epoch || self.durable.stale_peer != Some(from) {
             return;
         }
         if self.pending_demote.is_some() {
@@ -421,13 +434,13 @@ impl AreaController {
         ctx.charge_compute(self.cost.rsa_private(self.cfg.rsa_bits));
         let sig = self
             .keypair
-            .sign(&Self::demote_signed_bytes(self.deploy.area, self.takeover_epoch));
+            .sign(&Self::demote_signed_bytes(self.deploy.area, self.durable.takeover_epoch));
         let token = ctx.send_reliable(
             from,
             "takeover",
             Msg::Demote {
                 area: self.deploy.area,
-                takeover_epoch: self.takeover_epoch,
+                takeover_epoch: self.durable.takeover_epoch,
                 sig,
             }
             .to_bytes(),
@@ -447,28 +460,33 @@ impl AreaController {
         takeover_epoch: u64,
         sig: &[u8],
     ) {
+        let Some((backup, backup_pubkey)) = &self.durable.backup else {
+            return;
+        };
         if area != self.deploy.area
-            || takeover_epoch <= self.takeover_epoch
-            || self.deploy.backup != Some(from)
+            || takeover_epoch <= self.durable.takeover_epoch
+            || *backup != from
         {
             return;
         }
-        let Ok(pk) = RsaPublicKey::from_bytes(&self.deploy.backup_pubkey) else {
+        let Ok(pk) = RsaPublicKey::from_bytes(backup_pubkey) else {
             return;
         };
         ctx.charge_compute(self.cost.rsa_public(self.cfg.rsa_bits));
         if !pk.verify(&Self::demote_signed_bytes(area, takeover_epoch), sig) {
             return;
         }
-        // Epoch fence lost: step down.
-        self.role = Role::Backup { primary: from };
-        self.peer_takeover_epoch = takeover_epoch;
-        // Replica bookkeeping from the primary stint must not block the
-        // new primary's snapshots.
-        self.applied_sync_seq = 0;
-        self.replica_state = None;
+        // Epoch fence lost: step down. Losing the fence must stick
+        // across a crash, or a recovered node would come back up
+        // believing it still runs the area.
+        let demoted = AcWalRecord::Demoted { new_primary: from.index() as u32 };
+        let _ = self.wal_commit_record(ctx, &demoted);
+        self.durable.peer_takeover_epoch = takeover_epoch;
+        // The batch window belonged to the area just handed over.
+        self.update_needed = false;
+        self.buffered_join_updates.clear();
+        self.recorded_members.clear();
         self.backup_presumed_dead = false;
-        self.last_heartbeat = ctx.now();
         // Outstanding primary-role reliables toward the winner (stale
         // state-syncs, mainly) must not race its snapshots.
         ctx.cancel_reliable_to(from);
@@ -478,27 +496,21 @@ impl AreaController {
         }
         self.stats.demotions += 1;
         ctx.stats().bump("ac-demotions", 1);
-        // Losing the fence must stick across a crash, or a recovered
-        // node would come back up believing it still runs the area.
-        self.wal_commit_record(ctx, &AcWalRecord::Demoted { new_primary: from.index() as u32 });
         self.persist_checkpoint(ctx);
-        // The primary timers die on their next firing (role-gated); the
-        // backup watchdog takes their place.
-        ctx.set_timer(self.cfg.heartbeat_interval, TIMER_BACKUP_WATCH);
+        self.resume_role(ctx);
     }
 
     /// The stale primary acknowledged the `Demote` (the gates on both
     /// sides mirror each other, so delivery implies acceptance): adopt
     /// it as this node's backup and bring it up to date.
     pub(crate) fn handle_demote_acked(&mut self, ctx: &mut Context<'_>) {
-        let Some(peer) = self.stale_peer.take() else {
+        let Some(peer) = self.durable.stale_peer.take() else {
             return;
         };
         let Some(pk) = self.directory_pubkey(peer) else {
             return;
         };
-        self.deploy.backup = Some(peer);
-        self.deploy.backup_pubkey = pk.to_bytes();
+        self.durable.backup = Some((peer, pk.to_bytes()));
         self.last_backup_ack = ctx.now();
         self.backup_presumed_dead = false;
         ctx.stats().bump("ac-demote-acked", 1);
@@ -546,7 +558,7 @@ impl AreaController {
 
 #[cfg(test)]
 mod tests {
-    use super::AreaController;
+    use super::{AreaController, AreaImage};
     use crate::group::GroupBuilder;
 
     /// Regression: `child_ac_members` must survive the snapshot round
@@ -557,19 +569,17 @@ mod tests {
         g.settle();
         let (bytes, expect_children, expect_epoch) =
             g.sim.invoke(g.primaries[0], |ac: &mut AreaController, _ctx| {
-                (ac.replica_snapshot(), ac.child_ac_members.clone(), ac.epoch)
+                let image = &ac.durable.image;
+                (image.encode(), image.child_ac_members.clone(), image.epoch)
             });
         assert!(
             !expect_children.is_empty(),
             "area 1 should be enrolled as a child of area 0"
         );
-        let now = g.sim.now();
-        let backup = g.sim.node_mut::<AreaController>(g.backups[0]);
-        backup
-            .apply_replica_snapshot(&bytes, now)
-            .expect("snapshot parses");
-        assert_eq!(backup.child_ac_members, expect_children);
-        assert_eq!(backup.epoch, expect_epoch);
+        let image = AreaImage::decode(&bytes, g.sim.now()).expect("snapshot parses");
+        assert_eq!(image.child_ac_members, expect_children);
+        assert_eq!(image.epoch, expect_epoch);
+        assert_eq!(image.encode(), bytes, "snapshot does not re-encode to itself");
     }
 
     /// A stale (lower-sequence) snapshot — e.g. a delayed retransmission
@@ -584,19 +594,18 @@ mod tests {
         g.register_member(1);
         g.settle();
         let backup_node = g.backups[0];
-        let applied = g.sim.node::<AreaController>(backup_node).applied_sync_seq;
+        let applied = g.sim.node::<AreaController>(backup_node).durable.applied_sync_seq;
         assert!(applied > 0, "backup never applied a snapshot");
         let state = g
             .sim
             .node::<AreaController>(backup_node)
-            .replica_state
+            .durable
+            .escrow
             .clone();
 
         // Replay a sealed snapshot with an old sequence number.
         let primary = g.primaries[0];
-        let (repl_key, snapshot) = g.sim.invoke(primary, |ac: &mut AreaController, _ctx| {
-            (ac.repl_key.clone(), ac.replica_snapshot())
-        });
+        let repl_key = g.sim.node::<AreaController>(primary).repl_key.clone();
         let mut plain = Writer::new();
         plain.u64(1).bytes(&[0xde; 4]); // bogus body under a stale seq
         let mut rng = mykil_crypto::drbg::Drbg::from_seed(7);
@@ -605,10 +614,9 @@ mod tests {
             ac.on_backup_message(ctx, primary, Msg::StateSync { ct });
         });
         let b = g.sim.node::<AreaController>(backup_node);
-        assert_eq!(b.applied_sync_seq, applied, "stale seq must not apply");
-        assert_eq!(b.replica_state, state, "stale snapshot overwrote state");
+        assert_eq!(b.durable.applied_sync_seq, applied, "stale seq must not apply");
+        assert_eq!(b.durable.escrow, state, "stale snapshot overwrote state");
         assert_eq!(g.stats().counter("backup-stale-sync-dropped"), 1);
-        drop(snapshot);
     }
 
     /// Regression: a primary whose backup died must stop burning
@@ -635,7 +643,7 @@ mod tests {
         // Membership churn while the backup is down must not produce
         // any sync traffic toward the dead node.
         let syncs_before = g.stats().kind("state-sync").messages_sent;
-        let seq_before = g.sim.node::<AreaController>(primary).sync_seq;
+        let seq_before = g.sim.node::<AreaController>(primary).durable.sync_seq;
         let b = g.register_member(2);
         g.run_for(Duration::from_secs(2));
         assert!(g.is_member(b));
@@ -644,7 +652,7 @@ mod tests {
             syncs_before,
             "primary kept syncing a presumed-dead backup"
         );
-        assert_eq!(g.sim.node::<AreaController>(primary).sync_seq, seq_before);
+        assert_eq!(g.sim.node::<AreaController>(primary).durable.sync_seq, seq_before);
 
         // The backup returns: the next heartbeat ack revives it and an
         // immediate catch-up sync closes the replication gap.
@@ -661,14 +669,63 @@ mod tests {
         let snap = g
             .sim
             .node::<AreaController>(backup_node)
-            .replica_state
+            .durable
+            .escrow
             .clone()
             .expect("backup holds no catch-up snapshot");
-        let now = g.sim.now();
-        let probe = g.sim.node_mut::<AreaController>(backup_node);
-        probe
-            .apply_replica_snapshot(snap.as_slice(), now)
-            .expect("snapshot parses");
-        assert_eq!(probe.members.len(), 2);
+        let image = AreaImage::decode(snap.as_slice(), g.sim.now()).expect("snapshot parses");
+        assert_eq!(image.members.len(), 2);
+    }
+
+    /// Regression: a checkpoint may be taken anywhere, also inside a
+    /// batch window (`handle_area_join_ack` and `handle_demote_acked`
+    /// take one whenever they run). It truncates the `Leave` record, so
+    /// the departure it queued must be readable from the image itself.
+    #[test]
+    fn checkpoint_inside_a_batch_window_keeps_the_queued_departure() {
+        use crate::config::MykilConfig;
+        use crate::member::Member;
+        use mykil_net::Duration;
+        use mykil_tree::MemberId;
+
+        // Only data flushes: the backstop timer is an hour away.
+        let cfg = MykilConfig {
+            rekey_interval: Duration::from_secs(3600),
+            ..MykilConfig::test()
+        };
+        let mut g = GroupBuilder::new(96).config(cfg).areas(1).replicated(true).build();
+        let a = g.register_member(1);
+        let b = g.register_member(2);
+        g.settle();
+        g.send_data(a, b"flush the joins");
+        g.run_for(Duration::from_secs(1));
+
+        let b_leaf = MemberId(g.member(b).client_id().expect("b joined").0);
+        assert!(g.sim.invoke(b, |m: &mut Member, ctx| m.leave(ctx)));
+        g.run_for(Duration::from_millis(150));
+        let primary = g.primaries[0];
+        g.sim.invoke(primary, |ac: &mut AreaController, ctx| {
+            assert!(ac.update_needed && ac.durable.departed().eq([b_leaf]));
+            ac.persist_checkpoint(ctx);
+        });
+
+        // Crash and restart in the same instant: no takeover, recovery
+        // from the node's own checkpoint and (now empty) WAL.
+        g.sim.crash(primary);
+        assert!(g.sim.restart(primary));
+        g.run_for(Duration::from_millis(200));
+        let ac = g.sim.node::<AreaController>(primary);
+        assert!(ac.durable.departed().eq([b_leaf]));
+        assert!(ac.update_needed, "recovery forgot the queued departure");
+
+        let rekeys_before = ac.stats.rekeys;
+        g.send_data(a, b"flush the leave");
+        g.run_for(Duration::from_secs(1));
+        let ac = g.sim.node::<AreaController>(primary);
+        assert!(
+            !ac.durable.image.tree.contains(b_leaf),
+            "the departed member's leaf outlived the flush"
+        );
+        assert_eq!(ac.stats.rekeys, rekeys_before + 1, "no key update was multicast");
     }
 }

@@ -19,17 +19,23 @@
 //!   state at natural compaction points (every rekey flush, every
 //!   replica-snapshot application, role changes) and truncate the log.
 //!
-//! The same formats are replayed offline by the durability invariant
-//! checker ([`replay_ac`], [`replay_rs`]): at every quiescent point the
-//! durable view of a live node must agree with its in-memory state —
-//! same role and fencing epoch, same membership, no acknowledged change
-//! lost, no evicted member resurrected. For the registration server
-//! that replay is the recovery path itself: `on_restarted` assigns what
-//! [`replay_rs`] returns.
+//! What a record *means* is defined once per role: for the area
+//! controller by the transition function of
+//! [`AcDurable`](crate::area::AcDurable) (see `area/persist.rs`), for
+//! the registration server by [`replay_rs`]. Live handlers, crash
+//! recovery (`on_restarted` assigns what the fold returns) and the
+//! durability invariant checker ([`replay_ac`], [`replay_rs`]) all run
+//! that one function, so at every quiescent point a replay of a live
+//! node's stable storage must equal its in-memory durable state — same
+//! role and fencing epoch, same membership, no acknowledged change
+//! lost, no evicted member resurrected.
 
+use crate::area::{AcDurable, AreaImage, Role};
 use crate::directory::AcDirectory;
 use crate::wire::{Reader, Writer};
-use std::collections::BTreeSet;
+use mykil_crypto::drbg::Drbg;
+use mykil_net::Time;
+use mykil_tree::TreeConfig;
 
 /// Fencing jump applied to a recovered primary's rekey epoch and
 /// replication sequence.
@@ -187,8 +193,9 @@ impl AcWalRecord {
 
 /// Full-state image an area controller writes at compaction points.
 ///
+/// The outer frame of [`AcDurable::encode`](crate::area::AcDurable::encode).
 /// The membership/tree/hierarchy payload reuses the replication
-/// snapshot format (`replica_snapshot`), so the checkpoint of a primary
+/// snapshot format, so the checkpoint of a primary
 /// is byte-identical to what it ships to its backup; a backup
 /// checkpoints the last snapshot it applied, raw. Everything else is
 /// the replication/fencing state that the snapshot deliberately leaves
@@ -402,139 +409,29 @@ impl RsCheckpoint {
 }
 
 // ---------------------------------------------------------------------
-// Offline replay (durability invariants)
+// Replay of stable storage (recovery's fold, without a node)
 // ---------------------------------------------------------------------
 
-/// Membership facts extracted from a replica-format snapshot without
-/// decoding the key tree: the member-id set and the rekey epoch.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SnapshotSummary {
-    /// Client ids of every member in the snapshot.
-    pub members: BTreeSet<u64>,
-    /// Rekey epoch at snapshot time.
-    pub epoch: u64,
-}
-
-/// Parses the membership portion of a `replica_snapshot` image. Walks
-/// the exact field layout (tree bytes, member list, parent link, parent
-/// keys, epoch); returns `None` if the image does not parse that far.
-pub fn snapshot_summary(bytes: &[u8]) -> Option<SnapshotSummary> {
-    let mut r = Reader::new(bytes);
-    r.bytes().ok()?; // tree snapshot, opaque here
-    let count = r.u32().ok()? as usize;
-    let mut members = BTreeSet::new();
-    for _ in 0..count {
-        let client = r.u64().ok()?;
-        r.u32().ok()?; // node
-        r.bytes().ok()?; // pubkey
-        if r.u8().ok()? == 1 {
-            r.array::<6>().ok()?; // device
-        }
-        r.u64().ok()?; // valid_until
-        members.insert(client);
-    }
-    if r.u8().ok()? == 1 {
-        r.u32().ok()?; // parent node
-        r.u32().ok()?; // parent area
-        r.u32().ok()?; // parent group
-    }
-    r.bytes().ok()?; // parent keys
-    let epoch = r.u64().ok()?;
-    Some(SnapshotSummary { members, epoch })
-}
-
-/// What an area controller's durable state says it should look like
-/// after recovery: checkpoint applied, WAL suffix replayed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DurableAcView {
-    /// Whether the durable role is primary.
-    pub primary: bool,
-    /// Durable fencing epoch.
-    pub takeover_epoch: u64,
-    /// Durable rekey epoch (primary state only; 0 otherwise).
-    pub epoch: u64,
-    /// Durable next-snapshot sequence.
-    pub sync_seq: u64,
-    /// Durable highest-applied snapshot sequence.
-    pub applied_sync_seq: u64,
-    /// Durable member-id set (primary state only).
-    pub members: BTreeSet<u64>,
-    /// Members evicted in the WAL suffix and not re-admitted since: a
-    /// recovered controller must not count any of them as members.
-    pub evicted: BTreeSet<u64>,
-    /// Whether a valid checkpoint contributed to this view.
-    pub had_checkpoint: bool,
-}
-
-/// Replays an area controller's durable state (as returned by
-/// [`mykil_net::StableStore::load`]) into the view recovery must
-/// produce. `None` only when the checkpoint exists but does not parse;
-/// unparseable WAL records end the replay early (mirroring recovery's
-/// torn-tail handling).
-pub fn replay_ac(checkpoint: Option<&[u8]>, wal: &[Vec<u8>]) -> Option<DurableAcView> {
-    let mut view = DurableAcView {
-        primary: false,
-        takeover_epoch: 0,
-        epoch: 0,
-        sync_seq: 0,
-        applied_sync_seq: 0,
-        members: BTreeSet::new(),
-        evicted: BTreeSet::new(),
-        had_checkpoint: false,
+/// Replays an area controller's stable storage (as returned by
+/// [`mykil_net::StableStore::load`]) into the state recovery would
+/// assign: the decoded checkpoint — or, without one, a lone primary of
+/// an empty area — folded over the WAL suffix by the controller's own
+/// transition function. `None` only when the checkpoint exists but
+/// does not parse; an unparseable WAL record ends the replay early
+/// (torn-tail handling).
+///
+/// No node is needed: the tree draws from a fixed seed (recovery
+/// re-issues every path, so replayed key values are throwaway), a
+/// backup's own area is blank, and liveness clocks start at zero.
+pub fn replay_ac(checkpoint: Option<&[u8]>, wal: &[Vec<u8>]) -> Option<AcDurable> {
+    let mut rng = Drbg::from_seed(0);
+    let blank = AreaImage::blank(TreeConfig::default(), None, &mut rng);
+    let mut state = match checkpoint {
+        Some(bytes) => AcDurable::decode(bytes, Time::ZERO, &blank)?,
+        None => AcDurable::deployed(Role::Primary, None, blank),
     };
-    // A backup's checkpointed snapshot is its primary's state, held in
-    // escrow: it becomes this node's own membership only at promotion.
-    let mut escrow: Option<SnapshotSummary> = None;
-    if let Some(bytes) = checkpoint {
-        let cp = AcCheckpoint::from_bytes(bytes)?;
-        view.primary = cp.primary;
-        view.takeover_epoch = cp.takeover_epoch;
-        view.sync_seq = cp.sync_seq;
-        view.applied_sync_seq = cp.applied_sync_seq;
-        view.had_checkpoint = true;
-        if let Some(snap) = &cp.snapshot {
-            let summary = snapshot_summary(snap)?;
-            if cp.primary {
-                view.members = summary.members;
-                view.epoch = summary.epoch;
-            } else {
-                escrow = Some(summary);
-            }
-        }
-    }
-    for raw in wal {
-        let Some(rec) = AcWalRecord::from_bytes(raw) else {
-            break;
-        };
-        match rec {
-            AcWalRecord::Join { client, .. } => {
-                view.members.insert(client);
-                view.evicted.remove(&client);
-            }
-            AcWalRecord::Leave { client } => {
-                view.members.remove(&client);
-            }
-            AcWalRecord::Evict { client } => {
-                view.members.remove(&client);
-                view.evicted.insert(client);
-            }
-            AcWalRecord::Promoted { takeover_epoch, .. } => {
-                view.primary = true;
-                view.takeover_epoch = takeover_epoch;
-                if let Some(s) = escrow.take() {
-                    view.members = s.members;
-                    view.epoch = s.epoch;
-                }
-            }
-            AcWalRecord::Demoted { .. } => {
-                view.primary = false;
-                view.members.clear();
-                view.evicted.clear();
-                view.epoch = 0;
-            }
-        }
-    }
-    Some(view)
+    state.fold(wal, &mut rng, Time::ZERO);
+    Some(state)
 }
 
 /// Folds the registration server's WAL suffix over `state` — its
@@ -570,6 +467,7 @@ pub fn replay_rs(mut state: RsCheckpoint, wal: &[Vec<u8>]) -> (RsCheckpoint, usi
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     #[test]
     fn ac_wal_records_round_trip() {
@@ -664,71 +562,68 @@ mod tests {
         assert_eq!(RsCheckpoint::from_bytes(&cp.to_bytes()), Some(cp));
     }
 
+    /// Bytes of a public key that parses (256-bit odd modulus, e = 3).
+    fn pubkey(tag: u8) -> Vec<u8> {
+        let mut n = vec![0xFF; 32];
+        n[1] = tag;
+        let mut w = Writer::new();
+        w.bytes(&n).bytes(&[3]);
+        w.into_bytes()
+    }
+
+    fn join(client: u64) -> Vec<u8> {
+        AcWalRecord::Join {
+            client,
+            node: 10 + client as u32,
+            pubkey: pubkey(client as u8),
+            device: None,
+            valid_until_us: 0,
+        }
+        .to_bytes()
+    }
+
+    fn clients(state: &AcDurable) -> Vec<u64> {
+        state.tree().members().map(|m| m.0).collect()
+    }
+
     #[test]
     fn replay_ac_applies_wal_over_checkpoint() {
-        // No checkpoint: pure WAL replay.
-        let wal: Vec<Vec<u8>> = vec![
-            AcWalRecord::Join {
-                client: 1,
-                node: 10,
-                pubkey: vec![1],
-                device: None,
-                valid_until_us: 0,
-            }
-            .to_bytes(),
-            AcWalRecord::Join {
-                client: 2,
-                node: 11,
-                pubkey: vec![2],
-                device: None,
-                valid_until_us: 0,
-            }
-            .to_bytes(),
+        // No checkpoint: pure WAL replay over an empty area.
+        let wal = vec![
+            join(1),
+            join(2),
             AcWalRecord::Evict { client: 1 }.to_bytes(),
             AcWalRecord::Leave { client: 2 }.to_bytes(),
         ];
-        let view = replay_ac(None, &wal).unwrap();
-        assert!(view.members.is_empty());
-        assert_eq!(view.evicted, BTreeSet::from([1]));
-        assert!(!view.had_checkpoint);
+        let state = replay_ac(None, &wal).unwrap();
+        assert_eq!(state.role(), Role::Primary);
+        assert!(state.member_ids().is_empty());
+        // Both rows are gone; both leaves wait for the next flush.
+        assert_eq!(clients(&state), vec![1, 2]);
+        assert_eq!(state.departed().count(), 2);
     }
 
     #[test]
     fn replay_ac_readmission_clears_eviction() {
-        let wal: Vec<Vec<u8>> = vec![
-            AcWalRecord::Evict { client: 1 }.to_bytes(),
-            AcWalRecord::Join {
-                client: 1,
-                node: 10,
-                pubkey: vec![1],
-                device: None,
-                valid_until_us: 0,
-            }
-            .to_bytes(),
-        ];
-        let view = replay_ac(None, &wal).unwrap();
-        assert_eq!(view.members, BTreeSet::from([1]));
-        assert!(view.evicted.is_empty());
+        let wal = vec![join(1), AcWalRecord::Evict { client: 1 }.to_bytes(), join(1)];
+        let state = replay_ac(None, &wal).unwrap();
+        assert_eq!(state.member_ids(), BTreeSet::from([1]));
+        assert_eq!(clients(&state), vec![1]);
+        assert_eq!(state.departed().count(), 0);
     }
 
     #[test]
     fn replay_ac_promotion_adopts_escrowed_replica() {
-        // A backup checkpoint holds the primary's snapshot in escrow;
-        // a Promoted record in the WAL suffix adopts it.
-        let snap = {
-            // Minimal replica-format image: empty tree bytes, one
-            // member, no parent, empty parent keys, epoch 7.
-            let mut w = Writer::new();
-            w.bytes(&[]);
-            w.u32(1);
-            w.u64(31).u32(12).bytes(&[1]).u8(0).u64(0);
-            w.u8(0);
-            w.bytes(&[]);
-            w.u64(7);
-            w.u32(0);
-            w.u32(0);
-            w.into_bytes()
-        };
+        // A backup checkpoint holds the primary's snapshot in escrow —
+        // here one taken inside a batch window, with member 32's leaf
+        // still in the tree — and a Promoted record in the WAL suffix
+        // adopts it.
+        let mut primary = replay_ac(
+            None,
+            &[join(31), join(32), AcWalRecord::Leave { client: 32 }.to_bytes()],
+        )
+        .unwrap();
+        primary.image.epoch = 7;
         let cp = AcCheckpoint {
             primary: false,
             primary_node: 2,
@@ -738,38 +633,39 @@ mod tests {
             applied_sync_seq: 4,
             stale_peer: None,
             backup: None,
-            snapshot: Some(snap),
+            snapshot: Some(primary.image.encode()),
         };
+        let standby = replay_ac(Some(&cp.to_bytes()), &[]).unwrap();
+        assert_eq!(standby.role(), Role::Backup { primary: mykil_net::NodeId::from_index(2) });
+        assert!(standby.member_ids().is_empty() && clients(&standby).is_empty());
+        // A backup's checkpoint round-trips: the escrow stays opaque.
+        assert_eq!(standby.encode(), cp.to_bytes());
+
         let wal = vec![AcWalRecord::Promoted {
             takeover_epoch: 2,
             old_primary: 2,
         }
         .to_bytes()];
-        let view = replay_ac(Some(&cp.to_bytes()), &wal).unwrap();
-        assert!(view.primary);
-        assert_eq!(view.takeover_epoch, 2);
-        assert_eq!(view.members, BTreeSet::from([31]));
-        assert_eq!(view.epoch, 7);
+        let state = replay_ac(Some(&cp.to_bytes()), &wal).unwrap();
+        assert_eq!(state.role(), Role::Primary);
+        assert_eq!(state.takeover_epoch(), 2);
+        assert_eq!(state.member_ids(), BTreeSet::from([31]));
+        assert_eq!(state.epoch(), 7);
+        assert_eq!(state.departed().map(|m| m.0).collect::<Vec<_>>(), vec![32]);
     }
 
     #[test]
     fn replay_ac_stops_at_first_bad_record() {
-        let wal: Vec<Vec<u8>> = vec![
-            AcWalRecord::Join {
-                client: 1,
-                node: 10,
-                pubkey: vec![1],
-                device: None,
-                valid_until_us: 0,
-            }
-            .to_bytes(),
+        let wal = vec![
+            join(1),
             vec![0xFF, 0xFF],
             AcWalRecord::Evict { client: 1 }.to_bytes(),
         ];
-        let view = replay_ac(None, &wal).unwrap();
+        let state = replay_ac(None, &wal).unwrap();
         // The eviction after the bad record must not apply.
-        assert_eq!(view.members, BTreeSet::from([1]));
-        assert!(view.evicted.is_empty());
+        assert_eq!(state.member_ids(), BTreeSet::from([1]));
+        // A checkpoint that does not parse replays to nothing at all.
+        assert!(replay_ac(Some(&[0xFF]), &wal).is_none());
     }
 
     #[test]

@@ -9,7 +9,11 @@
 //!    the current area key of its area's live controller.
 //! 2. **Forward secrecy** — no node that the live controller does not
 //!    count as an enrolled member holds that controller's current
-//!    area key (departure and eviction rekeys actually revoked it).
+//!    area key (departure and eviction rekeys actually revoked it);
+//!    and, on the controller's side, its tree holds no client leaf
+//!    without a member row unless a flush is pending. An honest leaver
+//!    drops its keys, so only the second half sees a departure that a
+//!    takeover or a recovery forgot inside a batch window.
 //! 3. **Single primary** — after partitions heal, at most one live
 //!    controller per area holds the `Primary` role (epoch-fenced
 //!    demotion reconciled any split brain).
@@ -20,14 +24,15 @@
 //!    demotion, or a crash/restart cycle — recovery from an older
 //!    checkpoint slot may legally rewind `applied_sync_seq`).
 //! 5. **Durability** — a live controller's stable storage (newest
-//!    valid checkpoint plus WAL suffix, see `crate::durable`) replays
-//!    to a view consistent with its in-memory state: same role and
-//!    fencing epoch, and for a primary the same member set and rekey
-//!    epoch, a replication sequence no newer than memory, and no
-//!    durably-evicted client still counted as a member. The same
-//!    holds for the registration server's client-id counter and
-//!    directory. This catches missing write-ahead commits: state the
-//!    node would silently lose in a crash.
+//!    valid checkpoint plus WAL suffix) replays — through
+//!    [`replay_ac`], the fold recovery itself runs — to its in-memory
+//!    durable state: same role and fencing epoch, same member rows
+//!    (so no durably-evicted client is still counted, and none is
+//!    lost), same rekey epoch, same client leaves in the tree, and a
+//!    replication sequence no newer than memory. The same holds for
+//!    the registration server's client-id counter and directory. This
+//!    catches state mutated outside the write-ahead discipline: what
+//!    the node would silently lose in a crash.
 //!
 //! The checker is stateful (for the monotonicity baseline): create one
 //! per scenario and call [`InvariantChecker::check`] at every
@@ -35,7 +40,7 @@
 //! harness artifact — pair it with the serialized `FaultPlan` that
 //! produced it for replay.
 
-use crate::area::Role;
+use crate::area::{AcDurable, AreaController, Role, AC_MEMBER_BASE};
 use crate::durable::{replay_ac, replay_rs, RsCheckpoint};
 use crate::group::GroupHandle;
 use crate::scale::{AreaState, ScaleEvent, ScaleGroup};
@@ -69,6 +74,17 @@ pub enum InvariantViolation {
         /// Area index whose key leaked.
         area: usize,
     },
+    /// A departed client still has a leaf in the live controller's
+    /// tree and no flush is pending: every later key update stays
+    /// readable with the path keys it left with.
+    UnrevokedLeaf {
+        /// The controller node.
+        node: NodeId,
+        /// Area index.
+        area: usize,
+        /// The client whose row is gone and whose leaf is not.
+        client: u64,
+    },
     /// A replication sequence number moved backwards within one
     /// takeover lineage.
     ReplicationRegression {
@@ -91,17 +107,6 @@ pub enum InvariantViolation {
         area: usize,
         /// What diverged.
         detail: String,
-    },
-    /// A client the durable log records as evicted is still counted as
-    /// a member in memory — replaying the log would resurrect state
-    /// the live node already revoked (or vice versa).
-    Resurrection {
-        /// The controller node.
-        node: NodeId,
-        /// Area index.
-        area: usize,
-        /// The evicted-yet-present client id.
-        client: u64,
     },
     /// The registration server's stable storage disagrees with its
     /// in-memory state.
@@ -200,6 +205,11 @@ impl std::fmt::Display for InvariantViolation {
                 f,
                 "forward secrecy: non-member {member:?} holds area {area}'s current key"
             ),
+            InvariantViolation::UnrevokedLeaf { node, area, client } => write!(
+                f,
+                "forward secrecy: area {area} controller {node:?} keeps the leaf of departed \
+                 client {client} and owes no flush"
+            ),
             InvariantViolation::ReplicationRegression {
                 node,
                 counter,
@@ -212,11 +222,6 @@ impl std::fmt::Display for InvariantViolation {
             InvariantViolation::DurabilityDrift { node, area, detail } => write!(
                 f,
                 "durability drift: area {area} controller {node:?}: {detail}"
-            ),
-            InvariantViolation::Resurrection { node, area, client } => write!(
-                f,
-                "resurrection: area {area} controller {node:?} counts durably-evicted \
-                 client {client} as a member"
             ),
             InvariantViolation::RsDurabilityDrift { detail } => write!(
                 f,
@@ -278,6 +283,13 @@ impl std::fmt::Display for InvariantViolation {
     }
 }
 
+/// The controllers deployed for `area`: the primary, then its backup
+/// when the deployment is replicated.
+fn controllers(g: &GroupHandle, area: usize) -> impl Iterator<Item = (NodeId, &AreaController)> {
+    let backup = g.backups.get(area).map(|&node| (node, g.backup(area)));
+    std::iter::once((g.primaries[area], g.ac(area))).chain(backup)
+}
+
 /// Per-controller baseline for the monotonicity invariant.
 #[derive(Debug, Clone, Copy)]
 struct ReplBaseline {
@@ -312,30 +324,15 @@ impl InvariantChecker {
         // while doing so). An area whose deployed pair is entirely
         // crashed has no live controller: liveness is suspended there,
         // but no safety property can be violated by a dead node.
-        let mut live: Vec<Option<NodeId>> = Vec::with_capacity(areas);
+        let mut live: Vec<Option<(NodeId, &AreaController)>> = Vec::with_capacity(areas);
         for area in 0..areas {
-            let mut primaries_here: Vec<NodeId> = Vec::new();
-            let mut pair = vec![g.primaries[area]];
-            if let Some(&b) = g.backups.get(area) {
-                pair.push(b);
-            }
-            for node in pair {
-                if g.sim.is_crashed(node) {
-                    continue;
-                }
-                let ctrl = if node == g.primaries[area] {
-                    g.ac(area)
-                } else {
-                    g.backup(area)
-                };
-                if ctrl.role() == Role::Primary {
-                    primaries_here.push(node);
-                }
-            }
+            let primaries_here: Vec<(NodeId, &AreaController)> = controllers(g, area)
+                .filter(|(node, ctrl)| !g.sim.is_crashed(*node) && ctrl.role() == Role::Primary)
+                .collect();
             if primaries_here.len() > 1 {
                 out.push(InvariantViolation::SplitBrain {
                     area,
-                    nodes: (primaries_here[0], primaries_here[1]),
+                    nodes: (primaries_here[0].0, primaries_here[1].0),
                 });
             }
             live.push(primaries_here.first().copied());
@@ -349,13 +346,8 @@ impl InvariantChecker {
             let member = g.member(m);
             let held = member.current_area_key();
             let member_area = member.area().map(|a| a.0 as usize);
-            for (area, live_ctrl) in live.iter().enumerate().take(areas) {
-                let Some(ctrl_node) = *live_ctrl else { continue };
-                let ctrl = if ctrl_node == g.primaries[area] {
-                    g.ac(area)
-                } else {
-                    g.backup(area)
-                };
+            for (area, live_ctrl) in live.iter().enumerate() {
+                let Some((_, ctrl)) = *live_ctrl else { continue };
                 let enrolled = member
                     .client_id()
                     .is_some_and(|c| ctrl.has_member(c));
@@ -372,23 +364,26 @@ impl InvariantChecker {
             }
         }
 
+        // Forward secrecy, controller side: outside a batch window every
+        // departure must have been rekeyed out of the tree.
+        for (area, live_ctrl) in live.iter().enumerate() {
+            let Some((node, ctrl)) = *live_ctrl else { continue };
+            if !ctrl.update_pending() {
+                out.extend(ctrl.durable().departed().map(|m| {
+                    InvariantViolation::UnrevokedLeaf { node, area, client: m.0 }
+                }));
+            }
+        }
+
         // Replication monotonicity within a takeover lineage.
         for area in 0..areas {
-            let mut pair = vec![g.primaries[area]];
-            if let Some(&b) = g.backups.get(area) {
-                pair.push(b);
-            }
-            for node in pair {
-                let ctrl = if node == g.primaries[area] {
-                    g.ac(area)
-                } else {
-                    g.backup(area)
-                };
+            for (node, ctrl) in controllers(g, area) {
+                let durable = ctrl.durable();
                 let now = ReplBaseline {
-                    takeover_epoch: ctrl.takeover_epoch(),
-                    is_primary: ctrl.role() == Role::Primary,
-                    sync_seq: ctrl.sync_seq(),
-                    applied_sync_seq: ctrl.applied_sync_seq(),
+                    takeover_epoch: durable.takeover_epoch,
+                    is_primary: durable.role == Role::Primary,
+                    sync_seq: durable.sync_seq,
+                    applied_sync_seq: durable.applied_sync_seq,
                     restarts: g.sim.restart_count(node),
                 };
                 if let Some(prev) = self.repl.get(&node) {
@@ -424,94 +419,50 @@ impl InvariantChecker {
         }
 
         // Durability: every live controller's stable storage must
-        // replay to a view consistent with its in-memory state. Nodes
-        // that never persisted anything are skipped (pre-durability
-        // harness nodes); crashed nodes are checked on recovery via
-        // the other invariants.
+        // replay to its in-memory durable state. Nodes that never
+        // persisted anything are skipped (pre-durability harness
+        // nodes); crashed nodes are checked on recovery via the other
+        // invariants.
         for area in 0..areas {
-            let mut pair = vec![g.primaries[area]];
-            if let Some(&b) = g.backups.get(area) {
-                pair.push(b);
-            }
-            for node in pair {
+            for (node, ctrl) in controllers(g, area) {
                 if g.sim.is_crashed(node) || !g.sim.storage(node).has_durable_state() {
                     continue;
                 }
+                let mut drift = |detail: String| {
+                    out.push(InvariantViolation::DurabilityDrift { node, area, detail })
+                };
                 let rec = g.sim.storage(node).load();
-                let Some(view) =
+                let Some(durable) =
                     replay_ac(rec.checkpoint.as_ref().map(|(_, b)| b.as_slice()), &rec.wal)
                 else {
-                    out.push(InvariantViolation::DurabilityDrift {
-                        node,
-                        area,
-                        detail: "stable storage does not replay".into(),
-                    });
+                    drift("stable storage does not replay".into());
                     continue;
                 };
-                let ctrl = if node == g.primaries[area] {
-                    g.ac(area)
-                } else {
-                    g.backup(area)
+                let memory = ctrl.durable();
+                // Child controllers enroll without a WAL record (their
+                // leaves become durable at the next checkpoint), so the
+                // tree is compared on its client leaves.
+                let facts = |d: &AcDurable| {
+                    let clients: Vec<u64> =
+                        d.tree().members().map(|m| m.0).filter(|id| *id < AC_MEMBER_BASE).collect();
+                    [
+                        ("role", format!("{:?}", d.role())),
+                        ("takeover_epoch", d.takeover_epoch().to_string()),
+                        ("members", format!("{:?}", d.member_ids())),
+                        ("epoch", d.epoch().to_string()),
+                        ("tree clients", format!("{clients:?}")),
+                    ]
                 };
-                let mem_primary = ctrl.role() == Role::Primary;
-                if view.primary != mem_primary {
-                    out.push(InvariantViolation::DurabilityDrift {
-                        node,
-                        area,
-                        detail: format!(
-                            "durable primary={} but memory primary={mem_primary}",
-                            view.primary
-                        ),
-                    });
+                for ((what, stored), (_, live)) in facts(&durable).into_iter().zip(facts(memory)) {
+                    if stored != live {
+                        drift(format!("durable {what}={stored} but memory has {live}"));
+                    }
                 }
-                if view.takeover_epoch != ctrl.takeover_epoch() {
-                    out.push(InvariantViolation::DurabilityDrift {
-                        node,
-                        area,
-                        detail: format!(
-                            "durable takeover_epoch={} but memory has {}",
-                            view.takeover_epoch,
-                            ctrl.takeover_epoch()
-                        ),
-                    });
-                }
-                if mem_primary && view.primary {
-                    let mem_members = ctrl.member_ids();
-                    if view.members != mem_members {
-                        out.push(InvariantViolation::DurabilityDrift {
-                            node,
-                            area,
-                            detail: format!(
-                                "durable members {:?} != memory members {:?}",
-                                view.members, mem_members
-                            ),
-                        });
-                    }
-                    if view.epoch != ctrl.epoch() {
-                        out.push(InvariantViolation::DurabilityDrift {
-                            node,
-                            area,
-                            detail: format!(
-                                "durable epoch={} but memory has {}",
-                                view.epoch,
-                                ctrl.epoch()
-                            ),
-                        });
-                    }
-                    if view.sync_seq > ctrl.sync_seq() {
-                        out.push(InvariantViolation::DurabilityDrift {
-                            node,
-                            area,
-                            detail: format!(
-                                "durable sync_seq={} ahead of memory {}",
-                                view.sync_seq,
-                                ctrl.sync_seq()
-                            ),
-                        });
-                    }
-                    for &client in view.evicted.intersection(&mem_members) {
-                        out.push(InvariantViolation::Resurrection { node, area, client });
-                    }
+                if durable.sync_seq > memory.sync_seq {
+                    drift(format!(
+                        "durable sync_seq={} ahead of memory {}",
+                        durable.sync_seq, memory.sync_seq
+                    ));
                 }
             }
         }

@@ -14,6 +14,7 @@
 //! primary being epoch-fenced back down to backup.
 
 use mykil::area::Role;
+use mykil::config::{BatchPolicy, MykilConfig};
 use mykil::group::{GroupBuilder, GroupHandle};
 use mykil::invariants::InvariantChecker;
 use mykil_net::{ChaosDriver, ChaosOptions, Duration, FaultPlan, Time};
@@ -48,7 +49,20 @@ fn dump_failure(seed: u64, plan: &FaultPlan, violations: &[impl std::fmt::Displa
 /// Builds the canonical soak deployment: three replicated areas and
 /// four auto-joining members, settled before the faults start.
 fn soak_group(seed: u64) -> GroupHandle {
+    soak_group_batching(seed, MykilConfig::test().rekey_interval)
+}
+
+/// [`soak_group`] with the batch window's backstop timer set: under
+/// `OnDataOrTimer` a departure waits, row gone and leaf in place, until
+/// data arrives or this much time passes.
+fn soak_group_batching(seed: u64, window: Duration) -> GroupHandle {
+    let cfg = MykilConfig {
+        batch_policy: BatchPolicy::OnDataOrTimer,
+        rekey_interval: window,
+        ..MykilConfig::test()
+    };
     let mut g = GroupBuilder::new(seed)
+        .config(cfg)
         .rsa_bits(512)
         .areas(3)
         .replicated(true)
@@ -62,8 +76,17 @@ fn soak_group(seed: u64) -> GroupHandle {
 
 #[test]
 fn chaos_soak_invariants_hold_across_seeds() {
-    for seed in 1..=soak_seeds() {
-        let mut g = soak_group(seed);
+    // Every seed with the builder's 2 s batch window, then seed 1 once
+    // more with windows twice as long, so that more of its crashes,
+    // takeovers and checkpoints land on a controller with departures
+    // queued (the invariants are only defined once a window has
+    // closed, so it cannot stay open for good).
+    let default_window = MykilConfig::test().rekey_interval;
+    let inputs = (1..=soak_seeds())
+        .map(|seed| (seed, default_window))
+        .chain([(1, default_window.saturating_mul(2))]);
+    for (seed, window) in inputs {
+        let mut g = soak_group_batching(seed, window);
         let mut checker = InvariantChecker::new();
         assert_eq!(
             checker.check(&g),

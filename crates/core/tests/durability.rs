@@ -18,7 +18,6 @@
 //! not depend on the backend.
 
 use mykil::area::Role;
-use mykil::durable::{snapshot_summary, AcCheckpoint};
 use mykil::group::GroupBuilder;
 use mykil::invariants::InvariantChecker;
 use mykil_net::{Duration, FaultyStore, FileStore, NodeId, StableStore};
@@ -52,7 +51,7 @@ fn primary_recovers_before_promotion(file: bool) {
 
     let area = 1usize;
     let node = g.primaries[area];
-    let members_before = g.ac(area).member_ids();
+    let members_before = g.ac(area).durable().member_ids();
 
     // Crash and restart within the same instant: the backup's
     // heartbeat watchdog never fires, so recovery must come entirely
@@ -69,7 +68,7 @@ fn primary_recovers_before_promotion(file: bool) {
     );
     assert_eq!(g.ac(area).role(), Role::Primary);
     assert_eq!(
-        g.ac(area).member_ids(),
+        g.ac(area).durable().member_ids(),
         members_before,
         "recovery lost the durable membership"
     );
@@ -215,7 +214,7 @@ fn corrupt_checkpoint_fallback(file: bool) {
     assert_eq!(checker.check(&g), vec![]);
 
     let node = g.primaries[0];
-    let members_before = g.ac(0).member_ids();
+    let members_before = g.ac(0).durable().member_ids();
     assert!(
         g.sim.storage(node).checkpoint_count() >= 2,
         "scenario needs both ping-pong slots populated"
@@ -233,7 +232,7 @@ fn corrupt_checkpoint_fallback(file: bool) {
     );
     assert_eq!(g.ac(0).role(), Role::Primary);
     assert_eq!(
-        g.ac(0).member_ids(),
+        g.ac(0).durable().member_ids(),
         members_before,
         "older-slot recovery lost members"
     );
@@ -255,41 +254,6 @@ fn corrupt_checkpoint_falls_back_to_older_slot() {
 #[test]
 fn corrupt_checkpoint_falls_back_to_older_slot_file_backed() {
     corrupt_checkpoint_fallback(true);
-}
-
-/// Drift guard: the lightweight [`snapshot_summary`] parser and the
-/// full replica-snapshot format must agree. If the snapshot encoding
-/// grows a field without the summary (and thus the durability
-/// invariant) learning about it, this fails at the exact seam.
-fn snapshot_summary_matches(file: bool) {
-    let mut b = GroupBuilder::new(65).rsa_bits(512).areas(1).replicated(true);
-    if file {
-        b = file_backed(b, "durability-snapshot-summary");
-    }
-    let mut g = b.build();
-    for i in 0..3 {
-        g.register_member(i);
-    }
-    g.settle();
-
-    let rec = g.sim.storage(g.primaries[0]).load();
-    let (_, ckpt_bytes) = rec.checkpoint.expect("settled primary has a checkpoint");
-    let ckpt = AcCheckpoint::from_bytes(&ckpt_bytes).expect("checkpoint parses");
-    assert!(ckpt.primary);
-    let snap = ckpt.snapshot.expect("primary checkpoint embeds a snapshot");
-    let summary = snapshot_summary(&snap).expect("snapshot summary parses");
-    assert_eq!(summary.members, g.ac(0).member_ids());
-    assert_eq!(summary.epoch, g.ac(0).epoch());
-}
-
-#[test]
-fn checkpoint_snapshot_summary_matches_live_state() {
-    snapshot_summary_matches(false);
-}
-
-#[test]
-fn checkpoint_snapshot_summary_matches_live_state_file_backed() {
-    snapshot_summary_matches(true);
 }
 
 /// The registration server's client-id counter is burned to the WAL

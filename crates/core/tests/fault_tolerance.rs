@@ -3,11 +3,14 @@
 //! policies, disconnect-triggered automatic rejoin, member eviction,
 //! AC parent switching, and primary-backup failover.
 
-use mykil::config::RejoinPolicy;
+use mykil::area::Role;
+use mykil::config::{MykilConfig, RejoinPolicy};
 use mykil::group::GroupBuilder;
-use mykil::member::MemberPhase;
+use mykil::invariants::InvariantChecker;
+use mykil::member::{Member, MemberPhase};
 use mykil::msg::RejoinDenyReason;
 use mykil_net::Duration;
+use mykil_tree::MemberId;
 
 #[test]
 fn mobile_member_rejoins_with_ticket_not_registration() {
@@ -208,6 +211,55 @@ fn backup_takes_over_after_primary_crash() {
     assert!(g
         .received_data(b)
         .contains(&b"after failover".to_vec()));
+}
+
+/// Regression — batching (Section III-E) meets replication (Section
+/// IV-C): a departure still queued in a batch window when the primary
+/// dies must reach the promoted backup as a departure, not as a leaf
+/// that stays valid under every later key update.
+#[test]
+fn takeover_inside_a_batch_window_still_rekeys_the_leaver_out() {
+    // Only data flushes: the backstop timer is an hour away.
+    let cfg = MykilConfig {
+        rekey_interval: Duration::from_secs(3600),
+        ..MykilConfig::test()
+    };
+    let mut g = GroupBuilder::new(34).config(cfg).areas(1).replicated(true).build();
+    let a = g.register_member(1);
+    let b = g.register_member(2);
+    g.settle();
+    g.send_data(a, b"flush the joins");
+    g.run_for(Duration::from_secs(1));
+    assert!(!g.ac(0).update_pending());
+
+    let b_id = g.member(b).client_id().unwrap();
+    let b_leaf = MemberId(b_id.0);
+    assert!(g.sim.invoke(b, |m: &mut Member, ctx| m.leave(ctx)));
+    g.run_for(Duration::from_millis(150));
+    let primary = g.ac(0);
+    assert!(!primary.has_member(b_id) && primary.tree().contains(b_leaf));
+    assert!(primary.update_pending());
+
+    g.crash_ac(0);
+    g.run_for(Duration::from_secs(3));
+    let promoted = g.backup(0);
+    assert_eq!(promoted.role(), Role::Primary);
+    assert!(!promoted.has_member(b_id) && promoted.tree().contains(b_leaf));
+    assert!(
+        promoted.update_pending(),
+        "the promoted backup forgot the departure queued in the batch window"
+    );
+
+    let rekeys_before = promoted.stats.rekeys;
+    g.send_data(a, b"flush the leave");
+    g.run_for(Duration::from_secs(1));
+    let promoted = g.backup(0);
+    assert!(
+        !promoted.tree().contains(b_leaf),
+        "the departed member's leaf outlived the flush"
+    );
+    assert_eq!(promoted.stats.rekeys, rekeys_before + 1, "no key update was multicast");
+    assert_eq!(InvariantChecker::new().check(&g), vec![]);
 }
 
 #[test]

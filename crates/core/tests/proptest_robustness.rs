@@ -5,12 +5,62 @@
 //! layer ([`mykil::wire`]) fails closed, and the nodes ignore what they
 //! cannot parse or verify.
 
-use mykil::area::AreaController;
+use mykil::area::{AcDurable, AreaController};
+use mykil::durable::{replay_ac, AcCheckpoint, AcWalRecord};
 use mykil::group::GroupBuilder;
 use mykil::member::Member;
 use mykil::registration::RegistrationServer;
 use mykil_net::{Node, NodeId};
 use proptest::prelude::*;
+
+/// A legal WAL: each step is `(kind, client)` over a universe of six
+/// clients. Only a primary admits and evicts, so membership records
+/// drawn while the history has the node standing by are dropped. Joins
+/// carry a public key that parses (256-bit odd modulus, e = 3).
+fn legal_wal(steps: &[(u8, u64)], mut primary: bool) -> Vec<Vec<u8>> {
+    let mut pubkey = vec![0, 0, 0, 32];
+    pubkey.extend_from_slice(&[0xFF; 32]);
+    pubkey.extend_from_slice(&[0, 0, 0, 1, 3]);
+    let mut wal = Vec::new();
+    for &(kind, client) in steps {
+        if kind >= 6 {
+            primary = kind == 6;
+        } else if !primary {
+            continue;
+        }
+        let record = match kind {
+            0..=2 => AcWalRecord::Join {
+                client,
+                node: client as u32,
+                pubkey: pubkey.clone(),
+                device: None,
+                valid_until_us: 1_000_000,
+            },
+            3 | 4 => AcWalRecord::Leave { client },
+            5 => AcWalRecord::Evict { client },
+            6 => AcWalRecord::Promoted {
+                takeover_epoch: client,
+                old_primary: 1,
+            },
+            _ => AcWalRecord::Demoted { new_primary: 1 },
+        };
+        wal.push(record.to_bytes());
+    }
+    wal
+}
+
+/// What two replays of the same history must agree on. Key values are
+/// excluded: every replay draws its own.
+fn durable_facts(d: &AcDurable) -> impl PartialEq + std::fmt::Debug {
+    (
+        d.role(),
+        d.takeover_epoch(),
+        d.epoch(),
+        d.member_ids(),
+        d.tree().members().collect::<Vec<_>>(),
+        d.departed().next().is_some(),
+    )
+}
 
 proptest! {
     #![proptest_config(ProptestConfig {
@@ -88,5 +138,54 @@ proptest! {
         });
         g.run_for(mykil_net::Duration::from_secs(1));
         prop_assert_eq!(g.ac(0).member_count(), 0);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 256,
+        .. ProptestConfig::default()
+    })]
+
+    /// A checkpoint may be taken anywhere: folding a WAL prefix,
+    /// checkpointing, and folding the rest over the decoded checkpoint
+    /// lands where folding the whole WAL does — from a lone primary,
+    /// and from a standby holding an escrowed snapshot that has a
+    /// departure queued in it.
+    #[test]
+    fn a_checkpoint_may_be_taken_anywhere(
+        steps in proptest::collection::vec((0u8..8, 1u64..7), 0..14),
+        standby in any::<bool>(),
+    ) {
+        let base = standby.then(|| {
+            let primary = replay_ac(None, &legal_wal(&[(0, 1), (0, 2), (3, 2)], true))
+                .expect("no checkpoint to reject");
+            AcCheckpoint {
+                primary: false,
+                primary_node: 1,
+                takeover_epoch: 0,
+                peer_takeover_epoch: 0,
+                sync_seq: 0,
+                applied_sync_seq: 1,
+                stale_peer: None,
+                backup: None,
+                snapshot: AcCheckpoint::from_bytes(&primary.encode()).and_then(|c| c.snapshot),
+            }
+            .to_bytes()
+        });
+        let wal = legal_wal(&steps, !standby);
+        let whole = replay_ac(base.as_deref(), &wal).expect("base checkpoint decodes");
+        for k in 0..=wal.len() {
+            let prefix = replay_ac(base.as_deref(), &wal[..k]).expect("base checkpoint decodes");
+            let checkpoint = prefix.encode();
+            let resumed = replay_ac(Some(&checkpoint), &wal[k..]).expect("own checkpoint decodes");
+            prop_assert!(
+                durable_facts(&resumed) == durable_facts(&whole),
+                "checkpoint after {k} of {} records resumes to {:?}, the whole WAL folds to {:?}",
+                wal.len(),
+                durable_facts(&resumed),
+                durable_facts(&whole)
+            );
+        }
     }
 }

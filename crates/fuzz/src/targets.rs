@@ -10,7 +10,7 @@
 
 use mykil::directory::AcDirectory;
 use mykil::durable::{
-    replay_ac, replay_rs, snapshot_summary, AcCheckpoint, AcWalRecord, RsCheckpoint, RsWalRecord,
+    replay_ac, replay_rs, AcCheckpoint, AcWalRecord, RsCheckpoint, RsWalRecord,
 };
 use mykil::msg::Msg;
 use mykil::scale::{decode_checkpoint, encode_checkpoint, AreaState, ScaleConfig, ScaleEvent};
@@ -233,7 +233,6 @@ fn run_durable_replay(data: &[u8]) {
     }
     if let Some(c) = &ckpt {
         let _ = AcCheckpoint::from_bytes(c);
-        let _ = snapshot_summary(c);
     }
     let _ = replay_ac(ckpt.as_deref(), &wal);
     // The RS fold runs over the decoded checkpoint, or over a freshly
@@ -310,11 +309,51 @@ fn seeds_durable_replay() -> Vec<(&'static str, Vec<u8>)> {
 
     let wal_only: Vec<Vec<u8>> = ac_wal.iter().map(|r| r.to_bytes()).collect();
 
+    // Two seeds that reach the tree: a primary checkpoint taken inside
+    // a batch window (client 21 left, its leaf still waits for the
+    // flush), and the same snapshot escrowed in a backup's checkpoint
+    // with the promotion that adopts it. The fold itself builds them —
+    // joins need a public key that parses (256-bit odd modulus, e = 3).
+    let join = |client: u64| {
+        let mut pubkey = Writer::new();
+        pubkey.bytes(&[0xFF; 32]).bytes(&[3]);
+        AcWalRecord::Join {
+            client,
+            node: 3,
+            pubkey: pubkey.into_bytes(),
+            device: None,
+            valid_until_us: 5_000_000,
+        }
+        .to_bytes()
+    };
+    let in_window = [join(20), join(21), AcWalRecord::Leave { client: 21 }.to_bytes()];
+    let departed_leaf = replay_ac(None, &in_window).map(|s| s.encode()).unwrap_or_default();
+    let escrowed = AcCheckpoint {
+        primary: false,
+        primary_node: 1,
+        takeover_epoch: 0,
+        peer_takeover_epoch: 0,
+        sync_seq: 0,
+        applied_sync_seq: 9,
+        stale_peer: None,
+        backup: None,
+        snapshot: AcCheckpoint::from_bytes(&departed_leaf).and_then(|c| c.snapshot),
+    };
+    let promoted = AcWalRecord::Promoted {
+        takeover_epoch: 1,
+        old_primary: 1,
+    };
+
     vec![
         ("seed-ac.bin", frame_up(1, &ac_frames)),
         ("seed-rs.bin", frame_up(1, &rs_frames)),
         ("seed-wal-only.bin", frame_up(0, &wal_only)),
         ("seed-empty.bin", vec![0]),
+        ("seed-departed-leaf.bin", frame_up(1, &[departed_leaf])),
+        (
+            "seed-backup-promoted.bin",
+            frame_up(1, &[escrowed.to_bytes(), promoted.to_bytes()]),
+        ),
     ]
 }
 

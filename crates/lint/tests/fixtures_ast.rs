@@ -158,6 +158,27 @@ fn l007_quiet_when_wal_precedes_ack() {
 }
 
 #[test]
+fn l007_follows_the_commit_then_apply_handler_shape() {
+    // An area-controller handler builds the record, hands it to
+    // `wal_commit_record` — which commits and then applies it, and
+    // returns what the change produced — and only then acks. The commit
+    // point is found by that callee name inside a `let … ?` chain too.
+    let handler = |early_ack: &str| {
+        format!(
+            "fn admit(&mut self, ctx: &mut Ctx) -> Result<(), E> {{\n\
+             let rec = AcWalRecord::Join {{ client }};\n\
+             {early_ack}\n\
+             let plan = self\n.wal_commit_record(ctx, &rec)\n.map_err(|_| refused())?;\n\
+             self.buffer_join_plan(&plan);\n\
+             ctx.send(peer, Msg::AreaJoinAck {{ area }});\n Ok(())\n}}\n"
+        )
+    };
+    assert!(hits("L007", "crates/core/src/area/join.rs", &handler("")).is_empty());
+    let early = handler("ctx.send(peer, Msg::AreaJoinAck { area });");
+    assert_eq!(hits("L007", "crates/core/src/area/join.rs", &early), vec![3]);
+}
+
+#[test]
 fn l007_quiet_on_non_ack_send_before_wal() {
     // Key-delivery unicasts before the commit are part of the protocol
     // (join step 7); only acks/replies are ordering-sensitive.
