@@ -3,7 +3,10 @@
 //! Runs the rekey-critical workloads — single-leave rekey, batched
 //! mixed join/leave, and a 5000-member controller-storage build, each
 //! on *both* tree backends (explicit keys and the keyed-hash forest),
-//! plus wire encode/decode — under a counting allocator and reports
+//! plus wire encode/decode and the RSA private/public operations every
+//! handshake step and key update pays (`rsa768_private`,
+//! `rsa768_public`, `rsa2048_private`: fixed seeded key, fixed block) —
+//! under a counting allocator and reports
 //! ops/sec, bytes/op, allocations/op and resident key bytes as
 //! machine-readable JSON (`BENCH_rekey.json` at the repo root). Either
 //! backend regressing past the tolerance fails the gate, and the KHF
@@ -28,6 +31,7 @@ use mykil::rekey::write_entries_from_plan;
 use mykil::wire::{Reader, Writer};
 use mykil_bench::alloc_track::{alloc_count, CountingAllocator};
 use mykil_crypto::drbg::Drbg;
+use mykil_crypto::rsa::RsaKeyPair;
 use mykil_crypto::sha256::Sha256;
 use mykil_tree::{KeyTree, MemberId, TreeBackend, TreeConfig};
 use std::time::Instant;
@@ -218,6 +222,52 @@ fn wire_encode_decode() -> Sample {
     }
 }
 
+/// The crypto floor under every handshake step: one RSA signature
+/// (`private`) or one verification of it over a fixed 64-byte block,
+/// with a key generated from a fixed seed. The gated column is
+/// `allocs_per_op` — exact under the counting allocator, and what
+/// scratch reuse in the Montgomery arithmetic keeps flat (it was two
+/// allocations per modular product, 2,285 per 768-bit signature);
+/// `ops_per_sec` records the trajectory and `bytes_per_op` is the
+/// signature length.
+fn rsa_op(name: &'static str, bits: usize, private: bool, ops: u64) -> Sample {
+    let mut rng = Drbg::from_seed(0xBE9C_0004);
+    // mykil-lint: allow(L001) -- bench setup, fixed valid size
+    let pair = RsaKeyPair::generate(bits, &mut rng).expect("keygen");
+    let block = [0x5Au8; 64];
+    let sig = pair.sign(&block);
+    // Five equal batches, the fastest one reported: a shared host slows
+    // down for a second at a time, and a signature's work is fixed.
+    const BATCHES: u64 = 5;
+    let mut verified = 0u64;
+    let mut fastest = std::time::Duration::MAX;
+    let a0 = alloc_count();
+    for _ in 0..BATCHES {
+        let t0 = Instant::now();
+        for _ in 0..ops / BATCHES {
+            if private {
+                verified += u64::from(pair.sign(&block) == sig);
+            } else {
+                verified += u64::from(pair.public().verify(&block, &sig));
+            }
+        }
+        fastest = fastest.min(t0.elapsed());
+    }
+    let allocs = alloc_count() - a0;
+    assert_eq!(
+        verified, ops,
+        "{name}: signatures must be deterministic and verify"
+    );
+    Sample {
+        name,
+        ops,
+        ops_per_sec: (ops / BATCHES) as f64 / fastest.as_secs_f64(),
+        bytes_per_op: sig.len() as f64,
+        allocs_per_op: allocs as f64 / ops as f64,
+        resident_key_bytes: 0.0,
+    }
+}
+
 /// Host-speed calibration: SHA-256 digests over a 4 KiB buffer per
 /// second. Throughput comparisons divide by this, so a slower CI runner
 /// does not read as a regression.
@@ -385,6 +435,9 @@ fn main() {
         resident_keys_5000("resident_keys_5000", TreeBackend::Explicit),
         resident_keys_5000("resident_keys_5000_khf", TreeBackend::Khf),
         wire_encode_decode(),
+        rsa_op("rsa768_private", 768, true, 2000),
+        rsa_op("rsa768_public", 768, false, 20_000),
+        rsa_op("rsa2048_private", 2048, true, 200),
     ];
 
     println!(

@@ -291,15 +291,14 @@ impl Member {
         if !self.is_active() {
             return false;
         }
-        let (Some(ac), Some(ac_pub), Some(client)) =
-            (self.ac_node, self.ac_pub.clone(), self.client)
+        let (Some(ac), Some(ac_pub), Some(client)) = (self.ac_node, &self.ac_pub, self.client)
         else {
             return false;
         };
         let mut w = Writer::new();
         w.u64(client.0).u64(ctx.rng().next_u64());
         ctx.charge_compute(self.cost.rsa_public(self.cfg.rsa_bits));
-        if let Ok(ct) = HybridCiphertext::encrypt(&ac_pub, &w.into_bytes(), ctx.rng()) {
+        if let Ok(ct) = HybridCiphertext::encrypt(ac_pub, &w.into_bytes(), ctx.rng()) {
             // Reliable: a silently lost leave means the AC keeps paying
             // rekey cost for a departed member until eviction kicks in.
             ctx.send_reliable(ac, "leave", Msg::LeaveRequest { ct: ct.to_bytes() }.to_bytes());
@@ -412,7 +411,7 @@ impl Member {
         };
         self.area = Some(area);
         self.ac_node = Some(NodeId::from_index(ac_node as usize));
-        self.ac_pub = Some(ac_pub.clone());
+        let ac_pub = &*self.ac_pub.insert(ac_pub);
         self.directory = dir;
         // Step 6 → AC: {Nonce_AC + 2, Nonce_CA, device id}. The device
         // id (NIC MAC) rides along so the AC can bind the ticket to the
@@ -423,7 +422,7 @@ impl Member {
             .u64(nonce_ca)
             .raw(self.device.as_bytes());
         ctx.charge_compute(self.cost.rsa_public(self.cfg.rsa_bits));
-        let Ok(ct6) = HybridCiphertext::encrypt(&ac_pub, &w.into_bytes(), ctx.rng()) else {
+        let Ok(ct6) = HybridCiphertext::encrypt(ac_pub, &w.into_bytes(), ctx.rng()) else {
             return;
         };
         self.set_phase(ctx.now(), MemberPhase::AwaitJoin7 { nonce_ca });
@@ -494,11 +493,11 @@ impl Member {
         if r.finish().is_err() || echo != nonce_cb.wrapping_add(1) {
             return;
         }
-        let Some(ac_pub) = self.ac_pub.clone() else { return };
+        let Some(ac_pub) = &self.ac_pub else { return };
         let mut w = Writer::new();
         w.u64(nonce_bc.wrapping_add(1));
         ctx.charge_compute(self.cost.rsa_public(self.cfg.rsa_bits));
-        let Ok(ct3) = HybridCiphertext::encrypt(&ac_pub, &w.into_bytes(), ctx.rng()) else {
+        let Ok(ct3) = HybridCiphertext::encrypt(ac_pub, &w.into_bytes(), ctx.rng()) else {
             return;
         };
         self.set_phase(ctx.now(), MemberPhase::AwaitRejoin6);
@@ -509,7 +508,7 @@ impl Member {
         if self.phase != MemberPhase::AwaitRejoin6 || Some(from) != self.rejoin_target {
             return;
         }
-        let Some(ac_pub) = self.ac_pub.clone() else { return };
+        let Some(ac_pub) = &self.ac_pub else { return };
         ctx.charge_compute(self.cost.rsa_public(self.cfg.rsa_bits));
         if !ac_pub.verify(ct, sig) {
             return;
@@ -635,26 +634,25 @@ impl Member {
         if self.area != Some(area) {
             return;
         }
-        let Some(backup_pub) = self.backup_pub.clone() else {
-            return;
-        };
         let mut w = Writer::new();
         w.u32(area.0);
-        if !backup_pub.verify(&w.into_bytes(), sig) {
+        let signed = w.into_bytes();
+        // The backup's key moves over only once its signature checks out.
+        let Some(backup_pub) = self.backup_pub.take_if(|key| key.verify(&signed, sig)) else {
             return;
-        }
+        };
         // The backup is now our AC.
+        let pubkey = backup_pub.to_bytes();
         self.ac_node = Some(from);
-        self.ac_pub = Some(backup_pub.clone());
+        self.ac_pub = Some(backup_pub);
         self.backup_node = None;
-        self.backup_pub = None;
         self.last_heard_ac = ctx.now();
         // Keep the cached directory pointing at the live controller, so
         // a later ticket rejoin toward this area resolves its key.
         self.directory.upsert(crate::directory::AcInfo {
             area,
             node: from.index() as u32,
-            pubkey: backup_pub.to_bytes(),
+            pubkey,
         });
         // The new controller's rekey lineage restarts from its replica
         // snapshot, which may trail (or, behind a partition, diverge

@@ -4,6 +4,7 @@
 //! non-panicking [`BigUint::checked_sub`] is provided for callers that
 //! need to handle the borrow case.
 
+use super::limb::{adc, add_into, sub_from};
 use super::BigUint;
 use std::ops::{Add, Sub};
 
@@ -13,17 +14,9 @@ impl BigUint {
         if self.limbs.len() < other.limbs.len() {
             self.limbs.resize(other.limbs.len(), 0);
         }
-        let mut carry = 0u64;
-        for (i, dst) in self.limbs.iter_mut().enumerate() {
-            let sum = *dst as u64 + other.limbs.get(i).copied().unwrap_or(0) as u64 + carry;
-            *dst = sum as u32;
-            carry = sum >> 32;
-            if carry == 0 && i >= other.limbs.len() {
-                break;
-            }
-        }
+        let carry = add_into(&mut self.limbs, &other.limbs);
         if carry != 0 {
-            self.limbs.push(carry as u32);
+            self.limbs.push(carry);
         }
     }
 
@@ -33,21 +26,7 @@ impl BigUint {
             return None;
         }
         let mut limbs = self.limbs.clone();
-        let mut borrow = 0i64;
-        for (i, dst) in limbs.iter_mut().enumerate() {
-            let rhs = other.limbs.get(i).copied().unwrap_or(0) as i64;
-            let mut diff = *dst as i64 - rhs - borrow;
-            if diff < 0 {
-                diff += 1 << 32;
-                borrow = 1;
-            } else {
-                borrow = 0;
-            }
-            *dst = diff as u32;
-            if borrow == 0 && i >= other.limbs.len() {
-                break;
-            }
-        }
+        let borrow = sub_from(&mut limbs, &other.limbs);
         debug_assert_eq!(borrow, 0, "underflow despite ordering check");
         Some(BigUint::from_limbs(limbs))
     }
@@ -60,12 +39,10 @@ impl BigUint {
             if carry == 0 {
                 return;
             }
-            let sum = *dst as u64 + carry;
-            *dst = sum as u32;
-            carry = sum >> 32;
+            *dst = adc(*dst, 0, &mut carry);
         }
         if carry != 0 {
-            self.limbs.push(carry as u32);
+            self.limbs.push(carry);
         }
     }
 }
@@ -177,6 +154,9 @@ mod tests {
         let mut n = BigUint::from(u32::MAX);
         n.add_u32_assign(1);
         assert_eq!(n.to_u64(), Some(1 << 32));
+        let mut n = BigUint::from(u128::MAX);
+        n.add_u32_assign(1);
+        assert_eq!(n, BigUint::one().shl_bits(128));
         let mut z = BigUint::zero();
         z.add_u32_assign(0);
         assert!(z.is_zero());

@@ -4,28 +4,19 @@ use super::BigUint;
 
 impl From<u32> for BigUint {
     fn from(v: u32) -> Self {
-        if v == 0 {
-            BigUint::zero()
-        } else {
-            BigUint { limbs: vec![v] }
-        }
+        BigUint::from(v as u64)
     }
 }
 
 impl From<u64> for BigUint {
     fn from(v: u64) -> Self {
-        BigUint::from_limbs(vec![v as u32, (v >> 32) as u32])
+        BigUint::from_limbs(vec![v])
     }
 }
 
 impl From<u128> for BigUint {
     fn from(v: u128) -> Self {
-        BigUint::from_limbs(vec![
-            v as u32,
-            (v >> 32) as u32,
-            (v >> 64) as u32,
-            (v >> 96) as u32,
-        ])
+        BigUint::from_limbs(vec![v as u64, (v >> 64) as u64])
     }
 }
 
@@ -35,15 +26,10 @@ impl BigUint {
     /// This is the format RSA uses on the wire: the empty slice parses
     /// as zero.
     pub fn from_bytes_be(bytes: &[u8]) -> Self {
-        let mut limbs = Vec::with_capacity(bytes.len() / 4 + 1);
-        let mut chunk_iter = bytes.rchunks(4);
-        for chunk in &mut chunk_iter {
-            let mut limb = 0u32;
-            for &b in chunk {
-                limb = (limb << 8) | b as u32;
-            }
-            limbs.push(limb);
-        }
+        let limbs = bytes
+            .rchunks(8)
+            .map(|chunk| chunk.iter().fold(0u64, |limb, &b| (limb << 8) | b as u64))
+            .collect();
         BigUint::from_limbs(limbs)
     }
 
@@ -52,7 +38,7 @@ impl BigUint {
         if self.is_zero() {
             return Vec::new();
         }
-        let mut out = Vec::with_capacity(self.limbs.len() * 4);
+        let mut out = Vec::with_capacity(self.limbs.len() * 8);
         for limb in self.limbs.iter().rev() {
             out.extend_from_slice(&limb.to_be_bytes());
         }

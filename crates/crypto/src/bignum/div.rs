@@ -1,5 +1,6 @@
 //! Division with remainder — Knuth TAOCP Vol. 2, Algorithm 4.3.1 D.
 
+use super::limb::{add_into, mac, sbb};
 use super::BigUint;
 use crate::CryptoError;
 
@@ -16,8 +17,8 @@ impl BigUint {
         if self < divisor {
             return Ok((BigUint::zero(), self.clone()));
         }
-        if divisor.limbs.len() == 1 {
-            let (q, r) = self.div_rem_u32(divisor.limbs[0]);
+        if let [d] = divisor.limbs[..] {
+            let (q, r) = self.div_rem_limb(d);
             return Ok((q, BigUint::from(r)));
         }
         Ok(self.div_rem_knuth(divisor))
@@ -33,81 +34,81 @@ impl BigUint {
     }
 
     /// Single-limb short division.
-    pub(crate) fn div_rem_u32(&self, d: u32) -> (BigUint, u32) {
+    fn div_rem_limb(&self, d: u64) -> (BigUint, u64) {
         debug_assert!(d != 0);
-        let d = d as u64;
-        let mut q = vec![0u32; self.limbs.len()];
+        let mut q = vec![0u64; self.limbs.len()];
         let mut rem = 0u64;
-        for i in (0..self.limbs.len()).rev() {
-            let cur = (rem << 32) | self.limbs[i] as u64;
-            q[i] = (cur / d) as u32;
-            rem = cur % d;
+        for (qi, &limb) in q.iter_mut().zip(&self.limbs).rev() {
+            let cur = (rem as u128) << 64 | limb as u128;
+            *qi = (cur / d as u128) as u64;
+            rem = (cur % d as u128) as u64;
         }
-        (BigUint::from_limbs(q), rem as u32)
+        (BigUint::from_limbs(q), rem)
+    }
+
+    /// `self % d` for a nonzero single-limb `d`, without building the
+    /// quotient (trial division in `prime.rs`).
+    pub(crate) fn rem_limb(&self, d: u64) -> u64 {
+        debug_assert!(d != 0);
+        self.limbs.iter().rev().fold(0u64, |rem, &limb| {
+            (((rem as u128) << 64 | limb as u128) % d as u128) as u64
+        })
     }
 
     /// Knuth Algorithm D for divisors of two or more limbs.
     fn div_rem_knuth(&self, divisor: &BigUint) -> (BigUint, BigUint) {
         // D1: normalize so the divisor's top limb has its high bit set.
         let shift = divisor.limbs.last().unwrap().leading_zeros() as usize;
-        let u = self.shl_bits(shift);
         let v = divisor.shl_bits(shift);
-        let n = v.limbs.len();
-        let m = u.limbs.len() - n;
-
+        let vn = &v.limbs[..];
+        let n = vn.len();
         // Working copy of the dividend with one extra high limb.
-        let mut un = u.limbs.clone();
+        let mut un = self.shl_bits(shift).limbs;
+        let m = un.len() - n;
         un.push(0);
-        let vn = &v.limbs;
-        let v_top = vn[n - 1] as u64;
-        let v_next = vn[n - 2] as u64;
+        let v_top = vn[n - 1] as u128;
+        let v_next = vn[n - 2] as u128;
 
-        let mut q = vec![0u32; m + 1];
-        const BASE: u64 = 1 << 32;
+        let mut q = vec![0u64; m + 1];
+        const BASE: u128 = 1 << 64;
 
         // D2-D7: main loop over quotient digits, most significant first.
         for j in (0..=m).rev() {
             // D3: estimate q_hat from the top two dividend limbs.
-            let num = ((un[j + n] as u64) << 32) | un[j + n - 1] as u64;
+            let num = (un[j + n] as u128) << 64 | un[j + n - 1] as u128;
             let mut q_hat = num / v_top;
             let mut r_hat = num % v_top;
-            while q_hat >= BASE || q_hat * v_next > (r_hat << 32) + un[j + n - 2] as u64 {
+            while q_hat >= BASE || q_hat * v_next > (r_hat << 64 | un[j + n - 2] as u128) {
                 q_hat -= 1;
                 r_hat += v_top;
                 if r_hat >= BASE {
                     break;
                 }
             }
+            let mut q_hat = q_hat as u64;
 
             // D4: multiply and subtract q_hat * v from the window.
-            let mut borrow = 0i64;
-            let mut carry = 0u64;
-            for i in 0..n {
-                let p = q_hat * vn[i] as u64 + carry;
-                carry = p >> 32;
-                let t = un[i + j] as i64 - (p as u32) as i64 - borrow;
-                un[i + j] = t as u32;
-                borrow = if t < 0 { 1 } else { 0 };
+            let window = &mut un[j..=j + n];
+            let mut carry = 0;
+            let mut borrow = 0;
+            for (u, &vi) in window.iter_mut().zip(vn) {
+                let p = mac(0, q_hat, vi, &mut carry);
+                *u = sbb(*u, p, &mut borrow);
             }
-            let t = un[j + n] as i64 - carry as i64 - borrow;
-            un[j + n] = t as u32;
+            window[n] = sbb(window[n], carry, &mut borrow);
 
-            // D5/D6: if we subtracted one v too many, add it back.
-            if t < 0 {
+            // D5/D6: if we subtracted one v too many, add it back (the
+            // carry out of the window cancels the borrow).
+            if borrow != 0 {
                 q_hat -= 1;
-                let mut carry = 0u64;
-                for i in 0..n {
-                    let s = un[i + j] as u64 + vn[i] as u64 + carry;
-                    un[i + j] = s as u32;
-                    carry = s >> 32;
-                }
-                un[j + n] = (un[j + n] as u64).wrapping_add(carry) as u32;
+                add_into(window, vn);
             }
-            q[j] = q_hat as u32;
+            q[j] = q_hat;
         }
 
         // D8: denormalize the remainder.
-        let rem = BigUint::from_limbs(un[..n].to_vec()).shr_bits(shift);
+        un.truncate(n);
+        let rem = BigUint::from_limbs(un).shr_bits(shift);
         (BigUint::from_limbs(q), rem)
     }
 }
@@ -166,8 +167,17 @@ mod tests {
 
     #[test]
     fn knuth_d6_add_back_case() {
-        // Constructed to exercise the rare add-back branch: u = b^4/2,
-        // v = b^2/2 + 1 with b = 2^32 triggers q_hat overestimation.
+        // Hacker's Delight's "add-back is required" vector, carried from
+        // 32-bit to 64-bit digits: the estimate from the top two limbs is
+        // one too large and only the full multiply-subtract notices.
+        let top = 1u64 << 63;
+        let u = BigUint::from_limbs(vec![0, u64::MAX - 1, 0, top]);
+        let v = BigUint::from_limbs(vec![u64::MAX, 0, top]);
+        let (q, r) = u.div_rem(&v).unwrap();
+        assert_eq!(q, BigUint::from(u64::MAX));
+        assert_eq!(r, BigUint::from_limbs(vec![u64::MAX, u64::MAX, top - 1]));
+        check(&u, &v);
+        // The vector this test carried when digits were 32 bits wide.
         let b32 = BigUint::one().shl_bits(32);
         let v = &b32.shl_bits(32).shr_bits(1) + &BigUint::one();
         let u = BigUint::one().shl_bits(127);

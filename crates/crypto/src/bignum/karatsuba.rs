@@ -2,10 +2,11 @@
 //!
 //! Schoolbook multiplication is `O(n²)`; Karatsuba splits each operand
 //! and recurses on three half-size products, giving `O(n^1.585)`. The
-//! crossover is around 32 limbs (1024 bits) — right where RSA-2048's
-//! intermediate products live, which is what makes keygen and signing
-//! benches noticeably faster.
+//! crossover is around 32 limbs (2048 bits): RSA-4096 moduli and the
+//! double-width dividends of `R² mod n` live above it, everything in an
+//! RSA-2048 private operation below.
 
+use super::limb::LIMB_BITS;
 use super::BigUint;
 
 /// Limb count above which Karatsuba beats schoolbook.
@@ -24,7 +25,7 @@ impl BigUint {
 
     /// One Karatsuba step: split at half the larger operand.
     ///
-    /// With `x = x1·B + x0` and `y = y1·B + y0` (B = 2^(32·split)):
+    /// With `x = x1·B + x0` and `y = y1·B + y0` (B = 2^(64·split)):
     /// `x·y = z2·B² + (z1 − z2 − z0)·B + z0` where `z0 = x0·y0`,
     /// `z2 = x1·y1`, `z1 = (x0+x1)·(y0+y1)`.
     pub(crate) fn mul_karatsuba(&self, other: &BigUint) -> BigUint {
@@ -41,8 +42,8 @@ impl BigUint {
         // z1 >= z0 + z2 always (all values non-negative).
         let middle = &(&z1 - &z0) - &z2;
 
-        let mut out = z2.shl_bits(64 * split);
-        out.add_assign_ref(&middle.shl_bits(32 * split));
+        let mut out = z2.shl_bits(2 * LIMB_BITS * split);
+        out.add_assign_ref(&middle.shl_bits(LIMB_BITS * split));
         out.add_assign_ref(&z0);
         out
     }
@@ -65,7 +66,7 @@ mod tests {
     use crate::drbg::Drbg;
 
     fn random_n_limbs(limbs: usize, rng: &mut Drbg) -> BigUint {
-        BigUint::random_bits(limbs * 32, rng)
+        BigUint::random_bits(limbs * LIMB_BITS, rng)
     }
 
     #[test]

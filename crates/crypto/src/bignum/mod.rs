@@ -1,10 +1,22 @@
 //! Arbitrary-precision unsigned integer arithmetic.
 //!
-//! [`BigUint`] stores numbers as little-endian `u32` limbs. The
-//! representation is always *normalized*: no most-significant zero limbs,
-//! and zero is the empty limb vector. Arithmetic is schoolbook with a
-//! Knuth Algorithm D division and Montgomery-form modular exponentiation
-//! for odd moduli (the RSA case).
+//! [`BigUint`] stores numbers as little-endian `u64` limbs; every limb
+//! product and carry chain goes through a `u128` intermediate (the
+//! kernels in `limb.rs`), and there is no second limb width anywhere in
+//! the module. The representation is always *normalized*: no
+//! most-significant zero limbs, and zero is the empty limb vector.
+//! Arithmetic is schoolbook (Karatsuba above 32 limbs) with a Knuth
+//! Algorithm D division on 64-bit digits and Montgomery-form modular
+//! exponentiation for odd moduli (the RSA case).
+//!
+//! Random values are still drawn one `next_u32` at a time, low word of a
+//! limb first, so a seeded generator yields the same numbers it did when
+//! limbs were 32 bits wide.
+//!
+//! `BigUint` operators allocate their result. The hot path does not:
+//! [`MontgomeryCtx`] works on limb slices with a caller-owned
+//! [`MontScratch`], and an RSA key builds its contexts once (see
+//! `montgomery.rs` for who owns and who wipes what).
 //!
 //! The API covers exactly what RSA and Miller–Rabin need; it is not a
 //! general-purpose bignum crate.
@@ -25,27 +37,30 @@ mod add_sub;
 mod convert;
 mod div;
 mod karatsuba;
+mod limb;
 mod modular;
 mod montgomery;
 mod mul;
 mod random;
 mod shift;
 
-pub use montgomery::MontgomeryCtx;
+pub use montgomery::{MontScratch, MontgomeryCtx};
+
+use limb::LIMB_BITS;
 
 use std::cmp::Ordering;
 use std::fmt;
 
 /// An arbitrary-precision unsigned integer.
 ///
-/// Stored as normalized little-endian `u32` limbs. Implements the
+/// Stored as normalized little-endian `u64` limbs. Implements the
 /// arithmetic operators for both owned values and references; operations
 /// that can fail (division by zero, missing inverse) return
 /// [`Result`](crate::CryptoError) instead of panicking.
 #[derive(Clone, PartialEq, Eq, Hash, Default)]
 pub struct BigUint {
     /// Little-endian limbs with no trailing (most-significant) zeros.
-    pub(crate) limbs: Vec<u32>,
+    pub(crate) limbs: Vec<u64>,
 }
 
 impl BigUint {
@@ -62,12 +77,12 @@ impl BigUint {
     /// Volatile-wipes the limbs and leaves the value zero. Used by key
     /// types whose components are private material.
     pub(crate) fn zeroize(&mut self) {
-        crate::ct::zeroize_u32(&mut self.limbs);
+        crate::ct::zeroize_u64(&mut self.limbs);
         self.limbs.clear();
     }
 
     /// Builds a value from little-endian limbs, normalizing trailing zeros.
-    pub(crate) fn from_limbs(mut limbs: Vec<u32>) -> Self {
+    pub(crate) fn from_limbs(mut limbs: Vec<u64>) -> Self {
         while limbs.last() == Some(&0) {
             limbs.pop();
         }
@@ -98,24 +113,24 @@ impl BigUint {
     pub fn bit_len(&self) -> usize {
         match self.limbs.last() {
             None => 0,
-            Some(top) => (self.limbs.len() - 1) * 32 + (32 - top.leading_zeros() as usize),
+            Some(top) => self.limbs.len() * LIMB_BITS - top.leading_zeros() as usize,
         }
     }
 
     /// Returns bit `i` (little-endian order), `false` beyond the top bit.
     pub fn bit(&self, i: usize) -> bool {
-        let limb = i / 32;
-        let off = i % 32;
+        let limb = i / LIMB_BITS;
+        let off = i % LIMB_BITS;
         self.limbs.get(limb).is_some_and(|l| (l >> off) & 1 == 1)
     }
 
     /// Sets bit `i` to one, growing the limb vector if necessary.
     pub fn set_bit(&mut self, i: usize) {
-        let limb = i / 32;
+        let limb = i / LIMB_BITS;
         if self.limbs.len() <= limb {
             self.limbs.resize(limb + 1, 0);
         }
-        self.limbs[limb] |= 1 << (i % 32);
+        self.limbs[limb] |= 1 << (i % LIMB_BITS);
     }
 
     /// Number of limbs in the normalized representation.
@@ -127,10 +142,9 @@ impl BigUint {
     ///
     /// Returns `None` when the value does not fit in a `u64`.
     pub fn to_u64(&self) -> Option<u64> {
-        match self.limbs.len() {
-            0 => Some(0),
-            1 => Some(self.limbs[0] as u64),
-            2 => Some(self.limbs[0] as u64 | (self.limbs[1] as u64) << 32),
+        match self.limbs[..] {
+            [] => Some(0),
+            [v] => Some(v),
             _ => None,
         }
     }
@@ -147,12 +161,7 @@ impl Ord for BigUint {
         if self.limbs.len() != other.limbs.len() {
             return self.limbs.len().cmp(&other.limbs.len());
         }
-        for (a, b) in self.limbs.iter().rev().zip(other.limbs.iter().rev()) {
-            if a != b {
-                return a.cmp(b);
-            }
-        }
-        Ordering::Equal
+        limb::cmp_limbs(&self.limbs, &other.limbs)
     }
 }
 
@@ -173,7 +182,7 @@ impl fmt::Display for BigUint {
             write!(f, "{top:x}")?;
         }
         for limb in iter {
-            write!(f, "{limb:08x}")?;
+            write!(f, "{limb:016x}")?;
         }
         Ok(())
     }

@@ -6,8 +6,11 @@ use crate::CryptoError;
 impl BigUint {
     /// Modular exponentiation `self^exp mod modulus`.
     ///
-    /// Uses Montgomery form for odd moduli (the RSA case) and a plain
-    /// square-and-multiply with trial division otherwise.
+    /// Uses Montgomery form for odd moduli and a plain square-and-multiply
+    /// with trial division otherwise. This is the generic entry: it builds
+    /// a [`MontgomeryCtx`] per call. Anything that exponentiates under one
+    /// modulus more than once (RSA keys, Miller–Rabin) holds a context
+    /// and calls [`MontgomeryCtx::pow`] instead.
     ///
     /// # Errors
     ///
@@ -20,7 +23,7 @@ impl BigUint {
             return Ok(BigUint::zero());
         }
         if modulus.is_odd() {
-            return MontgomeryCtx::new(modulus)?.pow(self, exp);
+            return Ok(MontgomeryCtx::new(modulus.clone())?.pow(self, exp));
         }
         // Generic ladder for even moduli (only hit in tests/tools).
         let mut base = self.rem(modulus)?;

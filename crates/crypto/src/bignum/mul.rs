@@ -1,114 +1,38 @@
 //! Multiplication for [`BigUint`]: schoolbook core with a dedicated
 //! squaring path (squaring dominates modular exponentiation).
 
+use super::limb::{mac, mul_wide, sqr_wide};
 use super::BigUint;
 use std::ops::Mul;
 
 impl BigUint {
     /// Schoolbook multiplication into a fresh limb vector.
     pub(crate) fn mul_schoolbook(&self, other: &BigUint) -> BigUint {
-        if self.is_zero() || other.is_zero() {
-            return BigUint::zero();
-        }
-        let mut out = vec![0u32; self.limbs.len() + other.limbs.len()];
-        for (i, &a) in self.limbs.iter().enumerate() {
-            if a == 0 {
-                continue;
-            }
-            let mut carry = 0u64;
-            let a = a as u64;
-            for (j, &b) in other.limbs.iter().enumerate() {
-                let t = a * b as u64 + out[i + j] as u64 + carry;
-                out[i + j] = t as u32;
-                carry = t >> 32;
-            }
-            let mut k = i + other.limbs.len();
-            while carry != 0 {
-                let t = out[k] as u64 + carry;
-                out[k] = t as u32;
-                carry = t >> 32;
-                k += 1;
-            }
-        }
+        let mut out = vec![0u64; self.limbs.len() + other.limbs.len()];
+        mul_wide(&mut out, &self.limbs, &other.limbs);
         BigUint::from_limbs(out)
     }
 
     /// Squares the value; same asymptotics as schoolbook multiply but with
     /// roughly half the limb products.
     pub fn square(&self) -> BigUint {
-        if self.is_zero() {
-            return BigUint::zero();
-        }
-        let n = self.limbs.len();
-        let mut out = vec![0u32; 2 * n];
-        // Off-diagonal products, each counted once then doubled.
-        for i in 0..n {
-            let a = self.limbs[i] as u64;
-            if a == 0 {
-                continue;
-            }
-            let mut carry = 0u64;
-            for j in (i + 1)..n {
-                let t = a * self.limbs[j] as u64 + out[i + j] as u64 + carry;
-                out[i + j] = t as u32;
-                carry = t >> 32;
-            }
-            let mut k = i + n;
-            while carry != 0 {
-                let t = out[k] as u64 + carry;
-                out[k] = t as u32;
-                carry = t >> 32;
-                k += 1;
-            }
-        }
-        // Double the off-diagonal sum.
-        let mut carry = 0u64;
-        for limb in out.iter_mut() {
-            let t = ((*limb as u64) << 1) | carry;
-            *limb = t as u32;
-            carry = t >> 32;
-        }
-        debug_assert_eq!(carry, 0, "doubling cannot overflow 2n limbs");
-        // Add the diagonal squares.
-        let mut carry = 0u64;
-        for i in 0..n {
-            let a = self.limbs[i] as u64;
-            let sq = a * a;
-            let lo = i * 2;
-            let t = out[lo] as u64 + (sq as u32 as u64) + carry;
-            out[lo] = t as u32;
-            carry = t >> 32;
-            let t = out[lo + 1] as u64 + (sq >> 32) + carry;
-            out[lo + 1] = t as u32;
-            carry = t >> 32;
-        }
-        let mut k = 2 * n;
-        while carry != 0 {
-            // Can only spill if n*32-bit square overflows, which it cannot
-            // past 2n limbs; keep the loop for safety in debug builds.
-            out.push(0);
-            let t = out[k] as u64 + carry;
-            out[k] = t as u32;
-            carry = t >> 32;
-            k += 1;
-        }
+        let mut out = vec![0u64; 2 * self.limbs.len()];
+        sqr_wide(&mut out, &self.limbs);
         BigUint::from_limbs(out)
     }
 
-    /// Multiplies by a single `u32` limb.
+    /// Multiplies by a single `u32`.
     pub fn mul_u32(&self, m: u32) -> BigUint {
         if m == 0 || self.is_zero() {
             return BigUint::zero();
         }
         let mut out = Vec::with_capacity(self.limbs.len() + 1);
-        let mut carry = 0u64;
+        let mut carry = 0;
         for &l in &self.limbs {
-            let t = l as u64 * m as u64 + carry;
-            out.push(t as u32);
-            carry = t >> 32;
+            out.push(mac(0, l, m as u64, &mut carry));
         }
         if carry != 0 {
-            out.push(carry as u32);
+            out.push(carry);
         }
         BigUint::from_limbs(out)
     }

@@ -1,7 +1,24 @@
 //! Random [`BigUint`] generation from any [`rand::RngCore`].
 
+use super::limb::LIMB_BITS;
 use super::BigUint;
 use rand::RngCore;
+
+/// Draws the low `bits` bits of a value, one `next_u32` per 32-bit word
+/// starting from the least significant: a limb is two draws, low word
+/// first, and a top limb that needs only its low word takes only one.
+/// (The draw order predates 64-bit limbs; seeded runs depend on it.)
+fn random_limbs<R: RngCore + ?Sized>(bits: usize, rng: &mut R) -> Vec<u64> {
+    let limbs = bits.div_ceil(LIMB_BITS);
+    let mut v = vec![0u64; limbs];
+    for word in 0..bits.div_ceil(32) {
+        v[word / 2] |= (rng.next_u32() as u64) << (32 * (word % 2));
+    }
+    if let Some(top) = v.last_mut() {
+        *top &= u64::MAX >> (limbs * LIMB_BITS - bits);
+    }
+    v
+}
 
 impl BigUint {
     /// Uniform random value with exactly `bits` significant bits
@@ -12,18 +29,11 @@ impl BigUint {
         if bits == 0 {
             return BigUint::zero();
         }
-        let limbs = bits.div_ceil(32);
-        let mut v = vec![0u32; limbs];
-        for limb in v.iter_mut() {
-            *limb = rng.next_u32();
-        }
-        // Mask off excess bits, then force the top bit.
-        let top_bits = bits - (limbs - 1) * 32;
-        if top_bits < 32 {
-            v[limbs - 1] &= (1u32 << top_bits) - 1;
-        }
-        v[limbs - 1] |= 1 << (top_bits - 1);
-        BigUint::from_limbs(v)
+        let mut n = BigUint {
+            limbs: random_limbs(bits, rng),
+        };
+        n.set_bit(bits - 1);
+        n
     }
 
     /// Uniform random value in `[0, bound)` by rejection sampling.
@@ -34,20 +44,8 @@ impl BigUint {
     pub fn random_below<R: RngCore + ?Sized>(bound: &BigUint, rng: &mut R) -> BigUint {
         assert!(!bound.is_zero(), "random_below requires a nonzero bound");
         let bits = bound.bit_len();
-        let limbs = bits.div_ceil(32);
-        let top_bits = bits - (limbs - 1) * 32;
-        let mask = if top_bits < 32 {
-            (1u32 << top_bits) - 1
-        } else {
-            u32::MAX
-        };
         loop {
-            let mut v = vec![0u32; limbs];
-            for limb in v.iter_mut() {
-                *limb = rng.next_u32();
-            }
-            v[limbs - 1] &= mask;
-            let candidate = BigUint::from_limbs(v);
+            let candidate = BigUint::from_limbs(random_limbs(bits, rng));
             if candidate < *bound {
                 return candidate;
             }
@@ -78,11 +76,33 @@ mod tests {
     #[test]
     fn random_bits_has_exact_length() {
         let mut rng = Drbg::from_seed(1);
-        for bits in [1usize, 2, 31, 32, 33, 64, 127, 512] {
+        for bits in [1usize, 2, 31, 32, 33, 63, 64, 65, 96, 127, 160, 512] {
             let n = BigUint::random_bits(bits, &mut rng);
             assert_eq!(n.bit_len(), bits, "bits={bits}");
         }
         assert!(BigUint::random_bits(0, &mut rng).is_zero());
+    }
+
+    #[test]
+    fn draws_one_u32_per_word_low_word_first() {
+        // The stream a seed produces must not depend on the limb width:
+        // rebuild each value from the same draws taken 32 bits at a time.
+        for bits in [1usize, 31, 32, 33, 64, 65, 96, 97, 160, 384, 1056] {
+            let mut rng = Drbg::from_seed(9);
+            let mut reference = Drbg::from_seed(9);
+            let got = BigUint::random_bits(bits, &mut rng);
+            let mut want = BigUint::zero();
+            for word in 0..bits.div_ceil(32) {
+                let w = BigUint::from(reference.next_u32());
+                want = &want + &w.shl_bits(32 * word);
+            }
+            // Keep the low `bits` bits, force the top one.
+            let mut want = want.rem(&BigUint::one().shl_bits(bits)).unwrap();
+            want.set_bit(bits - 1);
+            assert_eq!(got, want, "bits={bits}");
+            // Both generators are now at the same position.
+            assert_eq!(rng.next_u32(), reference.next_u32(), "bits={bits}");
+        }
     }
 
     #[test]

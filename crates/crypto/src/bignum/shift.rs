@@ -1,5 +1,6 @@
 //! Bit-shift operations for [`BigUint`].
 
+use super::limb::LIMB_BITS;
 use super::BigUint;
 use std::ops::{Shl, Shr};
 
@@ -9,16 +10,17 @@ impl BigUint {
         if self.is_zero() || bits == 0 {
             return self.clone();
         }
-        let limb_shift = bits / 32;
-        let bit_shift = bits % 32;
-        let mut out = vec![0u32; limb_shift];
+        let limb_shift = bits / LIMB_BITS;
+        let bit_shift = bits % LIMB_BITS;
+        let mut out = Vec::with_capacity(limb_shift + self.limbs.len() + 1);
+        out.resize(limb_shift, 0);
         if bit_shift == 0 {
             out.extend_from_slice(&self.limbs);
         } else {
-            let mut carry = 0u32;
+            let mut carry = 0;
             for &l in &self.limbs {
                 out.push((l << bit_shift) | carry);
-                carry = l >> (32 - bit_shift);
+                carry = l >> (LIMB_BITS - bit_shift);
             }
             if carry != 0 {
                 out.push(carry);
@@ -29,24 +31,21 @@ impl BigUint {
 
     /// Logical right shift by `bits` (shifting everything out yields zero).
     pub fn shr_bits(&self, bits: usize) -> BigUint {
-        let limb_shift = bits / 32;
+        let limb_shift = bits / LIMB_BITS;
         if limb_shift >= self.limbs.len() {
             return BigUint::zero();
         }
-        let bit_shift = bits % 32;
+        let bit_shift = bits % LIMB_BITS;
         let src = &self.limbs[limb_shift..];
         if bit_shift == 0 {
             return BigUint::from_limbs(src.to_vec());
         }
         let mut out = Vec::with_capacity(src.len());
-        for i in 0..src.len() {
-            let lo = src[i] >> bit_shift;
-            let hi = if i + 1 < src.len() {
-                src[i + 1] << (32 - bit_shift)
-            } else {
-                0
-            };
-            out.push(lo | hi);
+        for (i, &l) in src.iter().enumerate() {
+            let hi = src
+                .get(i + 1)
+                .map_or(0, |next| next << (LIMB_BITS - bit_shift));
+            out.push((l >> bit_shift) | hi);
         }
         BigUint::from_limbs(out)
     }
@@ -100,7 +99,7 @@ mod tests {
     #[test]
     fn shift_round_trip() {
         let n = BigUint::from_bytes_be(&[0xde, 0xad, 0xbe, 0xef, 0x01, 0x23, 0x45]);
-        for bits in [1, 7, 31, 32, 33, 64, 95] {
+        for bits in [1, 7, 31, 32, 33, 63, 64, 65, 95, 128, 129] {
             assert_eq!(n.shl_bits(bits).shr_bits(bits), n, "bits={bits}");
         }
     }

@@ -27,18 +27,24 @@ pub fn ct_eq(a: &[u8], b: &[u8]) -> bool {
 /// compiler cannot elide the wipe as a dead store when the buffer is
 /// about to be dropped.
 pub fn zeroize(bytes: &mut [u8]) {
-    for b in bytes.iter_mut() {
-        // SAFETY: `b` is a valid, aligned, exclusive reference.
-        unsafe { core::ptr::write_volatile(b, 0) };
-    }
-    core::sync::atomic::compiler_fence(core::sync::atomic::Ordering::SeqCst);
+    wipe(bytes);
 }
 
-/// [`zeroize`] for `u32` words (cipher state, bignum limbs).
+/// [`zeroize`] for `u32` words (cipher state).
 pub fn zeroize_u32(words: &mut [u32]) {
+    wipe(words);
+}
+
+/// [`zeroize`] for `u64` words (bignum limbs, Montgomery scratch).
+pub fn zeroize_u64(words: &mut [u64]) {
+    wipe(words);
+}
+
+fn wipe<T: Default>(words: &mut [T]) {
     for w in words.iter_mut() {
-        // SAFETY: `w` is a valid, aligned, exclusive reference.
-        unsafe { core::ptr::write_volatile(w, 0) };
+        // SAFETY: `w` is a valid, aligned, exclusive reference, and the
+        // callers' integer types have no destructor for the overwrite to skip.
+        unsafe { core::ptr::write_volatile(w, T::default()) };
     }
     core::sync::atomic::compiler_fence(core::sync::atomic::Ordering::SeqCst);
 }
@@ -75,5 +81,8 @@ mod tests {
         let mut words = [0xDEADBEEFu32; 16];
         zeroize_u32(&mut words);
         assert!(words.iter().all(|&w| w == 0));
+        let mut limbs = [u64::MAX; 8];
+        zeroize_u64(&mut limbs);
+        assert!(limbs.iter().all(|&w| w == 0));
     }
 }

@@ -5,7 +5,7 @@
 //! bases. Error probability after `t` rounds is at most `4^-t`; the
 //! default of 20 rounds is far below any systems-level concern.
 
-use crate::bignum::BigUint;
+use crate::bignum::{BigUint, MontgomeryCtx};
 use crate::CryptoError;
 use rand::RngCore;
 
@@ -13,38 +13,39 @@ use rand::RngCore;
 pub const DEFAULT_MR_ROUNDS: usize = 20;
 
 /// Small primes for fast trial-division screening.
-const SMALL_PRIMES: [u32; 60] = [
+const SMALL_PRIMES: [u64; 60] = [
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89,
     97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151, 157, 163, 167, 173, 179, 181, 191,
     193, 197, 199, 211, 223, 227, 229, 233, 239, 241, 251, 257, 263, 269, 271, 277, 281,
 ];
+const LARGEST_SMALL_PRIME: u64 = SMALL_PRIMES[SMALL_PRIMES.len() - 1];
 
-/// Returns `true` when `n` is divisible by a small prime (and is not that
-/// prime itself).
+/// Returns `true` when `n`, larger than every small prime, is divisible
+/// by one of them.
+///
+/// Seven primes below 2^9 multiply to less than 2^63, so the table is
+/// swept with one multi-limb remainder per seven primes and word-sized
+/// remainders from there.
 fn has_small_factor(n: &BigUint) -> bool {
-    for &p in &SMALL_PRIMES {
-        let (_, r) = n.div_rem_u32(p);
-        if r == 0 {
-            return *n != BigUint::from(p);
-        }
-    }
-    false
+    SMALL_PRIMES.chunks(7).any(|primes| {
+        let r = n.rem_limb(primes.iter().product());
+        primes.iter().any(|&p| r.is_multiple_of(p))
+    })
 }
 
 /// Miller–Rabin probabilistic primality test with `rounds` random bases.
 ///
-/// Deterministic answers for `n < 282` via the small-prime table.
+/// Deterministic answers for `n <= 281` via the small-prime table; above
+/// it candidates are screened by trial division once, here, before any
+/// random base is drawn.
 pub fn is_probably_prime<R: RngCore + ?Sized>(n: &BigUint, rounds: usize, rng: &mut R) -> bool {
     // Handle tiny numbers exactly.
     if let Some(v) = n.to_u64() {
-        if v < 2 {
-            return false;
-        }
-        if v <= *SMALL_PRIMES.last().unwrap() as u64 {
-            return SMALL_PRIMES.contains(&(v as u32));
+        if v <= LARGEST_SMALL_PRIME {
+            return SMALL_PRIMES.contains(&v);
         }
     }
-    if n.is_even() || has_small_factor(n) {
+    if has_small_factor(n) {
         return false;
     }
 
@@ -58,17 +59,27 @@ pub fn is_probably_prime<R: RngCore + ?Sized>(n: &BigUint, rounds: usize, rng: &
         s += 1;
     }
 
+    // One context and one scratch per candidate; every witness is raised,
+    // squared and compared in Montgomery form.
+    let ctx = MontgomeryCtx::new(n.clone()).expect("odd modulus > 1");
+    let mut ws = ctx.scratch();
+    let (mut one_m, mut minus_one_m) = (vec![0; ctx.limbs()], vec![0; ctx.limbs()]);
+    ctx.to_mont(&mut one_m, &one, &mut ws);
+    ctx.to_mont(&mut minus_one_m, &n_minus_1, &mut ws);
+    let mut x = vec![0; ctx.limbs()];
+
     let two = BigUint::from(2_u32);
     let n_minus_2 = n - &two;
     'witness: for _ in 0..rounds {
         let a = BigUint::random_range(&two, &n_minus_2, rng);
-        let mut x = a.modpow(&d, n).expect("odd modulus > 1");
-        if x.is_one() || x == n_minus_1 {
+        ctx.to_mont(&mut x, &a, &mut ws);
+        ctx.pow_assign(&mut x, &d, &mut ws);
+        if x == one_m || x == minus_one_m {
             continue;
         }
         for _ in 0..s - 1 {
-            x = x.square().rem(n).expect("nonzero modulus");
-            if x == n_minus_1 {
+            ctx.sqr_assign(&mut x, &mut ws);
+            if x == minus_one_m {
                 continue 'witness;
             }
         }
@@ -100,9 +111,6 @@ pub fn generate_prime<R: RngCore + ?Sized>(
         let mut candidate = BigUint::random_bits(bits, rng);
         candidate.set_bit(0); // odd
         candidate.set_bit(bits - 2); // top-two bits set
-        if has_small_factor(&candidate) {
-            continue;
-        }
         if is_probably_prime(&candidate, DEFAULT_MR_ROUNDS, rng) {
             return Ok(candidate);
         }

@@ -50,16 +50,8 @@ impl RsaKeyPair {
             let d_p = d.rem(&p1)?;
             let d_q = d.rem(&q1)?;
             let q_inv = q.mod_inverse(&p)?;
-            let public = RsaPublicKey { n, e: e.clone() };
-            return Ok(RsaKeyPair {
-                public,
-                d,
-                p,
-                q,
-                d_p,
-                d_q,
-                q_inv,
-            });
+            let public = RsaPublicKey::from_components(n, e)?;
+            return RsaKeyPair::from_parts(public, d, p, q, d_p, d_q, q_inv);
         }
     }
 }
@@ -86,10 +78,11 @@ mod tests {
     fn factors_are_prime_and_distinct() {
         let mut rng = Drbg::from_seed(12);
         let pair = RsaKeyPair::generate(512, &mut rng).unwrap();
-        assert!(is_probably_prime(&pair.p, 10, &mut rng));
-        assert!(is_probably_prime(&pair.q, 10, &mut rng));
-        assert_ne!(pair.p, pair.q);
-        assert_eq!(&pair.p * &pair.q, *pair.public().modulus());
+        let (p, q) = (pair.p.modulus(), pair.q.modulus());
+        assert!(is_probably_prime(p, 10, &mut rng));
+        assert!(is_probably_prime(q, 10, &mut rng));
+        assert_ne!(p, q);
+        assert_eq!(p * q, *pair.public().modulus());
     }
 
     #[test]

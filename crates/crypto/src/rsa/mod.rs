@@ -33,17 +33,30 @@ mod serialize;
 mod oaep;
 mod sign;
 
-use crate::bignum::BigUint;
+use crate::bignum::{BigUint, MontgomeryCtx};
 use crate::CryptoError;
 
 /// The conventional RSA public exponent, 65537.
 pub const PUBLIC_EXPONENT: u32 = 65_537;
 
 /// An RSA public key `(n, e)`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// The modulus lives inside its Montgomery context, built once by
+/// [`from_components`](Self::from_components) and reused by every
+/// [`encrypt`](Self::encrypt) and [`verify`](Self::verify).
+#[derive(Clone, PartialEq, Eq)]
 pub struct RsaPublicKey {
-    n: BigUint,
+    n: MontgomeryCtx,
     e: BigUint,
+}
+
+impl std::fmt::Debug for RsaPublicKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("RsaPublicKey")
+            .field("n", self.modulus())
+            .field("e", &self.e)
+            .finish()
+    }
 }
 
 impl RsaPublicKey {
@@ -51,8 +64,8 @@ impl RsaPublicKey {
     ///
     /// # Errors
     ///
-    /// Returns [`CryptoError::InvalidParameter`] for a modulus smaller
-    /// than 256 bits or an even/unit exponent.
+    /// Returns [`CryptoError::InvalidParameter`] for a modulus that is
+    /// even or smaller than 256 bits, or an even/unit exponent.
     pub fn from_components(n: BigUint, e: BigUint) -> Result<Self, CryptoError> {
         if n.bit_len() < 256 {
             return Err(CryptoError::InvalidParameter("modulus below 256 bits"));
@@ -60,12 +73,15 @@ impl RsaPublicKey {
         if e.is_even() || e.is_one() || e.is_zero() {
             return Err(CryptoError::InvalidParameter("bad public exponent"));
         }
-        Ok(RsaPublicKey { n, e })
+        Ok(RsaPublicKey {
+            n: MontgomeryCtx::new(n)?,
+            e,
+        })
     }
 
     /// The modulus `n`.
     pub fn modulus(&self) -> &BigUint {
-        &self.n
+        self.n.modulus()
     }
 
     /// The public exponent `e`.
@@ -75,25 +91,25 @@ impl RsaPublicKey {
 
     /// Modulus size in whole bytes (the RSA block length `k`).
     pub fn block_len(&self) -> usize {
-        self.n.bit_len().div_ceil(8)
+        self.bits().div_ceil(8)
     }
 
     /// Modulus size in bits.
     pub fn bits(&self) -> usize {
-        self.n.bit_len()
+        self.modulus().bit_len()
     }
 
     /// Raw RSA public operation `m^e mod n` on a padded block.
     pub(crate) fn raw_public_op(&self, block: &BigUint) -> Result<BigUint, CryptoError> {
-        if block >= &self.n {
+        if block >= self.modulus() {
             return Err(CryptoError::InvalidParameter("block exceeds modulus"));
         }
-        block.modpow(&self.e, &self.n)
+        Ok(self.n.pow(block, &self.e))
     }
 
     /// Serializes to `len(n) || n || len(e) || e` for wire transport.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let n = self.n.to_bytes_be();
+        let n = self.modulus().to_bytes_be();
         let e = self.e.to_bytes_be();
         let mut out = Vec::with_capacity(n.len() + e.len() + 8);
         out.extend_from_slice(&(n.len() as u32).to_be_bytes());
@@ -142,12 +158,15 @@ impl RsaPublicKey {
 }
 
 /// An RSA key pair with CRT parameters for fast private operations.
+///
+/// The primes live inside their Montgomery contexts, built once by
+/// [`from_parts`](Self::from_parts) and wiped with the rest on drop.
 #[derive(Clone)]
 pub struct RsaKeyPair {
     public: RsaPublicKey,
     d: BigUint,
-    p: BigUint,
-    q: BigUint,
+    p: MontgomeryCtx,
+    q: MontgomeryCtx,
     d_p: BigUint,
     d_q: BigUint,
     q_inv: BigUint,
@@ -176,6 +195,34 @@ impl Drop for RsaKeyPair {
 }
 
 impl RsaKeyPair {
+    /// The one constructor: key generation and deserialization both end
+    /// here, so the CRT contexts are built in exactly one place.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CryptoError::InvalidParameter`] when `p` or `q` is even
+    /// or `<= 1`. Consistency of the components with each other is the
+    /// caller's business (see [`from_bytes`](Self::from_bytes)).
+    pub(crate) fn from_parts(
+        public: RsaPublicKey,
+        d: BigUint,
+        p: BigUint,
+        q: BigUint,
+        d_p: BigUint,
+        d_q: BigUint,
+        q_inv: BigUint,
+    ) -> Result<Self, CryptoError> {
+        Ok(RsaKeyPair {
+            public,
+            d,
+            p: MontgomeryCtx::new(p)?,
+            q: MontgomeryCtx::new(q)?,
+            d_p,
+            d_q,
+            q_inv,
+        })
+    }
+
     /// The public half of the pair.
     pub fn public(&self) -> &RsaPublicKey {
         &self.public
@@ -183,33 +230,34 @@ impl RsaKeyPair {
 
     /// Raw RSA private operation `c^d mod n` using the CRT.
     pub(crate) fn raw_private_op(&self, block: &BigUint) -> Result<BigUint, CryptoError> {
-        if block >= &self.public.n {
+        if block >= self.public.modulus() {
             return Err(CryptoError::InvalidParameter("block exceeds modulus"));
         }
+        let (p, q) = (self.p.modulus(), self.q.modulus());
         // CRT: m_p = c^d_p mod p ; m_q = c^d_q mod q
-        let m_p = block.modpow(&self.d_p, &self.p)?;
-        let m_q = block.modpow(&self.d_q, &self.q)?;
+        let m_p = self.p.pow(block, &self.d_p);
+        let m_q = self.q.pow(block, &self.d_q);
         // h = q_inv * (m_p - m_q) mod p
         let diff = if m_p >= m_q {
             &m_p - &m_q
         } else {
             // m_p - m_q mod p, computed as p - ((m_q - m_p) mod p)
-            let r = (&m_q - &m_p).rem(&self.p)?;
+            let r = (&m_q - &m_p).rem(p)?;
             if r.is_zero() {
                 r
             } else {
-                &self.p - &r
+                p - &r
             }
         };
-        let h = (&self.q_inv * &diff).rem(&self.p)?;
+        let h = (&self.q_inv * &diff).rem(p)?;
         // m = m_q + h * q
-        Ok(&m_q + &(&h * &self.q))
+        Ok(&m_q + &(&h * q))
     }
 
     /// Slow non-CRT private operation, kept for cross-checking in tests.
     #[doc(hidden)]
     pub fn raw_private_op_no_crt(&self, block: &BigUint) -> Result<BigUint, CryptoError> {
-        block.modpow(&self.d, &self.public.n)
+        Ok(self.public.n.pow(block, &self.d))
     }
 }
 
@@ -293,14 +341,62 @@ mod tests {
 
     #[test]
     fn crt_matches_plain_exponentiation() {
-        let pair = pair768();
+        let mut keygen = Drbg::from_seed(0xC27);
+        let pair1024 = RsaKeyPair::generate(1024, &mut keygen).unwrap();
+        let pair2048 = RsaKeyPair::generate(2048, &mut keygen).unwrap();
         let mut rng = Drbg::from_seed(78);
-        for _ in 0..4 {
-            let c = BigUint::random_below(pair.public().modulus(), &mut rng);
-            assert_eq!(
-                pair.raw_private_op(&c).unwrap(),
-                pair.raw_private_op_no_crt(&c).unwrap()
-            );
+        for pair in [pair768(), &pair1024, &pair2048] {
+            for _ in 0..4 {
+                let c = BigUint::random_below(pair.public().modulus(), &mut rng);
+                assert_eq!(
+                    pair.raw_private_op(&c).unwrap(),
+                    pair.raw_private_op_no_crt(&c).unwrap(),
+                    "bits={}",
+                    pair.public().bits()
+                );
+            }
+        }
+    }
+
+    /// Byte identity with the 32-bit-limb implementation: the constants
+    /// were recorded at the commit before the limb width changed. A seed
+    /// must keep yielding the same key pair (same random draws, same
+    /// Miller–Rabin witnesses), the same signature and the same raw
+    /// private-operation result.
+    #[test]
+    fn golden_keys_and_signatures_survive_the_limb_width_change() {
+        let hex = |bytes: &[u8]| -> String {
+            let digest = crate::sha256::Sha256::digest(bytes);
+            digest.iter().map(|b| format!("{b:02x}")).collect()
+        };
+        for (bits, seed, block_len, fingerprint, sig_sha256, raw_sha256) in [
+            (
+                768usize,
+                0xA11CE_u64,
+                90usize,
+                0xbed3_4e52_d29f_65ad_u64,
+                "71f1a2c7ec6878f1811013472a6f651e0998cd9760cfbf3ddbd6e7033e3f0178",
+                "ee5a6ba38c2d7fd6e86431068fb43057353be3d2bc618a5c11dd76fcc0cef971",
+            ),
+            (
+                2048,
+                0x2048,
+                250,
+                0x3543_506b_1644_9117,
+                "e6ec9b7adc54bfd26d501b4a86f25759a2339fc6f201b06dfba91032c7d11b87",
+                "6cca2c1230ebdb521690bc3cb16a46142be14ba11551ae1f3b5c695b1a533ebf",
+            ),
+        ] {
+            let pair = RsaKeyPair::generate(bits, &mut Drbg::from_seed(seed)).unwrap();
+            assert_eq!(pair.public().fingerprint(), fingerprint, "bits={bits}");
+            assert_eq!(hex(&pair.sign(b"golden")), sig_sha256, "bits={bits}");
+            let block = BigUint::from_bytes_be(&vec![0x5a; block_len]);
+            let raw = pair
+                .raw_private_op(&block)
+                .unwrap()
+                .to_bytes_be_padded(pair.public().block_len())
+                .unwrap();
+            assert_eq!(hex(&raw), raw_sha256, "bits={bits}");
         }
     }
 

@@ -41,11 +41,11 @@ impl RsaKeyPair {
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.public.block_len() * 5);
         out.extend_from_slice(MAGIC);
-        put(&mut out, &self.public.n);
+        put(&mut out, self.public.modulus());
         put(&mut out, &self.public.e);
         put(&mut out, &self.d);
-        put(&mut out, &self.p);
-        put(&mut out, &self.q);
+        put(&mut out, self.p.modulus());
+        put(&mut out, self.q.modulus());
         put(&mut out, &self.d_p);
         put(&mut out, &self.d_q);
         put(&mut out, &self.q_inv);
@@ -82,20 +82,12 @@ impl RsaKeyPair {
             return Err(CryptoError::KeyGeneration("p*q does not match n"));
         }
         let public = RsaPublicKey::from_components(n, e)?;
-        let pair = RsaKeyPair {
-            public,
-            d,
-            p,
-            q,
-            d_p,
-            d_q,
-            q_inv,
-        };
+        let pair = RsaKeyPair::from_parts(public, d, p, q, d_p, d_q, q_inv)?;
         // Private/public round trip on a modulus-sized probe catches any
         // corrupted exponent or CRT component. (The probe must exceed
         // both primes, otherwise the CRT recombination term `q_inv`
         // cancels out and goes unchecked.)
-        let probe = pair.public.n.shr_bits(1);
+        let probe = pair.public.modulus().shr_bits(1);
         let c = pair.public.raw_public_op(&probe)?;
         if pair.raw_private_op(&c)? != probe {
             return Err(CryptoError::KeyGeneration("key components inconsistent"));

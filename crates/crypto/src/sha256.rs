@@ -100,14 +100,17 @@ impl Sha256 {
     /// Completes the hash and returns the 32-byte digest.
     pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
         let bit_len = self.len.wrapping_mul(8);
-        // Padding: 0x80, zeros, 8-byte big-endian bit length.
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
+        // Padding, written in place: 0x80, zeros up to byte 56 of a block
+        // (spilling into a second block when fewer than nine bytes are
+        // free), then the 8-byte big-endian bit length.
+        let mut block = self.buf;
+        block[self.buf_len] = 0x80;
+        block[self.buf_len + 1..].fill(0);
+        if self.buf_len >= 56 {
+            self.compress(&block);
+            block = [0; 64];
         }
-        // Manual write of the length to avoid double-counting in self.len.
-        self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buf;
+        block[56..].copy_from_slice(&bit_len.to_be_bytes());
         self.compress(&block);
         let mut out = [0u8; DIGEST_LEN];
         for (i, word) in self.state.iter().enumerate() {
@@ -221,6 +224,39 @@ mod tests {
             h.update(&data[..split]);
             h.update(&data[split..]);
             assert_eq!(h.finalize(), Sha256::digest(&data), "split={split}");
+        }
+    }
+
+    #[test]
+    fn every_length_and_split_agrees_with_hand_padded_blocks() {
+        let data: Vec<u8> = (0..200u32).map(|i| (i * 7 + 3) as u8).collect();
+        for len in 0..=data.len() {
+            let msg = &data[..len];
+            // Reference: pad by hand, compress block by block.
+            let mut padded = msg.to_vec();
+            padded.push(0x80);
+            while padded.len() % 64 != 56 {
+                padded.push(0);
+            }
+            padded.extend_from_slice(&(len as u64 * 8).to_be_bytes());
+            let mut reference = Sha256::new();
+            for block in padded.chunks_exact(64) {
+                reference.compress(block.try_into().unwrap());
+            }
+            let want: Vec<u8> = reference
+                .state
+                .iter()
+                .flat_map(|w| w.to_be_bytes())
+                .collect();
+            assert_eq!(Sha256::digest(msg)[..], want[..], "len={len}");
+            // Two updates split at every offset (crosses the 55/56/63/64/
+            // 119/120 padding boundaries with every buffer fill).
+            for split in 0..=len {
+                let mut h = Sha256::new();
+                h.update(&msg[..split]);
+                h.update(&msg[split..]);
+                assert_eq!(h.finalize()[..], want[..], "len={len} split={split}");
+            }
         }
     }
 
