@@ -34,11 +34,15 @@ unsafe impl GlobalAlloc for CountingAllocator {
         ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
         ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         live_add(layout.size() as u64);
+        // SAFETY: the caller's `GlobalAlloc::alloc` contract for `layout`
+        // is passed to `System` unchanged.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         LIVE_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
+        // SAFETY: `ptr` came from `System` through `alloc`/`realloc`
+        // above with this `layout`, as the caller's contract requires.
         unsafe { System.dealloc(ptr, layout) }
     }
 
@@ -47,6 +51,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
         ALLOC_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         LIVE_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
         live_add(new_size as u64);
+        // SAFETY: as `dealloc`; `new_size` obeys the caller's contract.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }

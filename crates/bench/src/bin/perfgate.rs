@@ -23,16 +23,17 @@
 //!
 //! Gate semantics (see DESIGN.md §10): allocations/op and bytes/op are
 //! deterministic for the fixed seeds used here and are gated at the
-//! given tolerance; ops/sec is first normalized by a SHA-256
-//! calibration loop (absorbing host-speed differences between the
-//! committing machine and CI runners) and gated at twice the tolerance.
+//! given tolerance; ops/sec is first normalized by the integer
+//! calibration loop of [`mykil_bench::calibrate`] (absorbing host-speed
+//! differences between the committing machine and CI runners; it calls
+//! none of the code the rows measure) and gated at twice the tolerance.
 
 use mykil::rekey::write_entries_from_plan;
 use mykil::wire::{Reader, Writer};
 use mykil_bench::alloc_track::{alloc_count, CountingAllocator};
+use mykil_bench::{calibrate, CALIBRATION_FIELD};
 use mykil_crypto::drbg::Drbg;
 use mykil_crypto::rsa::RsaKeyPair;
-use mykil_crypto::sha256::Sha256;
 use mykil_tree::{KeyTree, MemberId, TreeBackend, TreeConfig};
 use std::time::Instant;
 
@@ -268,28 +269,12 @@ fn rsa_op(name: &'static str, bits: usize, private: bool, ops: u64) -> Sample {
     }
 }
 
-/// Host-speed calibration: SHA-256 digests over a 4 KiB buffer per
-/// second. Throughput comparisons divide by this, so a slower CI runner
-/// does not read as a regression.
-fn calibrate() -> f64 {
-    let buf = [0x5Au8; 4096];
-    let mut acc = 0u64;
-    const ITERS: u64 = 4000;
-    let t0 = Instant::now();
-    for _ in 0..ITERS {
-        acc = acc.wrapping_add(u64::from(Sha256::digest(&buf)[0]));
-    }
-    let dt = t0.elapsed().as_secs_f64();
-    assert!(acc != u64::MAX);
-    ITERS as f64 / dt
-}
-
 fn render_json(samples: &[Sample], calibration: f64) -> String {
     let mut out = String::new();
     out.push_str("{\n  \"schema\": 1,\n");
     out.push_str("  \"description\": \"rekey hot-path perf gate; refresh with: cargo run --release -p mykil-bench --bin perfgate -- --write\",\n");
     out.push_str(&format!(
-        "  \"calibration_sha256_4k_per_sec\": {calibration:.1},\n"
+        "  \"{CALIBRATION_FIELD}\": {calibration:.1},\n"
     ));
     out.push_str("  \"workloads\": {\n");
     for (i, s) in samples.iter().enumerate() {
@@ -339,7 +324,7 @@ struct Regression {
 /// list of out-of-band metrics.
 fn check(baseline: &str, samples: &[Sample], calibration: f64, tol_pct: f64) -> Vec<Regression> {
     let mut bad = Vec::new();
-    let base_calib = json_num(baseline, "", "calibration_sha256_4k_per_sec").unwrap_or(calibration);
+    let base_calib = json_num(baseline, "", CALIBRATION_FIELD).unwrap_or(calibration);
     for s in samples {
         let Some(base_allocs) = json_num(baseline, s.name, "allocs_per_op") else {
             bad.push(Regression {
@@ -450,7 +435,12 @@ fn main() {
             s.name, s.ops_per_sec, s.bytes_per_op, s.allocs_per_op, s.resident_key_bytes
         );
     }
-    println!("calibration: {calibration:.0} sha256-4k/sec");
+    // The back end is printed so a runner whose CPU lacks the SHA
+    // extension (every hashing row is then ~5x slower) shows in the log.
+    println!(
+        "calibration: {calibration:.0} xorshift64 steps/sec; sha256 back end: {}",
+        mykil_crypto::sha256::backend()
+    );
 
     // The KHF backend's reason to exist: resident key bytes must be
     // decisively sublinear relative to the explicit store's O(n) at

@@ -33,7 +33,7 @@
 use mykil::invariants::check_scale;
 use mykil::scale::{MobilityReport, ScaleConfig, ScaleGroup};
 use mykil_bench::alloc_track::{peak_bytes, reset_peak, CountingAllocator};
-use mykil_crypto::sha256::Sha256;
+use mykil_bench::{calibrate, CALIBRATION_FIELD};
 use mykil_net::{Duration, FaultPlan};
 use std::time::Instant;
 
@@ -264,28 +264,6 @@ fn run_storm(spec: &StormSpec, dump_dir: Option<&str>) -> Sample {
     }
 }
 
-/// Host-speed calibration, same unit as perfgate's: SHA-256 digests
-/// over a 4 KiB buffer per second. Measured as the best of several
-/// short rounds — the max is robust against transient frequency dips
-/// that would otherwise inflate the expected-throughput band.
-fn calibrate() -> f64 {
-    let buf = [0x5Au8; 4096];
-    let mut acc = 0u64;
-    const ITERS: u64 = 2000;
-    const ROUNDS: usize = 5;
-    let mut best = 0.0f64;
-    for _ in 0..ROUNDS {
-        let t0 = Instant::now();
-        for _ in 0..ITERS {
-            acc = acc.wrapping_add(u64::from(Sha256::digest(&buf)[0]));
-        }
-        let dt = t0.elapsed().as_secs_f64();
-        best = best.max(ITERS as f64 / dt);
-    }
-    assert!(acc != u64::MAX);
-    best
-}
-
 fn render_json(samples: &[Sample], calibration: f64, mobility: bool) -> String {
     let mut out = String::new();
     out.push_str("{\n  \"schema\": 1,\n");
@@ -295,7 +273,7 @@ fn render_json(samples: &[Sample], calibration: f64, mobility: bool) -> String {
         out.push_str("  \"description\": \"hybrid hot/cold scale gate; refresh with: cargo run --release -p mykil-bench --bin scalegate -- --write\",\n");
     }
     out.push_str(&format!(
-        "  \"calibration_sha256_4k_per_sec\": {calibration:.1},\n"
+        "  \"{CALIBRATION_FIELD}\": {calibration:.1},\n"
     ));
     out.push_str("  \"scenarios\": {\n");
     for (i, s) in samples.iter().enumerate() {
@@ -362,7 +340,7 @@ struct Regression {
 /// Compares fresh samples against a committed baseline.
 fn check(baseline: &str, samples: &[Sample], calibration: f64, tol_pct: f64) -> Vec<Regression> {
     let mut bad = Vec::new();
-    let base_calib = json_num(baseline, "", "calibration_sha256_4k_per_sec").unwrap_or(calibration);
+    let base_calib = json_num(baseline, "", CALIBRATION_FIELD).unwrap_or(calibration);
     for s in samples {
         let Some(base_events) = json_num(baseline, s.name, "events") else {
             bad.push(Regression {
@@ -530,7 +508,7 @@ fn main() {
             );
         }
     }
-    println!("calibration: {calibration:.0} sha256-4k/sec");
+    println!("calibration: {calibration:.0} xorshift64 steps/sec");
 
     let json = render_json(&samples, calibration, mobility);
     if let Some(path) = &out_path {

@@ -48,7 +48,8 @@ impl AreaController {
         // Unwrap K_r with the key of the region the packet came from.
         let from_parent = self.durable.image.parent.as_ref().is_some_and(|p| p.node == from);
         let unwrap_keys = if from_parent {
-            self.durable.image.parent_keys.area_keys_with_history()
+            let parent_keys = &self.durable.image.parent_keys;
+            parent_keys.area_keys_with_history().cloned().collect()
         } else {
             self.own_area_keys()
         };

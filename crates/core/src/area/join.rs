@@ -6,10 +6,10 @@ use crate::durable::AcWalRecord;
 use crate::error::ProtocolError;
 use crate::identity::{ClientId, DeviceId};
 use crate::msg::Msg;
-use crate::rekey::encode_tree_path;
+use crate::rekey::{encode_tree_path, key_update_digest};
 use crate::ticket::Ticket;
 use crate::welcome::Welcome;
-use crate::wire::{Reader, Writer};
+use crate::wire::Reader;
 use mykil_crypto::envelope::HybridCiphertext;
 use mykil_crypto::keys::SymmetricKey;
 use mykil_crypto::rsa::RsaPublicKey;
@@ -242,10 +242,9 @@ impl AreaController {
         a.since(b) <= window
     }
 
-    /// Writer helper: the signed payload for key updates.
-    pub(crate) fn key_update_signed_bytes(&self, body: &[u8], epoch: u64) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.u32(self.deploy.area.0).u64(epoch).raw(body);
-        w.into_bytes()
+    /// Signs a key-update body for this area at the current epoch.
+    pub(crate) fn sign_key_update(&self, body: &[u8]) -> Vec<u8> {
+        let digest = key_update_digest(self.deploy.area, self.durable.image.epoch, body);
+        self.keypair.sign_digest(&digest)
     }
 }

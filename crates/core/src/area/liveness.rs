@@ -11,7 +11,7 @@ use super::{AreaController, ParentLink, RejoinStage, TIMER_IDLE_ALIVE, TIMER_PAR
 use crate::durable::AcWalRecord;
 use crate::identity::{AreaId, ClientId};
 use crate::msg::{Msg, RejoinDenyReason};
-use crate::rekey::decode_path;
+use crate::rekey::{decode_path, key_update_digest};
 use crate::wire::{Reader, Writer};
 use mykil_crypto::envelope::HybridCiphertext;
 use mykil_net::{Context, GroupId, NodeId, Time};
@@ -101,9 +101,8 @@ impl AreaController {
         let mut w = crate::wire::Writer::with_capacity(crate::rekey::entries_wire_len(&plan));
         crate::rekey::write_entries_from_plan(&plan, ctx.rng(), &mut w);
         let body = w.into_bytes();
-        let signed = self.key_update_signed_bytes(&body, self.durable.image.epoch);
         ctx.charge_compute(self.cost.rsa_private(self.cfg.rsa_bits));
-        let sig = self.keypair.sign(&signed);
+        let sig = self.sign_key_update(&body);
         ctx.multicast(
             self.deploy.group,
             "key-update",
@@ -378,10 +377,8 @@ impl AreaController {
         let Some(parent_pub) = self.directory_pubkey(from) else {
             return;
         };
-        let mut signed = Writer::new();
-        signed.u32(area.0).u64(epoch).raw(body);
         ctx.charge_compute(self.cost.rsa_public(self.cfg.rsa_bits));
-        if !parent_pub.verify(&signed.into_bytes(), sig) {
+        if !parent_pub.verify_digest(&key_update_digest(area, epoch, body), sig) {
             return;
         }
         // Ordering guard: never let a reordered older update revert

@@ -30,6 +30,7 @@ use crate::directory::AcDirectory;
 use crate::durable::RECOVERY_EPOCH_JUMP;
 use crate::identity::{AreaId, ClientId, DeviceId};
 use crate::msg::{Msg, RejoinDenyReason};
+use mykil_crypto::envelope::EnvelopeKey;
 use mykil_crypto::keys::SymmetricKey;
 use mykil_crypto::rsa::{RsaKeyPair, RsaPublicKey};
 use mykil_net::{Context, GroupId, MsgToken, Node, NodeId, Time};
@@ -166,7 +167,9 @@ pub struct AreaController {
     pub(crate) cost: CryptoCost,
     pub(crate) keypair: RsaKeyPair,
     pub(crate) rs_pub: RsaPublicKey,
-    pub(crate) k_shared: SymmetricKey,
+    /// `K_shared`, held prepared: it seals or opens a ticket on every
+    /// join and rejoin.
+    pub(crate) k_shared: EnvelopeKey,
     /// The deployment record: read-only at run time, it models the
     /// on-disk configuration a crashed node reads back at boot.
     pub(crate) deploy: AcDeployment,
@@ -215,7 +218,7 @@ pub struct AreaController {
     pub(crate) last_area_mcast: Time,
 
     // Replication.
-    pub(crate) repl_key: SymmetricKey,
+    pub(crate) repl_key: EnvelopeKey,
     pub(crate) hb_seq: u64,
     pub(crate) last_heartbeat: Time,
     /// Reliable-send token of the outstanding `StateSync`, cancelled
@@ -256,14 +259,15 @@ impl AreaController {
         deploy: AcDeployment,
         tree_seed: u64,
     ) -> AreaController {
-        let repl_key = k_shared.derive(format!("repl-{}", deploy.area.0).as_bytes());
+        let repl_key =
+            EnvelopeKey::new(&k_shared.derive(format!("repl-{}", deploy.area.0).as_bytes()));
         AreaController {
             durable: Self::deployed_state(&cfg, &deploy, tree_seed),
             cfg,
             cost,
             keypair,
             rs_pub,
-            k_shared,
+            k_shared: EnvelopeKey::new(&k_shared),
             pending_admissions: BTreeMap::new(),
             pending_rejoins: BTreeMap::new(),
             pending_rejoin_prev_ac: BTreeMap::new(),

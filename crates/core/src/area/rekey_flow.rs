@@ -234,9 +234,8 @@ impl AreaController {
         let body = w.into_bytes();
         // Key updates are signed with the AC's private key so members
         // cannot forge them (Section III-E).
-        let signed = self.key_update_signed_bytes(&body, self.durable.image.epoch);
         ctx.charge_compute(self.cost.rsa_private(self.cfg.rsa_bits));
-        let sig = self.keypair.sign(&signed);
+        let sig = self.sign_key_update(&body);
         ctx.multicast(
             self.deploy.group,
             "key-update",

@@ -15,7 +15,6 @@ use crate::identity::{AreaId, ClientId, DeviceId};
 use crate::msg::Msg;
 use crate::rekey::KeyState;
 use crate::wire::{Reader, Writer};
-use mykil_crypto::envelope;
 use mykil_crypto::rsa::RsaPublicKey;
 use mykil_net::{Context, GroupId, NodeId, SecretBytes, Time};
 use mykil_tree::{AreaTree, TreeConfig};
@@ -184,7 +183,7 @@ impl AreaController {
         let mut plain = Writer::new();
         plain.u64(self.durable.sync_seq).bytes(&self.durable.image.encode());
         ctx.charge_compute(self.cost.symmetric_op);
-        let ct = envelope::seal(&self.repl_key, &plain.into_bytes(), ctx.rng());
+        let ct = self.repl_key.seal(&plain.into_bytes(), ctx.rng());
         if let Some(old) = self.pending_sync.take() {
             ctx.cancel_reliable(old);
         }
@@ -270,7 +269,7 @@ impl AreaController {
             }
             Msg::StateSync { ct } if from == primary => {
                 self.last_heartbeat = ctx.now();
-                if let Ok(plain) = envelope::open(&self.repl_key, &ct) {
+                if let Ok(plain) = self.repl_key.open(&ct) {
                     // Monotonic-sequence guard: a reordered or stale
                     // snapshot must not overwrite a newer one.
                     let mut r = Reader::new(&plain);
@@ -588,7 +587,6 @@ mod tests {
     fn stale_state_sync_cannot_regress_backup() {
         use crate::msg::Msg;
         use crate::wire::Writer;
-        use mykil_crypto::envelope;
 
         let mut g = GroupBuilder::new(92).areas(1).replicated(true).build();
         g.register_member(1);
@@ -609,7 +607,7 @@ mod tests {
         let mut plain = Writer::new();
         plain.u64(1).bytes(&[0xde; 4]); // bogus body under a stale seq
         let mut rng = mykil_crypto::drbg::Drbg::from_seed(7);
-        let ct = envelope::seal(&repl_key, &plain.into_bytes(), &mut rng);
+        let ct = repl_key.seal(&plain.into_bytes(), &mut rng);
         g.sim.invoke(backup_node, |ac: &mut AreaController, ctx| {
             ac.on_backup_message(ctx, primary, Msg::StateSync { ct });
         });

@@ -11,7 +11,7 @@ use crate::crypto_cost::CryptoCost;
 use crate::directory::AcDirectory;
 use crate::identity::{AreaId, ClientId, DeviceId};
 use crate::msg::{Msg, RejoinDenyReason};
-use crate::rekey::{decode_path, KeyState};
+use crate::rekey::{decode_path, key_update_digest, KeyState};
 use crate::welcome::Welcome;
 use crate::wire::{Reader, Writer};
 use mykil_crypto::envelope::{self, HybridCiphertext};
@@ -536,10 +536,8 @@ impl Member {
         }
         // Verify the AC's signature over area ‖ epoch ‖ body.
         let Some(ac_pub) = &self.ac_pub else { return };
-        let mut signed = Writer::new();
-        signed.u32(area.0).u64(epoch).raw(body);
         ctx.charge_compute(self.cost.rsa_public(self.cfg.rsa_bits));
-        if !ac_pub.verify(&signed.into_bytes(), sig) {
+        if !ac_pub.verify_digest(&key_update_digest(area, epoch, body), sig) {
             return;
         }
         // Ordering guard: a late-arriving older update must never
@@ -614,7 +612,6 @@ impl Member {
         let Some(kr_bytes) = self
             .keys
             .area_keys_with_history()
-            .iter()
             .find_map(|k| envelope::open(k, wrapped).ok())
         else {
             self.decrypt_failures += 1;

@@ -15,13 +15,14 @@
 //! diagnostics, and callers that need random access.
 
 use crate::error::ProtocolError;
+use crate::identity::AreaId;
 use crate::wire::{Reader, Writer};
-use mykil_crypto::envelope;
+use mykil_crypto::envelope::{self, EnvelopeKey};
 use mykil_crypto::keys::SymmetricKey;
+use mykil_crypto::sha256::{Sha256, DIGEST_LEN};
 use mykil_crypto::{CryptoError, SYMMETRIC_KEY_LEN};
 use mykil_tree::{EncryptUnder, NodeIdx, RekeyPlan};
 use rand::RngCore;
-use std::collections::BTreeMap;
 
 /// Which stored key a receiver should try for an entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -232,6 +233,18 @@ pub fn decode_path(bytes: &[u8]) -> Result<Vec<(u32, SymmetricKey)>, ProtocolErr
     Ok(out)
 }
 
+/// What a key-update multicast is signed over: the SHA-256 digest of
+/// `area ‖ epoch ‖ body` (big-endian integers), hashed field by field
+/// so neither the signing controller nor any of the verifying members
+/// builds a second copy of the body.
+pub fn key_update_digest(area: AreaId, epoch: u64, body: &[u8]) -> [u8; DIGEST_LEN] {
+    let mut h = Sha256::new();
+    h.update(&area.0.to_be_bytes());
+    h.update(&epoch.to_be_bytes());
+    h.update(body);
+    h.finalize()
+}
+
 /// The tree node index of the area key (the root is always node 0).
 pub const AREA_KEY_NODE: u32 = 0;
 
@@ -257,10 +270,25 @@ pub struct ApplyOutcome {
 /// receivers unwrap `K_r` from data sealed just before a rotation.
 pub const AREA_KEY_HISTORY: usize = 8;
 
+/// One held key: the tree node it belongs to, its bytes, and — once an
+/// update has named it as a protecting key — the same key prepared for
+/// opening envelopes.
+#[derive(Debug, Clone)]
+struct HeldKey {
+    node: u32,
+    key: SymmetricKey,
+    /// Built the first time an entry is opened under `key`, dropped
+    /// when `key` is replaced. Boxed so that a key never opened with
+    /// costs a pointer, not the 80 bytes of midstates.
+    opener: Option<Box<EnvelopeKey>>,
+}
+
 /// A member's (or downstream AC's) current view of one area's keys.
 #[derive(Debug, Clone, Default)]
 pub struct KeyState {
-    keys: BTreeMap<u32, SymmetricKey>,
+    /// Sorted by node. A member holds one key per level of its path, so
+    /// this is height + 1 entries in one exactly sized allocation.
+    keys: Vec<HeldKey>,
     previous_roots: std::collections::VecDeque<SymmetricKey>,
 }
 
@@ -270,32 +298,64 @@ impl KeyState {
         KeyState::default()
     }
 
+    fn position(&self, node: u32) -> Result<usize, usize> {
+        self.keys.binary_search_by_key(&node, |held| held.node)
+    }
+
+    fn get(&self, node: u32) -> Option<&SymmetricKey> {
+        let held = self.keys.get(self.position(node).ok()?)?;
+        Some(&held.key)
+    }
+
+    /// Stores `key` for `node`. A changed key takes the node's prepared
+    /// opener with it: a stale one would accept the old key's envelopes.
+    fn set(&mut self, node: u32, key: SymmetricKey) {
+        if node == AREA_KEY_NODE {
+            self.note_root_change(&key);
+        }
+        match self.position(node) {
+            Ok(i) => {
+                if let Some(held) = self.keys.get_mut(i).filter(|held| held.key != key) {
+                    held.key = key;
+                    held.opener = None;
+                }
+            }
+            Err(i) => self.keys.insert(
+                i,
+                HeldKey {
+                    node,
+                    key,
+                    opener: None,
+                },
+            ),
+        }
+    }
+
+    fn install<'a>(&mut self, path: impl ExactSizeIterator<Item = (u32, &'a SymmetricKey)>) {
+        if self.keys.is_empty() {
+            self.keys.reserve_exact(path.len());
+        }
+        for (node, key) in path {
+            self.set(node, key.clone());
+        }
+    }
+
     /// Installs a unicast key path (join step 7 / rejoin step 6).
     pub fn install_path(&mut self, path: &[(u32, SymmetricKey)]) {
-        for (node, key) in path {
-            if *node == AREA_KEY_NODE {
-                self.note_root_change(key.clone());
-            }
-            self.keys.insert(*node, key.clone());
-        }
+        self.install(path.iter().map(|(node, key)| (*node, key)));
     }
 
     /// [`Self::install_path`] straight from a tree plan's
     /// `(NodeIdx, key)` form.
     pub fn install_tree_path(&mut self, path: &[(NodeIdx, SymmetricKey)]) {
-        for (node, key) in path {
-            let node = node.wire();
-            if node == AREA_KEY_NODE {
-                self.note_root_change(key.clone());
-            }
-            self.keys.insert(node, key.clone());
-        }
+        self.install(path.iter().map(|(node, key)| (node.wire(), key)));
     }
 
-    fn note_root_change(&mut self, new: SymmetricKey) {
-        if let Some(old) = self.keys.get(&AREA_KEY_NODE) {
-            if *old != new {
-                self.previous_roots.push_front(old.clone());
+    fn note_root_change(&mut self, new: &SymmetricKey) {
+        if let Some(old) = self.get(AREA_KEY_NODE) {
+            if old != new {
+                let old = old.clone();
+                self.previous_roots.push_front(old);
                 self.previous_roots.truncate(AREA_KEY_HISTORY);
             }
         }
@@ -310,18 +370,23 @@ impl KeyState {
     ///   of date);
     /// - opens → `learned`.
     fn apply_one(&mut self, node: u32, under: UnderTag, env: &[u8], outcome: &mut ApplyOutcome) {
-        let trial = match under {
-            UnderTag::PrevSelf => self.keys.get(&node),
-            UnderTag::Child(c) => self.keys.get(&c),
+        let protecting = match under {
+            UnderTag::PrevSelf => node,
+            UnderTag::Child(c) => c,
         };
-        let Some(trial) = trial else { return };
-        match envelope::open_fixed::<SYMMETRIC_KEY_LEN>(trial, env) {
+        let Some(held) = self
+            .position(protecting)
+            .ok()
+            .and_then(|i| self.keys.get_mut(i))
+        else {
+            return;
+        };
+        let opener = held
+            .opener
+            .get_or_insert_with(|| Box::new(EnvelopeKey::new(&held.key)));
+        match opener.open_fixed::<SYMMETRIC_KEY_LEN>(env) {
             Ok(raw) => {
-                let new = SymmetricKey::from_bytes(raw);
-                if node == AREA_KEY_NODE {
-                    self.note_root_change(new.clone());
-                }
-                self.keys.insert(node, new);
+                self.set(node, SymmetricKey::from_bytes(raw));
                 outcome.learned += 1;
             }
             Err(CryptoError::EnvelopeError(_)) => outcome.malformed += 1,
@@ -365,16 +430,15 @@ impl KeyState {
 
     /// The current area key, if known.
     pub fn area_key(&self) -> Option<SymmetricKey> {
-        self.keys.get(&AREA_KEY_NODE).cloned()
+        self.get(AREA_KEY_NODE).cloned()
     }
 
     /// The current area key followed by recently superseded ones
     /// (newest first) — the set a receiver tries when unwrapping data.
-    pub fn area_keys_with_history(&self) -> Vec<SymmetricKey> {
-        let mut out = Vec::with_capacity(1 + self.previous_roots.len());
-        out.extend(self.area_key());
-        out.extend(self.previous_roots.iter().cloned());
-        out
+    pub fn area_keys_with_history(&self) -> impl Iterator<Item = &SymmetricKey> {
+        self.get(AREA_KEY_NODE)
+            .into_iter()
+            .chain(&self.previous_roots)
     }
 
     /// Number of keys held (the storage metric of Section V-A).
@@ -382,19 +446,22 @@ impl KeyState {
         self.keys.len()
     }
 
-    /// Removes everything (member left the area).
+    /// Removes everything (member left the area): the keys and the
+    /// superseded area keys kept for late data alike, so nothing of the
+    /// session just ended can open a packet in the next one.
     pub fn clear(&mut self) {
         self.keys.clear();
+        self.previous_roots.clear();
     }
 
     /// Serializes the key store (used by AC replication). Streams the
-    /// [`encode_path`] format directly from the map — no intermediate
+    /// [`encode_path`] format directly from the store — no intermediate
     /// cloned path.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = Writer::with_capacity(4 + self.keys.len() * (4 + SYMMETRIC_KEY_LEN));
         w.u32_from(self.keys.len());
-        for (node, key) in &self.keys {
-            w.u32(*node).raw(key.as_bytes());
+        for held in &self.keys {
+            w.u32(held.node).raw(held.key.as_bytes());
         }
         w.into_bytes()
     }
@@ -416,6 +483,7 @@ mod tests {
     use super::*;
     use mykil_crypto::drbg::Drbg;
     use mykil_tree::{KeyTree, MemberId, TreeConfig};
+    use std::collections::BTreeMap;
 
     #[test]
     fn entries_round_trip() {
@@ -604,8 +672,58 @@ mod tests {
         assert_eq!(st.area_key(), None);
         st.install_path(&[(0, SymmetricKey::from_label("x")), (3, SymmetricKey::from_label("y"))]);
         assert_eq!(st.key_count(), 2);
+        // Two rotations leave two superseded area keys behind ...
+        st.install_path(&[(0, SymmetricKey::from_label("x2"))]);
+        st.install_path(&[(0, SymmetricKey::from_label("x3"))]);
+        assert_eq!(st.area_keys_with_history().count(), 3);
+        // ... and clearing forgets those too (it used to keep them).
         st.clear();
         assert_eq!(st.key_count(), 0);
+        assert_eq!(st.area_keys_with_history().count(), 0);
+    }
+
+    /// A prepared opener belongs to one key value: once the node's key
+    /// is replaced, envelopes under the old key are stale again and
+    /// envelopes under the new key open.
+    #[test]
+    fn replacing_a_key_drops_its_prepared_opener() {
+        let mut rng = Drbg::from_seed(4);
+        let (old, new) = (SymmetricKey::from_label("old"), SymmetricKey::from_label("new"));
+        let entry = |key: &SymmetricKey, payload: u8, rng: &mut Drbg| WireKeyEntry {
+            node: 2,
+            under: UnderTag::Child(5),
+            env: envelope::seal(key, &[payload; 16], rng),
+        };
+        let mut st = KeyState::new();
+        st.install_path(&[(5, old.clone())]);
+        // First open under node 5's key prepares it; the second reuses it.
+        for payload in [1, 2] {
+            let out = st.apply_entries(&[entry(&old, payload, &mut rng)]);
+            assert_eq!(out.learned, 1);
+            assert_eq!(st.get(2), Some(&SymmetricKey::from_bytes([payload; 16])));
+        }
+        assert!(st.keys.iter().any(|held| held.node == 5 && held.opener.is_some()));
+        // Re-installing the same value keeps the opener; a new value drops it.
+        st.install_path(&[(5, old.clone())]);
+        assert!(st.keys.iter().any(|held| held.node == 5 && held.opener.is_some()));
+        st.install_path(&[(5, new.clone())]);
+        assert!(st.keys.iter().all(|held| held.opener.is_none()));
+        let out = st.apply_entries(&[entry(&old, 3, &mut rng)]);
+        assert_eq!((out.learned, out.stale), (0, 1), "the old key's envelope must not open");
+        let out = st.apply_entries(&[entry(&new, 4, &mut rng)]);
+        assert_eq!((out.learned, out.stale), (1, 0));
+        assert_eq!(st.get(2), Some(&SymmetricKey::from_bytes([4; 16])));
+    }
+
+    #[test]
+    fn key_update_digest_is_the_digest_of_the_concatenated_frame() {
+        let body = [0x5a_u8; 300];
+        let mut signed = Writer::new();
+        signed.u32(7).u64(42).raw(&body);
+        assert_eq!(
+            key_update_digest(AreaId(7), 42, &body),
+            Sha256::digest(&signed.into_bytes())
+        );
     }
 
     #[test]

@@ -12,8 +12,7 @@
 use crate::error::ProtocolError;
 use crate::identity::{AreaId, ClientId, DeviceId};
 use crate::wire::{Reader, Writer};
-use mykil_crypto::envelope;
-use mykil_crypto::keys::SymmetricKey;
+use mykil_crypto::envelope::EnvelopeKey;
 use mykil_net::Time;
 use rand::RngCore;
 
@@ -76,8 +75,8 @@ impl Ticket {
 
     /// Seals the ticket under `K_shared` (encrypt-then-MAC), producing
     /// the opaque blob handed to the member.
-    pub fn seal<R: RngCore + ?Sized>(&self, k_shared: &SymmetricKey, rng: &mut R) -> SealedTicket {
-        SealedTicket(envelope::seal(k_shared, &self.to_bytes(), rng))
+    pub fn seal<R: RngCore + ?Sized>(&self, k_shared: &EnvelopeKey, rng: &mut R) -> SealedTicket {
+        SealedTicket(k_shared.seal(&self.to_bytes(), rng))
     }
 }
 
@@ -89,8 +88,9 @@ impl SealedTicket {
     ///
     /// [`ProtocolError::InvalidTicket`] when the MAC fails (forged or
     /// corrupted) or the contents do not parse.
-    pub fn open(&self, k_shared: &SymmetricKey) -> Result<Ticket, ProtocolError> {
-        let plain = envelope::open(k_shared, &self.0)
+    pub fn open(&self, k_shared: &EnvelopeKey) -> Result<Ticket, ProtocolError> {
+        let plain = k_shared
+            .open(&self.0)
             .map_err(|_| ProtocolError::InvalidTicket("seal verification failed"))?;
         Ticket::from_bytes(&plain).map_err(|_| ProtocolError::InvalidTicket("malformed contents"))
     }
@@ -105,6 +105,7 @@ impl SealedTicket {
 mod tests {
     use super::*;
     use mykil_crypto::drbg::Drbg;
+    use mykil_crypto::keys::SymmetricKey;
 
     fn sample() -> Ticket {
         Ticket {
@@ -118,8 +119,8 @@ mod tests {
         }
     }
 
-    fn k_shared() -> SymmetricKey {
-        SymmetricKey::from_label("k-shared-test")
+    fn k_shared() -> EnvelopeKey {
+        EnvelopeKey::new(&SymmetricKey::from_label("k-shared-test"))
     }
 
     #[test]
@@ -135,7 +136,7 @@ mod tests {
     fn wrong_shared_key_rejected() {
         let mut rng = Drbg::from_seed(2);
         let sealed = sample().seal(&k_shared(), &mut rng);
-        let other = SymmetricKey::from_label("not-k-shared");
+        let other = EnvelopeKey::new(&SymmetricKey::from_label("not-k-shared"));
         assert!(matches!(
             sealed.open(&other),
             Err(ProtocolError::InvalidTicket(_))

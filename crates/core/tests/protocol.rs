@@ -210,7 +210,9 @@ fn tickets_are_issued_and_opaque() {
     // Sealed: a client cannot parse its own ticket.
     assert!(ticket.len() > 32);
     assert!(mykil::ticket::SealedTicket(ticket.to_vec())
-        .open(&mykil_crypto::keys::SymmetricKey::from_label("guess"))
+        .open(&mykil_crypto::envelope::EnvelopeKey::new(
+            &mykil_crypto::keys::SymmetricKey::from_label("guess"),
+        ))
         .is_err());
 }
 

@@ -191,3 +191,82 @@ fn takeover_announcement_from_impostor_is_rejected() {
     assert_eq!(g.ac(0).stats.data_forwarded, 1);
     let _ = ac_before;
 }
+
+/// A member that watched its area key rotate twice, with a `Data` frame
+/// whose `K_r` is sealed under the first (now twice superseded) key —
+/// the key an evicted insider of that area would still hold.
+fn member_with_two_rotations_behind_it(seed: u64) -> (mykil::group::GroupHandle, mykil_net::NodeId, Vec<u8>) {
+    let mut g = GroupBuilder::new(seed).areas(2).build();
+    let m = g.register_member(1);
+    g.settle();
+    let first_key = g.member(m).current_area_key().unwrap();
+    let mut rotations = 0;
+    let mut last = first_key.clone();
+    for device in 2..12 {
+        g.register_member(device);
+        g.settle();
+        let now = g.member(m).current_area_key().unwrap();
+        if now != last {
+            rotations += 1;
+            last = now;
+        }
+    }
+    assert!(rotations >= 2, "the member's area rotated its key {rotations} times");
+    let mut rng = mykil_crypto::drbg::Drbg::from_seed(seed);
+    let frame = Msg::Data {
+        origin: mykil::identity::ClientId(9_999),
+        seq: 1,
+        wrapped_key: mykil_crypto::envelope::seal(&first_key, &[0x4b; 16], &mut rng),
+        payload: b"sealed under a key of the last session".to_vec(),
+    }
+    .to_bytes();
+    (g, m, frame)
+}
+
+/// Delivers `frame` to `m` as if its controller had forwarded it and
+/// reports `(newly received, new decrypt failures)`.
+fn deliver_data(g: &mut mykil::group::GroupHandle, m: mykil_net::NodeId, frame: &[u8]) -> (usize, u64) {
+    let from = g.primaries[g.member(m).area().unwrap().0 as usize];
+    let (received, failures) = (g.member(m).received.len(), g.member(m).decrypt_failures);
+    g.sim.invoke(m, |mm: &mut Member, ctx| mm.on_message(ctx, from, frame));
+    (
+        g.member(m).received.len() - received,
+        g.member(m).decrypt_failures - failures,
+    )
+}
+
+/// Regression: `KeyState::clear` emptied the current keys but kept the
+/// superseded area keys, so a member carried up to eight old keys of
+/// the area it left into its next session and opened packets sealed
+/// under them.
+#[test]
+fn superseded_keys_of_a_left_area_open_nothing_in_the_next_one() {
+    let (mut g, m, frame) = member_with_two_rotations_behind_it(47);
+    let home = g.member(m).area().unwrap().0 as usize;
+    // Control: while still in the session the old key is honoured (late
+    // data sealed just before a rotation must not be lost).
+    assert_eq!(deliver_data(&mut g, m, &frame), (1, 0));
+
+    g.sim.invoke(m, |mm: &mut Member, ctx| mm.leave(ctx));
+    g.run_for(Duration::from_secs(2));
+    assert!(g.move_member(m, 1 - home));
+    g.settle();
+    assert!(g.is_member(m));
+    assert_eq!(g.member(m).area().unwrap().0 as usize, 1 - home);
+
+    assert_eq!(deliver_data(&mut g, m, &frame), (0, 1));
+}
+
+/// The same across a crash: session keys die with the process, the
+/// history of superseded ones included.
+#[test]
+fn superseded_keys_do_not_survive_a_member_restart() {
+    let (mut g, m, frame) = member_with_two_rotations_behind_it(48);
+    g.sim.crash(m);
+    g.run_for(Duration::from_millis(200));
+    assert!(g.sim.restart(m));
+    g.settle();
+    assert!(g.is_member(m), "the restarted member rejoined with its ticket");
+
+    assert_eq!(deliver_data(&mut g, m, &frame), (0, 1));
+}

@@ -54,14 +54,17 @@ impl BigUint {
     /// Returns [`CryptoError::InvalidParameter`](crate::CryptoError) when
     /// the value needs more than `len` bytes.
     pub fn to_bytes_be_padded(&self, len: usize) -> Result<Vec<u8>, crate::CryptoError> {
-        let raw = self.to_bytes_be();
-        if raw.len() > len {
+        if self.bit_len().div_ceil(8) > len {
             return Err(crate::CryptoError::InvalidParameter(
                 "value too large for requested width",
             ));
         }
-        let mut out = vec![0u8; len - raw.len()];
-        out.extend_from_slice(&raw);
+        // Written from the low end; a short last chunk takes the low
+        // bytes of its limb, whose high bytes the check above found zero.
+        let mut out = vec![0u8; len];
+        for (chunk, limb) in out.rchunks_mut(8).zip(&self.limbs) {
+            chunk.copy_from_slice(&limb.to_be_bytes()[8 - chunk.len()..]);
+        }
         Ok(out)
     }
 }

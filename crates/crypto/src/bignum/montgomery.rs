@@ -23,11 +23,13 @@
 //!
 //! # What is wiped
 //!
-//! [`MontScratch`] volatile-wipes itself on drop, and [`MontgomeryCtx::pow`]
-//! wipes its accumulator before returning: both hold powers of the base
-//! under a private exponent. A context for a secret modulus (`p`, `q`) is
-//! wiped by its owner through `zeroize`, like the primes were before the
-//! contexts absorbed them.
+//! [`MontScratch`] volatile-wipes itself on drop, and
+//! [`MontgomeryCtx::pow_windowed`] wipes its accumulator before
+//! returning: both hold powers of the base under a private exponent.
+//! The public-exponent ladder ([`MontgomeryCtx::pow_binary`]) uses no
+//! `MontScratch` and wipes nothing. A context for a secret modulus
+//! (`p`, `q`) is wiped by its owner through `zeroize`, like the primes
+//! were before the contexts absorbed them.
 
 use super::limb::{adc, add_mul_row, cmp_limbs, mul_wide, sbb, sqr_wide, LIMB_BITS};
 use super::BigUint;
@@ -121,6 +123,15 @@ impl MontgomeryCtx {
 
     /// Writes `a mod n` into `x` in Montgomery form.
     pub fn to_mont(&self, x: &mut [u64], a: &BigUint, ws: &mut MontScratch) {
+        self.load_mont(x, a, &mut ws.buf[..2 * self.limbs()]);
+    }
+
+    /// Converts the residue `x` out of Montgomery form.
+    pub fn from_mont(&self, x: &[u64], ws: &mut MontScratch) -> BigUint {
+        self.unload_mont(x, &mut ws.buf[..2 * self.limbs()])
+    }
+
+    fn load_mont(&self, x: &mut [u64], a: &BigUint, t: &mut [u64]) {
         let reduced;
         let a = if *a < self.n {
             a
@@ -130,13 +141,11 @@ impl MontgomeryCtx {
         };
         x.fill(0);
         x[..a.limbs.len()].copy_from_slice(&a.limbs);
-        self.mul_assign(x, &self.r2, ws);
+        self.mul_with(x, &self.r2, t);
     }
 
-    /// Converts the residue `x` out of Montgomery form.
-    pub fn from_mont(&self, x: &[u64], ws: &mut MontScratch) -> BigUint {
+    fn unload_mont(&self, x: &[u64], t: &mut [u64]) -> BigUint {
         let s = self.limbs();
-        let t = &mut ws.buf[..2 * s];
         t[..s].copy_from_slice(x);
         t[s..].fill(0);
         let mut out = vec![0; s];
@@ -237,39 +246,42 @@ impl MontgomeryCtx {
         }
     }
 
-    /// Left-to-right square-and-multiply (reference implementation,
-    /// cross-checked against the windowed path in tests).
+    /// Left-to-right square-and-multiply: the public-exponent path
+    /// (`e = 65537` in verify and encrypt) and the reference the
+    /// windowed path is cross-checked against in tests.
+    ///
+    /// It owns one `4s`-limb buffer — double-width product, accumulator,
+    /// base — instead of a [`MontScratch`]: no window table it would
+    /// never read, and no wipe, because nothing here depends on a
+    /// private key (a verification's inputs are all public; an
+    /// encryption's base is the padded plaintext its caller already
+    /// keeps in ordinary `Vec`s).
     pub fn pow_binary(&self, base: &BigUint, exp: &BigUint) -> BigUint {
         if exp.is_zero() {
             return BigUint::one();
         }
-        self.pow_by(base, |ctx, x, ws| {
-            let base_m = x.to_vec();
-            for i in (0..exp.bit_len() - 1).rev() {
-                ctx.sqr_assign(x, ws);
-                if exp.bit(i) {
-                    ctx.mul_assign(x, &base_m, ws);
-                }
+        let s = self.limbs();
+        let mut buf = vec![0; 4 * s];
+        let (t, rest) = buf.split_at_mut(2 * s);
+        let (x, base_m) = rest.split_at_mut(s);
+        self.load_mont(x, base, t);
+        base_m.copy_from_slice(x);
+        for i in (0..exp.bit_len() - 1).rev() {
+            self.sqr_with(x, t);
+            if exp.bit(i) {
+                self.mul_with(x, base_m, t);
             }
-        })
+        }
+        self.unload_mont(x, t)
     }
 
-    /// Fixed 4-bit-window exponentiation in Montgomery form.
+    /// Fixed 4-bit-window exponentiation in Montgomery form; scratch
+    /// and accumulator are wiped (the exponent may be private).
     pub fn pow_windowed(&self, base: &BigUint, exp: &BigUint) -> BigUint {
-        self.pow_by(base, |ctx, x, ws| ctx.pow_assign(x, exp, ws))
-    }
-
-    /// Shared frame of the `BigUint`-level exponentiations: into
-    /// Montgomery form, `ladder`, back out, accumulator wiped.
-    fn pow_by(
-        &self,
-        base: &BigUint,
-        ladder: impl FnOnce(&Self, &mut [u64], &mut MontScratch),
-    ) -> BigUint {
         let mut ws = self.scratch();
         let mut x = vec![0; self.limbs()];
         self.to_mont(&mut x, base, &mut ws);
-        ladder(self, &mut x, &mut ws);
+        self.pow_assign(&mut x, exp, &mut ws);
         let out = self.from_mont(&x, &mut ws);
         zeroize_u64(&mut x);
         out

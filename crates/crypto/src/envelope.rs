@@ -6,7 +6,8 @@
 //!   [`SymmetricKey`]: ChaCha20 (keyed by a derived sub-key, random
 //!   nonce) followed by HMAC-SHA256 truncated to 16 bytes. Every
 //!   `E_K(...)` in the paper's figures (area-key updates, auxiliary-key
-//!   distribution, random data keys) is one of these envelopes.
+//!   distribution, random data keys) is one of these envelopes. A key
+//!   used more than once is held as an [`EnvelopeKey`].
 //! - [`HybridCiphertext`] — the Section V-D workaround: an RSA block can
 //!   hold only ~200 bytes, so the sender wraps a fresh one-time
 //!   symmetric key under RSA and seals the actual payload under that
@@ -14,7 +15,7 @@
 //!   the rejoin protocol, where the auxiliary-key path does not fit in
 //!   one block.
 
-use crate::hmac::{hmac_sha256, HmacSha256};
+use crate::hmac::HmacSha256;
 use crate::keys::SymmetricKey;
 use crate::rsa::{RsaKeyPair, RsaPublicKey};
 use crate::{chacha::ChaCha20, CryptoError, SYMMETRIC_KEY_LEN};
@@ -30,120 +31,174 @@ pub const ENVELOPE_NONCE_LEN: usize = 12;
 /// Fixed per-message overhead of [`seal`] in bytes.
 pub const ENVELOPE_OVERHEAD: usize = ENVELOPE_NONCE_LEN + ENVELOPE_MAC_LEN;
 
-fn cipher_for(key: &SymmetricKey, nonce: &[u8; ENVELOPE_NONCE_LEN]) -> ChaCha20 {
-    let enc_key = key.derive(b"mykil-envelope-enc");
-    let mut k32 = [0u8; 32];
-    // mykil-lint: allow(L010) -- compile-time halves of a [u8; 32]
-    k32[..SYMMETRIC_KEY_LEN].copy_from_slice(enc_key.as_bytes());
-    // mykil-lint: allow(L010) -- compile-time halves of a [u8; 32]
-    k32[SYMMETRIC_KEY_LEN..].copy_from_slice(enc_key.as_bytes());
-    ChaCha20::new(&k32, nonce, 0)
+/// A [`SymmetricKey`] prepared for envelopes: the derived cipher
+/// sub-key and the keyed MAC context of the derived MAC sub-key.
+///
+/// This is the one implementation of sealing and opening; the free
+/// [`seal`] / [`open`] functions prepare a key, use it once and drop
+/// it. Preparing costs eight SHA-256 compressions (two to key the
+/// derivation, two per sub-key, two to key the MAC); a 16-byte key
+/// envelope then costs two. Whoever holds a key across calls — a
+/// member's protecting keys, `K_shared` for tickets, a replication key
+/// — holds one of these. 80 bytes, wiped on drop by its two fields.
+#[derive(Debug, Clone)]
+pub struct EnvelopeKey {
+    enc: SymmetricKey,
+    mac: HmacSha256,
+}
+
+impl EnvelopeKey {
+    /// Derives the envelope sub-keys of `key`.
+    pub fn new(key: &SymmetricKey) -> Self {
+        let kdf = HmacSha256::new(key.as_bytes());
+        let mac_key = SymmetricKey::derive_with(&kdf, b"mykil-envelope-mac");
+        EnvelopeKey {
+            enc: SymmetricKey::derive_with(&kdf, b"mykil-envelope-enc"),
+            mac: HmacSha256::new(mac_key.as_bytes()),
+        }
+    }
+
+    fn cipher(&self, nonce: &[u8; ENVELOPE_NONCE_LEN]) -> ChaCha20 {
+        let mut k32 = [0u8; 32];
+        // mykil-lint: allow(L010) -- compile-time halves of a [u8; 32]
+        k32[..SYMMETRIC_KEY_LEN].copy_from_slice(self.enc.as_bytes());
+        // mykil-lint: allow(L010) -- compile-time halves of a [u8; 32]
+        k32[SYMMETRIC_KEY_LEN..].copy_from_slice(self.enc.as_bytes());
+        ChaCha20::new(&k32, nonce, 0)
+    }
+
+    /// Seals `plaintext`: `nonce || ciphertext || mac`.
+    pub fn seal<R: RngCore + ?Sized>(&self, plaintext: &[u8], rng: &mut R) -> Vec<u8> {
+        let mut out = Vec::with_capacity(plaintext.len() + ENVELOPE_OVERHEAD);
+        self.seal_into(plaintext, rng, &mut out);
+        out
+    }
+
+    /// [`seal`](Self::seal), appending the envelope to `out` instead of
+    /// allocating.
+    ///
+    /// Encryption and MAC computation run in place on the appended
+    /// bytes, so a caller that reuses `out` across messages (the rekey
+    /// hot path seals one 44-byte envelope per key copy) performs no
+    /// per-envelope allocations once the buffer has warmed up.
+    pub fn seal_into<R: RngCore + ?Sized>(
+        &self,
+        plaintext: &[u8],
+        rng: &mut R,
+        out: &mut Vec<u8>,
+    ) {
+        let start = out.len();
+        out.reserve(plaintext.len() + ENVELOPE_OVERHEAD);
+        let mut nonce = [0u8; ENVELOPE_NONCE_LEN];
+        rng.fill_bytes(&mut nonce);
+        out.extend_from_slice(&nonce);
+        out.extend_from_slice(plaintext);
+        let body_start = start + ENVELOPE_NONCE_LEN;
+        // mykil-lint: allow(L010) -- body_start <= out.len() by the appends above
+        self.cipher(&nonce).apply_keystream(&mut out[body_start..]);
+        // `nonce || body` is contiguous in `out`.
+        // mykil-lint: allow(L010) -- start was out.len() at entry
+        let tag = self.mac.tag(&out[start..]);
+        // mykil-lint: allow(L010) -- compile-time prefix of a [u8; 32]
+        out.extend_from_slice(&tag[..ENVELOPE_MAC_LEN]);
+    }
+
+    /// Opens an envelope produced by [`seal`](Self::seal).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CryptoError::EnvelopeError`] on truncation and
+    /// [`CryptoError::VerificationFailed`] when the MAC does not match
+    /// (wrong key or tampering).
+    pub fn open(&self, envelope: &[u8]) -> Result<Vec<u8>, CryptoError> {
+        let (nonce, body) = self.verify(envelope)?;
+        let mut plain = body.to_vec();
+        self.cipher(&nonce).apply_keystream(&mut plain);
+        Ok(plain)
+    }
+
+    /// Opens an envelope whose plaintext must be exactly `N` bytes,
+    /// without allocating (the rekey apply path opens 16-byte key
+    /// envelopes by the thousand).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CryptoError::EnvelopeError`] when the envelope length
+    /// does not match an `N`-byte plaintext, and
+    /// [`CryptoError::VerificationFailed`] when the MAC does not match.
+    pub fn open_fixed<const N: usize>(&self, envelope: &[u8]) -> Result<[u8; N], CryptoError> {
+        if envelope.len() != N + ENVELOPE_OVERHEAD {
+            return Err(CryptoError::EnvelopeError("envelope length mismatch"));
+        }
+        let (nonce, body) = self.verify(envelope)?;
+        let mut plain: [u8; N] = body
+            .try_into()
+            .map_err(|_| CryptoError::EnvelopeError("envelope length mismatch"))?;
+        self.cipher(&nonce).apply_keystream(&mut plain);
+        Ok(plain)
+    }
+
+    /// Checks the MAC and splits an envelope into `(nonce, ciphertext)`.
+    fn verify<'a>(
+        &self,
+        envelope: &'a [u8],
+    ) -> Result<([u8; ENVELOPE_NONCE_LEN], &'a [u8]), CryptoError> {
+        const TRUNCATED: CryptoError = CryptoError::EnvelopeError("envelope truncated");
+        let body_len = envelope
+            .len()
+            .checked_sub(ENVELOPE_OVERHEAD)
+            .ok_or(TRUNCATED)?;
+        // `nonce || body` is what the MAC covers, and it is contiguous.
+        let (signed, tag) = envelope
+            .split_at_checked(ENVELOPE_NONCE_LEN + body_len)
+            .ok_or(TRUNCATED)?;
+        let expected = self.mac.tag(signed);
+        // mykil-lint: allow(L010) -- compile-time prefix of a [u8; 32]
+        if !crate::ct::ct_eq(&expected[..ENVELOPE_MAC_LEN], tag) {
+            return Err(CryptoError::VerificationFailed);
+        }
+        let (nonce, body) = signed
+            .split_first_chunk::<ENVELOPE_NONCE_LEN>()
+            .ok_or(TRUNCATED)?;
+        Ok((*nonce, body))
+    }
 }
 
 /// Seals `plaintext` under `key`: `nonce || ciphertext || mac`.
 pub fn seal<R: RngCore + ?Sized>(key: &SymmetricKey, plaintext: &[u8], rng: &mut R) -> Vec<u8> {
-    let mut out = Vec::with_capacity(plaintext.len() + ENVELOPE_OVERHEAD);
-    seal_into(key, plaintext, rng, &mut out);
-    out
+    EnvelopeKey::new(key).seal(plaintext, rng)
 }
 
 /// [`seal`], appending the envelope to `out` instead of allocating.
-///
-/// Encryption and MAC computation run in place on the appended bytes,
-/// so a caller that reuses `out` across messages (the rekey hot path
-/// seals one 44-byte envelope per key copy) performs no per-envelope
-/// allocations once the buffer has warmed up.
 pub fn seal_into<R: RngCore + ?Sized>(
     key: &SymmetricKey,
     plaintext: &[u8],
     rng: &mut R,
     out: &mut Vec<u8>,
 ) {
-    let start = out.len();
-    out.reserve(plaintext.len() + ENVELOPE_OVERHEAD);
-    let mut nonce = [0u8; ENVELOPE_NONCE_LEN];
-    rng.fill_bytes(&mut nonce);
-    out.extend_from_slice(&nonce);
-    out.extend_from_slice(plaintext);
-    let body_start = start + ENVELOPE_NONCE_LEN;
-    // mykil-lint: allow(L010) -- body_start <= out.len() by the appends above
-    cipher_for(key, &nonce).apply_keystream(&mut out[body_start..]);
-    let mac_key = key.derive(b"mykil-envelope-mac");
-    let mut mac = HmacSha256::new(mac_key.as_bytes());
-    // `nonce || body` is contiguous in `out`; one update covers both.
-    // mykil-lint: allow(L010) -- start was out.len() at entry
-    mac.update(&out[start..]);
-    let tag = mac.finalize();
-    // mykil-lint: allow(L010) -- compile-time prefix of a [u8; 32]
-    out.extend_from_slice(&tag[..ENVELOPE_MAC_LEN]);
+    EnvelopeKey::new(key).seal_into(plaintext, rng, out);
 }
 
 /// Opens an envelope produced by [`seal`].
 ///
 /// # Errors
 ///
-/// Returns [`CryptoError::EnvelopeError`] on truncation and
-/// [`CryptoError::VerificationFailed`] when the MAC does not match
-/// (wrong key or tampering).
+/// As [`EnvelopeKey::open`].
 pub fn open(key: &SymmetricKey, envelope: &[u8]) -> Result<Vec<u8>, CryptoError> {
-    let (nonce, body) = verify_envelope(key, envelope)?;
-    let mut plain = body.to_vec();
-    cipher_for(key, &nonce).apply_keystream(&mut plain);
-    Ok(plain)
+    EnvelopeKey::new(key).open(envelope)
 }
 
 /// Opens an envelope whose plaintext must be exactly `N` bytes,
-/// without allocating (the rekey apply path opens 16-byte key
-/// envelopes by the thousand).
+/// without allocating.
 ///
 /// # Errors
 ///
-/// Returns [`CryptoError::EnvelopeError`] when the envelope length does
-/// not match an `N`-byte plaintext, and
-/// [`CryptoError::VerificationFailed`] when the MAC does not match.
+/// As [`EnvelopeKey::open_fixed`].
 pub fn open_fixed<const N: usize>(
     key: &SymmetricKey,
     envelope: &[u8],
 ) -> Result<[u8; N], CryptoError> {
-    if envelope.len() != N + ENVELOPE_OVERHEAD {
-        return Err(CryptoError::EnvelopeError("envelope length mismatch"));
-    }
-    let (nonce, body) = verify_envelope(key, envelope)?;
-    let mut plain: [u8; N] = body
-        .try_into()
-        .map_err(|_| CryptoError::EnvelopeError("envelope length mismatch"))?;
-    cipher_for(key, &nonce).apply_keystream(&mut plain);
-    Ok(plain)
-}
-
-/// Checks the MAC and splits an envelope into `(nonce, ciphertext)`.
-fn verify_envelope<'a>(
-    key: &SymmetricKey,
-    envelope: &'a [u8],
-) -> Result<([u8; ENVELOPE_NONCE_LEN], &'a [u8]), CryptoError> {
-    let (nonce_bytes, rest) = envelope
-        .split_at_checked(ENVELOPE_NONCE_LEN)
-        .ok_or(CryptoError::EnvelopeError("envelope truncated"))?;
-    let body_len = rest
-        .len()
-        .checked_sub(ENVELOPE_MAC_LEN)
-        .ok_or(CryptoError::EnvelopeError("envelope truncated"))?;
-    let (body, tag) = rest
-        .split_at_checked(body_len)
-        .ok_or(CryptoError::EnvelopeError("envelope truncated"))?;
-    let mac_key = key.derive(b"mykil-envelope-mac");
-    let mut mac = HmacSha256::new(mac_key.as_bytes());
-    mac.update(nonce_bytes);
-    mac.update(body);
-    let expected = mac.finalize();
-    // mykil-lint: allow(L010) -- compile-time prefix of a [u8; 32]
-    if !crate::ct::ct_eq(&expected[..ENVELOPE_MAC_LEN], tag) {
-        return Err(CryptoError::VerificationFailed);
-    }
-    let nonce: [u8; ENVELOPE_NONCE_LEN] = nonce_bytes
-        .try_into()
-        .map_err(|_| CryptoError::EnvelopeError("envelope truncated"))?;
-    Ok((nonce, body))
+    EnvelopeKey::new(key).open_fixed(envelope)
 }
 
 /// A hybrid RSA + symmetric ciphertext (the paper's one-time-key
@@ -241,16 +296,16 @@ impl HybridCiphertext {
 /// (used by protocol implementations to MAC "the first N pieces of
 /// information" as each figure specifies).
 pub fn mac_fields(key: &SymmetricKey, fields: &[&[u8]]) -> [u8; 32] {
-    let mut joined = Vec::new();
+    let mut mac = HmacSha256::new(key.as_bytes()).start();
     for f in fields {
         // Fields come from already-parsed frames (each capped well
         // below 4 GiB); try_from keeps the impossible overflow loud
         // instead of silently colliding two different field splits.
         let flen = u32::try_from(f.len()).expect("MAC field length fits a u32 prefix");
-        joined.extend_from_slice(&flen.to_be_bytes());
-        joined.extend_from_slice(f);
+        mac.update(&flen.to_be_bytes());
+        mac.update(f);
     }
-    hmac_sha256(key.as_bytes(), &joined)
+    mac.finalize()
 }
 
 #[cfg(test)]
@@ -260,6 +315,36 @@ mod tests {
 
     fn key() -> SymmetricKey {
         SymmetricKey::from_label("test-key")
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// Three envelopes recorded from the free functions at commit
+    /// `6ddafa1`, before `EnvelopeKey` existed: a held key must put the
+    /// same bytes on the wire, and so must the functions built on it.
+    #[test]
+    fn envelope_key_output_is_byte_identical_to_the_recorded_envelopes() {
+        const RECORDED: [&str; 3] = [
+            "dff379edb6d86f1ba5f97aecf93004fcd7d2bc7d9c31c6111d99b25c",
+            "4ce0032301f3df50531152d5dfef14f4978984e9ff8657d0e12c280d1189bc4e82020d3ae15c698945bb3454",
+            "f8aa489be37ba513d8d3fc03795cc04fd7aa91907e6f18c6192e99fecbfef927174fdfe63f037fd33c385835\
+             a2da042befc91c3d7185642b5aa28e6e1886385eaef31e5799766ecec68b605db438ac0a227984ffec7619a1\
+             4718769ff0b60d022ffb1e5386ed37cc22149eacd7e2db33ce7bb70d71502be9ba0665eeafa319fe",
+        ];
+        let key = SymmetricKey::from_label("golden-envelope");
+        let held = EnvelopeKey::new(&key);
+        let long: Vec<u8> = (0..100u32).map(|i| (i * 7 + 3) as u8).collect();
+        let messages = [&b""[..], &[0xa5u8; 16][..], &long[..]];
+        let (mut rng_held, mut rng_free) = (Drbg::from_seed(0x65_6e76), Drbg::from_seed(0x65_6e76));
+        for (msg, want) in messages.into_iter().zip(RECORDED) {
+            let env = held.seal(msg, &mut rng_held);
+            assert_eq!(hex(&env), want);
+            assert_eq!(seal(&key, msg, &mut rng_free), env);
+            assert_eq!(held.open(&env).unwrap(), msg);
+            assert_eq!(open(&key, &env).unwrap(), msg);
+        }
     }
 
     #[test]

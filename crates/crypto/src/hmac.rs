@@ -14,34 +14,17 @@
 //! assert!(!verify_hmac(b"shared key", b"tampered", &tag));
 //! ```
 
-use crate::sha256::{Sha256, DIGEST_LEN};
+use crate::sha256::{finish, Sha256, DIGEST_LEN};
 
 const BLOCK_LEN: usize = 64;
 
 /// Computes `HMAC-SHA256(key, message)`.
 ///
 /// Keys longer than the 64-byte block are pre-hashed per RFC 2104.
+/// A caller that MACs more than once under one key should hold an
+/// [`HmacSha256`] instead: it pays for the two pad blocks once.
 pub fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; DIGEST_LEN] {
-    let mut key_block = [0u8; BLOCK_LEN];
-    if key.len() > BLOCK_LEN {
-        key_block[..DIGEST_LEN].copy_from_slice(&Sha256::digest(key));
-    } else {
-        key_block[..key.len()].copy_from_slice(key);
-    }
-    let mut ipad = [0x36u8; BLOCK_LEN];
-    let mut opad = [0x5cu8; BLOCK_LEN];
-    for i in 0..BLOCK_LEN {
-        ipad[i] ^= key_block[i];
-        opad[i] ^= key_block[i];
-    }
-    let mut inner = Sha256::new();
-    inner.update(&ipad);
-    inner.update(message);
-    let inner_digest = inner.finalize();
-    let mut outer = Sha256::new();
-    outer.update(&opad);
-    outer.update(&inner_digest);
-    outer.finalize()
+    HmacSha256::new(key).tag(message)
 }
 
 /// Verifies a tag in constant time with respect to tag content.
@@ -52,36 +35,79 @@ pub fn verify_hmac(key: &[u8], message: &[u8], tag: &[u8]) -> bool {
     crate::ct::ct_eq(&expected, tag)
 }
 
-/// Incremental HMAC builder for multi-part messages.
+/// A keyed HMAC-SHA256 context: the SHA-256 chaining values after the
+/// inner and the outer pad block.
 ///
-/// Protocol steps MAC several concatenated fields; this avoids
-/// intermediate copies.
-#[derive(Debug, Clone)]
+/// Building one costs the two pad compressions; every tag after that
+/// starts from the midstates, so a message of up to 55 bytes costs two
+/// compressions instead of four. The midstates stand in for the key
+/// (they forge tags, though they do not reveal it), so the context is
+/// wiped on drop and prints nothing.
+#[derive(Clone)]
 pub struct HmacSha256 {
-    inner: Sha256,
-    opad: [u8; BLOCK_LEN],
+    inner: [u32; 8],
+    outer: [u32; 8],
+}
+
+impl Drop for HmacSha256 {
+    fn drop(&mut self) {
+        crate::ct::zeroize_u32(&mut self.inner);
+        crate::ct::zeroize_u32(&mut self.outer);
+    }
+}
+
+impl std::fmt::Debug for HmacSha256 {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("HmacSha256").finish_non_exhaustive()
+    }
 }
 
 impl HmacSha256 {
-    /// Starts a MAC computation under `key`.
+    /// Keys a context.
     pub fn new(key: &[u8]) -> Self {
-        let mut key_block = [0u8; BLOCK_LEN];
+        let mut pad = [0u8; BLOCK_LEN];
         if key.len() > BLOCK_LEN {
-            key_block[..DIGEST_LEN].copy_from_slice(&Sha256::digest(key));
+            pad[..DIGEST_LEN].copy_from_slice(&Sha256::digest(key));
         } else {
-            key_block[..key.len()].copy_from_slice(key);
+            pad[..key.len()].copy_from_slice(key);
         }
-        let mut ipad = [0x36u8; BLOCK_LEN];
-        let mut opad = [0x5cu8; BLOCK_LEN];
-        for i in 0..BLOCK_LEN {
-            ipad[i] ^= key_block[i];
-            opad[i] ^= key_block[i];
-        }
-        let mut inner = Sha256::new();
-        inner.update(&ipad);
-        HmacSha256 { inner, opad }
+        // key ^ ipad, then flip that into key ^ opad in place.
+        let mut midstate = |mask: u8| {
+            pad.iter_mut().for_each(|b| *b ^= mask);
+            let mut h = Sha256::new();
+            h.update(&pad);
+            h.midstate()
+        };
+        let inner = midstate(0x36);
+        let outer = midstate(0x36 ^ 0x5c);
+        crate::ct::zeroize(&mut pad);
+        HmacSha256 { inner, outer }
     }
 
+    /// The tag of one contiguous message.
+    pub fn tag(&self, message: &[u8]) -> [u8; DIGEST_LEN] {
+        let inner_digest = finish(self.inner, BLOCK_LEN as u64, message);
+        finish(self.outer, BLOCK_LEN as u64, &inner_digest)
+    }
+
+    /// Starts the tag of a message supplied in fragments. The context
+    /// itself is untouched and can start any number of tags.
+    pub fn start(&self) -> HmacStream {
+        HmacStream {
+            inner: Sha256::from_midstate(self.inner, BLOCK_LEN as u64),
+            outer: self.outer,
+        }
+    }
+}
+
+/// One tag in progress under an [`HmacSha256`] context.
+#[derive(Clone)]
+pub struct HmacStream {
+    inner: Sha256,
+    outer: [u32; 8],
+}
+
+impl HmacStream {
     /// Absorbs another message fragment.
     pub fn update(&mut self, data: &[u8]) {
         self.inner.update(data);
@@ -89,11 +115,7 @@ impl HmacSha256 {
 
     /// Produces the final tag.
     pub fn finalize(self) -> [u8; DIGEST_LEN] {
-        let inner_digest = self.inner.finalize();
-        let mut outer = Sha256::new();
-        outer.update(&self.opad);
-        outer.update(&inner_digest);
-        outer.finalize()
+        finish(self.outer, BLOCK_LEN as u64, &self.inner.finalize())
     }
 }
 
@@ -134,6 +156,75 @@ mod tests {
         );
     }
 
+    /// RFC 4231 test cases 1–7 as (key, data, tag prefix).
+    fn rfc4231() -> Vec<(Vec<u8>, Vec<u8>, &'static str)> {
+        vec![
+            (
+                vec![0x0b; 20],
+                b"Hi There".to_vec(),
+                "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7",
+            ),
+            (
+                b"Jefe".to_vec(),
+                b"what do ya want for nothing?".to_vec(),
+                "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843",
+            ),
+            (
+                vec![0xaa; 20],
+                vec![0xdd; 50],
+                "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe",
+            ),
+            (
+                (1..=25).collect(),
+                vec![0xcd; 50],
+                "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b",
+            ),
+            (
+                vec![0x0c; 20],
+                b"Test With Truncation".to_vec(),
+                "a3b6167473100ee06e0c796c2955552b",
+            ),
+            (
+                vec![0xaa; 131],
+                b"Test Using Larger Than Block-Size Key - Hash Key First".to_vec(),
+                "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54",
+            ),
+            (
+                vec![0xaa; 131],
+                b"This is a test using a larger than block-size key and a larger \
+                  than block-size data. The key needs to be hashed before being \
+                  used by the HMAC algorithm."
+                    .to_vec(),
+                "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2",
+            ),
+        ]
+    }
+
+    #[test]
+    fn rfc4231_through_a_cloned_and_reused_context() {
+        for (case, (key, data, want)) in rfc4231().into_iter().enumerate() {
+            let ctx = HmacSha256::new(&key);
+            let cloned = ctx.clone();
+            drop(ctx);
+            // One-shot, then streamed in two fragments from the same
+            // context after the first tag was finalized, then one-shot
+            // again: a context is not consumed by the tags it starts.
+            let first = cloned.tag(&data);
+            assert!(hex(&first).starts_with(want), "case {}", case + 1);
+            let mut stream = cloned.start();
+            stream.update(&data[..data.len() / 2]);
+            stream.update(&data[data.len() / 2..]);
+            assert_eq!(stream.finalize(), first, "case {}", case + 1);
+            assert_eq!(cloned.tag(&data), first, "case {}", case + 1);
+            assert_eq!(hmac_sha256(&key, &data), first, "case {}", case + 1);
+        }
+    }
+
+    #[test]
+    fn context_debug_prints_no_state() {
+        assert_eq!(format!("{:?}", HmacSha256::new(b"k")), "HmacSha256 { .. }");
+    }
+
     #[test]
     fn verify_accepts_and_rejects() {
         let tag = hmac_sha256(b"k", b"m");
@@ -146,7 +237,7 @@ mod tests {
 
     #[test]
     fn incremental_matches_oneshot() {
-        let mut h = HmacSha256::new(b"area-controller-key");
+        let mut h = HmacSha256::new(b"area-controller-key").start();
         h.update(b"nonce:");
         h.update(&42u64.to_be_bytes());
         h.update(b"|ticket");

@@ -6,6 +6,7 @@
 //! share to protect tickets. All are [`SymmetricKey`] values here.
 
 use crate::drbg::Drbg;
+use crate::hmac::HmacSha256;
 use crate::SYMMETRIC_KEY_LEN;
 use rand::RngCore;
 
@@ -62,7 +63,13 @@ impl SymmetricKey {
     /// Derives a sub-key for `purpose` (e.g. separating the cipher key
     /// from the MAC key inside the envelope).
     pub fn derive(&self, purpose: &[u8]) -> SymmetricKey {
-        let tag = crate::hmac::hmac_sha256(&self.0, purpose);
+        Self::derive_with(&HmacSha256::new(&self.0), purpose)
+    }
+
+    /// [`derive`](Self::derive) from a context already keyed with the
+    /// parent key, for a caller deriving several sub-keys of one key.
+    pub(crate) fn derive_with(parent: &HmacSha256, purpose: &[u8]) -> SymmetricKey {
+        let tag = parent.tag(purpose);
         let mut b = [0u8; SYMMETRIC_KEY_LEN];
         b.copy_from_slice(&tag[..SYMMETRIC_KEY_LEN]);
         SymmetricKey(b)

@@ -39,6 +39,8 @@
 //! # Ok::<(), mykil_crypto::CryptoError>(())
 //! ```
 
+#![deny(unsafe_op_in_unsafe_fn)]
+
 pub mod bignum;
 pub mod chacha;
 pub mod ct;
@@ -51,6 +53,8 @@ pub mod prime;
 pub mod rc4;
 pub mod rsa;
 pub mod sha256;
+#[cfg(target_arch = "x86_64")]
+mod sha_ni;
 
 pub use ct::ct_eq;
 pub use error::CryptoError;

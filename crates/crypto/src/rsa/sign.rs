@@ -15,19 +15,22 @@ const SHA256_DIGEST_INFO: [u8; 19] = [
     0x05, 0x00, 0x04, 0x20,
 ];
 
-/// Builds the EMSA-PKCS1-v1_5 encoded message for `digest`.
-fn emsa_encode(digest: &[u8; DIGEST_LEN], k: usize) -> Vec<u8> {
-    // EM = 0x00 0x01 PS(0xff...) 0x00 DigestInfo digest
-    let t_len = SHA256_DIGEST_INFO.len() + DIGEST_LEN;
-    debug_assert!(k >= t_len + 11, "modulus too small for signature");
-    let mut em = Vec::with_capacity(k);
-    em.push(0x00);
-    em.push(0x01);
-    em.resize(k - t_len - 1, 0xff);
-    em.push(0x00);
-    em.extend_from_slice(&SHA256_DIGEST_INFO);
-    em.extend_from_slice(digest);
-    em
+/// The EMSA-PKCS1-v1_5 encoded message for `digest` in a `k`-byte
+/// block, byte by byte, or `None` when the block is too small to hold
+/// it: `0x00 0x01 PS(0xff…, ≥ 8 bytes) 0x00 DigestInfo digest`.
+fn emsa_bytes(digest: &[u8; DIGEST_LEN], k: usize) -> Option<impl Iterator<Item = u8> + '_> {
+    let ps_len = k.checked_sub(SHA256_DIGEST_INFO.len() + DIGEST_LEN + 3)?;
+    if ps_len < 8 {
+        return None;
+    }
+    Some(
+        [0x00, 0x01]
+            .into_iter()
+            .chain(std::iter::repeat_n(0xff, ps_len))
+            .chain([0x00])
+            .chain(SHA256_DIGEST_INFO)
+            .chain(digest.iter().copied()),
+    )
 }
 
 impl RsaKeyPair {
@@ -36,12 +39,23 @@ impl RsaKeyPair {
     /// # Panics
     ///
     /// Panics if the modulus is too small to hold the encoded digest
-    /// (impossible for the ≥256-bit keys [`RsaKeyPair::generate`]
-    /// produces).
+    /// (under 62 bytes; the protocol's smallest key is 768 bits).
     pub fn sign(&self, message: &[u8]) -> Vec<u8> {
-        let digest = Sha256::digest(message);
+        self.sign_digest(&Sha256::digest(message))
+    }
+
+    /// [`sign`](Self::sign) for a caller that hashed the message itself
+    /// — a signed frame streams its fields into one [`Sha256`] instead
+    /// of concatenating them first.
+    ///
+    /// # Panics
+    ///
+    /// As [`sign`](Self::sign).
+    pub fn sign_digest(&self, digest: &[u8; DIGEST_LEN]) -> Vec<u8> {
         let k = self.public().block_len();
-        let em = emsa_encode(&digest, k);
+        let em: Vec<u8> = emsa_bytes(digest, k)
+            .expect("modulus holds an encoded SHA-256 digest")
+            .collect();
         let m_int = BigUint::from_bytes_be(&em);
         let s_int = self
             .raw_private_op(&m_int)
@@ -58,23 +72,29 @@ impl RsaPublicKey {
     /// Returns `false` for any malformed, truncated, or forged input;
     /// never panics on attacker-controlled bytes.
     pub fn verify(&self, message: &[u8], signature: &[u8]) -> bool {
+        self.verify_digest(&Sha256::digest(message), signature)
+    }
+
+    /// [`verify`](Self::verify) against the digest of the message, the
+    /// mirror of [`RsaKeyPair::sign_digest`].
+    pub fn verify_digest(&self, digest: &[u8; DIGEST_LEN], signature: &[u8]) -> bool {
         let k = self.block_len();
         if signature.len() != k {
             return false;
         }
+        let Some(expected) = emsa_bytes(digest, k) else {
+            return false;
+        };
         let s_int = BigUint::from_bytes_be(signature);
-        let m_int = match self.raw_public_op(&s_int) {
-            Ok(m) => m,
-            Err(_) => return false,
+        let Ok(m_int) = self.raw_public_op(&s_int) else {
+            return false;
         };
-        let em = match m_int.to_bytes_be_padded(k) {
-            Ok(em) => em,
-            Err(_) => return false,
+        let Ok(em) = m_int.to_bytes_be_padded(k) else {
+            return false;
         };
-        let digest = Sha256::digest(message);
-        // Reconstruct the expected encoding and compare in full, which
-        // avoids the classic BER-parsing forgery pitfalls.
-        crate::ct::ct_eq(&em, &emsa_encode(&digest, k))
+        // Compare against the one valid encoding in full, with no early
+        // exit, which avoids the classic BER-parsing forgery pitfalls.
+        em.iter().zip(expected).fold(0, |diff, (a, b)| diff | (a ^ b)) == 0
     }
 }
 
@@ -129,9 +149,28 @@ mod tests {
     }
 
     #[test]
+    fn digest_variants_match_the_message_variants() {
+        let pair = pair768();
+        let digest = Sha256::digest(b"area || epoch || body");
+        let sig = pair.sign(b"area || epoch || body");
+        assert_eq!(pair.sign_digest(&digest), sig);
+        assert!(pair.public().verify_digest(&digest, &sig));
+        assert!(!pair.public().verify_digest(&Sha256::digest(b"other"), &sig));
+    }
+
+    #[test]
+    fn a_modulus_too_small_for_the_encoding_verifies_nothing() {
+        // 256 bits is a legal public key but cannot hold the 62-byte
+        // encoding; this used to underflow a length instead.
+        let mut rng = crate::drbg::Drbg::from_seed(5);
+        let tiny = RsaKeyPair::generate(256, &mut rng).unwrap();
+        assert!(!tiny.public().verify(b"msg", &[0x01; 32]));
+    }
+
+    #[test]
     fn emsa_layout() {
         let digest = Sha256::digest(b"x");
-        let em = emsa_encode(&digest, 96);
+        let em: Vec<u8> = emsa_bytes(&digest, 96).unwrap().collect();
         assert_eq!(em.len(), 96);
         assert_eq!(&em[..2], &[0x00, 0x01]);
         assert_eq!(em[96 - DIGEST_LEN - SHA256_DIGEST_INFO.len() - 1], 0x00);

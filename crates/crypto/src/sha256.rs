@@ -16,7 +16,7 @@
 /// Digest length in bytes.
 pub const DIGEST_LEN: usize = 32;
 
-const K: [u32; 64] = [
+pub(crate) const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
     0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
     0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
@@ -64,9 +64,26 @@ impl Sha256 {
 
     /// One-shot digest of `data`.
     pub fn digest(data: &[u8]) -> [u8; DIGEST_LEN] {
-        let mut h = Sha256::new();
-        h.update(data);
-        h.finalize()
+        finish(H0, 0, data)
+    }
+
+    /// Resumes from a chaining value reached after `len` bytes (a
+    /// multiple of the block length): how HMAC restarts from its pad
+    /// midstates without re-hashing the pad block.
+    pub(crate) fn from_midstate(state: [u32; 8], len: u64) -> Self {
+        debug_assert_eq!(len % 64, 0, "a midstate sits on a block boundary");
+        Sha256 {
+            state,
+            len,
+            buf: [0; 64],
+            buf_len: 0,
+        }
+    }
+
+    /// The chaining value after the whole blocks absorbed so far.
+    pub(crate) fn midstate(&self) -> [u32; 8] {
+        debug_assert_eq!(self.buf_len, 0, "a midstate sits on a block boundary");
+        self.state
     }
 
     /// Absorbs `data` into the hash state.
@@ -78,48 +95,87 @@ impl Sha256 {
             self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&input[..take]);
             self.buf_len += take;
             input = &input[take..];
-            if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
+            if self.buf_len < 64 {
+                return;
             }
+            compress_blocks(&mut self.state, &self.buf);
+            self.buf_len = 0;
         }
-        while input.len() >= 64 {
-            let (block, rest) = input.split_at(64);
-            let mut b = [0u8; 64];
-            b.copy_from_slice(block);
-            self.compress(&b);
-            input = rest;
+        // Whole blocks are compressed where they lie, in one call.
+        let (blocks, tail) = input.split_at(input.len() & !63);
+        if !blocks.is_empty() {
+            compress_blocks(&mut self.state, blocks);
         }
-        if !input.is_empty() {
-            self.buf[..input.len()].copy_from_slice(input);
-            self.buf_len = input.len();
-        }
+        self.buf[..tail.len()].copy_from_slice(tail);
+        self.buf_len = tail.len();
     }
 
     /// Completes the hash and returns the 32-byte digest.
-    pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
-        let bit_len = self.len.wrapping_mul(8);
-        // Padding, written in place: 0x80, zeros up to byte 56 of a block
-        // (spilling into a second block when fewer than nine bytes are
-        // free), then the 8-byte big-endian bit length.
-        let mut block = self.buf;
-        block[self.buf_len] = 0x80;
-        block[self.buf_len + 1..].fill(0);
-        if self.buf_len >= 56 {
-            self.compress(&block);
-            block = [0; 64];
-        }
-        block[56..].copy_from_slice(&bit_len.to_be_bytes());
-        self.compress(&block);
-        let mut out = [0u8; DIGEST_LEN];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
-        }
-        out
+    pub fn finalize(self) -> [u8; DIGEST_LEN] {
+        let buffered = &self.buf[..self.buf_len];
+        finish(
+            self.state,
+            self.len.wrapping_sub(buffered.len() as u64),
+            buffered,
+        )
     }
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
+/// The digest of a message whose first `prefix_len` bytes (whole blocks)
+/// left the chaining value `state` and whose remaining bytes are
+/// `tail`. One-shot digests and HMAC tags come straight here, with no
+/// hasher to set up and nothing copied but the last partial block.
+#[inline]
+pub(crate) fn finish(mut state: [u32; 8], prefix_len: u64, tail: &[u8]) -> [u8; DIGEST_LEN] {
+    let (blocks, rest) = tail.split_at(tail.len() & !63);
+    if !blocks.is_empty() {
+        compress_blocks(&mut state, blocks);
+    }
+    // Padding: 0x80, zeros up to byte 56 of a block (spilling into a
+    // second block when fewer than nine bytes are free), then the
+    // 8-byte big-endian bit length.
+    let bit_len = prefix_len.wrapping_add(tail.len() as u64).wrapping_mul(8);
+    let mut pad = [0u8; 128];
+    pad[..rest.len()].copy_from_slice(rest);
+    pad[rest.len()] = 0x80;
+    let padded_len = if rest.len() < 56 { 64 } else { 128 };
+    pad[padded_len - 8..padded_len].copy_from_slice(&bit_len.to_be_bytes());
+    compress_blocks(&mut state, &pad[..padded_len]);
+    let mut out = [0u8; DIGEST_LEN];
+    for (i, word) in state.iter().enumerate() {
+        out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+    }
+    out
+}
+
+/// Name of the compression back end [`Sha256`] uses on this CPU:
+/// `"x86-sha-ext"` or `"portable"`. Chosen by CPUID at run time — there
+/// is no build flag or setting — so a benchmark log can say which it
+/// measured.
+pub fn backend() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if crate::sha_ni::available() {
+        return "x86-sha-ext";
+    }
+    "portable"
+}
+
+/// Compresses the whole 64-byte blocks of `blocks` into `state` on the
+/// fastest back end the CPU has.
+fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
+    debug_assert_eq!(blocks.len() % 64, 0);
+    #[cfg(target_arch = "x86_64")]
+    if crate::sha_ni::compress_blocks(state, blocks) {
+        return;
+    }
+    compress_blocks_portable(state, blocks);
+}
+
+/// The FIPS 180-4 rounds as written in the specification: the only back
+/// end on CPUs without SHA instructions, and the oracle the accelerated
+/// one is tested against.
+fn compress_blocks_portable(state: &mut [u32; 8], blocks: &[u8]) {
+    for block in blocks.chunks_exact(64) {
         let mut w = [0u32; 64];
         for i in 0..16 {
             w[i] = u32::from_be_bytes([
@@ -137,7 +193,7 @@ impl Sha256 {
                 .wrapping_add(w[i - 7])
                 .wrapping_add(s1);
         }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
         for i in 0..64 {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
             let ch = (e & f) ^ (!e & g);
@@ -158,14 +214,9 @@ impl Sha256 {
             b = a;
             a = t1.wrapping_add(t2);
         }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *s = s.wrapping_add(v);
+        }
     }
 }
 
@@ -229,28 +280,24 @@ mod tests {
 
     #[test]
     fn every_length_and_split_agrees_with_hand_padded_blocks() {
-        let data: Vec<u8> = (0..200u32).map(|i| (i * 7 + 3) as u8).collect();
+        let data: Vec<u8> = (0..300u32).map(|i| (i * 7 + 3) as u8).collect();
         for len in 0..=data.len() {
             let msg = &data[..len];
-            // Reference: pad by hand, compress block by block.
+            // Reference: pad by hand, run the portable rounds (never the
+            // accelerated back end `digest` may have picked).
             let mut padded = msg.to_vec();
             padded.push(0x80);
             while padded.len() % 64 != 56 {
                 padded.push(0);
             }
             padded.extend_from_slice(&(len as u64 * 8).to_be_bytes());
-            let mut reference = Sha256::new();
-            for block in padded.chunks_exact(64) {
-                reference.compress(block.try_into().unwrap());
-            }
-            let want: Vec<u8> = reference
-                .state
-                .iter()
-                .flat_map(|w| w.to_be_bytes())
-                .collect();
+            let mut reference = H0;
+            compress_blocks_portable(&mut reference, &padded);
+            let want: Vec<u8> = reference.iter().flat_map(|w| w.to_be_bytes()).collect();
             assert_eq!(Sha256::digest(msg)[..], want[..], "len={len}");
             // Two updates split at every offset (crosses the 55/56/63/64/
-            // 119/120 padding boundaries with every buffer fill).
+            // 119/120 padding boundaries with every buffer fill). On a CPU
+            // with the SHA extension these run the accelerated back end.
             for split in 0..=len {
                 let mut h = Sha256::new();
                 h.update(&msg[..split]);
@@ -258,6 +305,61 @@ mod tests {
                 assert_eq!(h.finalize()[..], want[..], "len={len} split={split}");
             }
         }
+    }
+
+    type Compress = fn(&mut [u32; 8], &[u8]) -> bool;
+
+    /// The accelerated back end, or `None` with a notice on a CPU that
+    /// lacks it (the differential tests then have nothing to compare).
+    fn accelerated() -> Option<Compress> {
+        #[cfg(target_arch = "x86_64")]
+        if crate::sha_ni::available() {
+            return Some(crate::sha_ni::compress_blocks);
+        }
+        println!("notice: no SHA extension on this CPU; portable back end only, differential test skipped");
+        None
+    }
+
+    #[test]
+    fn accelerated_matches_portable_on_random_states_and_blocks() {
+        let Some(fast) = accelerated() else { return };
+        use rand::RngCore;
+        let mut rng = crate::drbg::Drbg::from_seed(0x5348_4132);
+        for case in 0..10_000 {
+            let mut state = [0u32; 8];
+            for w in &mut state {
+                *w = rng.next_u32();
+            }
+            // Mostly single blocks; every tenth case a run of several.
+            let mut blocks = vec![
+                0u8;
+                if case % 10 == 9 {
+                    64 * (2 + case % 7)
+                } else {
+                    64
+                }
+            ];
+            rng.fill_bytes(&mut blocks);
+            let (mut want, mut got) = (state, state);
+            compress_blocks_portable(&mut want, &blocks);
+            assert!(fast(&mut got, &blocks));
+            assert_eq!(got, want, "case {case}");
+        }
+    }
+
+    #[test]
+    fn midstate_resumes_where_the_blocks_ended() {
+        let data: Vec<u8> = (0..200u32).map(|i| i as u8).collect();
+        let mut h = Sha256::new();
+        h.update(&data[..128]);
+        let mut resumed = Sha256::from_midstate(h.midstate(), 128);
+        resumed.update(&data[128..]);
+        assert_eq!(resumed.finalize(), Sha256::digest(&data));
+    }
+
+    #[test]
+    fn backend_name_matches_detection() {
+        assert_eq!(backend() == "x86-sha-ext", accelerated().is_some());
     }
 
     #[test]

@@ -81,6 +81,7 @@ pub fn lint_files(files: &[(String, String)]) -> Vec<Diagnostic> {
             path: &f.path,
             tokens: &f.tokens,
             test_mask: &f.test_mask,
+            comments: &f.comments,
         };
         for rule in RULES {
             if let Check::Token(check) = rule.check {

@@ -136,6 +136,19 @@ pub const EXPLANATIONS: &[Explanation] = &[
               established by construction in the same function, with a `-- reason` \
               stating the invariant.",
     },
+    Explanation {
+        id: "L011",
+        invariant: "`unsafe` appears only in the allowlisted files (crypto ct.rs, keys.rs, \
+                    sha_ni.rs; bench alloc_track.rs), and every `unsafe { … }` block there \
+                    sits directly under a `// SAFETY:` comment. Nothing in the build detects \
+                    undefined behaviour, so the places a reviewer must read stay few and \
+                    each states its own proof.",
+        example: "let v = unsafe { *ptr.add(i) }; // in crates/core/src/wire.rs",
+        fix: "Write it in safe Rust (slices, iterators, `try_into`). If the operation has \
+              no safe form (an intrinsic, a volatile write), put it in an allowlisted file \
+              behind a safe function, with a `// SAFETY:` comment above the block naming \
+              the check that makes it sound.",
+    },
 ];
 
 /// Looks up the explanation for `id` (case-insensitive).

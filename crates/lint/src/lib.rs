@@ -21,6 +21,10 @@
 //! - **L005** — protocol `Msg` dispatch must list variants explicitly;
 //!   no `_ =>` catch-all.
 //!
+//! - **L011** — `unsafe` only in the allowlisted files (`ct.rs`,
+//!   `keys.rs`, `sha_ni.rs`, the benchmark's `alloc_track.rs`), every
+//!   block under a `// SAFETY:` comment.
+//!
 //! **Syntax-aware rules** (per crate, over the [`ast`] layer — function
 //! bodies as ordered event streams plus crate-wide declaration tables):
 //!

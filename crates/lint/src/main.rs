@@ -42,7 +42,7 @@ fn main() -> ExitCode {
             "--explain" => match args.next() {
                 Some(id) => explain_id = Some(id),
                 None => {
-                    eprintln!("mykil-lint: --explain expects a rule id (L001..L010)");
+                    eprintln!("mykil-lint: --explain expects a rule id (L001..L011)");
                     return ExitCode::from(2);
                 }
             },

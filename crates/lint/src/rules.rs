@@ -1,4 +1,4 @@
-//! The five Mykil lint rules.
+//! The token-level Mykil lint rules.
 //!
 //! Each rule reports [`Diagnostic`]s over a scanned file. Rules are
 //! scoped by crate: the linter computes which workspace crate a file
@@ -12,10 +12,11 @@
 //! | L003 | MAC/digest comparisons go through `ct_eq`, never `==`/`!=` |
 //! | L004 | no wall-clock (`SystemTime`/`Instant`) in sim-deterministic crates |
 //! | L005 | protocol `Msg` dispatch has no `_ =>` catch-all |
+//! | L011 | `unsafe` only in the listed files, every block under a `// SAFETY:` comment |
 
 use crate::diagnostics::Diagnostic;
 use crate::engine::CrateContext;
-use crate::tokenizer::{Token, TokenKind};
+use crate::tokenizer::{Comment, Token, TokenKind};
 
 /// Crates whose non-test code must be panic-free on peer input (L001).
 pub const PROTOCOL_CRATES: &[&str] = &["core", "net", "tree"];
@@ -64,6 +65,16 @@ const AT_REST_OK_CALLS: &[&str] = &["as_slice", "to_le_bytes"];
 /// Identifier segments that mark a value as MAC/digest material (L003).
 const SECRET_COMPARE_SEGMENTS: &[&str] = &["mac", "tag", "digest", "hmac"];
 
+/// The only files that may contain `unsafe` (L011): volatile wipes,
+/// the zeroize-on-drop test that observes one, the SHA-extension
+/// intrinsics, and the benchmark's counting `GlobalAlloc`.
+pub const UNSAFE_ALLOWED_PATHS: &[&str] = &[
+    "crates/crypto/src/ct.rs",
+    "crates/crypto/src/keys.rs",
+    "crates/crypto/src/sha_ni.rs",
+    "crates/bench/src/alloc_track.rs",
+];
+
 /// Enum names whose dispatch must be exhaustive (L005).
 const DISPATCH_ENUMS: &[&str] = &["Msg"];
 
@@ -75,6 +86,8 @@ pub struct FileContext<'a> {
     pub tokens: &'a [Token],
     /// Per-token flag: inside `#[cfg(test)]` / `#[test]` code.
     pub test_mask: &'a [bool],
+    /// Comments, in order (L011 looks for `// SAFETY:`).
+    pub comments: &'a [Comment],
 }
 
 impl FileContext<'_> {
@@ -183,6 +196,13 @@ pub const RULES: &[RuleInfo] = &[
                       and return Malformed",
         check: Check::Crate(crate::rules_ast::check_l010),
     },
+    RuleInfo {
+        id: "L011",
+        description: "`unsafe` only in the allowlisted files (ct.rs, keys.rs, sha_ni.rs, \
+                      bench alloc_track.rs), and every unsafe block there directly \
+                      under a `// SAFETY:` comment",
+        check: Check::Token(check_l011),
+    },
 ];
 
 fn diag(rule: &'static str, ctx: &FileContext<'_>, line: u32, message: String) -> Diagnostic {
@@ -224,6 +244,62 @@ fn check_l001(ctx: &FileContext<'_>) -> Vec<Diagnostic> {
         }
     }
     out
+}
+
+/// L011: `unsafe` confined to [`UNSAFE_ALLOWED_PATHS`], and there every
+/// `unsafe { … }` block sits directly under a comment block (or beside
+/// a trailing comment) that says `SAFETY:`. Test code is not exempt:
+/// undefined behaviour in a test is still undefined behaviour.
+fn check_l011(ctx: &FileContext<'_>) -> Vec<Diagnostic> {
+    if ctx.crate_name().is_none() {
+        return Vec::new();
+    }
+    let allowed = UNSAFE_ALLOWED_PATHS.contains(&ctx.path);
+    let mut out = Vec::new();
+    for (i, tok) in ctx.tokens.iter().enumerate() {
+        if !tok.is_ident("unsafe") {
+            continue;
+        }
+        if !allowed {
+            out.push(diag(
+                "L011",
+                ctx,
+                tok.line,
+                "`unsafe` outside the allowlisted files; write it in safe Rust, or move it \
+                 into one of them and extend the list in the same review"
+                    .to_string(),
+            ));
+        } else if ctx.tokens.get(i + 1).is_some_and(|t| t.is_punct('{'))
+            && !has_safety_comment(ctx.comments, tok.line)
+        {
+            out.push(diag(
+                "L011",
+                ctx,
+                tok.line,
+                "unsafe block without a `// SAFETY:` comment directly above it stating \
+                 why the operation's requirements hold"
+                    .to_string(),
+            ));
+        }
+    }
+    out
+}
+
+/// Whether the comment lines ending directly above `line` (or a
+/// trailing comment on `line` itself) contain `SAFETY:`.
+fn has_safety_comment(comments: &[Comment], line: u32) -> bool {
+    let mut expect = line;
+    for c in comments.iter().rev().skip_while(|c| c.line > line) {
+        if c.line == line || (c.line + 1 == expect && !c.has_code_before) {
+            if c.text.contains("SAFETY:") {
+                return true;
+            }
+            expect = c.line;
+        } else {
+            break;
+        }
+    }
+    false
 }
 
 /// L002: forbidden derives on secret types + mandatory `impl Drop`.

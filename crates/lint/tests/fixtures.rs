@@ -378,3 +378,71 @@ fn diagnostics_are_sorted_and_json_renderable() {
         assert!(j.contains("\"line\":"));
     }
 }
+
+// ---------------------------------------------------------------- L011
+
+#[test]
+fn l011_fires_on_unsafe_outside_the_allowlist() {
+    let src = "fn f(p: *const u8) -> u8 {\n    // SAFETY: trust me\n    unsafe { *p }\n}\n";
+    for path in [
+        "crates/core/src/wire.rs",
+        "crates/crypto/src/sha256.rs",
+        "crates/net/src/sim.rs",
+    ] {
+        assert_eq!(rules_at(path, src), vec![("L011".to_string(), 3)], "{path}");
+    }
+    // Declarations count too: an `unsafe fn` or `unsafe impl` is still
+    // unsafe code a reviewer has to find.
+    let decl = "unsafe fn g() {}\nunsafe impl Send for T {}\n";
+    assert_eq!(rule_ids("crates/tree/src/a.rs", decl), vec!["L011", "L011"]);
+}
+
+#[test]
+fn l011_fires_in_test_code_of_an_unlisted_file() {
+    let src = "#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { unsafe { g() } }\n}\n";
+    assert_eq!(rules_at("crates/core/src/a.rs", src), vec![("L011".to_string(), 4)]);
+}
+
+#[test]
+fn l011_requires_a_safety_comment_on_each_block_in_a_listed_file() {
+    let bare = "fn f(w: &mut u8) {\n    unsafe { core::ptr::write_volatile(w, 0) };\n}\n";
+    assert_eq!(rules_at("crates/crypto/src/ct.rs", bare), vec![("L011".to_string(), 2)]);
+    // A comment that is not about safety, or one separated from the
+    // block by code, does not count.
+    let wrong = "fn f(w: &mut u8) {\n    // wipe it\n    unsafe { core::ptr::write_volatile(w, 0) };\n}\n";
+    assert_eq!(rule_ids("crates/crypto/src/ct.rs", wrong), vec!["L011"]);
+    let detached = "fn f(w: &mut u8) {\n    // SAFETY: w is valid\n    let x = 1;\n    unsafe { core::ptr::write_volatile(w, x) };\n}\n";
+    assert_eq!(rules_at("crates/crypto/src/ct.rs", detached), vec![("L011".to_string(), 4)]);
+}
+
+#[test]
+fn l011_quiet_on_commented_blocks_and_declarations_in_listed_files() {
+    let src = "// SAFETY: delegates to System.\nunsafe impl GlobalAlloc for A {\n\
+               unsafe fn alloc(&self, l: Layout) -> *mut u8 {\n\
+               // SAFETY: the caller's contract is\n// passed through unchanged.\n\
+               unsafe { System.alloc(l) }\n}\n}\n\
+               fn g(p: *const u8) -> u8 {\n    let v = unsafe { *p }; // SAFETY: p is valid\n    v\n}\n";
+    for path in [
+        "crates/bench/src/alloc_track.rs",
+        "crates/crypto/src/ct.rs",
+        "crates/crypto/src/keys.rs",
+        "crates/crypto/src/sha_ni.rs",
+    ] {
+        assert!(rule_ids(path, src).is_empty(), "{path}");
+    }
+}
+
+#[test]
+fn l011_quiet_on_the_word_in_comments_strings_and_lint_names() {
+    let src = "#![deny(unsafe_op_in_unsafe_fn)]\n// no unsafe here\nfn f() { log(\"unsafe\"); }\n";
+    assert!(rule_ids("crates/crypto/src/lib.rs", src).is_empty());
+    // Outside crates/*/src the rule does not apply (integration tests,
+    // examples and the vendored stand-ins are not product code).
+    assert!(rule_ids("crates/core/tests/a.rs", "fn f() { unsafe { g() } }").is_empty());
+}
+
+#[test]
+fn l011_suppressed_with_directive() {
+    let src = "fn f() {\n    // mykil-lint: allow(L011) -- FFI shim under review\n    unsafe { g() }\n}\n";
+    assert!(rule_ids("crates/core/src/a.rs", src).is_empty());
+}

@@ -447,6 +447,7 @@ fn token_and_ast_rules_agree_on_crate_scoping() {
             path,
             tokens: &[],
             test_mask: &[],
+            comments: &[],
         };
         assert_eq!(
             ctx.crate_name(),

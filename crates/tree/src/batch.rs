@@ -9,6 +9,7 @@
 
 use crate::error::TreeError;
 use crate::plan::{RekeyPlan, UnicastKeys};
+use crate::store::SecretMemo;
 use crate::tree::{KeyTree, NodeIdx};
 use crate::MemberId;
 use rand::RngCore;
@@ -93,6 +94,7 @@ impl KeyTree {
         }
 
         let mut rekey_starts: Vec<NodeIdx> = Vec::with_capacity(joins.len() + leaves.len());
+        let memo = &mut SecretMemo::default();
 
         // 1. Remove leavers, remembering where each rekey must start.
         for &m in leaves {
@@ -123,14 +125,14 @@ impl KeyTree {
         }
 
         // 3. One combined leave-style rekey over the union of paths.
-        let mut plan = self.rekey_paths_leave_style(&rekey_starts, rng);
+        let mut plan = self.rekey_paths_leave_style(&rekey_starts, rng, memo);
 
         // 4. Unicast full fresh paths to newcomers and displaced members.
         // The plan owns its key copies (it outlives this borrow of the
         // tree); each path is collected once, straight into the entry.
         for (m, _) in &new_leaves {
             let mut keys = Vec::new();
-            self.path_keys_into(*m, &mut keys)
+            self.path_keys_in(*m, &mut keys, memo)
                 .map_err(|_| TreeError::Inconsistent("just-placed member missing from tree"))?;
             plan.unicasts.push(UnicastKeys { member: *m, keys });
         }
@@ -141,7 +143,7 @@ impl KeyTree {
                 continue;
             }
             let mut keys = Vec::new();
-            self.path_keys_into(m, &mut keys)
+            self.path_keys_in(m, &mut keys, memo)
                 .map_err(|_| TreeError::Inconsistent("displaced member missing from tree"))?;
             plan.unicasts.push(UnicastKeys { member: m, keys });
         }

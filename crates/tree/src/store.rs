@@ -32,9 +32,17 @@
 //! delegated) draws a random key and records it in the override map.
 //! A later derivable rotation on the same node drops the override and
 //! returns the node to the forest.
+//!
+//! Node secrets never change (the forest secret and the node indices
+//! are fixed), so one plan derives each ancestor secret once: every
+//! entry point of the tree threads a [`SecretMemo`] through the keys it
+//! reads, and drops (wipes) it when the plan is built. Nothing derived
+//! stays resident between plans. With its ancestors memoised a key
+//! costs six SHA-256 compressions (child secret, keying it, the key),
+//! an ancestor's own key two.
 
 use crate::tree::TreeBackend;
-use mykil_crypto::hmac::hmac_sha256;
+use mykil_crypto::hmac::HmacSha256;
 use mykil_crypto::keys::SymmetricKey;
 use mykil_crypto::SYMMETRIC_KEY_LEN;
 use rand::RngCore;
@@ -124,41 +132,37 @@ impl Keys {
     }
 
     /// The key of `node` at `version`, owned (a derived key has no
-    /// stored value to borrow).
-    pub(crate) fn key(&self, node: usize, version: u64) -> SymmetricKey {
+    /// stored value to borrow). `memo` carries the node secrets already
+    /// derived for the plan being built.
+    pub(crate) fn key(&self, node: usize, version: u64, memo: &mut SecretMemo) -> SymmetricKey {
         match self {
             Keys::Explicit(keys) => keys[node].clone(),
-            Keys::Khf(khf) => khf.key(node, version),
+            Keys::Khf(khf) => khf.key(node, version, memo),
         }
     }
 
-    /// Rotates `node` from `old_version` to `old_version + 1`,
-    /// returning the **previous** key (the caller records it in a plan
-    /// or lets it drop and zeroize).
+    /// Gives `node` its next key. The caller bumps the version and, if
+    /// its plan distributes the new key under the previous one, reads
+    /// that with [`Self::key`] first; nothing is derived here.
     pub(crate) fn rotate<R: RngCore + ?Sized>(
         &mut self,
         node: usize,
-        old_version: u64,
         style: RotateStyle,
         rng: &mut R,
-    ) -> SymmetricKey {
+    ) {
         match self {
-            Keys::Explicit(keys) => std::mem::replace(&mut keys[node], SymmetricKey::random(rng)),
-            Keys::Khf(khf) => {
-                let old = khf.key(node, old_version);
-                match style {
-                    // The node rejoins the forest: the bumped version
-                    // derives a fresh-looking key and the override (if
-                    // any) is dropped.
-                    RotateStyle::Derivable => {
-                        khf.overrides.remove(&node);
-                    }
-                    RotateStyle::Fresh => {
-                        khf.overrides.insert(node, SymmetricKey::random(rng));
-                    }
+            Keys::Explicit(keys) => keys[node] = SymmetricKey::random(rng),
+            Keys::Khf(khf) => match style {
+                // The node rejoins the forest: the bumped version
+                // derives a fresh-looking key and the override (if
+                // any) is dropped.
+                RotateStyle::Derivable => {
+                    khf.overrides.remove(&node);
                 }
-                old
-            }
+                RotateStyle::Fresh => {
+                    khf.overrides.insert(node, SymmetricKey::random(rng));
+                }
+            },
         }
     }
 
@@ -276,37 +280,66 @@ pub(crate) struct KhfKeys {
     overrides: BTreeMap<usize, SymmetricKey>,
 }
 
+/// The ancestor secrets one plan has derived so far, each held as the
+/// HMAC context keyed with it (a secret is only ever used as an HMAC
+/// key, for its node's key and for its children's secrets). Lives on
+/// the stack of the tree operation that builds the plan; every context
+/// wipes itself when that returns. The explicit backend never puts
+/// anything in it.
+#[derive(Default)]
+pub(crate) struct SecretMemo(BTreeMap<usize, HmacSha256>);
+
+/// `HMAC-SHA256(key, label || n as u64 BE)`: both derivation steps.
+fn derive(key: &HmacSha256, label: &[u8], n: u64) -> [u8; 32] {
+    let mut message = [0u8; 24];
+    let (text, rest) = message.split_at_mut(label.len());
+    text.copy_from_slice(label);
+    rest[..8].copy_from_slice(&n.to_be_bytes());
+    key.tag(&message[..label.len() + 8])
+}
+
 impl KhfKeys {
-    /// The AC-only derivation secret of `node` (never a member-visible
-    /// value). Recursion depth is the tree height.
-    fn secret(&self, node: usize) -> [u8; 32] {
-        match self.parent[node] {
-            None => self.forest,
-            Some(p) => {
-                let parent_secret = self.secret(p);
-                let mut label = [0u8; NODE_LABEL.len() + 8];
-                label[..NODE_LABEL.len()].copy_from_slice(NODE_LABEL);
-                label[NODE_LABEL.len()..].copy_from_slice(&(node as u64).to_be_bytes());
-                hmac_sha256(&parent_secret, &label)
-            }
+    /// The context keyed with the AC-only derivation secret of `node`
+    /// (never a member-visible value): from `memo` when this plan
+    /// already derived it, else one HMAC below its parent's, which is
+    /// then remembered. Recursion depth is the tree height.
+    fn secret<'m>(&self, node: usize, memo: &'m mut SecretMemo) -> &'m HmacSha256 {
+        if !memo.0.contains_key(&node) {
+            let keyed = match self.parent[node] {
+                None => HmacSha256::new(&self.forest),
+                Some(parent) => self.child_secret(node, parent, memo),
+            };
+            memo.0.insert(node, keyed);
         }
+        &memo.0[&node]
     }
 
-    fn derived_key(&self, node: usize, version: u64) -> SymmetricKey {
-        let secret = self.secret(node);
-        let mut label = [0u8; KEY_LABEL.len() + 8];
-        label[..KEY_LABEL.len()].copy_from_slice(KEY_LABEL);
-        label[KEY_LABEL.len()..].copy_from_slice(&version.to_be_bytes());
-        let tag = hmac_sha256(&secret, &label);
+    fn child_secret(&self, node: usize, parent: usize, memo: &mut SecretMemo) -> HmacSha256 {
+        let mut secret = derive(self.secret(parent, memo), NODE_LABEL, node as u64);
+        let keyed = HmacSha256::new(&secret);
+        mykil_crypto::ct::zeroize(&mut secret);
+        keyed
+    }
+
+    /// The forest key of `node` at `version`. Only the node's ancestors
+    /// go into `memo`: they are what the other keys of a plan share,
+    /// while the node itself is most often a leaf asked for once.
+    fn derived_key(&self, node: usize, version: u64, memo: &mut SecretMemo) -> SymmetricKey {
+        let tag = match self.parent[node] {
+            Some(parent) if !memo.0.contains_key(&node) => {
+                derive(&self.child_secret(node, parent, memo), KEY_LABEL, version)
+            }
+            _ => derive(self.secret(node, memo), KEY_LABEL, version),
+        };
         let mut bytes = [0u8; SYMMETRIC_KEY_LEN];
         bytes.copy_from_slice(&tag[..SYMMETRIC_KEY_LEN]);
         SymmetricKey::from_bytes(bytes)
     }
 
-    fn key(&self, node: usize, version: u64) -> SymmetricKey {
+    fn key(&self, node: usize, version: u64, memo: &mut SecretMemo) -> SymmetricKey {
         match self.overrides.get(&node) {
             Some(k) => k.clone(),
-            None => self.derived_key(node, version),
+            None => self.derived_key(node, version, memo),
         }
     }
 }
@@ -343,20 +376,44 @@ mod tests {
         store
     }
 
+    /// A key read with nothing memoised: the from-the-root derivation.
+    fn key(store: &Keys, node: usize, version: u64) -> SymmetricKey {
+        store.key(node, version, &mut SecretMemo::default())
+    }
+
     fn derived_key(store: &Keys, node: usize, version: u64) -> SymmetricKey {
         let Keys::Khf(khf) = store else {
             panic!("not a forest")
         };
-        khf.derived_key(node, version)
+        khf.derived_key(node, version, &mut SecretMemo::default())
     }
 
     #[test]
     fn derivation_is_deterministic_and_separated() {
         let store = khf_with(&[None, Some(0), Some(0), Some(1)]);
-        assert_eq!(store.key(3, 0), store.key(3, 0));
-        assert_ne!(store.key(3, 0), store.key(3, 1), "version must separate");
-        assert_ne!(store.key(1, 0), store.key(2, 0), "node must separate");
-        assert_ne!(store.key(0, 0), store.key(1, 0));
+        assert_eq!(key(&store, 3, 0), key(&store, 3, 0));
+        assert_ne!(key(&store, 3, 0), key(&store, 3, 1), "version must separate");
+        assert_ne!(key(&store, 1, 0), key(&store, 2, 0), "node must separate");
+        assert_ne!(key(&store, 0, 0), key(&store, 1, 0));
+    }
+
+    #[test]
+    fn a_shared_memo_changes_no_key() {
+        // A chain and a fork; read bottom-up and top-down through one
+        // memo, against reads that each start from the forest secret.
+        let store = khf_with(&[None, Some(0), Some(1), Some(2), Some(2), Some(0)]);
+        let mut memo = SecretMemo::default();
+        for node in [4, 3, 2, 1, 0, 5, 0, 1, 2, 3, 4] {
+            for version in [0, 7] {
+                assert_eq!(
+                    store.key(node, version, &mut memo),
+                    key(&store, node, version),
+                    "node {node} version {version}"
+                );
+            }
+        }
+        // What is remembered is every node that is another's ancestor.
+        assert_eq!(memo.0.keys().copied().collect::<Vec<_>>(), [0, 1, 2]);
     }
 
     #[test]
@@ -364,9 +421,10 @@ mod tests {
         let mut store = khf_with(&[None, Some(0)]);
         let mut rng = Drbg::from_seed(1);
         let base = store.resident_key_bytes();
-        let old = store.rotate(1, 0, RotateStyle::Derivable, &mut rng);
+        let old = key(&store, 1, 0);
+        store.rotate(1, RotateStyle::Derivable, &mut rng);
         assert_eq!(old, derived_key(&store, 1, 0));
-        assert_ne!(store.key(1, 1), old);
+        assert_ne!(key(&store, 1, 1), old);
         assert_eq!(store.resident_key_bytes(), base);
     }
 
@@ -375,18 +433,19 @@ mod tests {
         let mut store = khf_with(&[None, Some(0)]);
         let mut rng = Drbg::from_seed(2);
         let base = store.resident_key_bytes();
-        store.rotate(1, 0, RotateStyle::Fresh, &mut rng);
+        store.rotate(1, RotateStyle::Fresh, &mut rng);
         assert_eq!(store.resident_key_bytes(), base + SYMMETRIC_KEY_LEN);
         assert_ne!(
-            store.key(1, 1),
+            key(&store, 1, 1),
             derived_key(&store, 1, 1),
             "override must shadow derivation"
         );
         // A later join-style rotation returns the node to the forest.
-        let old = store.rotate(1, 1, RotateStyle::Derivable, &mut rng);
-        assert!(old != store.key(1, 2));
+        let old = key(&store, 1, 1);
+        store.rotate(1, RotateStyle::Derivable, &mut rng);
+        assert!(old != key(&store, 1, 2));
         assert_eq!(store.resident_key_bytes(), base);
-        assert_eq!(store.key(1, 2), derived_key(&store, 1, 2));
+        assert_eq!(key(&store, 1, 2), derived_key(&store, 1, 2));
     }
 
     #[test]

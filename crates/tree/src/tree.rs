@@ -2,7 +2,7 @@
 
 use crate::error::TreeError;
 use crate::plan::{EncryptUnder, KeyChange, RekeyPlan, UnicastKeys};
-use crate::store::{Keys, RotateStyle};
+use crate::store::{Keys, RotateStyle, SecretMemo};
 use crate::MemberId;
 use mykil_crypto::keys::SymmetricKey;
 use rand::RngCore;
@@ -243,7 +243,13 @@ impl KeyTree {
     ///
     /// Panics on an index from a different tree.
     pub fn node_key(&self, node: NodeIdx) -> SymmetricKey {
-        self.store.key(node.0, self.nodes[node.0].version)
+        self.key_in(node, &mut SecretMemo::default())
+    }
+
+    /// [`node_key`](Self::node_key) inside a plan: `memo` holds the
+    /// node secrets the plan has derived so far.
+    fn key_in(&self, node: NodeIdx, memo: &mut SecretMemo) -> SymmetricKey {
+        self.store.key(node.0, self.nodes[node.0].version, memo)
     }
 
     /// Version counter of a node's key (bumped on every change).
@@ -295,11 +301,20 @@ impl KeyTree {
         member: MemberId,
         out: &mut Vec<(NodeIdx, SymmetricKey)>,
     ) -> Result<(), TreeError> {
+        self.path_keys_in(member, out, &mut SecretMemo::default())
+    }
+
+    pub(crate) fn path_keys_in(
+        &self,
+        member: MemberId,
+        out: &mut Vec<(NodeIdx, SymmetricKey)>,
+        memo: &mut SecretMemo,
+    ) -> Result<(), TreeError> {
         let leaf = self.leaf_of(member)?;
         out.clear();
         out.reserve(self.nodes[leaf.0].depth as usize + 1);
         for n in self.ancestors(leaf) {
-            out.push((n, self.node_key(n)));
+            out.push((n, self.key_in(n, memo)));
         }
         Ok(())
     }
@@ -336,20 +351,13 @@ impl KeyTree {
 
     // ---- mutation helpers ----
 
-    /// Rotates the key at `node`, returning the **previous** key (moved
-    /// out of the store, not copied — the caller either records it in a
-    /// plan or lets it drop and zeroize). `style` tells a derivation
-    /// backend whether the new key may come from the forest
-    /// (join-style) or must be fresh randomness (leave-style).
-    fn rotate_key<R: RngCore + ?Sized>(
-        &mut self,
-        node: NodeIdx,
-        style: RotateStyle,
-        rng: &mut R,
-    ) -> SymmetricKey {
-        let old_version = self.nodes[node.0].version;
+    /// Rotates the key at `node`. `style` tells a derivation backend
+    /// whether the new key may come from the forest (join-style) or
+    /// must be fresh randomness (leave-style). A plan that distributes
+    /// the new key under the previous one reads that first.
+    fn rotate_key<R: RngCore + ?Sized>(&mut self, node: NodeIdx, style: RotateStyle, rng: &mut R) {
         self.nodes[node.0].version += 1;
-        self.store.rotate(node.0, old_version, style, rng)
+        self.store.rotate(node.0, style, rng);
     }
 
     fn alloc_leaf<R: RngCore + ?Sized>(&mut self, parent: NodeIdx, rng: &mut R) -> NodeIdx {
@@ -455,6 +463,7 @@ impl KeyTree {
         }
         let (leaf, displaced) = self.place_leaf(rng);
         self.occupy_leaf(leaf, member, rng);
+        let memo = &mut SecretMemo::default();
 
         // Refresh every key from the leaf's parent to the root; each is
         // multicast encrypted under its previous version. The walk uses
@@ -463,10 +472,11 @@ impl KeyTree {
         let mut changes = Vec::with_capacity(depth);
         let mut cur = self.nodes[leaf.0].parent;
         while let Some(node) = cur {
-            let old = self.rotate_key(node, RotateStyle::Derivable, rng);
+            let old = self.key_in(node, memo);
+            self.rotate_key(node, RotateStyle::Derivable, rng);
             changes.push(KeyChange {
                 node,
-                new_key: self.node_key(node),
+                new_key: self.key_in(node, memo),
                 encryptions: vec![(EncryptUnder::PreviousSelf, old)],
             });
             cur = self.nodes[node.0].parent;
@@ -474,7 +484,7 @@ impl KeyTree {
 
         let mut newcomer_keys = Vec::with_capacity(depth + 1);
         for n in self.ancestors(leaf) {
-            newcomer_keys.push((n, self.node_key(n)));
+            newcomer_keys.push((n, self.key_in(n, memo)));
         }
         let mut unicasts = Vec::with_capacity(2);
         unicasts.push(UnicastKeys {
@@ -486,7 +496,7 @@ impl KeyTree {
             // old keys; it only needs its fresh leaf key.
             unicasts.push(UnicastKeys {
                 member: displaced_member,
-                keys: vec![(new_leaf, self.node_key(new_leaf))],
+                keys: vec![(new_leaf, self.key_in(new_leaf, memo))],
             });
         }
         Ok(RekeyPlan { changes, unicasts })
@@ -509,7 +519,7 @@ impl KeyTree {
         let Some(start) = self.remove_member(member, leaf) else {
             return Ok(RekeyPlan::default());
         };
-        Ok(self.rekey_paths_leave_style(&[start], rng))
+        Ok(self.rekey_paths_leave_style(&[start], rng, &mut SecretMemo::default()))
     }
 
     /// Removes a member's occupancy, returning the node where the leave
@@ -568,6 +578,7 @@ impl KeyTree {
         &mut self,
         starts: &[NodeIdx],
         rng: &mut R,
+        memo: &mut SecretMemo,
     ) -> RekeyPlan {
         // Union of paths, deepest first (so child keys are already fresh
         // when the parent's change is encrypted under them). Dedup uses
@@ -605,7 +616,7 @@ impl KeyTree {
         for &(_, node) in &changed {
             // Leave-style: the departed member must not be able to
             // derive the successor, so the backend draws fresh.
-            let _superseded = self.rotate_key(node, RotateStyle::Fresh, rng);
+            self.rotate_key(node, RotateStyle::Fresh, rng);
             let children = &self.nodes[node.0].children;
             let mut encryptions = Vec::with_capacity(children.len());
             for &child in children {
@@ -619,12 +630,12 @@ impl KeyTree {
                 // changed (deeper nodes were processed first).
                 encryptions.push((
                     EncryptUnder::Child(child),
-                    self.store.key(child.0, c.version),
+                    self.store.key(child.0, c.version, memo),
                 ));
             }
             changes.push(KeyChange {
                 node,
-                new_key: self.node_key(node),
+                new_key: self.key_in(node, memo),
                 encryptions,
             });
         }
@@ -638,7 +649,8 @@ impl KeyTree {
     /// change distributed under the previous area key — the periodic
     /// freshness rekey of the paper's Section III-E.
     pub fn rotate_area_key<R: RngCore + ?Sized>(&mut self, rng: &mut R) -> RekeyPlan {
-        let old = self.rotate_key(NodeIdx(0), RotateStyle::Derivable, rng);
+        let old = self.node_key(NodeIdx(0));
+        self.rotate_key(NodeIdx(0), RotateStyle::Derivable, rng);
         RekeyPlan {
             changes: vec![KeyChange {
                 node: NodeIdx(0),
