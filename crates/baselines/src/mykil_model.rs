@@ -45,11 +45,6 @@ impl MykilModel {
         }
     }
 
-    /// Number of areas.
-    pub fn area_count(&self) -> usize {
-        self.areas.len()
-    }
-
     /// The area a member lives in.
     pub fn area_of(&self, member: MemberId) -> Option<usize> {
         self.area_of.get(&member).copied()

@@ -1211,11 +1211,6 @@ impl Mover {
         self.done
     }
 
-    /// Moves this driver is responsible for.
-    pub fn moves_assigned(&self) -> u64 {
-        self.assigned
-    }
-
     /// Whether every assigned move completed.
     pub fn finished(&self) -> bool {
         self.done >= self.assigned
@@ -1895,15 +1890,6 @@ impl ScaleGroup {
     /// Combined live membership across every area (cold + hot).
     pub fn live_members(&self) -> u64 {
         self.controllers().map(|c| c.live_members()).sum()
-    }
-
-    /// Total modeled rekey traffic across every area.
-    pub fn modeled_traffic(&self) -> RekeyTraffic {
-        let mut total = RekeyTraffic::default();
-        for c in self.controllers() {
-            total += c.cold().traffic();
-        }
-        total
     }
 
     /// Closed-form controller storage summed across areas (the paper's

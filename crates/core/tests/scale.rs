@@ -339,8 +339,7 @@ fn flash_crowd_100k_smoke() {
 }
 
 /// A smoke-sized mobility storm with a generated fault plan: the CI
-/// analog of the million-member acceptance run in `scalegate
-/// --mobility`.
+/// analog of the million-member acceptance run in `gate mobility`.
 #[test]
 fn mobility_storm_10k_smoke() {
     let mut g = ScaleGroup::new(ScaleConfig {

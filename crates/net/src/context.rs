@@ -122,11 +122,6 @@ impl<'a> Context<'a> {
         self.compute += d;
     }
 
-    /// Compute charged so far in this callback.
-    pub fn compute_charged(&self) -> Duration {
-        self.compute
-    }
-
     /// Sends `bytes` to `to`, tagged with an accounting `kind`.
     pub fn send(&mut self, to: NodeId, kind: &'static str, bytes: Vec<u8>) {
         self.actions.push(Action::Send {

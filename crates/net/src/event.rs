@@ -802,12 +802,3 @@ mod wheel_proptests {
         }
     }
 }
-
-#[cfg(test)]
-impl EventQueue {
-    /// Test-only: number of arena slots ever allocated.
-    #[allow(dead_code)]
-    pub(crate) fn arena_size(&self) -> usize {
-        self.slots.len()
-    }
-}

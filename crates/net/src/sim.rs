@@ -275,12 +275,6 @@ impl Simulator {
         &self.groups[group.index()]
     }
 
-    /// Adds a member to a group directly (harness convenience; nodes use
-    /// [`Context::join_group`]).
-    pub fn add_group_member(&mut self, group: GroupId, node: NodeId) {
-        self.groups[group.index()].insert(node);
-    }
-
     /// Current virtual time.
     pub fn now(&self) -> Time {
         self.now

@@ -600,11 +600,6 @@ impl<S: StableStore> FaultyStore<S> {
         &self.inner
     }
 
-    /// Unwraps the backend, dropping any parked (unflushed) writes.
-    pub fn into_inner(self) -> S {
-        self.inner
-    }
-
     /// Flushes every parked write into the inner store, in order, and
     /// syncs it. A parked checkpoint lands at the WAL position of the
     /// records flushed before it, exactly where it would have landed

@@ -167,7 +167,7 @@ impl Keys {
     }
 
     /// Bytes of key material resident in memory (the controller
-    /// storage cost perfgate tracks per backend).
+    /// storage cost `gate rekey` tracks per backend).
     pub(crate) fn resident_key_bytes(&self) -> usize {
         match self {
             Keys::Explicit(keys) => keys.len() * SYMMETRIC_KEY_LEN,
