@@ -53,7 +53,7 @@ impl AreaController {
         } else {
             self.own_area_keys()
         };
-        ctx.charge_compute(self.cost.symmetric_op);
+        self.node_keys.charge_symmetric(ctx, 1);
         let Some(k_r) = unwrap_keys
             .iter()
             .find_map(|k| envelope::open(k, wrapped).ok())
@@ -72,7 +72,7 @@ impl AreaController {
         }
 
         // Multicast into our area under the (possibly new) area key.
-        ctx.charge_compute(self.cost.symmetric_op);
+        self.node_keys.charge_symmetric(ctx, 1);
         let area_key = self.durable.image.tree.area_key();
         let rewrapped = envelope::seal(&area_key, k_r.as_bytes(), ctx.rng());
         ctx.multicast(
@@ -93,7 +93,7 @@ impl AreaController {
         if !from_parent {
             if let Some(parent) = self.durable.image.parent.clone() {
                 if let Some(parent_key) = self.durable.image.parent_keys.area_key() {
-                    ctx.charge_compute(self.cost.symmetric_op);
+                    self.node_keys.charge_symmetric(ctx, 1);
                     let up = envelope::seal(&parent_key, k_r.as_bytes(), ctx.rng());
                     ctx.send(
                         parent.node,

@@ -6,11 +6,10 @@ use crate::durable::AcWalRecord;
 use crate::error::ProtocolError;
 use crate::identity::{ClientId, DeviceId};
 use crate::msg::Msg;
-use crate::rekey::{encode_tree_path, key_update_digest};
+use crate::rekey::encode_tree_path;
 use crate::ticket::Ticket;
 use crate::welcome::Welcome;
-use crate::wire::Reader;
-use mykil_crypto::envelope::HybridCiphertext;
+use crate::wire;
 use mykil_crypto::keys::SymmetricKey;
 use mykil_crypto::rsa::RsaPublicKey;
 use mykil_net::{Context, NodeId, Time};
@@ -19,28 +18,18 @@ use mykil_tree::{MemberId, RekeyPlan};
 impl AreaController {
     /// Join step 4: the RS introduces an authorized client.
     pub(crate) fn handle_join4(&mut self, ctx: &mut Context<'_>, ct: &[u8], sig: &[u8]) {
-        ctx.charge_compute(self.cost.rsa_public(self.cfg.rsa_bits));
-        if !self.rs_pub.verify(ct, sig) {
-            return;
-        }
-        ctx.charge_compute(self.cost.rsa_private(self.cfg.rsa_bits));
-        let Some(plain) = HybridCiphertext::from_bytes(ct)
-            .ok()
-            .and_then(|hc| hc.decrypt(&self.keypair).ok())
-        else {
+        let Some(plain) = self.node_keys.open_signed(ctx, &self.rs_pub, ct, sig) else {
             return;
         };
-        let parsed = (|| {
-            let mut r = Reader::new(&plain);
-            let nonce_ac = r.u64().ok()?;
-            let client = ClientId(r.u64().ok()?);
-            let ts = Time::from_micros(r.u64().ok()?);
-            let pubkey = r.bytes().ok()?.to_vec();
-            let duration = mykil_net::Duration::from_micros(r.u64().ok()?);
-            r.finish().ok()?;
-            Some((nonce_ac, client, ts, pubkey, duration))
-        })();
-        let Some((nonce_ac, client, ts, pubkey, duration)) = parsed else {
+        let Some((nonce_ac, client, ts, pubkey, duration)) = wire::parse(&plain, |r| {
+            Ok((
+                r.u64()?,
+                ClientId(r.u64()?),
+                Time::from_micros(r.u64()?),
+                r.bytes()?,
+                mykil_net::Duration::from_micros(r.u64()?),
+            ))
+        }) else {
             return;
         };
         // Timestamp window: catches the replay attack the paper calls
@@ -49,7 +38,7 @@ impl AreaController {
             ctx.stats().bump("ac-replays-rejected", 1);
             return;
         }
-        let Ok(pubkey) = RsaPublicKey::from_bytes(&pubkey) else {
+        let Ok(pubkey) = RsaPublicKey::from_bytes(pubkey) else {
             return;
         };
         self.pending_admissions.insert(
@@ -65,22 +54,10 @@ impl AreaController {
     /// Join step 6: the client proves it holds `Nonce_AC` and presents
     /// its challenge; step 7 (the welcome) is the reply.
     pub(crate) fn handle_join6(&mut self, ctx: &mut Context<'_>, from: NodeId, ct: &[u8]) {
-        ctx.charge_compute(self.cost.rsa_private(self.cfg.rsa_bits));
-        let Some(plain) = HybridCiphertext::from_bytes(ct)
-            .ok()
-            .and_then(|hc| hc.decrypt(&self.keypair).ok())
+        let Some(plain) = self.node_keys.open(ctx, ct) else { return };
+        let Some((nonce_ac_2, nonce_ca, device)) =
+            wire::parse(&plain, |r| Ok((r.u64()?, r.u64()?, DeviceId(r.array()?))))
         else {
-            return;
-        };
-        let parsed = (|| {
-            let mut r = Reader::new(&plain);
-            let nonce_ac_2 = r.u64().ok()?;
-            let nonce_ca = r.u64().ok()?;
-            let device = DeviceId(r.array::<6>().ok()?);
-            r.finish().ok()?;
-            Some((nonce_ac_2, nonce_ca, device))
-        })();
-        let Some((nonce_ac_2, nonce_ca, device)) = parsed else {
             return;
         };
         let Some(pending) = self
@@ -101,13 +78,11 @@ impl AreaController {
             ctx.stats().bump("ac-admissions-rejected", 1);
             return;
         };
-        ctx.charge_compute(self.cost.rsa_public(self.cfg.rsa_bits));
-        let Ok(ct7) = HybridCiphertext::encrypt(&pending.pubkey, &welcome.to_bytes(), ctx.rng())
-        else {
+        let Some(ct7) = self.node_keys.seal(ctx, &pending.pubkey, &welcome.to_bytes()) else {
             return;
         };
         self.stats.joins_admitted += 1;
-        ctx.send(from, "join", Msg::Join7 { ct: ct7.to_bytes() }.to_bytes());
+        ctx.send(from, "join", Msg::Join7 { ct: ct7 }.to_bytes());
         self.after_membership_change(ctx);
     }
 
@@ -218,11 +193,8 @@ impl AreaController {
             let Some((node, pubkey)) = target else {
                 continue;
             };
-            ctx.charge_compute(self.cost.rsa_public(self.cfg.rsa_bits));
-            if let Ok(ct) =
-                HybridCiphertext::encrypt(&pubkey, &encode_tree_path(&u.keys), ctx.rng())
-            {
-                ctx.send(node, "key-unicast", Msg::KeyUnicast { ct: ct.to_bytes() }.to_bytes());
+            if let Some(ct) = self.node_keys.seal(ctx, &pubkey, &encode_tree_path(&u.keys)) {
+                ctx.send(node, "key-unicast", Msg::KeyUnicast { ct }.to_bytes());
             }
         }
     }
@@ -240,11 +212,5 @@ impl AreaController {
         let window = self.cfg.timestamp_window;
         let (a, b) = if now >= ts { (now, ts) } else { (ts, now) };
         a.since(b) <= window
-    }
-
-    /// Signs a key-update body for this area at the current epoch.
-    pub(crate) fn sign_key_update(&self, body: &[u8]) -> Vec<u8> {
-        let digest = key_update_digest(self.deploy.area, self.durable.image.epoch, body);
-        self.keypair.sign_digest(&digest)
     }
 }

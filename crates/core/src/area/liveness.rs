@@ -11,9 +11,9 @@ use super::{AreaController, ParentLink, RejoinStage, TIMER_IDLE_ALIVE, TIMER_PAR
 use crate::durable::AcWalRecord;
 use crate::identity::{AreaId, ClientId};
 use crate::msg::{Msg, RejoinDenyReason};
-use crate::rekey::{decode_path, key_update_digest};
-use crate::wire::{Reader, Writer};
-use mykil_crypto::envelope::HybridCiphertext;
+use crate::node_keys::takeover_signed_bytes;
+use crate::rekey::{decode_path, receive_key_update};
+use crate::wire::{self, Writer};
 use mykil_net::{Context, GroupId, NodeId, Time};
 use mykil_tree::MemberId;
 
@@ -100,22 +100,7 @@ impl AreaController {
         // streaming encoder seals under the superseded area key directly.
         let mut w = crate::wire::Writer::with_capacity(crate::rekey::entries_wire_len(&plan));
         crate::rekey::write_entries_from_plan(&plan, ctx.rng(), &mut w);
-        let body = w.into_bytes();
-        ctx.charge_compute(self.cost.rsa_private(self.cfg.rsa_bits));
-        let sig = self.sign_key_update(&body);
-        ctx.multicast(
-            self.deploy.group,
-            "key-update",
-            Msg::KeyUpdate {
-                area: self.deploy.area,
-                epoch: self.durable.image.epoch,
-                body,
-                sig,
-            }
-            .to_bytes(),
-        );
-        self.last_area_mcast = ctx.now();
-        self.stats.rekeys += 1;
+        self.multicast_key_update(ctx, w.into_bytes());
         ctx.stats().bump("ac-freshness-rekeys", 1);
         // The epoch advanced: keep the durable image in step.
         self.persist_checkpoint(ctx);
@@ -171,30 +156,12 @@ impl AreaController {
             return;
         };
         self.parent_switch_cursor = (idx + 1) % n;
-        let Some(next_pub) = self.directory_pubkey(next.node) else {
-            return;
-        };
-        let mut w = Writer::new();
-        w.u32(self.deploy.area.0).u64(ctx.now().as_micros());
-        ctx.charge_compute(self.cost.rsa_public(self.cfg.rsa_bits));
-        let Ok(ct) = HybridCiphertext::encrypt(&next_pub, &w.into_bytes(), ctx.rng()) else {
-            return;
-        };
-        let ct = ct.to_bytes();
-        ctx.charge_compute(self.cost.rsa_private(self.cfg.rsa_bits));
-        let sig = self.keypair.sign(&ct);
-        ctx.stats().bump("ac-parent-switch-attempts", 1);
-        // Supersede any older in-flight request: only the latest target
-        // may answer, and its request rides the reliable channel.
-        if let Some((_, old)) = self.pending_parent_join.take() {
-            ctx.cancel_reliable(old);
+        if self.request_parent_enrollment(ctx, &next) {
+            ctx.stats().bump("ac-parent-switch-attempts", 1);
+            // Stop treating the dead parent as alive; the ack installs
+            // the replacement.
+            self.last_heard_parent = ctx.now();
         }
-        let token =
-            ctx.send_reliable(next.node, "area-join", Msg::AreaJoinReq { ct, sig }.to_bytes());
-        self.pending_parent_join = Some((next.node, token));
-        // Stop treating the dead parent as alive; the ack installs the
-        // replacement.
-        self.last_heard_parent = ctx.now();
     }
 
     /// Handles an area-join request from a prospective child controller.
@@ -208,25 +175,12 @@ impl AreaController {
         let Some(child_pub) = self.directory_pubkey(from) else {
             return;
         };
-        ctx.charge_compute(self.cost.rsa_public(self.cfg.rsa_bits));
-        if !child_pub.verify(ct, sig) {
-            return;
-        }
-        ctx.charge_compute(self.cost.rsa_private(self.cfg.rsa_bits));
-        let Some(plain) = HybridCiphertext::from_bytes(ct)
-            .ok()
-            .and_then(|hc| hc.decrypt(&self.keypair).ok())
-        else {
+        let Some(plain) = self.node_keys.open_signed(ctx, &child_pub, ct, sig) else {
             return;
         };
-        let parsed = (|| {
-            let mut r = Reader::new(&plain);
-            let child_area = AreaId(r.u32().ok()?);
-            let ts = Time::from_micros(r.u64().ok()?);
-            r.finish().ok()?;
-            Some((child_area, ts))
-        })();
-        let Some((child_area, ts)) = parsed else {
+        let Some((child_area, ts)) =
+            wire::parse(&plain, |r| Ok((AreaId(r.u32()?), Time::from_micros(r.u64()?))))
+        else {
             return;
         };
         if !self.fresh_timestamp(ctx.now(), ts) {
@@ -264,14 +218,10 @@ impl AreaController {
             .u64(self.durable.image.epoch)
             .bytes(&path_bytes)
             .u64(ctx.now().as_micros());
-        ctx.charge_compute(self.cost.rsa_public(self.cfg.rsa_bits));
-        let Ok(ack_ct) = HybridCiphertext::encrypt(&child_pub, &w.into_bytes(), ctx.rng())
+        let Some((ack_ct, ack_sig)) = self.node_keys.seal_signed(ctx, &child_pub, &w.into_bytes())
         else {
             return;
         };
-        let ack_ct = ack_ct.to_bytes();
-        ctx.charge_compute(self.cost.rsa_private(self.cfg.rsa_bits));
-        let ack_sig = self.keypair.sign(&ack_ct);
         // Reliable: a lost ack would otherwise strand the child with a
         // transport-acknowledged request and no installed parent.
         ctx.send_reliable(
@@ -305,28 +255,18 @@ impl AreaController {
         let Some(parent_pub) = self.directory_pubkey(from) else {
             return;
         };
-        ctx.charge_compute(self.cost.rsa_public(self.cfg.rsa_bits));
-        if !parent_pub.verify(ct, sig) {
-            return;
-        }
-        ctx.charge_compute(self.cost.rsa_private(self.cfg.rsa_bits));
-        let Some(plain) = HybridCiphertext::from_bytes(ct)
-            .ok()
-            .and_then(|hc| hc.decrypt(&self.keypair).ok())
-        else {
+        let Some(plain) = self.node_keys.open_signed(ctx, &parent_pub, ct, sig) else {
             return;
         };
-        let parsed = (|| {
-            let mut r = Reader::new(&plain);
-            let parent_area = AreaId(r.u32().ok()?);
-            let group_raw = r.u32().ok()?;
-            let parent_epoch = r.u64().ok()?;
-            let path = decode_path(r.bytes().ok()?).ok()?;
-            let ts = Time::from_micros(r.u64().ok()?);
-            r.finish().ok()?;
-            Some((parent_area, group_raw, parent_epoch, path, ts))
-        })();
-        let Some((parent_area, group_raw, parent_epoch, path, ts)) = parsed else {
+        let Some((parent_area, group_raw, parent_epoch, path, ts)) = wire::parse(&plain, |r| {
+            Ok((
+                AreaId(r.u32()?),
+                r.u32()?,
+                r.u64()?,
+                decode_path(r.bytes()?)?,
+                Time::from_micros(r.u64()?),
+            ))
+        }) else {
             return;
         };
         if !self.fresh_timestamp(ctx.now(), ts) {
@@ -377,28 +317,11 @@ impl AreaController {
         let Some(parent_pub) = self.directory_pubkey(from) else {
             return;
         };
-        ctx.charge_compute(self.cost.rsa_public(self.cfg.rsa_bits));
-        if !parent_pub.verify_digest(&key_update_digest(area, epoch, body), sig) {
-            return;
-        }
-        // Ordering guard: never let a reordered older update revert
-        // newer parent-area keys.
-        if epoch <= self.parent_epoch {
-            return;
-        }
-        // Entries are opened straight out of the frame (no decoded
-        // entry list); the count prefix alone prices the work.
-        let Ok(count) = Reader::new(body).u32() else {
-            return;
-        };
-        let Ok(outcome) = self.durable.image.parent_keys.apply_encoded(body) else {
-            return;
-        };
-        ctx.charge_compute(self.cost.symmetric_op.saturating_mul(count as u64));
-        if outcome.stale > 0 || outcome.learned == 0 || epoch > self.parent_epoch + 1 {
+        let (keys, seen) = (&mut self.durable.image.parent_keys, &mut self.parent_epoch);
+        if receive_key_update(ctx, &self.node_keys, &parent_pub, keys, seen, area, epoch, body, sig)
+        {
             self.request_parent_key_refresh(ctx);
         }
-        self.parent_epoch = epoch;
     }
 
     /// Asks the parent controller to re-send this AC's key path in the
@@ -457,13 +380,7 @@ impl AreaController {
     /// Unicast key refreshes from the parent (displacement or batch
     /// refresh — the AC is just another member of the parent area).
     pub(crate) fn handle_parent_key_unicast(&mut self, ctx: &mut Context<'_>, ct: &[u8]) {
-        ctx.charge_compute(self.cost.rsa_private(self.cfg.rsa_bits));
-        let Some(plain) = HybridCiphertext::from_bytes(ct)
-            .ok()
-            .and_then(|hc| hc.decrypt(&self.keypair).ok())
-        else {
-            return;
-        };
+        let Some(plain) = self.node_keys.open(ctx, ct) else { return };
         if let Ok(path) = decode_path(&plain) {
             self.durable.image.parent_keys.install_path(&path);
         }
@@ -473,14 +390,14 @@ impl AreaController {
     /// link if it was our parent.
     pub(crate) fn handle_neighbor_takeover(
         &mut self,
-        _ctx: &mut Context<'_>,
+        ctx: &mut Context<'_>,
         from: NodeId,
         area: AreaId,
         sig: &[u8],
         pubkey: &[u8],
     ) {
         let Some(parent) = &self.durable.image.parent else { return };
-        if parent.area != area {
+        if parent.area != area || parent.node == from {
             return;
         }
         // Validate against the deployment's backup key for that area —
@@ -494,9 +411,7 @@ impl AreaController {
         let Ok(pk) = mykil_crypto::rsa::RsaPublicKey::from_bytes(pubkey) else {
             return;
         };
-        let mut w = Writer::new();
-        w.u32(area.0);
-        if !pk.verify(&w.into_bytes(), sig) {
+        if !self.node_keys.verify(ctx, &pk, &takeover_signed_bytes(area), sig) {
             return;
         }
         self.durable.image.parent = Some(ParentLink {
@@ -504,6 +419,10 @@ impl AreaController {
             area,
             group: parent.group,
         });
+        // The parent link is part of the checkpointed image: a crash or
+        // a takeover must not re-enrol with the node that just died.
+        self.persist_checkpoint(ctx);
+        self.sync_backup(ctx);
     }
 }
 
@@ -531,11 +450,11 @@ mod tests {
         // signed by AC2, fresh timestamp, empty path.
         let (ac2_keypair, ac2_area, ac2_group) =
             g.sim.invoke(ac2, |ac: &mut AreaController, _ctx| {
-                (ac.keypair.clone(), ac.deploy.area, ac.deploy.group)
+                (ac.node_keys.keypair().clone(), ac.deploy.area, ac.deploy.group)
             });
         let ac1_pub = g
             .sim
-            .invoke(ac1, |ac: &mut AreaController, _ctx| ac.keypair.public().clone());
+            .invoke(ac1, |ac: &mut AreaController, _ctx| ac.node_keys.public().clone());
         let mut w = Writer::new();
         w.u32(ac2_area.0)
             .u32(ac2_group.index() as u32)
@@ -578,6 +497,33 @@ mod tests {
         assert!(ac1_state.pending_parent_join.is_none());
     }
 
+    /// Regression: a parent link repointed by a neighbor's takeover is a
+    /// hierarchy change like any other. It used to live in memory only,
+    /// so until the next flush a crash — or this area's own takeover —
+    /// re-enrolled with the parent that had just died.
+    #[test]
+    fn a_repointed_parent_reaches_stable_storage_and_the_backup() {
+        use crate::area::AreaImage;
+        use crate::durable::replay_ac;
+        use mykil_net::Duration;
+
+        let mut g = GroupBuilder::new(97).areas(2).replicated(true).build();
+        g.settle();
+        g.crash_ac(0);
+        g.run_for(Duration::from_secs(2));
+        let promoted = g.backups[0];
+        assert_eq!(g.ac(1).parent().map(|p| p.node), Some(promoted), "area 1 never repointed");
+
+        let stored = g.sim.storage(g.primaries[1]).load();
+        let replayed = replay_ac(stored.checkpoint.as_ref().map(|(_, b)| b.as_slice()), &stored.wal)
+            .expect("area 1's storage replays");
+        assert_eq!(replayed.image.parent.map(|p| p.node), Some(promoted));
+
+        let escrow = g.backup(1).durable.escrow.clone().expect("area 1's backup holds a snapshot");
+        let image = AreaImage::decode(escrow.as_slice(), g.now()).expect("snapshot parses");
+        assert_eq!(image.parent.map(|p| p.node), Some(promoted));
+    }
+
     /// An ack from a *different* live candidate than the one currently
     /// targeted is also dropped — stale answers from earlier rotation
     /// attempts must not race the newest request.
@@ -590,11 +536,11 @@ mod tests {
 
         let (ac2_keypair, ac2_area, ac2_group) =
             g.sim.invoke(ac2, |ac: &mut AreaController, _ctx| {
-                (ac.keypair.clone(), ac.deploy.area, ac.deploy.group)
+                (ac.node_keys.keypair().clone(), ac.deploy.area, ac.deploy.group)
             });
         let ac1_pub = g
             .sim
-            .invoke(ac1, |ac: &mut AreaController, _ctx| ac.keypair.public().clone());
+            .invoke(ac1, |ac: &mut AreaController, _ctx| ac.node_keys.public().clone());
         let mut w = Writer::new();
         w.u32(ac2_area.0)
             .u32(ac2_group.index() as u32)

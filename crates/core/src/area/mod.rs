@@ -30,6 +30,7 @@ use crate::directory::AcDirectory;
 use crate::durable::RECOVERY_EPOCH_JUMP;
 use crate::identity::{AreaId, ClientId, DeviceId};
 use crate::msg::{Msg, RejoinDenyReason};
+use crate::node_keys::NodeKeys;
 use mykil_crypto::envelope::EnvelopeKey;
 use mykil_crypto::keys::SymmetricKey;
 use mykil_crypto::rsa::{RsaKeyPair, RsaPublicKey};
@@ -90,6 +91,8 @@ pub(crate) struct PendingRejoin {
     pub ticket_device: DeviceId,
     pub valid_until: Time,
     pub nonce_bc: u64,
+    /// The previous controller (node), from the ticket.
+    pub prev_ac: u32,
     pub stage: RejoinStage,
     pub deadline: Time,
 }
@@ -164,8 +167,7 @@ pub struct AcStats {
 /// The area controller node (primary or backup).
 pub struct AreaController {
     pub(crate) cfg: MykilConfig,
-    pub(crate) cost: CryptoCost,
-    pub(crate) keypair: RsaKeyPair,
+    pub(crate) node_keys: NodeKeys,
     pub(crate) rs_pub: RsaPublicKey,
     /// `K_shared`, held prepared: it seals or opens a ticket on every
     /// join and rejoin.
@@ -183,8 +185,6 @@ pub struct AreaController {
 
     pub(crate) pending_admissions: BTreeMap<u64, PendingAdmission>,
     pub(crate) pending_rejoins: BTreeMap<NodeId, PendingRejoin>,
-    /// Per pending rejoin: the previous AC (node, area) from the ticket.
-    pub(crate) pending_rejoin_prev_ac: BTreeMap<NodeId, (u32, AreaId)>,
 
     // Batching state (Section III-E).
     pub(crate) update_needed: bool,
@@ -263,14 +263,12 @@ impl AreaController {
             EnvelopeKey::new(&k_shared.derive(format!("repl-{}", deploy.area.0).as_bytes()));
         AreaController {
             durable: Self::deployed_state(&cfg, &deploy, tree_seed),
+            node_keys: NodeKeys::new(keypair, cost, cfg.rsa_bits),
             cfg,
-            cost,
-            keypair,
             rs_pub,
             k_shared: EnvelopeKey::new(&k_shared),
             pending_admissions: BTreeMap::new(),
             pending_rejoins: BTreeMap::new(),
-            pending_rejoin_prev_ac: BTreeMap::new(),
             update_needed: false,
             buffered_join_updates: BTreeMap::new(),
             recorded_members: BTreeMap::new(),
@@ -326,7 +324,7 @@ impl AreaController {
 
     /// The controller's public key.
     pub fn public_key(&self) -> &RsaPublicKey {
-        self.keypair.public()
+        self.node_keys.public()
     }
 
     /// The current area key (root of the auxiliary tree).
@@ -386,15 +384,9 @@ impl AreaController {
         self.durable.image.child_acs.insert(child_node);
     }
 
-    /// Re-seeds this controller's view of its parent area's keys
-    /// (deployment-time helper; see [`Self::enroll_child_static`]).
-    pub fn seed_parent_keys(&mut self, path: &[(u32, SymmetricKey)]) {
-        self.durable.image.parent_keys.clear();
-        self.durable.image.parent_keys.install_path(path);
-    }
-
-    /// [`Self::seed_parent_keys`] straight from a tree plan's
-    /// `(NodeIdx, key)` form.
+    /// Re-seeds this controller's view of its parent area's keys from
+    /// a tree plan's path (deployment-time helper; see
+    /// [`Self::enroll_child_static`]).
     pub fn seed_parent_tree_keys(&mut self, path: &[(mykil_tree::NodeIdx, SymmetricKey)]) {
         self.durable.image.parent_keys.clear();
         self.durable.image.parent_keys.install_tree_path(path);

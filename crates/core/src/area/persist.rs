@@ -350,7 +350,6 @@ impl AreaController {
         self.durable = Self::deployed_state(&self.cfg, &self.deploy, self.tree_seed);
         self.pending_admissions.clear();
         self.pending_rejoins.clear();
-        self.pending_rejoin_prev_ac.clear();
         self.update_needed = false;
         self.buffered_join_updates.clear();
         self.recorded_members.clear();

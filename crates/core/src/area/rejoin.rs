@@ -14,8 +14,7 @@ use crate::durable::AcWalRecord;
 use crate::identity::{ClientId, DeviceId};
 use crate::msg::{Msg, RejoinDenyReason};
 use crate::ticket::SealedTicket;
-use crate::wire::{Reader, Writer};
-use mykil_crypto::envelope::HybridCiphertext;
+use crate::wire::{self, Writer};
 use mykil_crypto::rsa::RsaPublicKey;
 use mykil_net::{Context, NodeId, Time};
 use rand::RngCore;
@@ -23,26 +22,14 @@ use rand::RngCore;
 impl AreaController {
     /// Rejoin step 1: ticket presentation.
     pub(crate) fn handle_rejoin1(&mut self, ctx: &mut Context<'_>, from: NodeId, ct: &[u8]) {
-        ctx.charge_compute(self.cost.rsa_private(self.cfg.rsa_bits));
-        let Some(plain) = HybridCiphertext::from_bytes(ct)
-            .ok()
-            .and_then(|hc| hc.decrypt(&self.keypair).ok())
+        let Some(plain) = self.node_keys.open(ctx, ct) else { return };
+        let Some((nonce_cb, device, ticket_bytes)) =
+            wire::parse(&plain, |r| Ok((r.u64()?, DeviceId(r.array()?), r.bytes()?.to_vec())))
         else {
             return;
         };
-        let parsed = (|| {
-            let mut r = Reader::new(&plain);
-            let nonce_cb = r.u64().ok()?;
-            let device = DeviceId(r.array::<6>().ok()?);
-            let ticket = r.bytes().ok()?.to_vec();
-            r.finish().ok()?;
-            Some((nonce_cb, device, ticket))
-        })();
-        let Some((nonce_cb, device, ticket_bytes)) = parsed else {
-            return;
-        };
         // Verify the ticket under K_shared.
-        ctx.charge_compute(self.cost.symmetric_op);
+        self.node_keys.charge_symmetric(ctx, 1);
         let Ok(ticket) = SealedTicket(ticket_bytes).open(&self.k_shared) else {
             self.deny_rejoin(ctx, from, RejoinDenyReason::BadTicket);
             return;
@@ -60,8 +47,7 @@ impl AreaController {
         let nonce_bc = ctx.rng().next_u64();
         let mut w = Writer::new();
         w.u64(nonce_cb.wrapping_add(1)).u64(nonce_bc);
-        ctx.charge_compute(self.cost.rsa_public(self.cfg.rsa_bits));
-        let Ok(ct2) = HybridCiphertext::encrypt(&client_pub, &w.into_bytes(), ctx.rng()) else {
+        let Some(ct2) = self.node_keys.seal(ctx, &client_pub, &w.into_bytes()) else {
             return;
         };
         self.pending_rejoins.insert(
@@ -73,14 +59,13 @@ impl AreaController {
                 ticket_device: ticket.device,
                 valid_until: ticket.valid_until,
                 nonce_bc,
+                // Where to ask about departure.
+                prev_ac: ticket.last_ac,
                 stage: RejoinStage::AwaitStep3,
                 deadline: ctx.now() + self.cfg.member_disconnect_after(),
             },
         );
-        // Remember where to ask about departure.
-        self.pending_rejoin_prev_ac
-            .insert(from, (ticket.last_ac, ticket.last_area));
-        ctx.send(from, "rejoin", Msg::Rejoin2 { ct: ct2.to_bytes() }.to_bytes());
+        ctx.send(from, "rejoin", Msg::Rejoin2 { ct: ct2 }.to_bytes());
     }
 
     /// Rejoin step 3: the client answers the challenge; `AC_B` then asks
@@ -92,30 +77,15 @@ impl AreaController {
         if pending.stage != RejoinStage::AwaitStep3 {
             return;
         }
-        ctx.charge_compute(self.cost.rsa_private(self.cfg.rsa_bits));
-        let ok = HybridCiphertext::from_bytes(ct)
-            .ok()
-            .and_then(|hc| hc.decrypt(&self.keypair).ok())
-            .and_then(|plain| {
-                let mut r = Reader::new(&plain);
-                let v = r.u64().ok()?;
-                r.finish().ok()?;
-                Some(v)
-            })
-            .map(|v| v == pending.nonce_bc.wrapping_add(1))
-            .unwrap_or(false);
-        if !ok {
+        let answer = self
+            .node_keys
+            .open(ctx, ct)
+            .and_then(|plain| wire::parse(&plain, |r| r.u64()));
+        if answer != Some(pending.nonce_bc.wrapping_add(1)) {
             self.pending_rejoins.remove(&from);
-            self.pending_rejoin_prev_ac.remove(&from);
             return;
         }
-
-        // Recorded at step 1; a missing entry means the peer skipped the
-        // handshake order — drop the rejoin rather than panic.
-        let Some((prev_ac, _prev_area)) = self.pending_rejoin_prev_ac.get(&from).copied() else {
-            self.pending_rejoins.remove(&from);
-            return;
-        };
+        let prev_ac = pending.prev_ac;
 
         // Ablation / paper Section V-D: skip the departure check
         // entirely (the 0.28 s rejoin variant).
@@ -144,13 +114,9 @@ impl AreaController {
         w.u64(client.0)
             .u64(ctx.now().as_micros())
             .u32(from.index() as u32);
-        ctx.charge_compute(self.cost.rsa_public(self.cfg.rsa_bits));
-        let Ok(ct4) = HybridCiphertext::encrypt(&prev_pub, &w.into_bytes(), ctx.rng()) else {
+        let Some((ct4, sig4)) = self.node_keys.seal_signed(ctx, &prev_pub, &w.into_bytes()) else {
             return;
         };
-        let ct4 = ct4.to_bytes();
-        ctx.charge_compute(self.cost.rsa_private(self.cfg.rsa_bits));
-        let sig4 = self.keypair.sign(&ct4);
         if let Some(p) = self.pending_rejoins.get_mut(&from) {
             p.stage = RejoinStage::AwaitPrevAc;
             p.deadline = ctx.now() + self.cfg.member_disconnect_after();
@@ -170,26 +136,12 @@ impl AreaController {
         let Some(requester_pub) = self.directory_pubkey(from) else {
             return;
         };
-        ctx.charge_compute(self.cost.rsa_public(self.cfg.rsa_bits));
-        if !requester_pub.verify(ct, sig) {
-            return;
-        }
-        ctx.charge_compute(self.cost.rsa_private(self.cfg.rsa_bits));
-        let Some(plain) = HybridCiphertext::from_bytes(ct)
-            .ok()
-            .and_then(|hc| hc.decrypt(&self.keypair).ok())
-        else {
+        let Some(plain) = self.node_keys.open_signed(ctx, &requester_pub, ct, sig) else {
             return;
         };
-        let parsed = (|| {
-            let mut r = Reader::new(&plain);
-            let client = ClientId(r.u64().ok()?);
-            let ts = Time::from_micros(r.u64().ok()?);
-            let client_node = r.u32().ok()?;
-            r.finish().ok()?;
-            Some((client, ts, client_node))
-        })();
-        let Some((client, ts, client_node)) = parsed else {
+        let Some((client, ts, client_node)) = wire::parse(&plain, |r| {
+            Ok((ClientId(r.u64()?), Time::from_micros(r.u64()?), r.u32()?))
+        }) else {
             return;
         };
         if !self.fresh_timestamp(ctx.now(), ts) {
@@ -221,14 +173,10 @@ impl AreaController {
             .u8(departed as u8)
             .u64(ctx.now().as_micros())
             .u32(client_node);
-        ctx.charge_compute(self.cost.rsa_public(self.cfg.rsa_bits));
-        let Ok(ct5) = HybridCiphertext::encrypt(&requester_pub, &w.into_bytes(), ctx.rng())
+        let Some((ct5, sig5)) = self.node_keys.seal_signed(ctx, &requester_pub, &w.into_bytes())
         else {
             return;
         };
-        let ct5 = ct5.to_bytes();
-        ctx.charge_compute(self.cost.rsa_private(self.cfg.rsa_bits));
-        let sig5 = self.keypair.sign(&ct5);
         ctx.send(from, "rejoin", Msg::Rejoin5 { ct: ct5, sig: sig5 }.to_bytes());
     }
 
@@ -243,27 +191,12 @@ impl AreaController {
         let Some(prev_pub) = self.directory_pubkey(from) else {
             return;
         };
-        ctx.charge_compute(self.cost.rsa_public(self.cfg.rsa_bits));
-        if !prev_pub.verify(ct, sig) {
-            return;
-        }
-        ctx.charge_compute(self.cost.rsa_private(self.cfg.rsa_bits));
-        let Some(plain) = HybridCiphertext::from_bytes(ct)
-            .ok()
-            .and_then(|hc| hc.decrypt(&self.keypair).ok())
-        else {
+        let Some(plain) = self.node_keys.open_signed(ctx, &prev_pub, ct, sig) else {
             return;
         };
-        let parsed = (|| {
-            let mut r = Reader::new(&plain);
-            let client = ClientId(r.u64().ok()?);
-            let departed = r.u8().ok()? == 1;
-            let ts = Time::from_micros(r.u64().ok()?);
-            let client_node = r.u32().ok()?;
-            r.finish().ok()?;
-            Some((client, departed, ts, client_node))
-        })();
-        let Some((client, departed, ts, client_node)) = parsed else {
+        let Some((client, departed, ts, client_node)) = wire::parse(&plain, |r| {
+            Ok((ClientId(r.u64()?), r.u8()? == 1, Time::from_micros(r.u64()?), r.u32()?))
+        }) else {
             return;
         };
         if !self.fresh_timestamp(ctx.now(), ts) {
@@ -280,7 +213,6 @@ impl AreaController {
             self.complete_rejoin(ctx, client_node);
         } else {
             self.pending_rejoins.remove(&client_node);
-            self.pending_rejoin_prev_ac.remove(&client_node);
             self.deny_rejoin(ctx, client_node, RejoinDenyReason::StillMemberElsewhere);
         }
     }
@@ -290,7 +222,6 @@ impl AreaController {
         let Some(pending) = self.pending_rejoins.remove(&client_node) else {
             return;
         };
-        self.pending_rejoin_prev_ac.remove(&client_node);
         let Ok(welcome) = self.admit(
             ctx,
             pending.client,
@@ -303,14 +234,11 @@ impl AreaController {
             ctx.stats().bump("ac-admissions-rejected", 1);
             return;
         };
-        ctx.charge_compute(self.cost.rsa_public(self.cfg.rsa_bits));
-        let Ok(ct6) = HybridCiphertext::encrypt(&pending.pubkey, &welcome.to_bytes(), ctx.rng())
+        let Some((ct6, sig6)) =
+            self.node_keys.seal_signed(ctx, &pending.pubkey, &welcome.to_bytes())
         else {
             return;
         };
-        let ct6 = ct6.to_bytes();
-        ctx.charge_compute(self.cost.rsa_private(self.cfg.rsa_bits));
-        let sig6 = self.keypair.sign(&ct6);
         self.stats.rejoins_admitted += 1;
         ctx.send(
             client_node,
@@ -329,7 +257,6 @@ impl AreaController {
         match self.cfg.rejoin_policy {
             RejoinPolicy::Deny => {
                 self.pending_rejoins.remove(&client_node);
-                self.pending_rejoin_prev_ac.remove(&client_node);
                 self.deny_rejoin(ctx, client_node, RejoinDenyReason::PartitionedStrict);
             }
             RejoinPolicy::AdmitWithDeviceCheck => {
@@ -337,7 +264,6 @@ impl AreaController {
                     self.complete_rejoin(ctx, client_node);
                 } else {
                     self.pending_rejoins.remove(&client_node);
-                    self.pending_rejoin_prev_ac.remove(&client_node);
                     self.deny_rejoin(ctx, client_node, RejoinDenyReason::DeviceMismatch);
                 }
             }

@@ -13,9 +13,9 @@ use super::AreaController;
 use crate::durable::AcWalRecord;
 use crate::identity::ClientId;
 use crate::msg::Msg;
-use crate::rekey::{entries_wire_len, write_plan_entries, KEY_ENV_LEN};
-use crate::wire::Writer;
-use mykil_crypto::envelope::{self, HybridCiphertext};
+use crate::rekey::{entries_wire_len, key_update_digest, write_plan_entries, KEY_ENV_LEN};
+use crate::wire::{self, Writer};
+use mykil_crypto::envelope;
 use mykil_crypto::rsa::RsaPublicKey;
 use mykil_net::{Context, NodeId};
 use mykil_tree::{MemberId, NodeIdx, RekeyPlan};
@@ -56,16 +56,21 @@ impl AreaController {
         if self.durable.image.tree.path_keys_into(member, &mut path).is_err() {
             return;
         }
-        ctx.charge_compute(self.cost.rsa_public(self.cfg.rsa_bits));
-        if let Ok(ct) =
-            HybridCiphertext::encrypt(pubkey, &crate::rekey::encode_tree_path(&path), ctx.rng())
-        {
-            ctx.send(
-                node,
-                "key-unicast",
-                Msg::KeyUnicast { ct: ct.to_bytes() }.to_bytes(),
-            );
+        if let Some(ct) = self.node_keys.seal(ctx, pubkey, &crate::rekey::encode_tree_path(&path)) {
+            ctx.send(node, "key-unicast", Msg::KeyUnicast { ct }.to_bytes());
         }
+    }
+
+    /// Multicasts a key-update body to the area at the current epoch,
+    /// signed with the AC's private key so members cannot forge one
+    /// (Section III-E).
+    pub(crate) fn multicast_key_update(&mut self, ctx: &mut Context<'_>, body: Vec<u8>) {
+        let (area, epoch) = (self.deploy.area, self.durable.image.epoch);
+        let sig = self.node_keys.sign_digest(ctx, &key_update_digest(area, epoch, &body));
+        let update = Msg::KeyUpdate { area, epoch, body, sig };
+        ctx.multicast(self.deploy.group, "key-update", update.to_bytes());
+        self.last_area_mcast = ctx.now();
+        self.stats.rekeys += 1;
     }
 
     /// Handles a voluntary member departure (Section III-D).
@@ -79,15 +84,10 @@ impl AreaController {
         from: NodeId,
         ct: &[u8],
     ) {
-        ctx.charge_compute(self.cost.rsa_private(self.cfg.rsa_bits));
-        let Some(plain) = HybridCiphertext::from_bytes(ct)
-            .ok()
-            .and_then(|hc| hc.decrypt(&self.keypair).ok())
+        let Some(plain) = self.node_keys.open(ctx, ct) else { return };
+        // {client, nonce}: the nonce only makes the ciphertext unique.
+        let Some((client, _nonce)) = wire::parse(&plain, |r| Ok((ClientId(r.u64()?), r.u64()?)))
         else {
-            return;
-        };
-        let mut r = crate::wire::Reader::new(&plain);
-        let Ok(client) = r.u64().map(ClientId) else {
             return;
         };
         if self.durable.image.members.get(&client).is_none_or(|rec| rec.node != from) {
@@ -170,17 +170,13 @@ impl AreaController {
                 continue;
             }
             let current = self.durable.image.tree.node_key(NodeIdx::from_raw(*node as usize));
-            ctx.charge_compute(self.cost.symmetric_op);
+            self.node_keys.charge_symmetric(ctx, 1);
             w.u32(*node).u8(0).u32(KEY_ENV_LEN as u32);
             w.append_with(|buf| envelope::seal_into(old_key, current.as_bytes(), ctx.rng(), buf));
         }
 
         if let Some(out) = &leave_plan {
-            ctx.charge_compute(
-                self.cost
-                    .symmetric_op
-                    .saturating_mul(out.plan.encryption_count() as u64),
-            );
+            self.node_keys.charge_symmetric(ctx, out.plan.encryption_count() as u64);
             write_plan_entries(&out.plan, ctx.rng(), &mut w);
         }
 
@@ -231,25 +227,8 @@ impl AreaController {
         }
 
         self.durable.image.epoch += 1;
-        let body = w.into_bytes();
-        // Key updates are signed with the AC's private key so members
-        // cannot forge them (Section III-E).
-        ctx.charge_compute(self.cost.rsa_private(self.cfg.rsa_bits));
-        let sig = self.sign_key_update(&body);
-        ctx.multicast(
-            self.deploy.group,
-            "key-update",
-            Msg::KeyUpdate {
-                area: self.deploy.area,
-                epoch: self.durable.image.epoch,
-                body,
-                sig,
-            }
-            .to_bytes(),
-        );
-        self.last_area_mcast = ctx.now();
+        self.multicast_key_update(ctx, w.into_bytes());
         self.update_needed = false;
-        self.stats.rekeys += 1;
         ctx.stats().bump("ac-rekeys", 1);
         // Compaction point: the new epoch and the batched membership
         // changes become one durable image, truncating the WAL records

@@ -13,8 +13,9 @@ use super::{
 use crate::durable::AcWalRecord;
 use crate::identity::{AreaId, ClientId, DeviceId};
 use crate::msg::Msg;
+use crate::node_keys::{demote_signed_bytes, takeover_signed_bytes};
 use crate::rekey::KeyState;
-use crate::wire::{Reader, Writer};
+use crate::wire::{self, Reader, Writer};
 use mykil_crypto::rsa::RsaPublicKey;
 use mykil_net::{Context, GroupId, NodeId, SecretBytes, Time};
 use mykil_tree::{AreaTree, TreeConfig};
@@ -182,7 +183,7 @@ impl AreaController {
         self.durable.sync_seq += 1;
         let mut plain = Writer::new();
         plain.u64(self.durable.sync_seq).bytes(&self.durable.image.encode());
-        ctx.charge_compute(self.cost.symmetric_op);
+        self.node_keys.charge_symmetric(ctx, 1);
         let ct = self.repl_key.seal(&plain.into_bytes(), ctx.rng());
         if let Some(old) = self.pending_sync.take() {
             ctx.cancel_reliable(old);
@@ -272,12 +273,9 @@ impl AreaController {
                 if let Ok(plain) = self.repl_key.open(&ct) {
                     // Monotonic-sequence guard: a reordered or stale
                     // snapshot must not overwrite a newer one.
-                    let mut r = Reader::new(&plain);
-                    let parsed = r
-                        .u64()
-                        .ok()
-                        .and_then(|seq| r.bytes().ok().map(|s| (seq, s.to_vec())));
-                    let Some((seq, snapshot)) = parsed else {
+                    let Some((seq, snapshot)) =
+                        wire::parse(&plain, |r| Ok((r.u64()?, r.bytes()?.to_vec())))
+                    else {
                         return;
                     };
                     if seq <= self.durable.applied_sync_seq {
@@ -387,14 +385,11 @@ impl AreaController {
     /// Also re-sent after a split-brain heal, for the partition that
     /// missed the original.
     fn announce_takeover(&mut self, ctx: &mut Context<'_>) {
-        let mut w = Writer::new();
-        w.u32(self.deploy.area.0);
-        ctx.charge_compute(self.cost.rsa_private(self.cfg.rsa_bits));
-        let sig = self.keypair.sign(&w.into_bytes());
+        let sig = self.node_keys.sign(ctx, &takeover_signed_bytes(self.deploy.area));
         let announce = Msg::Takeover {
             area: self.deploy.area,
             sig,
-            pubkey: self.keypair.public().to_bytes(),
+            pubkey: self.node_keys.public().to_bytes(),
         }
         .to_bytes();
         ctx.multicast(self.deploy.group, "takeover", announce.clone());
@@ -402,14 +397,6 @@ impl AreaController {
         // leaves the directory pointing at the dead primary.
         ctx.send_reliable(self.deploy.rs_node, "takeover", announce);
         self.last_area_mcast = ctx.now();
-    }
-
-    /// What a `Demote` signature covers: the area and the winning
-    /// takeover epoch.
-    fn demote_signed_bytes(area: crate::identity::AreaId, takeover_epoch: u64) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.u32(area.0).u64(takeover_epoch);
-        w.into_bytes()
     }
 
     /// A primary received a primary heartbeat: the sender also believes
@@ -430,10 +417,8 @@ impl AreaController {
             return; // one fence in flight is enough
         }
         ctx.stats().bump("ac-demote-sent", 1);
-        ctx.charge_compute(self.cost.rsa_private(self.cfg.rsa_bits));
-        let sig = self
-            .keypair
-            .sign(&Self::demote_signed_bytes(self.deploy.area, self.durable.takeover_epoch));
+        let signed = demote_signed_bytes(self.deploy.area, self.durable.takeover_epoch);
+        let sig = self.node_keys.sign(ctx, &signed);
         let token = ctx.send_reliable(
             from,
             "takeover",
@@ -471,8 +456,7 @@ impl AreaController {
         let Ok(pk) = RsaPublicKey::from_bytes(backup_pubkey) else {
             return;
         };
-        ctx.charge_compute(self.cost.rsa_public(self.cfg.rsa_bits));
-        if !pk.verify(&Self::demote_signed_bytes(area, takeover_epoch), sig) {
+        if !self.node_keys.verify(ctx, &pk, &demote_signed_bytes(area, takeover_epoch), sig) {
             return;
         }
         // Epoch fence lost: step down. Losing the fence must stick
@@ -524,25 +508,23 @@ impl AreaController {
         self.sync_backup(ctx);
     }
 
-    /// Sends a signed area-join request to (re)establish membership in
-    /// the parent area.
-    pub(crate) fn request_parent_enrollment(&mut self, ctx: &mut Context<'_>, parent: &ParentLink) {
+    /// Sends a signed area-join request to establish or re-establish
+    /// membership in `parent`'s area, and says whether one went out.
+    pub(crate) fn request_parent_enrollment(
+        &mut self,
+        ctx: &mut Context<'_>,
+        parent: &ParentLink,
+    ) -> bool {
         let Some(parent_pub) = self.directory_pubkey(parent.node) else {
-            return;
+            return false;
         };
         let mut w = Writer::new();
         w.u32(self.deploy.area.0).u64(ctx.now().as_micros());
-        ctx.charge_compute(self.cost.rsa_public(self.cfg.rsa_bits));
-        let Ok(ct) = mykil_crypto::envelope::HybridCiphertext::encrypt(
-            &parent_pub,
-            &w.into_bytes(),
-            ctx.rng(),
-        ) else {
-            return;
+        let Some((ct, sig)) = self.node_keys.seal_signed(ctx, &parent_pub, &w.into_bytes()) else {
+            return false;
         };
-        let ct = ct.to_bytes();
-        ctx.charge_compute(self.cost.rsa_private(self.cfg.rsa_bits));
-        let sig = self.keypair.sign(&ct);
+        // Supersede any older in-flight request: only the latest target
+        // may answer, and its request rides the reliable channel.
         if let Some((_, old)) = self.pending_parent_join.take() {
             ctx.cancel_reliable(old);
         }
@@ -552,6 +534,7 @@ impl AreaController {
             Msg::AreaJoinReq { ct, sig }.to_bytes(),
         );
         self.pending_parent_join = Some((parent.node, token));
+        true
     }
 }
 

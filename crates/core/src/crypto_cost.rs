@@ -8,7 +8,8 @@
 //!
 //! Constants are calibrated to OpenSSL 0.9.x-era throughput on a
 //! Pentium III 1 GHz (the paper's testbed): a 2048-bit private
-//! operation ≈ 50 ms, a public operation (e = 65537) ≈ 1.5 ms. Costs
+//! operation ≈ 50 ms, a public operation (e = 65537) ≈ 1.5 ms — kept
+//! once, in `mykil_analysis::latency::pentium3`. Costs
 //! scale cubically (private) and quadratically (public) in the modulus
 //! size, so test configurations with small keys charge proportionally
 //! less.
@@ -28,11 +29,15 @@ pub struct CryptoCost {
 }
 
 impl CryptoCost {
-    /// The paper's Pentium III 1 GHz testbed.
+    /// The paper's Pentium III 1 GHz testbed: the RSA constants of the
+    /// closed-form model (`mykil_analysis::latency::pentium3`), so the
+    /// prediction and the simulation are fed the same numbers.
     pub fn pentium3() -> CryptoCost {
+        use mykil_analysis::latency::pentium3::{RSA_PRIVATE_S, RSA_PUBLIC_S};
+        let micros = |seconds: f64| Duration::from_micros((seconds * 1e6).round() as u64);
         CryptoCost {
-            rsa_private_2048: Duration::from_micros(50_000),
-            rsa_public_2048: Duration::from_micros(1_500),
+            rsa_private_2048: micros(RSA_PRIVATE_S),
+            rsa_public_2048: micros(RSA_PUBLIC_S),
             symmetric_op: Duration::from_micros(20),
         }
     }

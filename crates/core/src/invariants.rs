@@ -26,7 +26,8 @@
 //! 5. **Durability** — a live controller's stable storage (newest
 //!    valid checkpoint plus WAL suffix) replays — through
 //!    [`replay_ac`], the fold recovery itself runs — to its in-memory
-//!    durable state: same role and fencing epoch, same member rows
+//!    durable state: same role and fencing epoch, same parent link
+//!    (for a primary; a backup's area is blank), same member rows
 //!    (so no durably-evicted client is still counted, and none is
 //!    lost), same rekey epoch, same client leaves in the tree, and a
 //!    replication sequence no newer than memory. The same holds for
@@ -445,9 +446,13 @@ impl InvariantChecker {
                 let facts = |d: &AcDurable| {
                     let clients: Vec<u64> =
                         d.tree().members().map(|m| m.0).filter(|id| *id < AC_MEMBER_BASE).collect();
+                    // A backup's checkpoint carries no area of its own.
+                    let parent = (d.role() == Role::Primary)
+                        .then(|| d.image.parent.as_ref().map(|p| (p.node, p.area)));
                     [
                         ("role", format!("{:?}", d.role())),
                         ("takeover_epoch", d.takeover_epoch().to_string()),
+                        ("parent", format!("{parent:?}")),
                         ("members", format!("{:?}", d.member_ids())),
                         ("epoch", d.epoch().to_string()),
                         ("tree clients", format!("{clients:?}")),

@@ -67,6 +67,7 @@ pub mod identity;
 pub mod invariants;
 pub mod member;
 pub mod msg;
+mod node_keys;
 pub mod registration;
 pub mod rekey;
 pub mod scale;

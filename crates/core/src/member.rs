@@ -11,10 +11,11 @@ use crate::crypto_cost::CryptoCost;
 use crate::directory::AcDirectory;
 use crate::identity::{AreaId, ClientId, DeviceId};
 use crate::msg::{Msg, RejoinDenyReason};
-use crate::rekey::{decode_path, key_update_digest, KeyState};
+use crate::node_keys::{takeover_signed_bytes, NodeKeys};
+use crate::rekey::{decode_path, receive_key_update, KeyState};
 use crate::welcome::Welcome;
-use crate::wire::{Reader, Writer};
-use mykil_crypto::envelope::{self, HybridCiphertext};
+use crate::wire::{self, Writer};
+use mykil_crypto::envelope;
 use mykil_crypto::rc4::Rc4;
 use mykil_crypto::keys::SymmetricKey;
 use mykil_crypto::rsa::{RsaKeyPair, RsaPublicKey};
@@ -61,8 +62,7 @@ pub struct MemberTimings {
 /// A group member node.
 pub struct Member {
     cfg: MykilConfig,
-    cost: CryptoCost,
-    keypair: RsaKeyPair,
+    pub(crate) node_keys: NodeKeys,
     rs_pub: RsaPublicKey,
     rs_node: NodeId,
     device: DeviceId,
@@ -88,6 +88,9 @@ pub struct Member {
     last_heard_ac: Time,
     last_sent_ac: Time,
     last_refresh_request: Time,
+    /// A key refresh the rate limit held back, sent at the controller's
+    /// next alive beacon.
+    refresh_owed: bool,
     /// When the current phase was entered (handshake retry timer).
     phase_since: Time,
     /// Key paths that arrived before the welcome (a small unicast can
@@ -140,9 +143,8 @@ impl Member {
         auto: bool,
     ) -> Member {
         Member {
+            node_keys: NodeKeys::new(keypair, cost, cfg.rsa_bits),
             cfg,
-            cost,
-            keypair,
             rs_pub,
             rs_node,
             device,
@@ -164,6 +166,7 @@ impl Member {
             last_heard_ac: Time::ZERO,
             last_sent_ac: Time::ZERO,
             last_refresh_request: Time::ZERO,
+            refresh_owed: false,
             phase_since: Time::ZERO,
             stashed_paths: Vec::new(),
             next_seq: 0,
@@ -233,15 +236,14 @@ impl Member {
         let nonce_cw = ctx.rng().next_u64();
         let mut w = Writer::new();
         w.bytes(&self.auth_info)
-            .bytes(&self.keypair.public().to_bytes())
+            .bytes(&self.node_keys.public().to_bytes())
             .u64(nonce_cw);
-        ctx.charge_compute(self.cost.rsa_public(self.cfg.rsa_bits));
-        let Ok(ct) = HybridCiphertext::encrypt(&self.rs_pub, &w.into_bytes(), ctx.rng()) else {
+        let Some(ct) = self.node_keys.seal(ctx, &self.rs_pub, &w.into_bytes()) else {
             return;
         };
         self.timings.join_started = Some(ctx.now());
         self.set_phase(ctx.now(), MemberPhase::AwaitJoin2 { nonce_cw });
-        ctx.send(self.rs_node, "join", Msg::Join1 { ct: ct.to_bytes() }.to_bytes());
+        ctx.send(self.rs_node, "join", Msg::Join1 { ct }.to_bytes());
     }
 
     /// Starts the 6-step rejoin protocol toward `target` (rejoin step 1).
@@ -268,8 +270,7 @@ impl Member {
         w.u64(nonce_cb)
             .raw(self.device.as_bytes())
             .bytes(&ticket);
-        ctx.charge_compute(self.cost.rsa_public(self.cfg.rsa_bits));
-        let Ok(ct) = HybridCiphertext::encrypt(&target_pub, &w.into_bytes(), ctx.rng()) else {
+        let Some(ct) = self.node_keys.seal(ctx, &target_pub, &w.into_bytes()) else {
             return false;
         };
         self.timings.rejoin_started = Some(ctx.now());
@@ -277,7 +278,7 @@ impl Member {
         self.rejoin_target = Some(target);
         self.ac_pub = Some(target_pub);
         self.set_phase(ctx.now(), MemberPhase::AwaitRejoin2 { nonce_cb });
-        ctx.send(target, "rejoin", Msg::Rejoin1 { ct: ct.to_bytes() }.to_bytes());
+        ctx.send(target, "rejoin", Msg::Rejoin1 { ct }.to_bytes());
         true
     }
 
@@ -297,11 +298,10 @@ impl Member {
         };
         let mut w = Writer::new();
         w.u64(client.0).u64(ctx.rng().next_u64());
-        ctx.charge_compute(self.cost.rsa_public(self.cfg.rsa_bits));
-        if let Ok(ct) = HybridCiphertext::encrypt(ac_pub, &w.into_bytes(), ctx.rng()) {
+        if let Some(ct) = self.node_keys.seal(ctx, ac_pub, &w.into_bytes()) {
             // Reliable: a silently lost leave means the AC keeps paying
             // rekey cost for a departed member until eviction kicks in.
-            ctx.send_reliable(ac, "leave", Msg::LeaveRequest { ct: ct.to_bytes() }.to_bytes());
+            ctx.send_reliable(ac, "leave", Msg::LeaveRequest { ct }.to_bytes());
         }
         if let Some(g) = self.group.take() {
             ctx.leave_group(g);
@@ -331,7 +331,7 @@ impl Member {
         let k_r = SymmetricKey::random(ctx.rng());
         let mut ciphertext = payload.to_vec();
         Rc4::new(k_r.as_bytes()).apply_keystream(&mut ciphertext);
-        ctx.charge_compute(self.cost.symmetric_op);
+        self.node_keys.charge_symmetric(ctx, 1);
         let wrapped = envelope::seal(&area_key, k_r.as_bytes(), ctx.rng());
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -352,61 +352,50 @@ impl Member {
 
     // ---- message handlers ----
 
-    fn decrypt(&self, ct: &[u8]) -> Option<Vec<u8>> {
-        HybridCiphertext::from_bytes(ct)
-            .ok()?
-            .decrypt(&self.keypair)
-            .ok()
+    /// Steps 2 → 3 of either handshake: opens `{nonce + 1, challenge}`,
+    /// checks the echo of the nonce this member sent, and seals
+    /// `challenge + 1` to the challenger.
+    fn answer_challenge(
+        &self,
+        ctx: &mut Context<'_>,
+        ct: &[u8],
+        sent_nonce: u64,
+        challenger: &RsaPublicKey,
+    ) -> Option<Vec<u8>> {
+        let plain = self.node_keys.open(ctx, ct)?;
+        let (echo, challenge) = wire::parse(&plain, |r| Ok((r.u64()?, r.u64()?)))?;
+        if echo != sent_nonce.wrapping_add(1) {
+            return None;
+        }
+        let mut w = Writer::new();
+        w.u64(challenge.wrapping_add(1));
+        self.node_keys.seal(ctx, challenger, &w.into_bytes())
     }
 
     fn handle_join2(&mut self, ctx: &mut Context<'_>, ct: &[u8]) {
         let MemberPhase::AwaitJoin2 { nonce_cw } = self.phase else {
             return;
         };
-        ctx.charge_compute(self.cost.rsa_private(self.cfg.rsa_bits));
-        let Some(plain) = self.decrypt(ct) else { return };
-        let mut r = Reader::new(&plain);
-        let (Ok(echo), Ok(nonce_wc)) = (r.u64(), r.u64()) else {
-            return;
-        };
-        if r.finish().is_err() || echo != nonce_cw.wrapping_add(1) {
-            return;
-        }
-        // Step 3: prove knowledge of Nonce_WC.
-        let mut w = Writer::new();
-        w.u64(nonce_wc.wrapping_add(1));
-        ctx.charge_compute(self.cost.rsa_public(self.cfg.rsa_bits));
-        let Ok(ct3) = HybridCiphertext::encrypt(&self.rs_pub, &w.into_bytes(), ctx.rng()) else {
+        let Some(ct3) = self.answer_challenge(ctx, ct, nonce_cw, &self.rs_pub) else {
             return;
         };
         self.set_phase(ctx.now(), MemberPhase::AwaitJoin5);
-        ctx.send(self.rs_node, "join", Msg::Join3 { ct: ct3.to_bytes() }.to_bytes());
+        ctx.send(self.rs_node, "join", Msg::Join3 { ct: ct3 }.to_bytes());
     }
 
     fn handle_join5(&mut self, ctx: &mut Context<'_>, ct: &[u8], sig: &[u8]) {
         if self.phase != MemberPhase::AwaitJoin5 {
             return;
         }
-        ctx.charge_compute(self.cost.rsa_public(self.cfg.rsa_bits));
-        if !self.rs_pub.verify(ct, sig) {
-            return;
-        }
-        ctx.charge_compute(self.cost.rsa_private(self.cfg.rsa_bits));
-        let Some(plain) = self.decrypt(ct) else { return };
-        let parsed = (|| {
-            let mut r = Reader::new(&plain);
-            let nonce_ac_1 = r.u64().ok()?;
-            let area = AreaId(r.u32().ok()?);
-            let ac_node = r.u32().ok()?;
-            let ac_pub = r.bytes().ok()?.to_vec();
-            let dir = AcDirectory::read(&mut r).ok()?;
-            r.finish().ok()?;
-            Some((nonce_ac_1, area, ac_node, ac_pub, dir))
-        })();
-        let Some((nonce_ac_1, area, ac_node, ac_pub, dir)) = parsed else {
+        let Some(plain) = self.node_keys.open_signed(ctx, &self.rs_pub, ct, sig) else {
             return;
         };
-        let Ok(ac_pub) = RsaPublicKey::from_bytes(&ac_pub) else {
+        let Some((nonce_ac_1, area, ac_node, ac_pub, dir)) = wire::parse(&plain, |r| {
+            Ok((r.u64()?, AreaId(r.u32()?), r.u32()?, r.bytes()?, AcDirectory::read(r)?))
+        }) else {
+            return;
+        };
+        let Ok(ac_pub) = RsaPublicKey::from_bytes(ac_pub) else {
             return;
         };
         self.area = Some(area);
@@ -421,8 +410,7 @@ impl Member {
         w.u64(nonce_ac_1.wrapping_add(1))
             .u64(nonce_ca)
             .raw(self.device.as_bytes());
-        ctx.charge_compute(self.cost.rsa_public(self.cfg.rsa_bits));
-        let Ok(ct6) = HybridCiphertext::encrypt(ac_pub, &w.into_bytes(), ctx.rng()) else {
+        let Some(ct6) = self.node_keys.seal(ctx, ac_pub, &w.into_bytes()) else {
             return;
         };
         self.set_phase(ctx.now(), MemberPhase::AwaitJoin7 { nonce_ca });
@@ -430,7 +418,7 @@ impl Member {
         ctx.send(
             NodeId::from_index(ac_node as usize),
             "join",
-            Msg::Join6 { ct: ct6.to_bytes() }.to_bytes(),
+            Msg::Join6 { ct: ct6 }.to_bytes(),
         );
     }
 
@@ -455,6 +443,7 @@ impl Member {
             self.keys.install_path(&path);
         }
         self.epoch = welcome.epoch;
+        self.refresh_owed = false;
         self.set_phase(ctx.now(), MemberPhase::Active);
         self.last_heard_ac = ctx.now();
         ctx.join_group(GroupId::from_index(welcome.group_raw as usize));
@@ -464,8 +453,7 @@ impl Member {
         let MemberPhase::AwaitJoin7 { nonce_ca } = self.phase else {
             return;
         };
-        ctx.charge_compute(self.cost.rsa_private(self.cfg.rsa_bits));
-        let Some(plain) = self.decrypt(ct) else { return };
+        let Some(plain) = self.node_keys.open(ctx, ct) else { return };
         let Ok(welcome) = Welcome::from_bytes(&plain) else {
             return;
         };
@@ -484,24 +472,12 @@ impl Member {
         if Some(from) != self.rejoin_target {
             return;
         }
-        ctx.charge_compute(self.cost.rsa_private(self.cfg.rsa_bits));
-        let Some(plain) = self.decrypt(ct) else { return };
-        let mut r = Reader::new(&plain);
-        let (Ok(echo), Ok(nonce_bc)) = (r.u64(), r.u64()) else {
-            return;
-        };
-        if r.finish().is_err() || echo != nonce_cb.wrapping_add(1) {
-            return;
-        }
         let Some(ac_pub) = &self.ac_pub else { return };
-        let mut w = Writer::new();
-        w.u64(nonce_bc.wrapping_add(1));
-        ctx.charge_compute(self.cost.rsa_public(self.cfg.rsa_bits));
-        let Ok(ct3) = HybridCiphertext::encrypt(ac_pub, &w.into_bytes(), ctx.rng()) else {
+        let Some(ct3) = self.answer_challenge(ctx, ct, nonce_cb, ac_pub) else {
             return;
         };
         self.set_phase(ctx.now(), MemberPhase::AwaitRejoin6);
-        ctx.send(from, "rejoin", Msg::Rejoin3 { ct: ct3.to_bytes() }.to_bytes());
+        ctx.send(from, "rejoin", Msg::Rejoin3 { ct: ct3 }.to_bytes());
     }
 
     fn handle_rejoin6(&mut self, ctx: &mut Context<'_>, from: NodeId, ct: &[u8], sig: &[u8]) {
@@ -509,12 +485,9 @@ impl Member {
             return;
         }
         let Some(ac_pub) = &self.ac_pub else { return };
-        ctx.charge_compute(self.cost.rsa_public(self.cfg.rsa_bits));
-        if !ac_pub.verify(ct, sig) {
+        let Some(plain) = self.node_keys.open_signed(ctx, ac_pub, ct, sig) else {
             return;
-        }
-        ctx.charge_compute(self.cost.rsa_private(self.cfg.rsa_bits));
-        let Some(plain) = self.decrypt(ct) else { return };
+        };
         let Ok(welcome) = Welcome::from_bytes(&plain) else {
             return;
         };
@@ -534,47 +507,29 @@ impl Member {
         if self.area != Some(area) || !self.is_active() {
             return;
         }
-        // Verify the AC's signature over area ‖ epoch ‖ body.
         let Some(ac_pub) = &self.ac_pub else { return };
-        ctx.charge_compute(self.cost.rsa_public(self.cfg.rsa_bits));
-        if !ac_pub.verify_digest(&key_update_digest(area, epoch, body), sig) {
-            return;
-        }
-        // Ordering guard: a late-arriving older update must never
-        // overwrite newer keys (multicasts can be reordered by jitter).
-        if epoch <= self.epoch {
-            return;
-        }
-        // Entries are opened straight out of the frame (no decoded
-        // entry list); the count prefix alone prices the work.
-        let Ok(count) = Reader::new(body).u32() else {
-            return;
-        };
-        let Ok(outcome) = self.keys.apply_encoded(body) else {
-            return;
-        };
-        ctx.charge_compute(self.cost.symmetric_op.saturating_mul(count as u64));
-        // Stale protecting keys, nothing decryptable, or a skipped epoch
-        // all mean we missed an update (e.g. one multicast before we
-        // subscribed to the group); ask the AC for a fresh path.
-        if outcome.stale > 0 || outcome.learned == 0 || epoch > self.epoch + 1 {
+        let (node_keys, keys, seen) = (&self.node_keys, &mut self.keys, &mut self.epoch);
+        if receive_key_update(ctx, node_keys, ac_pub, keys, seen, area, epoch, body, sig) {
             self.request_key_refresh(ctx);
         }
-        self.epoch = epoch;
     }
 
     /// Rate-limited key-resynchronization request to the AC.
     fn request_key_refresh(&mut self, ctx: &mut Context<'_>) {
+        self.refresh_owed = false;
         if !self.is_active() {
             return;
         }
         let (Some(ac), Some(client)) = (self.ac_node, self.client) else {
             return;
         };
-        // At most one request per T_idle.
+        // At most one request per T_idle. One that comes sooner is owed,
+        // not forgotten: the update that prompted it may be the last of
+        // a burst, and nothing later would ask again.
         if self.last_refresh_request != Time::ZERO
             && ctx.now().since(self.last_refresh_request) < self.cfg.t_idle
         {
+            self.refresh_owed = true;
             return;
         }
         self.last_refresh_request = ctx.now();
@@ -588,11 +543,17 @@ impl Member {
     }
 
     fn handle_key_unicast(&mut self, ctx: &mut Context<'_>, from: NodeId, ct: &[u8]) {
-        ctx.charge_compute(self.cost.rsa_private(self.cfg.rsa_bits));
-        let Some(plain) = self.decrypt(ct) else { return };
+        let Some(plain) = self.node_keys.open(ctx, ct) else { return };
         let Ok(path) = decode_path(&plain) else { return };
         match self.phase {
-            MemberPhase::Active => self.keys.install_path(&path),
+            MemberPhase::Active => {
+                self.keys.install_path(&path);
+                // A path from our controller answers whatever was asked
+                // of it before, owed or sent.
+                if Some(from) == self.ac_node {
+                    self.refresh_owed = false;
+                }
+            }
             // Mid-handshake with this AC: the welcome is still in
             // flight; stash so it is not clobbered by the (stale)
             // welcome path.
@@ -608,7 +569,7 @@ impl Member {
     fn handle_data(&mut self, ctx: &mut Context<'_>, wrapped: &[u8], payload: &[u8]) {
         // Try the current area key first, then recently superseded ones
         // (a rotation multicast can be reordered with data by jitter).
-        ctx.charge_compute(self.cost.symmetric_op);
+        self.node_keys.charge_symmetric(ctx, 1);
         let Some(kr_bytes) = self
             .keys
             .area_keys_with_history()
@@ -631,11 +592,12 @@ impl Member {
         if self.area != Some(area) {
             return;
         }
-        let mut w = Writer::new();
-        w.u32(area.0);
-        let signed = w.into_bytes();
+        let signed = takeover_signed_bytes(area);
         // The backup's key moves over only once its signature checks out.
-        let Some(backup_pub) = self.backup_pub.take_if(|key| key.verify(&signed, sig)) else {
+        let node_keys = &self.node_keys;
+        let Some(backup_pub) =
+            self.backup_pub.take_if(|key| node_keys.verify(ctx, key, &signed, sig))
+        else {
             return;
         };
         // The backup is now our AC.
@@ -780,15 +742,25 @@ impl Node for Member {
                 payload,
                 ..
             } => self.handle_data(ctx, &wrapped_key, &payload),
+            // Our controller's alive beacon. (A primary that restarts
+            // after its backup took over beacons too, from a
+            // recovery-fenced epoch, until it is demoted.)
             Msg::AcAlive { area, epoch }
-                // A newer epoch in the alive beacon means we missed a
-                // key-update multicast; resynchronize.
-                if self.is_active() && self.area == Some(area) && epoch > self.epoch => {
+                if self.is_active() && Some(from) == self.ac_node && self.area == Some(area) =>
+            {
+                // A newer epoch means we missed a key-update multicast;
+                // the area has also gone quiet, so a refresh the rate
+                // limit held back is due now. Resynchronize.
+                let missed = epoch > self.epoch;
+                if missed {
                     self.epoch = epoch;
+                }
+                if missed || self.refresh_owed {
                     self.request_key_refresh(ctx);
                 }
+            }
             Msg::Takeover { area, sig, .. } => self.handle_takeover(ctx, area, &sig, from),
-            // Alive beacons that failed the resync guard above.
+            // Alive beacons of other controllers.
             Msg::AcAlive { .. } => {}
             // Traffic addressed to the RS, to ACs, or to replicas — a
             // member deliberately ignores it (listed explicitly so a new
@@ -895,5 +867,145 @@ impl Node for Member {
             }
             _ => {}
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::area::AreaController;
+    use crate::group::GroupBuilder;
+    use crate::rekey::{encode_entries, key_update_digest, UnderTag, WireKeyEntry};
+    use mykil_crypto::drbg::Drbg;
+    use mykil_net::Duration;
+
+    /// A one-entry key update for `area`: `new` sealed under `old` as
+    /// the next area key, signed by `signer` at `epoch`.
+    fn signed_update(
+        area: AreaId,
+        epoch: u64,
+        old: &SymmetricKey,
+        new: &SymmetricKey,
+        signer: &RsaKeyPair,
+    ) -> (Vec<u8>, Vec<u8>) {
+        let body = encode_entries(&[WireKeyEntry {
+            node: crate::rekey::AREA_KEY_NODE,
+            under: UnderTag::PrevSelf,
+            env: envelope::seal(old, new.as_bytes(), &mut Drbg::from_seed(epoch)),
+        }]);
+        let sig = signer.sign_digest(&key_update_digest(area, epoch, &body));
+        (body, sig)
+    }
+
+    /// Regression: the fail-over signature check is an RSA public
+    /// operation like any other verify, so what the member does next
+    /// waits for it. It used to run uncharged.
+    #[test]
+    fn takeover_verification_is_charged_one_public_op() {
+        let public_op = Duration::from_millis(40);
+        let cost = CryptoCost {
+            rsa_private_2048: Duration::ZERO,
+            rsa_public_2048: public_op,
+            symmetric_op: Duration::ZERO,
+        };
+        let mut g = GroupBuilder::new(63).virtual_rsa_bits(2048).cost(cost).replicated(true).build();
+        let m = g.register_member(1);
+        g.settle();
+        assert!(g.is_member(m));
+
+        let backup = g.backups[0];
+        let area = g.ac(0).area();
+        let sig = g.backup(0).node_keys.keypair().sign(&takeover_signed_bytes(area));
+        g.sim.enable_trace(4096);
+        let announced = g.now();
+        g.sim.invoke(m, |m: &mut Member, ctx| m.handle_takeover(ctx, area, &sig, backup));
+        assert_eq!(g.member(m).ac_node, Some(backup), "a valid announcement repoints the member");
+        g.run_for(Duration::from_millis(100));
+        let request_arrived = g.sim.trace_events().into_iter().find_map(|e| match e {
+            mykil_net::TraceEvent::Delivered { at, from, to, kind: "key-unicast", .. }
+                if (from, to) == (m, backup) =>
+            {
+                Some(at)
+            }
+            _ => None,
+        });
+        let waited = request_arrived.expect("the member asks its new controller for keys").since(announced);
+        assert!(waited >= public_op, "the refresh request left {waited} after the announcement");
+    }
+
+    /// Regression: two updates a member cannot open, less than `T_idle`
+    /// apart, used to strand it — the second refresh request fell to the
+    /// rate limit and nothing asked again. It is owed until the
+    /// controller's next beacon. And only the member's own controller
+    /// moves its epoch: a primary that restarts after its backup took
+    /// over beacons from a recovery-fenced epoch, which used to make
+    /// every later update of the live controller look old.
+    #[test]
+    fn a_rate_limited_refresh_is_owed_and_foreign_beacons_are_ignored() {
+        let mut g = GroupBuilder::new(65).areas(2).build();
+        let m = g.register_member_manual(1);
+        g.sim.invoke(m, |m: &mut Member, ctx| m.start_join(ctx));
+        g.settle();
+        let (area, controller, stranger) = (g.ac(0).area(), g.primaries[0], g.primaries[1]);
+        let signer = g.ac(0).node_keys.keypair().clone();
+        let epoch = g.sim.node::<Member>(m).epoch;
+        let requests = |g: &crate::group::GroupHandle| g.stats().counter("member-key-refreshes");
+        let before = requests(&g);
+
+        let beacon = Msg::AcAlive { area, epoch: epoch + 1000 }.to_bytes();
+        g.sim.invoke(m, |m: &mut Member, ctx| m.on_message(ctx, stranger, &beacon));
+        assert_eq!((g.sim.node::<Member>(m).epoch, requests(&g)), (epoch, before));
+
+        // Sealed under a key the member never held.
+        let lost = SymmetricKey::from_label("lost");
+        for (step, sent) in [(1, 1), (2, 1)] {
+            let (body, sig) = signed_update(area, epoch + step, &lost, &lost, &signer);
+            g.sim.invoke(m, |m: &mut Member, ctx| {
+                m.handle_key_update(ctx, area, epoch + step, &body, &sig)
+            });
+            assert_eq!(requests(&g), before + sent, "update {step}");
+            // The first request is answered; the second update is later.
+            g.run_for(Duration::from_millis(10));
+        }
+        assert!(g.sim.node::<Member>(m).refresh_owed);
+        g.run_for(Duration::from_millis(300));
+        assert_eq!(requests(&g), before + 2, "the beacon of {controller:?} collects the debt");
+        assert!(!g.sim.node::<Member>(m).refresh_owed);
+    }
+
+    /// One receiver serves a member and a child controller (which *is*
+    /// a member of its parent area): a next-epoch update applies, a
+    /// skipped epoch applies and asks for a refresh, an older one is
+    /// ignored, and a forged one changes nothing.
+    #[test]
+    fn member_and_child_controller_share_the_key_update_receiver() {
+        let mut g = GroupBuilder::new(64).areas(2).build();
+        let m = g.register_member_manual(1);
+        g.sim.invoke(m, |m: &mut Member, ctx| m.start_join(ctx));
+        g.settle();
+        let (area, child) = (g.ac(0).area(), g.primaries[1]);
+        assert_eq!(g.member(m).area(), Some(area));
+        let parent = g.ac(0).node_keys.keypair().clone();
+
+        let drive = |ctx: &mut Context<'_>, node_keys: &NodeKeys, keys: &mut KeyState, seen: &mut u64| {
+            let start = *seen;
+            let k0 = keys.area_key().expect("holds area 0's key");
+            let [k1, k2, k3] = ["k1", "k2", "k3"].map(SymmetricKey::from_label);
+            let mut receive = |old: &SymmetricKey, new: &SymmetricKey, epoch: u64, signer: &RsaKeyPair| {
+                let (body, sig) = signed_update(area, epoch, old, new, signer);
+                let refresh =
+                    receive_key_update(ctx, node_keys, parent.public(), keys, seen, area, epoch, &body, &sig);
+                (refresh, *seen, keys.area_key())
+            };
+            assert_eq!(receive(&k0, &k1, start + 1, &parent), (false, start + 1, Some(k1.clone())));
+            let forger = node_keys.keypair();
+            assert_eq!(receive(&k1, &k3, start + 2, forger), (false, start + 1, Some(k1.clone())));
+            assert_eq!(receive(&k1, &k2, start + 3, &parent), (true, start + 3, Some(k2.clone())));
+            assert_eq!(receive(&k2, &k3, start + 2, &parent), (false, start + 3, Some(k2.clone())));
+        };
+        g.sim.invoke(m, |m: &mut Member, ctx| drive(ctx, &m.node_keys, &mut m.keys, &mut m.epoch));
+        g.sim.invoke(child, |ac: &mut AreaController, ctx| {
+            drive(ctx, &ac.node_keys, &mut ac.durable.image.parent_keys, &mut ac.parent_epoch)
+        });
     }
 }

@@ -12,13 +12,12 @@ use crate::config::MykilConfig;
 use crate::crypto_cost::CryptoCost;
 use crate::directory::{AcDirectory, AcInfo};
 use crate::durable::{replay_rs, RsCheckpoint, RsWalRecord};
-use crate::error::ProtocolError;
 use crate::identity::{AreaId, ClientId};
 use crate::msg::Msg;
-use crate::wire::{Reader, Writer};
-use mykil_crypto::envelope::HybridCiphertext;
+use crate::node_keys::{takeover_signed_bytes, NodeKeys};
+use crate::wire::{self, Writer};
 use mykil_crypto::rsa::{RsaKeyPair, RsaPublicKey};
-use mykil_net::{Context, Node, NodeId, Time};
+use mykil_net::{Context, Node, NodeId};
 use rand::RngCore;
 use std::collections::BTreeMap;
 
@@ -28,7 +27,6 @@ struct PendingJoin {
     client_pub: RsaPublicKey,
     nonce_wc: u64,
     granted: mykil_net::Duration,
-    started: Time,
 }
 
 /// Counters exposed for tests and reports.
@@ -44,9 +42,7 @@ pub struct RegistrationStats {
 
 /// The registration server node.
 pub struct RegistrationServer {
-    cfg: MykilConfig,
-    cost: CryptoCost,
-    keypair: RsaKeyPair,
+    pub(crate) node_keys: NodeKeys,
     auth: Box<dyn AuthDb>,
     directory: AcDirectory,
     /// The directory as deployed — what a crashed server reads back
@@ -84,9 +80,7 @@ impl RegistrationServer {
         directory: AcDirectory,
     ) -> Self {
         RegistrationServer {
-            cfg,
-            cost,
-            keypair,
+            node_keys: NodeKeys::new(keypair, cost, cfg.rsa_bits),
             auth,
             directory_initial: directory.clone(),
             directory,
@@ -107,7 +101,7 @@ impl RegistrationServer {
 
     /// The server's public key (well known, per the paper's assumption).
     pub fn public_key(&self) -> &RsaPublicKey {
-        self.keypair.public()
+        self.node_keys.public()
     }
 
     /// Current directory (tests inspect takeover updates).
@@ -147,32 +141,21 @@ impl RegistrationServer {
 
     fn handle_join1(&mut self, ctx: &mut Context<'_>, from: NodeId, ct: &[u8]) {
         // Decrypt {auth_info, Pub_k, Nonce_CW} (one private op).
-        ctx.charge_compute(self.cost.rsa_private(self.cfg.rsa_bits));
-        let Ok(hc) = HybridCiphertext::from_bytes(ct) else {
+        let Some(plain) = self.node_keys.open(ctx, ct) else {
             self.stats.rejected_messages += 1;
             return;
         };
-        let Ok(plain) = hc.decrypt(&self.keypair) else {
+        let Some((auth_info, pubkey, nonce_cw)) =
+            wire::parse(&plain, |r| Ok((r.bytes()?, r.bytes()?, r.u64()?)))
+        else {
             self.stats.rejected_messages += 1;
             return;
         };
-        let parsed = (|| -> Result<_, ProtocolError> {
-            let mut r = Reader::new(&plain);
-            let auth_info = r.bytes()?.to_vec();
-            let pubkey = r.bytes()?.to_vec();
-            let nonce_cw = r.u64()?;
-            r.finish()?;
-            Ok((auth_info, pubkey, nonce_cw))
-        })();
-        let Ok((auth_info, pubkey, nonce_cw)) = parsed else {
+        let Ok(client_pub) = RsaPublicKey::from_bytes(pubkey) else {
             self.stats.rejected_messages += 1;
             return;
         };
-        let Ok(client_pub) = RsaPublicKey::from_bytes(&pubkey) else {
-            self.stats.rejected_messages += 1;
-            return;
-        };
-        let granted = match self.auth.authorize(&auth_info) {
+        let granted = match self.auth.authorize(auth_info) {
             AuthDecision::Granted { duration } => duration,
             AuthDecision::Denied => {
                 self.stats.denied += 1;
@@ -183,8 +166,7 @@ impl RegistrationServer {
         let nonce_wc = ctx.rng().next_u64();
         let mut w = Writer::new();
         w.u64(nonce_cw.wrapping_add(1)).u64(nonce_wc);
-        ctx.charge_compute(self.cost.rsa_public(self.cfg.rsa_bits));
-        let Ok(reply) = HybridCiphertext::encrypt(&client_pub, &w.into_bytes(), ctx.rng()) else {
+        let Some(reply) = self.node_keys.seal(ctx, &client_pub, &w.into_bytes()) else {
             return;
         };
         self.pending.insert(
@@ -193,10 +175,9 @@ impl RegistrationServer {
                 client_pub,
                 nonce_wc,
                 granted,
-                started: ctx.now(),
             },
         );
-        ctx.send(from, "join", Msg::Join2 { ct: reply.to_bytes() }.to_bytes());
+        ctx.send(from, "join", Msg::Join2 { ct: reply }.to_bytes());
     }
 
     fn handle_join3(&mut self, ctx: &mut Context<'_>, from: NodeId, ct: &[u8]) {
@@ -204,19 +185,11 @@ impl RegistrationServer {
             self.stats.rejected_messages += 1;
             return;
         };
-        ctx.charge_compute(self.cost.rsa_private(self.cfg.rsa_bits));
-        let ok = HybridCiphertext::from_bytes(ct)
-            .and_then(|hc| hc.decrypt(&self.keypair))
-            .ok()
-            .and_then(|plain| {
-                let mut r = Reader::new(&plain);
-                let v = r.u64().ok()?;
-                r.finish().ok()?;
-                Some(v)
-            })
-            .map(|v| v == pending.nonce_wc.wrapping_add(1))
-            .unwrap_or(false);
-        if !ok {
+        let answer = self
+            .node_keys
+            .open(ctx, ct)
+            .and_then(|plain| wire::parse(&plain, |r| r.u64()));
+        if answer != Some(pending.nonce_wc.wrapping_add(1)) {
             self.stats.rejected_messages += 1;
             return;
         }
@@ -245,13 +218,9 @@ impl RegistrationServer {
             .u64(now_us)
             .bytes(&pending.client_pub.to_bytes())
             .u64(pending.granted.as_micros());
-        ctx.charge_compute(self.cost.rsa_public(self.cfg.rsa_bits));
-        let Ok(ct4) = HybridCiphertext::encrypt(&ac_pub, &w.into_bytes(), ctx.rng()) else {
+        let Some((ct4, sig4)) = self.node_keys.seal_signed(ctx, &ac_pub, &w.into_bytes()) else {
             return;
         };
-        let ct4 = ct4.to_bytes();
-        ctx.charge_compute(self.cost.rsa_private(self.cfg.rsa_bits));
-        let sig4 = self.keypair.sign(&ct4);
         ctx.send(
             NodeId::from_index(ac.node as usize),
             "join",
@@ -266,18 +235,14 @@ impl RegistrationServer {
             .u32(ac.node)
             .bytes(&ac.pubkey);
         self.directory.write(&mut w);
-        ctx.charge_compute(self.cost.rsa_public(self.cfg.rsa_bits));
-        let Ok(ct5) = HybridCiphertext::encrypt(&pending.client_pub, &w.into_bytes(), ctx.rng())
+        let Some((ct5, sig5)) =
+            self.node_keys.seal_signed(ctx, &pending.client_pub, &w.into_bytes())
         else {
             return;
         };
-        let ct5 = ct5.to_bytes();
-        ctx.charge_compute(self.cost.rsa_private(self.cfg.rsa_bits));
-        let sig5 = self.keypair.sign(&ct5);
         ctx.send(from, "join", Msg::Join5 { ct: ct5, sig: sig5 }.to_bytes());
 
         self.stats.joins_completed += 1;
-        let _ = pending.started; // reserved for latency metrics
         ctx.stats().bump("rs-joins", 1);
     }
 
@@ -293,21 +258,11 @@ impl RegistrationServer {
         // the key it was configured with at deployment (the directory
         // carries primary keys, so the builder registers backup keys via
         // `register_backup`).
-        let Some(expected) = self.backup_keys.get(&area) else {
-            self.stats.rejected_messages += 1;
-            return;
-        };
-        let Ok(pk) = RsaPublicKey::from_bytes(pubkey) else {
-            self.stats.rejected_messages += 1;
-            return;
-        };
-        if pk != *expected {
-            self.stats.rejected_messages += 1;
-            return;
-        }
-        let mut w = Writer::new();
-        w.u32(area.0);
-        if !pk.verify(&w.into_bytes(), sig) {
+        let accepted = self.backup_keys.get(&area).is_some_and(|expected| {
+            expected.to_bytes() == pubkey
+                && self.node_keys.verify(ctx, expected, &takeover_signed_bytes(area), sig)
+        });
+        if !accepted {
             self.stats.rejected_messages += 1;
             return;
         }

@@ -16,11 +16,14 @@
 
 use crate::error::ProtocolError;
 use crate::identity::AreaId;
+use crate::node_keys::NodeKeys;
 use crate::wire::{Reader, Writer};
 use mykil_crypto::envelope::{self, EnvelopeKey};
 use mykil_crypto::keys::SymmetricKey;
+use mykil_crypto::rsa::RsaPublicKey;
 use mykil_crypto::sha256::{Sha256, DIGEST_LEN};
 use mykil_crypto::{CryptoError, SYMMETRIC_KEY_LEN};
+use mykil_net::Context;
 use mykil_tree::{EncryptUnder, NodeIdx, RekeyPlan};
 use rand::RngCore;
 
@@ -243,6 +246,49 @@ pub fn key_update_digest(area: AreaId, epoch: u64, body: &[u8]) -> [u8; DIGEST_L
     h.update(&epoch.to_be_bytes());
     h.update(body);
     h.finalize()
+}
+
+/// The receiving end of a key-update multicast, for a member and for a
+/// child controller alike (a controller *is* a member of its parent
+/// area): checks `signer`'s signature over `area ‖ epoch ‖ body`, drops
+/// an update no newer than `*seen`, applies the entries to `keys` and
+/// advances `*seen`. Returns whether the receiver must ask its
+/// controller for a fresh path.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn receive_key_update(
+    ctx: &mut Context<'_>,
+    node_keys: &NodeKeys,
+    signer: &RsaPublicKey,
+    keys: &mut KeyState,
+    seen: &mut u64,
+    area: AreaId,
+    epoch: u64,
+    body: &[u8],
+    sig: &[u8],
+) -> bool {
+    if !node_keys.verify_digest(ctx, signer, &key_update_digest(area, epoch, body), sig) {
+        return false;
+    }
+    // Ordering guard: a late-arriving older update must never overwrite
+    // newer keys (multicasts can be reordered by jitter).
+    if epoch <= *seen {
+        return false;
+    }
+    // Entries are opened straight out of the frame (no decoded entry
+    // list); the count prefix alone prices the work.
+    let Ok(count) = Reader::new(body).u32() else {
+        return false;
+    };
+    let Ok(outcome) = keys.apply_encoded(body) else {
+        return false;
+    };
+    node_keys.charge_symmetric(ctx, count as u64);
+    // Stale protecting keys, nothing decryptable, or a skipped epoch
+    // all mean an update was missed (e.g. one multicast before the
+    // receiver subscribed to the group).
+    let missed = outcome.stale > 0 || outcome.learned == 0 || epoch > *seen + 1;
+    *seen = epoch;
+    missed
 }
 
 /// The tree node index of the area key (the root is always node 0).

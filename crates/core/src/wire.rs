@@ -263,6 +263,18 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// Parses all of `buf` with `f`: `None` when a field is malformed or
+/// bytes are left over, so a handler gets its fields or drops the frame.
+pub fn parse<'a, T>(
+    buf: &'a [u8],
+    f: impl FnOnce(&mut Reader<'a>) -> Result<T, ProtocolError>,
+) -> Option<T> {
+    let mut r = Reader::new(buf);
+    let parsed = f(&mut r).ok()?;
+    r.finish().ok()?;
+    Some(parsed)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -302,6 +314,18 @@ mod tests {
         let mut r = Reader::new(&buf);
         let _ = r.u8().unwrap();
         assert!(r.finish().is_err());
+    }
+
+    #[test]
+    fn parse_wants_every_byte_and_no_more() {
+        let fields = |r: &mut Reader<'_>| Ok((r.u8()?, r.u32()?));
+        let mut w = Writer::new();
+        w.u8(7).u32(9);
+        let mut buf = w.into_bytes();
+        assert_eq!(parse(&buf, fields), Some((7, 9)));
+        assert_eq!(parse(&buf[..4], fields), None, "truncated");
+        buf.push(0);
+        assert_eq!(parse(&buf, fields), None, "trailing byte");
     }
 
     #[test]

@@ -220,6 +220,11 @@ fn latency_model_matches_simulation() {
     let p = mykil_analysis::latency::pentium3::RSA_PRIVATE_S;
     let q = mykil_analysis::latency::pentium3::RSA_PUBLIC_S;
     let h = mykil_analysis::latency::pentium3::HOP_S;
+    // One cost model: `vd_latency` charges `CryptoCost::pentium3()` at
+    // 2048 bits, which must be the very constants predicted with here.
+    let charged = mykil::crypto_cost::CryptoCost::pentium3();
+    assert_eq!(charged.rsa_private(2048).as_micros() as f64, p * 1e6);
+    assert_eq!(charged.rsa_public(2048).as_micros() as f64, q * 1e6);
     check("join", JOIN_OPS.predict_seconds(p, q, h), sim.join_s);
     check("rejoin", REJOIN_OPS.predict_seconds(p, q, h), sim.rejoin_s);
     check(
