@@ -2,7 +2,7 @@
 //! admission path used by joins and rejoins.
 
 use super::{AreaController, PendingAdmission};
-use crate::durable::AcWalRecord;
+use crate::durable::{AcWalRecord, Seed};
 use crate::error::ProtocolError;
 use crate::identity::{ClientId, DeviceId};
 use crate::msg::Msg;
@@ -111,6 +111,7 @@ impl AreaController {
         // Write-ahead: the admission is durable before the welcome (or
         // rejoin grant) leaves this node, so a crash cannot orphan a
         // member that believes it was admitted.
+        let seed = Seed::draw(ctx.rng());
         let plan = self
             .wal_commit_record(
                 ctx,
@@ -120,6 +121,7 @@ impl AreaController {
                     pubkey: pubkey.to_bytes(),
                     device: device.map(|d| d.0),
                     valid_until_us: valid_until.as_micros(),
+                    seed,
                 },
             )
             .map_err(|_| ProtocolError::UnexpectedMessage("key tree refused the join"))?;
@@ -200,7 +202,7 @@ impl AreaController {
     }
 
     /// Common tail of a membership change: flush immediately or leave
-    /// the batch pending, then sync the replica.
+    /// the batch pending, then ship the backup what was committed.
     pub(crate) fn after_membership_change(&mut self, ctx: &mut Context<'_>) {
         if self.batch_now() {
             self.flush_key_updates(ctx);

@@ -8,7 +8,7 @@
 //!   signed area-join exchange with a preferred alternative controller.
 
 use super::{AreaController, ParentLink, RejoinStage, TIMER_IDLE_ALIVE, TIMER_PARENT_CHECK, TIMER_REKEY, TIMER_SWEEP};
-use crate::durable::AcWalRecord;
+use crate::durable::{AcWalRecord, Seed};
 use crate::identity::{AreaId, ClientId};
 use crate::msg::{Msg, RejoinDenyReason};
 use crate::node_keys::takeover_signed_bytes;
@@ -94,16 +94,14 @@ impl AreaController {
     /// the periodic freshness rekey of Section III-E.
     pub(crate) fn freshness_rotate(&mut self, ctx: &mut Context<'_>) {
         self.note_area_key();
-        let plan = self.durable.image.tree.rotate_area_key(ctx.rng());
-        self.durable.image.epoch += 1;
+        let rotate = AcWalRecord::Rotate { seed: Seed::draw(ctx.rng()) };
+        let Ok(plan) = self.wal_commit_record(ctx, &rotate) else { return };
         // The plan's single change carries (PreviousSelf, old key), so the
         // streaming encoder seals under the superseded area key directly.
         let mut w = crate::wire::Writer::with_capacity(crate::rekey::entries_wire_len(&plan));
         crate::rekey::write_entries_from_plan(&plan, ctx.rng(), &mut w);
         self.multicast_key_update(ctx, w.into_bytes());
         ctx.stats().bump("ac-freshness-rekeys", 1);
-        // The epoch advanced: keep the durable image in step.
-        self.persist_checkpoint(ctx);
         self.sync_backup(ctx);
     }
 
@@ -186,7 +184,8 @@ impl AreaController {
         if !self.fresh_timestamp(ctx.now(), ts) {
             return;
         }
-        // Enroll the child AC as a member of this area's tree.
+        // Enroll the child AC as a member of this area's tree (no record
+        // describes a hierarchy change).
         self.note_area_key();
         let member = MemberId(super::AC_MEMBER_BASE + child_area.0 as u64);
         if self.durable.image.tree.contains(member) {
@@ -203,6 +202,7 @@ impl AreaController {
         self.send_displaced_unicasts(ctx, &plan, member);
         self.update_needed = true;
         self.durable.image.child_acs.insert(from);
+        self.persist_unrecorded(ctx);
         let path_bytes = plan
             .unicasts
             .iter()
@@ -272,15 +272,16 @@ impl AreaController {
         if !self.fresh_timestamp(ctx.now(), ts) {
             return;
         }
-        // Leave the old parent's multicast group, join the new one.
-        if let Some(old) = &self.durable.image.parent {
-            ctx.leave_group(old.group);
-        }
         let link = ParentLink {
             node: from,
             area: parent_area,
             group: GroupId::from_index(group_raw as usize),
         };
+        // Leave the old parent's multicast group, join the new one.
+        let repointed = self.durable.image.parent.as_ref() != Some(&link);
+        if let Some(old) = &self.durable.image.parent {
+            ctx.leave_group(old.group);
+        }
         ctx.join_group(link.group);
         self.durable.image.parent = Some(link);
         // The exchange completed; stop any still-pending retransmission
@@ -295,9 +296,14 @@ impl AreaController {
         self.stats.parent_switches += 1;
         ctx.stats().bump("ac-parent-switches", 1);
         // The parent link is part of the checkpoint image; a recovered
-        // node must rejoin the hierarchy where it left off.
-        self.persist_checkpoint(ctx);
-        self.sync_backup(ctx);
+        // node must rejoin the hierarchy where it left off. No record
+        // describes it: the backup gets a full image. Re-enrolling with
+        // the parent this node already had moves only `parent_keys`,
+        // which whoever runs the area next fetches afresh.
+        if repointed {
+            self.persist_unrecorded(ctx);
+            self.sync_backup(ctx);
+        }
     }
 
     /// Key updates from the parent area (this AC is a member there).
@@ -421,7 +427,7 @@ impl AreaController {
         });
         // The parent link is part of the checkpointed image: a crash or
         // a takeover must not re-enrol with the node that just died.
-        self.persist_checkpoint(ctx);
+        self.persist_unrecorded(ctx);
         self.sync_backup(ctx);
     }
 }
@@ -503,7 +509,6 @@ mod tests {
     /// re-enrolled with the parent that had just died.
     #[test]
     fn a_repointed_parent_reaches_stable_storage_and_the_backup() {
-        use crate::area::AreaImage;
         use crate::durable::replay_ac;
         use mykil_net::Duration;
 
@@ -519,9 +524,8 @@ mod tests {
             .expect("area 1's storage replays");
         assert_eq!(replayed.image.parent.map(|p| p.node), Some(promoted));
 
-        let escrow = g.backup(1).durable.escrow.clone().expect("area 1's backup holds a snapshot");
-        let image = AreaImage::decode(escrow.as_slice(), g.now()).expect("snapshot parses");
-        assert_eq!(image.parent.map(|p| p.node), Some(promoted));
+        let replica = &g.backup(1).durable.image;
+        assert_eq!(replica.parent.as_ref().map(|p| p.node), Some(promoted));
     }
 
     /// An ack from a *different* live candidate than the one currently

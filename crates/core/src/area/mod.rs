@@ -34,7 +34,7 @@ use crate::node_keys::NodeKeys;
 use mykil_crypto::envelope::EnvelopeKey;
 use mykil_crypto::keys::SymmetricKey;
 use mykil_crypto::rsa::{RsaKeyPair, RsaPublicKey};
-use mykil_net::{Context, GroupId, MsgToken, Node, NodeId, Time};
+use mykil_net::{Context, GroupId, MsgToken, Node, NodeId, SecretBytes, Time};
 use mykil_tree::{AreaTree, MemberId};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -104,7 +104,7 @@ pub(crate) enum RejoinStage {
 }
 
 /// Link to the parent area (the AC is a member there).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParentLink {
     /// The parent controller's address.
     pub node: NodeId,
@@ -221,9 +221,26 @@ pub struct AreaController {
     pub(crate) repl_key: EnvelopeKey,
     pub(crate) hb_seq: u64,
     pub(crate) last_heartbeat: Time,
-    /// Reliable-send token of the outstanding `StateSync`, cancelled
-    /// when a newer snapshot supersedes it.
-    pub(crate) pending_sync: Option<MsgToken>,
+    /// Records committed since the last checkpoint: what a recovery
+    /// would replay. Past `CHECKPOINT_WAL_RECORDS` the log is compacted.
+    pub(crate) wal_records: usize,
+    /// Records that changed the area and that the backup has not
+    /// acknowledged, oldest first (primary role); the newest one's
+    /// replication sequence is `durable.sync_seq`. Each holds its seed.
+    pub(crate) sync_backlog: VecDeque<SecretBytes>,
+    /// The backup must adopt a full image before records mean anything
+    /// to it: set whenever it (re)attaches or the area changed without a
+    /// record, cleared when an image is acknowledged. While set, nothing
+    /// is queued in `sync_backlog`.
+    pub(crate) image_owed: bool,
+    /// The outstanding `StateSync` — its reliable-send token, the
+    /// sequence it brings the backup to, whether it is a full image —
+    /// cancelled when a newer one supersedes it.
+    pub(crate) pending_sync: Option<(MsgToken, u64, bool)>,
+    /// The sequence the backup had acknowledged when the latest
+    /// heartbeat left: an answer to that heartbeat reporting less means
+    /// the backup lost state it once held.
+    pub(crate) hb_floor: u64,
     /// When the backup last acknowledged a heartbeat (primary role).
     pub(crate) last_backup_ack: Time,
     /// Set after `failover_threshold` unacknowledged heartbeats; stops
@@ -283,7 +300,11 @@ impl AreaController {
             repl_key,
             hb_seq: 0,
             last_heartbeat: Time::ZERO,
+            wal_records: 0,
+            sync_backlog: VecDeque::new(),
+            image_owed: true,
             pending_sync: None,
+            hb_floor: 0,
             last_backup_ack: Time::ZERO,
             backup_presumed_dead: false,
             pending_demote: None,
@@ -462,9 +483,11 @@ impl Node for AreaController {
             ctx.join_group(p.group);
         }
         // Baseline checkpoint: from t=0 a crash always finds durable
-        // state to recover from, even before the first rekey flush.
+        // state to recover from. The backup attaches to the same
+        // baseline: deployment-time enrolments are in no record.
         self.persist_checkpoint(ctx);
         self.resume_role(ctx);
+        self.sync_backup(ctx);
     }
 
     fn on_message(&mut self, ctx: &mut Context<'_>, from: NodeId, bytes: &[u8]) {
@@ -521,8 +544,8 @@ impl Node for AreaController {
             }
             Msg::AreaJoinReq { ct, sig } => self.handle_area_join_req(ctx, from, &ct, &sig),
             Msg::AreaJoinAck { ct, sig } => self.handle_area_join_ack(ctx, from, &ct, &sig),
-            Msg::HeartbeatAck { seq, takeover_epoch } => {
-                self.handle_heartbeat_ack(ctx, from, seq, takeover_epoch)
+            Msg::HeartbeatAck { seq, takeover_epoch, applied_sync_seq } => {
+                self.handle_heartbeat_ack(ctx, from, seq, takeover_epoch, applied_sync_seq)
             }
             // A primary receiving primary heartbeats: the sender also
             // believes it runs this area (split brain after a heal).
@@ -565,8 +588,12 @@ impl Node for AreaController {
     }
 
     fn on_reliable_acked(&mut self, ctx: &mut Context<'_>, _peer: NodeId, msg: MsgToken) {
-        if self.pending_sync == Some(msg) {
-            self.pending_sync = None;
+        if let Some((_, upto, image)) = self.pending_sync.take_if(|(token, ..)| *token == msg) {
+            // The backup holds everything up to `upto`: drop the records
+            // at or below it (an image left none queued).
+            let newer = (self.durable.sync_seq - upto) as usize;
+            self.sync_backlog.drain(..self.sync_backlog.len().saturating_sub(newer));
+            self.image_owed &= !image;
         }
         if self.pending_demote == Some(msg) {
             self.pending_demote = None;
@@ -581,10 +608,10 @@ impl Node for AreaController {
         _kind: &'static str,
         msg: MsgToken,
     ) {
-        if self.pending_sync == Some(msg) {
-            // The backup never acknowledged the snapshot; heartbeat-ack
-            // tracking decides whether it is presumed dead.
-            self.pending_sync = None;
+        if self.pending_sync.take_if(|(token, ..)| *token == msg).is_some() {
+            // The backup never acknowledged the sync; what it carried
+            // stays owed, and heartbeat-ack tracking decides whether the
+            // backup is presumed dead or gets it again.
             ctx.stats().bump("ac-state-sync-expired", 1);
             return;
         }
@@ -623,7 +650,7 @@ impl Node for AreaController {
         let now = ctx.now();
         let mut recovered = false;
         if let Some((_seq, bytes)) = &rec.checkpoint {
-            match AcDurable::decode(bytes, now, &self.durable.image) {
+            match AcDurable::decode(bytes, now) {
                 Some(state) => {
                     self.durable = state;
                     recovered = true;
@@ -631,7 +658,8 @@ impl Node for AreaController {
                 None => ctx.stats().bump("ac-recovery-bad-checkpoint", 1),
             }
         }
-        let (folded, refused) = self.durable.fold(&rec.wal, ctx.rng(), now);
+        let (folded, refused) = self.durable.fold(&rec.wal, now);
+        self.wal_records = rec.wal.len();
         if folded < rec.wal.len() {
             ctx.stats().bump("ac-recovery-bad-wal-record", 1);
         }
@@ -653,9 +681,9 @@ impl Node for AreaController {
         self.resume_role(ctx);
         if self.durable.role == Role::Primary {
             if recovered {
-                // Members hold pre-crash path keys; the replayed
-                // tree drew fresh randomness. Re-issue every path,
-                // compact the WAL, and push a snapshot to the
+                // Members hold pre-crash path keys, and the log may
+                // have been cut short of them. Re-issue every path,
+                // compact the WAL, and push the re-attach image to the
                 // backup.
                 self.post_recovery_resync(ctx);
             }
@@ -663,7 +691,7 @@ impl Node for AreaController {
             // with possibly-stale keys: re-enrolling with the parent
             // re-issues this AC's parent-area path. If the backup
             // was promoted during the outage, its epoch fence
-            // (`Demote`) will step this node down and resync it
+            // (`Demote`) will step this node down and re-image it
             // through the StateSync path.
             if let Some(p) = self.durable.image.parent.clone() {
                 ctx.join_group(p.group);

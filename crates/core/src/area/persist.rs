@@ -4,45 +4,48 @@
 //! [`AcDurable`] holds all and only what a checkpoint plus a WAL suffix
 //! reproduce (formats in [`crate::durable`]):
 //!
-//! - a WAL record per acknowledged membership or role change
+//! - a WAL record per change of the area or of this node's role
 //!   ([`AcWalRecord`]), committed before the change's effects leave the
-//!   node;
-//! - a full checkpoint ([`AcDurable::encode`]) at every compaction
-//!   point: rekey flushes, snapshot applications, role transitions, and
-//!   start-up. The membership payload is the replication snapshot, so
-//!   primary checkpoints and `StateSync` bodies are the same bytes.
+//!   node. A record that moves the tree carries the seed its keys are
+//!   drawn from, so every fold of it lands on the same keys;
+//! - a full checkpoint ([`AcDurable::encode`]) when the WAL has grown
+//!   past [`CHECKPOINT_WAL_RECORDS`], at role transitions, after
+//!   recovery, at start-up, and at the changes no record describes
+//!   (hierarchy changes; a full image adopted by a backup) — never per
+//!   rekey. Its area payload is the image a primary ships to a backup
+//!   that attaches.
 //!
 //! `AcDurable::apply` is the only code that gives a record its meaning,
-//! and it has three kinds of caller. A live handler builds the record
+//! and it has four kinds of caller. A live handler builds the record
 //! and hands it to [`AreaController::wal_commit_record`], which commits
 //! and then applies it — `apply` is private to this file so that no
-//! handler can apply what it has not committed. `on_restarted` assigns
-//! [`AcDurable::decode`] of the newest valid checkpoint (else the
-//! deployed state the crash wipe left), folded over the WAL suffix by
-//! [`AcDurable::fold`]. [`crate::durable::replay_ac`] is the same
-//! decode and fold without a node around it, for the durability
-//! invariant and the fuzzer.
+//! handler can apply what it has not committed. A backup hands the same
+//! function the records its primary ships, so its `image` is a live
+//! replica, byte for byte. `on_restarted` assigns [`AcDurable::decode`]
+//! of the newest valid checkpoint (else the deployed state the crash
+//! wipe left), folded over the WAL suffix by [`AcDurable::fold`].
+//! [`crate::durable::replay_ac`] is the same decode and fold without a
+//! node around it, for the durability invariant and the fuzzer.
 //!
 //! A departure queued in a batch window (Section III-E) needs no queue
 //! of its own: `Leave`/`Evict` remove the member row and leave the leaf,
 //! so a client leaf without a row *is* the queued departure
-//! ([`AcDurable::departed`]). It survives every path a snapshot takes —
-//! checkpoint, `StateSync`, promotion — and the next flush batches it
+//! ([`AcDurable::departed`]). It survives every path an image takes —
+//! checkpoint, `StateSync`, promotion — and the next `Flush` batches it
 //! out of the tree.
 //!
-//! Replayed tree joins draw fresh randomness, so a recovered tree's
-//! path keys differ from the ones members still hold; recovery
-//! re-issues every path ([`AreaController::post_recovery_resync`]).
+//! A complete log replays to the keys members hold; a log a lying disk
+//! cut short does not, so recovery still re-issues every path
+//! ([`AreaController::post_recovery_resync`]).
 
 use super::replication::AreaImage;
 use super::{AcDeployment, AreaController, MemberRecord, Role, AC_MEMBER_BASE};
 use crate::config::MykilConfig;
-use crate::durable::{AcCheckpoint, AcWalRecord};
+use crate::durable::{AcCheckpoint, AcWalRecord, CHECKPOINT_WAL_RECORDS, SYNC_BACKLOG_RECORDS};
 use crate::identity::{ClientId, DeviceId};
 use mykil_crypto::rsa::RsaPublicKey;
 use mykil_net::{Context, NodeId, SecretBytes, Time};
 use mykil_tree::{AreaTree, MemberId, RekeyPlan};
-use rand::RngCore;
 use std::collections::BTreeSet;
 
 /// Everything about an area controller that survives a crash.
@@ -56,10 +59,11 @@ pub struct AcDurable {
     /// The counterpart's takeover epoch as last seen in heartbeat
     /// traffic (a backup tracks its primary; a primary its backup).
     pub(crate) peer_takeover_epoch: u64,
-    /// Monotonic snapshot sequence (primary role) so a retransmitted or
+    /// Replication sequence (primary role): one step per record that
+    /// changes the area and per full image sent, so a retransmitted or
     /// reordered `StateSync` can never regress the backup.
     pub(crate) sync_seq: u64,
-    /// Highest snapshot sequence applied (backup role).
+    /// Highest replication sequence applied (backup role).
     pub(crate) applied_sync_seq: u64,
     /// After a takeover: the primary this node took over from, i.e. the
     /// only node whose stale heartbeats warrant a signed `Demote`.
@@ -68,13 +72,10 @@ pub struct AcDurable {
     /// the one part of the deployment record that changes at run time
     /// (lost at promotion, adopted after a demotion is acknowledged).
     pub(crate) backup: Option<(NodeId, Vec<u8>)>,
-    /// The area as this node runs it. Meaningful in the primary role; a
-    /// backup's is blank.
+    /// The area: as this node runs it (primary role), or its live
+    /// replica of the primary's (backup role) — the last image adopted,
+    /// folded over every record shipped since.
     pub(crate) image: AreaImage,
-    /// Latest snapshot from the primary (backup role), kept as the
-    /// opaque bytes it arrived in until promotion decodes it. Held
-    /// zeroizing — the snapshot embeds the primary's full key tree.
-    pub(crate) escrow: Option<SecretBytes>,
 }
 
 impl AcDurable {
@@ -93,7 +94,6 @@ impl AcDurable {
             stale_peer: None,
             backup,
             image,
-            escrow: None,
         }
     }
 
@@ -131,20 +131,21 @@ impl AcDurable {
     /// rows are gone and their leaves wait for the next batched rekey.
     /// Child controllers (`id >= AC_MEMBER_BASE`) never have rows.
     pub fn departed(&self) -> impl Iterator<Item = MemberId> + '_ {
-        self.image.tree.members().filter(|m| {
-            m.0 < AC_MEMBER_BASE && !self.image.members.contains_key(&ClientId(m.0))
+        // Leaves and rows both ascend by client id: one merge walk, no
+        // lookup per leaf — every flush runs this, on both replicas.
+        let mut rows = self.image.members.keys().map(|c| c.0).peekable();
+        let leaves = self.image.tree.members().take_while(|m| m.0 < AC_MEMBER_BASE);
+        leaves.filter(move |m| {
+            while rows.next_if(|row| *row < m.0).is_some() {}
+            rows.peek() != Some(&m.0)
         })
     }
 
     /// Serializes the full-state checkpoint for the current role.
     pub fn encode(&self) -> Vec<u8> {
-        let (primary, primary_node, snapshot) = match self.role {
-            Role::Primary => (true, 0, Some(self.image.encode())),
-            Role::Backup { primary } => (
-                false,
-                primary.index() as u32,
-                self.escrow.as_ref().map(|s| s.as_slice().to_vec()),
-            ),
+        let (primary, primary_node) = match self.role {
+            Role::Primary => (true, 0),
+            Role::Backup { primary } => (false, primary.index() as u32),
         };
         AcCheckpoint {
             primary,
@@ -158,22 +159,18 @@ impl AcDurable {
                 .backup
                 .as_ref()
                 .map(|(n, pubkey)| (n.index() as u32, pubkey.clone())),
-            snapshot,
+            snapshot: self.image.encode(),
         }
         .to_bytes()
     }
 
-    /// Parses [`Self::encode`]'s bytes; `None` on corruption. A
-    /// backup's checkpoint carries no area of its own, so it gets
-    /// `blank` — the image of the state it was deployed with.
-    pub(crate) fn decode(bytes: &[u8], now: Time, blank: &AreaImage) -> Option<AcDurable> {
+    /// Parses [`Self::encode`]'s bytes; `None` on corruption.
+    pub(crate) fn decode(bytes: &[u8], now: Time) -> Option<AcDurable> {
         let cp = AcCheckpoint::from_bytes(bytes)?;
-        let (role, image, escrow) = if cp.primary {
-            (Role::Primary, AreaImage::decode(&cp.snapshot?, now)?, None)
+        let role = if cp.primary {
+            Role::Primary
         } else {
-            let primary = NodeId::from_index(cp.primary_node as usize);
-            let escrow = cp.snapshot.map(SecretBytes::new);
-            (Role::Backup { primary }, blank.clone(), escrow)
+            Role::Backup { primary: NodeId::from_index(cp.primary_node as usize) }
         };
         Some(AcDurable {
             role,
@@ -185,22 +182,25 @@ impl AcDurable {
             backup: cp
                 .backup
                 .map(|(node, pubkey)| (NodeId::from_index(node as usize), pubkey)),
-            image,
-            escrow,
+            image: AreaImage::decode(&cp.snapshot, now)?,
         })
     }
 
     /// The transition function: what one durable record does to the
     /// state. Returns what the live path needs from the change — the
-    /// join's rekey plan, empty for every other record — or, when the
-    /// record changed less than it says, the counter recovery reports
-    /// that under.
-    fn apply<R: RngCore + ?Sized>(
-        &mut self,
-        rec: &AcWalRecord,
-        rng: &mut R,
-        now: Time,
-    ) -> Result<RekeyPlan, &'static str> {
+    /// rekey plan of the record's tree operation, empty where it has
+    /// none — or, when the record changed less than it says, the
+    /// counter recovery reports that under. Every key it makes comes
+    /// from the record's seed: two folds of one log agree byte for byte.
+    fn apply(&mut self, rec: &AcWalRecord, now: Time) -> Result<RekeyPlan, &'static str> {
+        if rec.changes_area() {
+            // One step of the replication sequence, on whichever side
+            // of it this node stands.
+            match self.role {
+                Role::Primary => self.sync_seq += 1,
+                Role::Backup { .. } => self.applied_sync_seq += 1,
+            }
+        }
         match rec {
             AcWalRecord::Join {
                 client,
@@ -208,10 +208,12 @@ impl AcDurable {
                 pubkey,
                 device,
                 valid_until_us,
+                seed,
             } => {
                 let pubkey =
                     RsaPublicKey::from_bytes(pubkey).map_err(|_| "ac-recovery-join-failed")?;
                 let member = MemberId(*client);
+                let rng = &mut seed.rng();
                 // Re-admission after a missed eviction, or of a client
                 // whose departure still waits in the batch window:
                 // clear the stale leaf, or the next flush would evict
@@ -235,10 +237,24 @@ impl AcDurable {
                         last_heard: now,
                     },
                 );
-                return Ok(plan);
+                Ok(plan)
             }
             AcWalRecord::Leave { client } | AcWalRecord::Evict { client } => {
                 self.image.members.remove(&ClientId(*client));
+                Ok(RekeyPlan::default())
+            }
+            AcWalRecord::Flush { seed } => {
+                self.image.epoch += 1;
+                let leavers: Vec<MemberId> = self.departed().collect();
+                // Leavers are read off the tree; a refusal means
+                // tree-state drift, and the batch waits for the next
+                // flush.
+                let out = self.image.tree.batch_leave(&leavers, &mut seed.rng());
+                out.map(|out| out.plan).map_err(|_| "ac-evictions-deferred")
+            }
+            AcWalRecord::Rotate { seed } => {
+                self.image.epoch += 1;
+                Ok(self.image.tree.rotate_area_key(&mut seed.rng()))
             }
             AcWalRecord::Promoted {
                 takeover_epoch,
@@ -249,25 +265,26 @@ impl AcDurable {
                 self.stale_peer = Some(NodeId::from_index(*old_primary as usize));
                 // This node no longer has a backup of its own.
                 self.backup = None;
-                if let Some(escrow) = self.escrow.take() {
-                    self.image = AreaImage::decode(escrow.as_slice(), now)
-                        .ok_or("ac-recovery-bad-snapshot")?;
+                // A replica's rows never hear their members; the
+                // silence so far was this node's role, not theirs.
+                for row in self.image.members.values_mut() {
+                    row.last_heard = now;
                 }
+                Ok(RekeyPlan::default())
             }
-            AcWalRecord::Demoted { new_primary } => {
+            AcWalRecord::Demoted { new_primary, seed } => {
                 self.role = Role::Backup {
                     primary: NodeId::from_index(*new_primary as usize),
                 };
                 // Replica bookkeeping from the primary stint must not
-                // block the new primary's snapshots, and the area it ran
-                // is the winner's now: a checkpoint would not keep it.
+                // block the new primary's first image, and the area it
+                // ran is the winner's now.
                 self.applied_sync_seq = 0;
-                self.escrow = None;
                 let (cfg, parent) = (self.image.tree.config(), self.image.parent.take());
-                self.image = AreaImage::blank(cfg, parent, rng);
+                self.image = AreaImage::blank(cfg, parent, &mut seed.rng());
+                Ok(RekeyPlan::default())
             }
         }
-        Ok(RekeyPlan::default())
     }
 
     /// Folds a WAL suffix over the state. An unparseable record ends
@@ -275,19 +292,14 @@ impl AcDurable {
     /// tail — so a first count below `wal.len()` says one was met; the
     /// second value lists, by recovery counter, the records that
     /// changed less than they say.
-    pub(crate) fn fold<R: RngCore + ?Sized>(
-        &mut self,
-        wal: &[Vec<u8>],
-        rng: &mut R,
-        now: Time,
-    ) -> (usize, Vec<&'static str>) {
+    pub(crate) fn fold(&mut self, wal: &[Vec<u8>], now: Time) -> (usize, Vec<&'static str>) {
         let mut refused = Vec::new();
         let mut folded = 0;
         for raw in wal {
             let Some(rec) = AcWalRecord::from_bytes(raw) else {
                 break;
             };
-            refused.extend(self.apply(&rec, rng, now).err());
+            refused.extend(self.apply(&rec, now).err());
             folded += 1;
         }
         (folded, refused)
@@ -311,16 +323,32 @@ impl AreaController {
     }
 
     /// Commits one WAL record (append + fsync) to stable storage, then
-    /// applies it: the only way a live handler changes what a record
-    /// describes.
+    /// applies it: the only way a live handler — or a backup folding
+    /// its primary's log — changes what a record describes. A primary
+    /// queues a record that changes the area for its backup (the next
+    /// [`Self::sync_backup`] ships the queue); a log grown past
+    /// [`CHECKPOINT_WAL_RECORDS`] is compacted here.
     pub(crate) fn wal_commit_record(
         &mut self,
         ctx: &mut Context<'_>,
         rec: &AcWalRecord,
     ) -> Result<RekeyPlan, &'static str> {
-        ctx.storage().wal_commit(rec.to_bytes());
-        let now = ctx.now();
-        self.durable.apply(rec, ctx.rng(), now)
+        let bytes = rec.to_bytes();
+        // While an image is owed the backup learns of this record from
+        // the image.
+        if self.durable.role == Role::Primary && rec.changes_area() && !self.image_owed {
+            self.sync_backlog.push_back(SecretBytes::new(bytes.clone()));
+            if self.sync_backlog.len() > SYNC_BACKLOG_RECORDS {
+                self.owe_image();
+            }
+        }
+        ctx.storage().wal_commit(bytes);
+        let out = self.durable.apply(rec, ctx.now());
+        self.wal_records += 1;
+        if self.wal_records > CHECKPOINT_WAL_RECORDS {
+            self.persist_checkpoint(ctx);
+        }
+        out
     }
 
     /// Writes a checkpoint (compaction point): after this the durable
@@ -329,9 +357,18 @@ impl AreaController {
     pub(crate) fn persist_checkpoint(&mut self, ctx: &mut Context<'_>) {
         let bytes = self.durable.encode();
         ctx.storage().checkpoint(bytes);
+        self.wal_records = 0;
     }
 
-    /// A state that arrived by snapshot — recovery, takeover — may hold
+    /// Makes durable a change no record describes — a hierarchy change,
+    /// an adopted backup: a checkpoint for this node, and for the backup
+    /// a full image where records would have gone.
+    pub(crate) fn persist_unrecorded(&mut self, ctx: &mut Context<'_>) {
+        self.owe_image();
+        self.persist_checkpoint(ctx);
+    }
+
+    /// A state that arrived by image — recovery, takeover — may hold
     /// departures its batch window never flushed; owe them a rekey.
     pub(crate) fn adopt_departures(&mut self) {
         self.update_needed |= self.durable.departed().next().is_some();
@@ -363,7 +400,10 @@ impl AreaController {
         self.last_area_mcast = Time::ZERO;
         self.hb_seq = 0;
         self.last_heartbeat = Time::ZERO;
+        self.wal_records = 0;
+        self.owe_image();
         self.pending_sync = None;
+        self.hb_floor = 0;
         self.last_backup_ack = Time::ZERO;
         self.backup_presumed_dead = false;
         self.pending_demote = None;
@@ -371,13 +411,13 @@ impl AreaController {
 
     /// Post-recovery key resynchronization (primary role).
     ///
-    /// WAL-replayed tree joins rotated path keys with fresh randomness,
-    /// so members' held paths may be stale; re-issue the current path
-    /// to every member and child controller, then checkpoint (which
-    /// also compacts the just-replayed WAL), rekey out — when the
-    /// policy is to do so at once — any departure the crash caught
-    /// between its record and its flush, and push a catch-up snapshot
-    /// to the backup.
+    /// A log cut short by a lying disk replays to older keys than
+    /// members hold, so their paths may be stale; re-issue the current
+    /// path to every member and child controller, then checkpoint (which
+    /// also compacts the just-replayed WAL and makes the epoch jump
+    /// durable), rekey out — when the policy is to do so at once — any
+    /// departure the crash caught between its record and its flush, and
+    /// push the re-attach image to the backup.
     pub(crate) fn post_recovery_resync(&mut self, ctx: &mut Context<'_>) {
         for (client, rec) in &self.durable.image.members {
             self.unicast_path(ctx, MemberId(client.0), rec.node, &rec.pubkey);
@@ -389,5 +429,104 @@ impl AreaController {
         }
         self.persist_checkpoint(ctx);
         self.after_membership_change(ctx);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::durable::Seed;
+    use mykil_crypto::drbg::Drbg;
+    use mykil_tree::{TreeBackend, TreeConfig};
+    use proptest::prelude::*;
+    use rand::RngCore;
+
+    /// A public key that parses (256-bit odd modulus, e = 3).
+    fn pubkey(tag: u8) -> Vec<u8> {
+        let mut n = vec![0xFF; 32];
+        n[1] = tag;
+        let mut w = crate::wire::Writer::new();
+        w.bytes(&n).bytes(&[3]);
+        w.into_bytes()
+    }
+
+    /// One record of an area's log: `(kind, client, seed)` over a
+    /// universe of 24 clients — enough for a quad tree to split leaves,
+    /// vacate them and fill them again.
+    fn record(&(kind, client, seed): &(u8, u64, u64)) -> AcWalRecord {
+        let mut bytes = [0u8; 32];
+        Drbg::from_seed(seed).fill_bytes(&mut bytes);
+        let seed = Seed::from_bytes(bytes);
+        match kind {
+            0..=3 => AcWalRecord::Join {
+                client,
+                node: client as u32,
+                pubkey: pubkey(client as u8),
+                device: (client % 2 == 0).then_some([client as u8; 6]),
+                valid_until_us: 1_000_000 + client,
+                seed,
+            },
+            4 => AcWalRecord::Leave { client },
+            5 => AcWalRecord::Evict { client },
+            6 => AcWalRecord::Flush { seed },
+            _ => AcWalRecord::Rotate { seed },
+        }
+    }
+
+    fn blank(backend: TreeBackend) -> AcDurable {
+        let cfg = TreeConfig::quad().with_backend(backend);
+        let image = AreaImage::blank(cfg, None, &mut Drbg::from_seed(5));
+        AcDurable::deployed(Role::Primary, None, image)
+    }
+
+    fn fold(mut state: AcDurable, log: &[AcWalRecord]) -> AcDurable {
+        for rec in log {
+            let _ = state.apply(rec, Time::ZERO);
+        }
+        state
+    }
+
+    /// What a replica must reproduce: every byte of the image, the
+    /// queued departures, the epoch.
+    fn facts(state: &AcDurable) -> (Vec<u8>, Vec<MemberId>, u64) {
+        (state.image.encode(), state.departed().collect(), state.epoch())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 128, .. ProptestConfig::default() })]
+
+        /// The fold is a pure function of image and log, on both tree
+        /// backends: two folds of one log are identical, and an image
+        /// taken at any cut — encoded, decoded, folded over the rest —
+        /// lands byte for byte where the straight-through fold does.
+        /// This is what lets a backup hold a live replica, and what
+        /// would catch any tree state `snapshot`/`restore` does not
+        /// round-trip (vacant / open-interior / occupied ordering, the
+        /// forest's overrides and versions).
+        #[test]
+        fn an_image_may_be_taken_anywhere_in_the_fold(
+            steps in proptest::collection::vec((0u8..8, 1u64..25, any::<u64>()), 0..80),
+            cut in 0usize..81,
+            khf in any::<bool>(),
+        ) {
+            let backend = if khf { TreeBackend::Khf } else { TreeBackend::Explicit };
+            let log: Vec<AcWalRecord> = steps.iter().map(record).collect();
+            let cut = cut.min(log.len());
+
+            let whole = fold(blank(backend), &log);
+            prop_assert!(facts(&whole) == facts(&fold(blank(backend), &log)), "two folds differ");
+            whole.image.tree.check_invariants();
+
+            let prefix = fold(blank(backend), &log[..cut]);
+            let image = AreaImage::decode(&prefix.image.encode(), Time::ZERO).expect("own image decodes");
+            prop_assert_eq!(image.tree.config().backend(), backend);
+            let resumed = fold(AcDurable { image, ..prefix }, &log[cut..]);
+            prop_assert!(
+                facts(&resumed) == facts(&whole),
+                "an image after {cut} of {} records resumes elsewhere (epoch {} vs {}, departed {:?} vs {:?})",
+                log.len(), resumed.epoch(), whole.epoch(),
+                resumed.departed().collect::<Vec<_>>(), whole.departed().collect::<Vec<_>>()
+            );
+        }
     }
 }

@@ -10,7 +10,7 @@
 //! timer, or immediately under [`BatchPolicy::Immediate`](crate::config::BatchPolicy).
 
 use super::AreaController;
-use crate::durable::AcWalRecord;
+use crate::durable::{AcWalRecord, Seed};
 use crate::identity::ClientId;
 use crate::msg::Msg;
 use crate::rekey::{entries_wire_len, key_update_digest, write_plan_entries, KEY_ENV_LEN};
@@ -19,6 +19,7 @@ use mykil_crypto::envelope;
 use mykil_crypto::rsa::RsaPublicKey;
 use mykil_net::{Context, NodeId};
 use mykil_tree::{MemberId, NodeIdx, RekeyPlan};
+use std::collections::BTreeSet;
 
 impl AreaController {
     /// Buffers the multicast part of a join rekey plan. For every
@@ -119,32 +120,27 @@ impl AreaController {
         let join_nodes = std::mem::take(&mut self.buffered_join_updates);
 
         // 2. Batched leaves (single combined tree operation): every
-        //    client leaf whose row a `Leave`/`Evict` record took.
-        let leavers: Vec<MemberId> = self.durable.departed().collect();
-        let leave_plan = if leavers.is_empty() {
-            None
-        } else {
+        //    client leaf whose row a `Leave`/`Evict` record took. The
+        //    `Flush` record batches them out of the tree and advances
+        //    the epoch — durably, and for the backup too.
+        let leavers = self.durable.departed().count();
+        if leavers > 0 {
             self.note_area_key();
-            // Leavers are read off the tree; a refusal here means
-            // tree-state drift. Defer the eviction batch to the
-            // next sweep instead of panicking mid-rekey.
-            let plan = self.durable.image.tree.batch_leave(&leavers, ctx.rng());
-            if plan.is_err() {
-                ctx.stats().bump("ac-evictions-deferred", 1);
-            }
-            plan.ok()
-        };
-
-        let leave_changed: std::collections::BTreeSet<u32> = leave_plan
-            .as_ref()
-            .map(|out| {
-                out.plan
-                    .changes
-                    .iter()
-                    .map(|c| c.node.raw() as u32)
-                    .collect()
+        }
+        let epoch = self.durable.image.epoch;
+        let leave_plan = if leavers > 0 || !join_nodes.is_empty() {
+            let flush = AcWalRecord::Flush { seed: Seed::draw(ctx.rng()) };
+            self.wal_commit_record(ctx, &flush).unwrap_or_else(|counter| {
+                // Defer the eviction batch to the next flush instead of
+                // panicking mid-rekey.
+                ctx.stats().bump(counter, 1);
+                RekeyPlan::default()
             })
-            .unwrap_or_default();
+        } else {
+            RekeyPlan::default()
+        };
+        let leave_changed: BTreeSet<u32> =
+            leave_plan.changes.iter().map(|c| c.node.raw() as u32).collect();
 
         // Entry counts are known up front, so the whole signed body is
         // streamed into one pre-sized frame: each envelope is sealed in
@@ -153,16 +149,11 @@ impl AreaController {
             .keys()
             .filter(|n| !leave_changed.contains(n))
             .count();
-        let leave_count = leave_plan
-            .as_ref()
-            .map_or(0, |out| out.plan.encryption_count());
+        let leave_count = leave_plan.encryption_count();
         let total_entries = join_count + leave_count;
 
         let mut w = Writer::with_capacity(
-            4 + join_count * (4 + 1 + 4 + KEY_ENV_LEN)
-                + leave_plan
-                    .as_ref()
-                    .map_or(0, |out| entries_wire_len(&out.plan) - 4),
+            join_count * (4 + 1 + 4 + KEY_ENV_LEN) + entries_wire_len(&leave_plan),
         );
         w.u32(total_entries as u32);
         for (node, old_key) in &join_nodes {
@@ -175,10 +166,8 @@ impl AreaController {
             w.append_with(|buf| envelope::seal_into(old_key, current.as_bytes(), ctx.rng(), buf));
         }
 
-        if let Some(out) = &leave_plan {
-            self.node_keys.charge_symmetric(ctx, out.plan.encryption_count() as u64);
-            write_plan_entries(&out.plan, ctx.rng(), &mut w);
-        }
+        self.node_keys.charge_symmetric(ctx, leave_count as u64);
+        write_plan_entries(&leave_plan, ctx.rng(), &mut w);
 
         // 3. Unicast current paths to recorded members (the paper:
         //    "sends appropriate unicast messages to the members whose
@@ -193,13 +182,13 @@ impl AreaController {
         let this_window: Vec<ClientId> = self
             .recorded_members
             .iter()
-            .filter(|(_, e)| **e == self.durable.image.epoch)
+            .filter(|(_, e)| **e == epoch)
             .map(|(c, _)| *c)
             .collect();
         let earlier: Vec<ClientId> = self
             .recorded_members
             .iter()
-            .filter(|(_, e)| **e < self.durable.image.epoch)
+            .filter(|(_, e)| **e < epoch)
             .map(|(c, _)| *c)
             .collect();
         for client in earlier {
@@ -208,7 +197,7 @@ impl AreaController {
                 self.unicast_current_path(ctx, client);
             }
         }
-        if this_window.len() + leavers.len() > 1 {
+        if this_window.len() + leavers > 1 {
             for client in &this_window {
                 if self.durable.image.members.contains_key(client) {
                     self.unicast_current_path(ctx, *client);
@@ -216,23 +205,12 @@ impl AreaController {
             }
         }
 
+        self.update_needed = false;
+        // The last members left: nobody to tell.
         if total_entries == 0 {
-            self.update_needed = false;
-            // The last members left: nobody to tell, but the leaves
-            // are gone and the durable image must say so.
-            if leave_plan.is_some() {
-                self.persist_checkpoint(ctx);
-            }
             return;
         }
-
-        self.durable.image.epoch += 1;
         self.multicast_key_update(ctx, w.into_bytes());
-        self.update_needed = false;
         ctx.stats().bump("ac-rekeys", 1);
-        // Compaction point: the new epoch and the batched membership
-        // changes become one durable image, truncating the WAL records
-        // logged since the previous flush.
-        self.persist_checkpoint(ctx);
     }
 }

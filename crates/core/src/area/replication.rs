@@ -6,16 +6,26 @@
 //! controller and all child area controllers". Multicast data in flight
 //! is deliberately *not* replicated — members may miss packets during a
 //! takeover, which the paper accepts.
+//!
+//! Replication is log shipping. The backup's [`AreaImage`] is a live
+//! replica: it adopts a full image when it (re)attaches — start-up,
+//! revival, the primary's recovery, adoption after a demotion, a gap it
+//! reports, a backlog past `SYNC_BACKLOG_RECORDS` — and at the changes
+//! no record describes (child enrolment, a repointed parent); between
+//! images the primary ships the WAL records it committed, seeds
+//! included, and the backup commits and folds them through the same
+//! `wal_commit_record`. One `StateSync` body ([`SyncBody`]) carries
+//! either, under one seal and one monotonic sequence.
 
 use super::{
     AreaController, MemberRecord, ParentLink, Role, TIMER_BACKUP_WATCH, TIMER_HEARTBEAT,
 };
-use crate::durable::AcWalRecord;
+use crate::durable::{AcWalRecord, Seed};
 use crate::identity::{AreaId, ClientId, DeviceId};
-use crate::msg::Msg;
+use crate::msg::{Msg, SyncBody};
 use crate::node_keys::{demote_signed_bytes, takeover_signed_bytes};
 use crate::rekey::KeyState;
-use crate::wire::{self, Reader, Writer};
+use crate::wire::{Reader, Writer};
 use mykil_crypto::rsa::RsaPublicKey;
 use mykil_net::{Context, GroupId, NodeId, SecretBytes, Time};
 use mykil_tree::{AreaTree, TreeConfig};
@@ -23,7 +33,7 @@ use rand::RngCore;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The area state a primary replicates to its backup, and the payload
-/// of its own checkpoint: the same bytes either way.
+/// of either's checkpoint: the same bytes every way.
 #[derive(Debug, Clone)]
 pub(crate) struct AreaImage {
     pub tree: AreaTree,
@@ -58,6 +68,18 @@ impl AreaImage {
     /// Serializes the replicated state (tree, members, hierarchy,
     /// epoch).
     pub fn encode(&self) -> Vec<u8> {
+        self.encode_with(&self.parent_keys)
+    }
+
+    /// Whether `other` is the same area, byte for byte, but for
+    /// `parent_keys`: a controller follows its parent area's rekeys
+    /// without a record, so those travel only with a full image.
+    pub fn same_replica(&self, other: &AreaImage) -> bool {
+        let none = KeyState::new();
+        mykil_crypto::ct::ct_eq(&self.encode_with(&none), &other.encode_with(&none))
+    }
+
+    fn encode_with(&self, parent_keys: &KeyState) -> Vec<u8> {
         let mut w = Writer::new();
         w.bytes(&self.tree.snapshot());
         w.u32(self.members.len() as u32);
@@ -82,7 +104,7 @@ impl AreaImage {
                 w.u8(0);
             }
         }
-        w.bytes(&self.parent_keys.to_bytes());
+        w.bytes(&parent_keys.to_bytes());
         w.u64(self.epoch);
         w.u32(self.child_acs.len() as u32);
         for c in &self.child_acs {
@@ -100,8 +122,8 @@ impl AreaImage {
 
     /// Parses [`Self::encode`]'s bytes; `None` on any malformed input.
     /// Every member gets a fresh liveness grace period from `now`: the
-    /// image arrives by takeover or recovery, and silence during the
-    /// outage was the controller's, not the members'.
+    /// image arrives by recovery or replication, and silence before it
+    /// was the controller's, not the members'.
     pub fn decode(bytes: &[u8], now: Time) -> Option<AreaImage> {
         let mut r = Reader::new(bytes);
         let tree = AreaTree::restore(r.bytes().ok()?).ok()?;
@@ -165,14 +187,16 @@ impl AreaImage {
 }
 
 impl AreaController {
-    /// Pushes current state to the backup (called after every key
-    /// update, membership change, or hierarchy change).
+    /// Brings the backup up to date (called after every key update,
+    /// membership change, or hierarchy change): ships the records
+    /// committed since the backup's last acknowledgement, or — while an
+    /// image is owed — the full area image.
     ///
-    /// Snapshots ride the reliable channel and carry a monotonic
-    /// sequence number, so a retransmitted or reordered stale snapshot
-    /// can never regress the backup. A newer snapshot supersedes the
-    /// outstanding one (its retransmissions are cancelled); nothing is
-    /// sent while the backup is presumed dead.
+    /// Either rides the reliable channel under a monotonic sequence, so
+    /// a retransmitted or reordered stale sync can never regress the
+    /// backup. A newer sync supersedes the outstanding one (its
+    /// retransmissions are cancelled) because it carries everything
+    /// that one did; nothing is sent while the backup is presumed dead.
     pub(crate) fn sync_backup(&mut self, ctx: &mut Context<'_>) {
         let Some(backup) = self.durable.backup_node() else {
             return;
@@ -180,24 +204,64 @@ impl AreaController {
         if self.durable.role != Role::Primary || self.backup_presumed_dead {
             return;
         }
-        self.durable.sync_seq += 1;
-        let mut plain = Writer::new();
-        plain.u64(self.durable.sync_seq).bytes(&self.durable.image.encode());
+        let image;
+        let body = if self.image_owed {
+            // An image is a step of the sequence no record takes.
+            self.durable.sync_seq += 1;
+            ctx.stats().bump("state-sync-images", 1);
+            image = self.durable.image.encode();
+            SyncBody::Image { seq: self.durable.sync_seq, image: &image }
+        } else if self.sync_backlog.is_empty() {
+            return;
+        } else {
+            ctx.stats().bump("state-sync-records", self.sync_backlog.len() as u64);
+            let records = self.sync_backlog.iter().map(SecretBytes::as_slice).collect();
+            SyncBody::Records { seq: self.durable.sync_seq, records }
+        };
         self.node_keys.charge_symmetric(ctx, 1);
-        let ct = self.repl_key.seal(&plain.into_bytes(), ctx.rng());
-        if let Some(old) = self.pending_sync.take() {
+        let ct = self.repl_key.seal(&body.to_bytes(), ctx.rng());
+        if let Some((old, ..)) = self.pending_sync.take() {
             ctx.cancel_reliable(old);
         }
         let token = ctx.send_reliable(backup, "state-sync", Msg::StateSync { ct }.to_bytes());
-        self.pending_sync = Some(token);
+        self.pending_sync = Some((token, self.durable.sync_seq, self.image_owed));
+    }
+
+    /// Stops queueing records for the backup: the next sync ships a
+    /// full image, and so does every later one until the backup
+    /// acknowledges an image.
+    pub(crate) fn owe_image(&mut self) {
+        self.image_owed = true;
+        self.sync_backlog.clear();
+    }
+
+    /// The replication sequence the backup has acknowledged (nothing,
+    /// while it is owed an image).
+    fn acked_sync_seq(&self) -> u64 {
+        if self.image_owed {
+            0
+        } else {
+            self.durable.sync_seq - self.sync_backlog.len() as u64
+        }
+    }
+
+    /// Whether the backup holds this node's area: nothing queued, owed
+    /// or in flight for a backup believed alive. The replica-equality
+    /// invariant compares the two images only then.
+    pub fn backup_in_sync(&self) -> bool {
+        !self.image_owed
+            && self.sync_backlog.is_empty()
+            && self.pending_sync.is_none()
+            && !self.backup_presumed_dead
     }
 
     /// Primary heartbeat tick. Heartbeats keep flowing to a presumed-
     /// dead backup (they are cheap and detect its recovery); only the
-    /// expensive `StateSync` snapshots stop.
+    /// `StateSync` traffic stops.
     pub(crate) fn tick_heartbeat(&mut self, ctx: &mut Context<'_>) {
         if let Some(backup) = self.durable.backup_node() {
             self.hb_seq += 1;
+            self.hb_floor = self.acked_sync_seq();
             ctx.send(
                 backup,
                 "replication",
@@ -214,11 +278,13 @@ impl AreaController {
             if !self.backup_presumed_dead && ctx.now().since(self.last_backup_ack) >= threshold {
                 self.backup_presumed_dead = true;
                 ctx.stats().bump("backup-presumed-dead", 1);
-                // The dead backup cannot ack in-flight snapshots; stop
+                // The dead backup cannot ack in-flight syncs; stop
                 // their retransmissions instead of letting each run out
-                // its retry budget against a black hole.
+                // its retry budget against a black hole. It re-attaches
+                // with an image.
                 ctx.cancel_reliable_to(backup);
                 self.pending_sync = None;
+                self.owe_image();
             }
         }
         ctx.set_timer(self.cfg.heartbeat_interval, TIMER_HEARTBEAT);
@@ -226,13 +292,18 @@ impl AreaController {
 
     /// Backup liveness tracking (primary role): `HeartbeatAck` refreshes
     /// the ack clock, and an ack from a presumed-dead backup revives it
-    /// with an immediate full snapshot.
+    /// with an immediate full image. So does an answer to the latest
+    /// heartbeat that reports less than the backup had acknowledged
+    /// when that heartbeat left — it restarted from an older checkpoint
+    /// slot, and the records it lacks are trimmed. A sync that ran out
+    /// its retries is sent again.
     pub(crate) fn handle_heartbeat_ack(
         &mut self,
         ctx: &mut Context<'_>,
         from: NodeId,
-        _seq: u64,
+        seq: u64,
         takeover_epoch: u64,
+        applied_sync_seq: u64,
     ) {
         if self.durable.backup_node() != Some(from) {
             return;
@@ -242,6 +313,12 @@ impl AreaController {
         if self.backup_presumed_dead {
             self.backup_presumed_dead = false;
             ctx.stats().bump("ac-backup-recovered", 1);
+            self.sync_backup(ctx);
+        } else if seq == self.hb_seq && applied_sync_seq < self.hb_floor {
+            ctx.stats().bump("ac-backup-lost-state", 1);
+            self.owe_image();
+            self.sync_backup(ctx);
+        } else if self.pending_sync.is_none() {
             self.sync_backup(ctx);
         }
     }
@@ -264,31 +341,16 @@ impl AreaController {
                     Msg::HeartbeatAck {
                         seq,
                         takeover_epoch: self.durable.takeover_epoch,
+                        applied_sync_seq: self.durable.applied_sync_seq,
                     }
                     .to_bytes(),
                 );
             }
             Msg::StateSync { ct } if from == primary => {
                 self.last_heartbeat = ctx.now();
-                if let Ok(plain) = self.repl_key.open(&ct) {
-                    // Monotonic-sequence guard: a reordered or stale
-                    // snapshot must not overwrite a newer one.
-                    let Some((seq, snapshot)) =
-                        wire::parse(&plain, |r| Ok((r.u64()?, r.bytes()?.to_vec())))
-                    else {
-                        return;
-                    };
-                    if seq <= self.durable.applied_sync_seq {
-                        ctx.stats().bump("backup-stale-sync-dropped", 1);
-                        return;
-                    }
-                    self.durable.applied_sync_seq = seq;
-                    self.durable.escrow = Some(SecretBytes::new(snapshot));
-                    // Durability: an accepted snapshot must survive a
-                    // backup crash, or a post-crash takeover promotes an
-                    // empty replica.
-                    self.persist_checkpoint(ctx);
-                }
+                let Ok(plain) = self.repl_key.open(&ct) else { return };
+                let Some(body) = SyncBody::from_bytes(&plain) else { return };
+                self.apply_sync(ctx, body);
             }
             // Replication traffic from impostor nodes, and every area/
             // join/rekey message: a standby replica ignores them all
@@ -325,6 +387,47 @@ impl AreaController {
         }
     }
 
+    /// Applies a `StateSync` body to the replica (backup role).
+    ///
+    /// Monotonic-sequence guard: a reordered or stale sync must not
+    /// overwrite a newer state, and records apply only on top of the
+    /// sequence they follow — a gap is left for the primary to read off
+    /// the next `HeartbeatAck` and answer with an image.
+    fn apply_sync(&mut self, ctx: &mut Context<'_>, body: SyncBody<'_>) {
+        let applied = self.durable.applied_sync_seq;
+        match body {
+            SyncBody::Image { seq, image } if seq > applied => {
+                let Some(image) = AreaImage::decode(image, ctx.now()) else { return };
+                self.durable.image = image;
+                self.durable.applied_sync_seq = seq;
+                // No record describes an image: it is durable as a
+                // checkpoint, or a post-crash takeover promotes whatever
+                // the replica held before it.
+                self.persist_checkpoint(ctx);
+            }
+            SyncBody::Records { seq, records } if seq > applied => {
+                // The sequence the first record follows.
+                let base = seq.saturating_sub(records.len() as u64);
+                if base > applied {
+                    ctx.stats().bump("backup-sync-gap", 1);
+                    return;
+                }
+                for raw in records.iter().skip((applied - base) as usize) {
+                    // Only what changes the area is a primary's to send;
+                    // anything else ends the batch like a torn record.
+                    let Some(rec) = AcWalRecord::from_bytes(raw).filter(AcWalRecord::changes_area)
+                    else {
+                        return;
+                    };
+                    let _ = self.wal_commit_record(ctx, &rec);
+                }
+            }
+            SyncBody::Image { .. } | SyncBody::Records { .. } => {
+                ctx.stats().bump("backup-stale-sync-dropped", 1);
+            }
+        }
+    }
+
     /// Backup watchdog: take over after `failover_threshold` missed
     /// heartbeats.
     pub(crate) fn tick_backup_watch(&mut self, ctx: &mut Context<'_>) {
@@ -352,8 +455,9 @@ impl AreaController {
         // leave the area with no controller at all. WAL first, then the
         // compacting checkpoint — if the checkpoint write is later lost
         // to a lying disk, the older slot plus this record still
-        // replays the promotion. Applying the record adopts the
-        // escrowed snapshot.
+        // replays the promotion. The replica is live: applying the
+        // record only changes whose area it is and restarts the
+        // members' liveness clocks.
         let promoted = AcWalRecord::Promoted {
             // Fence strictly above anything the old primary ever
             // announced: after a partition heal, whichever of the two
@@ -362,9 +466,7 @@ impl AreaController {
             takeover_epoch: self.durable.takeover_epoch.max(self.durable.peer_takeover_epoch) + 1,
             old_primary: old_primary.index() as u32,
         };
-        if self.wal_commit_record(ctx, &promoted).is_err() {
-            ctx.stats().bump("ac-takeover-corrupt-state", 1);
-        }
+        let _ = self.wal_commit_record(ctx, &promoted);
         self.adopt_departures();
         self.stats.takeovers += 1;
         ctx.stats().bump("ac-takeovers", 1);
@@ -435,7 +537,7 @@ impl AreaController {
     /// A primary received a `Demote`: its old backup took over behind a
     /// partition and holds a higher fencing epoch. Verify the claim
     /// against the deployment's backup key and step down to the backup
-    /// role, to be resynchronized through the normal StateSync path.
+    /// role, to be re-imaged through the normal StateSync path.
     pub(crate) fn handle_demote(
         &mut self,
         ctx: &mut Context<'_>,
@@ -462,7 +564,10 @@ impl AreaController {
         // Epoch fence lost: step down. Losing the fence must stick
         // across a crash, or a recovered node would come back up
         // believing it still runs the area.
-        let demoted = AcWalRecord::Demoted { new_primary: from.index() as u32 };
+        let demoted = AcWalRecord::Demoted {
+            new_primary: from.index() as u32,
+            seed: Seed::draw(ctx.rng()),
+        };
         let _ = self.wal_commit_record(ctx, &demoted);
         self.durable.peer_takeover_epoch = takeover_epoch;
         // The batch window belonged to the area just handed over.
@@ -471,9 +576,10 @@ impl AreaController {
         self.recorded_members.clear();
         self.backup_presumed_dead = false;
         // Outstanding primary-role reliables toward the winner (stale
-        // state-syncs, mainly) must not race its snapshots.
+        // state-syncs, mainly) must not race its images.
         ctx.cancel_reliable_to(from);
         self.pending_sync = None;
+        self.owe_image();
         if let Some((_, token)) = self.pending_parent_join.take() {
             ctx.cancel_reliable(token);
         }
@@ -497,9 +603,9 @@ impl AreaController {
         self.last_backup_ack = ctx.now();
         self.backup_presumed_dead = false;
         ctx.stats().bump("ac-demote-acked", 1);
-        // The backup link is part of the checkpointed image; make the
-        // adoption durable.
-        self.persist_checkpoint(ctx);
+        // The backup link is part of the checkpoint; make the adoption
+        // durable. The adopted backup attaches with an image.
+        self.persist_unrecorded(ctx);
         // Members and child controllers in the stale partition missed
         // the original takeover announcement; repeat it now that both
         // sides can hear it.
@@ -564,40 +670,79 @@ mod tests {
         assert_eq!(image.encode(), bytes, "snapshot does not re-encode to itself");
     }
 
-    /// A stale (lower-sequence) snapshot — e.g. a delayed retransmission
-    /// arriving after a newer sync — must not regress the backup.
+    /// A stale (lower-sequence) sync — e.g. a delayed retransmission
+    /// arriving after a newer one — must not regress the backup, be it
+    /// an image or records; and records that do not follow what the
+    /// backup holds are a gap it leaves alone.
     #[test]
     fn stale_state_sync_cannot_regress_backup() {
-        use crate::msg::Msg;
-        use crate::wire::Writer;
+        use crate::durable::AcWalRecord;
+        use crate::msg::{Msg, SyncBody};
 
         let mut g = GroupBuilder::new(92).areas(1).replicated(true).build();
         g.register_member(1);
         g.settle();
         let backup_node = g.backups[0];
         let applied = g.sim.node::<AreaController>(backup_node).durable.applied_sync_seq;
-        assert!(applied > 0, "backup never applied a snapshot");
-        let state = g
-            .sim
-            .node::<AreaController>(backup_node)
-            .durable
-            .escrow
-            .clone();
+        assert!(applied > 1, "backup never applied a sync");
+        let state = g.sim.node::<AreaController>(backup_node).durable.image.encode();
 
-        // Replay a sealed snapshot with an old sequence number.
+        // Replay sealed bodies with old sequence numbers, and one from
+        // the future.
         let primary = g.primaries[0];
         let repl_key = g.sim.node::<AreaController>(primary).repl_key.clone();
-        let mut plain = Writer::new();
-        plain.u64(1).bytes(&[0xde; 4]); // bogus body under a stale seq
         let mut rng = mykil_crypto::drbg::Drbg::from_seed(7);
-        let ct = repl_key.seal(&plain.into_bytes(), &mut rng);
-        g.sim.invoke(backup_node, |ac: &mut AreaController, ctx| {
-            ac.on_backup_message(ctx, primary, Msg::StateSync { ct });
-        });
+        let blank = AreaImage::blank(mykil_tree::TreeConfig::default(), None, &mut rng).encode();
+        let leave = AcWalRecord::Leave { client: 1 }.to_bytes();
+        for body in [
+            SyncBody::Image { seq: 1, image: &blank },
+            SyncBody::Image { seq: applied, image: &blank },
+            SyncBody::Records { seq: applied, records: vec![&leave] },
+            SyncBody::Records { seq: applied + 2, records: vec![&leave] },
+        ] {
+            let ct = repl_key.seal(&body.to_bytes(), &mut rng);
+            g.sim.invoke(backup_node, |ac: &mut AreaController, ctx| {
+                ac.on_backup_message(ctx, primary, Msg::StateSync { ct });
+            });
+        }
         let b = g.sim.node::<AreaController>(backup_node);
         assert_eq!(b.durable.applied_sync_seq, applied, "stale seq must not apply");
-        assert_eq!(b.durable.escrow, state, "stale snapshot overwrote state");
-        assert_eq!(g.stats().counter("backup-stale-sync-dropped"), 1);
+        assert!(b.durable.image.encode() == state, "stale sync overwrote state");
+        assert_eq!(g.stats().counter("backup-stale-sync-dropped"), 3);
+        assert_eq!(g.stats().counter("backup-sync-gap"), 1);
+    }
+
+    /// A primary does not queue records without bound for a backup that
+    /// is slow to acknowledge: past `SYNC_BACKLOG_RECORDS` it drops the
+    /// queue and owes a full image, which then carries everything.
+    #[test]
+    fn a_backlog_past_the_bound_becomes_one_image() {
+        use crate::durable::{AcWalRecord, Seed, SYNC_BACKLOG_RECORDS};
+
+        let mut g = GroupBuilder::new(98).areas(1).replicated(true).build();
+        g.register_member(1);
+        g.settle();
+        let primary = g.primaries[0];
+        assert!(g.sim.node::<AreaController>(primary).backup_in_sync());
+        let images = g.stats().counter("state-sync-images");
+
+        g.sim.invoke(primary, |ac: &mut AreaController, ctx| {
+            for _ in 0..SYNC_BACKLOG_RECORDS {
+                let rotate = AcWalRecord::Rotate { seed: Seed::draw(ctx.rng()) };
+                ac.wal_commit_record(ctx, &rotate).expect("a rotation always applies");
+            }
+            assert_eq!(ac.sync_backlog.len(), SYNC_BACKLOG_RECORDS);
+            let rotate = AcWalRecord::Rotate { seed: Seed::draw(ctx.rng()) };
+            ac.wal_commit_record(ctx, &rotate).expect("a rotation always applies");
+            assert!(ac.image_owed && ac.sync_backlog.is_empty());
+            ac.sync_backup(ctx);
+        });
+        g.run_for(mykil_net::Duration::from_secs(1));
+        assert_eq!(g.stats().counter("state-sync-images"), images + 1);
+        let (p, b) = (g.sim.node::<AreaController>(primary), g.backup(0));
+        assert!(p.backup_in_sync());
+        assert!(b.durable.image.same_replica(&p.durable.image));
+        assert_eq!(b.durable.applied_sync_seq, p.durable.sync_seq);
     }
 
     /// Regression: a primary whose backup died must stop burning
@@ -624,7 +769,6 @@ mod tests {
         // Membership churn while the backup is down must not produce
         // any sync traffic toward the dead node.
         let syncs_before = g.stats().kind("state-sync").messages_sent;
-        let seq_before = g.sim.node::<AreaController>(primary).durable.sync_seq;
         let b = g.register_member(2);
         g.run_for(Duration::from_secs(2));
         assert!(g.is_member(b));
@@ -633,7 +777,7 @@ mod tests {
             syncs_before,
             "primary kept syncing a presumed-dead backup"
         );
-        assert_eq!(g.sim.node::<AreaController>(primary).durable.sync_seq, seq_before);
+        assert!(g.sim.node::<AreaController>(primary).sync_backlog.is_empty());
 
         // The backup returns: the next heartbeat ack revives it and an
         // immediate catch-up sync closes the replication gap.
@@ -645,23 +789,17 @@ mod tests {
             g.stats().kind("state-sync").messages_sent > syncs_before,
             "no catch-up sync after the backup returned"
         );
-        // The catch-up snapshot carries the member admitted during the
+        // The catch-up image carries the member admitted during the
         // outage.
-        let snap = g
-            .sim
-            .node::<AreaController>(backup_node)
-            .durable
-            .escrow
-            .clone()
-            .expect("backup holds no catch-up snapshot");
-        let image = AreaImage::decode(snap.as_slice(), g.sim.now()).expect("snapshot parses");
-        assert_eq!(image.members.len(), 2);
+        assert_eq!(g.sim.node::<AreaController>(backup_node).durable.image.members.len(), 2);
+        assert!(g.sim.node::<AreaController>(primary).backup_in_sync());
     }
 
     /// Regression: a checkpoint may be taken anywhere, also inside a
-    /// batch window (`handle_area_join_ack` and `handle_demote_acked`
-    /// take one whenever they run). It truncates the `Leave` record, so
-    /// the departure it queued must be readable from the image itself.
+    /// batch window (a long WAL, `handle_area_join_ack` and
+    /// `handle_demote_acked` take one whenever they occur). It truncates
+    /// the `Leave` record, so the departure it queued must be readable
+    /// from the image itself.
     #[test]
     fn checkpoint_inside_a_batch_window_keeps_the_queued_departure() {
         use crate::config::MykilConfig;

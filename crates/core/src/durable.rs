@@ -16,8 +16,15 @@
 //!   admissions, leaves, evictions, role transitions, client-id
 //!   assignment, directory updates.
 //! - **Checkpoints** ([`AcCheckpoint`], [`RsCheckpoint`]) capture full
-//!   state at natural compaction points (every rekey flush, every
-//!   replica-snapshot application, role changes) and truncate the log.
+//!   state and truncate the log: when the log has grown past
+//!   [`CHECKPOINT_WAL_RECORDS`], at role changes, after recovery, and at
+//!   the few changes no record describes (hierarchy changes, a full
+//!   image adopted from the primary) — never per rekey.
+//!
+//! A record whose meaning includes a tree operation carries the
+//! [`Seed`] the operation's keys are drawn from, so a replay — by
+//! recovery, by the invariant checker, or by the backup the primary
+//! ships its records to — reproduces the same keys.
 //!
 //! What a record *means* is defined once per role: for the area
 //! controller by the transition function of
@@ -33,21 +40,79 @@
 use crate::area::{AcDurable, AreaImage, Role};
 use crate::directory::AcDirectory;
 use crate::wire::{Reader, Writer};
+use mykil_crypto::ct;
 use mykil_crypto::drbg::Drbg;
 use mykil_net::Time;
 use mykil_tree::TreeConfig;
+use rand::RngCore;
 
 /// Fencing jump applied to a recovered primary's rekey epoch and
 /// replication sequence.
 ///
-/// Both counters may lag their durable image: `sync_seq` is bumped
-/// *after* the flush checkpoint that covers the same membership change,
-/// and a lying-fsync crash can roll the whole image back to an older
-/// consistent prefix. Resuming with a stale counter would make members
-/// (epoch guard) and the backup (stale-`StateSync` guard) silently
-/// discard the recovered primary's traffic. Jumping far past any value
-/// the pre-crash incarnation could have used re-fences both channels.
+/// Both counters may lag their durable image: `sync_seq` is bumped by
+/// every full image sent, which no record describes, and a lying-fsync
+/// crash can roll the whole image back to an older consistent prefix.
+/// Resuming with a stale counter would make members (epoch guard) and
+/// the backup (stale-`StateSync` guard) silently discard the recovered
+/// primary's traffic. Jumping far past any value the pre-crash
+/// incarnation could have used re-fences both channels.
 pub const RECOVERY_EPOCH_JUMP: u64 = 1 << 20;
+
+/// A controller checkpoints once its WAL holds more records than this:
+/// the bound on what recovery replays, and the only steady-state reason
+/// to write a full image.
+pub const CHECKPOINT_WAL_RECORDS: usize = 128;
+
+/// A primary that holds more unacknowledged records than this for its
+/// backup stops queueing them and owes it a full image instead.
+pub const SYNC_BACKLOG_RECORDS: usize = 64;
+
+/// The seed of the generator a record's tree operation draws its keys
+/// from. Drawn by the live handler that builds the record; every fold
+/// of the record — live, recovery, backup — expands it the same way.
+/// Key material: compared in constant time, wiped on drop, never
+/// printed.
+#[derive(Clone)]
+pub struct Seed([u8; 32]);
+
+impl Seed {
+    /// Draws a fresh seed.
+    pub fn draw<R: RngCore + ?Sized>(rng: &mut R) -> Seed {
+        let mut bytes = [0u8; 32];
+        rng.fill_bytes(&mut bytes);
+        Seed(bytes)
+    }
+
+    /// Wraps seed bytes read back from a record.
+    pub fn from_bytes(bytes: [u8; 32]) -> Seed {
+        Seed(bytes)
+    }
+
+    /// The generator this seed stands for.
+    pub(crate) fn rng(&self) -> Drbg {
+        Drbg::from_seed_bytes(&self.0)
+    }
+}
+
+impl Drop for Seed {
+    fn drop(&mut self) {
+        ct::zeroize(&mut self.0);
+    }
+}
+
+impl PartialEq for Seed {
+    fn eq(&self, other: &Seed) -> bool {
+        ct::ct_eq(&self.0, &other.0)
+    }
+}
+
+impl Eq for Seed {}
+
+impl std::fmt::Debug for Seed {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("Seed(..)")
+    }
+}
 
 // ---------------------------------------------------------------------
 // Area-controller WAL
@@ -58,6 +123,8 @@ const AC_WAL_LEAVE: u8 = 2;
 const AC_WAL_EVICT: u8 = 3;
 const AC_WAL_PROMOTED: u8 = 4;
 const AC_WAL_DEMOTED: u8 = 5;
+const AC_WAL_FLUSH: u8 = 6;
+const AC_WAL_ROTATE: u8 = 7;
 
 /// One durable membership or role delta, logged by an area controller
 /// before the change is acknowledged.
@@ -75,6 +142,8 @@ pub enum AcWalRecord {
         device: Option<[u8; 6]>,
         /// Membership expiry, microseconds of virtual time.
         valid_until_us: u64,
+        /// Seed of the keys the tree join draws.
+        seed: Seed,
     },
     /// A member left voluntarily.
     Leave {
@@ -85,6 +154,17 @@ pub enum AcWalRecord {
     Evict {
         /// Client id.
         client: u64,
+    },
+    /// A key-update flush: every departed client's leaf is rekeyed out
+    /// of the tree in one batch and the rekey epoch advances.
+    Flush {
+        /// Seed of the keys the batched leave draws.
+        seed: Seed,
+    },
+    /// A freshness rotation of the area key; the rekey epoch advances.
+    Rotate {
+        /// Seed of the new area key.
+        seed: Seed,
     },
     /// This node promoted itself from backup to primary.
     Promoted {
@@ -98,10 +178,27 @@ pub enum AcWalRecord {
     Demoted {
         /// The surviving primary (raw node index).
         new_primary: u32,
+        /// Seed of the blank tree that replaces the area handed over.
+        seed: Seed,
     },
 }
 
 impl AcWalRecord {
+    /// Whether the record changes the area itself — membership, tree,
+    /// rekey epoch — rather than this node's role: the records a
+    /// primary ships to its backup, each one step of the replication
+    /// sequence.
+    pub fn changes_area(&self) -> bool {
+        match self {
+            AcWalRecord::Join { .. }
+            | AcWalRecord::Leave { .. }
+            | AcWalRecord::Evict { .. }
+            | AcWalRecord::Flush { .. }
+            | AcWalRecord::Rotate { .. } => true,
+            AcWalRecord::Promoted { .. } | AcWalRecord::Demoted { .. } => false,
+        }
+    }
+
     /// Serializes the record for [`mykil_net::StableStore::wal_commit`].
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = Writer::new();
@@ -112,6 +209,7 @@ impl AcWalRecord {
                 pubkey,
                 device,
                 valid_until_us,
+                seed,
             } => {
                 w.u8(AC_WAL_JOIN).u64(*client).u32(*node).bytes(pubkey);
                 match device {
@@ -122,7 +220,7 @@ impl AcWalRecord {
                         w.u8(0);
                     }
                 }
-                w.u64(*valid_until_us);
+                w.u64(*valid_until_us).raw(&seed.0);
             }
             AcWalRecord::Leave { client } => {
                 w.u8(AC_WAL_LEAVE).u64(*client);
@@ -130,14 +228,20 @@ impl AcWalRecord {
             AcWalRecord::Evict { client } => {
                 w.u8(AC_WAL_EVICT).u64(*client);
             }
+            AcWalRecord::Flush { seed } => {
+                w.u8(AC_WAL_FLUSH).raw(&seed.0);
+            }
+            AcWalRecord::Rotate { seed } => {
+                w.u8(AC_WAL_ROTATE).raw(&seed.0);
+            }
             AcWalRecord::Promoted {
                 takeover_epoch,
                 old_primary,
             } => {
                 w.u8(AC_WAL_PROMOTED).u64(*takeover_epoch).u32(*old_primary);
             }
-            AcWalRecord::Demoted { new_primary } => {
-                w.u8(AC_WAL_DEMOTED).u32(*new_primary);
+            AcWalRecord::Demoted { new_primary, seed } => {
+                w.u8(AC_WAL_DEMOTED).u32(*new_primary).raw(&seed.0);
             }
         }
         w.into_bytes()
@@ -165,6 +269,7 @@ impl AcWalRecord {
                     pubkey,
                     device,
                     valid_until_us,
+                    seed: Seed(r.array().ok()?),
                 }
             }
             AC_WAL_LEAVE => AcWalRecord::Leave {
@@ -173,12 +278,19 @@ impl AcWalRecord {
             AC_WAL_EVICT => AcWalRecord::Evict {
                 client: r.u64().ok()?,
             },
+            AC_WAL_FLUSH => AcWalRecord::Flush {
+                seed: Seed(r.array().ok()?),
+            },
+            AC_WAL_ROTATE => AcWalRecord::Rotate {
+                seed: Seed(r.array().ok()?),
+            },
             AC_WAL_PROMOTED => AcWalRecord::Promoted {
                 takeover_epoch: r.u64().ok()?,
                 old_primary: r.u32().ok()?,
             },
             AC_WAL_DEMOTED => AcWalRecord::Demoted {
                 new_primary: r.u32().ok()?,
+                seed: Seed(r.array().ok()?),
             },
             _ => return None,
         };
@@ -194,13 +306,13 @@ impl AcWalRecord {
 /// Full-state image an area controller writes at compaction points.
 ///
 /// The outer frame of [`AcDurable::encode`](crate::area::AcDurable::encode).
-/// The membership/tree/hierarchy payload reuses the replication
-/// snapshot format, so the checkpoint of a primary
-/// is byte-identical to what it ships to its backup; a backup
-/// checkpoints the last snapshot it applied, raw. Everything else is
-/// the replication/fencing state that the snapshot deliberately leaves
-/// out — in particular `stale_peer`, without which a recovered promoted
-/// backup could no longer fence the old primary it took over from.
+/// The membership/tree/hierarchy payload is the area image in the
+/// format a primary ships to its backup on (re)attach; a backup
+/// checkpoints its live replica of the primary's area the same way.
+/// Everything else is the replication/fencing state that the image
+/// deliberately leaves out — in particular `stale_peer`, without which
+/// a recovered promoted backup could no longer fence the old primary it
+/// took over from.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AcCheckpoint {
     /// Role at checkpoint time.
@@ -211,18 +323,17 @@ pub struct AcCheckpoint {
     pub takeover_epoch: u64,
     /// Counterpart's fencing epoch as last seen.
     pub peer_takeover_epoch: u64,
-    /// Next-snapshot sequence (primary role).
+    /// Replication sequence reached (primary role).
     pub sync_seq: u64,
-    /// Highest snapshot sequence applied (backup role).
+    /// Highest replication sequence applied (backup role).
     pub applied_sync_seq: u64,
     /// The demoted peer this node still fences, if any (raw index).
     pub stale_peer: Option<u32>,
     /// Backup replica address and encoded public key, if replicated.
     pub backup: Option<(u32, Vec<u8>)>,
-    /// Replica-format state snapshot: own state for a primary, the last
-    /// applied primary snapshot for a backup (`None` before first
-    /// sync).
-    pub snapshot: Option<Vec<u8>>,
+    /// The area image: the area a primary runs, a backup's replica of
+    /// it (the blank area it was deployed with, before the first sync).
+    pub snapshot: Vec<u8>,
 }
 
 impl AcCheckpoint {
@@ -255,14 +366,7 @@ impl AcCheckpoint {
                 w.u8(0);
             }
         }
-        match &self.snapshot {
-            Some(s) => {
-                w.u8(1).bytes(s);
-            }
-            None => {
-                w.u8(0);
-            }
-        }
+        w.bytes(&self.snapshot);
         w.into_bytes()
     }
 
@@ -292,11 +396,7 @@ impl AcCheckpoint {
             }
             _ => return None,
         };
-        let snapshot = match r.u8().ok()? {
-            0 => None,
-            1 => Some(r.bytes().ok()?.to_vec()),
-            _ => return None,
-        };
+        let snapshot = r.bytes().ok()?.to_vec();
         r.finish().ok()?;
         Some(AcCheckpoint {
             primary,
@@ -420,17 +520,18 @@ impl RsCheckpoint {
 /// does not parse; an unparseable WAL record ends the replay early
 /// (torn-tail handling).
 ///
-/// No node is needed: the tree draws from a fixed seed (recovery
-/// re-issues every path, so replayed key values are throwaway), a
-/// backup's own area is blank, and liveness clocks start at zero.
+/// No node is needed: every key comes from the checkpoint or from a
+/// record's seed (only the empty area assumed without a checkpoint
+/// draws its root from a fixed one), and liveness clocks start at zero.
 pub fn replay_ac(checkpoint: Option<&[u8]>, wal: &[Vec<u8>]) -> Option<AcDurable> {
-    let mut rng = Drbg::from_seed(0);
-    let blank = AreaImage::blank(TreeConfig::default(), None, &mut rng);
     let mut state = match checkpoint {
-        Some(bytes) => AcDurable::decode(bytes, Time::ZERO, &blank)?,
-        None => AcDurable::deployed(Role::Primary, None, blank),
+        Some(bytes) => AcDurable::decode(bytes, Time::ZERO)?,
+        None => {
+            let blank = AreaImage::blank(TreeConfig::default(), None, &mut Drbg::from_seed(0));
+            AcDurable::deployed(Role::Primary, None, blank)
+        }
     };
-    state.fold(wal, &mut rng, Time::ZERO);
+    state.fold(wal, Time::ZERO);
     Some(state)
 }
 
@@ -478,6 +579,7 @@ mod tests {
                 pubkey: vec![1, 2, 3],
                 device: Some([9; 6]),
                 valid_until_us: 1_000_000,
+                seed: Seed([1; 32]),
             },
             AcWalRecord::Join {
                 client: 43,
@@ -485,14 +587,17 @@ mod tests {
                 pubkey: vec![4],
                 device: None,
                 valid_until_us: 0,
+                seed: Seed([2; 32]),
             },
             AcWalRecord::Leave { client: 42 },
             AcWalRecord::Evict { client: 43 },
+            AcWalRecord::Flush { seed: Seed([3; 32]) },
+            AcWalRecord::Rotate { seed: Seed([4; 32]) },
             AcWalRecord::Promoted {
                 takeover_epoch: 3,
                 old_primary: 1,
             },
-            AcWalRecord::Demoted { new_primary: 2 },
+            AcWalRecord::Demoted { new_primary: 2, seed: Seed([5; 32]) },
         ];
         for rec in records {
             let bytes = rec.to_bytes();
@@ -508,6 +613,15 @@ mod tests {
         let mut bytes = AcWalRecord::Leave { client: 1 }.to_bytes();
         bytes.push(0);
         assert_eq!(AcWalRecord::from_bytes(&bytes), None);
+        // A seed is all or nothing.
+        let bytes = AcWalRecord::Flush { seed: Seed([7; 32]) }.to_bytes();
+        assert_eq!(AcWalRecord::from_bytes(&bytes[..bytes.len() - 1]), None);
+    }
+
+    #[test]
+    fn seeds_are_not_printed() {
+        let shown = format!("{:?}", AcWalRecord::Rotate { seed: Seed([0xAB; 32]) });
+        assert_eq!(shown, "Rotate { seed: Seed(..) }");
     }
 
     #[test]
@@ -521,7 +635,7 @@ mod tests {
             applied_sync_seq: 0,
             stale_peer: Some(4),
             backup: Some((5, vec![0xAB, 0xCD])),
-            snapshot: Some(vec![1, 2, 3]),
+            snapshot: vec![1, 2, 3],
         };
         assert_eq!(
             AcCheckpoint::from_bytes(&primary.to_bytes()),
@@ -536,7 +650,7 @@ mod tests {
             applied_sync_seq: 9,
             stale_peer: None,
             backup: None,
-            snapshot: None,
+            snapshot: Vec::new(),
         };
         assert_eq!(AcCheckpoint::from_bytes(&backup.to_bytes()), Some(backup));
     }
@@ -578,6 +692,7 @@ mod tests {
             pubkey: pubkey(client as u8),
             device: None,
             valid_until_us: 0,
+            seed: Seed([client as u8; 32]),
         }
         .to_bytes()
     }
@@ -613,11 +728,12 @@ mod tests {
     }
 
     #[test]
-    fn replay_ac_promotion_adopts_escrowed_replica() {
-        // A backup checkpoint holds the primary's snapshot in escrow —
-        // here one taken inside a batch window, with member 32's leaf
-        // still in the tree — and a Promoted record in the WAL suffix
-        // adopts it.
+    fn replay_ac_folds_a_backups_log_into_the_primarys_area() {
+        // A backup's checkpoint holds its replica of the primary's
+        // area — here one adopted inside a batch window, with member
+        // 32's leaf still in the tree. The records the primary ships
+        // next land in the backup's own WAL; a promotion after them
+        // makes the area this node's, keys and all.
         let mut primary = replay_ac(
             None,
             &[join(31), join(32), AcWalRecord::Leave { client: 32 }.to_bytes()],
@@ -633,25 +749,34 @@ mod tests {
             applied_sync_seq: 4,
             stale_peer: None,
             backup: None,
-            snapshot: Some(primary.image.encode()),
+            snapshot: primary.image.encode(),
         };
         let standby = replay_ac(Some(&cp.to_bytes()), &[]).unwrap();
         assert_eq!(standby.role(), Role::Backup { primary: mykil_net::NodeId::from_index(2) });
-        assert!(standby.member_ids().is_empty() && clients(&standby).is_empty());
-        // A backup's checkpoint round-trips: the escrow stays opaque.
+        assert_eq!(standby.departed().map(|m| m.0).collect::<Vec<_>>(), vec![32]);
+        // A backup's checkpoint round-trips.
         assert_eq!(standby.encode(), cp.to_bytes());
 
-        let wal = vec![AcWalRecord::Promoted {
+        let shipped = [join(33), AcWalRecord::Flush { seed: Seed([9; 32]) }.to_bytes()];
+        let promoted = AcWalRecord::Promoted {
             takeover_epoch: 2,
             old_primary: 2,
         }
-        .to_bytes()];
+        .to_bytes();
+        let wal = [shipped.as_slice(), &[promoted]].concat();
         let state = replay_ac(Some(&cp.to_bytes()), &wal).unwrap();
         assert_eq!(state.role(), Role::Primary);
         assert_eq!(state.takeover_epoch(), 2);
-        assert_eq!(state.member_ids(), BTreeSet::from([31]));
-        assert_eq!(state.epoch(), 7);
-        assert_eq!(state.departed().map(|m| m.0).collect::<Vec<_>>(), vec![32]);
+        assert_eq!(state.applied_sync_seq, 6);
+        assert_eq!(state.member_ids(), BTreeSet::from([31, 33]));
+        assert_eq!(state.epoch(), 8);
+        assert_eq!(state.departed().count(), 0);
+
+        // The primary folding the same records stands on the same keys.
+        let cp_primary = primary.encode();
+        let ahead = replay_ac(Some(&cp_primary), &shipped).unwrap();
+        assert_eq!(ahead.sync_seq, primary.sync_seq + 2);
+        assert_eq!(ahead.image.encode(), state.image.encode());
     }
 
     #[test]
@@ -664,6 +789,11 @@ mod tests {
         let state = replay_ac(None, &wal).unwrap();
         // The eviction after the bad record must not apply.
         assert_eq!(state.member_ids(), BTreeSet::from([1]));
+        // A record with a short seed is a bad record like any other.
+        let flush = AcWalRecord::Flush { seed: Seed([8; 32]) }.to_bytes();
+        let wal = vec![join(1), flush[..flush.len() - 1].to_vec(), join(2)];
+        let state = replay_ac(None, &wal).unwrap();
+        assert_eq!((state.member_ids(), state.epoch()), (BTreeSet::from([1]), 0));
         // A checkpoint that does not parse replays to nothing at all.
         assert!(replay_ac(Some(&[0xFF]), &wal).is_none());
     }

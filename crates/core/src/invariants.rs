@@ -3,7 +3,7 @@
 //! A fault schedule (crashes, partitions, loss, skew — see
 //! `mykil_net::chaos`) may legally disturb every liveness property
 //! while it is active, but once the network has quiesced the protocol
-//! must have restored four safety properties:
+//! must have restored six safety properties:
 //!
 //! 1. **Key convergence** — every live, active member holds exactly
 //!    the current area key of its area's live controller.
@@ -26,14 +26,22 @@
 //! 5. **Durability** — a live controller's stable storage (newest
 //!    valid checkpoint plus WAL suffix) replays — through
 //!    [`replay_ac`], the fold recovery itself runs — to its in-memory
-//!    durable state: same role and fencing epoch, same parent link
-//!    (for a primary; a backup's area is blank), same member rows
-//!    (so no durably-evicted client is still counted, and none is
-//!    lost), same rekey epoch, same client leaves in the tree, and a
-//!    replication sequence no newer than memory. The same holds for
+//!    durable state: same role and fencing epoch, same parent link,
+//!    same member rows (so no durably-evicted client is still counted,
+//!    and none is lost), same rekey epoch, the same area image byte
+//!    for byte (every key in the tree: records carry their seeds), for
+//!    a backup the same applied replication sequence, and for a primary
+//!    a replication sequence no newer than memory. The same holds for
 //!    the registration server's client-id counter and directory. This
 //!    catches state mutated outside the write-ahead discipline: what
 //!    the node would silently lose in a crash.
+//! 6. **Replica equality** — wherever a live primary believes its live
+//!    backup in sync (nothing queued, owed or in flight), the backup's
+//!    image is the primary's, byte for byte: folding the shipped
+//!    records over the last image lands exactly where the primary
+//!    stands. `parent_keys` is excepted in both 5 and 6: a controller
+//!    follows its parent area's rekeys without a record, and they
+//!    travel only with a full image.
 //!
 //! The checker is stateful (for the monotonicity baseline): create one
 //! per scenario and call [`InvariantChecker::check`] at every
@@ -106,6 +114,17 @@ pub enum InvariantViolation {
         node: NodeId,
         /// Area index.
         area: usize,
+        /// What diverged.
+        detail: String,
+    },
+    /// A backup its primary believes in sync holds a different area.
+    ReplicaDivergence {
+        /// Area index.
+        area: usize,
+        /// The primary node.
+        primary: NodeId,
+        /// The backup node.
+        backup: NodeId,
         /// What diverged.
         detail: String,
     },
@@ -224,6 +243,10 @@ impl std::fmt::Display for InvariantViolation {
                 f,
                 "durability drift: area {area} controller {node:?}: {detail}"
             ),
+            InvariantViolation::ReplicaDivergence { area, primary, backup, detail } => write!(
+                f,
+                "replica divergence: area {area} backup {backup:?} of {primary:?}: {detail}"
+            ),
             InvariantViolation::RsDurabilityDrift { detail } => write!(
                 f,
                 "rs durability drift: {detail}"
@@ -289,6 +312,23 @@ impl std::fmt::Display for InvariantViolation {
 fn controllers(g: &GroupHandle, area: usize) -> impl Iterator<Item = (NodeId, &AreaController)> {
     let backup = g.backups.get(area).map(|&node| (node, g.backup(area)));
     std::iter::once((g.primaries[area], g.ac(area))).chain(backup)
+}
+
+/// The readable facts of a durable state, for naming what differs
+/// before the byte-for-byte image comparison says that something does.
+/// The first two are a node's own; the rest describe the area.
+fn facts(d: &AcDurable) -> [(&'static str, String); 6] {
+    let clients: Vec<u64> =
+        d.tree().members().map(|m| m.0).filter(|id| *id < AC_MEMBER_BASE).collect();
+    let parent = d.image.parent.as_ref().map(|p| (p.node, p.area));
+    [
+        ("role", format!("{:?}", d.role())),
+        ("takeover_epoch", d.takeover_epoch().to_string()),
+        ("parent", format!("{parent:?}")),
+        ("members", format!("{:?}", d.member_ids())),
+        ("epoch", d.epoch().to_string()),
+        ("tree clients", format!("{clients:?}")),
+    ]
 }
 
 /// Per-controller baseline for the monotonicity invariant.
@@ -440,28 +480,21 @@ impl InvariantChecker {
                     continue;
                 };
                 let memory = ctrl.durable();
-                // Child controllers enroll without a WAL record (their
-                // leaves become durable at the next checkpoint), so the
-                // tree is compared on its client leaves.
-                let facts = |d: &AcDurable| {
-                    let clients: Vec<u64> =
-                        d.tree().members().map(|m| m.0).filter(|id| *id < AC_MEMBER_BASE).collect();
-                    // A backup's checkpoint carries no area of its own.
-                    let parent = (d.role() == Role::Primary)
-                        .then(|| d.image.parent.as_ref().map(|p| (p.node, p.area)));
-                    [
-                        ("role", format!("{:?}", d.role())),
-                        ("takeover_epoch", d.takeover_epoch().to_string()),
-                        ("parent", format!("{parent:?}")),
-                        ("members", format!("{:?}", d.member_ids())),
-                        ("epoch", d.epoch().to_string()),
-                        ("tree clients", format!("{clients:?}")),
-                    ]
-                };
                 for ((what, stored), (_, live)) in facts(&durable).into_iter().zip(facts(memory)) {
                     if stored != live {
                         drift(format!("durable {what}={stored} but memory has {live}"));
                     }
+                }
+                if !durable.image.same_replica(&memory.image) {
+                    drift("durable area image differs from memory".into());
+                }
+                if durable.role() != Role::Primary
+                    && durable.applied_sync_seq != memory.applied_sync_seq
+                {
+                    drift(format!(
+                        "durable applied_sync_seq={} but memory has {}",
+                        durable.applied_sync_seq, memory.applied_sync_seq
+                    ));
                 }
                 if durable.sync_seq > memory.sync_seq {
                     drift(format!(
@@ -469,6 +502,38 @@ impl InvariantChecker {
                         durable.sync_seq, memory.sync_seq
                     ));
                 }
+            }
+        }
+
+        // Replica equality: a backup its live primary believes in sync
+        // holds the primary's area.
+        for (area, live_ctrl) in live.iter().enumerate() {
+            // After a takeover and a demotion the deployed pair has
+            // swapped roles: the replica is whoever the primary names.
+            let Some((primary, ctrl)) = *live_ctrl else { continue };
+            let peer = ctrl.durable().backup_node();
+            let Some((backup, replica)) = controllers(g, area).find(|(n, _)| Some(*n) == peer)
+            else {
+                continue;
+            };
+            if g.sim.is_crashed(backup)
+                || replica.role() != (Role::Backup { primary })
+                || !ctrl.backup_in_sync()
+            {
+                continue;
+            }
+            let mut diverged = |detail: String| {
+                out.push(InvariantViolation::ReplicaDivergence { area, primary, backup, detail })
+            };
+            for ((what, theirs), (_, ours)) in
+                facts(replica.durable()).into_iter().skip(2).zip(facts(ctrl.durable()).into_iter().skip(2))
+            {
+                if theirs != ours {
+                    diverged(format!("replica {what}={theirs} but the primary has {ours}"));
+                }
+            }
+            if !replica.durable().image.same_replica(&ctrl.durable().image) {
+                diverged("replica image differs from the primary's".into());
             }
         }
 

@@ -546,13 +546,15 @@ impl Member {
         let Some(plain) = self.node_keys.open(ctx, ct) else { return };
         let Ok(path) = decode_path(&plain) else { return };
         match self.phase {
-            MemberPhase::Active => {
+            // Only our controller's paths count: a primary that
+            // restarts after its backup took over re-issues every path
+            // of the tree it recovered, and installing those would put
+            // this member on keys the area no longer uses, at an epoch
+            // that never asks for a refresh. A path from our controller
+            // answers whatever was asked of it before, owed or sent.
+            MemberPhase::Active if Some(from) == self.ac_node => {
                 self.keys.install_path(&path);
-                // A path from our controller answers whatever was asked
-                // of it before, owed or sent.
-                if Some(from) == self.ac_node {
-                    self.refresh_owed = false;
-                }
+                self.refresh_owed = false;
             }
             // Mid-handshake with this AC: the welcome is still in
             // flight; stash so it is not clobbered by the (stale)
@@ -939,7 +941,9 @@ mod tests {
     /// controller's next beacon. And only the member's own controller
     /// moves its epoch: a primary that restarts after its backup took
     /// over beacons from a recovery-fenced epoch, which used to make
-    /// every later update of the live controller look old.
+    /// every later update of the live controller look old. Nor does
+    /// anyone else's key path count: the same restarted primary
+    /// re-issues every path of the tree it recovered.
     #[test]
     fn a_rate_limited_refresh_is_owed_and_foreign_beacons_are_ignored() {
         let mut g = GroupBuilder::new(65).areas(2).build();
@@ -955,6 +959,18 @@ mod tests {
         let beacon = Msg::AcAlive { area, epoch: epoch + 1000 }.to_bytes();
         g.sim.invoke(m, |m: &mut Member, ctx| m.on_message(ctx, stranger, &beacon));
         assert_eq!((g.sim.node::<Member>(m).epoch, requests(&g)), (epoch, before));
+
+        let stale = SymmetricKey::from_label("a tree the area left behind");
+        let path = crate::rekey::encode_path(&[(0, stale.clone())]);
+        let ct = mykil_crypto::envelope::HybridCiphertext::encrypt(g.member(m).node_keys.public(), &path, &mut Drbg::from_seed(3))
+            .expect("encrypt")
+            .to_bytes();
+        let unicast = Msg::KeyUnicast { ct }.to_bytes();
+        let held = g.member(m).current_area_key();
+        g.sim.invoke(m, |m: &mut Member, ctx| m.on_message(ctx, stranger, &unicast));
+        assert_eq!(g.member(m).current_area_key(), held, "a stranger's path was installed");
+        g.sim.invoke(m, |m: &mut Member, ctx| m.on_message(ctx, controller, &unicast));
+        assert_eq!(g.member(m).current_area_key(), Some(stale), "the controller's path was not");
 
         // Sealed under a key the member never held.
         let lost = SymmetricKey::from_label("lost");

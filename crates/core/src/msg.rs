@@ -161,10 +161,12 @@ pub enum Msg {
     Heartbeat { seq: u64, takeover_epoch: u64 },
     /// Backup → primary response, echoing the responder's takeover
     /// epoch (a backup that was promoted during a partition answers
-    /// with a higher epoch than the stale primary's own).
-    HeartbeatAck { seq: u64, takeover_epoch: u64 },
-    /// Primary → backup state synchronization (sealed under the
-    /// replication key).
+    /// with a higher epoch than the stale primary's own) and the
+    /// replication sequence it has applied (a backup that lost state
+    /// answers with less than the primary has trimmed).
+    HeartbeatAck { seq: u64, takeover_epoch: u64, applied_sync_seq: u64 },
+    /// Primary → backup state synchronization: a [`SyncBody`] sealed
+    /// under the replication key.
     StateSync { ct: Vec<u8> },
     /// Backup announces takeover to the area (signed).
     Takeover {
@@ -266,8 +268,9 @@ impl Msg {
             Msg::HeartbeatAck {
                 seq,
                 takeover_epoch,
+                applied_sync_seq,
             } => {
-                w.u8(61).u64(*seq).u64(*takeover_epoch);
+                w.u8(61).u64(*seq).u64(*takeover_epoch).u64(*applied_sync_seq);
             }
             Msg::StateSync { ct } => ct_only!(w, 62, ct),
             Msg::Takeover { area, sig, pubkey } => {
@@ -338,6 +341,7 @@ impl Msg {
             61 => Msg::HeartbeatAck {
                 seq: r.u64()?,
                 takeover_epoch: r.u64()?,
+                applied_sync_seq: r.u64()?,
             },
             62 => Msg::StateSync { ct: r.bytes()?.to_vec() },
             63 => Msg::Takeover {
@@ -387,6 +391,77 @@ impl Msg {
     }
 }
 
+const SYNC_IMAGE: u8 = 0;
+const SYNC_RECORDS: u8 = 1;
+
+/// What a [`Msg::StateSync`] carries under the replication key: the
+/// replication sequence it brings the backup to, and either the full
+/// area image or the WAL records — as the primary committed them, seeds
+/// included — that end at that sequence.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SyncBody<'a> {
+    /// The whole area, as `AreaImage::encode` writes it.
+    Image {
+        /// The sequence this image stands at.
+        seq: u64,
+        /// The encoded image.
+        image: &'a [u8],
+    },
+    /// Consecutive records, oldest first.
+    Records {
+        /// The sequence of the last record.
+        seq: u64,
+        /// Each record as `AcWalRecord::to_bytes` wrote it.
+        records: Vec<&'a [u8]>,
+    },
+}
+
+impl<'a> SyncBody<'a> {
+    /// Serializes the body (the plaintext to seal).
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut w = Writer::new();
+        match self {
+            SyncBody::Image { seq, image } => {
+                w.u64(*seq).u8(SYNC_IMAGE).bytes(image);
+            }
+            SyncBody::Records { seq, records } => {
+                // More records than the prefix can say would fail to parse;
+                // the backlog bound keeps a batch far below that.
+                let count = u32::try_from(records.len()).unwrap_or(u32::MAX);
+                w.u64(*seq).u8(SYNC_RECORDS).u32(count);
+                for rec in records {
+                    w.bytes(rec);
+                }
+            }
+        }
+        w.into_bytes()
+    }
+
+    /// Parses an opened body; `None` on any malformed input.
+    pub fn from_bytes(bytes: &'a [u8]) -> Option<SyncBody<'a>> {
+        crate::wire::parse(bytes, |r| {
+            let seq = r.u64()?;
+            match r.u8()? {
+                SYNC_IMAGE => Ok(SyncBody::Image { seq, image: r.bytes()? }),
+                SYNC_RECORDS => {
+                    let count = r.u32()? as usize;
+                    // Every record costs at least its length prefix: a
+                    // count past that is a lie and must not size a Vec.
+                    if count > r.remaining() / 4 {
+                        return Err(ProtocolError::Malformed("record count exceeds input"));
+                    }
+                    let mut records = Vec::with_capacity(count);
+                    for _ in 0..count {
+                        records.push(r.bytes()?);
+                    }
+                    Ok(SyncBody::Records { seq, records })
+                }
+                _ => Err(ProtocolError::Malformed("unknown sync body kind")),
+            }
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -395,6 +470,23 @@ mod tests {
         let bytes = msg.to_bytes();
         let back = Msg::from_bytes(&bytes).unwrap();
         assert_eq!(msg, back);
+    }
+
+    #[test]
+    fn sync_bodies_round_trip_and_reject_lying_counts() {
+        let image = SyncBody::Image { seq: 7, image: &[1, 2, 3] };
+        assert_eq!(SyncBody::from_bytes(&image.to_bytes()), Some(image));
+        let records = SyncBody::Records { seq: 9, records: vec![&[4, 5], &[], &[6]] };
+        let bytes = records.to_bytes();
+        assert_eq!(SyncBody::from_bytes(&bytes), Some(records));
+        // Truncation, trailing bytes, an unknown kind, a count no input
+        // could hold.
+        assert_eq!(SyncBody::from_bytes(&bytes[..bytes.len() - 1]), None);
+        assert_eq!(SyncBody::from_bytes(&[bytes.as_slice(), &[0]].concat()), None);
+        assert_eq!(SyncBody::from_bytes(&[0, 0, 0, 0, 0, 0, 0, 1, 2]), None);
+        let mut lying = vec![0, 0, 0, 0, 0, 0, 0, 1, SYNC_RECORDS];
+        lying.extend_from_slice(&u32::MAX.to_be_bytes());
+        assert_eq!(SyncBody::from_bytes(&lying), None);
     }
 
     #[test]
@@ -434,7 +526,7 @@ mod tests {
         round_trip(Msg::AcAlive { area: AreaId(1), epoch: 9 });
         round_trip(Msg::MemberAlive { client: ClientId(2) });
         round_trip(Msg::Heartbeat { seq: 5, takeover_epoch: 2 });
-        round_trip(Msg::HeartbeatAck { seq: 5, takeover_epoch: 3 });
+        round_trip(Msg::HeartbeatAck { seq: 5, takeover_epoch: 3, applied_sync_seq: 9 });
         round_trip(Msg::StateSync { ct: vec![1, 2] });
         round_trip(Msg::Takeover {
             area: AreaId(2),

@@ -213,7 +213,16 @@ fn corrupt_checkpoint_fallback(file: bool) {
     let mut checker = InvariantChecker::new();
     assert_eq!(checker.check(&g), vec![]);
 
+    // A rekey is no longer a checkpoint: so far only the start-up one
+    // exists. A clean crash/restart cycle writes the second — recovery
+    // compacts the log it replayed — and the WAL keeps the records past
+    // the first.
     let node = g.primaries[0];
+    g.sim.crash(node);
+    assert!(g.sim.restart(node));
+    g.settle();
+    assert_eq!(checker.check(&g), vec![]);
+
     let members_before = g.ac(0).durable().member_ids();
     assert!(
         g.sim.storage(node).checkpoint_count() >= 2,
@@ -254,6 +263,64 @@ fn corrupt_checkpoint_falls_back_to_older_slot() {
 #[test]
 fn corrupt_checkpoint_falls_back_to_older_slot_file_backed() {
     corrupt_checkpoint_fallback(true);
+}
+
+/// Regression — a backup that lost state is told. Records only make
+/// sense on top of the sequence they follow, so a backup that restarts
+/// inside the fail-over threshold from less than it had acknowledged —
+/// its older checkpoint slot, which predates the image it attached
+/// with, or a log whose tail a lying disk dropped — would otherwise sit
+/// behind a gap forever. Its `HeartbeatAck` reports what it holds; the
+/// primary answers less than it has trimmed with one full image, and
+/// records flow again.
+fn backup_that_lost_state_gets_one_image(lying_disk: bool) {
+    let mut g = GroupBuilder::new(66).rsa_bits(512).areas(1).replicated(true).build();
+    let first = g.register_member(1);
+    g.settle();
+    let backup = g.backups[0];
+    if lying_disk {
+        g.sim.storage_mut(backup).arm_lying_sync(false);
+    }
+    let second = g.register_member(2);
+    g.settle();
+    let mut checker = InvariantChecker::new();
+    assert_eq!(g.stats().counter("state-sync-images"), 1, "only the attach sent an image");
+    let applied = g.backup(0).durable().member_ids();
+
+    if !lying_disk {
+        // (Behind a lying disk, storage already lags memory: that is
+        // the fault, and what the durability invariant would report.)
+        assert_eq!(checker.check(&g), vec![]);
+        g.sim.storage_mut(backup).corrupt_latest_checkpoint();
+    }
+    g.sim.crash(backup);
+    assert!(g.sim.restart(backup));
+    g.run_for(Duration::from_secs(1));
+    assert_eq!(g.backup(0).role(), Role::Backup { primary: g.primaries[0] });
+    assert_eq!(g.stats().counter("ac-backup-lost-state"), 1);
+    assert_eq!(g.stats().counter("state-sync-images"), 2, "the lost state was not re-imaged");
+    assert_eq!(g.backup(0).durable().member_ids(), applied);
+    assert_eq!(checker.check(&g), vec![]);
+
+    // One membership change later: records only.
+    let records = g.stats().counter("state-sync-records");
+    let third = g.register_member(3);
+    g.settle();
+    assert!([first, second, third].iter().all(|&m| g.is_member(m)));
+    assert_eq!(g.stats().counter("state-sync-images"), 2, "a record was sent as an image");
+    assert!(g.stats().counter("state-sync-records") > records);
+    assert_eq!(g.stats().counter("backup-sync-gap"), 0);
+    assert_eq!(checker.check(&g), vec![], "replica diverged after the re-image");
+}
+
+#[test]
+fn backup_rolled_back_one_checkpoint_slot_gets_one_image() {
+    backup_that_lost_state_gets_one_image(false);
+}
+
+#[test]
+fn backup_behind_a_lying_disk_gets_one_image() {
+    backup_that_lost_state_gets_one_image(true);
 }
 
 /// The registration server's client-id counter is burned to the WAL

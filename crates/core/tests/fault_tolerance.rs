@@ -4,8 +4,10 @@
 //! AC parent switching, and primary-backup failover.
 
 use mykil::area::Role;
-use mykil::config::{MykilConfig, RejoinPolicy};
+use mykil::config::{BatchPolicy, MykilConfig, RejoinPolicy};
+use mykil::crypto_cost::CryptoCost;
 use mykil::group::GroupBuilder;
+use mykil::identity::DeviceId;
 use mykil::invariants::InvariantChecker;
 use mykil::member::{Member, MemberPhase};
 use mykil::msg::RejoinDenyReason;
@@ -211,6 +213,132 @@ fn backup_takes_over_after_primary_crash() {
     assert!(g
         .received_data(b)
         .contains(&b"after failover".to_vec()));
+}
+
+/// Regression — a backup's replica is live, and nothing refreshes a
+/// replica's rows: `MemberAlive` goes to the primary. A backup promoted
+/// long after its members joined must restart their liveness clocks,
+/// or its first sweep finds every row silent past the eviction
+/// threshold and evicts the area it just inherited.
+#[test]
+fn promoted_backup_does_not_evict_the_area_it_inherits() {
+    let mut g = GroupBuilder::new(35).areas(1).replicated(true).build();
+    let members: Vec<_> = (1..=3).map(|i| g.register_member(i)).collect();
+    g.settle();
+    // Rows on the replica are as old as the joins that made them.
+    g.run_for(MykilConfig::test().ac_evict_after().saturating_mul(2));
+    assert!(members.iter().all(|&m| g.is_member(m)));
+    assert_eq!(g.stats().counter("state-sync-images"), 1, "only the attach sent an image");
+
+    // Keep the members' alives from the new controller for its first
+    // sweeps (they still hear its multicasts), so that only the clocks
+    // it starts with decide: well inside the eviction threshold counted
+    // from the promotion, far past it counted from the joins.
+    for &m in &members {
+        g.sim.cut_link(m, g.backups[0]);
+    }
+    g.crash_ac(0);
+    g.run_for(Duration::from_micros(MykilConfig::test().ac_evict_after().as_micros() * 3 / 4));
+    let promoted = g.backup(0);
+    assert_eq!(promoted.role(), Role::Primary);
+    assert_eq!(g.stats().counter("ac-evictions"), 0, "the promoted backup evicted live members");
+    assert_eq!(promoted.member_count(), members.len());
+
+    for &m in &members {
+        g.sim.restore_link(m, g.backups[0]);
+    }
+    g.settle();
+    assert_eq!(g.stats().counter("ac-evictions"), 0);
+    for &m in &members {
+        assert!(g.is_member(m));
+        assert_eq!(g.member(m).current_area_key(), Some(g.backup(0).area_key()));
+    }
+    assert_eq!(InvariantChecker::new().check(&g), vec![]);
+}
+
+/// What replicating `OPS` leave-plus-join operations costs in one
+/// replicated area of `size`: `state-sync` bytes, full images sent, and
+/// checkpoints written by the primary and by the backup. Members are
+/// built over a small key pool, so filling the area stays cheap.
+fn steady_state_replication_cost(size: usize) -> (u64, u64, u64, u64) {
+    const OPS: usize = 4;
+    let cfg = MykilConfig { batch_policy: BatchPolicy::Immediate, ..MykilConfig::test() };
+    let cost = CryptoCost::pentium3();
+    let mut g = GroupBuilder::new(36).config(cfg).cost(cost).areas(1).replicated(true).build();
+    let mut keyrng = mykil_crypto::drbg::Drbg::from_seed(36);
+    let pool: Vec<_> = (0..4)
+        .map(|_| mykil_crypto::rsa::RsaKeyPair::generate(768, &mut keyrng).expect("keygen"))
+        .collect();
+    let rs_pub = g.registration_server().public_key().clone();
+    let rs_node = g.rs();
+    let nodes: Vec<_> = (0..size + OPS)
+        .map(|i| {
+            let member = Member::new(
+                cfg,
+                cost,
+                pool[i % pool.len()].clone(),
+                rs_pub.clone(),
+                rs_node,
+                DeviceId::from_seed(i as u64),
+                format!("subscriber-{i}").into_bytes(),
+                false,
+            );
+            let id = g.sim.add_node(member);
+            g.members.push(id);
+            id
+        })
+        .collect();
+    for &node in &nodes[..size] {
+        g.sim.invoke(node, |m: &mut Member, ctx| m.start_join(ctx));
+        g.run_for(Duration::from_millis(40));
+    }
+    g.settle();
+    assert_eq!(g.ac(0).member_count(), size);
+    assert_eq!(g.stats().counter("state-sync-images"), 1, "only the attach sends an image");
+
+    let checkpoints =
+        |g: &mykil::group::GroupHandle, node| g.sim.storage(node).checkpoint_count();
+    let (primary, backup) = (g.primaries[0], g.backups[0]);
+    let before = (
+        g.stats().kind("state-sync").bytes_sent,
+        g.stats().counter("state-sync-images"),
+        checkpoints(&g, primary),
+        checkpoints(&g, backup),
+    );
+    for op in 0..OPS {
+        assert!(g.sim.invoke(nodes[op], |m: &mut Member, ctx| m.leave(ctx)));
+        g.run_for(Duration::from_millis(500));
+        g.sim.invoke(nodes[size + op], |m: &mut Member, ctx| m.start_join(ctx));
+        g.run_for(Duration::from_millis(500));
+    }
+    assert_eq!(g.ac(0).member_count(), size);
+    assert_eq!(InvariantChecker::new().check(&g), vec![]);
+    (
+        g.stats().kind("state-sync").bytes_sent - before.0,
+        g.stats().counter("state-sync-images") - before.1,
+        checkpoints(&g, primary) - before.2,
+        checkpoints(&g, backup) - before.3,
+    )
+}
+
+/// Replication is log shipping: what a rekey costs to replicate does
+/// not depend on how large the area is. The same operations send the
+/// same `state-sync` bytes into an area of 32 and of 128, never a full
+/// image, and a checkpoint is the price of a long log, not of a rekey.
+#[test]
+fn replicating_a_rekey_costs_the_same_at_any_area_size() {
+    let small = steady_state_replication_cost(32);
+    let large = steady_state_replication_cost(128);
+    let bytes = small.0;
+    assert_eq!(bytes, large.0, "state-sync bytes grew with the area");
+    assert!(bytes > 0 && bytes < 4 * 1000, "four ops sent {bytes} state-sync bytes");
+    for (size, (_, images, on_primary, on_backup)) in [(32, small), (128, large)] {
+        assert_eq!(images, 0, "a steady-state op sent a full image at 1 x {size}");
+        assert!(
+            on_primary < 4 && on_backup < 4,
+            "a checkpoint per op at 1 x {size}: {on_primary} on the primary, {on_backup} on the backup"
+        );
+    }
 }
 
 /// Regression — batching (Section III-E) meets replication (Section

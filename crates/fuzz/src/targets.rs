@@ -10,9 +10,9 @@
 
 use mykil::directory::AcDirectory;
 use mykil::durable::{
-    replay_ac, replay_rs, AcCheckpoint, AcWalRecord, RsCheckpoint, RsWalRecord,
+    replay_ac, replay_rs, AcCheckpoint, AcWalRecord, RsCheckpoint, RsWalRecord, Seed,
 };
-use mykil::msg::Msg;
+use mykil::msg::{Msg, SyncBody};
 use mykil::scale::{decode_checkpoint, encode_checkpoint, AreaState, ScaleConfig, ScaleEvent};
 use mykil::welcome::Welcome;
 use mykil::wire::{Reader, Writer};
@@ -79,8 +79,10 @@ pub fn find(name: &str) -> Option<Target> {
 /// Input layout: `[n_ops][op bytes...][payload]`. The op bytes drive a
 /// `Reader` over the payload through every accessor (including
 /// deliberately oversized `raw` requests, which must error rather than
-/// panic); the *whole* input is then fed to the two compound decoders
-/// that stack on `Reader`, `Msg::from_bytes` and `Welcome::from_bytes`.
+/// panic); the *whole* input is then fed to the compound decoders that
+/// stack on `Reader`: `Msg::from_bytes`, `Welcome::from_bytes`, and
+/// `SyncBody::from_bytes` with the record decoder a backup runs over
+/// each record it carries.
 fn run_wire_reader(data: &[u8]) {
     if let Some((&n_ops, rest)) = data.split_first() {
         let n = (n_ops as usize).min(24).min(rest.len());
@@ -122,6 +124,11 @@ fn run_wire_reader(data: &[u8]) {
     }
     let _ = Msg::from_bytes(data);
     let _ = Welcome::from_bytes(data);
+    if let Some(SyncBody::Records { records, .. }) = SyncBody::from_bytes(data) {
+        for rec in records {
+            let _ = AcWalRecord::from_bytes(rec);
+        }
+    }
 }
 
 fn seeds_wire_reader() -> Vec<(&'static str, Vec<u8>)> {
@@ -143,11 +150,21 @@ fn seeds_wire_reader() -> Vec<(&'static str, Vec<u8>)> {
     huge_len.extend_from_slice(&u32::MAX.to_be_bytes());
     huge_len.extend_from_slice(&[1, 2, 3]);
 
+    // Both `StateSync` bodies: an image, and a batch of records with
+    // one of each seeded kind.
+    let flush = AcWalRecord::Flush { seed: Seed::from_bytes([0x5e; 32]) }.to_bytes();
+    let rotate = AcWalRecord::Rotate { seed: Seed::from_bytes([0x5f; 32]) }.to_bytes();
+    let leave = AcWalRecord::Leave { client: 4 }.to_bytes();
+    let sync_records = SyncBody::Records { seq: 12, records: vec![&leave, &flush, &rotate] };
+    let sync_image = SyncBody::Image { seq: 13, image: &[9; 24] };
+
     vec![
         ("seed-aligned.bin", aligned),
         ("seed-empty.bin", Vec::new()),
         ("seed-huge-len.bin", huge_len),
         ("seed-ops-only.bin", vec![24, 0, 1, 2, 3, 4, 5, 6, 7]),
+        ("seed-sync-records.bin", sync_records.to_bytes()),
+        ("seed-sync-image.bin", sync_image.to_bytes()),
     ]
 }
 
@@ -268,7 +285,7 @@ fn seeds_durable_replay() -> Vec<(&'static str, Vec<u8>)> {
         applied_sync_seq: 6,
         stale_peer: Some(4),
         backup: Some((5, vec![1, 2, 3, 4])),
-        snapshot: Some(vec![9; 24]),
+        snapshot: vec![9; 24],
     };
     let ac_wal = [
         AcWalRecord::Join {
@@ -277,14 +294,17 @@ fn seeds_durable_replay() -> Vec<(&'static str, Vec<u8>)> {
             pubkey: vec![7; 8],
             device: Some([1, 2, 3, 4, 5, 6]),
             valid_until_us: 1_000_000,
+            seed: Seed::from_bytes([0xa1; 32]),
         },
         AcWalRecord::Leave { client: 10 },
         AcWalRecord::Evict { client: 11 },
+        AcWalRecord::Flush { seed: Seed::from_bytes([0xa2; 32]) },
+        AcWalRecord::Rotate { seed: Seed::from_bytes([0xa3; 32]) },
         AcWalRecord::Promoted {
             takeover_epoch: 4,
             old_primary: 1,
         },
-        AcWalRecord::Demoted { new_primary: 1 },
+        AcWalRecord::Demoted { new_primary: 1, seed: Seed::from_bytes([0xa4; 32]) },
     ];
     let mut ac_frames = vec![ac_ckpt.to_bytes()];
     ac_frames.extend(ac_wal.iter().map(|r| r.to_bytes()));
@@ -309,11 +329,13 @@ fn seeds_durable_replay() -> Vec<(&'static str, Vec<u8>)> {
 
     let wal_only: Vec<Vec<u8>> = ac_wal.iter().map(|r| r.to_bytes()).collect();
 
-    // Two seeds that reach the tree: a primary checkpoint taken inside
-    // a batch window (client 21 left, its leaf still waits for the
-    // flush), and the same snapshot escrowed in a backup's checkpoint
-    // with the promotion that adopts it. The fold itself builds them —
-    // joins need a public key that parses (256-bit odd modulus, e = 3).
+    // Seeds that reach the tree: a primary checkpoint taken inside a
+    // batch window (client 21 left, its leaf still waits for the
+    // flush); the same area as a backup's live replica, with the
+    // records its primary ships next — the flush, a rotation — and the
+    // promotion that makes it this node's own; and a flush whose seed
+    // is short, which must end the replay. The fold itself builds them
+    // — joins need a public key that parses (256-bit odd modulus, e = 3).
     let join = |client: u64| {
         let mut pubkey = Writer::new();
         pubkey.bytes(&[0xFF; 32]).bytes(&[3]);
@@ -323,12 +345,13 @@ fn seeds_durable_replay() -> Vec<(&'static str, Vec<u8>)> {
             pubkey: pubkey.into_bytes(),
             device: None,
             valid_until_us: 5_000_000,
+            seed: Seed::from_bytes([u8::try_from(client).unwrap_or(0); 32]),
         }
         .to_bytes()
     };
     let in_window = [join(20), join(21), AcWalRecord::Leave { client: 21 }.to_bytes()];
     let departed_leaf = replay_ac(None, &in_window).map(|s| s.encode()).unwrap_or_default();
-    let escrowed = AcCheckpoint {
+    let replica = AcCheckpoint {
         primary: false,
         primary_node: 1,
         takeover_epoch: 0,
@@ -337,23 +360,27 @@ fn seeds_durable_replay() -> Vec<(&'static str, Vec<u8>)> {
         applied_sync_seq: 9,
         stale_peer: None,
         backup: None,
-        snapshot: AcCheckpoint::from_bytes(&departed_leaf).and_then(|c| c.snapshot),
+        snapshot: AcCheckpoint::from_bytes(&departed_leaf).map(|c| c.snapshot).unwrap_or_default(),
     };
+    let flush = AcWalRecord::Flush { seed: Seed::from_bytes([0xb1; 32]) }.to_bytes();
+    let rotate = AcWalRecord::Rotate { seed: Seed::from_bytes([0xb2; 32]) }.to_bytes();
     let promoted = AcWalRecord::Promoted {
         takeover_epoch: 1,
         old_primary: 1,
     };
+    let short_seed = flush.get(..flush.len() - 1).unwrap_or(&[]).to_vec();
 
     vec![
         ("seed-ac.bin", frame_up(1, &ac_frames)),
         ("seed-rs.bin", frame_up(1, &rs_frames)),
         ("seed-wal-only.bin", frame_up(0, &wal_only)),
         ("seed-empty.bin", vec![0]),
-        ("seed-departed-leaf.bin", frame_up(1, &[departed_leaf])),
+        ("seed-departed-leaf.bin", frame_up(1, std::slice::from_ref(&departed_leaf))),
         (
             "seed-backup-promoted.bin",
-            frame_up(1, &[escrowed.to_bytes(), promoted.to_bytes()]),
+            frame_up(1, &[replica.to_bytes(), flush, rotate, promoted.to_bytes()]),
         ),
+        ("seed-short-seed.bin", frame_up(1, &[departed_leaf, short_seed, join(22)])),
     ]
 }
 
