@@ -65,7 +65,9 @@ impl ProtocolOps {
     }
 }
 
-/// The paper's testbed constants: RSA-2048 on a Pentium III 1 GHz.
+/// The paper's testbed constants: RSA-2048 on a Pentium III 1 GHz. They
+/// price the paper's OpenSSL build (e = 65537) and are deliberately not
+/// rescaled for the reproduction's own cheaper public exponent.
 pub mod pentium3 {
     /// Seconds per RSA-2048 private operation.
     pub const RSA_PRIVATE_S: f64 = 0.050;

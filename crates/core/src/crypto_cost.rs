@@ -9,7 +9,9 @@
 //! Constants are calibrated to OpenSSL 0.9.x-era throughput on a
 //! Pentium III 1 GHz (the paper's testbed): a 2048-bit private
 //! operation ≈ 50 ms, a public operation (e = 65537) ≈ 1.5 ms — kept
-//! once, in `mykil_analysis::latency::pentium3`. Costs
+//! once, in `mykil_analysis::latency::pentium3`. They price the paper's
+//! OpenSSL build and are deliberately not rescaled for this crate's own
+//! public exponent (`mykil_crypto::rsa::PUBLIC_EXPONENT`, 17). Costs
 //! scale cubically (private) and quadratically (public) in the modulus
 //! size, so test configurations with small keys charge proportionally
 //! less.

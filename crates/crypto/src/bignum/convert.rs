@@ -20,16 +20,40 @@ impl From<u128> for BigUint {
     }
 }
 
+/// Reads big-endian `bytes` into the low end of little-endian `limbs`
+/// (at least `bytes.len().div_ceil(8)` of them) and zeroes the rest.
+pub(crate) fn limbs_from_be(limbs: &mut [u64], bytes: &[u8]) {
+    let mut chunks = bytes.rchunks(8);
+    for limb in limbs {
+        let chunk = chunks.next().unwrap_or(&[]);
+        *limb = chunk.iter().fold(0, |limb, &b| (limb << 8) | b as u64);
+    }
+    debug_assert!(chunks.next().is_none(), "bytes fit the limbs");
+}
+
+/// Writes little-endian `limbs` as `out.len()` big-endian bytes; limbs
+/// and limb bytes beyond that width are the caller's to have checked zero.
+pub(crate) fn limbs_to_be(out: &mut [u8], limbs: &[u64]) {
+    out.fill(0);
+    for (chunk, limb) in out.rchunks_mut(8).zip(limbs) {
+        chunk.copy_from_slice(&limb.to_be_bytes()[8 - chunk.len()..]);
+    }
+}
+
+/// Byte `i` of little-endian `limbs`, counted from the least
+/// significant: the big-endian byte at `len - 1 - i` of a `len`-byte block.
+pub(crate) fn limb_byte(limbs: &[u64], i: usize) -> u8 {
+    (limbs[i / 8] >> (8 * (i % 8))) as u8
+}
+
 impl BigUint {
     /// Parses a big-endian byte string (leading zero bytes allowed).
     ///
     /// This is the format RSA uses on the wire: the empty slice parses
     /// as zero.
     pub fn from_bytes_be(bytes: &[u8]) -> Self {
-        let limbs = bytes
-            .rchunks(8)
-            .map(|chunk| chunk.iter().fold(0u64, |limb, &b| (limb << 8) | b as u64))
-            .collect();
+        let mut limbs = vec![0; bytes.len().div_ceil(8)];
+        limbs_from_be(&mut limbs, bytes);
         BigUint::from_limbs(limbs)
     }
 
@@ -62,9 +86,7 @@ impl BigUint {
         // Written from the low end; a short last chunk takes the low
         // bytes of its limb, whose high bytes the check above found zero.
         let mut out = vec![0u8; len];
-        for (chunk, limb) in out.rchunks_mut(8).zip(&self.limbs) {
-            chunk.copy_from_slice(&limb.to_be_bytes()[8 - chunk.len()..]);
-        }
+        limbs_to_be(&mut out, &self.limbs);
         Ok(out)
     }
 }

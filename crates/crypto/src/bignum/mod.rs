@@ -44,6 +44,7 @@ mod mul;
 mod random;
 mod shift;
 
+pub(crate) use convert::{limb_byte, limbs_to_be};
 pub use montgomery::{MontScratch, MontgomeryCtx};
 
 use limb::LIMB_BITS;

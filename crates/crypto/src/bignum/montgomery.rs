@@ -26,11 +26,12 @@
 //! [`MontScratch`] volatile-wipes itself on drop, and
 //! [`MontgomeryCtx::pow_windowed`] wipes its accumulator before
 //! returning: both hold powers of the base under a private exponent.
-//! The public-exponent ladder ([`MontgomeryCtx::pow_binary`]) uses no
-//! `MontScratch` and wipes nothing. A context for a secret modulus
-//! (`p`, `q`) is wiped by its owner through `zeroize`, like the primes
-//! were before the contexts absorbed them.
+//! The short-exponent ladder ([`MontgomeryCtx::pow_binary`], the RSA
+//! public operation) uses no `MontScratch` and wipes nothing. A context
+//! for a secret modulus (`p`, `q`) is wiped by its owner through
+//! `zeroize`, like the primes were before the contexts absorbed them.
 
+use super::convert::limbs_from_be;
 use super::limb::{adc, add_mul_row, cmp_limbs, mul_wide, sbb, sqr_wide, LIMB_BITS};
 use super::BigUint;
 use crate::ct::zeroize_u64;
@@ -145,12 +146,17 @@ impl MontgomeryCtx {
     }
 
     fn unload_mont(&self, x: &[u64], t: &mut [u64]) -> BigUint {
+        let mut out = x.to_vec();
+        self.leave_mont(&mut out, t);
+        BigUint::from_limbs(out)
+    }
+
+    /// Takes the residue `x` out of Montgomery form in place.
+    fn leave_mont(&self, x: &mut [u64], t: &mut [u64]) {
         let s = self.limbs();
         t[..s].copy_from_slice(x);
         t[s..].fill(0);
-        let mut out = vec![0; s];
-        self.redc(&mut out, t);
-        BigUint::from_limbs(out)
+        self.redc(x, t);
     }
 
     /// Montgomery product in place: `x = x·y·R⁻¹ mod n`.
@@ -237,7 +243,7 @@ impl MontgomeryCtx {
     /// Modular exponentiation `base^exp mod n`.
     ///
     /// Uses the windowed ladder for large exponents (the RSA private-op
-    /// case) and the plain ladder for short ones (`e = 65537`).
+    /// case) and the plain ladder for short ones.
     pub fn pow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
         if exp.bit_len() >= 64 {
             self.pow_windowed(base, exp)
@@ -246,33 +252,83 @@ impl MontgomeryCtx {
         }
     }
 
-    /// Left-to-right square-and-multiply: the public-exponent path
-    /// (`e = 65537` in verify and encrypt) and the reference the
-    /// windowed path is cross-checked against in tests.
-    ///
-    /// It owns one `4s`-limb buffer — double-width product, accumulator,
-    /// base — instead of a [`MontScratch`]: no window table it would
-    /// never read, and no wipe, because nothing here depends on a
-    /// private key (a verification's inputs are all public; an
-    /// encryption's base is the padded plaintext its caller already
-    /// keeps in ordinary `Vec`s).
+    /// Left-to-right square-and-multiply: the short-exponent path and
+    /// the reference the windowed path is cross-checked against in
+    /// tests. The RSA public operation enters it through
+    /// [`pow_binary_be`](Self::pow_binary_be).
     pub fn pow_binary(&self, base: &BigUint, exp: &BigUint) -> BigUint {
-        if exp.is_zero() {
-            return BigUint::one();
-        }
+        let reduced;
+        let base = if *base < self.n {
+            base
+        } else {
+            reduced = base.rem(&self.n).expect("modulus is nonzero");
+            &reduced
+        };
+        let mut buf = vec![0; self.ladder_limbs()];
+        buf[..base.limbs.len()].copy_from_slice(&base.limbs);
+        BigUint::from_limbs(self.ladder(buf, exp))
+    }
+
+    /// [`pow_binary`](Self::pow_binary) for a base that arrives as a
+    /// big-endian block of at most `8·s` bytes, as an RSA signature or
+    /// padded message does: the `s` little-endian limbs of
+    /// `base^exp mod n`, or `None` unless `base < n`. The returned
+    /// vector is the call's one allocation.
+    pub(crate) fn pow_binary_be(&self, base: &[u8], exp: &BigUint) -> Option<Vec<u64>> {
         let s = self.limbs();
-        let mut buf = vec![0; 4 * s];
-        let (t, rest) = buf.split_at_mut(2 * s);
-        let (x, base_m) = rest.split_at_mut(s);
-        self.load_mont(x, base, t);
-        base_m.copy_from_slice(x);
-        for i in (0..exp.bit_len() - 1).rev() {
-            self.sqr_with(x, t);
-            if exp.bit(i) {
-                self.mul_with(x, base_m, t);
+        if base.len() > 8 * s {
+            return None;
+        }
+        let mut buf = vec![0; self.ladder_limbs()];
+        limbs_from_be(&mut buf[..s], base);
+        if cmp_limbs(&buf[..s], &self.n.limbs) != Ordering::Less {
+            return None;
+        }
+        Some(self.ladder(buf, exp))
+    }
+
+    /// Limbs of the buffer [`ladder`](Self::ladder) works in:
+    /// accumulator, base, base in Montgomery form, double-width product.
+    fn ladder_limbs(&self) -> usize {
+        5 * self.limbs()
+    }
+
+    /// The ladder itself, on one [`ladder_limbs`](Self::ladder_limbs)
+    /// buffer whose low `s` limbs hold the base `< n` on entry and which
+    /// comes back cut to the `s` limbs of the result.
+    ///
+    /// No [`MontScratch`]: no window table it would never read, and no
+    /// wipe, because nothing here depends on a private key (a
+    /// verification's inputs are all public; an encryption's base is the
+    /// padded plaintext its caller already keeps in an ordinary `Vec`).
+    fn ladder(&self, mut buf: Vec<u64>, exp: &BigUint) -> Vec<u64> {
+        let s = self.limbs();
+        let (x, rest) = buf.split_at_mut(s);
+        let (base, rest) = rest.split_at_mut(s);
+        let (base_m, t) = rest.split_at_mut(s);
+        if exp.is_zero() {
+            x.fill(0);
+            x[0] = 1;
+        } else {
+            base.copy_from_slice(x);
+            self.mul_with(x, &self.r2, t);
+            base_m.copy_from_slice(x);
+            let top = exp.bit_len() - 1;
+            for i in (0..top).rev() {
+                self.sqr_with(x, t);
+                if exp.bit(i) {
+                    // The last product of an odd exponent takes the
+                    // plain base: (v·R)·base·R⁻¹ is out of Montgomery
+                    // form with no reduction of its own.
+                    self.mul_with(x, if i == 0 { base } else { base_m }, t);
+                }
+            }
+            if top == 0 || exp.is_even() {
+                self.leave_mont(x, t);
             }
         }
-        self.unload_mont(x, t)
+        buf.truncate(s);
+        buf
     }
 
     /// Fixed 4-bit-window exponentiation in Montgomery form; scratch
@@ -431,6 +487,43 @@ mod tests {
                     "bits={bits}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn the_byte_entry_matches_the_ladder_and_checks_the_range() {
+        use crate::drbg::Drbg;
+        let mut rng = Drbg::from_seed(43);
+        for bits in [65usize, 96, 768, 1056] {
+            let mut n = BigUint::random_bits(bits, &mut rng);
+            n.set_bit(0);
+            let c = MontgomeryCtx::new(n.clone()).unwrap();
+            let k = bits.div_ceil(8);
+            // Odd, even, one and long exponents walk every arm.
+            for exp in [1u64, 2, 3, 6, 17, 65_537, u64::MAX] {
+                let exp = BigUint::from(exp);
+                let base = BigUint::random_below(&n, &mut rng);
+                let want = c.pow_binary(&base, &exp);
+                let be = base.to_bytes_be_padded(k).unwrap();
+                let got = c.pow_binary_be(&be, &exp).unwrap();
+                assert_eq!(got.len(), c.limbs());
+                assert_eq!(BigUint::from_limbs(got), want, "bits={bits}");
+                // ... and both match schoolbook multiply-and-divide.
+                let plain = (0..exp.bit_len()).rev().fold(BigUint::one(), |acc, i| {
+                    let sq = acc.square().rem(&n).unwrap();
+                    match exp.bit(i) {
+                        true => (&sq * &base).rem(&n).unwrap(),
+                        false => sq,
+                    }
+                });
+                assert_eq!(want, plain, "bits={bits}");
+            }
+            let e = BigUint::from(17_u64);
+            assert!(c.pow_binary_be(&n.to_bytes_be(), &e).is_none());
+            assert!(c.pow_binary_be(&vec![0; 8 * c.limbs() + 1], &e).is_none());
+            let below = (&n - &BigUint::one()).to_bytes_be();
+            assert!(c.pow_binary_be(&below, &e).is_some());
+            assert_eq!(c.pow_binary_be(&[], &e).unwrap(), vec![0; c.limbs()]);
         }
     }
 

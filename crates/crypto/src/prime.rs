@@ -102,6 +102,48 @@ pub fn generate_prime<R: RngCore + ?Sized>(
     bits: usize,
     rng: &mut R,
 ) -> Result<BigUint, CryptoError> {
+    search_prime(bits, rng, |_| true)
+}
+
+/// Generates a prime `p` with `gcd(p - 1, e) == 1`, as required for an
+/// RSA prime under the odd public exponent `e`.
+///
+/// A candidate is screened against `e` with one word division *before*
+/// its trial divisions and Miller–Rabin rounds: under `e = 17` one
+/// prime in sixteen fails, and it fails for the price of a remainder
+/// instead of a finished prime search.
+///
+/// # Errors
+///
+/// As [`generate_prime`], and for `e = 0`, which no prime satisfies.
+pub fn generate_rsa_prime<R: RngCore + ?Sized>(
+    bits: usize,
+    e: u64,
+    rng: &mut R,
+) -> Result<BigUint, CryptoError> {
+    if e == 0 {
+        return Err(CryptoError::KeyGeneration("public exponent is zero"));
+    }
+    // gcd(p − 1, e) = gcd((p − 1) mod e, e), and p mod e tells the former.
+    search_prime(bits, rng, |candidate| {
+        let p_minus_1 = candidate.rem_limb(e).checked_sub(1).unwrap_or(e - 1);
+        gcd_u64(p_minus_1, e) == 1
+    })
+}
+
+fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    a
+}
+
+/// Draws candidates until one passes `screen` and then Miller–Rabin.
+fn search_prime<R: RngCore + ?Sized>(
+    bits: usize,
+    rng: &mut R,
+    screen: impl Fn(&BigUint) -> bool,
+) -> Result<BigUint, CryptoError> {
     if bits < 8 {
         return Err(CryptoError::KeyGeneration("prime size below 8 bits"));
     }
@@ -111,31 +153,12 @@ pub fn generate_prime<R: RngCore + ?Sized>(
         let mut candidate = BigUint::random_bits(bits, rng);
         candidate.set_bit(0); // odd
         candidate.set_bit(bits - 2); // top-two bits set
-        if is_probably_prime(&candidate, DEFAULT_MR_ROUNDS, rng) {
+        if screen(&candidate) && is_probably_prime(&candidate, DEFAULT_MR_ROUNDS, rng) {
             return Ok(candidate);
         }
     }
     Err(CryptoError::KeyGeneration(
         "exhausted candidate budget without finding a prime",
-    ))
-}
-
-/// Generates a "safe-ish" prime `p` with `gcd(p-1, e) == 1`, as required
-/// for an RSA prime under public exponent `e`.
-pub fn generate_rsa_prime<R: RngCore + ?Sized>(
-    bits: usize,
-    e: &BigUint,
-    rng: &mut R,
-) -> Result<BigUint, CryptoError> {
-    for _ in 0..64 {
-        let p = generate_prime(bits, rng)?;
-        let p_minus_1 = &p - &BigUint::one();
-        if p_minus_1.gcd(e).is_one() {
-            return Ok(p);
-        }
-    }
-    Err(CryptoError::KeyGeneration(
-        "could not find prime compatible with public exponent",
     ))
 }
 
@@ -203,10 +226,30 @@ mod tests {
     #[test]
     fn rsa_prime_coprime_with_e() {
         let mut rng = Drbg::from_seed(5);
-        let e = BigUint::from(65_537_u64);
-        let p = generate_rsa_prime(96, &e, &mut rng).unwrap();
-        let p1 = &p - &BigUint::one();
-        assert!(p1.gcd(&e).is_one());
+        // 3 turns away every other prime, 15 is composite, 65537 nearly
+        // never bites: the screen must hold for all of them.
+        for e in [3u64, 15, 17, 65_537] {
+            for _ in 0..8 {
+                let p = generate_rsa_prime(96, e, &mut rng).unwrap();
+                assert!(is_probably_prime(&p, 10, &mut rng));
+                let p1 = &p - &BigUint::one();
+                assert!(p1.gcd(&BigUint::from(e)).is_one(), "e={e} p={p}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_exponent_screen_draws_no_witnesses() {
+        // A candidate the screen turns away costs the generator its own
+        // bits and nothing else: with a screen that refuses everything
+        // the stream advances by exactly one candidate per try.
+        let mut rng = Drbg::from_seed(8);
+        assert!(search_prime(64, &mut rng, |_| false).is_err());
+        let mut reference = Drbg::from_seed(8);
+        for _ in 0..64 * 40 + 1000 {
+            BigUint::random_bits(64, &mut reference);
+        }
+        assert_eq!(rng.next_u64(), reference.next_u64());
     }
 
     #[test]

@@ -8,11 +8,13 @@ use rand::RngCore;
 
 impl RsaKeyPair {
     /// Generates a fresh key pair with a modulus of `bits` bits and
-    /// public exponent 65537.
+    /// public exponent [`PUBLIC_EXPONENT`].
     ///
     /// The paper uses 2048-bit keys; tests in this workspace use 512–768
     /// bits to keep the suite fast (key generation is the only slow RSA
-    /// operation).
+    /// operation). The paper's OpenSSL keys had e = 65537, and the P-III
+    /// virtual-time constants (`mykil::crypto_cost`) price that build:
+    /// they are deliberately not rescaled to this exponent.
     ///
     /// # Errors
     ///
@@ -32,8 +34,8 @@ impl RsaKeyPair {
         let e = BigUint::from(PUBLIC_EXPONENT);
         let one = BigUint::one();
         loop {
-            let p = generate_rsa_prime(bits / 2, &e, rng)?;
-            let q = generate_rsa_prime(bits / 2, &e, rng)?;
+            let p = generate_rsa_prime(bits / 2, PUBLIC_EXPONENT.into(), rng)?;
+            let q = generate_rsa_prime(bits / 2, PUBLIC_EXPONENT.into(), rng)?;
             if p == q {
                 continue;
             }
@@ -70,7 +72,7 @@ mod tests {
         assert_eq!(pair.public().block_len(), 64);
         // e*d == 1 mod lcm is implied by the round trip:
         let m = BigUint::from(0x1234_5678_u64);
-        let c = pair.public().raw_public_op(&m).unwrap();
+        let c = BigUint::from_limbs(pair.public().public_op(&m.to_bytes_be()).unwrap());
         assert_eq!(pair.raw_private_op(&c).unwrap(), m);
     }
 

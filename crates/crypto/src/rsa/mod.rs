@@ -36,8 +36,11 @@ mod sign;
 use crate::bignum::{BigUint, MontgomeryCtx};
 use crate::CryptoError;
 
-/// The conventional RSA public exponent, 65537.
-pub const PUBLIC_EXPONENT: u32 = 65_537;
+/// The public exponent of every key this crate generates: 17, a ladder
+/// of four squarings and one product where 65537 takes sixteen and one
+/// (DESIGN.md, "Why e = 17"). A peer's key carries its own `e` in its
+/// encoding and works whatever odd value that is.
+pub const PUBLIC_EXPONENT: u32 = 17;
 
 /// An RSA public key `(n, e)`.
 ///
@@ -99,12 +102,20 @@ impl RsaPublicKey {
         self.modulus().bit_len()
     }
 
-    /// Raw RSA public operation `m^e mod n` on a padded block.
-    pub(crate) fn raw_public_op(&self, block: &BigUint) -> Result<BigUint, CryptoError> {
-        if block >= self.modulus() {
-            return Err(CryptoError::InvalidParameter("block exceeds modulus"));
-        }
-        Ok(self.n.pow(block, &self.e))
+    /// Raw RSA public operation `block^e mod n` on a big-endian block of
+    /// at most [`block_len`](Self::block_len) bytes: the little-endian
+    /// limbs of the result, which a verify compares in place
+    /// ([`limb_byte`](crate::bignum::limb_byte)) and a seal writes out
+    /// ([`limbs_to_be`](crate::bignum::limbs_to_be)) — the one
+    /// allocation of either, with no `BigUint` on the way.
+    ///
+    /// # Errors
+    ///
+    /// [`CryptoError::InvalidParameter`] unless `block < n`.
+    pub(crate) fn public_op(&self, block: &[u8]) -> Result<Vec<u64>, CryptoError> {
+        self.n
+            .pow_binary_be(block, &self.e)
+            .ok_or(CryptoError::InvalidParameter("block exceeds modulus"))
     }
 
     /// Serializes to `len(n) || n || len(e) || e` for wire transport.
@@ -294,6 +305,18 @@ mod tests {
     use super::*;
     use crate::drbg::Drbg;
 
+    fn sha256_hex(bytes: &[u8]) -> String {
+        let digest = crate::sha256::Sha256::digest(bytes);
+        digest.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    fn unhex(hex: &str) -> Vec<u8> {
+        (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
     #[test]
     fn public_key_round_trips_through_bytes() {
         let pk = pair768().public().clone();
@@ -334,7 +357,7 @@ mod tests {
         let pair = pair768();
         let mut rng = Drbg::from_seed(77);
         let m = BigUint::random_below(pair.public().modulus(), &mut rng);
-        let c = pair.public().raw_public_op(&m).unwrap();
+        let c = BigUint::from_limbs(pair.public().public_op(&m.to_bytes_be()).unwrap());
         assert_ne!(c, m);
         assert_eq!(pair.raw_private_op(&c).unwrap(), m);
     }
@@ -358,46 +381,100 @@ mod tests {
         }
     }
 
-    /// Byte identity with the 32-bit-limb implementation: the constants
-    /// were recorded at the commit before the limb width changed. A seed
-    /// must keep yielding the same key pair (same random draws, same
-    /// Miller–Rabin witnesses), the same signature and the same raw
-    /// private-operation result.
+    /// Byte identity across kernel changes: a seed must keep yielding
+    /// the same key pair (same random draws, same Miller–Rabin
+    /// witnesses), the same signature and the same raw private-operation
+    /// result. First recorded at the commit before the limb width
+    /// changed; re-recorded at the commit that follows `b9ddcd0`, where
+    /// `PUBLIC_EXPONENT` became 17 and the exponent screen moved ahead
+    /// of Miller–Rabin, so every seed yields different primes. What
+    /// `b9ddcd0` generated lives on in
+    /// [`keys_recorded_under_e_65537_still_work`].
     #[test]
     fn golden_keys_and_signatures_survive_the_limb_width_change() {
-        let hex = |bytes: &[u8]| -> String {
-            let digest = crate::sha256::Sha256::digest(bytes);
-            digest.iter().map(|b| format!("{b:02x}")).collect()
-        };
         for (bits, seed, block_len, fingerprint, sig_sha256, raw_sha256) in [
             (
                 768usize,
                 0xA11CE_u64,
                 90usize,
-                0xbed3_4e52_d29f_65ad_u64,
-                "71f1a2c7ec6878f1811013472a6f651e0998cd9760cfbf3ddbd6e7033e3f0178",
-                "ee5a6ba38c2d7fd6e86431068fb43057353be3d2bc618a5c11dd76fcc0cef971",
+                0xac09_968c_f842_9443_u64,
+                "523fa5473f83fb71be27f4d8e1cfc792a5cec6e5f62e33abb5b8b5bde44f0d30",
+                "b1c8502976e0faf509f796a4e53e56b8f2cc6b86b988a14fe3df10d2240a114a",
             ),
             (
                 2048,
                 0x2048,
                 250,
-                0x3543_506b_1644_9117,
-                "e6ec9b7adc54bfd26d501b4a86f25759a2339fc6f201b06dfba91032c7d11b87",
-                "6cca2c1230ebdb521690bc3cb16a46142be14ba11551ae1f3b5c695b1a533ebf",
+                0x345c_cfee_3509_0ca2,
+                "21f00fad33b6d5498807ff8cf5cecc417572dd0f916160f7a3524f5ff538b22c",
+                "9e175024b4118a05a829729a0eacd441135cfe4e5e7b850416776ab478c45d2d",
             ),
         ] {
             let pair = RsaKeyPair::generate(bits, &mut Drbg::from_seed(seed)).unwrap();
+            assert_eq!(pair.public().exponent().to_u64(), Some(17), "bits={bits}");
             assert_eq!(pair.public().fingerprint(), fingerprint, "bits={bits}");
-            assert_eq!(hex(&pair.sign(b"golden")), sig_sha256, "bits={bits}");
+            assert_eq!(sha256_hex(&pair.sign(b"golden")), sig_sha256, "bits={bits}");
             let block = BigUint::from_bytes_be(&vec![0x5a; block_len]);
             let raw = pair
                 .raw_private_op(&block)
                 .unwrap()
                 .to_bytes_be_padded(pair.public().block_len())
                 .unwrap();
-            assert_eq!(hex(&raw), raw_sha256, "bits={bits}");
+            assert_eq!(sha256_hex(&raw), raw_sha256, "bits={bits}");
         }
+    }
+
+    /// The 768-bit pair of seed `0xA11CE` as `b9ddcd0` generated and
+    /// serialized it (`RsaKeyPair::to_bytes`), `e = 65537`.
+    const PAIR_E65537: &str = concat!(
+        "4d4b523100000060b4bb10afca2d6e6264033001df7704988b32b7a7dae7fce1",
+        "e783ee5c77ce88f7ffa244bf4c770820da44c0649494bedce27ecc553e9b207b",
+        "4eae8f7f3b3fef2e39975c64c37c0ec571b81843887596a94eabc91290fb8365",
+        "a9aba3d174eb6d190000000301000100000060b2be0fd2cbf202a9ec9ffa6adf",
+        "c7a613f81740ec11e43e866da25dabb611de04e81e643f8e306b2992b54c522d",
+        "60af21bc7b27b49adf0155f579094f37cb0dfb96e1372d254094eac4be8e55f2",
+        "0befc452bb159912b772ebdc9ea1c7210b080100000030d1053d291c5770741f",
+        "73f9546f0ffa4cdc00fe878da5cd602418fa1823dd370185313599a0dcc87477",
+        "bea809a66a7af100000030dd5a126d879d1f5b551610ab13df4c4074290c5997",
+        "3a70ffd697044e25f6561cafc2d660f45a1c4fbc479c456cfc84a900000030bc",
+        "1b9ee334a26c8dd510a63e9a852299b11523fc123a390e60ee2985382189b350",
+        "8eecd209b7289fc87448fe064aa5c100000030714ab399d9ca428d557c48a5b7",
+        "3317ecf9473529f9ac10bff10e3446e7493083d835a9d1cfdefb149872327a9a",
+        "3098990000003027cf95c7f88e535132edf604680066083182cbe639b4ec3ce1",
+        "6c6d27526e15e7058b7b94489d296f9ce8a142ae0e43ff"
+    );
+    /// Its signature over `b"golden"`, made at `b9ddcd0`.
+    const SIG_E65537: &str = concat!(
+        "99ab43cce5a6a92d4654aeda6fe783bf33909033830266fa355efd05feea01ea",
+        "6b0b925ef1c566960ebf8d33734e0bd923f8573126e5a635badef3887d37a164",
+        "3e224d16434cca22ba211afb85a583bc38fe10db5f15afe4cd01d2f3c4d04254"
+    );
+
+    /// The complement of the golden test: nothing about a key depends on
+    /// [`PUBLIC_EXPONENT`] once it exists, because `e` travels in the
+    /// encoding. A peer's key and signature from before the constant
+    /// changed go through the same `public_op` as our own.
+    #[test]
+    fn keys_recorded_under_e_65537_still_work() {
+        let pair_bytes = unhex(PAIR_E65537);
+        // After the magic, a key pair's encoding opens with its public
+        // key's: len(n) ‖ n ‖ len(e) ‖ e.
+        let public = RsaPublicKey::from_bytes(&pair_bytes[4..4 + 4 + 96 + 4 + 3]).unwrap();
+        assert_eq!(public.exponent().to_u64(), Some(65_537));
+        assert_eq!(public.fingerprint(), 0xbed3_4e52_d29f_65ad);
+        let sig = unhex(SIG_E65537);
+        assert!(public.verify(b"golden", &sig));
+        assert!(!public.verify(b"g0lden", &sig));
+
+        let pair = RsaKeyPair::from_bytes(&pair_bytes).unwrap();
+        assert_eq!(pair.public(), &public);
+        assert_eq!(pair.sign(b"golden"), sig);
+        let mut rng = Drbg::from_seed(0x65537);
+        let msg = [0xC3u8; 200];
+        let ct = crate::envelope::HybridCiphertext::encrypt(&public, &msg, &mut rng).unwrap();
+        assert_eq!(ct.decrypt(&pair).unwrap(), msg);
+        // ... and not under a key of our own exponent.
+        assert!(ct.decrypt(pair768()).is_err());
     }
 
     #[test]
@@ -409,8 +486,13 @@ mod tests {
     fn block_exceeding_modulus_rejected() {
         let pair = pair768();
         let too_big = pair.public().modulus().clone();
-        assert!(pair.public().raw_public_op(&too_big).is_err());
+        assert!(pair.public().public_op(&too_big.to_bytes_be()).is_err());
         assert!(pair.raw_private_op(&too_big).is_err());
+        // One below the modulus is in range; a block wider than the
+        // modulus is not, leading zeros or no.
+        let below = &too_big - &BigUint::one();
+        assert!(pair.public().public_op(&below.to_bytes_be()).is_ok());
+        assert!(pair.public().public_op(&[0u8; 97]).is_err());
     }
 
     #[test]

@@ -7,24 +7,21 @@
 //! implements that workaround.
 
 use super::{RsaKeyPair, RsaPublicKey};
-use crate::bignum::BigUint;
+use crate::bignum::{limbs_to_be, BigUint};
 use crate::sha256::{Sha256, DIGEST_LEN};
 use crate::CryptoError;
 use rand::RngCore;
 
-/// MGF1 mask generation with SHA-256.
-fn mgf1(seed: &[u8], len: usize) -> Vec<u8> {
-    let mut out = Vec::with_capacity(len + DIGEST_LEN);
-    let mut counter = 0u32;
-    while out.len() < len {
+/// XORs the MGF1-SHA256 mask of `seed` into `out`.
+fn mgf1_xor(seed: &[u8], out: &mut [u8]) {
+    for (counter, chunk) in (0u32..).zip(out.chunks_mut(DIGEST_LEN)) {
         let mut h = Sha256::new();
         h.update(seed);
         h.update(&counter.to_be_bytes());
-        out.extend_from_slice(&h.finalize());
-        counter += 1;
+        for (b, m) in chunk.iter_mut().zip(h.finalize()) {
+            *b ^= m;
+        }
     }
-    out.truncate(len);
-    out
 }
 
 /// Label hash for an empty label (OAEP default).
@@ -53,42 +50,28 @@ impl RsaPublicKey {
     ) -> Result<Vec<u8>, CryptoError> {
         let k = self.block_len();
         let max = self.max_plaintext_len();
-        if msg.len() > max {
+        // A modulus under 66 bytes has no room for the padding at all.
+        if msg.len() > max || k < 2 * DIGEST_LEN + 2 {
             return Err(CryptoError::MessageTooLong {
                 len: msg.len(),
                 max,
             });
         }
-        // EM = 0x00 || maskedSeed || maskedDB
-        let db_len = k - DIGEST_LEN - 1;
-        let mut db = Vec::with_capacity(db_len);
-        db.extend_from_slice(&empty_label_hash());
-        db.resize(db_len - msg.len() - 1, 0);
-        db.push(0x01);
-        db.extend_from_slice(msg);
-        debug_assert_eq!(db.len(), db_len);
+        // EM = 0x00 || maskedSeed || maskedDB, built and masked in place;
+        // DB = lHash || 0x00… || 0x01 || msg.
+        let mut em = vec![0u8; k];
+        let (seed, db) = em[1..].split_at_mut(DIGEST_LEN);
+        db[..DIGEST_LEN].copy_from_slice(&empty_label_hash());
+        let msg_at = db.len() - msg.len();
+        db[msg_at - 1] = 0x01;
+        db[msg_at..].copy_from_slice(msg);
+        rng.fill_bytes(seed);
+        mgf1_xor(seed, db);
+        mgf1_xor(db, seed);
 
-        let mut seed = [0u8; DIGEST_LEN];
-        rng.fill_bytes(&mut seed);
-
-        let db_mask = mgf1(&seed, db_len);
-        for (b, m) in db.iter_mut().zip(&db_mask) {
-            *b ^= m;
-        }
-        let seed_mask = mgf1(&db, DIGEST_LEN);
-        let mut masked_seed = seed;
-        for (b, m) in masked_seed.iter_mut().zip(&seed_mask) {
-            *b ^= m;
-        }
-
-        let mut em = Vec::with_capacity(k);
-        em.push(0x00);
-        em.extend_from_slice(&masked_seed);
-        em.extend_from_slice(&db);
-
-        let m_int = BigUint::from_bytes_be(&em);
-        let c_int = self.raw_public_op(&m_int)?;
-        c_int.to_bytes_be_padded(k)
+        let c = self.public_op(&em)?;
+        limbs_to_be(&mut em, &c);
+        Ok(em)
     }
 }
 
@@ -110,24 +93,14 @@ impl RsaKeyPair {
         }
         let c_int = BigUint::from_bytes_be(ciphertext);
         let m_int = self.raw_private_op(&c_int)?;
-        let em = m_int.to_bytes_be_padded(k)?;
+        let mut em = m_int.to_bytes_be_padded(k)?;
 
         if em[0] != 0x00 {
             return Err(CryptoError::PaddingError);
         }
-        let (masked_seed, masked_db) = em[1..].split_at(DIGEST_LEN);
-        let seed_mask = mgf1(masked_db, DIGEST_LEN);
-        let seed: Vec<u8> = masked_seed
-            .iter()
-            .zip(&seed_mask)
-            .map(|(a, b)| a ^ b)
-            .collect();
-        let db_mask = mgf1(&seed, masked_db.len());
-        let db: Vec<u8> = masked_db
-            .iter()
-            .zip(&db_mask)
-            .map(|(a, b)| a ^ b)
-            .collect();
+        let (seed, db) = em[1..].split_at_mut(DIGEST_LEN);
+        mgf1_xor(db, seed);
+        mgf1_xor(seed, db);
 
         if !crate::ct::ct_eq(&db[..DIGEST_LEN], &empty_label_hash()) {
             return Err(CryptoError::PaddingError);
@@ -221,12 +194,75 @@ mod tests {
     }
 
     #[test]
+    fn a_ciphertext_of_another_length_or_not_below_the_modulus_is_rejected() {
+        let pair = pair768();
+        let n = pair.public().modulus();
+        let k = pair.public().block_len();
+        let mut rng = Drbg::from_seed(25);
+        // Some ciphertext leaves room for `c + n`, which opens to the
+        // same block as `c`, in `k` bytes.
+        let (ct, wide) = std::iter::repeat_with(|| pair.public().encrypt(b"secret", &mut rng))
+            .find_map(|ct| {
+                let ct = ct.unwrap();
+                let wide = &BigUint::from_bytes_be(&ct) + n;
+                let wide = wide.to_bytes_be_padded(k).ok()?;
+                Some((ct, wide))
+            })
+            .unwrap();
+        assert_eq!(pair.decrypt(&ct).unwrap(), b"secret");
+        assert!(matches!(
+            pair.decrypt(&wide),
+            Err(CryptoError::InvalidParameter(_))
+        ));
+        // The same number one byte wider, and one byte short.
+        for other in [[&[0x00][..], &ct].concat(), ct[1..].to_vec()] {
+            assert!(matches!(
+                pair.decrypt(&other),
+                Err(CryptoError::InvalidCiphertextLength { expected, .. }) if expected == k
+            ));
+        }
+    }
+
+    #[test]
+    fn a_short_message_is_not_its_seventeenth_power() {
+        // Textbook RSA under a small exponent leaks any `m` with
+        // `m^e < n` to an integer root. The OAEP block is `k − 1` random
+        // looking bytes however short the message, so `m^e` always
+        // wraps: the ciphertext is not the plain power, and the plain
+        // power does not open.
+        let pair = pair768();
+        let k = pair.public().block_len();
+        let mut rng = Drbg::from_seed(26);
+        let power = BigUint::from(2_u64)
+            .modpow(pair.public().exponent(), pair.public().modulus())
+            .unwrap()
+            .to_bytes_be_padded(k)
+            .unwrap();
+        assert_eq!(power[..k - 3], vec![0u8; k - 3], "2^17 is far below n");
+        assert_ne!(pair.public().encrypt(&[2], &mut rng).unwrap(), power);
+        assert!(matches!(
+            pair.decrypt(&power),
+            Err(CryptoError::PaddingError)
+        ));
+    }
+
+    #[test]
     fn mgf1_deterministic_and_sized() {
+        let mgf1 = |seed: &[u8], len: usize| {
+            let mut out = vec![0u8; len];
+            mgf1_xor(seed, &mut out);
+            out
+        };
         let m1 = mgf1(b"seed", 100);
-        let m2 = mgf1(b"seed", 100);
-        assert_eq!(m1, m2);
-        assert_eq!(m1.len(), 100);
+        assert_eq!(m1, mgf1(b"seed", 100));
         assert_ne!(mgf1(b"seed2", 100), m1);
+        // Block `i` is SHA-256(seed || i), the last one cut short.
+        assert_eq!(m1[..32], Sha256::digest(b"seed\0\0\0\0"));
+        assert_eq!(m1[96..], Sha256::digest(b"seed\0\0\0\x03")[..4]);
+        // XOR twice is the identity.
+        let mut twice = m1.clone();
+        mgf1_xor(b"seed", &mut twice);
+        assert_eq!(twice, [0u8; 100]);
         assert_eq!(mgf1(b"x", 0).len(), 0);
     }
 

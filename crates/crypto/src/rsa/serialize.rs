@@ -88,7 +88,8 @@ impl RsaKeyPair {
         // both primes, otherwise the CRT recombination term `q_inv`
         // cancels out and goes unchecked.)
         let probe = pair.public.modulus().shr_bits(1);
-        let c = pair.public.raw_public_op(&probe)?;
+        let probe_be = probe.to_bytes_be_padded(pair.public.block_len())?;
+        let c = BigUint::from_limbs(pair.public.public_op(&probe_be)?);
         if pair.raw_private_op(&c)? != probe {
             return Err(CryptoError::KeyGeneration("key components inconsistent"));
         }

@@ -5,7 +5,7 @@
 //! Figures 3 and 7) with exactly this construction.
 
 use super::{RsaKeyPair, RsaPublicKey};
-use crate::bignum::BigUint;
+use crate::bignum::{limb_byte, BigUint};
 use crate::sha256::{Sha256, DIGEST_LEN};
 
 /// DER prefix of the `DigestInfo` structure for SHA-256
@@ -18,7 +18,10 @@ const SHA256_DIGEST_INFO: [u8; 19] = [
 /// The EMSA-PKCS1-v1_5 encoded message for `digest` in a `k`-byte
 /// block, byte by byte, or `None` when the block is too small to hold
 /// it: `0x00 0x01 PS(0xff…, ≥ 8 bytes) 0x00 DigestInfo digest`.
-fn emsa_bytes(digest: &[u8; DIGEST_LEN], k: usize) -> Option<impl Iterator<Item = u8> + '_> {
+fn emsa_bytes(
+    digest: &[u8; DIGEST_LEN],
+    k: usize,
+) -> Option<impl DoubleEndedIterator<Item = u8> + '_> {
     let ps_len = k.checked_sub(SHA256_DIGEST_INFO.len() + DIGEST_LEN + 3)?;
     if ps_len < 8 {
         return None;
@@ -85,16 +88,18 @@ impl RsaPublicKey {
         let Some(expected) = emsa_bytes(digest, k) else {
             return false;
         };
-        let s_int = BigUint::from_bytes_be(signature);
-        let Ok(m_int) = self.raw_public_op(&s_int) else {
-            return false;
-        };
-        let Ok(em) = m_int.to_bytes_be_padded(k) else {
+        let Ok(em) = self.public_op(signature) else {
             return false;
         };
         // Compare against the one valid encoding in full, with no early
-        // exit, which avoids the classic BER-parsing forgery pitfalls.
-        em.iter().zip(expected).fold(0, |diff, (a, b)| diff | (a ^ b)) == 0
+        // exit, which avoids the classic BER-parsing forgery pitfalls:
+        // nothing of `em` is parsed. Walked from the low byte up, as the
+        // limbs lie; `em < n` leaves nothing above byte `k`.
+        expected
+            .rev()
+            .enumerate()
+            .fold(0, |diff, (i, b)| diff | (b ^ limb_byte(&em, i)))
+            == 0
     }
 }
 
@@ -165,6 +170,84 @@ mod tests {
         let mut rng = crate::drbg::Drbg::from_seed(5);
         let tiny = RsaKeyPair::generate(256, &mut rng).unwrap();
         assert!(!tiny.public().verify(b"msg", &[0x01; 32]));
+    }
+
+    /// The private operation on an arbitrary `k`-byte block: what a
+    /// forger who somehow held the key — or found a root — could present.
+    fn raw_sign(pair: &RsaKeyPair, block: &[u8]) -> Vec<u8> {
+        pair.raw_private_op(&BigUint::from_bytes_be(block))
+            .unwrap()
+            .to_bytes_be_padded(block.len())
+            .unwrap()
+    }
+
+    /// Under a small exponent a verifier that *parses* the block — skips
+    /// the padding, reads a DigestInfo, ignores what follows — accepts
+    /// forged cube (or 17th) roots (Bleichenbacher, CRYPTO 2006 rump
+    /// session). This one compares all `k` bytes, so even blocks signed
+    /// with the real private key are refused unless they are the one
+    /// valid encoding.
+    #[test]
+    fn only_the_one_valid_encoding_verifies() {
+        let pair = pair768();
+        let k = pair.public().block_len();
+        let digest = Sha256::digest(b"key update");
+        let good: Vec<u8> = emsa_bytes(&digest, k).unwrap().collect();
+        assert!(pair.public().verify_digest(&digest, &raw_sign(pair, &good)));
+
+        // (a) Padding shortened, the freed bytes left as garbage after
+        // the digest: the lax parser's forgery.
+        let t_len = 1 + SHA256_DIGEST_INFO.len() + DIGEST_LEN;
+        let mut short_ps = vec![0x00, 0x01];
+        short_ps.resize(2 + 8, 0xff);
+        short_ps.extend_from_slice(&good[k - t_len..]);
+        short_ps.resize(k, 0xA5);
+        // (b) Block type 2 (the encryption padding) in place of type 1.
+        let mut type_two = good.clone();
+        type_two[1] = 0x02;
+        // (c) A DigestInfo naming another hash (SHA-512's OID byte).
+        let mut wrong_oid = good.clone();
+        wrong_oid[k - DIGEST_LEN - 5] = 0x03;
+        for (what, block) in [
+            ("short padding", &short_ps),
+            ("block type", &type_two),
+            ("digest info", &wrong_oid),
+        ] {
+            assert_ne!(block, &good, "{what}");
+            let forged = raw_sign(pair, block);
+            assert!(!pair.public().verify_digest(&digest, &forged), "{what}");
+        }
+    }
+
+    #[test]
+    fn a_signature_not_below_the_modulus_is_rejected() {
+        // (d) `s + n` opens to the same block as `s`; only the range
+        // check tells them apart. Some message's signature leaves room
+        // for the sum in `k` bytes.
+        let pair = pair768();
+        let n = pair.public().modulus();
+        let k = pair.public().block_len();
+        let (msg, wide) = (0u32..)
+            .find_map(|i| {
+                let msg = i.to_be_bytes();
+                let s = BigUint::from_bytes_be(&pair.sign(&msg));
+                Some((msg, (&s + n).to_bytes_be_padded(k).ok()?))
+            })
+            .unwrap();
+        assert!(pair.public().verify(&msg, &pair.sign(&msg)));
+        assert!(!pair.public().verify(&msg, &wide));
+        assert!(!pair.public().verify(&msg, &n.to_bytes_be()));
+    }
+
+    #[test]
+    fn a_signature_of_another_length_is_rejected() {
+        // Same number, one byte wider; and one byte short.
+        let pair = pair768();
+        let sig = pair.sign(b"msg");
+        let wider = [&[0x00][..], &sig].concat();
+        assert!(!pair.public().verify(b"msg", &wider));
+        assert!(!pair.public().verify(b"msg", &sig[1..]));
+        assert!(!pair.public().verify(b"msg", &sig[..sig.len() - 1]));
     }
 
     #[test]

@@ -30,6 +30,7 @@
 use crate::id::NodeId;
 use crate::time::Time;
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// How a delivery travels: plain fire-and-forget, a reliable frame that
 /// must be acknowledged and deduplicated, or the acknowledgement itself.
@@ -40,13 +41,35 @@ pub(crate) enum Transport {
     Ack { msg_id: u64 },
 }
 
+/// The bytes of a message in flight.
+#[derive(Debug, Clone)]
+pub(crate) enum Payload {
+    /// A plain unicast: the sender's own buffer, moved in — sharing it
+    /// would cost an allocation and a copy it has no second reader for.
+    Owned(Vec<u8>),
+    /// One immutable buffer held by every receiver of a multicast, and
+    /// by a reliable send's retransmission record and its deliveries.
+    Shared(Arc<[u8]>),
+}
+
+impl std::ops::Deref for Payload {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        match self {
+            Payload::Owned(bytes) => bytes,
+            Payload::Shared(bytes) => bytes,
+        }
+    }
+}
+
 /// What happens when an event fires.
 #[derive(Debug)]
 pub(crate) enum EventKind {
     /// Deliver message bytes from `from` to the destination node.
     Deliver {
         from: NodeId,
-        bytes: Vec<u8>,
+        bytes: Payload,
         kind: &'static str,
         transport: Transport,
     },

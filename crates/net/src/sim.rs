@@ -1,7 +1,7 @@
 //! The simulator core: node table, event loop, and failure injection.
 
 use crate::context::{Action, Context, MsgToken};
-use crate::event::{Event, EventHandle, EventKind, EventQueue, Transport};
+use crate::event::{Event, EventHandle, EventKind, EventQueue, Payload, Transport};
 use crate::id::{GroupId, NodeId};
 use crate::latency::LatencyModel;
 use crate::stats::Stats;
@@ -12,6 +12,7 @@ use crate::trace::{DropReason, Trace, TraceEvent};
 use mykil_crypto::drbg::Drbg;
 use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::sync::Arc;
 
 /// A simulated process. Implementors are area controllers, registration
 /// servers, group members, or baseline-protocol nodes.
@@ -81,7 +82,7 @@ struct PendingReliable {
     src: NodeId,
     to: NodeId,
     kind: &'static str,
-    bytes: Vec<u8>,
+    bytes: Arc<[u8]>,
     /// Transmissions made so far (the initial send counts as 1).
     attempts: u32,
 }
@@ -771,7 +772,7 @@ impl Simulator {
         src: NodeId,
         to: NodeId,
         kind: &'static str,
-        bytes: Vec<u8>,
+        bytes: Payload,
         after: Duration,
         transport: Transport,
     ) {
@@ -851,7 +852,7 @@ impl Simulator {
             acker,
             to,
             "reliable-ack",
-            Vec::new(),
+            Payload::Owned(Vec::new()),
             Duration::ZERO,
             Transport::Ack { msg_id },
         );
@@ -892,7 +893,7 @@ impl Simulator {
             pending.src,
             pending.to,
             pending.kind,
-            pending.bytes.clone(),
+            Payload::Shared(pending.bytes.clone()),
             pending.attempts,
         );
         self.stats.bump("reliable-retransmits", 1);
@@ -927,6 +928,7 @@ impl Simulator {
                     after,
                 } => {
                     self.stats.record_send(kind, bytes.len(), 1);
+                    let bytes = Payload::Owned(bytes);
                     self.transmit(src, to, kind, bytes, after, Transport::Plain);
                 }
                 Action::SendReliable {
@@ -937,6 +939,7 @@ impl Simulator {
                     after,
                 } => {
                     self.stats.record_send(kind, bytes.len(), 1);
+                    let bytes: Arc<[u8]> = bytes.into();
                     self.pending_reliable.insert(
                         msg_id,
                         PendingReliable {
@@ -947,6 +950,7 @@ impl Simulator {
                             attempts: 1,
                         },
                     );
+                    let bytes = Payload::Shared(bytes);
                     self.transmit(src, to, kind, bytes, after, Transport::Reliable { msg_id });
                     let next = self.backoff_after(1);
                     self.queue.push(
@@ -984,6 +988,7 @@ impl Simulator {
                         .filter(|&n| n != src)
                         .collect();
                     self.stats.record_send(kind, bytes.len(), members.len());
+                    let bytes = Payload::Shared(bytes.into());
                     for to in members {
                         self.transmit(src, to, kind, bytes.clone(), after, Transport::Plain);
                     }
@@ -1226,6 +1231,33 @@ mod tests {
         assert_eq!(mc.messages_delivered, 2);
         assert_eq!(mc.bytes_delivered, 32);
         assert!(sim.group_members(g).contains(&caster));
+    }
+
+    #[test]
+    fn a_multicast_is_one_buffer_for_all_its_receivers() {
+        let mut sim = Simulator::new(6);
+        let g = sim.create_group();
+        let caster = sim.add_node(Caster { group: g });
+        for _ in 0..3 {
+            sim.add_node(Listener { group: g, got: 0 });
+        }
+        assert!(sim.run_until_quiet(1000));
+        sim.invoke(caster, |c: &mut Caster, ctx| {
+            ctx.multicast(c.group, "mc", vec![0xbb; 16]);
+        });
+        let mut in_flight = Vec::new();
+        while let Some(event) = sim.queue.pop() {
+            if let EventKind::Deliver {
+                bytes: Payload::Shared(bytes),
+                ..
+            } = event.kind
+            {
+                in_flight.push(bytes);
+            }
+        }
+        assert_eq!(in_flight.len(), 3);
+        assert!(in_flight.iter().all(|b| Arc::ptr_eq(b, &in_flight[0])));
+        assert_eq!(Arc::strong_count(&in_flight[0]), 3);
     }
 
     #[test]
