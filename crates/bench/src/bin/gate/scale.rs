@@ -16,16 +16,16 @@ use std::time::Instant;
 /// Every scenario carries the first eight; the storms add the rest.
 /// The counts are fixed by the seed — the recovery times are
 /// virtual-clock. `peak_heap_bytes`, the scenario's high-water mark of
-/// live heap above what the process held when it started, is a size: it
-/// moves with the growth policy of `std`'s collections, and what it
-/// guards against is a leak or an O(n) structure, so it has a band.
+/// live heap above what the process held when it started, repeats to
+/// the byte on one toolchain; a new growth policy in `std`'s
+/// collections moves it, and the baseline is then re-recorded.
 const COLUMNS: [(&str, Rule); 15] = [
     ("members", Rule::Exact),
     ("areas", Rule::Exact),
     ("events", Rule::Exact),
     ("events_per_sec", Rule::Info),
     ("wall_secs", Rule::Info),
-    ("peak_heap_bytes", Rule::AtMost(15)),
+    ("peak_heap_bytes", Rule::Exact),
     ("rekey_multicast_bytes", Rule::Exact),
     ("rekey_unicast_bytes", Rule::Exact),
     ("moves", Rule::Exact),

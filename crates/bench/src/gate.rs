@@ -6,9 +6,9 @@
 //! A subcommand is a [`Gate`]: the columns its rows carry, each with a
 //! [`Rule`]; the rows a full run produces, each with its workload; and
 //! the [`Ratio`]s between rows of one run. Counts the seeds fix are
-//! `Exact`; only `peak_heap_bytes` is banded; absolute times are
-//! `Info`, and time is gated only as a ratio of two rows measured in
-//! the same process, compared with the same ratio in the baseline.
+//! `Exact`; absolute times are `Info`, and time is gated only as a
+//! ratio of two rows measured in the same process, compared with the
+//! same ratio in the baseline.
 
 use std::fmt::Write as _;
 
@@ -17,8 +17,6 @@ use std::fmt::Write as _;
 pub enum Rule {
     /// Fixed by the seeds: any difference, up or down, fails.
     Exact,
-    /// May exceed the baseline by at most this many percent.
-    AtMost(u64),
     /// Recorded, never compared (absolute times).
     Info,
 }
@@ -276,9 +274,6 @@ impl Verdict {
                     (Rule::Info, ..) => {}
                     (_, None, _) | (_, _, None) => self.fail(name, column, ONE_SIDED),
                     (Rule::Exact, Some(Value::Int(f)), Some(Value::Int(b))) if f == b => {}
-                    // Integer arithmetic: a value exactly at the bound passes.
-                    (Rule::AtMost(pct), Some(Value::Int(f)), Some(Value::Int(b)))
-                        if u128::from(f) * 100 <= u128::from(b) * u128::from(100 + pct) => {}
                     (rule, Some(f), Some(b)) => {
                         let why = format!("baseline {b}, fresh {f}, rule {rule:?}");
                         self.fail(name, column, why);
@@ -463,7 +458,7 @@ mod tests {
         noun: "rows",
         columns: &[
             ("count", Rule::Exact),
-            ("heap", Rule::AtMost(15)),
+            ("heap", Rule::Info),
             ("per_sec", Rule::Info),
         ],
         rows: &[("a", fixed), ("b", fixed)],
@@ -529,20 +524,6 @@ mod tests {
                 .why
                 .contains(&format!("baseline 1000, fresh {count}")));
         }
-    }
-
-    #[test]
-    fn at_most_passes_at_the_bound_and_fails_above_it() {
-        let mut fresh = table();
-        fresh.rows[1] = row("b", 100, 230, 2000.0);
-        assert_eq!(check(&G, false, &fresh, Some(&table())), Verdict::default());
-        fresh.rows[1] = row("b", 100, 231, 2000.0);
-        assert_eq!(
-            failed(&check(&G, false, &fresh, Some(&table()))),
-            [("b", "heap")]
-        );
-        fresh.rows[1] = row("b", 100, 1, 2000.0);
-        assert_eq!(check(&G, false, &fresh, Some(&table())), Verdict::default());
     }
 
     #[test]
@@ -667,7 +648,7 @@ mod tests {
     #[test]
     fn run_keeps_the_fastest_repetition_and_rejects_a_drifting_count() {
         // Repetition k of REPS takes |k - 3| + 1 seconds: the fourth is
-        // the fastest, and its banded and timed cells are the ones kept.
+        // the fastest, and its ungated cells are the ones kept.
         fn steady(_: &str, _: Option<&str>) -> Rep {
             let k = CALLS.fetch_add(1, Ordering::Relaxed);
             rep(k.abs_diff(3) as f64 + 1.0, 7, 100 + k)

@@ -147,10 +147,9 @@ impl GroupBuilder {
     /// Replaces the stable-storage backend for every node (default:
     /// the in-memory [`mykil_net::SimStore`]). The factory runs once
     /// per node as the deployment is laid out; file-backed deployments
-    /// typically return a
-    /// [`FaultyStore`](mykil_net::FaultyStore)-wrapped
-    /// [`FileStore`](mykil_net::FileStore) so the chaos storage verbs
-    /// still apply.
+    /// return a [`FileStore`](mykil_net::FileStore). The simulator puts
+    /// whatever it returns behind its fault engine, so the chaos
+    /// storage verbs apply to every backend.
     pub fn storage_factory(
         mut self,
         make: impl FnMut(NodeId) -> Box<dyn StableStore> + Send + 'static,

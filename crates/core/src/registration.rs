@@ -376,6 +376,10 @@ impl Node for RegistrationServer {
         self.directory = state.directory;
         if folded < rec.wal.len() {
             ctx.stats().bump("rs-recovery-bad-wal-record", 1);
+            // A record the log holds but the fold refuses (a short
+            // read's stub) may be an id burn: skip one id per unread
+            // record rather than hand a burned one out again.
+            self.next_client += (rec.wal.len() - folded) as u64;
         }
         if had_checkpoint || folded > 0 {
             ctx.stats().bump("rs-recoveries", 1);

@@ -1444,9 +1444,9 @@ impl ScaleGroup {
     /// `make` instead of the default in-memory
     /// [`SimStore`](mykil_net::SimStore). This is how the mobility +
     /// durability matrix runs against real files
-    /// ([`FileStore`](mykil_net::FileStore), usually wrapped in
-    /// [`FaultyStore`](mykil_net::FaultyStore) so the storm's storage
-    /// verbs still inject).
+    /// ([`FileStore`](mykil_net::FileStore)); the simulator puts
+    /// whatever `make` returns behind its fault engine, so the storm's
+    /// storage verbs inject either way.
     pub fn new_with_storage(
         cfg: ScaleConfig,
         make: impl FnMut(NodeId) -> Box<dyn mykil_net::StableStore> + Send + 'static,

@@ -9,29 +9,25 @@
 //! re-syncs via its ticket; a corrupted checkpoint falls back to the
 //! older ping-pong slot.
 //!
-//! Every scenario runs twice — once against the simulated
-//! [`SimStore`](mykil_net::SimStore) device and once against a real
-//! file-backed [`FileStore`](mykil_net::FileStore) in a scratch
-//! directory, wrapped in [`FaultyStore`](mykil_net::FaultyStore) so the
-//! same fault injection applies (the `*_file_backed` variants). The
-//! recovery outcome must be identical: the durable-state contract does
-//! not depend on the backend.
+//! Every scenario runs twice — once on the in-memory
+//! [`SimStore`](mykil_net::SimStore) backend and once on a real
+//! [`FileStore`](mykil_net::FileStore) in a scratch directory (the
+//! `*_file_backed` variants); the simulator puts either behind the same
+//! fault engine. The recovery outcome must be identical: the
+//! durable-state contract does not depend on the backend.
 
 use mykil::area::Role;
 use mykil::group::GroupBuilder;
 use mykil::invariants::InvariantChecker;
-use mykil_net::{Duration, FaultyStore, FileStore, NodeId, StableStore};
+use mykil_net::{Duration, FileStore, NodeId, StableStore, StoreFault};
 
 /// Routes a deployment's stable storage to per-node `FileStore`
-/// directories under a fresh scratch root, wrapped in `FaultyStore` so
-/// `arm_lying_sync`/`corrupt_latest_checkpoint` keep working.
+/// directories under a fresh scratch root.
 fn file_backed(b: GroupBuilder, tag: &'static str) -> GroupBuilder {
     let root = mykil_net::scratch_dir(tag);
     b.storage_factory(move |n: NodeId| {
         let dir = root.join(format!("node{}", n.index()));
-        Box::new(FaultyStore::new(
-            FileStore::open(&dir).expect("open file-backed store"),
-        )) as Box<dyn StableStore>
+        Box::new(FileStore::open(&dir).expect("open file-backed store")) as Box<dyn StableStore>
     })
 }
 
@@ -160,7 +156,7 @@ fn torn_wal_tail_recovery(file: bool) {
     assert_eq!(checker.check(&g), vec![]);
 
     let node = g.primaries[0];
-    g.sim.storage_mut(node).arm_lying_sync(true);
+    g.sim.storage_mut(node).inject(StoreFault::TornWrite);
     let newcomer = g.register_member(9);
     g.run_for(Duration::from_secs(2));
     assert!(g.is_member(newcomer), "join did not complete pre-crash");
@@ -228,7 +224,7 @@ fn corrupt_checkpoint_fallback(file: bool) {
         g.sim.storage(node).checkpoint_count() >= 2,
         "scenario needs both ping-pong slots populated"
     );
-    g.sim.storage_mut(node).corrupt_latest_checkpoint();
+    g.sim.storage_mut(node).inject(StoreFault::CorruptCheckpoint);
     g.sim.crash(node);
     assert!(g.sim.restart(node));
     g.settle();
@@ -279,7 +275,7 @@ fn backup_that_lost_state_gets_one_image(lying_disk: bool) {
     g.settle();
     let backup = g.backups[0];
     if lying_disk {
-        g.sim.storage_mut(backup).arm_lying_sync(false);
+        g.sim.storage_mut(backup).inject(StoreFault::LostTail);
     }
     let second = g.register_member(2);
     g.settle();
@@ -291,7 +287,7 @@ fn backup_that_lost_state_gets_one_image(lying_disk: bool) {
         // (Behind a lying disk, storage already lags memory: that is
         // the fault, and what the durability invariant would report.)
         assert_eq!(checker.check(&g), vec![]);
-        g.sim.storage_mut(backup).corrupt_latest_checkpoint();
+        g.sim.storage_mut(backup).inject(StoreFault::CorruptCheckpoint);
     }
     g.sim.crash(backup);
     assert!(g.sim.restart(backup));
@@ -365,4 +361,241 @@ fn rs_recovery_never_reissues_client_ids() {
 #[test]
 fn rs_recovery_never_reissues_client_ids_file_backed() {
     rs_recovery_id_monotonic(true);
+}
+
+/// `wal-short-read` across an AC primary's crash and restart: recovery
+/// reads the log's last record back at half its length, the decoder
+/// refuses the stub and the fold stops in front of it. What that record
+/// carried is re-established the way a cut-short log always is — the
+/// recovered primary re-issues every path and re-images its backup —
+/// and the members converge.
+fn ac_recovers_through_a_short_read(file: bool) {
+    let mut b = GroupBuilder::new(71).rsa_bits(512).areas(1).replicated(true);
+    if file {
+        b = file_backed(b, "durability-ac-short-read");
+    }
+    let mut g = b.build();
+    let members: Vec<_> = (0..3).map(|i| g.register_member(i)).collect();
+    g.settle();
+    let mut checker = InvariantChecker::new();
+    assert_eq!(checker.check(&g), vec![]);
+
+    let node = g.primaries[0];
+    g.sim.storage_mut(node).inject(StoreFault::ShortRead);
+    g.sim.crash(node);
+    assert!(g.sim.restart(node));
+    g.run_for(Duration::from_secs(1));
+    assert_eq!(g.stats().counter("ac-recoveries"), 1);
+    assert_eq!(
+        g.stats().counter("ac-recovery-bad-wal-record"),
+        1,
+        "the half record was not refused"
+    );
+    // The read path comes back; nothing it hid is needed any more,
+    // recovery compacted the log it could read.
+    g.sim.storage_mut(node).heal();
+    g.run_for(Duration::from_secs(10));
+
+    assert_eq!(g.ac(0).role(), Role::Primary);
+    for m in members {
+        assert!(g.is_member(m), "member did not converge after the short read");
+    }
+    assert_eq!(
+        checker.check(&g),
+        vec![],
+        "invariants violated after short-read recovery"
+    );
+}
+
+#[test]
+fn ac_short_read_stops_the_fold_and_members_converge() {
+    ac_recovers_through_a_short_read(false);
+}
+
+#[test]
+fn ac_short_read_stops_the_fold_and_members_converge_file_backed() {
+    ac_recovers_through_a_short_read(true);
+}
+
+/// `wal-append-fail` while a member joins an AC: the device
+/// acknowledges the admission record and never performs the write, so
+/// after a crash the admission is lost exactly like a lost tail — the
+/// recovered primary does not know the newcomer, whose disconnect
+/// detector notices and whose ticket brings it back in.
+///
+/// The device is healed before the restart. Left failing *across* it,
+/// the recovered primary would re-admit the newcomer into memory and
+/// again write nothing, and the durability invariant reports
+/// `DurabilityDrift` (durable members {1, 2}, memory {1, 2, 3}): that
+/// is the fault, seen by the checker built to see it, not a bug.
+fn ac_loses_an_admission_to_a_failing_append(file: bool) {
+    let mut b = GroupBuilder::new(72).rsa_bits(512).areas(1).replicated(true);
+    if file {
+        b = file_backed(b, "durability-ac-append-fail");
+    }
+    let mut g = b.build();
+    let old_timers: Vec<_> = (0..2).map(|i| g.register_member(i)).collect();
+    g.settle();
+    let mut checker = InvariantChecker::new();
+    assert_eq!(checker.check(&g), vec![]);
+
+    let node = g.primaries[0];
+    let durable_before = g.ac(0).durable().member_ids();
+    g.sim.storage_mut(node).inject(StoreFault::AppendFail);
+    let newcomer = g.register_member(9);
+    g.run_for(Duration::from_secs(2));
+    assert!(g.is_member(newcomer), "join did not complete pre-crash");
+
+    g.sim.crash(node);
+    g.sim.storage_mut(node).heal();
+    assert!(g.sim.restart(node));
+    g.run_for(Duration::from_millis(1));
+    assert_eq!(
+        g.ac(0).durable().member_ids(),
+        durable_before,
+        "the dropped admission came back from the log"
+    );
+    g.run_for(Duration::from_secs(10));
+
+    assert!(g.stats().counter("ac-recoveries") >= 1);
+    assert_eq!(g.ac(0).role(), Role::Primary);
+    assert!(
+        g.is_member(newcomer),
+        "orphaned member never re-entered the group"
+    );
+    for m in old_timers {
+        assert!(g.is_member(m));
+    }
+    assert_eq!(
+        checker.check(&g),
+        vec![],
+        "invariants violated after append-fail recovery"
+    );
+}
+
+#[test]
+fn ac_append_fail_loses_the_admission_and_the_ticket_restores_it() {
+    ac_loses_an_admission_to_a_failing_append(false);
+}
+
+#[test]
+fn ac_append_fail_loses_the_admission_and_the_ticket_restores_it_file_backed() {
+    ac_loses_an_admission_to_a_failing_append(true);
+}
+
+/// `wal-short-read` across the registration server's crash and
+/// restart: the last id burn reads back as a stub, the decoder refuses
+/// it and the fold stops there. The RS cannot know what the stub held,
+/// so it skips an id rather than risk handing the refused one out
+/// again — the next joiner's id is fresh.
+fn rs_recovers_through_a_short_read(file: bool) {
+    let mut b = GroupBuilder::new(73).rsa_bits(512).areas(2);
+    if file {
+        b = file_backed(b, "durability-rs-short-read");
+    }
+    let mut g = b.build();
+    let members: Vec<_> = (0..3).map(|i| g.register_member(i)).collect();
+    g.settle();
+    let mut checker = InvariantChecker::new();
+    assert_eq!(checker.check(&g), vec![]);
+    let next_before = g.registration_server().next_client();
+
+    let rs = g.rs();
+    g.sim.storage_mut(rs).inject(StoreFault::ShortRead);
+    g.sim.crash(rs);
+    assert!(g.sim.restart(rs));
+    g.run_for(Duration::from_secs(2));
+    assert_eq!(g.stats().counter("rs-recoveries"), 1);
+    assert_eq!(
+        g.stats().counter("rs-recovery-bad-wal-record"),
+        1,
+        "the half record was not refused"
+    );
+    assert_eq!(
+        g.registration_server().next_client(),
+        next_before,
+        "the fold stopped one burn short and the unread record was not skipped over"
+    );
+    g.sim.storage_mut(rs).heal();
+
+    let late = g.register_member(7);
+    g.run_for(Duration::from_secs(10));
+    assert!(g.is_member(late), "join never completed after RS recovery");
+    let late_id = g.member(late).client_id();
+    for m in members {
+        assert!(g.is_member(m));
+        assert_ne!(g.member(m).client_id(), late_id, "recovered RS reissued a client id");
+    }
+    assert_eq!(
+        checker.check(&g),
+        vec![],
+        "invariants violated after short-read recovery"
+    );
+}
+
+#[test]
+fn rs_short_read_stops_the_fold_and_no_id_is_reissued() {
+    rs_recovers_through_a_short_read(false);
+}
+
+#[test]
+fn rs_short_read_stops_the_fold_and_no_id_is_reissued_file_backed() {
+    rs_recovers_through_a_short_read(true);
+}
+
+/// `wal-append-fail` while a member registers: the RS burns the id to
+/// a device that acknowledges the write and performs none. The join
+/// completes — the admission lives at the controller — but after a
+/// crash the burn is lost exactly like a lost tail, and unlike a short
+/// read it leaves nothing in the log to notice: the counter comes back
+/// one short. That is the fault (the next id out is a reissue), not a
+/// bug; what recovery owes is a state that matches its storage again.
+fn rs_loses_an_id_burn_to_a_failing_append(file: bool) {
+    let mut b = GroupBuilder::new(74).rsa_bits(512).areas(2);
+    if file {
+        b = file_backed(b, "durability-rs-append-fail");
+    }
+    let mut g = b.build();
+    let old_timers: Vec<_> = (0..2).map(|i| g.register_member(i)).collect();
+    g.settle();
+    let mut checker = InvariantChecker::new();
+    assert_eq!(checker.check(&g), vec![]);
+    let next_before = g.registration_server().next_client();
+
+    let rs = g.rs();
+    g.sim.storage_mut(rs).inject(StoreFault::AppendFail);
+    let newcomer = g.register_member(9);
+    g.run_for(Duration::from_secs(2));
+    assert!(g.is_member(newcomer), "join did not complete pre-crash");
+    assert_eq!(g.registration_server().next_client(), next_before + 1);
+
+    g.sim.crash(rs);
+    g.sim.storage_mut(rs).heal();
+    assert!(g.sim.restart(rs));
+    g.run_for(Duration::from_secs(2));
+    assert_eq!(g.stats().counter("rs-recoveries"), 1);
+    assert_eq!(g.stats().counter("rs-recovery-bad-wal-record"), 0);
+    assert_eq!(
+        g.registration_server().next_client(),
+        next_before,
+        "the dropped id burn came back from the log"
+    );
+    for m in old_timers.into_iter().chain([newcomer]) {
+        assert!(g.is_member(m), "a member's session depended on the RS log");
+    }
+    assert_eq!(
+        checker.check(&g),
+        vec![],
+        "invariants violated after append-fail recovery"
+    );
+}
+
+#[test]
+fn rs_append_fail_loses_the_id_burn_like_a_lost_tail() {
+    rs_loses_an_id_burn_to_a_failing_append(false);
+}
+
+#[test]
+fn rs_append_fail_loses_the_id_burn_like_a_lost_tail_file_backed() {
+    rs_loses_an_id_burn_to_a_failing_append(true);
 }

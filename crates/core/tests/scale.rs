@@ -8,20 +8,15 @@
 
 use mykil::invariants::check_scale;
 use mykil::scale::{ScaleConfig, ScaleGroup};
-use mykil_net::{
-    Duration, FaultPlan, FaultSpec, FaultyStore, FileStore, NodeId, StableStore, Time,
-};
+use mykil_net::{Duration, FaultPlan, FaultSpec, FileStore, NodeId, StableStore, Time};
 
 /// A storm group whose controllers persist to real per-node
-/// [`FileStore`] directories (wrapped in [`FaultyStore`] so the storm's
-/// storage verbs still inject) instead of the in-memory `SimStore`.
+/// [`FileStore`] directories instead of the in-memory `SimStore`.
 fn file_backed_group(cfg: ScaleConfig, tag: &'static str) -> ScaleGroup {
     let root = mykil_net::scratch_dir(tag);
     ScaleGroup::new_with_storage(cfg, move |n: NodeId| {
         let dir = root.join(format!("node{}", n.index()));
-        Box::new(FaultyStore::new(
-            FileStore::open(&dir).expect("open file-backed store"),
-        )) as Box<dyn StableStore>
+        Box::new(FileStore::open(&dir).expect("open file-backed store")) as Box<dyn StableStore>
     })
 }
 

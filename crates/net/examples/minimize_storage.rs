@@ -1,9 +1,10 @@
 //! Exhaustive backend-equivalence search for the stable-storage layer.
 //!
 //! Enumerates every operation/fault sequence up to a fixed length and
-//! checks that `SimStore` and `FaultyStore<FileStore>` agree on every
-//! observable (recovered checkpoint payload, WAL suffix, durable-state
-//! flag, counters). The proptest in `tests/proptest_storage.rs` samples
+//! checks that `SimStore` and `FileStore`, each behind a `FaultyStore`,
+//! agree on every observable (recovered checkpoint with its sequence
+//! number, WAL suffix, durable-state flag, counters). The proptest in
+//! `tests/proptest_storage.rs` samples
 //! this space randomly; this brute-forces it to a minimal counter-
 //! example when the proptest reports a divergence:
 //!
@@ -33,18 +34,25 @@ enum Op {
     LT,
     /// arm torn-write
     TT,
-    /// corrupt_latest_checkpoint
+    /// corrupt the newest valid checkpoint
     CC,
     /// corrupt slot 0
     CS0,
     /// corrupt slot 1
     CS1,
+    /// short reads
+    SR,
+    /// failing appends
+    AF,
     /// heal
     H,
 }
 use Op::*;
 
 fn apply(store: &mut dyn StableStore, ops: &[Op]) {
+    fn inject(store: &mut dyn StableStore, fault: StoreFault) {
+        store.inject(fault);
+    }
     for (i, op) in ops.iter().enumerate() {
         let pl = vec![i as u8 + 1; 3];
         match op {
@@ -55,26 +63,24 @@ fn apply(store: &mut dyn StableStore, ops: &[Op]) {
             Crash => {
                 store.on_crash();
             }
-            LT => store.arm_lying_sync(false),
-            TT => store.arm_lying_sync(true),
-            CC => store.corrupt_latest_checkpoint(),
-            CS0 => {
-                store.inject(StoreFault::CorruptSlot(0));
-            }
-            CS1 => {
-                store.inject(StoreFault::CorruptSlot(1));
-            }
+            LT => inject(store, StoreFault::LostTail),
+            TT => inject(store, StoreFault::TornWrite),
+            CC => inject(store, StoreFault::CorruptCheckpoint),
+            CS0 => inject(store, StoreFault::CorruptSlot(0)),
+            CS1 => inject(store, StoreFault::CorruptSlot(1)),
+            SR => inject(store, StoreFault::ShortRead),
+            AF => inject(store, StoreFault::AppendFail),
             H => store.heal(),
         }
     }
 }
 
-type View = (Option<Vec<u8>>, Vec<Vec<u8>>, bool, u64, u64);
+type View = (Option<(u64, Vec<u8>)>, Vec<Vec<u8>>, bool, u64, u64);
 
 fn view(store: &dyn StableStore) -> View {
     let r = store.load();
     (
-        r.checkpoint.map(|(_, p)| p),
+        r.checkpoint,
         r.wal,
         store.has_durable_state(),
         store.sync_count(),
@@ -83,7 +89,7 @@ fn view(store: &dyn StableStore) -> View {
 }
 
 fn main() {
-    let alphabet = [A, C, S, K, Crash, LT, TT, CC, CS0, CS1, H];
+    let alphabet = [A, C, S, K, Crash, LT, TT, CC, CS0, CS1, SR, AF, H];
     for len in 1..=4usize {
         let total = alphabet.len().pow(len as u32);
         let mut diverged = false;
@@ -94,16 +100,16 @@ fn main() {
                 seq.push(alphabet[x % alphabet.len()]);
                 x /= alphabet.len();
             }
-            let mut sim = SimStore::new();
+            let mut sim = FaultyStore::new(Box::new(SimStore::new()));
             let dir = scratch_dir("minimize");
-            let mut wrapped = match FileStore::open(&dir) {
-                Ok(f) => FaultyStore::new(f),
+            let mut file = match FileStore::open(&dir) {
+                Ok(f) => FaultyStore::new(Box::new(f)),
                 Err(e) => panic!("open {}: {e}", dir.display()),
             };
             apply(&mut sim, &seq);
-            apply(&mut wrapped, &seq);
+            apply(&mut file, &seq);
             let vs = view(&sim);
-            let vw = view(&wrapped);
+            let vw = view(&file);
             let _ = std::fs::remove_dir_all(&dir);
             if vs != vw {
                 println!(

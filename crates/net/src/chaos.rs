@@ -66,11 +66,9 @@ pub enum FaultSpec {
     /// effective immediately.
     CorruptCheckpoint(NodeId),
     /// Reads of the node's WAL come back short until healed: recovery
-    /// sees the final record truncated (needs a fault-injecting
-    /// backend, e.g. [`FaultyStore`](crate::FaultyStore)).
+    /// sees the final record truncated.
     StorageShortRead(NodeId),
-    /// The node's WAL appends are silently dropped until healed (needs
-    /// a fault-injecting backend).
+    /// The node's WAL appends are silently dropped until healed.
     StorageAppendFail(NodeId),
     /// Corrupt a specific checkpoint slot (0 or 1) of the node,
     /// regardless of which is newest.

@@ -1,9 +1,9 @@
 //! [`FileStore`]: real file-backed stable storage.
 //!
-//! The same WAL + ping-pong-checkpoint model as [`SimStore`]
-//! (see [`storage`](crate::storage)), persisted to an actual
-//! directory so recovery is exercised against bytes that went through
-//! the filesystem. One directory per node:
+//! The on-disk twin of [`SimStore`]: the same honest WAL +
+//! ping-pong-checkpoint backend (see [`storage`](crate::storage)),
+//! persisted to an actual directory so recovery is exercised against
+//! bytes that went through the filesystem. One directory per node:
 //!
 //! ```text
 //! <dir>/wal.log      append-only record log
@@ -31,14 +31,14 @@
 //! Sync barriers model `O_SYNC`: appends stage in an in-memory device
 //! cache and only reach the file (followed by `sync_data`) on
 //! [`StableStore::sync`]. A crash therefore discards exactly the
-//! unsynced tail, like the sim device. `FileStore` has no native
-//! lying-sync hooks — wrap it in
-//! [`FaultyStore`](crate::FaultyStore) for the full fault matrix —
-//! but it does support on-disk checkpoint corruption
-//! ([`StoreFault::CorruptCheckpoint`] / [`StoreFault::CorruptSlot`])
-//! and tolerates truncated or garbage files left by a real crash:
-//! `open` discards a partial trailing frame, and an unparseable slot
-//! file reads as no checkpoint.
+//! unsynced tail, like the sim device. Like it, `FileStore` performs
+//! every write it acknowledges: device dishonesty is the
+//! [`FaultyStore`](crate::FaultyStore) engine's, which the simulator
+//! puts in front of every backend. What the backend does itself is
+//! on-disk checkpoint corruption ([`StoreFault::CorruptCheckpoint`] /
+//! [`StoreFault::CorruptSlot`]), and it tolerates truncated or garbage
+//! files left by a real crash: `open` discards a partial trailing
+//! frame, and an unparseable slot file reads as no checkpoint.
 //!
 //! I/O errors never panic: operations degrade (the write is dropped)
 //! and the error is counted in [`FileStore::io_error_count`] so
@@ -502,7 +502,7 @@ impl StableStore for FileStore {
                 }
                 true
             }
-            // Device-dishonesty faults need the FaultyStore wrapper:
+            // Device-dishonesty faults are the FaultyStore engine's:
             // this backend performs every write it acknowledges.
             StoreFault::LostTail
             | StoreFault::TornWrite

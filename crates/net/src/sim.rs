@@ -5,7 +5,7 @@ use crate::event::{Event, EventHandle, EventKind, EventQueue, Payload, Transport
 use crate::id::{GroupId, NodeId};
 use crate::latency::LatencyModel;
 use crate::stats::Stats;
-use crate::storage::{SimStore, StableStore, StoreFault};
+use crate::storage::{FaultyStore, SimStore, StableStore, StoreFault};
 use crate::time::{Duration, Time};
 use crate::topology::Topology;
 use crate::trace::{DropReason, Trace, TraceEvent};
@@ -126,9 +126,10 @@ pub type StorageFactory = Box<dyn FnMut(NodeId) -> Box<dyn StableStore> + Send>;
 /// See the [crate docs](crate) for an overview and example.
 pub struct Simulator {
     nodes: Vec<Option<Box<dyn Node>>>,
-    /// Per-node stable storage, parallel to `nodes`. Survives crashes
-    /// (modulo injected storage faults) while volatile state does not.
-    storage: Vec<Box<dyn StableStore>>,
+    /// Per-node stable storage, parallel to `nodes`: the fault engine
+    /// over the node's backend. Survives crashes (modulo injected
+    /// storage faults) while volatile state does not.
+    storage: Vec<FaultyStore>,
     /// Builds the storage backend for each node added from here on;
     /// `None` means the default in-memory [`SimStore`].
     storage_factory: Option<StorageFactory>,
@@ -249,13 +250,15 @@ impl Simulator {
     }
 
     /// Adds a node; its [`Node::on_start`] runs at the current time.
+    /// Its storage backend — the factory's product, or a [`SimStore`]
+    /// — goes behind a [`FaultyStore`].
     pub fn add_node<N: Node>(&mut self, node: N) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(Some(Box::new(node)));
-        self.storage.push(match &mut self.storage_factory {
+        self.storage.push(FaultyStore::new(match &mut self.storage_factory {
             Some(make) => make(id),
             None => Box::new(SimStore::new()),
-        });
+        }));
         self.queue.push(self.now, id, EventKind::Start);
         id
     }
@@ -457,22 +460,22 @@ impl Simulator {
     /// Read access to a node's stable storage (e.g. for invariant
     /// checkers replaying a durable log).
     pub fn storage(&self, node: NodeId) -> &dyn StableStore {
-        &*self.storage[node.index()]
+        &self.storage[node.index()]
     }
 
     /// Mutable access to a node's stable storage (fault injection:
     /// arming lying syncs, corrupting checkpoints, healing).
     pub fn storage_mut(&mut self, node: NodeId) -> &mut dyn StableStore {
-        &mut *self.storage[node.index()]
+        &mut self.storage[node.index()]
     }
 
     /// Installs a factory that builds the stable-storage backend for
     /// every node added *from here on* (already-added nodes keep their
     /// stores). Without a factory every node gets an in-memory
     /// [`SimStore`]; deployments that want real files install one
-    /// returning [`FileStore`](crate::FileStore)s (usually wrapped in
-    /// [`FaultyStore`](crate::FaultyStore) so the chaos fault verbs
-    /// keep working).
+    /// returning [`FileStore`](crate::FileStore)s. Either way
+    /// [`Self::add_node`] puts the backend behind the fault engine, so
+    /// every chaos storage verb works on it.
     pub fn set_storage_factory(
         &mut self,
         make: impl FnMut(NodeId) -> Box<dyn StableStore> + Send + 'static,
@@ -480,14 +483,9 @@ impl Simulator {
         self.storage_factory = Some(Box::new(make));
     }
 
-    /// Injects a storage fault into `node`'s backend. When the backend
-    /// does not support the fault kind, nothing changes and the
-    /// `storage-fault-unsupported` stat is bumped so chaos runs can
-    /// tell a skipped verb from a survived one.
+    /// Injects a storage fault into `node`'s device.
     pub fn inject_storage_fault(&mut self, node: NodeId, fault: StoreFault) {
-        if !self.storage[node.index()].inject(fault) {
-            self.stats.bump("storage-fault-unsupported", 1);
-        }
+        self.storage[node.index()].inject(fault);
     }
 
     // ---- node access ----
@@ -548,7 +546,7 @@ impl Simulator {
             compute: Duration::ZERO,
             next_token: &mut self.next_token,
             next_msg_id: &mut self.next_msg_id,
-            storage: &mut *self.storage[id.index()],
+            storage: &mut self.storage[id.index()],
         };
         let any: &mut dyn Any = boxed.as_mut();
         // mykil-lint: allow(L001) -- documented panic: harness accessor, not a protocol path
@@ -705,7 +703,7 @@ impl Simulator {
             compute: Duration::ZERO,
             next_token: &mut self.next_token,
             next_msg_id: &mut self.next_msg_id,
-            storage: &mut *self.storage[dst.index()],
+            storage: &mut self.storage[dst.index()],
         };
         let trace_note = match &kind {
             EventKind::Deliver {
@@ -758,7 +756,7 @@ impl Simulator {
             compute: Duration::ZERO,
             next_token: &mut self.next_token,
             next_msg_id: &mut self.next_msg_id,
-            storage: &mut *self.storage[id.index()],
+            storage: &mut self.storage[id.index()],
         };
         f(boxed.as_mut(), &mut ctx);
         let actions = std::mem::take(&mut ctx.actions);
@@ -1350,7 +1348,7 @@ mod tests {
         assert_eq!(sim.node::<DurableCounter>(n).count, 3, "recovery lost the log");
 
         // An armed lost-tail fault makes the next commits vanish.
-        sim.storage_mut(n).arm_lying_sync(false);
+        sim.storage_mut(n).inject(StoreFault::LostTail);
         sim.invoke(driver, |_: &mut Silent2, ctx| {
             ctx.send(n, "x", vec![2]);
         });

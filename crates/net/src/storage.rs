@@ -1,22 +1,31 @@
 //! Stable storage: a per-node write-ahead log plus dual checkpoint
 //! slots, behind the pluggable [`StableStore`] trait.
 //!
-//! Every simulated process owns one `Box<dyn StableStore>`, reachable
-//! from any callback via [`Context::storage`](crate::Context::storage).
-//! Three implementations ship:
+//! Every simulated process owns one device, reachable from any
+//! callback via [`Context::storage`](crate::Context::storage). The
+//! stack has one shape, whatever the backend:
 //!
-//! - [`SimStore`] — the in-memory simulated device. Deterministic,
-//!   allocation-only, with built-in lying-fsync and checkpoint-bit-rot
-//!   fault hooks. This is the default backend for every simulation.
-//! - [`FileStore`](crate::FileStore) — real files: an append-only WAL
-//!   of checksummed length-prefixed records plus two ping-pong
-//!   checkpoint slot files, with explicit sync barriers modeling
-//!   `O_SYNC` (see `file_store.rs` for the on-disk layout).
-//! - [`FaultyStore`] — a wrapper that injects lost-tail, torn-write,
-//!   short-read, append-failure and checkpoint-corruption faults
-//!   against *any* backend, subsuming `arm_lying_sync` /
-//!   `corrupt_latest_checkpoint` so the whole fault matrix runs
-//!   against real files too.
+//! ```text
+//! Simulator ── FaultyStore ── backend
+//!              (engine)       SimStore (memory) | FileStore (disk)
+//! ```
+//!
+//! - [`FaultyStore`] is the fault engine and the device cache. The
+//!   simulator wraps every node's backend in one, so all six
+//!   [`StoreFault`] verbs (the `torn` / `lost-tail` / `ckpt-corrupt` /
+//!   `wal-short-read` / `wal-append-fail` / `ckpt-slot-corrupt` chaos
+//!   verbs) work on every backend, and "what a lying disk leaves
+//!   behind" is defined here and nowhere else.
+//! - [`SimStore`] — the default backend: the WAL and the two slots in
+//!   memory, deterministic and allocation-only. Checksums are modeled,
+//!   not computed: a record or slot carries a validity flag that
+//!   bit-rot clears, exactly as a real CRC mismatch would read back.
+//! - [`FileStore`](crate::FileStore) — the same model on real files
+//!   (see `file_store.rs` for the on-disk layout).
+//!
+//! Both backends persist what they acknowledge and answer
+//! [`StableStore::inject`] alike: checkpoint bit-rot yes, the four
+//! device-dishonesty verbs no (those are the engine's).
 //!
 //! The storage model mirrors a real fsync-based design:
 //!
@@ -32,13 +41,6 @@
 //! - [`StableStore::load`] is the recovery read path: it returns the
 //!   newest *valid* checkpoint and the durable WAL suffix past it,
 //!   stopping at the first record whose checksum fails.
-//!
-//! In [`SimStore`] checksums are modeled, not computed: a record or
-//! slot carries a validity flag that the fault injector clears,
-//! exactly as a real CRC mismatch would read back. Faults are
-//! injected through [`StableStore::inject`] with a [`StoreFault`]
-//! (the `torn` / `lost-tail` / `ckpt-corrupt` / `wal-short-read` /
-//! `wal-append-fail` / `ckpt-slot-corrupt` chaos verbs route there).
 //!
 //! All buffers that may hold key material are wrapped in
 //! [`SecretBytes`], which zeroizes on drop.
@@ -72,6 +74,11 @@ impl SecretBytes {
     pub fn is_empty(&self) -> bool {
         self.0.is_empty()
     }
+
+    /// Unwraps the buffer without copying it.
+    fn into_vec(mut self) -> Vec<u8> {
+        std::mem::take(&mut self.0)
+    }
 }
 
 impl Drop for SecretBytes {
@@ -98,9 +105,9 @@ impl std::fmt::Debug for SecretBytes {
 }
 
 /// A fault injectable into a [`StableStore`] via
-/// [`StableStore::inject`]. Backends support different subsets; an
-/// unsupported injection returns `false` and changes nothing (the
-/// simulator surfaces it as a `storage-fault-unsupported` stat).
+/// [`StableStore::inject`]. [`FaultyStore`] realizes the four
+/// device-dishonesty verbs and passes the two bit-rot verbs on; a bare
+/// backend answers `false` to the former and changes nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StoreFault {
     /// Lying fsync: every `sync` until the next crash reports success
@@ -145,8 +152,8 @@ pub struct Recovered {
 /// slots + crash/fault semantics. See the [module docs](self) for the
 /// storage model and the implementations.
 ///
-/// Object-safe: the simulator holds one `Box<dyn StableStore>` per
-/// node and a factory can swap the backend per deployment
+/// Object-safe: [`FaultyStore`] holds its backend boxed, and a factory
+/// can swap the backend per deployment
 /// ([`Simulator::set_storage_factory`](crate::Simulator::set_storage_factory)).
 pub trait StableStore: std::fmt::Debug + Send {
     /// Stages a WAL record in the device cache; not durable until
@@ -208,22 +215,6 @@ pub trait StableStore: std::fmt::Debug + Send {
 
     /// Number of checkpoints written so far.
     fn checkpoint_count(&self) -> u64;
-
-    /// Back-compat spelling of [`StoreFault::LostTail`] /
-    /// [`StoreFault::TornWrite`] injection.
-    fn arm_lying_sync(&mut self, torn: bool) {
-        self.inject(if torn {
-            StoreFault::TornWrite
-        } else {
-            StoreFault::LostTail
-        });
-    }
-
-    /// Back-compat spelling of [`StoreFault::CorruptCheckpoint`]
-    /// injection.
-    fn corrupt_latest_checkpoint(&mut self) {
-        self.inject(StoreFault::CorruptCheckpoint);
-    }
 }
 
 /// One durable WAL record. `valid` models the stored checksum: a torn
@@ -251,19 +242,10 @@ struct CheckpointSlot {
     valid: bool,
 }
 
-/// The armed lying-sync failure mode (consumed by the next crash).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ArmedFault {
-    None,
-    /// Crash discards the whole unsynced tail.
-    LostTail,
-    /// Crash persists the first cached record torn (checksum-invalid)
-    /// and discards the rest.
-    TornWrite,
-}
-
-/// Simulated stable storage for one node. See the [module docs](self).
-#[derive(Debug)]
+/// The honest in-memory backend: the twin of
+/// [`FileStore`](crate::FileStore) with the files replaced by vectors.
+/// See the [module docs](self).
+#[derive(Debug, Default)]
 pub struct SimStore {
     /// Durable log records; index 0 is absolute position `wal_base`.
     wal: Vec<WalRecord>,
@@ -274,90 +256,20 @@ pub struct SimStore {
     cached: Vec<SecretBytes>,
     /// Ping-pong checkpoint slots.
     slots: [Option<CheckpointSlot>; 2],
-    /// A checkpoint written while a lying sync is armed parks here
-    /// instead of reaching a slot; the crash discards it, an honest
-    /// [`StableStore::heal`] installs it.
-    pending_checkpoint: Option<CheckpointSlot>,
-    next_ckpt_seq: u64,
-    armed: ArmedFault,
-    /// Counters (syncs, commits, checkpoints) for harness assertions.
+    /// Counters for harness assertions.
     syncs: u64,
     checkpoints: u64,
-}
-
-impl Default for SimStore {
-    fn default() -> Self {
-        SimStore::new()
-    }
 }
 
 impl SimStore {
     /// Creates empty storage (factory-fresh disk).
     pub fn new() -> SimStore {
-        SimStore {
-            wal: Vec::new(),
-            wal_base: 0,
-            cached: Vec::new(),
-            slots: [None, None],
-            pending_checkpoint: None,
-            next_ckpt_seq: 1,
-            armed: ArmedFault::None,
-            syncs: 0,
-            checkpoints: 0,
-        }
+        SimStore::default()
     }
 
     /// Absolute position one past the last record (durable or cached).
     fn wal_end(&self) -> u64 {
         self.wal_base + self.wal.len() as u64 + self.cached.len() as u64
-    }
-
-    /// See [`StableStore::wal_append`].
-    pub fn wal_append(&mut self, bytes: Vec<u8>) {
-        self.cached.push(SecretBytes::new(bytes));
-    }
-
-    /// See [`StableStore::sync`].
-    pub fn sync(&mut self) {
-        self.syncs += 1;
-        if self.armed != ArmedFault::None {
-            return;
-        }
-        for rec in self.cached.drain(..) {
-            self.wal.push(WalRecord {
-                bytes: rec,
-                valid: true,
-            });
-        }
-        if let Some(slot) = self.pending_checkpoint.take() {
-            self.install_slot(slot);
-        }
-    }
-
-    /// See [`StableStore::wal_commit`].
-    pub fn wal_commit(&mut self, bytes: Vec<u8>) {
-        self.wal_append(bytes);
-        self.sync();
-    }
-
-    /// See [`StableStore::checkpoint`].
-    pub fn checkpoint(&mut self, payload: Vec<u8>) {
-        self.checkpoints += 1;
-        let slot = CheckpointSlot {
-            seq: self.next_ckpt_seq,
-            wal_pos: self.wal_end(),
-            payload: SecretBytes::new(payload),
-            valid: true,
-        };
-        self.next_ckpt_seq += 1;
-        if self.armed != ArmedFault::None {
-            // The slot write sits in the cache with the WAL tail; both
-            // are lost together if the crash comes first.
-            self.pending_checkpoint = Some(slot);
-            return;
-        }
-        self.sync();
-        self.install_slot(slot);
     }
 
     /// Writes `slot` over the older of the two ping-pong slots, then
@@ -385,9 +297,43 @@ impl SimStore {
             self.wal_base += drop_n as u64;
         }
     }
+}
 
-    /// See [`StableStore::load`].
-    pub fn load(&self) -> Recovered {
+impl StableStore for SimStore {
+    fn wal_append(&mut self, bytes: Vec<u8>) {
+        self.cached.push(SecretBytes::new(bytes));
+    }
+
+    fn sync(&mut self) {
+        self.syncs += 1;
+        for bytes in self.cached.drain(..) {
+            self.wal.push(WalRecord { bytes, valid: true });
+        }
+    }
+
+    fn checkpoint(&mut self, payload: Vec<u8>) {
+        self.checkpoints += 1;
+        // One past the newest slot, valid or not: the number a reopened
+        // `FileStore` would resume from.
+        let newest = self.slots.iter().flatten().map(|s| s.seq).max();
+        let slot = CheckpointSlot {
+            seq: newest.unwrap_or(0) + 1,
+            wal_pos: self.wal_end(),
+            payload: SecretBytes::new(payload),
+            valid: true,
+        };
+        self.sync();
+        self.install_slot(slot);
+    }
+
+    fn append_torn(&mut self, bytes: Vec<u8>) {
+        self.wal.push(WalRecord {
+            bytes: SecretBytes::new(bytes),
+            valid: false,
+        });
+    }
+
+    fn load(&self) -> Recovered {
         let best = self
             .slots
             .iter()
@@ -408,135 +354,44 @@ impl SimStore {
         }
     }
 
-    /// Arms the lying-sync failure mode: every `sync` until the next
-    /// crash reports success without persisting. `torn` selects whether
-    /// the crash leaves the first cached record torn (checksum-invalid)
-    /// or discards the tail cleanly.
-    pub fn arm_lying_sync(&mut self, torn: bool) {
-        self.armed = if torn {
-            ArmedFault::TornWrite
-        } else {
-            ArmedFault::LostTail
+    fn inject(&mut self, fault: StoreFault) -> bool {
+        let slot = match fault {
+            // Bit-rot in the newest valid slot; with both populated,
+            // recovery falls back to the older one.
+            StoreFault::CorruptCheckpoint => self
+                .slots
+                .iter_mut()
+                .flatten()
+                .filter(|s| s.valid)
+                .max_by_key(|s| s.seq),
+            StoreFault::CorruptSlot(i) => {
+                self.slots.get_mut(usize::from(i)).and_then(|s| s.as_mut())
+            }
+            // Device-dishonesty faults are the FaultyStore engine's:
+            // this backend performs every write it acknowledges.
+            StoreFault::LostTail
+            | StoreFault::TornWrite
+            | StoreFault::ShortRead
+            | StoreFault::AppendFail => return false,
         };
-    }
-
-    /// Flips the newest valid checkpoint slot's payload checksum to
-    /// invalid (bit-rot). Takes effect immediately; with both slots
-    /// populated, recovery falls back to the older one.
-    pub fn corrupt_latest_checkpoint(&mut self) {
-        if let Some(slot) = self
-            .slots
-            .iter_mut()
-            .flatten()
-            .filter(|s| s.valid)
-            .max_by_key(|s| s.seq)
-        {
+        if let Some(slot) = slot {
             slot.valid = false;
         }
-    }
-
-    /// See [`StableStore::heal`].
-    pub fn heal(&mut self) {
-        self.armed = ArmedFault::None;
-        self.sync();
-    }
-
-    /// See [`StableStore::sync_count`].
-    pub fn sync_count(&self) -> u64 {
-        self.syncs
-    }
-
-    /// See [`StableStore::checkpoint_count`].
-    pub fn checkpoint_count(&self) -> u64 {
-        self.checkpoints
-    }
-
-    /// See [`StableStore::has_durable_state`].
-    pub fn has_durable_state(&self) -> bool {
-        !self.wal.is_empty() || self.slots.iter().any(|s| s.is_some())
-    }
-}
-
-impl StableStore for SimStore {
-    fn wal_append(&mut self, bytes: Vec<u8>) {
-        SimStore::wal_append(self, bytes);
-    }
-
-    fn sync(&mut self) {
-        SimStore::sync(self);
-    }
-
-    fn checkpoint(&mut self, payload: Vec<u8>) {
-        SimStore::checkpoint(self, payload);
-    }
-
-    fn append_torn(&mut self, bytes: Vec<u8>) {
-        self.wal.push(WalRecord {
-            bytes: SecretBytes::new(bytes),
-            valid: false,
-        });
-    }
-
-    fn load(&self) -> Recovered {
-        SimStore::load(self)
-    }
-
-    fn inject(&mut self, fault: StoreFault) -> bool {
-        match fault {
-            StoreFault::LostTail => {
-                self.arm_lying_sync(false);
-                true
-            }
-            StoreFault::TornWrite => {
-                self.arm_lying_sync(true);
-                true
-            }
-            StoreFault::CorruptCheckpoint => {
-                self.corrupt_latest_checkpoint();
-                true
-            }
-            StoreFault::CorruptSlot(i) => {
-                if let Some(slot) = self.slots.get_mut(usize::from(i)).and_then(|s| s.as_mut()) {
-                    slot.valid = false;
-                }
-                true
-            }
-            // Read-path and append-drop faults need the FaultyStore
-            // wrapper; the bare sim device does not model them.
-            StoreFault::ShortRead | StoreFault::AppendFail => false,
-        }
+        true
     }
 
     fn heal(&mut self) {
-        SimStore::heal(self);
+        self.sync();
     }
 
     fn on_crash(&mut self) -> Option<&'static str> {
-        let armed = std::mem::replace(&mut self.armed, ArmedFault::None);
-        let had_tail = !self.cached.is_empty() || self.pending_checkpoint.is_some();
-        match armed {
-            ArmedFault::TornWrite => {
-                if !self.cached.is_empty() {
-                    let first = self.cached.remove(0);
-                    self.wal.push(WalRecord {
-                        bytes: first,
-                        valid: false,
-                    });
-                }
-            }
-            ArmedFault::LostTail | ArmedFault::None => {}
-        }
+        // The device cache dies with the process; the log survives.
         self.cached.clear();
-        self.pending_checkpoint = None;
-        match armed {
-            ArmedFault::TornWrite if had_tail => Some("storage-torn-write"),
-            ArmedFault::LostTail if had_tail => Some("storage-lost-tail"),
-            _ => None,
-        }
+        None
     }
 
     fn has_durable_state(&self) -> bool {
-        SimStore::has_durable_state(self)
+        !self.wal.is_empty() || self.slots.iter().any(|s| s.is_some())
     }
 
     fn sync_count(&self) -> u64 {
@@ -548,6 +403,17 @@ impl StableStore for SimStore {
     }
 }
 
+/// The armed lying-sync failure mode (consumed by the next crash).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ArmedFault {
+    None,
+    /// Crash discards the whole unsynced tail.
+    LostTail,
+    /// Crash persists the first cached record torn (checksum-invalid)
+    /// and discards the rest.
+    TornWrite,
+}
+
 /// An unflushed write parked in the [`FaultyStore`] device cache, in
 /// arrival order. Checkpoints park too: a lying sync swallows the slot
 /// write together with the WAL tail.
@@ -557,21 +423,20 @@ enum Parked {
     Ckpt(SecretBytes),
 }
 
-/// A fault-injection layer over any [`StableStore`] backend.
+/// The storage fault engine: one per node, between the simulator
+/// ([`Simulator::add_node`](crate::Simulator::add_node) does the
+/// wrapping) and the node's backend.
 ///
-/// `FaultyStore` owns the device cache itself: appends and (while a
-/// lying sync is armed) checkpoints park in the wrapper and only reach
-/// the inner store on an honest `sync`. That realizes the full
-/// [`StoreFault`] matrix — including lost-tail and torn-write crashes
-/// — against backends that have no native fault hooks, such as
-/// [`FileStore`](crate::FileStore). Against [`SimStore`] it is
-/// observationally equivalent to the built-in `arm_lying_sync` /
-/// `corrupt_latest_checkpoint` hooks, modulo checkpoint sequence
-/// numbers (the wrapper assigns them at flush time, the sim device at
-/// call time; a crash can discard an assigned number).
+/// `FaultyStore` owns the device cache: appends and (while a lying
+/// sync is armed) checkpoints park here and only reach the backend on
+/// an honest `sync`. That realizes the full [`StoreFault`] matrix —
+/// lost-tail and torn-write crashes, short reads, dropped appends —
+/// against backends that only know how to be honest, and makes its
+/// sync and checkpoint counters the ones
+/// [`Simulator::storage`](crate::Simulator::storage) reports.
 #[derive(Debug)]
-pub struct FaultyStore<S> {
-    inner: S,
+pub struct FaultyStore {
+    inner: Box<dyn StableStore>,
     /// The device cache: writes not yet flushed to `inner`.
     parked: Vec<Parked>,
     armed: ArmedFault,
@@ -581,9 +446,9 @@ pub struct FaultyStore<S> {
     checkpoints: u64,
 }
 
-impl<S: StableStore> FaultyStore<S> {
+impl FaultyStore {
     /// Wraps `inner` with no faults armed.
-    pub fn new(inner: S) -> FaultyStore<S> {
+    pub fn new(inner: Box<dyn StableStore>) -> FaultyStore {
         FaultyStore {
             inner,
             parked: Vec::new(),
@@ -595,51 +460,45 @@ impl<S: StableStore> FaultyStore<S> {
         }
     }
 
-    /// Read access to the wrapped backend.
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
-
-    /// Flushes every parked write into the inner store, in order, and
+    /// Flushes every parked write into the backend, in order, and
     /// syncs it. A parked checkpoint lands at the WAL position of the
     /// records flushed before it, exactly where it would have landed
     /// had the device been honest.
     fn flush_parked(&mut self) {
         for entry in self.parked.drain(..) {
             match entry {
-                Parked::Rec(bytes) => self.inner.wal_append(bytes.as_slice().to_vec()),
-                Parked::Ckpt(payload) => self.inner.checkpoint(payload.as_slice().to_vec()),
+                Parked::Rec(bytes) => self.inner.wal_append(bytes.into_vec()),
+                Parked::Ckpt(payload) => self.inner.checkpoint(payload.into_vec()),
             }
         }
         self.inner.sync();
     }
 }
 
-impl<S: StableStore> StableStore for FaultyStore<S> {
+impl StableStore for FaultyStore {
     fn wal_append(&mut self, bytes: Vec<u8>) {
-        if self.append_fail {
-            // Acknowledged and dropped; zeroize the buffer on the way out.
-            drop(SecretBytes::new(bytes));
-            return;
+        // A failing append is acknowledged and dropped; wrapped first,
+        // the buffer is zeroized on the way out.
+        let bytes = SecretBytes::new(bytes);
+        if !self.append_fail {
+            self.parked.push(Parked::Rec(bytes));
         }
-        self.parked.push(Parked::Rec(SecretBytes::new(bytes)));
     }
 
     fn sync(&mut self) {
         self.syncs += 1;
-        if self.armed != ArmedFault::None {
-            return;
+        if self.armed == ArmedFault::None {
+            self.flush_parked();
         }
-        self.flush_parked();
     }
 
     fn checkpoint(&mut self, payload: Vec<u8>) {
         self.checkpoints += 1;
         if self.armed != ArmedFault::None {
             // Park at the current cache position. Only the most recent
-            // parked checkpoint survives to a heal — a newer snapshot
+            // parked checkpoint survives to a heal: a newer snapshot
             // written into the same lying cache supersedes the older
-            // one, matching the sim device's single pending slot.
+            // one, so the cache never holds more than one image.
             self.parked.retain(|p| matches!(p, Parked::Rec(_)));
             self.parked.push(Parked::Ckpt(SecretBytes::new(payload)));
             return;
@@ -665,26 +524,15 @@ impl<S: StableStore> StableStore for FaultyStore<S> {
 
     fn inject(&mut self, fault: StoreFault) -> bool {
         match fault {
-            StoreFault::LostTail => {
-                self.armed = ArmedFault::LostTail;
-                true
-            }
-            StoreFault::TornWrite => {
-                self.armed = ArmedFault::TornWrite;
-                true
-            }
-            StoreFault::ShortRead => {
-                self.short_read = true;
-                true
-            }
-            StoreFault::AppendFail => {
-                self.append_fail = true;
-                true
-            }
+            StoreFault::LostTail => self.armed = ArmedFault::LostTail,
+            StoreFault::TornWrite => self.armed = ArmedFault::TornWrite,
+            StoreFault::ShortRead => self.short_read = true,
+            StoreFault::AppendFail => self.append_fail = true,
             StoreFault::CorruptCheckpoint | StoreFault::CorruptSlot(_) => {
-                self.inner.inject(fault)
+                return self.inner.inject(fault)
             }
         }
+        true
     }
 
     fn heal(&mut self) {
@@ -698,15 +546,13 @@ impl<S: StableStore> StableStore for FaultyStore<S> {
     fn on_crash(&mut self) -> Option<&'static str> {
         let armed = std::mem::replace(&mut self.armed, ArmedFault::None);
         let had_tail = !self.parked.is_empty();
-        if armed == ArmedFault::TornWrite {
-            if let Some(first) = self.parked.iter().find_map(|p| match p {
-                Parked::Rec(b) => Some(b.as_slice().to_vec()),
-                Parked::Ckpt(_) => None,
-            }) {
-                self.inner.append_torn(first);
-            }
+        let first_rec = self.parked.drain(..).find_map(|p| match p {
+            Parked::Rec(b) => Some(b),
+            Parked::Ckpt(_) => None,
+        });
+        if let (ArmedFault::TornWrite, Some(first)) = (armed, first_rec) {
+            self.inner.append_torn(first.into_vec());
         }
-        self.parked.clear();
         let inner_stat = self.inner.on_crash();
         match armed {
             ArmedFault::TornWrite if had_tail => Some("storage-torn-write"),
@@ -775,61 +621,6 @@ mod tests {
     }
 
     #[test]
-    fn lying_sync_lost_tail_discards_synced_records_at_crash() {
-        let mut s = SimStore::new();
-        s.wal_commit(vec![1]);
-        s.arm_lying_sync(false);
-        s.wal_commit(vec![2]); // sync lies
-        s.wal_commit(vec![3]);
-        assert_eq!(crash(&mut s), Some("storage-lost-tail"));
-        assert_eq!(s.load().wal, vec![vec![1]]);
-        // The fault is consumed: post-restart commits are durable again.
-        s.wal_commit(vec![4]);
-        crash(&mut s);
-        assert_eq!(s.load().wal, vec![vec![1], vec![4]]);
-    }
-
-    #[test]
-    fn torn_write_leaves_invalid_record_that_load_discards() {
-        let mut s = SimStore::new();
-        s.wal_commit(vec![1]);
-        s.arm_lying_sync(true);
-        s.wal_commit(vec![2]);
-        s.wal_commit(vec![3]);
-        assert_eq!(crash(&mut s), Some("storage-torn-write"));
-        // Record 2 is present-but-torn: the replayable suffix ends
-        // before it, record 3 is gone entirely.
-        assert_eq!(s.load().wal, vec![vec![1]]);
-        assert_eq!(s.wal.len(), 2, "torn record occupies the log");
-    }
-
-    #[test]
-    fn lying_sync_swallows_checkpoints_too() {
-        let mut s = SimStore::new();
-        s.checkpoint(vec![0xAA]);
-        s.arm_lying_sync(false);
-        s.wal_commit(vec![1]);
-        s.checkpoint(vec![0xBB]); // parked in the cache
-        assert_eq!(crash(&mut s), Some("storage-lost-tail"));
-        let r = s.load();
-        assert_eq!(r.checkpoint, Some((1, vec![0xAA])));
-        assert!(r.wal.is_empty());
-    }
-
-    #[test]
-    fn heal_installs_the_parked_tail() {
-        let mut s = SimStore::new();
-        s.arm_lying_sync(false);
-        s.wal_commit(vec![1]);
-        s.checkpoint(vec![0xAA]);
-        s.heal();
-        crash(&mut s);
-        let r = s.load();
-        assert_eq!(r.checkpoint, Some((1, vec![0xAA])));
-        assert!(r.wal.is_empty(), "checkpoint covers the healed record");
-    }
-
-    #[test]
     fn corrupt_checkpoint_falls_back_to_older_slot() {
         let mut s = SimStore::new();
         s.wal_commit(vec![1]);
@@ -837,14 +628,14 @@ mod tests {
         s.wal_commit(vec![2]);
         s.checkpoint(vec![0xBB]); // covers records 1-2
         s.wal_commit(vec![3]);
-        s.corrupt_latest_checkpoint();
+        s.inject(StoreFault::CorruptCheckpoint);
         let r = s.load();
         // The older slot wins; its longer WAL suffix is still durable
         // because truncation only drops below the *older* position.
         assert_eq!(r.checkpoint, Some((1, vec![0xAA])));
         assert_eq!(r.wal, vec![vec![2], vec![3]]);
         // Both slots corrupt: full WAL replay from the base.
-        s.corrupt_latest_checkpoint();
+        s.inject(StoreFault::CorruptCheckpoint);
         let r = s.load();
         assert!(r.checkpoint.is_none());
         assert_eq!(r.wal, vec![vec![2], vec![3]]);
@@ -855,7 +646,7 @@ mod tests {
         let mut s = SimStore::new();
         s.checkpoint(vec![0xAA]);
         s.checkpoint(vec![0xBB]);
-        s.corrupt_latest_checkpoint();
+        s.inject(StoreFault::CorruptCheckpoint);
         // seq 2 is invalid; seq 1 must be chosen even though slot 0
         // holds it (order of slots is irrelevant).
         assert_eq!(s.load().checkpoint, Some((1, vec![0xAA])));
@@ -872,11 +663,32 @@ mod tests {
         drop(sb);
     }
 
-    // ---- FaultyStore: the wrapper must reproduce the sim device's
-    // fault semantics against an arbitrary backend. ----
+    #[test]
+    fn backends_leave_device_dishonesty_to_the_engine() {
+        let mut s = SimStore::new();
+        for fault in [
+            StoreFault::LostTail,
+            StoreFault::TornWrite,
+            StoreFault::ShortRead,
+            StoreFault::AppendFail,
+        ] {
+            assert!(!s.inject(fault));
+            assert!(faulty().inject(fault));
+        }
+        s.wal_commit(vec![1]);
+        crash(&mut s);
+        assert_eq!(
+            s.load().wal,
+            vec![vec![1]],
+            "the refused verbs armed nothing"
+        );
+    }
 
-    fn faulty() -> FaultyStore<SimStore> {
-        FaultyStore::new(SimStore::new())
+    // ---- FaultyStore: the one definition of what a lying device
+    // leaves behind, here over the in-memory backend. ----
+
+    fn faulty() -> FaultyStore {
+        FaultyStore::new(Box::new(SimStore::new()))
     }
 
     #[test]
@@ -917,6 +729,37 @@ mod tests {
         // behind it and the replayable suffix still ends at record 1.
         f.wal_commit(vec![4]);
         assert_eq!(f.load().wal, vec![vec![1]]);
+    }
+
+    #[test]
+    fn lying_sync_swallows_checkpoints_too() {
+        let mut f = faulty();
+        f.checkpoint(vec![0xAA]);
+        f.inject(StoreFault::LostTail);
+        f.wal_commit(vec![1]);
+        f.checkpoint(vec![0xBB]); // parked in the cache
+        assert_eq!(f.on_crash(), Some("storage-lost-tail"));
+        // The crash discarded the parked slot write with the tail:
+        // recovery falls back to the older slot, and the sequence
+        // number the lost checkpoint would have taken was never used.
+        let r = f.load();
+        assert_eq!(r.checkpoint, Some((1, vec![0xAA])));
+        assert!(r.wal.is_empty());
+        f.checkpoint(vec![0xCC]);
+        assert_eq!(f.load().checkpoint, Some((2, vec![0xCC])));
+    }
+
+    #[test]
+    fn heal_installs_the_parked_tail() {
+        let mut f = faulty();
+        f.inject(StoreFault::LostTail);
+        f.wal_commit(vec![1]);
+        f.checkpoint(vec![0xAA]);
+        f.heal();
+        f.on_crash();
+        let r = f.load();
+        assert_eq!(r.checkpoint, Some((1, vec![0xAA])));
+        assert!(r.wal.is_empty(), "checkpoint covers the healed record");
     }
 
     #[test]
@@ -973,17 +816,17 @@ mod tests {
 
     #[test]
     fn faulty_counters_mirror_sim_counting() {
-        let mut a = SimStore::new();
-        let mut b = faulty();
-        for s in [&mut a as &mut dyn StableStore, &mut b as &mut dyn StableStore] {
-            s.wal_commit(vec![1]);
-            s.checkpoint(vec![2]);
-            s.arm_lying_sync(false);
-            s.wal_commit(vec![3]);
-            s.checkpoint(vec![4]); // armed: no sync bump
-            s.heal();
-        }
-        assert_eq!(a.sync_count(), b.sync_count());
-        assert_eq!(a.checkpoint_count(), b.checkpoint_count());
+        // The engine's counters are the ones the simulator reports:
+        // one per call the protocol made, whatever the device did
+        // with it — the count a bare honest backend would show.
+        let mut f = faulty();
+        f.wal_commit(vec![1]); // sync 1
+        f.checkpoint(vec![2]); // honest: flushes first, sync 2
+        f.inject(StoreFault::LostTail);
+        f.wal_commit(vec![3]); // lied to, still counted: sync 3
+        f.checkpoint(vec![4]); // armed: parks, no sync bump
+        f.heal(); // the honest flush: sync 4
+        assert_eq!(f.sync_count(), 4);
+        assert_eq!(f.checkpoint_count(), 2);
     }
 }
