@@ -16,6 +16,8 @@
 //! simulation crates measure the same quantities from live trees; the
 //! workspace integration tests assert the two agree.
 
+#![forbid(unsafe_code)]
+
 pub mod bandwidth;
 pub mod latency;
 pub mod cpu;

@@ -19,6 +19,8 @@
 //! uniformly. Traffic is counted in [`RekeyTraffic`] units identical to
 //! the paper's arithmetic (16 bytes per encrypted key).
 
+#![forbid(unsafe_code)]
+
 pub mod iolus;
 pub mod lkh;
 pub mod mykil_model;

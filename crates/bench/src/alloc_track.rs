@@ -28,6 +28,7 @@ pub struct CountingAllocator;
 
 // SAFETY: delegates every operation to `System`, which upholds the
 // `GlobalAlloc` contract; the counters are side-effect-only.
+#[expect(unsafe_code, reason = "`GlobalAlloc` is an unsafe trait")]
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);

@@ -17,6 +17,8 @@
 //! and the checker are [`mykil_bench::gate`]; this binary holds the
 //! workloads and their row declarations.
 
+#![forbid(unsafe_code)]
+
 mod rekey;
 mod scale;
 

@@ -4,6 +4,8 @@
 //! full paper-scale sweep, or pass `--quick` for a shrunk version.
 //! The output of a release run is recorded in `EXPERIMENTS.md`.
 
+#![forbid(unsafe_code)]
+
 use mykil_analysis::cpu;
 use mykil_bench::workload::{replay, replay_unaggregated, ChurnSchedule};
 use mykil_bench::*;

@@ -16,6 +16,10 @@
 //! - `liveness` — alive messages, eviction, parent failover
 //! - `replication` — primary-backup state sync and takeover
 
+// `Msg` dispatch lists every variant, so a new wire message does not
+// compile until each role triages it.
+#![cfg_attr(not(test), warn(clippy::wildcard_enum_match_arm))]
+
 mod data;
 mod join;
 mod liveness;
@@ -391,9 +395,11 @@ impl AreaController {
     ) {
         self.note_area_key();
         let member = MemberId(AC_MEMBER_BASE + child.deploy.area.0 as u64);
-        // Deployment-time wiring, not a message handler: duplicate
-        // enrollment is an operator configuration bug worth stopping on.
-        // mykil-lint: allow(L001)
+        #[expect(
+            clippy::expect_used,
+            reason = "deployment-time wiring, not a message handler: duplicate \
+                      enrollment is an operator configuration bug worth stopping on"
+        )]
         let plan = self.durable.image.tree.join(member, rng).expect("child not yet enrolled");
         self.durable.image.child_ac_members.insert(member.0, child_node);
         // Deployment-time enrollment: hand the child its path directly.

@@ -17,6 +17,10 @@
 //! `wal_commit_record`. One `StateSync` body ([`SyncBody`]) carries
 //! either, under one seal and one monotonic sequence.
 
+// `Msg` dispatch lists every variant, so a new wire message does not
+// compile until each role triages it.
+#![cfg_attr(not(test), warn(clippy::wildcard_enum_match_arm))]
+
 use super::{
     AreaController, MemberRecord, ParentLink, Role, TIMER_BACKUP_WATCH, TIMER_HEARTBEAT,
 };

@@ -37,6 +37,17 @@
 //! role and fencing epoch, same membership, no acknowledged change
 //! lost, no evicted member resurrected.
 
+// A wire/codec module: it parses hostile bytes, so a narrowing cast or a
+// panicking slice access outside tests is a finding.
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::cast_possible_truncation,
+        clippy::indexing_slicing,
+        clippy::disallowed_methods
+    )
+)]
+
 use crate::area::{AcDurable, AreaImage, Role};
 use crate::directory::AcDirectory;
 use crate::wire::{Reader, Writer};

@@ -166,15 +166,15 @@ impl GroupBuilder {
             sim.set_storage_factory(make);
         }
 
-        // mykil-lint: allow(L001) -- deployment harness, not peer input
+        #[expect(clippy::expect_used, reason = "deployment harness, not peer input")]
         let rs_pair = RsaKeyPair::generate(self.key_bits, &mut keyrng).expect("rs keygen");
+        #[expect(clippy::expect_used, reason = "deployment harness, not peer input")]
         let ac_pairs: Vec<RsaKeyPair> = (0..self.areas)
-            // mykil-lint: allow(L001) -- deployment harness, not peer input
             .map(|_| RsaKeyPair::generate(self.key_bits, &mut keyrng).expect("ac keygen"))
             .collect();
+        #[expect(clippy::expect_used, reason = "deployment harness, not peer input")]
         let backup_pairs: Vec<RsaKeyPair> = if self.replicated {
             (0..self.areas)
-                // mykil-lint: allow(L001) -- deployment harness, not peer input
                 .map(|_| RsaKeyPair::generate(self.key_bits, &mut keyrng).expect("backup keygen"))
                 .collect()
         } else {
@@ -278,10 +278,13 @@ impl GroupBuilder {
             let p = (i - 1) / 2;
             let member = mykil_tree::MemberId(crate::area::AC_MEMBER_BASE + i as u64);
             let mut path = Vec::new();
+            #[expect(
+                clippy::expect_used,
+                reason = "deployment harness: children enrolled in the loop above"
+            )]
             acs[p]
                 .tree()
                 .path_keys_into(member, &mut path)
-                // mykil-lint: allow(L001) -- deployment harness: children enrolled in the loop above
                 .expect("child enrolled above");
             acs[i].seed_parent_tree_keys(&path);
         }
@@ -400,7 +403,7 @@ impl GroupHandle {
     }
 
     fn add_member(&mut self, device_seed: u64, auto: bool) -> NodeId {
-        // mykil-lint: allow(L001) -- deployment harness, not peer input
+        #[expect(clippy::expect_used, reason = "deployment harness, not peer input")]
         let pair = RsaKeyPair::generate(self.key_bits, &mut self.keyrng).expect("member keygen");
         let device = DeviceId::from_seed(device_seed.wrapping_add(self.next_device));
         self.next_device += 1;
@@ -502,7 +505,7 @@ impl GroupHandle {
     /// Registers a member presenting specific authorization bytes
     /// (default members present `subscriber-<seed>`).
     pub fn register_member_with_auth(&mut self, device_seed: u64, auth_info: &[u8]) -> NodeId {
-        // mykil-lint: allow(L001) -- deployment harness, not peer input
+        #[expect(clippy::expect_used, reason = "deployment harness, not peer input")]
         let pair = RsaKeyPair::generate(self.key_bits, &mut self.keyrng).expect("member keygen");
         let device = DeviceId::from_seed(device_seed.wrapping_add(self.next_device));
         self.next_device += 1;

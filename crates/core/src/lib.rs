@@ -55,6 +55,10 @@
 //! assert_eq!(g.received_data(bob), vec![b"hello, group".to_vec()]);
 //! ```
 
+#![forbid(unsafe_code)]
+#![warn(clippy::disallowed_types)]
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod area;
 pub mod auth;
 pub mod config;

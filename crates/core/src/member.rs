@@ -6,6 +6,10 @@
 //! periodic `alive` messages to the AC and a disconnect detector that
 //! triggers an automatic rejoin to another area controller.
 
+// `Msg` dispatch lists every variant, so a new wire message does not
+// compile until each role triages it.
+#![cfg_attr(not(test), warn(clippy::wildcard_enum_match_arm))]
+
 use crate::config::MykilConfig;
 use crate::crypto_cost::CryptoCost;
 use crate::directory::AcDirectory;
@@ -542,6 +546,10 @@ impl Member {
         );
     }
 
+    #[expect(
+        clippy::wildcard_enum_match_arm,
+        reason = "a phase match, not `Msg` dispatch: a path in any other phase is dropped"
+    )]
     fn handle_key_unicast(&mut self, ctx: &mut Context<'_>, from: NodeId, ct: &[u8]) {
         let Some(plain) = self.node_keys.open(ctx, ct) else { return };
         let Ok(path) = decode_path(&plain) else { return };

@@ -24,6 +24,20 @@
 //! with a monotonic sequence guard), the unicast [`Msg::Takeover`]
 //! announcement to the registration server, and [`Msg::LeaveRequest`].
 
+// A wire/codec module: it parses hostile bytes, so a narrowing cast or a
+// panicking slice access outside tests is a finding.
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::cast_possible_truncation,
+        clippy::indexing_slicing,
+        clippy::disallowed_methods
+    )
+)]
+// `Msg` dispatch lists every variant, so a new wire message does not
+// compile until each role triages it.
+#![cfg_attr(not(test), warn(clippy::wildcard_enum_match_arm))]
+
 use crate::error::ProtocolError;
 use crate::identity::{AreaId, ClientId};
 use crate::wire::{Reader, Writer};

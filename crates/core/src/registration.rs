@@ -7,6 +7,10 @@
 //! controller — steps 4 and 5 run back-to-back after the client's
 //! step-3 response verifies.
 
+// `Msg` dispatch lists every variant, so a new wire message does not
+// compile until each role triages it.
+#![cfg_attr(not(test), warn(clippy::wildcard_enum_match_arm))]
+
 use crate::auth::{AuthDb, AuthDecision};
 use crate::config::MykilConfig;
 use crate::crypto_cost::CryptoCost;

@@ -14,6 +14,17 @@
 //! out of the received frame. The entry structs remain for tests,
 //! diagnostics, and callers that need random access.
 
+// A wire/codec module: it parses hostile bytes, so a narrowing cast or a
+// panicking slice access outside tests is a finding.
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::cast_possible_truncation,
+        clippy::indexing_slicing,
+        clippy::disallowed_methods
+    )
+)]
+
 use crate::error::ProtocolError;
 use crate::identity::AreaId;
 use crate::node_keys::NodeKeys;

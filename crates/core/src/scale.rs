@@ -104,14 +104,14 @@ const OP_REPL_ACK: u8 = 16;
 const OP_RESYNC_REQ: u8 = 17;
 const OP_RESYNC_TAIL: u8 = 18;
 
-/// Timer tag for a controller's cold batch-leave sweep.
-const TAG_COLD_BATCH: u64 = 1;
-/// Timer tag for re-sending unacknowledged journal replication.
-const TAG_REPL_RETRY: u64 = 2;
-/// Timer tag for re-requesting a resync tail after a restart.
-const TAG_RESYNC_RETRY: u64 = 3;
-/// Timer tag for a mover's stalled-handshake retry sweep.
-const TAG_MOVE_RETRY: u64 = 4;
+/// Timer kind for a controller's cold batch-leave sweep.
+const TIMER_COLD_BATCH: u64 = 1;
+/// Timer kind for re-sending unacknowledged journal replication.
+const TIMER_REPL_RETRY: u64 = 2;
+/// Timer kind for re-requesting a resync tail after a restart.
+const TIMER_RESYNC_RETRY: u64 = 3;
+/// Timer kind for a mover's stalled-handshake retry sweep.
+const TIMER_MOVE_RETRY: u64 = 4;
 
 /// Journal events per `REPLICATE` message.
 const REPL_BATCH: u64 = 512;
@@ -668,7 +668,7 @@ impl ScaleAreaController {
         }
         if !self.repl_timer_armed {
             self.repl_timer_armed = true;
-            ctx.set_timer(self.retry_delay(), TAG_REPL_RETRY);
+            ctx.set_timer(self.retry_delay(), TIMER_REPL_RETRY);
         }
     }
 
@@ -682,7 +682,7 @@ impl ScaleAreaController {
         put_u64(&mut b, self.area as u64);
         put_u64(&mut b, self.journal.len() as u64);
         ctx.send(dir, "scale-resync-req", b);
-        ctx.set_timer(self.retry_delay(), TAG_RESYNC_RETRY);
+        ctx.set_timer(self.retry_delay(), TIMER_RESYNC_RETRY);
     }
 
     /// Marks the controller converged again and snapshots the
@@ -864,9 +864,8 @@ impl Node for ScaleAreaController {
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Context<'_>, tag: u64) {
-        // mykil-lint: allow(L003) -- u64 timer-kind dispatch, not MAC/digest material
-        if tag == TAG_COLD_BATCH {
+    fn on_timer(&mut self, ctx: &mut Context<'_>, kind: u64) {
+        if kind == TIMER_COLD_BATCH {
             let k = self.cfg.cold_batch.min(self.state.cold.cold_members());
             if k > 0 {
                 self.execute(ctx, ScaleEvent::ColdBatch(k), "scale-cold-leaves", k);
@@ -876,19 +875,17 @@ impl Node for ScaleAreaController {
                 // area timers out of one wheel bucket.
                 ctx.set_timer(
                     Duration::from_millis(10 + (self.area % 7) as u64),
-                    TAG_COLD_BATCH,
+                    TIMER_COLD_BATCH,
                 );
             }
-        // mykil-lint: allow(L003) -- u64 timer-kind dispatch, not MAC/digest material
-        } else if tag == TAG_REPL_RETRY {
+        } else if kind == TIMER_REPL_RETRY {
             self.repl_timer_armed = false;
             if self.repl_acked < self.journal.len() as u64 {
                 // Unacked tail: rewind the sent watermark and resend.
                 self.repl_sent = self.repl_acked;
                 self.replicate_tail(ctx);
             }
-        // mykil-lint: allow(L003) -- u64 timer-kind dispatch, not MAC/digest material
-        } else if tag == TAG_RESYNC_RETRY && !self.converged {
+        } else if kind == TIMER_RESYNC_RETRY && !self.converged {
             self.send_resync_req(ctx);
         }
     }
@@ -1246,7 +1243,7 @@ impl Mover {
         }
         self.active = true;
         self.send_current(ctx);
-        ctx.set_timer(self.retry, TAG_MOVE_RETRY);
+        ctx.set_timer(self.retry, TIMER_MOVE_RETRY);
     }
 }
 
@@ -1278,15 +1275,14 @@ impl Node for Mover {
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Context<'_>, tag: u64) {
-        // mykil-lint: allow(L003) -- u64 timer-kind dispatch, not MAC/digest material
-        if tag == TAG_MOVE_RETRY && self.active && !self.finished() {
+    fn on_timer(&mut self, ctx: &mut Context<'_>, kind: u64) {
+        if kind == TIMER_MOVE_RETRY && self.active && !self.finished() {
             let marker = (self.done, self.stage);
             if marker == self.last_sweep {
                 self.send_current(ctx); // stalled since last sweep
             }
             self.last_sweep = marker;
-            ctx.set_timer(self.retry, TAG_MOVE_RETRY);
+            ctx.set_timer(self.retry, TIMER_MOVE_RETRY);
         }
     }
 }
@@ -1627,7 +1623,7 @@ impl ScaleGroup {
             let id = self.controllers[i];
             self.sim.invoke(id, |node: &mut ScaleAreaController, ctx| {
                 let area = node.area as u64;
-                ctx.set_timer(Duration::from_millis(1 + area % 13), TAG_COLD_BATCH);
+                ctx.set_timer(Duration::from_millis(1 + area % 13), TIMER_COLD_BATCH);
             });
         }
         let batches = self

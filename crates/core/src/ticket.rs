@@ -9,6 +9,17 @@
 //! every area controller, so no client can read or forge one ("all ski
 //! resorts scan the same bar code").
 
+// A wire/codec module: it parses hostile bytes, so a narrowing cast or a
+// panicking slice access outside tests is a finding.
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::cast_possible_truncation,
+        clippy::indexing_slicing,
+        clippy::disallowed_methods
+    )
+)]
+
 use crate::error::ProtocolError;
 use crate::identity::{AreaId, ClientId, DeviceId};
 use crate::wire::{Reader, Writer};

@@ -7,6 +7,17 @@
 //! backup addresses) that a real deployment would get from IP multicast
 //! configuration.
 
+// A wire/codec module: it parses hostile bytes, so a narrowing cast or a
+// panicking slice access outside tests is a finding.
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::cast_possible_truncation,
+        clippy::indexing_slicing,
+        clippy::disallowed_methods
+    )
+)]
+
 use crate::error::ProtocolError;
 use crate::identity::{AreaId, ClientId};
 use crate::rekey::{decode_path, encode_path};

@@ -5,6 +5,17 @@
 //! bandwidth figures depend on that. No serde: message layouts mirror
 //! the fields listed in the paper's Figures 3 and 7.
 
+// A wire/codec module: it parses hostile bytes, so a narrowing cast or a
+// panicking slice access outside tests is a finding.
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::cast_possible_truncation,
+        clippy::indexing_slicing,
+        clippy::disallowed_methods
+    )
+)]
+
 use crate::error::ProtocolError;
 
 /// Upper bound on a `u32`-length-prefixed byte string, shared by
@@ -70,7 +81,6 @@ impl Writer {
     pub fn into_bytes(self) -> Vec<u8> {
         match self.try_into_bytes() {
             Ok(buf) => buf,
-            // mykil-lint: allow(L001) -- documented panic on local encoder misuse only
             Err(e) => panic!("Writer poisoned: {e}"),
         }
     }

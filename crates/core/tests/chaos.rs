@@ -337,8 +337,9 @@ fn restarted_primary_is_demoted_to_backup() {
     }
 }
 
-/// Regression for the HashMap→BTreeMap determinism migration (lint
-/// L006): a seeded chaos soak must replay **byte-identically**. Two
+/// Regression for the HashMap→BTreeMap determinism migration (hash
+/// collections are `clippy::disallowed_types` in core, net and tree):
+/// a seeded chaos soak must replay **byte-identically**. Two
 /// independent deployments built from the same seed, driven through
 /// the same random fault plan with live workload interleaved, must
 /// produce the same fault schedule and the same delivery/drop/timer

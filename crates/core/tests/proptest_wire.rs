@@ -152,7 +152,8 @@ proptest! {
 
     #[test]
     fn u32_from_round_trips_in_range_lengths(n in any::<u32>()) {
-        // The checked length-prefix helper (lint L009 migration): any
+        // The checked length-prefix helper (no truncating cast in the
+        // codec, `clippy::cast_possible_truncation`): any
         // usize that fits u32 round-trips exactly.
         let mut w = Writer::new();
         w.u32_from(n as usize);

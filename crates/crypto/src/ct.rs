@@ -27,6 +27,7 @@ pub fn ct_eq(a: &[u8], b: &[u8]) -> bool {
 /// compiler cannot elide the wipe as a dead store when the buffer is
 /// about to be dropped. The aligned middle of the buffer is written a
 /// word at a time (a 16-byte key is two stores, not sixteen).
+#[expect(unsafe_code, reason = "`align_to_mut` has no safe form")]
 pub fn zeroize(bytes: &mut [u8]) {
     // SAFETY: every bit pattern is a valid `u64` and a valid `u8`, so
     // viewing the 8-byte-aligned middle of an exclusive byte slice as
@@ -48,6 +49,10 @@ pub fn zeroize_u64(words: &mut [u64]) {
     wipe(words);
 }
 
+#[expect(
+    unsafe_code,
+    reason = "a volatile write is the only store the optimiser cannot drop"
+)]
 fn wipe<T: Default>(words: &mut [T]) {
     for w in words.iter_mut() {
         // SAFETY: `w` is a valid, aligned, exclusive reference, and the

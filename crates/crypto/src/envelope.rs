@@ -15,6 +15,17 @@
 //!   the rejoin protocol, where the auxiliary-key path does not fit in
 //!   one block.
 
+// A wire/codec module: it parses hostile bytes, so a narrowing cast or a
+// panicking slice access outside tests is a finding.
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::cast_possible_truncation,
+        clippy::indexing_slicing,
+        clippy::disallowed_methods
+    )
+)]
+
 use crate::hmac::HmacSha256;
 use crate::keys::SymmetricKey;
 use crate::rsa::{RsaKeyPair, RsaPublicKey};
@@ -60,9 +71,15 @@ impl EnvelopeKey {
 
     fn cipher(&self, nonce: &[u8; ENVELOPE_NONCE_LEN]) -> ChaCha20 {
         let mut k32 = [0u8; 32];
-        // mykil-lint: allow(L010) -- compile-time halves of a [u8; 32]
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "compile-time halves of a [u8; 32]"
+        )]
         k32[..SYMMETRIC_KEY_LEN].copy_from_slice(self.enc.as_bytes());
-        // mykil-lint: allow(L010) -- compile-time halves of a [u8; 32]
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "compile-time halves of a [u8; 32]"
+        )]
         k32[SYMMETRIC_KEY_LEN..].copy_from_slice(self.enc.as_bytes());
         ChaCha20::new(&k32, nonce, 0)
     }
@@ -94,12 +111,14 @@ impl EnvelopeKey {
         out.extend_from_slice(&nonce);
         out.extend_from_slice(plaintext);
         let body_start = start + ENVELOPE_NONCE_LEN;
-        // mykil-lint: allow(L010) -- body_start <= out.len() by the appends above
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "body_start <= out.len() by the appends above"
+        )]
         self.cipher(&nonce).apply_keystream(&mut out[body_start..]);
         // `nonce || body` is contiguous in `out`.
-        // mykil-lint: allow(L010) -- start was out.len() at entry
+        #[expect(clippy::indexing_slicing, reason = "start was out.len() at entry")]
         let tag = self.mac.tag(&out[start..]);
-        // mykil-lint: allow(L010) -- compile-time prefix of a [u8; 32]
         out.extend_from_slice(&tag[..ENVELOPE_MAC_LEN]);
     }
 
@@ -153,7 +172,6 @@ impl EnvelopeKey {
             .split_at_checked(ENVELOPE_NONCE_LEN + body_len)
             .ok_or(TRUNCATED)?;
         let expected = self.mac.tag(signed);
-        // mykil-lint: allow(L010) -- compile-time prefix of a [u8; 32]
         if !crate::ct::ct_eq(&expected[..ENVELOPE_MAC_LEN], tag) {
             return Err(CryptoError::VerificationFailed);
         }

@@ -149,6 +149,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(unsafe_code, reason = "observing the wipe means reading after drop")]
     fn drop_zeroizes_key_bytes() {
         let mut k = core::mem::ManuallyDrop::new(SymmetricKey::from_bytes([0xAB; 16]));
         // SAFETY: the value is never used as a SymmetricKey again; the

@@ -39,7 +39,8 @@
 //! # Ok::<(), mykil_crypto::CryptoError>(())
 //! ```
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![deny(unsafe_code, unsafe_op_in_unsafe_fn)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod bignum;
 pub mod chacha;

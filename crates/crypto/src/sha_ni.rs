@@ -29,6 +29,7 @@ pub(crate) fn available() -> bool {
 /// Compresses the whole 64-byte blocks of `blocks` into `state` and
 /// returns `true`, or returns `false` untouched when the CPU lacks the
 /// extension (the caller then runs the portable rounds).
+#[expect(unsafe_code, reason = "calling a `target_feature` function is unsafe")]
 pub(crate) fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) -> bool {
     if !available() {
         return false;
@@ -43,6 +44,7 @@ pub(crate) fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) -> bool {
 /// state registers in ABEF / CDGH order, four message registers, sixteen
 /// groups of four rounds).
 #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+#[expect(unsafe_code, reason = "the SIMD loads and stores take raw pointers")]
 fn kernel(state: &mut [u32; 8], blocks: &[u8]) {
     // Big-endian message words: reverse the bytes of each 32-bit lane.
     let be_words = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);

@@ -112,7 +112,7 @@ proptest! {
     ) {
         // Arbitrary (attacker-controlled) wire bytes must parse to Ok
         // or EnvelopeError — never panic. Guards the split_at_checked
-        // migration of the decode path (lint L010).
+        // migration of the decode path (`clippy::indexing_slicing`).
         use mykil_crypto::envelope::HybridCiphertext;
         let _ = HybridCiphertext::from_bytes(&bytes);
     }

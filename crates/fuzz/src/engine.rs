@@ -10,6 +10,17 @@
 //! same input sequence, so a CI crash reproduces locally from the
 //! printed seed alone.
 
+// It frames arbitrary mutated bytes for the decoders, so a narrowing cast
+// or a panicking slice access outside tests is a finding.
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::cast_possible_truncation,
+        clippy::indexing_slicing,
+        clippy::disallowed_methods
+    )
+)]
+
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Mutex;
 
@@ -58,7 +69,6 @@ impl Mutator {
     }
 
     fn byte(&mut self) -> u8 {
-        // mykil-lint: allow(L009) -- masked to 8 bits before narrowing
         (self.rng.gen_range(256) & 0xff) as u8
     }
 
@@ -66,7 +76,9 @@ impl Mutator {
         if len == 0 {
             0
         } else {
-            (self.rng.gen_range(len as u64) as usize).min(len - 1)
+            usize::try_from(self.rng.gen_range(len as u64))
+                .unwrap_or(usize::MAX)
+                .min(len - 1)
         }
     }
 
@@ -128,11 +140,17 @@ impl Mutator {
             5 if !buf.is_empty() => {
                 let write64 = self.rng.gen_range(2) == 0;
                 let bytes: Vec<u8> = if write64 {
-                    // mykil-lint: allow(L010) -- index() bounds to < len of a non-empty const table
+                    #[expect(
+                        clippy::indexing_slicing,
+                        reason = "index() bounds to < len of a non-empty const table"
+                    )]
                     let v = INTERESTING_U64[self.index(INTERESTING_U64.len())];
                     v.to_le_bytes().to_vec()
                 } else {
-                    // mykil-lint: allow(L010) -- index() bounds to < len of a non-empty const table
+                    #[expect(
+                        clippy::indexing_slicing,
+                        reason = "index() bounds to < len of a non-empty const table"
+                    )]
                     let v = INTERESTING_U32[self.index(INTERESTING_U32.len())];
                     v.to_le_bytes().to_vec()
                 };

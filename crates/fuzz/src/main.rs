@@ -15,6 +15,8 @@
 //! harness drops — or from the same seed and iteration budget alone.
 //! Exit codes: 0 clean, 1 crash(es) found, 2 usage error, 3 hang.
 
+#![forbid(unsafe_code)]
+
 mod engine;
 mod targets;
 

@@ -8,6 +8,17 @@
 //! trip) — those asserts are *supposed* to fire when the invariant
 //! breaks, which is exactly what the harness reports.
 
+// It frames arbitrary mutated bytes for the decoders, so a narrowing cast
+// or a panicking slice access outside tests is a finding.
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::cast_possible_truncation,
+        clippy::indexing_slicing,
+        clippy::disallowed_methods
+    )
+)]
+
 use mykil::directory::AcDirectory;
 use mykil::durable::{
     replay_ac, replay_rs, AcCheckpoint, AcWalRecord, RsCheckpoint, RsWalRecord, Seed,

@@ -2,32 +2,25 @@
 //!
 //! The build environment is offline, so a real `syn` dependency is not
 //! available; this module implements the slice of Rust syntax the
-//! dataflow rules (L006–L010) need, directly over [`crate::tokenizer`]
-//! tokens:
+//! call-order rules (L007, L008) need, directly over
+//! [`crate::tokenizer`] tokens:
 //!
-//! - **items**: every `fn` definition with its name, signature span and
-//!   body span (nested functions become their own items and are carved
-//!   out of the parent's body);
-//! - **events**: an in-order stream per function body of calls, method
-//!   calls, `for` loops, `as` casts and index expressions, each with its
-//!   argument/receiver token spans — enough for call-order dataflow
-//!   over a statement list;
-//! - **typed declarations**: `name: Type` bindings (struct fields,
-//!   `let` annotations, fn params) plus `let name = Type::new()`
-//!   inits, so rules can resolve a receiver chain like
-//!   `self.members.iter()` to the declared collection type.
+//! - **items**: every `fn` definition with its name and body span
+//!   (nested functions become their own items and are carved out of the
+//!   parent's body);
+//! - **events**: an in-order stream per function body of calls and
+//!   method calls, each with its argument token span — enough for
+//!   call-order dataflow over a statement list.
 //!
 //! It is deliberately *not* a full Rust parser: macros are treated as
-//! opaque call events, types inside generics are only scanned for the
-//! heads the rules care about, and expression nesting is approximated
-//! by bracket depth. Every approximation is pinned by the fixture
-//! suite in `tests/fixtures_ast.rs`.
+//! opaque call events and expression nesting is approximated by bracket
+//! depth. Every approximation is pinned by the tests below and the
+//! fixture suite in `tests/fixtures_ast.rs`.
 
 use crate::tokenizer::{Token, TokenKind};
 use std::ops::Range;
 
-/// Keywords that look like identifiers but never start a call or name a
-/// receiver.
+/// Keywords that look like identifiers but never start a call.
 const KEYWORDS: &[&str] = &[
     "as", "async", "await", "break", "const", "continue", "crate", "dyn", "else", "enum", "extern",
     "fn", "for", "if", "impl", "in", "let", "loop", "match", "mod", "move", "mut", "pub", "ref",
@@ -39,21 +32,14 @@ fn is_name(tok: &Token) -> bool {
     tok.kind == TokenKind::Ident && !KEYWORDS.contains(&tok.text.as_str())
 }
 
-/// One syntactic event inside a function body, in source order.
+/// One call inside a function body, in source order.
 #[derive(Debug, Clone)]
 pub enum EventKind {
     /// Free or path call `foo(…)` / `a::b::foo(…)`. `path` holds the
     /// segments in order; the last one is the callee.
     Call { path: Vec<String> },
-    /// Method call `recv.foo(…)` (turbofish included). `recv` spans the
-    /// receiver chain's tokens.
-    MethodCall { method: String, recv: Range<usize> },
-    /// `for pat in ITER { … }`; `iter` spans the iterated expression.
-    ForLoop { iter: Range<usize> },
-    /// `expr as TARGET`; `target` is the first type ident after `as`.
-    Cast { target: String },
-    /// `expr[…]` index expression; `base` spans the indexed chain.
-    Index { base: Range<usize> },
+    /// Method call `recv.foo(…)` (turbofish included).
+    MethodCall { method: String },
 }
 
 /// An event with its location.
@@ -62,53 +48,37 @@ pub struct Event {
     pub kind: EventKind,
     /// 1-based source line.
     pub line: u32,
-    /// Token index of the event's anchor (callee / `for` / `as` / `[`).
+    /// Token index of the callee.
     pub tok: usize,
-    /// Argument tokens: call args, index expression, or empty.
+    /// Argument tokens inside the call's parentheses.
     pub args: Range<usize>,
+}
+
+impl Event {
+    /// The callee's name: a free call's last path segment or the method.
+    pub fn callee(&self) -> &str {
+        match &self.kind {
+            EventKind::Call { path } => path.last().map_or("", String::as_str),
+            EventKind::MethodCall { method } => method,
+        }
+    }
 }
 
 /// A function definition.
 #[derive(Debug)]
 pub struct FnDef {
     pub name: String,
-    /// 1-based line of the `fn` keyword.
-    pub line: u32,
     /// Token range of the body, inside (excluding) the braces.
     pub body: Range<usize>,
     /// Events in the body, source order, nested fn items excluded.
     pub events: Vec<Event>,
 }
 
-/// A `name: TypeHead<…>` (or `let name = TypeHead::new()`) binding.
-#[derive(Debug)]
-pub struct TypedDecl {
-    pub name: String,
-    /// The interesting head of the type path, e.g. `HashMap`.
-    pub ty_head: String,
-    pub line: u32,
-    /// Token index of the type head (for test-region masking).
-    pub tok: usize,
-}
-
-/// Parsed view of one file.
-#[derive(Debug, Default)]
-pub struct Ast {
-    pub fns: Vec<FnDef>,
-    pub decls: Vec<TypedDecl>,
-}
-
-/// Type heads the declaration scan records. Hash collections feed
-/// L006; their ordered counterparts are recorded so rules (and tests)
-/// can see the sanctioned migration target.
-const DECL_TYPE_HEADS: &[&str] = &["HashMap", "HashSet", "BTreeMap", "BTreeSet"];
-
-/// Parses a scanned file into functions, events and declarations.
-pub fn parse(tokens: &[Token]) -> Ast {
-    let mut ast = Ast::default();
-    collect_fns(tokens, 0..tokens.len(), &mut ast.fns);
-    collect_typed_decls(tokens, &mut ast.decls);
-    ast
+/// Parses a scanned file into its functions and their call events.
+pub fn parse(tokens: &[Token]) -> Vec<FnDef> {
+    let mut fns = Vec::new();
+    collect_fns(tokens, 0..tokens.len(), &mut fns);
+    fns
 }
 
 /// Finds every `fn` definition in `range` (recursing into bodies for
@@ -118,18 +88,12 @@ fn collect_fns(tokens: &[Token], range: Range<usize>, out: &mut Vec<FnDef>) {
     while i < range.end {
         if tokens[i].is_ident("fn") && tokens.get(i + 1).is_some_and(is_name) {
             let name = tokens[i + 1].text.clone();
-            let line = tokens[i].line;
             if let Some(body) = fn_body_range(tokens, i, range.end) {
                 let mut events = Vec::new();
                 collect_events(tokens, body.clone(), &mut events);
                 collect_fns(tokens, body.clone(), out);
                 let end = body.end + 1; // past the closing brace
-                out.push(FnDef {
-                    name,
-                    line,
-                    body,
-                    events,
-                });
+                out.push(FnDef { name, body, events });
                 i = end;
                 continue;
             }
@@ -175,7 +139,7 @@ fn fn_body_range(tokens: &[Token], i: usize, limit: usize) -> Option<Range<usize
     None
 }
 
-/// Extracts the in-order event stream for `range`, skipping nested `fn`
+/// Extracts the in-order call events for `range`, skipping nested `fn`
 /// items (they get their own [`FnDef`]).
 fn collect_events(tokens: &[Token], range: Range<usize>, out: &mut Vec<Event>) {
     let mut i = range.start;
@@ -190,86 +154,24 @@ fn collect_events(tokens: &[Token], range: Range<usize>, out: &mut Vec<Event>) {
             }
         }
 
-        // `for pat in iter { … }` — require an `in` before the block so
-        // HRTB `for<'a>` and stray identifiers don't match.
-        if tok.is_ident("for") {
-            if let Some((iter, _body_open)) = for_loop_header(tokens, i, range.end) {
-                out.push(Event {
-                    kind: EventKind::ForLoop { iter },
-                    line: tok.line,
-                    tok: i,
-                    args: 0..0,
-                });
-                // Fall through token by token: calls in the header
-                // (`for x in m.iter()`) and in the body are events too.
-                i += 1;
-                continue;
-            }
-        }
-
-        // `expr as Type` — not the `use … as …` rename form.
-        if tok.is_ident("as") && !statement_starts_with_use(tokens, range.start, i) {
-            if let Some(target) = cast_target(tokens, i + 1, range.end) {
-                out.push(Event {
-                    kind: EventKind::Cast { target },
-                    line: tok.line,
-                    tok: i,
-                    args: 0..0,
-                });
-            }
-            i += 1;
-            continue;
-        }
-
         // Calls: `name(…)`, `a::b::name(…)`, `recv.name(…)`,
         // `recv.name::<T>(…)`, and macro invocations `name!(…)`.
         if is_name(tok) {
-            if let Some((args_open, _turbofish)) = call_paren_after(tokens, i, range.end) {
-                let args = paren_args_range(tokens, args_open, range.end);
-                let line = tok.line;
-                if i > range.start && tokens[i - 1].is_punct('.') {
-                    let recv = receiver_chain(tokens, i - 1, range.start);
-                    out.push(Event {
-                        kind: EventKind::MethodCall {
-                            method: tok.text.clone(),
-                            recv,
-                        },
-                        line,
-                        tok: i,
-                        args,
-                    });
+            if let Some(args_open) = call_paren_after(tokens, i, range.end) {
+                let kind = if i > range.start && tokens[i - 1].is_punct('.') {
+                    EventKind::MethodCall {
+                        method: tok.text.clone(),
+                    }
                 } else {
-                    let path = path_segments_ending_at(tokens, i, range.start);
-                    out.push(Event {
-                        kind: EventKind::Call { path },
-                        line,
-                        tok: i,
-                        args,
-                    });
-                }
-                i += 1;
-                continue;
-            }
-        }
-
-        // Indexing: `[` whose previous token ends an expression.
-        if tok.is_punct('[') && i > range.start {
-            let prev = &tokens[i - 1];
-            let indexes = is_name(prev)
-                || prev.is_punct(')')
-                || prev.is_punct(']')
-                || prev.is_punct('?')
-                || prev.kind == TokenKind::Literal;
-            // `name![…]` is a macro, not an index.
-            let macro_bang = i >= 2 && tokens[i - 1].is_punct('!');
-            if indexes && !macro_bang {
-                let base = receiver_chain(tokens, i, range.start);
-                let args = bracket_args_range(tokens, i, range.end);
+                    EventKind::Call {
+                        path: path_segments_ending_at(tokens, i, range.start),
+                    }
+                };
                 out.push(Event {
-                    kind: EventKind::Index { base },
+                    kind,
                     line: tok.line,
                     tok: i,
-                    args,
+                    args: paren_args_range(tokens, args_open, range.end),
                 });
             }
         }
@@ -277,96 +179,18 @@ fn collect_events(tokens: &[Token], range: Range<usize>, out: &mut Vec<Event>) {
     }
 }
 
-/// For the `for` at `i`, returns (iter expression range, index of the
-/// body `{`) if this is a loop header.
-fn for_loop_header(tokens: &[Token], i: usize, limit: usize) -> Option<(Range<usize>, usize)> {
-    let mut j = i + 1;
-    let mut depth = 0i32;
-    // Find `in` at depth 0 (the pattern may contain tuples/parens).
-    let in_idx = loop {
-        let t = tokens.get(j)?;
-        if j >= limit {
-            return None;
-        }
-        if t.is_punct('(') || t.is_punct('[') {
-            depth += 1;
-        } else if t.is_punct(')') || t.is_punct(']') {
-            depth -= 1;
-        } else if t.is_ident("in") && depth == 0 {
-            break j;
-        } else if (t.is_punct(';') || t.is_punct('{')) && depth == 0 {
-            return None; // `for<'a>` bound or something stranger
-        }
-        j += 1;
-    };
-    // Find the body `{` at depth 0 after `in`.
-    let mut k = in_idx + 1;
-    let mut depth = 0i32;
-    while k < limit {
-        let t = &tokens[k];
-        if t.is_punct('(') || t.is_punct('[') {
-            depth += 1;
-        } else if t.is_punct(')') || t.is_punct(']') {
-            depth -= 1;
-        } else if t.is_punct('{') && depth == 0 {
-            return Some((in_idx + 1..k, k));
-        } else if t.is_punct(';') && depth == 0 {
-            return None;
-        }
-        k += 1;
-    }
-    None
-}
-
-/// Whether the statement containing token `i` starts with `use`.
-fn statement_starts_with_use(tokens: &[Token], start: usize, i: usize) -> bool {
-    let mut j = i;
-    while j > start {
-        j -= 1;
-        let t = &tokens[j];
-        if t.is_punct(';') || t.is_punct('{') || t.is_punct('}') {
-            return tokens.get(j + 1).is_some_and(|t| t.is_ident("use"));
-        }
-    }
-    tokens.get(start).is_some_and(|t| t.is_ident("use"))
-}
-
-/// First type ident after an `as` keyword, skipping `&`, `*`, `mut`,
-/// `const`, `dyn`.
-fn cast_target(tokens: &[Token], mut j: usize, limit: usize) -> Option<String> {
-    while j < limit {
-        let t = &tokens[j];
-        if t.is_punct('&') || t.is_punct('*') || t.is_ident("mut") || t.is_ident("dyn") {
-            j += 1;
-            continue;
-        }
-        if t.is_ident("const") {
-            // `as *const T`: report the pointee head.
-            j += 1;
-            continue;
-        }
-        return (t.kind == TokenKind::Ident).then(|| t.text.clone());
-    }
-    None
-}
-
 /// If the name at `i` heads a call, returns the index of its opening
-/// `(` and whether a turbofish was skipped. Handles `name(`,
-/// `name::<T>(`, and treats `name!(…)` macros as calls too.
-fn call_paren_after(tokens: &[Token], i: usize, limit: usize) -> Option<(usize, bool)> {
+/// `(`. Handles `name(`, `name::<T>(`, and treats `name!(…)` macros as
+/// calls too.
+fn call_paren_after(tokens: &[Token], i: usize, limit: usize) -> Option<usize> {
     let mut j = i + 1;
     if tokens.get(j).is_some_and(|t| t.is_punct('!')) {
         j += 1; // macro bang
-        return tokens
-            .get(j)
-            .filter(|t| t.is_punct('(') && j < limit)
-            .map(|_| (j, false));
-    }
-    // Turbofish `::<…>`.
-    if tokens.get(j).is_some_and(|t| t.is_punct(':'))
+    } else if tokens.get(j).is_some_and(|t| t.is_punct(':'))
         && tokens.get(j + 1).is_some_and(|t| t.is_punct(':'))
         && tokens.get(j + 2).is_some_and(|t| t.is_punct('<'))
     {
+        // Turbofish `::<…>`.
         let mut depth = 1i32;
         j += 3;
         while j < limit && depth > 0 {
@@ -377,15 +201,8 @@ fn call_paren_after(tokens: &[Token], i: usize, limit: usize) -> Option<(usize, 
             }
             j += 1;
         }
-        return tokens
-            .get(j)
-            .filter(|t| t.is_punct('(') && j < limit)
-            .map(|_| (j, true));
     }
-    tokens
-        .get(j)
-        .filter(|t| t.is_punct('(') && j < limit)
-        .map(|_| (j, false))
+    (j < limit && tokens.get(j).is_some_and(|t| t.is_punct('('))).then_some(j)
 }
 
 /// Token range inside the parens opening at `open`.
@@ -406,70 +223,6 @@ fn paren_args_range(tokens: &[Token], open: usize, limit: usize) -> Range<usize>
     open + 1..j
 }
 
-/// Token range inside the brackets opening at `open`.
-fn bracket_args_range(tokens: &[Token], open: usize, limit: usize) -> Range<usize> {
-    let mut depth = 1i32;
-    let mut j = open + 1;
-    while j < limit && depth > 0 {
-        if tokens[j].is_punct('[') {
-            depth += 1;
-        } else if tokens[j].is_punct(']') {
-            depth -= 1;
-            if depth == 0 {
-                return open + 1..j;
-            }
-        }
-        j += 1;
-    }
-    open + 1..j
-}
-
-/// Walks a receiver chain backwards from the `.` (or `[`) at `end`:
-/// consumes idents, tuple-field literals, `)`/`]` groups and the `.` /
-/// `::` connecting them. Returns the chain's token range.
-fn receiver_chain(tokens: &[Token], end: usize, start: usize) -> Range<usize> {
-    let mut j = end; // exclusive end of chain
-    loop {
-        if j == start {
-            break;
-        }
-        let t = &tokens[j - 1];
-        if t.is_punct(')') || t.is_punct(']') {
-            // Skip the bracketed group.
-            let close = if t.is_punct(')') { ')' } else { ']' };
-            let open = if close == ')' { '(' } else { '[' };
-            let mut depth = 1i32;
-            let mut k = j - 1;
-            while k > start && depth > 0 {
-                k -= 1;
-                if tokens[k].is_punct(close) {
-                    depth += 1;
-                } else if tokens[k].is_punct(open) {
-                    depth -= 1;
-                }
-            }
-            j = k;
-            // A call's name precedes its parens.
-            if j > start && is_name(&tokens[j - 1]) {
-                j -= 1;
-            }
-        } else if is_name(t) || t.kind == TokenKind::Literal || t.is_ident("self") {
-            j -= 1;
-        } else {
-            break;
-        }
-        // Continue over a connecting `.` or `::`.
-        if j > start && tokens[j - 1].is_punct('.') {
-            j -= 1;
-        } else if j > start + 1 && tokens[j - 1].is_punct(':') && tokens[j - 2].is_punct(':') {
-            j -= 2;
-        } else {
-            break;
-        }
-    }
-    j..end
-}
-
 /// Collects the `::`-separated path ending at the name at `i`.
 fn path_segments_ending_at(tokens: &[Token], i: usize, start: usize) -> Vec<String> {
     let mut segs = vec![tokens[i].text.clone()];
@@ -487,62 +240,8 @@ fn path_segments_ending_at(tokens: &[Token], i: usize, start: usize) -> Vec<Stri
     segs
 }
 
-/// Scans for `name: TypeHead<…>` declarations (fields, lets, params)
-/// and `let name = TypeHead::new()` inits, for the heads the rules
-/// track.
-fn collect_typed_decls(tokens: &[Token], out: &mut Vec<TypedDecl>) {
-    for i in 0..tokens.len() {
-        let t = &tokens[i];
-        if t.kind != TokenKind::Ident || !DECL_TYPE_HEADS.contains(&t.text.as_str()) {
-            continue;
-        }
-        // Walk back over a path prefix `std :: collections ::`.
-        let mut j = i;
-        while j >= 3
-            && tokens[j - 1].is_punct(':')
-            && tokens[j - 2].is_punct(':')
-            && tokens[j - 3].kind == TokenKind::Ident
-        {
-            j -= 3;
-        }
-        // `name : <path> TypeHead`
-        if j >= 2 && tokens[j - 1].is_punct(':') && !tokens.get(j.wrapping_sub(2)).is_some_and(|x| x.is_punct(':'))
-        {
-            if let Some(name) = tokens.get(j - 2).filter(|t| is_name(t)) {
-                out.push(TypedDecl {
-                    name: name.text.clone(),
-                    ty_head: t.text.clone(),
-                    line: t.line,
-                    tok: i,
-                });
-                continue;
-            }
-        }
-        // `let [mut] name = <path> TypeHead :: new ( … )`
-        if j >= 2 && tokens[j - 1].is_punct('=') {
-            let mut k = j - 1;
-            if k >= 1 {
-                k -= 1; // the name
-                if is_name(&tokens[k]) {
-                    let name = tokens[k].text.clone();
-                    let is_let = (k >= 1 && tokens[k - 1].is_ident("let"))
-                        || (k >= 2 && tokens[k - 1].is_ident("mut") && tokens[k - 2].is_ident("let"));
-                    if is_let {
-                        out.push(TypedDecl {
-                            name,
-                            ty_head: t.text.clone(),
-                            line: t.line,
-                            tok: i,
-                        });
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// The last plain name in a token range — used to resolve which binding
-/// a receiver chain like `self.members` or `&mut known` refers to.
+/// The last plain name in a token range — resolves which constant an
+/// argument like `self::TIMER_SWEEP` or `kinds::TIMER_SWEEP` names.
 /// Returns `None` if the range ends in something unresolvable (a call,
 /// a literal, …).
 pub fn last_name_in(tokens: &[Token], range: &Range<usize>) -> Option<String> {
@@ -590,185 +289,67 @@ mod tests {
     use super::*;
     use crate::tokenizer::scan;
 
-    fn parse_src(src: &str) -> (Vec<Token>, Ast) {
+    fn parse_src(src: &str) -> (Vec<Token>, Vec<FnDef>) {
         let scanned = scan(src);
-        let ast = parse(&scanned.tokens);
-        (scanned.tokens, ast)
+        let fns = parse(&scanned.tokens);
+        (scanned.tokens, fns)
     }
 
     #[test]
     fn fn_items_with_bodies() {
         let src = "fn a() { x(); }\nimpl T { fn b(&self) -> u8 { 0 } }\ntrait Q { fn decl(&self); }\n";
-        let (_, ast) = parse_src(src);
-        let names: Vec<_> = ast.fns.iter().map(|f| f.name.as_str()).collect();
+        let (_, fns) = parse_src(src);
+        let names: Vec<_> = fns.iter().map(|f| f.name.as_str()).collect();
         assert_eq!(names, vec!["a", "b"]);
     }
 
     #[test]
     fn nested_fn_gets_own_item_and_is_excluded_from_parent() {
         let src = "fn outer() { before(); fn inner() { hidden(); } after(); }";
-        let (_, ast) = parse_src(src);
-        let outer = ast.fns.iter().find(|f| f.name == "outer").unwrap();
-        let calls: Vec<_> = outer
-            .events
-            .iter()
-            .filter_map(|e| match &e.kind {
-                EventKind::Call { path } => Some(path.last().unwrap().clone()),
-                _ => None,
-            })
-            .collect();
+        let (_, fns) = parse_src(src);
+        let outer = fns.iter().find(|f| f.name == "outer").unwrap();
+        let calls: Vec<_> = outer.events.iter().map(Event::callee).collect();
         assert_eq!(calls, vec!["before", "after"]);
-        assert!(ast.fns.iter().any(|f| f.name == "inner"));
+        assert!(fns.iter().any(|f| f.name == "inner"));
     }
 
     #[test]
     fn method_calls_and_receivers() {
-        let src = "fn f() { self.members.iter(); list.len(); }";
-        let (tokens, ast) = parse_src(src);
-        let f = &ast.fns[0];
-        let mut methods = Vec::new();
-        for e in &f.events {
-            if let EventKind::MethodCall { method, recv } = &e.kind {
-                methods.push((method.clone(), last_name_in(&tokens, recv)));
-            }
-        }
-        assert_eq!(
-            methods,
-            vec![
-                ("iter".to_string(), Some("members".to_string())),
-                ("len".to_string(), Some("list".to_string()))
-            ]
-        );
+        // A receiver chain's own calls are events too, in source order.
+        let src = "fn f() { self.members.iter(); list.len(); a.b().c(); }";
+        let (_, fns) = parse_src(src);
+        let methods: Vec<_> = fns[0]
+            .events
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::MethodCall { .. }))
+            .map(Event::callee)
+            .collect();
+        assert_eq!(methods, vec!["iter", "len", "b", "c"]);
     }
 
     #[test]
     fn turbofish_method_call() {
         let src = "fn f() { xs.collect::<Vec<u8>>(); }";
-        let (_, ast) = parse_src(src);
-        assert!(ast.fns[0]
+        let (_, fns) = parse_src(src);
+        assert!(fns[0]
             .events
             .iter()
-            .any(|e| matches!(&e.kind, EventKind::MethodCall { method, .. } if method == "collect")));
-    }
-
-    #[test]
-    fn for_loop_iter_range() {
-        let src = "fn f() { for (k, v) in &self.members { use_it(k, v); } }";
-        let (tokens, ast) = parse_src(src);
-        let f = &ast.fns[0];
-        let iter = f
-            .events
-            .iter()
-            .find_map(|e| match &e.kind {
-                EventKind::ForLoop { iter } => Some(iter.clone()),
-                _ => None,
-            })
-            .unwrap();
-        assert_eq!(last_name_in(&tokens, &iter), Some("members".to_string()));
-        // The loop body's call is still seen.
-        assert!(f
-            .events
-            .iter()
-            .any(|e| matches!(&e.kind, EventKind::Call { path } if path.last().unwrap() == "use_it")));
-    }
-
-    #[test]
-    fn casts_found_but_use_renames_ignored() {
-        let src = "use std::x as y;\nfn f(n: usize) { let a = n as u32; let b = n as u64; }";
-        let (_, ast) = parse_src(src);
-        let targets: Vec<_> = ast.fns[0]
-            .events
-            .iter()
-            .filter_map(|e| match &e.kind {
-                EventKind::Cast { target } => Some(target.clone()),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(targets, vec!["u32", "u64"]);
-    }
-
-    #[test]
-    fn use_rename_inside_fn_body_ignored() {
-        let src = "fn f() { use std::collections::HashMap as Map; g(); }";
-        let (_, ast) = parse_src(src);
-        assert!(!ast.fns[0]
-            .events
-            .iter()
-            .any(|e| matches!(e.kind, EventKind::Cast { .. })));
-    }
-
-    #[test]
-    fn index_vs_array_literal_vs_macro() {
-        let src = "fn f(xs: &[u8]) { let a = xs[0]; let b = [0u8; 4]; let v = vec![1, 2]; }";
-        let (tokens, ast) = parse_src(src);
-        let indexes: Vec<_> = ast.fns[0]
-            .events
-            .iter()
-            .filter_map(|e| match &e.kind {
-                EventKind::Index { base } => last_name_in(&tokens, base),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(indexes, vec!["xs".to_string()]);
-    }
-
-    #[test]
-    fn index_on_call_result_and_tuple_field() {
-        let src = "fn f() { take(1)[0]; self.0[i]; }";
-        let (_, ast) = parse_src(src);
-        let n = ast.fns[0]
-            .events
-            .iter()
-            .filter(|e| matches!(e.kind, EventKind::Index { .. }))
-            .count();
-        assert_eq!(n, 2);
-    }
-
-    #[test]
-    fn typed_decls_fields_lets_params() {
-        let src = "struct S { members: HashMap<u64, R>, names: Vec<u8> }\n\
-                   fn f(seen: std::collections::HashSet<u64>) {\n\
-                       let mut local: BTreeMap<u8, u8> = BTreeMap::new();\n\
-                       let inferred = HashMap::new();\n\
-                   }";
-        let (_, ast) = parse_src(src);
-        let pairs: Vec<_> = ast
-            .decls
-            .iter()
-            .map(|d| (d.name.as_str(), d.ty_head.as_str()))
-            .collect();
-        assert!(pairs.contains(&("members", "HashMap")));
-        assert!(pairs.contains(&("seen", "HashSet")));
-        assert!(pairs.contains(&("local", "BTreeMap")));
-        assert!(pairs.contains(&("inferred", "HashMap")));
-        assert!(!pairs.iter().any(|(n, _)| *n == "names"));
+            .any(|e| matches!(&e.kind, EventKind::MethodCall { method } if method == "collect")));
     }
 
     #[test]
     fn call_order_is_source_order() {
         let src = "fn f() { alpha(); self.beta(); gamma(); }";
-        let (_, ast) = parse_src(src);
-        let names: Vec<_> = ast.fns[0]
-            .events
-            .iter()
-            .filter_map(|e| match &e.kind {
-                EventKind::Call { path } => Some(path.last().unwrap().clone()),
-                EventKind::MethodCall { method, .. } => Some(method.clone()),
-                _ => None,
-            })
-            .collect();
+        let (_, fns) = parse_src(src);
+        let names: Vec<_> = fns[0].events.iter().map(Event::callee).collect();
         assert_eq!(names, vec!["alpha", "beta", "gamma"]);
     }
 
     #[test]
     fn split_args_at_depth_zero() {
         let src = "fn f() { g(a, h(b, c), d); }";
-        let (tokens, ast) = parse_src(src);
-        let g = ast.fns[0]
-            .events
-            .iter()
-            .find(|e| matches!(&e.kind, EventKind::Call { path } if path.last().unwrap() == "g"))
-            .unwrap();
+        let (tokens, fns) = parse_src(src);
+        let g = fns[0].events.iter().find(|e| e.callee() == "g").unwrap();
         let parts = split_args(&tokens, &g.args);
         assert_eq!(parts.len(), 3);
         assert_eq!(last_name_in(&tokens, &parts[2]), Some("d".to_string()));
@@ -777,13 +358,13 @@ mod tests {
     #[test]
     fn path_call_segments() {
         let src = "fn f() { u32::try_from(x); mykil_crypto::envelope::seal_into(a, b); }";
-        let (_, ast) = parse_src(src);
-        let paths: Vec<Vec<String>> = ast.fns[0]
+        let (_, fns) = parse_src(src);
+        let paths: Vec<Vec<String>> = fns[0]
             .events
             .iter()
             .filter_map(|e| match &e.kind {
                 EventKind::Call { path } => Some(path.clone()),
-                _ => None,
+                EventKind::MethodCall { .. } => None,
             })
             .collect();
         assert!(paths.contains(&vec!["u32".to_string(), "try_from".to_string()]));

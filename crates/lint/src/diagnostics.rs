@@ -7,7 +7,7 @@ use std::path::Path;
 /// A single lint finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
-    /// Rule id, e.g. `L001`.
+    /// Rule id, e.g. `L003`.
     pub rule: &'static str,
     /// Workspace-relative path of the offending file.
     pub file: String,
@@ -118,12 +118,12 @@ mod tests {
     #[test]
     fn human_format_is_clickable() {
         let d = Diagnostic {
-            rule: "L001",
+            rule: "L003",
             file: "crates/core/src/x.rs".into(),
             line: 17,
-            message: "no unwrap".into(),
+            message: "use ct_eq".into(),
         };
-        assert_eq!(d.to_string(), "crates/core/src/x.rs:17: L001: no unwrap");
+        assert_eq!(d.to_string(), "crates/core/src/x.rs:17: L003: use ct_eq");
     }
 
     #[test]
@@ -142,14 +142,14 @@ mod tests {
     #[test]
     fn sarif_contains_schema_rules_and_results() {
         let d = Diagnostic {
-            rule: "L009",
-            file: "crates/core/src/wire.rs".into(),
+            rule: "L007",
+            file: "crates/core/src/area/join.rs".into(),
             line: 5,
-            message: "bare `as u32`".into(),
+            message: "ack before the WAL commit".into(),
         };
         let s = to_sarif(&[d]);
         assert!(s.contains("\"version\":\"2.1.0\""), "{s}");
-        assert!(s.contains("\"ruleId\":\"L009\""));
+        assert!(s.contains("\"ruleId\":\"L007\""));
         assert!(s.contains("\"startLine\":5"));
         // Every registry rule is described in the driver section.
         for rule in crate::rules::RULES {

@@ -4,21 +4,28 @@
 //! Suppression syntax:
 //!
 //! ```text
-//! risky_call(); // mykil-lint: allow(L001) -- proven unreachable: …
+//! if mac_a != mac_b { … } // mykil-lint: allow(L003) -- public values: …
 //!
 //! // mykil-lint: allow(L003)
 //! if mac_a != mac_b { … }      // directive on its own line covers the
 //!                              // next code line
 //! ```
 //!
-//! Several rules may be listed: `allow(L001, L005)`.
+//! Several rules may be listed: `allow(L003, L007)`. A directive is held
+//! to the contract of `#[expect]`: a rule id it names that suppresses no
+//! finding on its line, or that is not a rule of this linter, is itself
+//! reported as [`STALE_ALLOW`].
 
-use crate::ast::{self, Ast};
+use crate::ast::{self, FnDef};
 use crate::diagnostics::{display_path, Diagnostic};
 use crate::rules::{Check, FileContext, RULES};
 use crate::tokenizer::{scan, Comment, Token};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+
+/// The id findings about the directives themselves are reported under.
+/// It is not a rule: it cannot be listed, explained or suppressed.
+pub const STALE_ALLOW: &str = "stale-allow";
 
 /// One file after the full analysis pipeline: tokens, test mask, and
 /// the syntax layer. This is what crate-scoped (AST) rules consume.
@@ -31,8 +38,8 @@ pub struct AnalyzedFile {
     pub comments: Vec<Comment>,
     /// Per-token flag: inside `#[cfg(test)]` / `#[test]` code.
     pub test_mask: Vec<bool>,
-    /// The syntax layer: functions, events, typed declarations.
-    pub ast: Ast,
+    /// The syntax layer: functions and their call events.
+    pub fns: Vec<FnDef>,
 }
 
 /// Everything a crate-scoped rule sees: all analyzed files of one
@@ -46,6 +53,8 @@ pub struct CrateContext<'a> {
 }
 
 /// The `crates/<name>/src/` crate a workspace-relative path belongs to.
+/// Every rule, token or crate-scoped, is scoped through this one
+/// function.
 pub fn crate_of(rel_path: &str) -> Option<&str> {
     let rest = rel_path.strip_prefix("crates/")?;
     let (name, tail) = rest.split_once('/')?;
@@ -56,20 +65,20 @@ pub fn crate_of(rel_path: &str) -> Option<&str> {
 pub fn analyze(rel_path: &str, source: &str) -> AnalyzedFile {
     let scanned = scan(source);
     let test_mask = compute_test_mask(&scanned.tokens);
-    let parsed = ast::parse(&scanned.tokens);
+    let fns = ast::parse(&scanned.tokens);
     AnalyzedFile {
         path: rel_path.to_string(),
         tokens: scanned.tokens,
         comments: scanned.comments,
         test_mask,
-        ast: parsed,
+        fns,
     }
 }
 
 /// Lints a set of files as one unit: token rules run per file, AST
-/// rules run once per crate group (so cross-file facts — a field's
-/// declared type, a timer's handling site — are visible). Suppression
-/// directives are honored for both rule kinds.
+/// rules run once per crate group (so cross-file facts — a timer's
+/// handling site — are visible). Suppression directives are honored for
+/// both rule kinds, and the ones that suppress nothing are reported.
 pub fn lint_files(files: &[(String, String)]) -> Vec<Diagnostic> {
     let analyzed: Vec<AnalyzedFile> = files
         .iter()
@@ -81,7 +90,6 @@ pub fn lint_files(files: &[(String, String)]) -> Vec<Diagnostic> {
             path: &f.path,
             tokens: &f.tokens,
             test_mask: &f.test_mask,
-            comments: &f.comments,
         };
         for rule in RULES {
             if let Check::Token(check) = rule.check {
@@ -109,17 +117,56 @@ pub fn lint_files(files: &[(String, String)]) -> Vec<Diagnostic> {
             }
         }
     }
-    let suppressed: HashMap<&str, HashMap<u32, Vec<String>>> = analyzed
+    let directives: Vec<(&str, Directive)> = analyzed
         .iter()
-        .map(|f| (f.path.as_str(), suppression_map(&f.tokens, &f.comments)))
+        .flat_map(|f| {
+            directives(&f.tokens, &f.comments)
+                .into_iter()
+                .map(|d| (f.path.as_str(), d))
+        })
         .collect();
+    let stale = stale_directives(&directives, &out);
     out.retain(|d| {
-        !suppressed
-            .get(d.file.as_str())
-            .and_then(|m| m.get(&d.line))
-            .is_some_and(|rules| rules.iter().any(|r| r == d.rule))
+        !directives.iter().any(|(file, dir)| {
+            *file == d.file && dir.target == d.line && dir.rules.iter().any(|r| r == d.rule)
+        })
     });
-    out.sort_by(|a, b| (a.file.clone(), a.line, a.rule).cmp(&(b.file.clone(), b.line, b.rule)));
+    out.extend(stale);
+    out.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
+    out
+}
+
+/// The directive findings: every rule id a directive names that is not
+/// a rule of this linter, or that matches no finding on the line the
+/// directive covers.
+fn stale_directives(directives: &[(&str, Directive)], findings: &[Diagnostic]) -> Vec<Diagnostic> {
+    let mut out = Vec::new();
+    for (file, dir) in directives {
+        for rule in &dir.rules {
+            let message = if !RULES.iter().any(|r| r.id == rule) {
+                format!(
+                    "`allow({rule})` names no mykil-lint rule; the retired rules are \
+                     clippy lints now, suppressed with `#[expect(clippy::…, reason = …)]`"
+                )
+            } else if !findings
+                .iter()
+                .any(|d| d.file == *file && d.line == dir.target && d.rule == rule)
+            {
+                format!(
+                    "`allow({rule})` suppresses no finding on line {}; delete it",
+                    dir.target
+                )
+            } else {
+                continue;
+            };
+            out.push(Diagnostic {
+                rule: STALE_ALLOW,
+                file: file.to_string(),
+                line: dir.line,
+                message,
+            });
+        }
+    }
     out
 }
 
@@ -204,30 +251,43 @@ fn test_attribute_end(tokens: &[Token], i: usize) -> Option<usize> {
     is_test_attr.then_some(j)
 }
 
-/// Builds `line -> allowed rule ids` from suppression comments. A
-/// trailing comment covers its own line; a comment on its own line
-/// covers the next line that has code.
-fn suppression_map(tokens: &[Token], comments: &[Comment]) -> HashMap<u32, Vec<String>> {
-    let mut map: HashMap<u32, Vec<String>> = HashMap::new();
-    for comment in comments {
-        let Some(rules) = parse_directive(comment) else {
-            continue;
-        };
-        let target = if comment.has_code_before {
-            comment.line
-        } else {
-            tokens
-                .iter()
-                .map(|t| t.line)
-                .find(|l| *l > comment.line)
-                .unwrap_or(comment.line)
-        };
-        map.entry(target).or_default().extend(rules);
-    }
-    map
+/// One suppression directive.
+struct Directive {
+    /// The line the comment sits on (where a stale directive is reported).
+    line: u32,
+    /// The line it covers.
+    target: u32,
+    /// The rule ids it names.
+    rules: Vec<String>,
 }
 
-/// Parses `mykil-lint: allow(L001, L003) [-- reason]` from a comment.
+/// Collects the suppression comments of a file. A trailing comment
+/// covers its own line; a comment on its own line covers the next line
+/// that has code.
+fn directives(tokens: &[Token], comments: &[Comment]) -> Vec<Directive> {
+    comments
+        .iter()
+        .filter_map(|comment| {
+            let rules = parse_directive(comment)?;
+            let target = if comment.has_code_before {
+                comment.line
+            } else {
+                tokens
+                    .iter()
+                    .map(|t| t.line)
+                    .find(|l| *l > comment.line)
+                    .unwrap_or(comment.line)
+            };
+            Some(Directive {
+                line: comment.line,
+                target,
+                rules,
+            })
+        })
+        .collect()
+}
+
+/// Parses `mykil-lint: allow(L003, L007) [-- reason]` from a comment.
 fn parse_directive(comment: &Comment) -> Option<Vec<String>> {
     let text = comment.text.trim();
     let rest = text.strip_prefix("mykil-lint:")?.trim_start();
@@ -290,6 +350,13 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
 mod tests {
     use super::*;
 
+    fn rules(src: &str) -> Vec<&'static str> {
+        lint_source("crates/core/src/a.rs", src)
+            .into_iter()
+            .map(|d| d.rule)
+            .collect()
+    }
+
     #[test]
     fn test_mask_covers_cfg_test_mod() {
         let src = "fn prod() {}\n#[cfg(test)]\nmod tests {\n fn t() { x.unwrap(); }\n}\n";
@@ -343,27 +410,31 @@ mod tests {
 
     #[test]
     fn same_line_suppression() {
-        let src = "fn f() { x.unwrap(); // mykil-lint: allow(L001) -- startup only\n}";
-        assert!(lint_source("crates/core/src/a.rs", src).is_empty());
+        let src = "fn f(mac: &[u8], m: &[u8]) -> bool {\n mac == m // mykil-lint: allow(L003) -- public\n}";
+        assert!(rules(src).is_empty());
     }
 
     #[test]
     fn standalone_suppression_covers_next_line() {
-        let src = "fn f() {\n // mykil-lint: allow(L001)\n x.unwrap();\n}";
-        assert!(lint_source("crates/core/src/a.rs", src).is_empty());
+        let src = "fn f(mac: &[u8], m: &[u8]) -> bool {\n // mykil-lint: allow(L003)\n mac == m\n}";
+        assert!(rules(src).is_empty());
     }
 
     #[test]
     fn suppression_for_other_rule_does_not_apply() {
-        let src = "fn f() { x.unwrap(); // mykil-lint: allow(L003)\n}";
-        let diags = lint_source("crates/core/src/a.rs", src);
-        assert_eq!(diags.len(), 1);
-        assert_eq!(diags[0].rule, "L001");
+        // The finding stays, and the directive that covered nothing is
+        // reported too.
+        let src = "fn f(mac: &[u8], m: &[u8]) -> bool {\n mac == m // mykil-lint: allow(L007)\n}";
+        assert_eq!(rules(src), vec!["L003", STALE_ALLOW]);
     }
 
     #[test]
     fn multi_rule_directive() {
-        let src = "fn f() { x.unwrap(); // mykil-lint: allow(L003, L001)\n}";
-        assert!(lint_source("crates/core/src/a.rs", src).is_empty());
+        let src = "fn f(ctx: &mut Ctx, mac: &[u8], m: &[u8]) {\n\
+                   ctx.send(peer, Msg::HeartbeatAck { ok: mac == m }); // mykil-lint: allow(L003, L007)\n\
+                   self.wal_commit_record(ctx, &rec);\n}";
+        assert!(rules(src).is_empty());
+        let one = src.replace("allow(L003, L007)", "allow(L007)");
+        assert_eq!(rules(&one), vec!["L003"]);
     }
 }

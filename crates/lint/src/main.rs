@@ -13,6 +13,8 @@
 //! machine-readable form to a file (human mode still prints findings
 //! to stdout), which is how CI captures the artifact.
 
+#![forbid(unsafe_code)]
+
 use mykil_lint::diagnostics::{display_path, to_sarif};
 use mykil_lint::explain::{explain, render};
 use mykil_lint::{lint_source, lint_workspace, Diagnostic, RULES};
@@ -42,7 +44,7 @@ fn main() -> ExitCode {
             "--explain" => match args.next() {
                 Some(id) => explain_id = Some(id),
                 None => {
-                    eprintln!("mykil-lint: --explain expects a rule id (L001..L011)");
+                    eprintln!("mykil-lint: --explain expects a rule id ({})", rule_ids());
                     return ExitCode::from(2);
                 }
             },
@@ -85,11 +87,7 @@ fn main() -> ExitCode {
             None => {
                 eprintln!(
                     "mykil-lint: unknown rule {id:?}; known rules: {}",
-                    RULES
-                        .iter()
-                        .map(|r| r.id)
-                        .collect::<Vec<_>>()
-                        .join(", ")
+                    rule_ids()
                 );
                 ExitCode::from(2)
             }
@@ -195,6 +193,10 @@ fn workspace_root() -> PathBuf {
             None => return cwd,
         }
     }
+}
+
+fn rule_ids() -> String {
+    RULES.iter().map(|r| r.id).collect::<Vec<_>>().join(", ")
 }
 
 fn normalize_ws(s: &str) -> String {

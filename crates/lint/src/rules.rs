@@ -1,37 +1,20 @@
-//! The token-level Mykil lint rules.
+//! The token-level Mykil lint rules and the rule registry.
 //!
 //! Each rule reports [`Diagnostic`]s over a scanned file. Rules are
-//! scoped by crate: the linter computes which workspace crate a file
+//! scoped by crate: [`crate_of`] computes which workspace crate a file
 //! belongs to from its path, and each rule declares which crates and
 //! regions (test vs. non-test) it applies to.
 //!
 //! | Rule | Invariant |
 //! |------|-----------|
-//! | L001 | no `unwrap()`/`expect()` in non-test code of protocol crates |
 //! | L002 | secret types derive no `Debug`/`PartialEq`/`Hash` and zeroize on `Drop` |
 //! | L003 | MAC/digest comparisons go through `ct_eq`, never `==`/`!=` |
-//! | L004 | no wall-clock (`SystemTime`/`Instant`) in sim-deterministic crates |
-//! | L005 | protocol `Msg` dispatch has no `_ =>` catch-all |
-//! | L011 | `unsafe` only in the listed files, every block under a `// SAFETY:` comment |
+//!
+//! The call-order rules L007 and L008 live in [`crate::rules_ast`].
 
 use crate::diagnostics::Diagnostic;
-use crate::engine::CrateContext;
-use crate::tokenizer::{Comment, Token, TokenKind};
-
-/// Crates whose non-test code must be panic-free on peer input (L001).
-pub const PROTOCOL_CRATES: &[&str] = &["core", "net", "tree"];
-
-/// Harness allowlist: files inside protocol crates that are driven only
-/// by the test harness, never by peer input. The chaos fault injector
-/// and the invariant checker deliberately crash nodes and assert on
-/// global state, so the panic-freedom rule L001 does not apply to them.
-/// Everything else (L003 constant-time compares, L004 determinism,
-/// L005 exhaustive dispatch) still does.
-pub const HARNESS_PATHS: &[&str] = &["crates/net/src/chaos.rs", "crates/core/src/invariants.rs"];
-
-/// Crates that must never read wall-clock time (L004): all their
-/// behavior flows from the deterministic simulator clock.
-pub const SIM_DETERMINISTIC_CRATES: &[&str] = &["net", "core"];
+use crate::engine::{crate_of, CrateContext};
+use crate::tokenizer::{Token, TokenKind};
 
 /// Crates that define secret-bearing types (L002). The net crate's
 /// stable-storage layer holds at-rest key material (`SecretBytes`
@@ -62,23 +45,14 @@ const AT_REST_PATHS: &[&str] = &["crates/net/src/file_store.rs"];
 /// produces fixed framing integers (lengths, CRCs, sequence numbers).
 const AT_REST_OK_CALLS: &[&str] = &["as_slice", "to_le_bytes"];
 
+/// Crates whose comparisons L003 checks: the crypto crate and the
+/// protocol crates that handle its tags.
+const MAC_COMPARE_CRATES: &[&str] = &["crypto", "core", "net", "tree"];
+
 /// Identifier segments that mark a value as MAC/digest material (L003).
 const SECRET_COMPARE_SEGMENTS: &[&str] = &["mac", "tag", "digest", "hmac"];
 
-/// The only files that may contain `unsafe` (L011): volatile wipes,
-/// the zeroize-on-drop test that observes one, the SHA-extension
-/// intrinsics, and the benchmark's counting `GlobalAlloc`.
-pub const UNSAFE_ALLOWED_PATHS: &[&str] = &[
-    "crates/crypto/src/ct.rs",
-    "crates/crypto/src/keys.rs",
-    "crates/crypto/src/sha_ni.rs",
-    "crates/bench/src/alloc_track.rs",
-];
-
-/// Enum names whose dispatch must be exhaustive (L005).
-const DISPATCH_ENUMS: &[&str] = &["Msg"];
-
-/// Everything a rule needs to know about one file.
+/// Everything a token rule needs to know about one file.
 pub struct FileContext<'a> {
     /// Workspace-relative path with forward slashes.
     pub path: &'a str,
@@ -86,29 +60,11 @@ pub struct FileContext<'a> {
     pub tokens: &'a [Token],
     /// Per-token flag: inside `#[cfg(test)]` / `#[test]` code.
     pub test_mask: &'a [bool],
-    /// Comments, in order (L011 looks for `// SAFETY:`).
-    pub comments: &'a [Comment],
-}
-
-impl FileContext<'_> {
-    /// The `crates/<name>/src/` crate this file belongs to, if any.
-    pub fn crate_name(&self) -> Option<&str> {
-        let rest = self.path.strip_prefix("crates/")?;
-        let (name, tail) = rest.split_once('/')?;
-        tail.starts_with("src/").then_some(name)
-    }
-
-    fn in_protocol_src(&self) -> bool {
-        !HARNESS_PATHS.contains(&self.path)
-            && self
-                .crate_name()
-                .is_some_and(|c| PROTOCOL_CRATES.contains(&c))
-    }
 }
 
 /// How a rule runs: over one file's raw tokens, or over every analyzed
-/// file of a crate (the syntax-aware rules need cross-file facts: a
-/// field's declared type, a timer kind's handling site).
+/// file of a crate (the call-order rules need cross-file facts: a timer
+/// kind's handling site).
 #[derive(Clone, Copy)]
 pub enum Check {
     /// Runs once per file over raw tokens.
@@ -119,7 +75,7 @@ pub enum Check {
 
 /// A lint rule: id, one-line rationale, and the check itself.
 pub struct RuleInfo {
-    /// Stable rule id (`L001`…).
+    /// Stable rule id (`L002`…).
     pub id: &'static str,
     /// One-line description used by `--list-rules` and docs.
     pub description: &'static str,
@@ -127,14 +83,10 @@ pub struct RuleInfo {
     pub check: Check,
 }
 
-/// The rule registry, in id order.
+/// The rule registry, in id order. The ids are stable: L001, L004–L006
+/// and L009–L011 were retired when clippy took them over, and are not
+/// reused.
 pub const RULES: &[RuleInfo] = &[
-    RuleInfo {
-        id: "L001",
-        description: "no unwrap()/expect() in non-test code of protocol crates \
-                      (core, net, tree): malformed peer input must not panic a node",
-        check: Check::Token(check_l001),
-    },
     RuleInfo {
         id: "L002",
         description: "secret-bearing types (SymmetricKey, Rc4, ChaCha20, RsaKeyPair, \
@@ -150,25 +102,6 @@ pub const RULES: &[RuleInfo] = &[
         check: Check::Token(check_l003),
     },
     RuleInfo {
-        id: "L004",
-        description: "no wall-clock reads (SystemTime/Instant) in sim-deterministic \
-                      crates (net, core): the simulator owns time",
-        check: Check::Token(check_l004),
-    },
-    RuleInfo {
-        id: "L005",
-        description: "protocol Msg dispatch must match variants exhaustively, \
-                      no `_ =>` catch-all (new wire messages must be triaged)",
-        check: Check::Token(check_l005),
-    },
-    RuleInfo {
-        id: "L006",
-        description: "no iteration over HashMap/HashSet (.iter/.keys/.values/.drain/\
-                      for-loops) in deterministic crates (core, net, tree): bucket \
-                      order breaks seeded replay and byte-identical wire output",
-        check: Check::Crate(crate::rules_ast::check_l006),
-    },
-    RuleInfo {
         id: "L007",
         description: "WAL-before-ack: in core handlers that commit to the WAL, \
                       every ack/reply Msg send must come after the commit \
@@ -182,27 +115,6 @@ pub const RULES: &[RuleInfo] = &[
                       (stale/orphan timer bug class)",
         check: Check::Crate(crate::rules_ast::check_l008),
     },
-    RuleInfo {
-        id: "L009",
-        description: "no bare `as` narrowing casts (u8/u16/u32/i8/i16/i32) in \
-                      wire/codec files: use try_from + Malformed \
-                      (silent length-prefix truncation bug class)",
-        check: Check::Crate(crate::rules_ast::check_l009),
-    },
-    RuleInfo {
-        id: "L010",
-        description: "no panicking slice access (x[i], split_at, copy_from_slice) \
-                      in wire/codec files: use get()/split_at_checked/try_into \
-                      and return Malformed",
-        check: Check::Crate(crate::rules_ast::check_l010),
-    },
-    RuleInfo {
-        id: "L011",
-        description: "`unsafe` only in the allowlisted files (ct.rs, keys.rs, sha_ni.rs, \
-                      bench alloc_track.rs), and every unsafe block there directly \
-                      under a `// SAFETY:` comment",
-        check: Check::Token(check_l011),
-    },
 ];
 
 fn diag(rule: &'static str, ctx: &FileContext<'_>, line: u32, message: String) -> Diagnostic {
@@ -214,100 +126,9 @@ fn diag(rule: &'static str, ctx: &FileContext<'_>, line: u32, message: String) -
     }
 }
 
-/// L001: `.unwrap(` / `.expect(` outside test code of protocol crates.
-fn check_l001(ctx: &FileContext<'_>) -> Vec<Diagnostic> {
-    if !ctx.in_protocol_src() {
-        return Vec::new();
-    }
-    let t = ctx.tokens;
-    let mut out = Vec::new();
-    for i in 1..t.len().saturating_sub(1) {
-        if ctx.test_mask[i] {
-            continue;
-        }
-        let name = &t[i];
-        if name.kind == TokenKind::Ident
-            && (name.text == "unwrap" || name.text == "expect")
-            && t[i - 1].is_punct('.')
-            && t[i + 1].is_punct('(')
-        {
-            out.push(diag(
-                "L001",
-                ctx,
-                name.line,
-                format!(
-                    "`{}()` can panic on malformed or Byzantine peer input; \
-                     return a ProtocolError (or annotate a proven-unreachable case)",
-                    name.text
-                ),
-            ));
-        }
-    }
-    out
-}
-
-/// L011: `unsafe` confined to [`UNSAFE_ALLOWED_PATHS`], and there every
-/// `unsafe { … }` block sits directly under a comment block (or beside
-/// a trailing comment) that says `SAFETY:`. Test code is not exempt:
-/// undefined behaviour in a test is still undefined behaviour.
-fn check_l011(ctx: &FileContext<'_>) -> Vec<Diagnostic> {
-    if ctx.crate_name().is_none() {
-        return Vec::new();
-    }
-    let allowed = UNSAFE_ALLOWED_PATHS.contains(&ctx.path);
-    let mut out = Vec::new();
-    for (i, tok) in ctx.tokens.iter().enumerate() {
-        if !tok.is_ident("unsafe") {
-            continue;
-        }
-        if !allowed {
-            out.push(diag(
-                "L011",
-                ctx,
-                tok.line,
-                "`unsafe` outside the allowlisted files; write it in safe Rust, or move it \
-                 into one of them and extend the list in the same review"
-                    .to_string(),
-            ));
-        } else if ctx.tokens.get(i + 1).is_some_and(|t| t.is_punct('{'))
-            && !has_safety_comment(ctx.comments, tok.line)
-        {
-            out.push(diag(
-                "L011",
-                ctx,
-                tok.line,
-                "unsafe block without a `// SAFETY:` comment directly above it stating \
-                 why the operation's requirements hold"
-                    .to_string(),
-            ));
-        }
-    }
-    out
-}
-
-/// Whether the comment lines ending directly above `line` (or a
-/// trailing comment on `line` itself) contain `SAFETY:`.
-fn has_safety_comment(comments: &[Comment], line: u32) -> bool {
-    let mut expect = line;
-    for c in comments.iter().rev().skip_while(|c| c.line > line) {
-        if c.line == line || (c.line + 1 == expect && !c.has_code_before) {
-            if c.text.contains("SAFETY:") {
-                return true;
-            }
-            expect = c.line;
-        } else {
-            break;
-        }
-    }
-    false
-}
-
 /// L002: forbidden derives on secret types + mandatory `impl Drop`.
 fn check_l002(ctx: &FileContext<'_>) -> Vec<Diagnostic> {
-    if !ctx
-        .crate_name()
-        .is_some_and(|c| SECRET_TYPE_CRATES.contains(&c))
-    {
+    if !crate_of(ctx.path).is_some_and(|c| SECRET_TYPE_CRATES.contains(&c)) {
         return Vec::new();
     }
     let t = ctx.tokens;
@@ -563,10 +384,7 @@ fn struct_name_after_attrs(t: &[Token], mut j: usize) -> Option<&Token> {
 
 /// L003: `==` / `!=` on values whose names mark them as MAC material.
 fn check_l003(ctx: &FileContext<'_>) -> Vec<Diagnostic> {
-    let Some(c) = ctx.crate_name() else {
-        return Vec::new();
-    };
-    if !(c == "crypto" || PROTOCOL_CRATES.contains(&c)) {
+    if !crate_of(ctx.path).is_some_and(|c| MAC_COMPARE_CRATES.contains(&c)) {
         return Vec::new();
     }
     let t = ctx.tokens;
@@ -626,181 +444,6 @@ fn ident_is_secret_compare(ident: &str) -> bool {
         .any(|seg| SECRET_COMPARE_SEGMENTS.contains(&seg.to_ascii_lowercase().as_str()))
 }
 
-/// L004: wall-clock types in sim-deterministic crates.
-fn check_l004(ctx: &FileContext<'_>) -> Vec<Diagnostic> {
-    let Some(c) = ctx.crate_name() else {
-        return Vec::new();
-    };
-    if !SIM_DETERMINISTIC_CRATES.contains(&c) {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    for tok in ctx.tokens {
-        if tok.kind == TokenKind::Ident && (tok.text == "SystemTime" || tok.text == "Instant") {
-            out.push(diag(
-                "L004",
-                ctx,
-                tok.line,
-                format!(
-                    "`{}` reads wall-clock time; sim-deterministic crates must take \
-                     time from the simulator (`mykil_net::Time`) so runs reproduce bit-exactly",
-                    tok.text
-                ),
-            ));
-        }
-    }
-    out
-}
-
-/// L005: `_ =>` catch-alls inside `Msg` dispatch matches.
-fn check_l005(ctx: &FileContext<'_>) -> Vec<Diagnostic> {
-    if ctx.crate_name() != Some("core") {
-        return Vec::new();
-    }
-    let t = ctx.tokens;
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < t.len() {
-        if !t[i].is_ident("match") || ctx.test_mask[i] {
-            i += 1;
-            continue;
-        }
-        // Find the `{` opening the match body (scrutinees cannot contain
-        // top-level braces without parens).
-        let mut j = i + 1;
-        let mut pdepth = 0i32;
-        let body_start = loop {
-            let Some(tok) = t.get(j) else {
-                break None;
-            };
-            if tok.is_punct('(') || tok.is_punct('[') {
-                pdepth += 1;
-            } else if tok.is_punct(')') || tok.is_punct(']') {
-                pdepth -= 1;
-            } else if tok.is_punct('{') && pdepth == 0 {
-                break Some(j);
-            } else if tok.is_punct(';') && pdepth == 0 {
-                break None; // not a match expression after all
-            }
-            j += 1;
-        };
-        let Some(body_start) = body_start else {
-            i += 1;
-            continue;
-        };
-        let (arms, body_end) = collect_match_arms(t, body_start);
-        let dispatches_wire_enum = arms.iter().any(|(pat_start, pat_end, _)| {
-            (*pat_start..*pat_end).any(|k| {
-                t[k].kind == TokenKind::Ident
-                    && DISPATCH_ENUMS.contains(&t[k].text.as_str())
-                    && t.get(k + 1).is_some_and(|a| a.is_punct(':'))
-                    && t.get(k + 2).is_some_and(|a| a.is_punct(':'))
-            })
-        });
-        if dispatches_wire_enum {
-            for (pat_start, pat_end, line) in &arms {
-                let pat = &t[*pat_start..*pat_end];
-                // `_` lexes as an identifier, not punctuation.
-                if pat.len() == 1 && pat[0].is_ident("_") {
-                    out.push(diag(
-                        "L005",
-                        ctx,
-                        *line,
-                        "protocol dispatch uses a `_ =>` catch-all; list the ignored \
-                         Msg variants explicitly so new wire messages are triaged \
-                         deliberately"
-                            .to_string(),
-                    ));
-                }
-            }
-        }
-        i = body_end.max(i + 1);
-    }
-    out
-}
-
-/// Collects `(pattern_start, pattern_end, line)` for each arm of the
-/// match whose `{` is at `body_start`; returns the index after the
-/// closing `}` as well.
-fn collect_match_arms(t: &[Token], body_start: usize) -> (Vec<(usize, usize, u32)>, usize) {
-    let mut arms = Vec::new();
-    let mut j = body_start + 1;
-    let mut brace = 1i32;
-    let mut paren = 0i32;
-    let mut arm_start: Option<usize> = None;
-    while j < t.len() && brace > 0 {
-        let tok = &t[j];
-        if tok.is_punct('{') {
-            brace += 1;
-        } else if tok.is_punct('}') {
-            brace -= 1;
-            if brace == 0 {
-                break;
-            }
-        } else if tok.is_punct('(') || tok.is_punct('[') {
-            paren += 1;
-        } else if tok.is_punct(')') || tok.is_punct(']') {
-            paren -= 1;
-        }
-        if brace == 1 && paren == 0 {
-            if arm_start.is_none() && !tok.is_punct(',') && !tok.is_punct('}') {
-                arm_start = Some(j);
-            }
-            // `=>` terminates the pattern (and any guard).
-            if tok.is_punct('=') && t.get(j + 1).is_some_and(|x| x.is_punct('>')) {
-                if let Some(start) = arm_start.take() {
-                    // Trim a trailing `if guard` from the pattern so a
-                    // lone `_ if cond` still counts as `_`.
-                    let end = (start..j)
-                        .find(|&k| t[k].is_ident("if"))
-                        .unwrap_or(j);
-                    arms.push((start, end, t[start].line));
-                }
-                // Skip over the arm body: either a block or until the
-                // next `,` at this depth.
-                j += 2;
-                if t.get(j).is_some_and(|x| x.is_punct('{')) {
-                    let mut d = 1i32;
-                    j += 1;
-                    while j < t.len() && d > 0 {
-                        if t[j].is_punct('{') {
-                            d += 1;
-                        } else if t[j].is_punct('}') {
-                            d -= 1;
-                        }
-                        j += 1;
-                    }
-                } else {
-                    let mut d_paren = 0i32;
-                    let mut d_brace = 0i32;
-                    while j < t.len() {
-                        let b = &t[j];
-                        if b.is_punct('(') || b.is_punct('[') {
-                            d_paren += 1;
-                        } else if b.is_punct(')') || b.is_punct(']') {
-                            d_paren -= 1;
-                        } else if b.is_punct('{') {
-                            d_brace += 1;
-                        } else if b.is_punct('}') {
-                            if d_brace == 0 {
-                                break; // end of the match itself
-                            }
-                            d_brace -= 1;
-                        } else if b.is_punct(',') && d_paren == 0 && d_brace == 0 {
-                            j += 1;
-                            break;
-                        }
-                        j += 1;
-                    }
-                }
-                continue;
-            }
-        }
-        j += 1;
-    }
-    (arms, j + 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -826,9 +469,9 @@ mod tests {
 
     #[test]
     fn crate_scoping() {
-        // L001 only applies to protocol crates.
-        let src = "fn f() { x.unwrap(); }";
-        assert_eq!(rules_fired("crates/core/src/a.rs", src), vec!["L001"]);
+        // L003 applies to the crypto and protocol crates' src/ trees.
+        let src = "fn f(mac: &[u8], m: &[u8]) -> bool { mac == m }";
+        assert_eq!(rules_fired("crates/core/src/a.rs", src), vec!["L003"]);
         assert_eq!(rules_fired("crates/analysis/src/a.rs", src), Vec::<String>::new());
         assert_eq!(rules_fired("crates/core/tests/a.rs", src), Vec::<String>::new());
     }

@@ -1,79 +1,23 @@
-//! The syntax-aware dataflow rules L006–L010.
+//! The syntax-aware call-order rules L007 and L008.
 //!
-//! These rules run over the [`crate::ast`] layer — per-function event
-//! streams plus crate-wide declaration tables — so they can reason
-//! about *call order* and *cross-file pairing*, which the token rules
-//! L001–L005 cannot:
+//! These rules run over the [`crate::ast`] layer — per-function call
+//! streams — so they can reason about *call order* and *cross-file
+//! pairing*, which the token rules cannot:
 //!
 //! | Rule | Invariant |
 //! |------|-----------|
-//! | L006 | no iteration over `HashMap`/`HashSet` in deterministic crates |
 //! | L007 | WAL commit precedes every ack/reply send in the same handler |
 //! | L008 | every armed timer kind is matched or cancelled in its crate |
-//! | L009 | no bare narrowing `as` casts in wire/codec files |
-//! | L010 | no panicking slice indexing in wire/codec files |
 //!
 //! Rules receive a [`CrateContext`] — every analyzed file of one
 //! workspace crate — and report diagnostics across any of them.
 
-use crate::ast::{last_name_in, split_args, Event, EventKind};
+use crate::ast::{last_name_in, split_args, Event};
 use crate::diagnostics::Diagnostic;
 use crate::engine::{AnalyzedFile, CrateContext};
-use crate::rules::HARNESS_PATHS;
 use crate::tokenizer::{Token, TokenKind};
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
-
-/// Crates whose iteration order is protocol- or replay-visible (L006):
-/// the sim-deterministic crates plus the tree crate, whose plans feed
-/// byte-exact wire encoding.
-pub const DETERMINISTIC_ITER_CRATES: &[&str] = &["core", "net", "tree"];
-
-/// Files that parse or build wire bytes (L009/L010): hostile input
-/// flows through these, so casts must be checked and indexing
-/// non-panicking. The stable-storage files qualify because recovery
-/// parses whatever a crashed (or lying) disk left behind, and the fuzz
-/// crate qualifies because it frames arbitrary mutated bytes before
-/// handing them to the decoders under test.
-pub const WIRE_SENSITIVE_PATHS: &[&str] = &[
-    "crates/core/src/wire.rs",
-    "crates/core/src/msg.rs",
-    "crates/core/src/rekey.rs",
-    "crates/core/src/durable.rs",
-    "crates/core/src/welcome.rs",
-    "crates/core/src/ticket.rs",
-    "crates/crypto/src/envelope.rs",
-    "crates/net/src/chaos.rs",
-    "crates/net/src/storage.rs",
-    "crates/net/src/file_store.rs",
-    "crates/fuzz/src/engine.rs",
-    "crates/fuzz/src/targets.rs",
-];
-
-/// Iteration methods whose order is the hash map's bucket order.
-const ITER_METHODS: &[&str] = &[
-    "iter",
-    "iter_mut",
-    "into_iter",
-    "keys",
-    "values",
-    "values_mut",
-    "drain",
-];
-
-/// Idents that mark a flagged iteration as explicitly ordered: a
-/// collect into an ordered map/set, or a sort of the collected items,
-/// in the same statement.
-const SORTED_MARKERS: &[&str] = &[
-    "BTreeMap",
-    "BTreeSet",
-    "sort",
-    "sort_unstable",
-    "sort_by",
-    "sort_by_key",
-    "sort_unstable_by",
-    "sort_unstable_by_key",
-];
 
 /// Durable-commit calls (L007): PR 4's WAL-before-ack contract counts
 /// any of these as the commit point.
@@ -86,18 +30,6 @@ const SEND_FNS: &[&str] = &["send", "send_reliable", "multicast"];
 /// messages a peer takes as confirmation that state changed on this
 /// node.
 const ACK_MARKERS: &[&str] = &["Ack", "Denied", "Welcome", "Grant", "Reply"];
-
-/// Integer types a bare `as` cast can silently truncate into (L009).
-/// `usize`/`u64`/`u128` widen on every supported target and stay legal.
-const NARROWING_INT_TARGETS: &[&str] = &["u8", "u16", "u32", "i8", "i16", "i32"];
-
-/// Slice calls that panic on length mismatch (L010).
-const PANICKING_SLICE_FNS: &[&str] = &[
-    "split_at",
-    "split_at_mut",
-    "copy_from_slice",
-    "clone_from_slice",
-];
 
 fn diag(rule: &'static str, file: &str, line: u32, message: String) -> Diagnostic {
     Diagnostic {
@@ -113,128 +45,6 @@ fn in_test(file: &AnalyzedFile, e: &Event) -> bool {
     file.test_mask.get(e.tok).copied().unwrap_or(false)
 }
 
-/// End of the statement containing token `from` (exclusive): the next
-/// `;` at the bracket depth of `from`, capped at `limit`.
-fn statement_end(tokens: &[Token], from: usize, limit: usize) -> usize {
-    let mut depth = 0i32;
-    let mut i = from;
-    while i < limit {
-        let t = &tokens[i];
-        if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
-            depth += 1;
-        } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
-            depth -= 1;
-            if depth < 0 {
-                return i;
-            }
-        } else if t.is_punct(';') && depth == 0 {
-            return i;
-        }
-        i += 1;
-    }
-    limit
-}
-
-/// Start of the statement containing token `from`: the token after the
-/// previous `;`, `{` or `}` at the bracket depth of `from`, floored at
-/// `floor`.
-fn statement_start(tokens: &[Token], from: usize, floor: usize) -> usize {
-    let mut depth = 0i32;
-    let mut i = from;
-    while i > floor {
-        let t = &tokens[i - 1];
-        if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
-            depth += 1;
-            if t.is_punct('}') && depth == 1 {
-                // A `}` at our depth closes a preceding block statement.
-                return i;
-            }
-        } else if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
-            depth -= 1;
-            if depth < 0 {
-                return i;
-            }
-        } else if t.is_punct(';') && depth == 0 {
-            return i;
-        }
-        i -= 1;
-    }
-    floor
-}
-
-/// L006: iteration over hash-ordered collections in deterministic
-/// crates. A name is hash-typed when any declaration in the crate types
-/// it `HashMap`/`HashSet`; `for` loops and iteration-method calls over
-/// such names are flagged unless the same statement sorts the result or
-/// collects it into an ordered container.
-pub fn check_l006(ctx: &CrateContext<'_>) -> Vec<Diagnostic> {
-    if !ctx
-        .crate_name
-        .is_some_and(|c| DETERMINISTIC_ITER_CRATES.contains(&c))
-    {
-        return Vec::new();
-    }
-    let mut hash_names: BTreeSet<&str> = BTreeSet::new();
-    for f in ctx.files {
-        for d in &f.ast.decls {
-            // Test-only declarations don't taint production names.
-            let test_only = f.test_mask.get(d.tok).copied().unwrap_or(false);
-            if !test_only && (d.ty_head == "HashMap" || d.ty_head == "HashSet") {
-                hash_names.insert(&d.name);
-            }
-        }
-    }
-    if hash_names.is_empty() {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    for f in ctx.files {
-        for fun in &f.ast.fns {
-            for e in &fun.events {
-                if in_test(f, e) {
-                    continue;
-                }
-                let (what, range) = match &e.kind {
-                    EventKind::MethodCall { method, recv } if ITER_METHODS.contains(&method.as_str()) => {
-                        (format!(".{method}()"), recv)
-                    }
-                    EventKind::ForLoop { iter } => ("`for` loop".to_string(), iter),
-                    _ => continue,
-                };
-                let Some(name) = last_name_in(&f.tokens, range) else {
-                    continue;
-                };
-                if !hash_names.contains(name.as_str()) {
-                    continue;
-                }
-                // Escape hatch: an explicitly ordered use in the same
-                // statement — scan the whole statement so a
-                // `let ks: BTreeSet<_> = …` annotation counts too.
-                let start = statement_start(&f.tokens, e.tok, fun.body.start);
-                let end = statement_end(&f.tokens, e.tok, fun.body.end);
-                let sorted = (start..end).any(|i| {
-                    let t = &f.tokens[i];
-                    t.kind == TokenKind::Ident && SORTED_MARKERS.contains(&t.text.as_str())
-                });
-                if sorted {
-                    continue;
-                }
-                out.push(diag(
-                    "L006",
-                    &f.path,
-                    e.line,
-                    format!(
-                        "{what} over hash-ordered `{name}` is nondeterministic; \
-                         iteration order feeds replayable schedules and wire bytes — \
-                         use BTreeMap/BTreeSet or collect-and-sort in the same statement"
-                    ),
-                ));
-            }
-        }
-    }
-    out
-}
-
 /// L007: WAL-before-ack call ordering. In a core-crate handler whose
 /// body both commits to the WAL and emits an ack/reply `Msg`, every
 /// ack/reply emission must come after a commit: an acknowledgement that
@@ -247,14 +57,11 @@ pub fn check_l007(ctx: &CrateContext<'_>) -> Vec<Diagnostic> {
     }
     let mut out = Vec::new();
     for f in ctx.files {
-        if HARNESS_PATHS.contains(&f.path.as_str()) {
-            continue;
-        }
-        for fun in &f.ast.fns {
-            let first_wal = fun.events.iter().find_map(|e| {
-                (!in_test(f, e) && event_callee(e).is_some_and(|n| WAL_FNS.contains(&n)))
-                    .then_some(e.tok)
-            });
+        for fun in &f.fns {
+            let first_wal = fun
+                .events
+                .iter()
+                .find_map(|e| (!in_test(f, e) && WAL_FNS.contains(&e.callee())).then_some(e.tok));
             let Some(first_wal) = first_wal else {
                 continue; // no durable commit in this fn — out of scope
             };
@@ -263,7 +70,7 @@ pub fn check_l007(ctx: &CrateContext<'_>) -> Vec<Diagnostic> {
                 if in_test(f, e) || e.tok >= first_wal {
                     continue;
                 }
-                if !event_callee(e).is_some_and(|n| SEND_FNS.contains(&n)) {
+                if !SEND_FNS.contains(&e.callee()) {
                     continue;
                 }
                 if let Some(variant) = ack_variant_in_args(&f.tokens, &e.args, &bindings) {
@@ -282,15 +89,6 @@ pub fn check_l007(ctx: &CrateContext<'_>) -> Vec<Diagnostic> {
         }
     }
     out
-}
-
-/// The callee name of a call-like event.
-fn event_callee(e: &Event) -> Option<&str> {
-    match &e.kind {
-        EventKind::Call { path } => path.last().map(|s| s.as_str()),
-        EventKind::MethodCall { method, .. } => Some(method.as_str()),
-        _ => None,
-    }
 }
 
 /// `let NAME = … Msg::Variant …;` bindings in a body whose variant is
@@ -403,12 +201,9 @@ pub fn check_l008(ctx: &CrateContext<'_>) -> Vec<Diagnostic> {
     // count as "handling" the kind.
     let mut tag_positions: BTreeMap<&str, BTreeSet<usize>> = BTreeMap::new();
     for f in ctx.files {
-        if HARNESS_PATHS.contains(&f.path.as_str()) {
-            continue;
-        }
-        for fun in &f.ast.fns {
+        for fun in &f.fns {
             for e in &fun.events {
-                if in_test(f, e) || event_callee(e) != Some("set_timer") {
+                if in_test(f, e) || e.callee() != "set_timer" {
                     continue;
                 }
                 let parts = split_args(&f.tokens, &e.args);
@@ -497,92 +292,4 @@ fn ident_in_use_statement(tokens: &[Token], i: usize) -> bool {
         j -= 1;
     }
     tokens.get(j).is_some_and(|t| t.is_ident("use"))
-}
-
-/// L009: bare narrowing `as` casts in wire/codec files. `len() as u32`
-/// shipped a real truncation bug (PR 5's length-prefix fix); narrowing
-/// must go through `try_from` with a `Malformed` error.
-pub fn check_l009(ctx: &CrateContext<'_>) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    for f in ctx.files {
-        if !WIRE_SENSITIVE_PATHS.contains(&f.path.as_str()) {
-            continue;
-        }
-        for fun in &f.ast.fns {
-            for e in &fun.events {
-                if in_test(f, e) {
-                    continue;
-                }
-                if let EventKind::Cast { target } = &e.kind {
-                    if NARROWING_INT_TARGETS.contains(&target.as_str()) {
-                        out.push(diag(
-                            "L009",
-                            &f.path,
-                            e.line,
-                            format!(
-                                "bare `as {target}` in wire/codec code can silently \
-                                 truncate (the PR 5 length-prefix bug class); use \
-                                 `{target}::try_from(..)` and surface \
-                                 `ProtocolError::Malformed`"
-                            ),
-                        ));
-                    }
-                }
-            }
-        }
-    }
-    out
-}
-
-/// L010: panicking slice access in wire/codec files: `x[i]` / `x[a..b]`
-/// indexing and the panicking slice-copy/split family. Hostile bytes
-/// flow through these files; use `get(..)`, `split_at_checked`, or
-/// fixed-size `try_into` instead.
-pub fn check_l010(ctx: &CrateContext<'_>) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    for f in ctx.files {
-        if !WIRE_SENSITIVE_PATHS.contains(&f.path.as_str()) {
-            continue;
-        }
-        for fun in &f.ast.fns {
-            for e in &fun.events {
-                if in_test(f, e) {
-                    continue;
-                }
-                match &e.kind {
-                    EventKind::Index { base } => {
-                        let shown = last_name_in(&f.tokens, base)
-                            .unwrap_or_else(|| "expression".to_string());
-                        out.push(diag(
-                            "L010",
-                            &f.path,
-                            e.line,
-                            format!(
-                                "indexing `{shown}[..]` panics on out-of-range input; \
-                                 wire/codec code must use `get(..)` / \
-                                 `split_at_checked` / `try_into` and return \
-                                 `Malformed`"
-                            ),
-                        ));
-                    }
-                    EventKind::MethodCall { method, .. }
-                        if PANICKING_SLICE_FNS.contains(&method.as_str()) =>
-                    {
-                        out.push(diag(
-                            "L010",
-                            &f.path,
-                            e.line,
-                            format!(
-                                "`{method}` panics on length mismatch; wire/codec \
-                                 code must use a checked variant and return \
-                                 `Malformed`"
-                            ),
-                        ));
-                    }
-                    _ => {}
-                }
-            }
-        }
-    }
-    out
 }

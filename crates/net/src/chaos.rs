@@ -23,6 +23,17 @@
 //! protocol that tolerates the faults at all has a quiescent window at
 //! the end of the plan in which global invariants must hold.
 
+// A wire/codec module: it parses hostile bytes, so a narrowing cast or a
+// panicking slice access outside tests is a finding.
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::cast_possible_truncation,
+        clippy::indexing_slicing,
+        clippy::disallowed_methods
+    )
+)]
+
 use crate::id::NodeId;
 use crate::sim::Simulator;
 use crate::storage::StoreFault;
@@ -207,12 +218,12 @@ impl FaultPlan {
         let horizon_us = opts.horizon.as_micros().max(1000);
         let cleanup_us = horizon_us * 9 / 10;
         let pick = |rng: &mut Drbg, nodes: &[NodeId]| {
-            let i = rng.gen_range(nodes.len() as u64) as usize;
+            let i = usize::try_from(rng.gen_range(nodes.len() as u64)).unwrap_or(usize::MAX);
             nodes.get(i).copied().unwrap_or(NodeId::from_index(0))
         };
         // Random knob values are tiny by construction (`gen_range`
         // bound), but the narrowing still goes through `try_from` so
-        // lint L009 holds across the whole file.
+        // the file has no truncating cast.
         let knob = |rng: &mut Drbg, bound: u64| -> u32 {
             u32::try_from(rng.gen_range(bound.max(1))).unwrap_or(u32::MAX)
         };
@@ -603,7 +614,10 @@ mod tests {
             })
             .collect();
 
-        // mykil-lint: allow(L004) -- wall-clock bound on test *build* time, not simulated time
+        #[expect(
+            clippy::disallowed_types,
+            reason = "wall-clock bound on test *build* time, not simulated time"
+        )]
         let start = std::time::Instant::now();
         let mut plan = FaultPlan::new();
         for (at, fault) in &faults {

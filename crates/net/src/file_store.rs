@@ -44,6 +44,17 @@
 //! and the error is counted in [`FileStore::io_error_count`] so
 //! harnesses can assert a clean run.
 
+// A wire/codec module: it parses hostile bytes, so a narrowing cast or a
+// panicking slice access outside tests is a finding.
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::cast_possible_truncation,
+        clippy::indexing_slicing,
+        clippy::disallowed_methods
+    )
+)]
+
 use crate::storage::{Recovered, SecretBytes, StableStore, StoreFault};
 use std::fs::{self, OpenOptions};
 use std::io::{self, Write};
@@ -68,8 +79,12 @@ const CRC_TABLE: [u32; 256] = build_crc_table();
 const fn build_crc_table() -> [u32; 256] {
     let mut table = [0u32; 256];
     let mut i = 0;
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::indexing_slicing,
+        reason = "const-evaluated: i < 256 by the loop bound"
+    )]
     while i < 256 {
-        // mykil-lint: allow(L009, L010) -- const-evaluated: i < 256 by the loop bound
         let mut c = i as u32;
         let mut k = 0;
         while k < 8 {
@@ -80,7 +95,6 @@ const fn build_crc_table() -> [u32; 256] {
             };
             k += 1;
         }
-        // mykil-lint: allow(L010) -- const-evaluated table fill, i < 256
         table[i] = c;
         i += 1;
     }
@@ -90,8 +104,12 @@ const fn build_crc_table() -> [u32; 256] {
 /// IEEE CRC-32 (the zlib/PNG polynomial) over `bytes`.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut c = !0u32;
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::indexing_slicing,
+        reason = "deliberate low-byte extraction; a u8 index is < 256"
+    )]
     for &b in bytes {
-        // mykil-lint: allow(L009, L010) -- deliberate low-byte extraction; a u8 index is < 256
         c = CRC_TABLE[usize::from((c as u8) ^ b)] ^ (c >> 8);
     }
     !c
@@ -324,7 +342,9 @@ impl FileStore {
         }
         let bytes = fs::read(self.wal_path())?;
         let rest = bytes.get(WAL_HEADER_LEN..).unwrap_or(&[]);
-        let drop_n = ((keep_from - self.wal_base) as usize).min(self.wal_count as usize);
+        let drop_n = usize::try_from(keep_from - self.wal_base)
+            .unwrap_or(usize::MAX)
+            .min(usize::try_from(self.wal_count).unwrap_or(usize::MAX));
         // Find the byte offset of the first retained frame.
         let mut at = 0usize;
         for _ in 0..drop_n {
@@ -470,7 +490,8 @@ impl StableStore for FileStore {
         let (frames, _) = scan_frames(rest);
         let from = best.map(|s| s.wal_pos).unwrap_or(0).max(base);
         let mut wal = Vec::new();
-        for frame in frames.iter().skip((from - base) as usize) {
+        let skip = usize::try_from(from - base).unwrap_or(usize::MAX);
+        for frame in frames.iter().skip(skip) {
             if !frame.valid {
                 break;
             }

@@ -52,6 +52,10 @@
 //! assert!(sim.node::<Probe>(probe).got_pong);
 //! ```
 
+#![forbid(unsafe_code)]
+#![warn(clippy::disallowed_types)]
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+
 mod chaos;
 mod context;
 mod event;

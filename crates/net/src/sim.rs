@@ -495,12 +495,14 @@ impl Simulator {
     /// # Panics
     ///
     /// Panics when the id is stale or the type does not match.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic: harness accessor, not a protocol path"
+    )]
     pub fn node<N: Node>(&self, id: NodeId) -> &N {
         let any: &dyn Any = self.nodes[id.index()]
             .as_deref()
-            // mykil-lint: allow(L001) -- documented panic: harness accessor, not a protocol path
             .expect("node is mid-callback");
-        // mykil-lint: allow(L001) -- documented panic: harness accessor, not a protocol path
         any.downcast_ref::<N>().expect("node type mismatch")
     }
 
@@ -512,12 +514,14 @@ impl Simulator {
     /// # Panics
     ///
     /// Panics when the id is stale or the type does not match.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic: harness accessor, not a protocol path"
+    )]
     pub fn node_mut<N: Node>(&mut self, id: NodeId) -> &mut N {
         let any: &mut dyn Any = self.nodes[id.index()]
             .as_deref_mut()
-            // mykil-lint: allow(L001) -- documented panic: harness accessor, not a protocol path
             .expect("node is mid-callback");
-        // mykil-lint: allow(L001) -- documented panic: harness accessor, not a protocol path
         any.downcast_mut::<N>().expect("node type mismatch")
     }
 
@@ -533,10 +537,11 @@ impl Simulator {
         id: NodeId,
         f: impl FnOnce(&mut N, &mut Context<'_>) -> T,
     ) -> T {
-        let mut boxed = self.nodes[id.index()]
-            .take()
-            // mykil-lint: allow(L001) -- documented panic: harness accessor, not a protocol path
-            .expect("node is mid-callback");
+        #[expect(
+            clippy::expect_used,
+            reason = "documented panic: harness accessor, not a protocol path"
+        )]
+        let mut boxed = self.nodes[id.index()].take().expect("node is mid-callback");
         let mut ctx = Context {
             now: self.now,
             self_id: id,
@@ -549,7 +554,10 @@ impl Simulator {
             storage: &mut self.storage[id.index()],
         };
         let any: &mut dyn Any = boxed.as_mut();
-        // mykil-lint: allow(L001) -- documented panic: harness accessor, not a protocol path
+        #[expect(
+            clippy::expect_used,
+            reason = "documented panic: harness accessor, not a protocol path"
+        )]
         let node = any.downcast_mut::<N>().expect("node type mismatch");
         let out = f(node, &mut ctx);
         let actions = std::mem::take(&mut ctx.actions);
@@ -869,7 +877,7 @@ impl Simulator {
             return; // acknowledged or cancelled in the meantime
         };
         if pending.attempts >= self.reliable_max_attempts {
-            // mykil-lint: allow(L001) -- presence checked by the guard above
+            #[expect(clippy::expect_used, reason = "presence checked by the guard above")]
             let pending = self.pending_reliable.remove(&msg_id).expect("checked above");
             self.stats.bump("reliable-expired", 1);
             if self.topo.is_crashed(pending.src) {
@@ -881,10 +889,10 @@ impl Simulator {
             });
             return;
         }
+        #[expect(clippy::expect_used, reason = "presence checked by the guard above")]
         let pending = self
             .pending_reliable
             .get_mut(&msg_id)
-            // mykil-lint: allow(L001) -- presence checked by the guard above
             .expect("checked above");
         pending.attempts += 1;
         let (src, to, kind, bytes, attempts) = (

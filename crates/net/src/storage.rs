@@ -45,6 +45,17 @@
 //! All buffers that may hold key material are wrapped in
 //! [`SecretBytes`], which zeroizes on drop.
 
+// A wire/codec module: it parses hostile bytes, so a narrowing cast or a
+// panicking slice access outside tests is a finding.
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::cast_possible_truncation,
+        clippy::indexing_slicing,
+        clippy::disallowed_methods
+    )
+)]
+
 use mykil_crypto::ct;
 
 /// A byte buffer that zeroizes its contents on drop. WAL records and
@@ -134,17 +145,15 @@ pub enum StoreFault {
     CorruptSlot(u8),
 }
 
-/// What a recovering node reads back from stable storage.
+/// What a recovering node reads back from stable storage. The buffers
+/// are consumed and parsed within the restart callback; the at-rest
+/// copies stay [`SecretBytes`].
 #[derive(Debug, Clone, Default)]
 pub struct Recovered {
     /// Newest valid checkpoint payload, with its sequence number.
-    // mykil-lint: allow(L002) -- recovery output, consumed and parsed
-    // within the restart callback; at-rest copies stay SecretBytes.
     pub checkpoint: Option<(u64, Vec<u8>)>,
     /// Durable, checksum-valid WAL records past the checkpoint (all
     /// records when there is no checkpoint), oldest first.
-    // mykil-lint: allow(L002) -- recovery output, consumed and parsed
-    // within the restart callback; at-rest copies stay SecretBytes.
     pub wal: Vec<Vec<u8>>,
 }
 
@@ -292,7 +301,9 @@ impl SimStore {
             .min()
             .unwrap_or(self.wal_base);
         if keep_from > self.wal_base {
-            let drop_n = ((keep_from - self.wal_base) as usize).min(self.wal.len());
+            let drop_n = usize::try_from(keep_from - self.wal_base)
+                .unwrap_or(usize::MAX)
+                .min(self.wal.len());
             self.wal.drain(..drop_n);
             self.wal_base += drop_n as u64;
         }
@@ -342,7 +353,8 @@ impl StableStore for SimStore {
             .max_by_key(|s| s.seq);
         let from = best.map(|s| s.wal_pos).unwrap_or(0).max(self.wal_base);
         let mut wal = Vec::new();
-        for rec in self.wal.iter().skip((from - self.wal_base) as usize) {
+        let skip = usize::try_from(from - self.wal_base).unwrap_or(usize::MAX);
+        for rec in self.wal.iter().skip(skip) {
             if !rec.valid {
                 break;
             }

@@ -51,13 +51,12 @@ impl Time {
     /// # Panics
     ///
     /// Panics when `earlier` is later than `self`.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic: monotonic clock invariant"
+    )]
     pub fn since(self, earlier: Time) -> Duration {
-        Duration(
-            self.0
-                .checked_sub(earlier.0)
-                // mykil-lint: allow(L001) -- documented panic: monotonic clock invariant
-                .expect("time went backwards"),
-        )
+        Duration(self.0.checked_sub(earlier.0).expect("time went backwards"))
     }
 }
 

@@ -50,6 +50,10 @@
 //! # Ok::<(), mykil_tree::TreeError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+#![warn(clippy::disallowed_types)]
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+
 mod batch;
 mod dot;
 mod error;

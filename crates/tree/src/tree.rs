@@ -399,14 +399,17 @@ impl KeyTree {
         }
         // Preference 3: split the shallowest, left-most occupied leaf
         // (Figure 4 of the paper).
+        #[expect(
+            clippy::expect_used,
+            reason = "structural invariant: full tree has occupied leaves"
+        )]
         let &(d, victim) = self
             .occupied
             .iter()
             .next()
-            // mykil-lint: allow(L001) -- structural invariant: full tree has occupied leaves
             .expect("tree with no capacity must have an occupied leaf");
         self.occupied.remove(&(d, victim));
-        // mykil-lint: allow(L001) -- victim drawn from the occupied set
+        #[expect(clippy::expect_used, reason = "victim drawn from the occupied set")]
         let displaced = self.nodes[victim.0].occupant.take().expect("occupied leaf");
         // The victim becomes an interior node with `arity` fresh leaves.
         let vdepth = self.nodes[victim.0].depth;
