@@ -7,7 +7,7 @@
 //! - a parent area silent for `5·T_idle` triggers a parent switch: a
 //!   signed area-join exchange with a preferred alternative controller.
 
-use super::{AreaController, ParentLink, RejoinStage, TIMER_IDLE_ALIVE, TIMER_PARENT_CHECK, TIMER_REKEY, TIMER_SWEEP};
+use super::{AreaController, ParentLink, RejoinStage, Timer};
 use crate::durable::{AcWalRecord, Seed};
 use crate::identity::{AreaId, ClientId};
 use crate::msg::{Msg, RejoinDenyReason};
@@ -32,7 +32,7 @@ impl AreaController {
             );
             self.last_area_mcast = ctx.now();
         }
-        ctx.set_timer(self.cfg.t_idle, TIMER_IDLE_ALIVE);
+        Timer::IdleAlive.arm(ctx, self.cfg.t_idle);
     }
 
     /// Periodic sweep: evict silent or expired members, time out
@@ -75,7 +75,7 @@ impl AreaController {
             self.resolve_unverified_rejoin(ctx, node);
         }
 
-        ctx.set_timer(self.cfg.t_active, TIMER_SWEEP);
+        Timer::Sweep.arm(ctx, self.cfg.t_active);
     }
 
     /// Freshness timer: flush pending updates even without data traffic
@@ -87,7 +87,7 @@ impl AreaController {
         } else if self.cfg.idle_freshness_rekey && self.durable.image.tree.member_count() > 0 {
             self.freshness_rotate(ctx);
         }
-        ctx.set_timer(self.cfg.rekey_interval, TIMER_REKEY);
+        Timer::Rekey.arm(ctx, self.cfg.rekey_interval);
     }
 
     /// Rotates only the area key, multicast under its previous value —
@@ -113,7 +113,7 @@ impl AreaController {
         {
             self.start_parent_switch(ctx);
         }
-        ctx.set_timer(self.cfg.t_idle, TIMER_PARENT_CHECK);
+        Timer::ParentCheck.arm(ctx, self.cfg.t_idle);
     }
 
     /// Picks the next preferred parent and sends a signed area-join

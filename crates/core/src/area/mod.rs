@@ -18,7 +18,13 @@
 
 // `Msg` dispatch lists every variant, so a new wire message does not
 // compile until each role triages it.
-#![cfg_attr(not(test), warn(clippy::wildcard_enum_match_arm))]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )
+)]
 
 mod data;
 mod join;
@@ -45,12 +51,24 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 pub use persist::AcDurable;
 pub(crate) use replication::AreaImage;
 
-pub(crate) const TIMER_IDLE_ALIVE: u64 = 1;
-pub(crate) const TIMER_SWEEP: u64 = 2;
-pub(crate) const TIMER_REKEY: u64 = 3;
-pub(crate) const TIMER_HEARTBEAT: u64 = 4;
-pub(crate) const TIMER_BACKUP_WATCH: u64 = 5;
-pub(crate) const TIMER_PARENT_CHECK: u64 = 6;
+crate::timer::timer_kinds! {
+    /// The controller's clocks (Section IV-A and IV-C). Each belongs to
+    /// one role; `on_timer` checks the role per kind.
+    enum Timer {
+        /// Primary: multicast `alive` to the area every `T_idle`.
+        IdleAlive = 1,
+        /// Primary: evict members silent for too long.
+        Sweep = 2,
+        /// Primary: the periodic (freshness) rekey.
+        Rekey = 3,
+        /// Primary: heartbeat the backup.
+        Heartbeat = 4,
+        /// Backup: watch the primary's heartbeats, take over when they stop.
+        BackupWatch = 5,
+        /// Primary: check the parent area is still alive.
+        ParentCheck = 6,
+    }
+}
 
 /// Tree member ids for ACs enrolled in parent areas live above this
 /// base so they can never collide with client ids.
@@ -460,23 +478,23 @@ impl AreaController {
     /// Restarts the liveness clocks and arms the timers of the current
     /// role: at start-up, after recovery, and whenever the role changes
     /// hands. The other role's timers die on their next firing
-    /// (`on_timer` is role-gated).
+    /// (`on_timer` checks the role for each kind).
     pub(crate) fn resume_role(&mut self, ctx: &mut Context<'_>) {
         self.last_heard_parent = ctx.now();
         self.last_heartbeat = ctx.now();
         self.last_backup_ack = ctx.now();
         match self.durable.role {
             Role::Primary => {
-                ctx.set_timer(self.cfg.t_idle, TIMER_IDLE_ALIVE);
-                ctx.set_timer(self.cfg.t_active, TIMER_SWEEP);
-                ctx.set_timer(self.cfg.rekey_interval, TIMER_REKEY);
-                ctx.set_timer(self.cfg.t_idle, TIMER_PARENT_CHECK);
+                Timer::IdleAlive.arm(ctx, self.cfg.t_idle);
+                Timer::Sweep.arm(ctx, self.cfg.t_active);
+                Timer::Rekey.arm(ctx, self.cfg.rekey_interval);
+                Timer::ParentCheck.arm(ctx, self.cfg.t_idle);
                 if self.durable.backup.is_some() {
-                    ctx.set_timer(self.cfg.heartbeat_interval, TIMER_HEARTBEAT);
+                    Timer::Heartbeat.arm(ctx, self.cfg.heartbeat_interval);
                 }
             }
             Role::Backup { .. } => {
-                ctx.set_timer(self.cfg.heartbeat_interval, TIMER_BACKUP_WATCH);
+                Timer::BackupWatch.arm(ctx, self.cfg.heartbeat_interval);
             }
         }
     }
@@ -652,7 +670,7 @@ impl Node for AreaController {
         // the newest valid checkpoint, folded over the WAL suffix. Note
         // the recovered role may differ from the deployment role — a
         // promoted backup recovers as primary.
-        let rec = ctx.storage().load();
+        let rec = ctx.load();
         let now = ctx.now();
         let mut recovered = false;
         if let Some((_seq, bytes)) = &rec.checkpoint {
@@ -707,14 +725,24 @@ impl Node for AreaController {
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_>, tag: u64) {
-        match (self.durable.role, tag) {
-            (Role::Primary, TIMER_IDLE_ALIVE) => self.tick_idle_alive(ctx),
-            (Role::Primary, TIMER_SWEEP) => self.tick_sweep(ctx),
-            (Role::Primary, TIMER_REKEY) => self.tick_rekey(ctx),
-            (Role::Primary, TIMER_PARENT_CHECK) => self.tick_parent_check(ctx),
-            (Role::Primary, TIMER_HEARTBEAT) => self.tick_heartbeat(ctx),
-            (Role::Backup { .. }, TIMER_BACKUP_WATCH) => self.tick_backup_watch(ctx),
-            _ => {}
+        let Some(timer) = Timer::from_tag(tag) else {
+            return;
+        };
+        let primary = self.durable.role == Role::Primary;
+        match timer {
+            Timer::IdleAlive if primary => self.tick_idle_alive(ctx),
+            Timer::Sweep if primary => self.tick_sweep(ctx),
+            Timer::Rekey if primary => self.tick_rekey(ctx),
+            Timer::ParentCheck if primary => self.tick_parent_check(ctx),
+            Timer::Heartbeat if primary => self.tick_heartbeat(ctx),
+            Timer::BackupWatch if !primary => self.tick_backup_watch(ctx),
+            // A kind armed by the role this node has since left.
+            Timer::IdleAlive
+            | Timer::Sweep
+            | Timer::Rekey
+            | Timer::ParentCheck
+            | Timer::Heartbeat
+            | Timer::BackupWatch => {}
         }
     }
 }

@@ -342,7 +342,7 @@ impl AreaController {
                 self.owe_image();
             }
         }
-        ctx.storage().wal_commit(bytes);
+        ctx.wal_commit(bytes);
         let out = self.durable.apply(rec, ctx.now());
         self.wal_records += 1;
         if self.wal_records > CHECKPOINT_WAL_RECORDS {
@@ -356,7 +356,7 @@ impl AreaController {
     /// truncated.
     pub(crate) fn persist_checkpoint(&mut self, ctx: &mut Context<'_>) {
         let bytes = self.durable.encode();
-        ctx.storage().checkpoint(bytes);
+        ctx.checkpoint(bytes);
         self.wal_records = 0;
     }
 

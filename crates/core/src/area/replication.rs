@@ -19,11 +19,15 @@
 
 // `Msg` dispatch lists every variant, so a new wire message does not
 // compile until each role triages it.
-#![cfg_attr(not(test), warn(clippy::wildcard_enum_match_arm))]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )
+)]
 
-use super::{
-    AreaController, MemberRecord, ParentLink, Role, TIMER_BACKUP_WATCH, TIMER_HEARTBEAT,
-};
+use super::{AreaController, MemberRecord, ParentLink, Role, Timer};
 use crate::durable::{AcWalRecord, Seed};
 use crate::identity::{AreaId, ClientId, DeviceId};
 use crate::msg::{Msg, SyncBody};
@@ -291,7 +295,7 @@ impl AreaController {
                 self.owe_image();
             }
         }
-        ctx.set_timer(self.cfg.heartbeat_interval, TIMER_HEARTBEAT);
+        Timer::Heartbeat.arm(ctx, self.cfg.heartbeat_interval);
     }
 
     /// Backup liveness tracking (primary role): `HeartbeatAck` refreshes
@@ -446,7 +450,7 @@ impl AreaController {
         if silence >= threshold {
             self.take_over(ctx, primary);
         } else {
-            ctx.set_timer(self.cfg.heartbeat_interval, TIMER_BACKUP_WATCH);
+            Timer::BackupWatch.arm(ctx, self.cfg.heartbeat_interval);
         }
     }
 
@@ -614,7 +618,7 @@ impl AreaController {
         // the original takeover announcement; repeat it now that both
         // sides can hear it.
         self.announce_takeover(ctx);
-        ctx.set_timer(self.cfg.heartbeat_interval, TIMER_HEARTBEAT);
+        Timer::Heartbeat.arm(ctx, self.cfg.heartbeat_interval);
         self.sync_backup(ctx);
     }
 

@@ -76,6 +76,7 @@ pub mod registration;
 pub mod rekey;
 pub mod scale;
 pub mod ticket;
+mod timer;
 pub mod welcome;
 pub mod wire;
 

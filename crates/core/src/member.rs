@@ -8,7 +8,13 @@
 
 // `Msg` dispatch lists every variant, so a new wire message does not
 // compile until each role triages it.
-#![cfg_attr(not(test), warn(clippy::wildcard_enum_match_arm))]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )
+)]
 
 use crate::config::MykilConfig;
 use crate::crypto_cost::CryptoCost;
@@ -26,8 +32,16 @@ use mykil_crypto::rsa::{RsaKeyPair, RsaPublicKey};
 use mykil_net::{Context, GroupId, Node, NodeId, Time};
 use rand::RngCore;
 
-const TIMER_ALIVE: u64 = 1;
-const TIMER_DISCONNECT: u64 = 2;
+crate::timer::timer_kinds! {
+    /// The member's two liveness clocks (Section IV-A).
+    enum Timer {
+        /// Send an `alive` to the controller every `T_active`.
+        Alive = 1,
+        /// Every `T_idle`: detect a silent controller, an expired
+        /// subscription or a stuck handshake.
+        Disconnect = 2,
+    }
+}
 
 /// Where the member is in its lifecycle.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -693,8 +707,8 @@ impl Node for Member {
         if self.auto {
             self.start_join(ctx);
         }
-        ctx.set_timer(self.cfg.t_active, TIMER_ALIVE);
-        ctx.set_timer(self.cfg.t_idle, TIMER_DISCONNECT);
+        Timer::Alive.arm(ctx, self.cfg.t_active);
+        Timer::Disconnect.arm(ctx, self.cfg.t_idle);
     }
 
     fn on_message(&mut self, ctx: &mut Context<'_>, from: NodeId, bytes: &[u8]) {
@@ -822,8 +836,8 @@ impl Node for Member {
         ctx.stats().bump("member-restarts", 1);
         // The crash dropped both liveness timers; re-arm them and let
         // the disconnect detector start from a fresh clock.
-        ctx.set_timer(self.cfg.t_active, TIMER_ALIVE);
-        ctx.set_timer(self.cfg.t_idle, TIMER_DISCONNECT);
+        Timer::Alive.arm(ctx, self.cfg.t_active);
+        Timer::Disconnect.arm(ctx, self.cfg.t_idle);
         self.last_heard_ac = ctx.now();
         if !self.auto {
             // Manually driven members never self-initiate a handshake;
@@ -839,8 +853,11 @@ impl Node for Member {
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_>, tag: u64) {
-        match tag {
-            TIMER_ALIVE => {
+        let Some(timer) = Timer::from_tag(tag) else {
+            return;
+        };
+        match timer {
+            Timer::Alive => {
                 if self.is_active()
                     && ctx.now().since(self.last_sent_ac) >= self.cfg.t_active
                 {
@@ -849,9 +866,9 @@ impl Node for Member {
                         ctx.send(ac, "alive", Msg::MemberAlive { client }.to_bytes());
                     }
                 }
-                ctx.set_timer(self.cfg.t_active, TIMER_ALIVE);
+                Timer::Alive.arm(ctx, self.cfg.t_active);
             }
-            TIMER_DISCONNECT => {
+            Timer::Disconnect => {
                 // Subscription expiry: re-register through the RS (the
                 // ticket is no longer honored anywhere).
                 if self.auto
@@ -873,9 +890,8 @@ impl Node for Member {
                 } else if self.auto && self.handshake_stuck(ctx.now()) {
                     self.retry_handshake(ctx);
                 }
-                ctx.set_timer(self.cfg.t_idle, TIMER_DISCONNECT);
+                Timer::Disconnect.arm(ctx, self.cfg.t_idle);
             }
-            _ => {}
         }
     }
 }

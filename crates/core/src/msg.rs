@@ -36,7 +36,13 @@
 )]
 // `Msg` dispatch lists every variant, so a new wire message does not
 // compile until each role triages it.
-#![cfg_attr(not(test), warn(clippy::wildcard_enum_match_arm))]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )
+)]
 
 use crate::error::ProtocolError;
 use crate::identity::{AreaId, ClientId};

@@ -9,7 +9,13 @@
 
 // `Msg` dispatch lists every variant, so a new wire message does not
 // compile until each role triages it.
-#![cfg_attr(not(test), warn(clippy::wildcard_enum_match_arm))]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )
+)]
 
 use crate::auth::{AuthDb, AuthDecision};
 use crate::config::MykilConfig;
@@ -129,7 +135,7 @@ impl RegistrationServer {
 
     /// Writes the full-state checkpoint.
     fn persist_checkpoint(&mut self, ctx: &mut Context<'_>) {
-        ctx.storage().checkpoint(self.durable_state().to_bytes());
+        ctx.checkpoint(self.durable_state().to_bytes());
     }
 
     /// Chooses an area for a new member. The paper allows proximity or
@@ -203,8 +209,7 @@ impl RegistrationServer {
         self.next_client += 1;
         // The id is burned durably before any reply: a recovered RS
         // must never hand the same id to a second client.
-        ctx.storage()
-            .wal_commit(RsWalRecord::ClientAssigned { client: client.0 }.to_bytes());
+        ctx.wal_commit(RsWalRecord::ClientAssigned { client: client.0 }.to_bytes());
         let Some(ac) = self.pick_area() else {
             return;
         };
@@ -279,7 +284,7 @@ impl RegistrationServer {
         // pointing joins at a demoted primary would strand every new
         // client in that area. WAL + immediate compaction (takeovers
         // are rare; the checkpoint keeps recovery cheap).
-        ctx.storage().wal_commit(
+        ctx.wal_commit(
             RsWalRecord::DirectoryUpsert {
                 area: area.0,
                 node: from.index() as u32,
@@ -364,7 +369,7 @@ impl Node for RegistrationServer {
         // from stable storage: the checkpoint, or the deployed state the
         // volatile reset put back when none is usable, with the WAL
         // suffix folded over it.
-        let rec = ctx.storage().load();
+        let rec = ctx.load();
         let checkpoint = rec.checkpoint.and_then(|(_seq, bytes)| {
             let cp = RsCheckpoint::from_bytes(&bytes);
             if cp.is_none() {

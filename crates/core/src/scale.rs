@@ -73,6 +73,16 @@
 //! modelled for cold members — that is what the full protocol tests
 //! cover at small scale.
 
+// Timer dispatch lists every kind, so a kind that is armed but never
+// handled does not compile.
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )
+)]
+
 use mykil_baselines::{ColdAreaModel, RekeyTraffic};
 use mykil_crypto::drbg::Drbg;
 use mykil_net::{
@@ -104,14 +114,25 @@ const OP_REPL_ACK: u8 = 16;
 const OP_RESYNC_REQ: u8 = 17;
 const OP_RESYNC_TAIL: u8 = 18;
 
-/// Timer kind for a controller's cold batch-leave sweep.
-const TIMER_COLD_BATCH: u64 = 1;
-/// Timer kind for re-sending unacknowledged journal replication.
-const TIMER_REPL_RETRY: u64 = 2;
-/// Timer kind for re-requesting a resync tail after a restart.
-const TIMER_RESYNC_RETRY: u64 = 3;
-/// Timer kind for a mover's stalled-handshake retry sweep.
-const TIMER_MOVE_RETRY: u64 = 4;
+crate::timer::timer_kinds! {
+    /// A [`ScaleAreaController`]'s clocks.
+    enum ControllerTimer {
+        /// The cold batch-leave sweep.
+        ColdBatch = 1,
+        /// Re-send unacknowledged journal replication.
+        ReplRetry = 2,
+        /// Re-request a resync tail after a restart.
+        ResyncRetry = 3,
+    }
+}
+
+crate::timer::timer_kinds! {
+    /// A [`Mover`]'s clock.
+    enum MoverTimer {
+        /// The stalled-handshake retry sweep.
+        MoveRetry = 4,
+    }
+}
 
 /// Journal events per `REPLICATE` message.
 const REPL_BATCH: u64 = 512;
@@ -605,8 +626,7 @@ impl ScaleAreaController {
         ctx.stats().bump("scale-joins", n);
         Self::charge(ctx, t);
         if self.cfg.durable {
-            ctx.storage()
-                .checkpoint(encode_checkpoint(self.seeded, &self.journal));
+            ctx.checkpoint(encode_checkpoint(self.seeded, &self.journal));
         }
     }
 
@@ -633,11 +653,10 @@ impl ScaleAreaController {
         }
         let mut rec = Vec::with_capacity(ScaleEvent::WIRE_LEN);
         ev.encode_into(&mut rec);
-        ctx.storage().wal_commit(rec);
+        ctx.wal_commit(rec);
         let every = self.cfg.checkpoint_every.max(1);
         if (self.journal.len() as u64).is_multiple_of(every) {
-            ctx.storage()
-                .checkpoint(encode_checkpoint(self.seeded, &self.journal));
+            ctx.checkpoint(encode_checkpoint(self.seeded, &self.journal));
         }
         self.replicate_tail(ctx);
     }
@@ -668,7 +687,7 @@ impl ScaleAreaController {
         }
         if !self.repl_timer_armed {
             self.repl_timer_armed = true;
-            ctx.set_timer(self.retry_delay(), TIMER_REPL_RETRY);
+            ControllerTimer::ReplRetry.arm(ctx, self.retry_delay());
         }
     }
 
@@ -682,7 +701,7 @@ impl ScaleAreaController {
         put_u64(&mut b, self.area as u64);
         put_u64(&mut b, self.journal.len() as u64);
         ctx.send(dir, "scale-resync-req", b);
-        ctx.set_timer(self.retry_delay(), TIMER_RESYNC_RETRY);
+        ControllerTimer::ResyncRetry.arm(ctx, self.retry_delay());
     }
 
     /// Marks the controller converged again and snapshots the
@@ -700,8 +719,7 @@ impl ScaleAreaController {
         if self.cfg.durable {
             // Consolidate: the resynced journal becomes the new
             // checkpoint, so a follow-up crash recovers locally.
-            ctx.storage()
-                .checkpoint(encode_checkpoint(self.seeded, &self.journal));
+            ctx.checkpoint(encode_checkpoint(self.seeded, &self.journal));
         }
     }
 
@@ -841,7 +859,7 @@ impl Node for ScaleAreaController {
                         self.journal.push(ev);
                         let mut rec = Vec::with_capacity(ScaleEvent::WIRE_LEN);
                         ev.encode_into(&mut rec);
-                        ctx.storage().wal_commit(rec);
+                        ctx.wal_commit(rec);
                     }
                 }
                 if (self.journal.len() as u64) < dir_len {
@@ -864,29 +882,36 @@ impl Node for ScaleAreaController {
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Context<'_>, kind: u64) {
-        if kind == TIMER_COLD_BATCH {
-            let k = self.cfg.cold_batch.min(self.state.cold.cold_members());
-            if k > 0 {
-                self.execute(ctx, ScaleEvent::ColdBatch(k), "scale-cold-leaves", k);
+    fn on_timer(&mut self, ctx: &mut Context<'_>, tag: u64) {
+        let Some(timer) = ControllerTimer::from_tag(tag) else {
+            return;
+        };
+        match timer {
+            ControllerTimer::ColdBatch => {
+                let k = self.cfg.cold_batch.min(self.state.cold.cold_members());
+                if k > 0 {
+                    self.execute(ctx, ScaleEvent::ColdBatch(k), "scale-cold-leaves", k);
+                }
+                if self.state.cold.cold_members() > 0 {
+                    // Drain the rest next tick; the stagger keeps 1,000
+                    // area timers out of one wheel bucket.
+                    let delay = Duration::from_millis(10 + (self.area % 7) as u64);
+                    ControllerTimer::ColdBatch.arm(ctx, delay);
+                }
             }
-            if self.state.cold.cold_members() > 0 {
-                // Drain the rest next tick; the stagger keeps 1,000
-                // area timers out of one wheel bucket.
-                ctx.set_timer(
-                    Duration::from_millis(10 + (self.area % 7) as u64),
-                    TIMER_COLD_BATCH,
-                );
+            ControllerTimer::ReplRetry => {
+                self.repl_timer_armed = false;
+                if self.repl_acked < self.journal.len() as u64 {
+                    // Unacked tail: rewind the sent watermark and resend.
+                    self.repl_sent = self.repl_acked;
+                    self.replicate_tail(ctx);
+                }
             }
-        } else if kind == TIMER_REPL_RETRY {
-            self.repl_timer_armed = false;
-            if self.repl_acked < self.journal.len() as u64 {
-                // Unacked tail: rewind the sent watermark and resend.
-                self.repl_sent = self.repl_acked;
-                self.replicate_tail(ctx);
+            ControllerTimer::ResyncRetry => {
+                if !self.converged {
+                    self.send_resync_req(ctx);
+                }
             }
-        } else if kind == TIMER_RESYNC_RETRY && !self.converged {
-            self.send_resync_req(ctx);
         }
     }
 
@@ -907,7 +932,7 @@ impl Node for ScaleAreaController {
         if !self.cfg.durable {
             return; // nothing to rebuild from: stays unconverged
         }
-        let rec = ctx.storage().load();
+        let rec = ctx.load();
         self.journal = Vec::new();
         let ckpt = rec
             .checkpoint
@@ -1243,7 +1268,7 @@ impl Mover {
         }
         self.active = true;
         self.send_current(ctx);
-        ctx.set_timer(self.retry, TIMER_MOVE_RETRY);
+        MoverTimer::MoveRetry.arm(ctx, self.retry);
     }
 }
 
@@ -1275,14 +1300,21 @@ impl Node for Mover {
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Context<'_>, kind: u64) {
-        if kind == TIMER_MOVE_RETRY && self.active && !self.finished() {
-            let marker = (self.done, self.stage);
-            if marker == self.last_sweep {
-                self.send_current(ctx); // stalled since last sweep
+    fn on_timer(&mut self, ctx: &mut Context<'_>, tag: u64) {
+        let Some(timer) = MoverTimer::from_tag(tag) else {
+            return;
+        };
+        match timer {
+            MoverTimer::MoveRetry => {
+                if self.active && !self.finished() {
+                    let marker = (self.done, self.stage);
+                    if marker == self.last_sweep {
+                        self.send_current(ctx); // stalled since last sweep
+                    }
+                    self.last_sweep = marker;
+                    MoverTimer::MoveRetry.arm(ctx, self.retry);
+                }
             }
-            self.last_sweep = marker;
-            ctx.set_timer(self.retry, TIMER_MOVE_RETRY);
         }
     }
 }
@@ -1623,7 +1655,7 @@ impl ScaleGroup {
             let id = self.controllers[i];
             self.sim.invoke(id, |node: &mut ScaleAreaController, ctx| {
                 let area = node.area as u64;
-                ctx.set_timer(Duration::from_millis(1 + area % 13), TIMER_COLD_BATCH);
+                ControllerTimer::ColdBatch.arm(ctx, Duration::from_millis(1 + area % 13));
             });
         }
         let batches = self
@@ -1796,6 +1828,10 @@ impl ScaleGroup {
             recoveries,
         };
         for tf in plan.faults() {
+            #[expect(
+                clippy::wildcard_enum_match_arm,
+                reason = "a tally, not timer dispatch: every other fault counts as neither"
+            )]
             match tf.fault {
                 FaultSpec::Partition(_, label) if label > 0 => report.partitions += 1,
                 FaultSpec::StorageLostTail(_)

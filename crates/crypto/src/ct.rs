@@ -1,9 +1,72 @@
 //! Constant-time primitives: comparison and zeroization.
 //!
-//! Everything that compares MAC tags, digests, or key bytes must come
-//! through [`ct_eq`]; lint rule L003 enforces this. Everything that
-//! holds key material zeroizes through [`zeroize`] on `Drop`; rule
-//! L002 enforces that.
+//! Everything that compares MAC tags, digests, or key bytes comes
+//! through [`ct_eq`]. A MAC tag is a [`Tag`](crate::hmac::Tag), which
+//! has no `==` to reach for. Everything that holds key material
+//! zeroizes through [`zeroize`] on `Drop`.
+//!
+//! The secret types — [`SymmetricKey`], [`Rc4`], [`ChaCha20`],
+//! [`RsaKeyPair`] and `mykil_net::SecretBytes` — keep to that by
+//! construction, and the compiler holds them to it:
+//!
+//! - each has a hand-written `Debug` that prints no key byte, so a
+//!   derived one conflicts with it and does not compile;
+//! - `SymmetricKey`'s `PartialEq` is built on `ct_eq`, and its `Hash`
+//!   mixes a digest. The others have no `Hash`, and only `SecretBytes`
+//!   has a (`ct_eq`-backed) `PartialEq`. The probes below fail to
+//!   compile, and stop passing if a derive creeps in;
+//! - each wipes itself in an explicit `impl Drop`. A bound `T: Drop`
+//!   holds only for a type with such an impl (a `Vec` or bignum field
+//!   does not make it hold), so the bound below fails the build if one
+//!   is deleted.
+//!
+//! ```compile_fail,E0277
+//! fn eq<T: PartialEq>() {}
+//! eq::<mykil_crypto::rc4::Rc4>();
+//! ```
+//!
+//! ```compile_fail,E0277
+//! fn hash<T: std::hash::Hash>() {}
+//! hash::<mykil_crypto::rc4::Rc4>();
+//! ```
+//!
+//! ```compile_fail,E0277
+//! fn eq<T: PartialEq>() {}
+//! eq::<mykil_crypto::chacha::ChaCha20>();
+//! ```
+//!
+//! ```compile_fail,E0277
+//! fn hash<T: std::hash::Hash>() {}
+//! hash::<mykil_crypto::chacha::ChaCha20>();
+//! ```
+//!
+//! ```compile_fail,E0277
+//! fn eq<T: PartialEq>() {}
+//! eq::<mykil_crypto::rsa::RsaKeyPair>();
+//! ```
+//!
+//! ```compile_fail,E0277
+//! fn hash<T: std::hash::Hash>() {}
+//! hash::<mykil_crypto::rsa::RsaKeyPair>();
+//! ```
+
+use crate::chacha::ChaCha20;
+use crate::keys::SymmetricKey;
+use crate::rc4::Rc4;
+use crate::rsa::RsaKeyPair;
+
+#[expect(
+    drop_bounds,
+    reason = "`T: Drop` holds only where an `impl Drop` is written, which is the point"
+)]
+fn _secrets_wipe_on_drop()
+where
+    SymmetricKey: Drop,
+    Rc4: Drop,
+    ChaCha20: Drop,
+    RsaKeyPair: Drop,
+{
+}
 
 /// Constant-time byte-slice equality.
 ///

@@ -26,7 +26,7 @@
     )
 )]
 
-use crate::hmac::HmacSha256;
+use crate::hmac::{HmacSha256, Tag};
 use crate::keys::SymmetricKey;
 use crate::rsa::{RsaKeyPair, RsaPublicKey};
 use crate::{chacha::ChaCha20, CryptoError, SYMMETRIC_KEY_LEN};
@@ -118,8 +118,8 @@ impl EnvelopeKey {
         self.cipher(&nonce).apply_keystream(&mut out[body_start..]);
         // `nonce || body` is contiguous in `out`.
         #[expect(clippy::indexing_slicing, reason = "start was out.len() at entry")]
-        let tag = self.mac.tag(&out[start..]);
-        out.extend_from_slice(&tag[..ENVELOPE_MAC_LEN]);
+        let tag = self.mac.tag(&out[start..]).truncate::<ENVELOPE_MAC_LEN>();
+        out.extend_from_slice(&tag.into_bytes());
     }
 
     /// Opens an envelope produced by [`seal`](Self::seal).
@@ -171,8 +171,8 @@ impl EnvelopeKey {
         let (signed, tag) = envelope
             .split_at_checked(ENVELOPE_NONCE_LEN + body_len)
             .ok_or(TRUNCATED)?;
-        let expected = self.mac.tag(signed);
-        if !crate::ct::ct_eq(&expected[..ENVELOPE_MAC_LEN], tag) {
+        let expected = self.mac.tag(signed).truncate::<ENVELOPE_MAC_LEN>();
+        if !expected.ct_eq(tag) {
             return Err(CryptoError::VerificationFailed);
         }
         let (nonce, body) = signed
@@ -313,7 +313,7 @@ impl HybridCiphertext {
 /// Computes the paper-style MAC over a set of message fields
 /// (used by protocol implementations to MAC "the first N pieces of
 /// information" as each figure specifies).
-pub fn mac_fields(key: &SymmetricKey, fields: &[&[u8]]) -> [u8; 32] {
+pub fn mac_fields(key: &SymmetricKey, fields: &[&[u8]]) -> Tag<32> {
     let mut mac = HmacSha256::new(key.as_bytes()).start();
     for f in fields {
         // Fields come from already-parsed frames (each capped well
@@ -486,7 +486,7 @@ mod tests {
         // ("ab","c") must differ from ("a","bc") — length prefixes matter.
         let t1 = mac_fields(&k, &[b"ab", b"c"]);
         let t2 = mac_fields(&k, &[b"a", b"bc"]);
-        assert_ne!(t1, t2);
-        assert_eq!(t1, mac_fields(&k, &[b"ab", b"c"]));
+        assert!(!t1.ct_eq(&t2.into_bytes()));
+        assert!(t1.ct_eq(&mac_fields(&k, &[b"ab", b"c"]).into_bytes()));
     }
 }

@@ -9,7 +9,7 @@
 //! ```
 //! use mykil_crypto::hmac::{hmac_sha256, verify_hmac};
 //!
-//! let tag = hmac_sha256(b"shared key", b"step 1 payload");
+//! let tag = hmac_sha256(b"shared key", b"step 1 payload").into_bytes();
 //! assert!(verify_hmac(b"shared key", b"step 1 payload", &tag));
 //! assert!(!verify_hmac(b"shared key", b"tampered", &tag));
 //! ```
@@ -18,12 +18,48 @@ use crate::sha256::{finish, Sha256, DIGEST_LEN};
 
 const BLOCK_LEN: usize = 64;
 
+/// A MAC tag of `N` bytes.
+///
+/// It has no `PartialEq` and no `Hash`: the one comparison is
+/// [`ct_eq`](Self::ct_eq), whose time does not depend on where two tags
+/// differ. Code that wants the bytes for something other than a
+/// comparison — a frame, a derived key — takes them with
+/// [`into_bytes`](Self::into_bytes).
+///
+/// ```compile_fail,E0369
+/// use mykil_crypto::hmac::hmac_sha256;
+///
+/// let tag = hmac_sha256(b"key", b"message");
+/// assert!(tag == hmac_sha256(b"key", b"message"));
+/// ```
+#[repr(transparent)]
+pub struct Tag<const N: usize>([u8; N]);
+
+impl<const N: usize> Tag<N> {
+    /// Constant-time equality with a received tag ([`crate::ct::ct_eq`]);
+    /// a `received` of any length other than `N` is unequal.
+    pub fn ct_eq(&self, received: &[u8]) -> bool {
+        crate::ct::ct_eq(&self.0, received)
+    }
+
+    /// The first `M` bytes, as a truncated tag.
+    pub fn truncate<const M: usize>(self) -> Tag<M> {
+        const { assert!(M <= N, "a tag truncates to at most its own length") };
+        Tag(std::array::from_fn(|i| self.0[i]))
+    }
+
+    /// The tag bytes.
+    pub fn into_bytes(self) -> [u8; N] {
+        self.0
+    }
+}
+
 /// Computes `HMAC-SHA256(key, message)`.
 ///
 /// Keys longer than the 64-byte block are pre-hashed per RFC 2104.
 /// A caller that MACs more than once under one key should hold an
 /// [`HmacSha256`] instead: it pays for the two pad blocks once.
-pub fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; DIGEST_LEN] {
+pub fn hmac_sha256(key: &[u8], message: &[u8]) -> Tag<DIGEST_LEN> {
     HmacSha256::new(key).tag(message)
 }
 
@@ -31,8 +67,7 @@ pub fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; DIGEST_LEN] {
 ///
 /// Returns `false` for any length mismatch.
 pub fn verify_hmac(key: &[u8], message: &[u8], tag: &[u8]) -> bool {
-    let expected = hmac_sha256(key, message);
-    crate::ct::ct_eq(&expected, tag)
+    hmac_sha256(key, message).ct_eq(tag)
 }
 
 /// A keyed HMAC-SHA256 context: the SHA-256 chaining values after the
@@ -85,9 +120,9 @@ impl HmacSha256 {
     }
 
     /// The tag of one contiguous message.
-    pub fn tag(&self, message: &[u8]) -> [u8; DIGEST_LEN] {
+    pub fn tag(&self, message: &[u8]) -> Tag<DIGEST_LEN> {
         let inner_digest = finish(self.inner, BLOCK_LEN as u64, message);
-        finish(self.outer, BLOCK_LEN as u64, &inner_digest)
+        Tag(finish(self.outer, BLOCK_LEN as u64, &inner_digest))
     }
 
     /// Starts the tag of a message supplied in fragments. The context
@@ -114,8 +149,8 @@ impl HmacStream {
     }
 
     /// Produces the final tag.
-    pub fn finalize(self) -> [u8; DIGEST_LEN] {
-        finish(self.outer, BLOCK_LEN as u64, &self.inner.finalize())
+    pub fn finalize(self) -> Tag<DIGEST_LEN> {
+        Tag(finish(self.outer, BLOCK_LEN as u64, &self.inner.finalize()))
     }
 }
 
@@ -123,8 +158,11 @@ impl HmacStream {
 mod tests {
     use super::*;
 
-    fn hex(bytes: &[u8]) -> String {
-        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    fn hex<const N: usize>(tag: Tag<N>) -> String {
+        tag.into_bytes()
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect()
     }
 
     #[test]
@@ -132,7 +170,7 @@ mod tests {
         let key = [0x0b; 20];
         let tag = hmac_sha256(&key, b"Hi There");
         assert_eq!(
-            hex(&tag),
+            hex(tag),
             "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
         );
     }
@@ -141,7 +179,7 @@ mod tests {
     fn rfc4231_case_2() {
         let tag = hmac_sha256(b"Jefe", b"what do ya want for nothing?");
         assert_eq!(
-            hex(&tag),
+            hex(tag),
             "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
         );
     }
@@ -151,7 +189,7 @@ mod tests {
         let key = [0xaa; 131];
         let tag = hmac_sha256(&key, b"Test Using Larger Than Block-Size Key - Hash Key First");
         assert_eq!(
-            hex(&tag),
+            hex(tag),
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
         );
     }
@@ -209,14 +247,17 @@ mod tests {
             // One-shot, then streamed in two fragments from the same
             // context after the first tag was finalized, then one-shot
             // again: a context is not consumed by the tags it starts.
-            let first = cloned.tag(&data);
-            assert!(hex(&first).starts_with(want), "case {}", case + 1);
+            let first = hex(cloned.tag(&data));
+            assert!(first.starts_with(want), "case {}", case + 1);
             let mut stream = cloned.start();
             stream.update(&data[..data.len() / 2]);
             stream.update(&data[data.len() / 2..]);
-            assert_eq!(stream.finalize(), first, "case {}", case + 1);
-            assert_eq!(cloned.tag(&data), first, "case {}", case + 1);
-            assert_eq!(hmac_sha256(&key, &data), first, "case {}", case + 1);
+            assert_eq!(hex(stream.finalize()), first, "case {}", case + 1);
+            assert_eq!(hex(cloned.tag(&data)), first, "case {}", case + 1);
+            assert_eq!(hex(hmac_sha256(&key, &data)), first, "case {}", case + 1);
+            // Case 5 is RFC 4231's truncation vector: the first 16 bytes.
+            let truncated = hex(cloned.tag(&data).truncate::<16>());
+            assert_eq!(truncated, first[..32], "case {}", case + 1);
         }
     }
 
@@ -227,7 +268,7 @@ mod tests {
 
     #[test]
     fn verify_accepts_and_rejects() {
-        let tag = hmac_sha256(b"k", b"m");
+        let tag = hmac_sha256(b"k", b"m").into_bytes();
         assert!(verify_hmac(b"k", b"m", &tag));
         assert!(!verify_hmac(b"k2", b"m", &tag));
         assert!(!verify_hmac(b"k", b"m2", &tag));
@@ -245,13 +286,13 @@ mod tests {
         let mut whole = b"nonce:".to_vec();
         whole.extend_from_slice(&42u64.to_be_bytes());
         whole.extend_from_slice(b"|ticket");
-        assert_eq!(tag, hmac_sha256(b"area-controller-key", &whole));
+        assert!(tag.ct_eq(&hmac_sha256(b"area-controller-key", &whole).into_bytes()));
     }
 
     #[test]
     fn different_keys_different_tags() {
         let t1 = hmac_sha256(b"key-1", b"same message");
         let t2 = hmac_sha256(b"key-2", b"same message");
-        assert_ne!(t1, t2);
+        assert!(!t1.ct_eq(&t2.into_bytes()));
     }
 }

@@ -69,10 +69,7 @@ impl SymmetricKey {
     /// [`derive`](Self::derive) from a context already keyed with the
     /// parent key, for a caller deriving several sub-keys of one key.
     pub(crate) fn derive_with(parent: &HmacSha256, purpose: &[u8]) -> SymmetricKey {
-        let tag = parent.tag(purpose);
-        let mut b = [0u8; SYMMETRIC_KEY_LEN];
-        b.copy_from_slice(&tag[..SYMMETRIC_KEY_LEN]);
-        SymmetricKey(b)
+        SymmetricKey(parent.tag(purpose).truncate().into_bytes())
     }
 
     /// Deterministically derives a key from a label (for tests and

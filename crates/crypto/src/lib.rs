@@ -63,6 +63,3 @@ pub use error::CryptoError;
 /// Length in bytes of the symmetric keys used throughout Mykil
 /// (the paper uses 128-bit area and auxiliary keys).
 pub const SYMMETRIC_KEY_LEN: usize = 16;
-
-/// Length in bytes of a SHA-256 based MAC tag.
-pub const MAC_LEN: usize = 32;

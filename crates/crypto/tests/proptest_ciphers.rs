@@ -48,7 +48,7 @@ proptest! {
         key in proptest::collection::vec(any::<u8>(), 0..100),
         msg in proptest::collection::vec(any::<u8>(), 0..200),
     ) {
-        let tag = hmac_sha256(&key, &msg);
+        let tag = hmac_sha256(&key, &msg).into_bytes();
         prop_assert!(verify_hmac(&key, &msg, &tag));
     }
 
@@ -59,7 +59,7 @@ proptest! {
         flip_byte in 0usize..64,
         flip_bit in 0u8..8,
     ) {
-        let tag = hmac_sha256(&key, &msg);
+        let tag = hmac_sha256(&key, &msg).into_bytes();
         let mut bad = msg.clone();
         let idx = flip_byte % bad.len();
         bad[idx] ^= 1 << flip_bit;

@@ -3,7 +3,7 @@
 
 use crate::id::{GroupId, NodeId};
 use crate::stats::Stats;
-use crate::storage::StableStore;
+use crate::storage::{Recovered, StableStore};
 use crate::time::{Duration, Time};
 use mykil_crypto::drbg::Drbg;
 
@@ -69,6 +69,27 @@ pub(crate) enum Action {
 /// All effects (sends, timers, group membership) are deferred and
 /// applied by the simulator when the callback returns, which keeps the
 /// model simple and the run deterministic.
+///
+/// # Durable before visible
+///
+/// A callback writes its node's stable storage only through
+/// [`wal_commit`](Self::wal_commit) and [`checkpoint`](Self::checkpoint),
+/// and each is synced when it returns. Its sends leave only after it
+/// returns. So nothing a callback sends can reach a peer before that
+/// callback's writes are durable, whatever order the code puts them in:
+/// a controller logs a change before any peer hears of it (§IV-C) by
+/// construction. A transport that replaces the simulator, a socket one
+/// say, must keep the same contract: release a turn's sends only after
+/// the turn's writes are durable.
+///
+/// There is no handle to the device itself, so protocol code cannot
+/// stage an append it never syncs, nor reach the fault verbs:
+///
+/// ```compile_fail,E0599
+/// fn stage(ctx: &mut mykil_net::Context<'_>) {
+///     ctx.storage().wal_append(vec![1]);
+/// }
+/// ```
 pub struct Context<'a> {
     pub(crate) now: Time,
     pub(crate) self_id: NodeId,
@@ -103,12 +124,24 @@ impl<'a> Context<'a> {
         self.stats
     }
 
-    /// This node's simulated stable storage (WAL + checkpoints). State
-    /// written and synced here survives crashes — modulo any injected
-    /// storage fault — and is what [`Node::on_restarted`]
-    /// (crate::Node::on_restarted) recovers from.
-    pub fn storage(&mut self) -> &mut dyn StableStore {
-        self.storage
+    /// Appends `record` to this node's write-ahead log and syncs it
+    /// ([`StableStore::wal_commit`]). What is committed survives a
+    /// crash, modulo an injected storage fault, and is what
+    /// [`Node::on_restarted`](crate::Node::on_restarted) recovers from.
+    pub fn wal_commit(&mut self, record: Vec<u8>) {
+        self.storage.wal_commit(record);
+    }
+
+    /// Writes a full-state snapshot, syncing the log first
+    /// ([`StableStore::checkpoint`]).
+    pub fn checkpoint(&mut self, payload: Vec<u8>) {
+        self.storage.checkpoint(payload);
+    }
+
+    /// The recovery read: the newest valid checkpoint and the durable
+    /// log past it ([`StableStore::load`]).
+    pub fn load(&self) -> Recovered {
+        self.storage.load()
     }
 
     /// Charges virtual CPU time; every subsequent effect in this

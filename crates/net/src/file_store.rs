@@ -115,6 +115,18 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !c
 }
 
+/// Writes `header`, then `payload`, to `f` and syncs it. This is the
+/// one place a payload reaches the disk, and it arrives as
+/// [`SecretBytes`], so the copy zeroizes once written. Headers are
+/// framing: consts and `to_le_bytes` of lengths, positions and CRCs.
+fn write_synced(mut f: fs::File, header: &[&[u8]], payload: &SecretBytes) -> io::Result<()> {
+    for part in header {
+        f.write_all(part)?;
+    }
+    f.write_all(payload.as_slice())?;
+    f.sync_data()
+}
+
 /// One WAL frame read back from disk. `valid` is the CRC verdict; an
 /// invalid (torn) frame still occupies its WAL position.
 struct RawFrame {
@@ -313,18 +325,12 @@ impl FileStore {
     }
 
     /// Appends one frame with the given CRC (callers pass a wrong CRC
-    /// to write a deliberately torn frame) and syncs the file. The
-    /// payload arrives wrapped so the only plaintext copy at the disk
-    /// boundary is the `SecretBytes` view (lint L002).
+    /// to write a deliberately torn frame) and syncs the file.
     fn append_frame_buf(&self, payload: &SecretBytes, crc: u32) -> io::Result<()> {
         let len = u32::try_from(payload.len())
             .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "record too large"))?;
-        let mut f = OpenOptions::new().append(true).open(self.wal_path())?;
-        f.write_all(&len.to_le_bytes())?;
-        f.write_all(&crc.to_le_bytes())?;
-        f.write_all(payload.as_slice())?;
-        f.sync_data()?;
-        Ok(())
+        let f = OpenOptions::new().append(true).open(self.wal_path())?;
+        write_synced(f, &[&len.to_le_bytes(), &crc.to_le_bytes()], payload)
     }
 
     /// Reads both slot files as parsed on-disk slots.
@@ -362,14 +368,8 @@ impl FileStore {
         // wrapped so it zeroizes once rewritten.
         let tail = SecretBytes::new(rest.get(at..).unwrap_or(&[]).to_vec());
         let tmp = self.dir.join("wal.tmp");
-        {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(&WAL_MAGIC)?;
-            f.write_all(&VERSION.to_le_bytes())?;
-            f.write_all(&new_base.to_le_bytes())?;
-            f.write_all(tail.as_slice())?;
-            f.sync_data()?;
-        }
+        let header: [&[u8]; 3] = [&WAL_MAGIC, &VERSION.to_le_bytes(), &new_base.to_le_bytes()];
+        write_synced(fs::File::create(&tmp)?, &header, &tail)?;
         fs::rename(&tmp, self.wal_path())?;
         self.wal_base = new_base;
         self.wal_count -= drop_n as u64;
@@ -387,17 +387,15 @@ impl FileStore {
         };
         let len = u32::try_from(payload.len())
             .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "checkpoint too large"))?;
-        {
-            let mut f = fs::File::create(self.slot_path(target))?;
-            f.write_all(&CKPT_MAGIC)?;
-            f.write_all(&VERSION.to_le_bytes())?;
-            f.write_all(&seq.to_le_bytes())?;
-            f.write_all(&wal_pos.to_le_bytes())?;
-            f.write_all(&len.to_le_bytes())?;
-            f.write_all(&crc32(payload.as_slice()).to_le_bytes())?;
-            f.write_all(payload.as_slice())?;
-            f.sync_data()?;
-        }
+        let header: [&[u8]; 6] = [
+            &CKPT_MAGIC,
+            &VERSION.to_le_bytes(),
+            &seq.to_le_bytes(),
+            &wal_pos.to_le_bytes(),
+            &len.to_le_bytes(),
+            &crc32(payload.as_slice()).to_le_bytes(),
+        ];
+        write_synced(fs::File::create(self.slot_path(target))?, &header, payload)?;
         let keep_from = self
             .read_slots()
             .iter()
@@ -436,7 +434,7 @@ impl FileStore {
         // The slot bytes embed the checkpoint payload: rewrap before
         // the rewrite so this copy zeroizes too.
         let bytes = SecretBytes::new(bytes);
-        let write = fs::write(&path, bytes.as_slice());
+        let write = fs::File::create(&path).and_then(|f| write_synced(f, &[], &bytes));
         self.record_io(write);
     }
 }

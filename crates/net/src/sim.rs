@@ -28,7 +28,7 @@ pub trait Node: Any {
     /// pending and wipes volatile state (see
     /// [`Node::on_crashed_volatile_reset`]), so implementors must re-arm
     /// their periodic timers here and reconstruct state from stable
-    /// storage ([`Context::storage`]) and/or resynchronize with peers.
+    /// storage ([`Context::load`]) and/or resynchronize with peers.
     fn on_restarted(&mut self, _ctx: &mut Context<'_>) {}
 
     /// Called by [`Simulator::crash`] at the moment of the crash: the
@@ -357,7 +357,7 @@ impl Simulator {
     /// lost, possibly a torn final record) and then
     /// [`Node::on_crashed_volatile_reset`] wipes the in-memory struct
     /// down to durable local configuration. [`Node::on_restarted`] must
-    /// reconstruct from [`Context::storage`] and/or peers.
+    /// reconstruct from [`Context::load`] and/or peers.
     pub fn crash(&mut self, node: NodeId) {
         let was_crashed = self.topo.is_crashed(node);
         self.topo.crash(node);
@@ -1325,13 +1325,13 @@ mod tests {
     impl Node for DurableCounter {
         fn on_message(&mut self, ctx: &mut Context<'_>, _from: NodeId, bytes: &[u8]) {
             self.count += 1;
-            ctx.storage().wal_commit(bytes.to_vec());
+            ctx.wal_commit(bytes.to_vec());
         }
         fn on_crashed_volatile_reset(&mut self) {
             self.count = 0;
         }
         fn on_restarted(&mut self, ctx: &mut Context<'_>) {
-            self.count = ctx.storage().load().wal.len() as u32;
+            self.count = ctx.load().wal.len() as u32;
         }
     }
 

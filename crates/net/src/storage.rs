@@ -1,9 +1,11 @@
 //! Stable storage: a per-node write-ahead log plus dual checkpoint
 //! slots, behind the pluggable [`StableStore`] trait.
 //!
-//! Every simulated process owns one device, reachable from any
-//! callback via [`Context::storage`](crate::Context::storage). The
-//! stack has one shape, whatever the backend:
+//! Every simulated process owns one device. A callback reaches it only
+//! through [`Context`](crate::Context)'s three durable calls —
+//! `wal_commit`, `checkpoint` and `load` — so protocol code cannot
+//! stage an unsynced append or touch the fault verbs. The stack has one
+//! shape, whatever the backend:
 //!
 //! ```text
 //! Simulator ── FaultyStore ── backend
@@ -61,9 +63,27 @@ use mykil_crypto::ct;
 /// A byte buffer that zeroizes its contents on drop. WAL records and
 /// checkpoint payloads routinely contain wrapped keys and key-tree
 /// snapshots; dropping them must not leave plaintext in freed memory
-/// (same idiom as `mykil_crypto::keys::SymmetricKey`).
+/// (same idiom as `mykil_crypto::keys::SymmetricKey`; the rules all
+/// secret types keep are in `mykil_crypto::ct`).
+///
+/// Its equality is constant-time, and it has no `Hash`:
+///
+/// ```compile_fail,E0277
+/// fn hash<T: std::hash::Hash>() {}
+/// hash::<mykil_net::SecretBytes>();
+/// ```
 #[derive(Clone)]
 pub struct SecretBytes(Vec<u8>);
+
+#[expect(
+    drop_bounds,
+    reason = "`T: Drop` holds only where an `impl Drop` is written, which is the point"
+)]
+fn _secret_bytes_wipe_on_drop()
+where
+    SecretBytes: Drop,
+{
+}
 
 impl SecretBytes {
     /// Wraps `bytes`, taking ownership.

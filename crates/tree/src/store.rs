@@ -42,7 +42,7 @@
 //! an ancestor's own key two.
 
 use crate::tree::TreeBackend;
-use mykil_crypto::hmac::HmacSha256;
+use mykil_crypto::hmac::{HmacSha256, Tag};
 use mykil_crypto::keys::SymmetricKey;
 use mykil_crypto::SYMMETRIC_KEY_LEN;
 use rand::RngCore;
@@ -290,7 +290,7 @@ pub(crate) struct KhfKeys {
 pub(crate) struct SecretMemo(BTreeMap<usize, HmacSha256>);
 
 /// `HMAC-SHA256(key, label || n as u64 BE)`: both derivation steps.
-fn derive(key: &HmacSha256, label: &[u8], n: u64) -> [u8; 32] {
+fn derive(key: &HmacSha256, label: &[u8], n: u64) -> Tag<32> {
     let mut message = [0u8; 24];
     let (text, rest) = message.split_at_mut(label.len());
     text.copy_from_slice(label);
@@ -315,7 +315,7 @@ impl KhfKeys {
     }
 
     fn child_secret(&self, node: usize, parent: usize, memo: &mut SecretMemo) -> HmacSha256 {
-        let mut secret = derive(self.secret(parent, memo), NODE_LABEL, node as u64);
+        let mut secret = derive(self.secret(parent, memo), NODE_LABEL, node as u64).into_bytes();
         let keyed = HmacSha256::new(&secret);
         mykil_crypto::ct::zeroize(&mut secret);
         keyed
@@ -331,9 +331,7 @@ impl KhfKeys {
             }
             _ => derive(self.secret(node, memo), KEY_LABEL, version),
         };
-        let mut bytes = [0u8; SYMMETRIC_KEY_LEN];
-        bytes.copy_from_slice(&tag[..SYMMETRIC_KEY_LEN]);
-        SymmetricKey::from_bytes(bytes)
+        SymmetricKey::from_bytes(tag.truncate::<SYMMETRIC_KEY_LEN>().into_bytes())
     }
 
     fn key(&self, node: usize, version: u64, memo: &mut SecretMemo) -> SymmetricKey {
