@@ -4,6 +4,7 @@
 //! gate rekey                   # rekey hot path, both tree backends, wire, RSA
 //! gate scale                   # flash-crowd join + mass leave, 100k and 1M
 //! gate mobility                # mobility storms under a chaos fault plan
+//! gate paper                   # every number of EXPERIMENTS.md, n = 100,000
 //!      --smoke                 #   first scenario only (bounded CI wall time)
 //!      --write                 #   (re)write the subcommand's BENCH_*.json
 //!      --check <path>          #   fail (exit 1) on regression against it
@@ -12,13 +13,15 @@
 //!                              #   per-area ledger dump there
 //! ```
 //!
-//! Every row is measured [`gate::REPS`] times in this process; a count
-//! that differs between two repetitions exits 2. The rules, the reader
+//! Every row is measured [`gate::REPS`] times in this process (twice
+//! when no column is a time); a count that differs between two
+//! repetitions exits 2. The rules, the reader
 //! and the checker are [`mykil_bench::gate`]; this binary holds the
 //! workloads and their row declarations.
 
 #![forbid(unsafe_code)]
 
+mod paper;
 mod rekey;
 mod scale;
 
@@ -29,7 +32,7 @@ use mykil_bench::gate;
 static ALLOC: CountingAllocator = CountingAllocator;
 
 fn main() {
-    let gates = [rekey::GATE, scale::SCALE, scale::MOBILITY];
+    let gates = [rekey::GATE, scale::SCALE, scale::MOBILITY, paper::PAPER];
     let code = gate::command(&gates, std::env::args().skip(1)).unwrap_or_else(|why| {
         eprintln!("{why}");
         2
@@ -42,19 +45,23 @@ mod tests {
     use super::*;
     use mykil_bench::gate::{check, read_json, Rule, Value, Verdict};
 
-    /// The three committed baselines read back under the rules of the
+    fn read_root(file: &str) -> String {
+        let path = format!("{}/../../{file}", env!("CARGO_MANIFEST_DIR"));
+        std::fs::read_to_string(&path).expect(&path)
+    }
+
+    /// The four committed baselines read back under the rules of the
     /// subcommand that writes them: every declared row is there with
     /// every `Exact` column, and each file passes against itself.
     #[test]
     fn committed_baselines_carry_every_declared_row_and_exact_column() {
-        for gate in [rekey::GATE, scale::SCALE, scale::MOBILITY] {
-            let path = format!("{}/../../{}", env!("CARGO_MANIFEST_DIR"), gate.baseline);
-            let text = std::fs::read_to_string(&path).expect(&path);
-            let table = read_json(&text).expect(&path);
-            for (row, _) in gate.rows {
+        for gate in [rekey::GATE, scale::SCALE, scale::MOBILITY, paper::PAPER] {
+            let path = gate.baseline;
+            let table = read_json(&read_root(path)).expect(path);
+            for (row, columns, _) in gate.rows {
                 let cells = table.rows.iter().find(|r| r.0 == *row);
                 let cells = &cells.unwrap_or_else(|| panic!("{path}: no row {row}")).1;
-                for (column, rule) in gate.columns {
+                for (column, rule) in *columns {
                     let exact = cells
                         .iter()
                         .any(|c| c.0 == *column && matches!(c.1, Value::Int(_)));
@@ -68,6 +75,36 @@ mod tests {
                 check(&gate, false, &table, Some(&table)),
                 Verdict::default(),
                 "{path}"
+            );
+        }
+    }
+
+    /// EXPERIMENTS.md shows the committed `BENCH_paper.json`: a table
+    /// line whose first cell names a row carries that row's cells in its
+    /// column order (thousands separated by commas), and every row has
+    /// such a line.
+    #[test]
+    fn experiments_md_shows_every_paper_row_as_committed() {
+        let baseline = read_json(&read_root(paper::PAPER.baseline)).expect("paper baseline");
+        let (doc, mut shown) = (read_root("EXPERIMENTS.md"), Vec::new());
+        for line in doc.lines() {
+            let Some(line) = line.trim().strip_prefix('|') else {
+                continue;
+            };
+            let mut cells = line.trim_end_matches('|').split('|').map(|c| c.trim());
+            let name = cells.next().unwrap_or_default().trim_matches('`');
+            let Some((_, row)) = baseline.rows.iter().find(|r| r.0 == name) else {
+                continue;
+            };
+            let doc: Vec<String> = cells.map(|c| c.replace(',', "")).collect();
+            let committed: Vec<String> = row.iter().map(|c| c.1.to_string()).collect();
+            assert_eq!(doc, committed, "EXPERIMENTS.md: row {name}");
+            shown.push(name);
+        }
+        for (name, _) in &baseline.rows {
+            assert!(
+                shown.contains(&name.as_str()),
+                "EXPERIMENTS.md shows no row {name}"
             );
         }
     }

@@ -7,7 +7,7 @@
 use mykil::rekey::write_entries_from_plan;
 use mykil::wire::{Reader, Writer};
 use mykil_bench::alloc_track::alloc_count;
-use mykil_bench::gate::{Gate, Limit, Ratio, Rep, Rule, Value, Workload};
+use mykil_bench::gate::{Columns, Gate, Limit, Ratio, Rep, Row, Rule, Value, Workload};
 use mykil_crypto::drbg::Drbg;
 use mykil_crypto::rsa::RsaKeyPair;
 use mykil_tree::TreeBackend::{self, Explicit, Khf};
@@ -26,34 +26,40 @@ const fn khf_time(of: &'static str, over: &'static str, pct: u64) -> Ratio {
     }
 }
 
+const COLUMNS: Columns = &[
+    ("ops", Rule::Exact),
+    ("ops_per_sec", Rule::Info),
+    // Wire bytes and allocation events of the measured region, whole.
+    ("bytes", Rule::Exact),
+    ("allocs", Rule::Exact),
+    // Key material resident in the controller's tree after the run
+    // (the storage axis the KHF backend trades compute for).
+    ("resident_key_bytes", Rule::Exact),
+];
+
+/// A workload with the columns every rekey row carries.
+const fn row(name: &'static str, workload: Workload) -> Row {
+    (name, COLUMNS, workload)
+}
+
 /// No shorter run: `--smoke` measures them all.
-const ROWS: &[(&str, Workload)] = &[
-    ("rekey_single_leave", |_, _| rekey_single_leave(Explicit)),
-    ("rekey_single_leave_khf", |_, _| rekey_single_leave(Khf)),
-    ("rekey_batch_mixed", |_, _| rekey_batch_mixed(Explicit)),
-    ("rekey_batch_mixed_khf", |_, _| rekey_batch_mixed(Khf)),
-    ("resident_keys_5000", |_, _| resident_keys_5000(Explicit)),
-    ("resident_keys_5000_khf", |_, _| resident_keys_5000(Khf)),
-    ("wire_encode_decode", |_, _| wire_encode_decode()),
-    ("rsa768_private", |_, _| rsa_op(768, true, 2000)),
-    ("rsa768_public", |_, _| rsa_op(768, false, 20_000)),
-    ("rsa2048_private", |_, _| rsa_op(2048, true, 200)),
+const ROWS: &[Row] = &[
+    row("rekey_single_leave", |_, _| rekey_single_leave(Explicit)),
+    row("rekey_single_leave_khf", |_, _| rekey_single_leave(Khf)),
+    row("rekey_batch_mixed", |_, _| rekey_batch_mixed(Explicit)),
+    row("rekey_batch_mixed_khf", |_, _| rekey_batch_mixed(Khf)),
+    row("resident_keys_5000", |_, _| resident_keys_5000(Explicit)),
+    row("resident_keys_5000_khf", |_, _| resident_keys_5000(Khf)),
+    row("wire_encode_decode", |_, _| wire_encode_decode()),
+    row("rsa768_private", |_, _| rsa_op(768, true, 2000)),
+    row("rsa768_public", |_, _| rsa_op(768, false, 20_000)),
+    row("rsa2048_private", |_, _| rsa_op(2048, true, 200)),
 ];
 
 pub const GATE: Gate = Gate {
     name: "rekey",
     baseline: "BENCH_rekey.json",
     noun: "workloads",
-    columns: &[
-        ("ops", Rule::Exact),
-        ("ops_per_sec", Rule::Info),
-        // Wire bytes and allocation events of the measured region, whole.
-        ("bytes", Rule::Exact),
-        ("allocs", Rule::Exact),
-        // Key material resident in the controller's tree after the run
-        // (the storage axis the KHF backend trades compute for).
-        ("resident_key_bytes", Rule::Exact),
-    ],
     rows: ROWS,
     smoke_rows: ROWS.len(),
     ratios: &[

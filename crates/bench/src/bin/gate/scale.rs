@@ -53,12 +53,11 @@ pub const SCALE: Gate = Gate {
     name: "scale",
     baseline: "BENCH_scale.json",
     noun: "scenarios",
-    columns: COLUMNS.split_at(8).0,
     rows: &[
-        ("flash_crowd_100k", |name, _| {
+        ("flash_crowd_100k", COLUMNS.split_at(8).0, |name, _| {
             run_scenario(name, ScaleConfig::smoke_100k())
         }),
-        ("flash_crowd_1m", |name, _| {
+        ("flash_crowd_1m", COLUMNS.split_at(8).0, |name, _| {
             run_scenario(name, ScaleConfig::paper_million())
         }),
     ],
@@ -70,9 +69,8 @@ pub const MOBILITY: Gate = Gate {
     name: "mobility",
     baseline: "BENCH_mobility.json",
     noun: "scenarios",
-    columns: &COLUMNS,
     rows: &[
-        ("mobility_storm_100k", |name, dump_dir| {
+        ("mobility_storm_100k", &COLUMNS, |name, dump_dir| {
             let cfg = ScaleConfig {
                 members: 100_000,
                 areas: 100,
@@ -83,7 +81,7 @@ pub const MOBILITY: Gate = Gate {
         // The acceptance scenario: 1M members / 1,000 areas, 100k
         // inter-area moves, 50+ injected faults (crashes, partitions,
         // storage).
-        ("mobility_storm_1m", |name, dump_dir| {
+        ("mobility_storm_1m", &COLUMNS, |name, dump_dir| {
             run_storm(
                 name,
                 ScaleConfig::mobility_million(),

@@ -1,11 +1,11 @@
 //! The regression gate: one table, one renderer, one baseline reader,
 //! one checker and one command-line tail behind the `gate` binary's
-//! `rekey`, `scale` and `mobility` subcommands (DESIGN.md §10,
+//! `rekey`, `scale`, `mobility` and `paper` subcommands (DESIGN.md §10,
 //! "The regression gate").
 //!
-//! A subcommand is a [`Gate`]: the columns its rows carry, each with a
-//! [`Rule`]; the rows a full run produces, each with its workload; and
-//! the [`Ratio`]s between rows of one run. Counts the seeds fix are
+//! A subcommand is a [`Gate`]: the rows a full run produces, each with
+//! its columns (each with a [`Rule`]) and its workload; and the
+//! [`Ratio`]s between rows of one run. Counts the seeds fix are
 //! `Exact`; absolute times are `Info`, and time is gated only as a
 //! ratio of two rows measured in the same process, compared with the
 //! same ratio in the baseline.
@@ -61,7 +61,7 @@ pub struct Ratio {
 pub type Artifacts = Vec<(String, String)>;
 
 /// One repetition of one row: the wall time of its measured region,
-/// its cells in the order of [`Gate::columns`], and its failure
+/// its cells in the order of the row's [`Columns`], and its failure
 /// evidence, if it has any.
 pub struct Rep {
     pub secs: f64,
@@ -73,6 +73,13 @@ pub struct Rep {
 /// row's name and `--dump-dir`.
 pub type Workload = fn(&str, Option<&str>) -> Rep;
 
+/// The columns a row carries, each with its rule.
+pub type Columns = &'static [(&'static str, Rule)];
+
+/// A declared row: its name, its columns and the workload that
+/// measures it.
+pub type Row = (&'static str, Columns, Workload);
+
 /// One subcommand's declaration.
 pub struct Gate {
     /// Subcommand name.
@@ -81,19 +88,35 @@ pub struct Gate {
     pub baseline: &'static str,
     /// What the baseline calls its rows (`"workloads"`, `"scenarios"`).
     pub noun: &'static str,
-    pub columns: &'static [(&'static str, Rule)],
     /// Every row a full run produces; `--smoke` runs the first
     /// `smoke_rows` of them and is compared against those only.
-    pub rows: &'static [(&'static str, Workload)],
+    pub rows: &'static [Row],
     pub smoke_rows: usize,
     pub ratios: &'static [Ratio],
 }
 
 impl Gate {
     /// The rows this run declares it produces.
-    fn rows_run(&self, smoke: bool) -> &'static [(&'static str, Workload)] {
+    fn rows_run(&self, smoke: bool) -> &'static [Row] {
         let all = self.rows.len();
         &self.rows[..if smoke { self.smoke_rows } else { all }]
+    }
+
+    /// In-process repetitions per row: [`REPS`] when a row records a
+    /// time, whose fastest repetition is the one reported; two when
+    /// every cell is a count, which is all it takes to prove the counts
+    /// deterministic.
+    fn reps(&self) -> usize {
+        let timed = self
+            .rows
+            .iter()
+            .flat_map(|r| r.1)
+            .any(|c| c.1 == Rule::Info);
+        if timed {
+            REPS
+        } else {
+            2
+        }
     }
 }
 
@@ -124,10 +147,10 @@ fn cell(cells: &[(String, Value)], column: &str) -> Option<Value> {
     Some(cells.iter().find(|c| c.0 == column)?.1)
 }
 
-/// In-process repetitions per row.
+/// In-process repetitions per row of a gate that records times.
 pub const REPS: usize = 7;
 
-/// Runs every row of `gate` (or its smoke prefix) [`REPS`] times,
+/// Runs every row of `gate` (or its smoke prefix) [`Gate::reps`] times,
 /// round-robin so that a slow stretch of a shared host falls on every
 /// row alike, and keeps the fastest repetition of each — the estimator
 /// `e2ebench` uses: the minimum is the run least disturbed.
@@ -139,13 +162,13 @@ pub const REPS: usize = 7;
 /// gated.
 pub fn run(gate: &Gate, opts: &Opts) -> Result<(Table, Artifacts), String> {
     let declared = gate.rows_run(opts.smoke);
-    let measure = |&(name, workload): &(&str, Workload)| workload(name, opts.dump_dir.as_deref());
+    let measure = |&(name, _, workload): &Row| workload(name, opts.dump_dir.as_deref());
     let mut best: Vec<Rep> = declared.iter().map(measure).collect();
-    for _ in 1..REPS {
+    for _ in 1..gate.reps() {
         for (row, best) in declared.iter().zip(&mut best) {
             let rep = measure(row);
             let pairs = best.values.iter().zip(&rep.values);
-            for (&(column, rule), (a, b)) in gate.columns.iter().zip(pairs) {
+            for (&(column, rule), (a, b)) in row.1.iter().zip(pairs) {
                 if rule == Rule::Exact && a != b {
                     return Err(format!("{}: {column}: {a}, then {b}", row.0));
                 }
@@ -157,9 +180,9 @@ pub fn run(gate: &Gate, opts: &Opts) -> Result<(Table, Artifacts), String> {
     }
     let backend = mykil_crypto::sha256::backend().to_string();
     let (mut rows, mut artifacts) = (Vec::new(), Vec::new());
-    for (&(name, _), rep) in declared.iter().zip(best) {
-        assert_eq!(rep.values.len(), gate.columns.len(), "{name}");
-        let cells = gate.columns.iter().zip(rep.values);
+    for (&(name, columns, _), rep) in declared.iter().zip(best) {
+        assert_eq!(rep.values.len(), columns.len(), "{name}");
+        let cells = columns.iter().zip(rep.values);
         let cells = cells.map(|(c, v)| (c.0.to_string(), v)).collect();
         rows.push((name.to_string(), cells));
         artifacts.extend(rep.artifacts);
@@ -259,17 +282,17 @@ impl Verdict {
                 self.fail(name, "*", ONE_SIDED);
             }
         }
-        for &(name, _) in gate.rows_run(smoke) {
+        for &(name, columns, _) in gate.rows_run(smoke) {
             let (Some(cells), Some(base_cells)) = (fresh.row(name), baseline.row(name)) else {
                 self.fail(name, "*", ONE_SIDED);
                 continue;
             };
             for (column, _) in base_cells {
-                if !gate.columns.iter().any(|c| c.0 == column) {
+                if !columns.iter().any(|c| c.0 == column) {
                     self.fail(name, column, ONE_SIDED);
                 }
             }
-            for &(column, rule) in gate.columns {
+            for &(column, rule) in columns {
                 match (rule, cell(cells, column), cell(base_cells, column)) {
                     (Rule::Info, ..) => {}
                     (_, None, _) | (_, _, None) => self.fail(name, column, ONE_SIDED),
@@ -452,16 +475,16 @@ mod tests {
         over: "a",
         limit: Limit::Below(0.25),
     };
+    const COLUMNS: Columns = &[
+        ("count", Rule::Exact),
+        ("heap", Rule::Info),
+        ("per_sec", Rule::Info),
+    ];
     const G: Gate = Gate {
         name: "t",
         baseline: "unused.json",
         noun: "rows",
-        columns: &[
-            ("count", Rule::Exact),
-            ("heap", Rule::Info),
-            ("per_sec", Rule::Info),
-        ],
-        rows: &[("a", fixed), ("b", fixed)],
+        rows: &[("a", COLUMNS, fixed), ("b", COLUMNS, fixed)],
         smoke_rows: 1,
         ratios: &[DRIFT, BELOW],
     };
@@ -664,7 +687,7 @@ mod tests {
             ..Opts::default()
         };
         let gate = Gate {
-            rows: &[("a", steady), ("b", fixed)],
+            rows: &[("a", COLUMNS, steady), ("b", COLUMNS, fixed)],
             ..G
         };
         let (table, artifacts) = run(&gate, &smoke).expect("deterministic");
@@ -674,11 +697,57 @@ mod tests {
         assert_eq!(table.backend, mykil_crypto::sha256::backend());
 
         let gate = Gate {
-            rows: &[("a", drifting), ("b", fixed)],
+            rows: &[("a", COLUMNS, drifting), ("b", COLUMNS, fixed)],
             ..G
         };
         let drift = run(&gate, &smoke).expect_err("count moved");
         assert_eq!(drift, "a: count: 7, then 8");
+    }
+
+    #[test]
+    fn rows_carry_their_own_columns_and_counts_run_twice() {
+        static CALLS: AtomicU64 = AtomicU64::new(0);
+        fn count(name: &str, _: Option<&str>) -> Rep {
+            CALLS.fetch_add(1, Ordering::Relaxed);
+            let values = if name == "wide" {
+                vec![1, 2, 3]
+            } else {
+                vec![4]
+            };
+            let values = values.into_iter().map(Value::Int).collect();
+            Rep {
+                secs: 0.0,
+                values,
+                artifacts: Vec::new(),
+            }
+        }
+        const WIDE: Columns = &[("x", Rule::Exact), ("y", Rule::Exact), ("z", Rule::Exact)];
+        let gate = Gate {
+            rows: &[
+                ("wide", WIDE, count),
+                ("narrow", &[("w", Rule::Exact)], count),
+            ],
+            ratios: &[],
+            ..G
+        };
+        assert_eq!((G.reps(), gate.reps()), (REPS, 2));
+        let (table, _) = run(&gate, &Opts::default()).expect("deterministic");
+        assert_eq!(CALLS.load(Ordering::Relaxed), 4);
+        let names =
+            |cells: &[(String, Value)]| cells.iter().map(|c| c.0.clone()).collect::<Vec<_>>();
+        assert_eq!(names(&table.rows[0].1), ["x", "y", "z"]);
+        assert_eq!(table.rows[1].1, [("w".to_string(), Value::Int(4))]);
+        assert_eq!(
+            check(&gate, false, &table, Some(&table)),
+            Verdict::default()
+        );
+        // A column of one row in another row of the baseline.
+        let mut base = read_json(&render_json(&gate, &table)).expect("reads back");
+        base.rows[1].1.push(("x".into(), Value::Int(1)));
+        assert_eq!(
+            failed(&check(&gate, false, &table, Some(&base))),
+            [("narrow", "x")]
+        );
     }
 
     #[test]

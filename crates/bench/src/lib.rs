@@ -1,5 +1,6 @@
-//! Experiment implementations shared by the `report` binary, the
-//! criterion benches, and the workspace integration tests.
+//! Experiment implementations behind the `gate` binary's rows (the
+//! `paper` subcommand regenerates the whole evaluation) and the
+//! workspace integration tests.
 //!
 //! One function per paper artifact — see `DESIGN.md` §3 for the full
 //! experiment index and `EXPERIMENTS.md` for paper-vs-measured results.

@@ -137,6 +137,23 @@ pub fn replay_unaggregated<M: KeyManager + ?Sized>(
     total
 }
 
+/// Key bytes `schedule` costs over a standing population of members
+/// `0..standing`, replayed against one Iolus subgroup of a twentieth of
+/// them, one LKH tree, Mykil in 20 areas, and Mykil with every batch
+/// split into single leaves — binary trees throughout.
+pub fn churn_bytes(standing: u64, schedule: &ChurnSchedule) -> [u64; 4] {
+    let mut rng = Drbg::from_seed(0xC0FFEE);
+    let mut mykil = crate::mykil(standing, 20, 2);
+    let unaggregated = replay_unaggregated(&mut mykil.clone(), schedule, &mut rng);
+    [
+        replay(&mut crate::iolus(standing / 20), schedule, &mut rng),
+        replay(&mut crate::lkh(standing, 2), schedule, &mut rng),
+        replay(&mut mykil, schedule, &mut rng),
+        unaggregated,
+    ]
+    .map(|traffic| traffic.total_key_bytes())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

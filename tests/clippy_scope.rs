@@ -100,7 +100,6 @@ fn retired_rules_stay_switched_on_where_they_held() {
     for (path, src) in sources!(
         "analysis/src/lib.rs",
         "baselines/src/lib.rs",
-        "bench/src/bin/report.rs",
         "bench/src/bin/gate/main.rs",
         "fuzz/src/main.rs",
     ) {

@@ -134,27 +134,62 @@ fn storage_matches_analytic_model() {
     );
 }
 
-/// Full-protocol bandwidth accounting agrees in *shape* with the
-/// baseline models: a leave in a 2-area deployment multicasts
-/// logarithmically-sized key updates, not per-member unicasts.
+/// Full-protocol bandwidth accounting ties to the baseline model to
+/// the byte: evicting one member of a 6-member area multicasts one
+/// signed key update, whose body is that leave's tree plan framed by
+/// `rekey::entries_wire_len`, and whose key bytes are what
+/// `MykilModel` charges for the same leave.
 #[test]
 fn protocol_key_update_traffic_is_logarithmic() {
+    use mykil::rekey::entries_wire_len;
+    use mykil_baselines::{KeyManager, MykilModel};
+    use mykil_crypto::drbg::Drbg;
+    use mykil_tree::{KeyTree, MemberId};
+
     let mut g = GroupBuilder::new(101).areas(1).build();
-    let members: Vec<_> = (0..6).map(|i| g.register_member(i)).collect();
-    g.settle();
+    // One join at a time, so the controller admits them in client-id
+    // order.
+    let members: Vec<_> = (0..6)
+        .map(|i| {
+            let m = g.register_member(i);
+            g.settle();
+            m
+        })
+        .collect();
     g.sim.stats_mut().reset();
 
-    // Evict one member; the rekey must be one multicast whose size is
-    // far below 6 * key-size * members.
+    // The same joins give the same tree, leaf for leaf.
+    let ac_tree = g.ac(0).tree();
+    let cfg = ac_tree.config();
+    let mut rng = Drbg::from_seed(1);
+    let (mut tree, mut model) = (
+        KeyTree::new(cfg, &mut rng),
+        MykilModel::new(1, cfg, &mut rng),
+    );
+    for m in ac_tree.members() {
+        tree.join(m, &mut rng).unwrap();
+        model.join(m, &mut rng);
+    }
+    for m in ac_tree.members() {
+        assert_eq!(tree.leaf_of(m), ac_tree.leaf_of(m));
+    }
+    let signature = g.ac(0).public_key().bits() / 8;
+
+    let victim = MemberId(g.member(members[3]).client_id().unwrap().0);
     g.sim.partition(members[3], 5);
     g.run_for(Duration::from_secs(5));
+    let plan = tree.leave(victim, &mut rng).unwrap();
+    // Tag, area, epoch and the body's and signature's length prefixes.
+    let header = 1 + 4 + 8 + 4 + 4;
     let ku = g.sim.stats().kind("key-update");
-    assert!(ku.messages_sent >= 1);
-    // Envelope-framed entries for a 6-member tree: well under 2 KB.
-    assert!(
-        ku.bytes_sent < 2048,
-        "leave rekey too large: {} bytes",
-        ku.bytes_sent
+    assert_eq!(ku.messages_sent, 1);
+    assert_eq!(
+        ku.bytes_sent,
+        (header + entries_wire_len(&plan) + signature) as u64
+    );
+    assert_eq!(
+        (plan.multicast_bytes() + plan.unicast_bytes()) as u64,
+        model.leave(victim, &mut rng).total_key_bytes()
     );
 }
 
@@ -210,7 +245,8 @@ fn latency_model_matches_simulation() {
     use mykil_bench::vd_latency;
 
     let sim = vd_latency();
-    let check = |name: &str, predicted: f64, simulated: f64| {
+    let check = |name: &str, predicted: f64, simulated: Duration| {
+        let simulated = simulated.as_secs_f64();
         let ratio = predicted / simulated;
         assert!(
             (0.6..1.7).contains(&ratio),
@@ -225,11 +261,11 @@ fn latency_model_matches_simulation() {
     let charged = mykil::crypto_cost::CryptoCost::pentium3();
     assert_eq!(charged.rsa_private(2048).as_micros() as f64, p * 1e6);
     assert_eq!(charged.rsa_public(2048).as_micros() as f64, q * 1e6);
-    check("join", JOIN_OPS.predict_seconds(p, q, h), sim.join_s);
-    check("rejoin", REJOIN_OPS.predict_seconds(p, q, h), sim.rejoin_s);
+    check("join", JOIN_OPS.predict_seconds(p, q, h), sim.join);
+    check("rejoin", REJOIN_OPS.predict_seconds(p, q, h), sim.rejoin);
     check(
         "rejoin_fast",
         REJOIN_FAST_OPS.predict_seconds(p, q, h),
-        sim.rejoin_fast_s,
+        sim.rejoin_fast,
     );
 }
