@@ -48,8 +48,7 @@ impl AreaController {
         // Unwrap K_r with the key of the region the packet came from.
         let from_parent = self.durable.image.parent.as_ref().is_some_and(|p| p.node == from);
         let unwrap_keys = if from_parent {
-            let parent_keys = &self.durable.image.parent_keys;
-            parent_keys.area_keys_with_history().cloned().collect()
+            self.parent_keys.area_keys_with_history().cloned().collect()
         } else {
             self.own_area_keys()
         };
@@ -92,7 +91,7 @@ impl AreaController {
         // Forward upward unless the packet came from above.
         if !from_parent {
             if let Some(parent) = self.durable.image.parent.clone() {
-                if let Some(parent_key) = self.durable.image.parent_keys.area_key() {
+                if let Some(parent_key) = self.parent_keys.area_key() {
                     self.node_keys.charge_symmetric(ctx, 1);
                     let up = envelope::seal(&parent_key, k_r.as_bytes(), ctx.rng());
                     ctx.send(

@@ -184,25 +184,22 @@ impl AreaController {
         if !self.fresh_timestamp(ctx.now(), ts) {
             return;
         }
-        // Enroll the child AC as a member of this area's tree (no record
-        // describes a hierarchy change).
+        // Enroll the child AC as a member of this area's tree, durably
+        // before the ack leaves.
         self.note_area_key();
         let member = MemberId(super::AC_MEMBER_BASE + child_area.0 as u64);
-        if self.durable.image.tree.contains(member) {
-            let _ = self.durable.image.tree.leave(member, ctx.rng());
-        }
-        // The membership was cleared just above; refusal means the tree
-        // and the child registry drifted — reject the enrollment.
-        let Ok(plan) = self.durable.image.tree.join(member, ctx.rng()) else {
+        let enrol = AcWalRecord::Enrol {
+            child_area: child_area.0,
+            node: from.index() as u32,
+            seed: Seed::draw(ctx.rng()),
+        };
+        let Ok(plan) = self.wal_commit_record(ctx, &enrol) else {
             ctx.stats().bump("ac-admissions-rejected", 1);
             return;
         };
-        self.durable.image.child_ac_members.insert(member.0, from);
         self.buffer_join_plan(&plan);
         self.send_displaced_unicasts(ctx, &plan, member);
         self.update_needed = true;
-        self.durable.image.child_acs.insert(from);
-        self.persist_unrecorded(ctx);
         let path_bytes = plan
             .unicasts
             .iter()
@@ -278,32 +275,36 @@ impl AreaController {
             group: GroupId::from_index(group_raw as usize),
         };
         // Leave the old parent's multicast group, join the new one.
-        let repointed = self.durable.image.parent.as_ref() != Some(&link);
         if let Some(old) = &self.durable.image.parent {
             ctx.leave_group(old.group);
         }
         ctx.join_group(link.group);
-        self.durable.image.parent = Some(link);
         // The exchange completed; stop any still-pending retransmission
         // of the request.
         if let Some((_, token)) = self.pending_parent_join.take() {
             ctx.cancel_reliable(token);
         }
-        self.durable.image.parent_keys.clear();
-        self.durable.image.parent_keys.install_path(&path);
+        self.parent_keys.clear();
+        self.parent_keys.install_path(&path);
         self.parent_epoch = parent_epoch;
         self.last_heard_parent = ctx.now();
         self.stats.parent_switches += 1;
         ctx.stats().bump("ac-parent-switches", 1);
-        // The parent link is part of the checkpoint image; a recovered
-        // node must rejoin the hierarchy where it left off. No record
-        // describes it: the backup gets a full image. Re-enrolling with
-        // the parent this node already had moves only `parent_keys`,
-        // which whoever runs the area next fetches afresh.
-        if repointed {
-            self.persist_unrecorded(ctx);
-            self.sync_backup(ctx);
+        // A recovered node must rejoin the hierarchy where it left off.
+        // Re-enrolling with the parent this node already had moves only
+        // the volatile parent keys.
+        if self.durable.image.parent.as_ref() != Some(&link) {
+            self.commit_parent(ctx, &link);
         }
+    }
+
+    /// Repoints the parent link, durably, and ships the change to the
+    /// backup.
+    fn commit_parent(&mut self, ctx: &mut Context<'_>, link: &ParentLink) {
+        let group = link.group.index() as u32;
+        let repoint = AcWalRecord::Parent { node: link.node.index() as u32, area: link.area.0, group };
+        let _ = self.wal_commit_record(ctx, &repoint);
+        self.sync_backup(ctx);
     }
 
     /// Key updates from the parent area (this AC is a member there).
@@ -323,7 +324,7 @@ impl AreaController {
         let Some(parent_pub) = self.directory_pubkey(from) else {
             return;
         };
-        let (keys, seen) = (&mut self.durable.image.parent_keys, &mut self.parent_epoch);
+        let (keys, seen) = (&mut self.parent_keys, &mut self.parent_epoch);
         if receive_key_update(ctx, &self.node_keys, &parent_pub, keys, seen, area, epoch, body, sig)
         {
             self.request_parent_key_refresh(ctx);
@@ -388,7 +389,7 @@ impl AreaController {
     pub(crate) fn handle_parent_key_unicast(&mut self, ctx: &mut Context<'_>, ct: &[u8]) {
         let Some(plain) = self.node_keys.open(ctx, ct) else { return };
         if let Ok(path) = decode_path(&plain) {
-            self.durable.image.parent_keys.install_path(&path);
+            self.parent_keys.install_path(&path);
         }
     }
 
@@ -420,15 +421,10 @@ impl AreaController {
         if !self.node_keys.verify(ctx, &pk, &takeover_signed_bytes(area), sig) {
             return;
         }
-        self.durable.image.parent = Some(ParentLink {
-            node: from,
-            area,
-            group: parent.group,
-        });
-        // The parent link is part of the checkpointed image: a crash or
-        // a takeover must not re-enrol with the node that just died.
-        self.persist_unrecorded(ctx);
-        self.sync_backup(ctx);
+        // A crash or a takeover must not re-enrol with the node that
+        // just died.
+        let link = ParentLink { node: from, area, group: parent.group };
+        self.commit_parent(ctx, &link);
     }
 }
 
@@ -526,6 +522,28 @@ mod tests {
 
         let replica = &g.backup(1).durable.image;
         assert_eq!(replica.parent.as_ref().map(|p| p.node), Some(promoted));
+    }
+
+    /// A restarted child controller re-enrols with its parent by a
+    /// record the parent ships like any other: no checkpoint, no image
+    /// owed, and the parent's backup folds it byte for byte. Only the
+    /// restarted node's own backup is re-imaged.
+    #[test]
+    fn a_child_reenrolment_is_a_record_not_an_image() {
+        let mut g = GroupBuilder::new(99).areas(4).replicated(true).build();
+        g.settle();
+        let (parent, child) = (g.primaries[0], g.primaries[1]);
+        let images = g.stats().counter("state-sync-images");
+        let slot = g.sim.storage(parent).load().checkpoint.map(|(seq, _)| seq);
+        g.sim.crash(child);
+        g.run_for(mykil_net::Duration::from_millis(50));
+        assert!(g.sim.restart(child));
+        g.run_for(mykil_net::Duration::from_secs(2));
+        assert_eq!(g.ac(1).parent_area_key(), Some(g.ac(0).area_key()), "no re-enrolment");
+        assert_eq!(g.stats().counter("state-sync-images"), images + 1);
+        assert_eq!(g.sim.storage(parent).load().checkpoint.map(|(seq, _)| seq), slot);
+        assert!(g.ac(0).backup_in_sync());
+        assert!(g.backup(0).durable.image.encode() == g.ac(0).durable.image.encode());
     }
 
     /// An ack from a *different* live candidate than the one currently

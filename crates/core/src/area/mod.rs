@@ -41,6 +41,7 @@ use crate::durable::RECOVERY_EPOCH_JUMP;
 use crate::identity::{AreaId, ClientId, DeviceId};
 use crate::msg::{Msg, RejoinDenyReason};
 use crate::node_keys::NodeKeys;
+use crate::rekey::KeyState;
 use mykil_crypto::envelope::EnvelopeKey;
 use mykil_crypto::keys::SymmetricKey;
 use mykil_crypto::rsa::{RsaKeyPair, RsaPublicKey};
@@ -220,6 +221,9 @@ pub struct AreaController {
     pub(crate) recorded_members: BTreeMap<ClientId, u64>,
 
     // Hierarchy state.
+    /// This controller's keys in its parent area's tree. Volatile: the
+    /// enrolment that follows recovery or a takeover rekeys the path.
+    pub(crate) parent_keys: KeyState,
     /// Last parent-area rekey epoch applied (ordering guard).
     pub(crate) parent_epoch: u64,
     pub(crate) last_heard_parent: Time,
@@ -311,6 +315,7 @@ impl AreaController {
             update_needed: false,
             buffered_join_updates: BTreeMap::new(),
             recorded_members: BTreeMap::new(),
+            parent_keys: KeyState::new(),
             parent_epoch: 0,
             last_heard_parent: Time::ZERO,
             pending_parent_join: None,
@@ -393,7 +398,7 @@ impl AreaController {
     /// This controller's current view of its parent area's key
     /// (diagnostics and tests).
     pub fn parent_area_key(&self) -> Option<SymmetricKey> {
-        self.durable.image.parent_keys.area_key()
+        self.parent_keys.area_key()
     }
 
     /// Whether a key-update flush is pending (batching).
@@ -402,12 +407,13 @@ impl AreaController {
     }
 
     /// Enrolls `child` as a member of this controller's area at
-    /// deployment time (before the simulation starts). The runtime
+    /// deployment time (before the simulation starts); the child's path
+    /// is seeded by [`Self::seed_parent_tree_keys`]. The runtime
     /// equivalent is the signed area-join exchange handled by
     /// `handle_area_join_req`.
     pub fn enroll_child_static<R: rand::RngCore + ?Sized>(
         &mut self,
-        child: &mut AreaController,
+        child: &AreaController,
         child_node: NodeId,
         rng: &mut R,
     ) {
@@ -418,23 +424,16 @@ impl AreaController {
             reason = "deployment-time wiring, not a message handler: duplicate \
                       enrollment is an operator configuration bug worth stopping on"
         )]
-        let plan = self.durable.image.tree.join(member, rng).expect("child not yet enrolled");
+        self.durable.image.tree.join(member, rng).expect("child not yet enrolled");
         self.durable.image.child_ac_members.insert(member.0, child_node);
-        // Deployment-time enrollment: hand the child its path directly.
-        for u in &plan.unicasts {
-            if u.member == member {
-                child.durable.image.parent_keys.install_tree_path(&u.keys);
-            }
-        }
-        self.durable.image.child_acs.insert(child_node);
     }
 
     /// Re-seeds this controller's view of its parent area's keys from
     /// a tree plan's path (deployment-time helper; see
     /// [`Self::enroll_child_static`]).
     pub fn seed_parent_tree_keys(&mut self, path: &[(mykil_tree::NodeIdx, SymmetricKey)]) {
-        self.durable.image.parent_keys.clear();
-        self.durable.image.parent_keys.install_tree_path(path);
+        self.parent_keys.clear();
+        self.parent_keys.install_tree_path(path);
     }
 
     /// Records the current area key before a tree mutation rotates it.

@@ -10,10 +10,12 @@
 //!   drawn from, so every fold of it lands on the same keys;
 //! - a full checkpoint ([`AcDurable::encode`]) when the WAL has grown
 //!   past [`CHECKPOINT_WAL_RECORDS`], at role transitions, after
-//!   recovery, at start-up, and at the changes no record describes
-//!   (hierarchy changes; a full image adopted by a backup) — never per
-//!   rekey. Its area payload is the image a primary ships to a backup
-//!   that attaches.
+//!   recovery, at start-up, and when a backup adopts a full image —
+//!   never per rekey. Its area payload is the image a primary ships to
+//!   a backup that attaches.
+//!
+//! Every other field of [`AreaController`] is volatile, the parent
+//! area's keys too: recovery and takeover re-enrol, which rekeys them.
 //!
 //! `AcDurable::apply` is the only code that gives a record its meaning,
 //! and it has four kinds of caller. A live handler builds the record
@@ -39,12 +41,14 @@
 //! ([`AreaController::post_recovery_resync`]).
 
 use super::replication::AreaImage;
-use super::{AcDeployment, AreaController, MemberRecord, Role, AC_MEMBER_BASE};
+use super::{AcDeployment, AreaController, MemberRecord, ParentLink, Role, AC_MEMBER_BASE};
 use crate::config::MykilConfig;
-use crate::durable::{AcCheckpoint, AcWalRecord, CHECKPOINT_WAL_RECORDS, SYNC_BACKLOG_RECORDS};
-use crate::identity::{ClientId, DeviceId};
+use crate::durable::{
+    AcCheckpoint, AcWalRecord, Seed, CHECKPOINT_WAL_RECORDS, SYNC_BACKLOG_RECORDS,
+};
+use crate::identity::{AreaId, ClientId, DeviceId};
 use mykil_crypto::rsa::RsaPublicKey;
-use mykil_net::{Context, NodeId, SecretBytes, Time};
+use mykil_net::{Context, GroupId, NodeId, SecretBytes, Time};
 use mykil_tree::{AreaTree, MemberId, RekeyPlan};
 use std::collections::BTreeSet;
 
@@ -212,21 +216,8 @@ impl AcDurable {
             } => {
                 let pubkey =
                     RsaPublicKey::from_bytes(pubkey).map_err(|_| "ac-recovery-join-failed")?;
-                let member = MemberId(*client);
-                let rng = &mut seed.rng();
-                // Re-admission after a missed eviction, or of a client
-                // whose departure still waits in the batch window:
-                // clear the stale leaf, or the next flush would evict
-                // the membership granted here.
-                if self.image.tree.contains(member) {
-                    let _ = self.image.tree.leave(member, rng);
-                    self.image.members.remove(&ClientId(*client));
-                }
-                let plan = self
-                    .image
-                    .tree
-                    .join(member, rng)
-                    .map_err(|_| "ac-recovery-join-failed")?;
+                self.image.members.remove(&ClientId(*client));
+                let plan = self.join_leaf(MemberId(*client), seed)?;
                 self.image.members.insert(
                     ClientId(*client),
                     MemberRecord {
@@ -284,7 +275,39 @@ impl AcDurable {
                 self.image = AreaImage::blank(cfg, parent, &mut seed.rng());
                 Ok(RekeyPlan::default())
             }
+            AcWalRecord::Enrol { child_area, node, seed } => {
+                let member = MemberId(AC_MEMBER_BASE + u64::from(*child_area));
+                let plan = self.join_leaf(member, seed)?;
+                self.image.child_ac_members.insert(member.0, NodeId::from_index(*node as usize));
+                Ok(plan)
+            }
+            AcWalRecord::Parent { node, area, group } => {
+                self.image.parent = Some(ParentLink {
+                    node: NodeId::from_index(*node as usize),
+                    area: AreaId(*area),
+                    group: GroupId::from_index(*group as usize),
+                });
+                Ok(RekeyPlan::default())
+            }
+            AcWalRecord::Backup { node, pubkey } => {
+                self.backup = Some((NodeId::from_index(*node as usize), pubkey.clone()));
+                // The fenced peer is this node's backup now.
+                self.stale_peer = None;
+                Ok(RekeyPlan::default())
+            }
         }
+    }
+
+    /// Joins `member` to the tree with keys drawn from `seed`, first
+    /// clearing a leaf it still holds — after a missed eviction, a
+    /// departure still in the batch window (whose flush would evict the
+    /// membership granted here), a child enrolling again.
+    fn join_leaf(&mut self, member: MemberId, seed: &Seed) -> Result<RekeyPlan, &'static str> {
+        let rng = &mut seed.rng();
+        if self.image.tree.contains(member) {
+            let _ = self.image.tree.leave(member, rng);
+        }
+        self.image.tree.join(member, rng).map_err(|_| "ac-recovery-join-failed")
     }
 
     /// Folds a WAL suffix over the state. An unparseable record ends
@@ -360,14 +383,6 @@ impl AreaController {
         self.wal_records = 0;
     }
 
-    /// Makes durable a change no record describes — a hierarchy change,
-    /// an adopted backup: a checkpoint for this node, and for the backup
-    /// a full image where records would have gone.
-    pub(crate) fn persist_unrecorded(&mut self, ctx: &mut Context<'_>) {
-        self.owe_image();
-        self.persist_checkpoint(ctx);
-    }
-
     /// A state that arrived by image — recovery, takeover — may hold
     /// departures its batch window never flushed; owe them a rekey.
     pub(crate) fn adopt_departures(&mut self) {
@@ -390,6 +405,7 @@ impl AreaController {
         self.update_needed = false;
         self.buffered_join_updates.clear();
         self.recorded_members.clear();
+        self.parent_keys.clear();
         self.parent_epoch = 0;
         self.last_heard_parent = Time::ZERO;
         self.pending_parent_join = None;
@@ -435,24 +451,16 @@ impl AreaController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::durable::Seed;
+    use crate::durable::tests::pubkey;
     use mykil_crypto::drbg::Drbg;
     use mykil_tree::{TreeBackend, TreeConfig};
     use proptest::prelude::*;
     use rand::RngCore;
 
-    /// A public key that parses (256-bit odd modulus, e = 3).
-    fn pubkey(tag: u8) -> Vec<u8> {
-        let mut n = vec![0xFF; 32];
-        n[1] = tag;
-        let mut w = crate::wire::Writer::new();
-        w.bytes(&n).bytes(&[3]);
-        w.into_bytes()
-    }
-
     /// One record of an area's log: `(kind, client, seed)` over a
     /// universe of 24 clients — enough for a quad tree to split leaves,
-    /// vacate them and fill them again.
+    /// vacate them and fill them again — and three child areas, each
+    /// enrolled again and again.
     fn record(&(kind, client, seed): &(u8, u64, u64)) -> AcWalRecord {
         let mut bytes = [0u8; 32];
         Drbg::from_seed(seed).fill_bytes(&mut bytes);
@@ -469,7 +477,10 @@ mod tests {
             4 => AcWalRecord::Leave { client },
             5 => AcWalRecord::Evict { client },
             6 => AcWalRecord::Flush { seed },
-            _ => AcWalRecord::Rotate { seed },
+            7 => AcWalRecord::Rotate { seed },
+            8 => AcWalRecord::Enrol { child_area: (client % 3) as u32, node: client as u32, seed },
+            9 => AcWalRecord::Parent { node: client as u32, area: 0, group: client as u32 },
+            _ => AcWalRecord::Backup { node: client as u32, pubkey: pubkey(client as u8) },
         }
     }
 
@@ -486,10 +497,10 @@ mod tests {
         state
     }
 
-    /// What a replica must reproduce: every byte of the image, the
-    /// queued departures, the epoch.
+    /// What a replica must reproduce: every byte of the checkpoint —
+    /// image, backup link, sequences — the queued departures, the epoch.
     fn facts(state: &AcDurable) -> (Vec<u8>, Vec<MemberId>, u64) {
-        (state.image.encode(), state.departed().collect(), state.epoch())
+        (state.encode(), state.departed().collect(), state.epoch())
     }
 
     proptest! {
@@ -505,7 +516,7 @@ mod tests {
         /// forest's overrides and versions).
         #[test]
         fn an_image_may_be_taken_anywhere_in_the_fold(
-            steps in proptest::collection::vec((0u8..8, 1u64..25, any::<u64>()), 0..80),
+            steps in proptest::collection::vec((0u8..11, 1u64..25, any::<u64>()), 0..80),
             cut in 0usize..81,
             khf in any::<bool>(),
         ) {

@@ -10,12 +10,12 @@
 //! Replication is log shipping. The backup's [`AreaImage`] is a live
 //! replica: it adopts a full image when it (re)attaches — start-up,
 //! revival, the primary's recovery, adoption after a demotion, a gap it
-//! reports, a backlog past `SYNC_BACKLOG_RECORDS` — and at the changes
-//! no record describes (child enrolment, a repointed parent); between
-//! images the primary ships the WAL records it committed, seeds
-//! included, and the backup commits and folds them through the same
-//! `wal_commit_record`. One `StateSync` body ([`SyncBody`]) carries
-//! either, under one seal and one monotonic sequence.
+//! reports, a backlog past `SYNC_BACKLOG_RECORDS`; between images the
+//! primary ships the WAL records that changed the area (members, tree,
+//! child enrolments, the parent link), seeds included, and the backup
+//! commits and folds them through the same `wal_commit_record`. One
+//! `StateSync` body ([`SyncBody`]) carries either, under one seal and
+//! one monotonic sequence.
 
 // `Msg` dispatch lists every variant, so a new wire message does not
 // compile until each role triages it.
@@ -32,13 +32,12 @@ use crate::durable::{AcWalRecord, Seed};
 use crate::identity::{AreaId, ClientId, DeviceId};
 use crate::msg::{Msg, SyncBody};
 use crate::node_keys::{demote_signed_bytes, takeover_signed_bytes};
-use crate::rekey::KeyState;
 use crate::wire::{Reader, Writer};
 use mykil_crypto::rsa::RsaPublicKey;
 use mykil_net::{Context, GroupId, NodeId, SecretBytes, Time};
 use mykil_tree::{AreaTree, TreeConfig};
 use rand::RngCore;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// The area state a primary replicates to its backup, and the payload
 /// of either's checkpoint: the same bytes every way.
@@ -47,10 +46,8 @@ pub(crate) struct AreaImage {
     pub tree: AreaTree,
     pub members: BTreeMap<ClientId, MemberRecord>,
     pub parent: Option<ParentLink>,
-    pub parent_keys: KeyState,
     /// Rekey epoch of the last key-update multicast.
     pub epoch: u64,
-    pub child_acs: BTreeSet<NodeId>,
     /// Tree member id → node address for enrolled child controllers.
     pub child_ac_members: BTreeMap<u64, NodeId>,
 }
@@ -66,9 +63,7 @@ impl AreaImage {
             tree: AreaTree::new(cfg, rng),
             members: BTreeMap::new(),
             parent,
-            parent_keys: KeyState::new(),
             epoch: 0,
-            child_acs: BTreeSet::new(),
             child_ac_members: BTreeMap::new(),
         }
     }
@@ -76,18 +71,6 @@ impl AreaImage {
     /// Serializes the replicated state (tree, members, hierarchy,
     /// epoch).
     pub fn encode(&self) -> Vec<u8> {
-        self.encode_with(&self.parent_keys)
-    }
-
-    /// Whether `other` is the same area, byte for byte, but for
-    /// `parent_keys`: a controller follows its parent area's rekeys
-    /// without a record, so those travel only with a full image.
-    pub fn same_replica(&self, other: &AreaImage) -> bool {
-        let none = KeyState::new();
-        mykil_crypto::ct::ct_eq(&self.encode_with(&none), &other.encode_with(&none))
-    }
-
-    fn encode_with(&self, parent_keys: &KeyState) -> Vec<u8> {
         let mut w = Writer::new();
         w.bytes(&self.tree.snapshot());
         w.u32(self.members.len() as u32);
@@ -112,12 +95,7 @@ impl AreaImage {
                 w.u8(0);
             }
         }
-        w.bytes(&parent_keys.to_bytes());
         w.u64(self.epoch);
-        w.u32(self.child_acs.len() as u32);
-        for c in &self.child_acs {
-            w.u32(c.index() as u32);
-        }
         // Child-AC enrollments (tree member id → node). Without these a
         // promoted backup rejects every child-AC `KeyRefreshRequest`,
         // cutting children off from parent-area keys forever.
@@ -167,13 +145,7 @@ impl AreaImage {
         } else {
             None
         };
-        let parent_keys = KeyState::from_bytes(r.bytes().ok()?).ok()?;
         let epoch = r.u64().ok()?;
-        let child_count = r.u32().ok()? as usize;
-        let mut child_acs = BTreeSet::new();
-        for _ in 0..child_count {
-            child_acs.insert(NodeId::from_index(r.u32().ok()? as usize));
-        }
         let enrolled_count = r.u32().ok()? as usize;
         let mut child_ac_members = BTreeMap::new();
         for _ in 0..enrolled_count {
@@ -186,9 +158,7 @@ impl AreaImage {
             tree,
             members,
             parent,
-            parent_keys,
             epoch,
-            child_acs,
             child_ac_members,
         })
     }
@@ -591,6 +561,8 @@ impl AreaController {
         if let Some((_, token)) = self.pending_parent_join.take() {
             ctx.cancel_reliable(token);
         }
+        // The parent-area path belonged to the area handed over.
+        self.parent_keys.clear();
         self.stats.demotions += 1;
         ctx.stats().bump("ac-demotions", 1);
         self.persist_checkpoint(ctx);
@@ -601,19 +573,19 @@ impl AreaController {
     /// sides mirror each other, so delivery implies acceptance): adopt
     /// it as this node's backup and bring it up to date.
     pub(crate) fn handle_demote_acked(&mut self, ctx: &mut Context<'_>) {
-        let Some(peer) = self.durable.stale_peer.take() else {
+        let Some(peer) = self.durable.stale_peer else {
             return;
         };
         let Some(pk) = self.directory_pubkey(peer) else {
             return;
         };
-        self.durable.backup = Some((peer, pk.to_bytes()));
+        let adopted = AcWalRecord::Backup { node: peer.index() as u32, pubkey: pk.to_bytes() };
+        let _ = self.wal_commit_record(ctx, &adopted);
         self.last_backup_ack = ctx.now();
         self.backup_presumed_dead = false;
         ctx.stats().bump("ac-demote-acked", 1);
-        // The backup link is part of the checkpoint; make the adoption
-        // durable. The adopted backup attaches with an image.
-        self.persist_unrecorded(ctx);
+        // `Demoted` blanked the peer's area: it attaches with an image.
+        self.owe_image();
         // Members and child controllers in the stale partition missed
         // the original takeover announcement; repeat it now that both
         // sides can hear it.
@@ -749,7 +721,7 @@ mod tests {
         assert_eq!(g.stats().counter("state-sync-images"), images + 1);
         let (p, b) = (g.sim.node::<AreaController>(primary), g.backup(0));
         assert!(p.backup_in_sync());
-        assert!(b.durable.image.same_replica(&p.durable.image));
+        assert!(b.durable.image.encode() == p.durable.image.encode());
         assert_eq!(b.durable.applied_sync_seq, p.durable.sync_seq);
     }
 
@@ -804,8 +776,8 @@ mod tests {
     }
 
     /// Regression: a checkpoint may be taken anywhere, also inside a
-    /// batch window (a long WAL, `handle_area_join_ack` and
-    /// `handle_demote_acked` take one whenever they occur). It truncates
+    /// batch window (a long WAL or a role change takes one whenever it
+    /// occurs). It truncates
     /// the `Leave` record, so the departure it queued must be readable
     /// from the image itself.
     #[test]

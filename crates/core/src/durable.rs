@@ -13,13 +13,14 @@
 //!
 //! - **WAL records** ([`AcWalRecord`], [`RsWalRecord`]) are committed
 //!   *before* a state change is acknowledged to a peer: member
-//!   admissions, leaves, evictions, role transitions, client-id
-//!   assignment, directory updates.
+//!   admissions, leaves, evictions, child-controller enrolments, parent
+//!   and backup links, role transitions, client-id assignment,
+//!   directory updates.
 //! - **Checkpoints** ([`AcCheckpoint`], [`RsCheckpoint`]) capture full
 //!   state and truncate the log: when the log has grown past
-//!   [`CHECKPOINT_WAL_RECORDS`], at role changes, after recovery, and at
-//!   the few changes no record describes (hierarchy changes, a full
-//!   image adopted from the primary) — never per rekey.
+//!   [`CHECKPOINT_WAL_RECORDS`], at role changes, after recovery, and
+//!   when a backup adopts a full image from its primary — never per
+//!   rekey.
 //!
 //! A record whose meaning includes a tree operation carries the
 //! [`Seed`] the operation's keys are drawn from, so a replay — by
@@ -136,9 +137,12 @@ const AC_WAL_PROMOTED: u8 = 4;
 const AC_WAL_DEMOTED: u8 = 5;
 const AC_WAL_FLUSH: u8 = 6;
 const AC_WAL_ROTATE: u8 = 7;
+const AC_WAL_ENROL: u8 = 8;
+const AC_WAL_PARENT: u8 = 9;
+const AC_WAL_BACKUP: u8 = 10;
 
-/// One durable membership or role delta, logged by an area controller
-/// before the change is acknowledged.
+/// One durable membership, hierarchy or role delta, logged by an area
+/// controller before the change is acknowledged.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AcWalRecord {
     /// A member was admitted (join or rejoin step 7).
@@ -192,21 +196,50 @@ pub enum AcWalRecord {
         /// Seed of the blank tree that replaces the area handed over.
         seed: Seed,
     },
+    /// A child area's controller enrolled in (or re-enrolled into) the tree.
+    Enrol {
+        /// The child area.
+        child_area: u32,
+        /// The child controller's node address (raw index).
+        node: u32,
+        /// Seed of the keys the tree leave and join draw.
+        seed: Seed,
+    },
+    /// The parent link was repointed (area-join ack, neighbour's takeover).
+    Parent {
+        /// The parent controller's node address (raw index).
+        node: u32,
+        /// The parent's area.
+        area: u32,
+        /// The parent area's multicast group (raw index).
+        group: u32,
+    },
+    /// This node adopted a backup replica: the demoted peer it fenced.
+    Backup {
+        /// The backup's node address (raw index).
+        node: u32,
+        /// The backup's encoded public key.
+        pubkey: Vec<u8>,
+    },
 }
 
 impl AcWalRecord {
     /// Whether the record changes the area itself — membership, tree,
-    /// rekey epoch — rather than this node's role: the records a
-    /// primary ships to its backup, each one step of the replication
-    /// sequence.
+    /// hierarchy, rekey epoch — rather than this node's role: the
+    /// records a primary ships to its backup, each one step of the
+    /// replication sequence.
     pub fn changes_area(&self) -> bool {
         match self {
             AcWalRecord::Join { .. }
             | AcWalRecord::Leave { .. }
             | AcWalRecord::Evict { .. }
             | AcWalRecord::Flush { .. }
-            | AcWalRecord::Rotate { .. } => true,
-            AcWalRecord::Promoted { .. } | AcWalRecord::Demoted { .. } => false,
+            | AcWalRecord::Rotate { .. }
+            | AcWalRecord::Enrol { .. }
+            | AcWalRecord::Parent { .. } => true,
+            AcWalRecord::Promoted { .. }
+            | AcWalRecord::Demoted { .. }
+            | AcWalRecord::Backup { .. } => false,
         }
     }
 
@@ -253,6 +286,15 @@ impl AcWalRecord {
             }
             AcWalRecord::Demoted { new_primary, seed } => {
                 w.u8(AC_WAL_DEMOTED).u32(*new_primary).raw(&seed.0);
+            }
+            AcWalRecord::Enrol { child_area, node, seed } => {
+                w.u8(AC_WAL_ENROL).u32(*child_area).u32(*node).raw(&seed.0);
+            }
+            AcWalRecord::Parent { node, area, group } => {
+                w.u8(AC_WAL_PARENT).u32(*node).u32(*area).u32(*group);
+            }
+            AcWalRecord::Backup { node, pubkey } => {
+                w.u8(AC_WAL_BACKUP).u32(*node).bytes(pubkey);
             }
         }
         w.into_bytes()
@@ -302,6 +344,20 @@ impl AcWalRecord {
             AC_WAL_DEMOTED => AcWalRecord::Demoted {
                 new_primary: r.u32().ok()?,
                 seed: Seed(r.array().ok()?),
+            },
+            AC_WAL_ENROL => AcWalRecord::Enrol {
+                child_area: r.u32().ok()?,
+                node: r.u32().ok()?,
+                seed: Seed(r.array().ok()?),
+            },
+            AC_WAL_PARENT => AcWalRecord::Parent {
+                node: r.u32().ok()?,
+                area: r.u32().ok()?,
+                group: r.u32().ok()?,
+            },
+            AC_WAL_BACKUP => AcWalRecord::Backup {
+                node: r.u32().ok()?,
+                pubkey: r.bytes().ok()?.to_vec(),
             },
             _ => return None,
         };
@@ -577,7 +633,7 @@ pub fn replay_rs(mut state: RsCheckpoint, wal: &[Vec<u8>]) -> (RsCheckpoint, usi
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::collections::BTreeSet;
 
@@ -609,6 +665,9 @@ mod tests {
                 old_primary: 1,
             },
             AcWalRecord::Demoted { new_primary: 2, seed: Seed([5; 32]) },
+            AcWalRecord::Enrol { child_area: 3, node: 6, seed: Seed([6; 32]) },
+            AcWalRecord::Parent { node: 4, area: 1, group: 2 },
+            AcWalRecord::Backup { node: 5, pubkey: vec![0xAB, 0xCD] },
         ];
         for rec in records {
             let bytes = rec.to_bytes();
@@ -688,7 +747,7 @@ mod tests {
     }
 
     /// Bytes of a public key that parses (256-bit odd modulus, e = 3).
-    fn pubkey(tag: u8) -> Vec<u8> {
+    pub(crate) fn pubkey(tag: u8) -> Vec<u8> {
         let mut n = vec![0xFF; 32];
         n[1] = tag;
         let mut w = Writer::new();

@@ -26,22 +26,21 @@
 //! 5. **Durability** — a live controller's stable storage (newest
 //!    valid checkpoint plus WAL suffix) replays — through
 //!    [`replay_ac`], the fold recovery itself runs — to its in-memory
-//!    durable state: same role and fencing epoch, same parent link,
-//!    same member rows (so no durably-evicted client is still counted,
-//!    and none is lost), same rekey epoch, the same area image byte
-//!    for byte (every key in the tree: records carry their seeds), for
-//!    a backup the same applied replication sequence, and for a primary
-//!    a replication sequence no newer than memory. The same holds for
-//!    the registration server's client-id counter and directory. This
-//!    catches state mutated outside the write-ahead discipline: what
-//!    the node would silently lose in a crash.
+//!    durable state: same role and fencing epoch, same backup link and
+//!    stale-peer fence, same parent link, same member rows (so no
+//!    durably-evicted client is still counted, and none is lost), same
+//!    rekey epoch, the same area image byte for byte (every key in the
+//!    tree: records carry their seeds), for a backup the same applied
+//!    replication sequence, and for a primary a replication sequence no
+//!    newer than memory. The same holds for the registration server's
+//!    client-id counter and directory. This catches state mutated
+//!    outside the write-ahead discipline: what the node would silently
+//!    lose in a crash.
 //! 6. **Replica equality** — wherever a live primary believes its live
 //!    backup in sync (nothing queued, owed or in flight), the backup's
 //!    image is the primary's, byte for byte: folding the shipped
 //!    records over the last image lands exactly where the primary
-//!    stands. `parent_keys` is excepted in both 5 and 6: a controller
-//!    follows its parent area's rekeys without a record, and they
-//!    travel only with a full image.
+//!    stands.
 //!
 //! The checker is stateful (for the monotonicity baseline): create one
 //! per scenario and call [`InvariantChecker::check`] at every
@@ -316,14 +315,16 @@ fn controllers(g: &GroupHandle, area: usize) -> impl Iterator<Item = (NodeId, &A
 
 /// The readable facts of a durable state, for naming what differs
 /// before the byte-for-byte image comparison says that something does.
-/// The first two are a node's own; the rest describe the area.
-fn facts(d: &AcDurable) -> [(&'static str, String); 6] {
+/// The first four are the node's own (a backup has no backup); the rest, the area's.
+fn facts(d: &AcDurable) -> [(&'static str, String); 8] {
     let clients: Vec<u64> =
         d.tree().members().map(|m| m.0).filter(|id| *id < AC_MEMBER_BASE).collect();
     let parent = d.image.parent.as_ref().map(|p| (p.node, p.area));
     [
         ("role", format!("{:?}", d.role())),
         ("takeover_epoch", d.takeover_epoch().to_string()),
+        ("backup", format!("{:?}", d.backup_node())),
+        ("stale_peer", format!("{:?}", d.stale_peer)),
         ("parent", format!("{parent:?}")),
         ("members", format!("{:?}", d.member_ids())),
         ("epoch", d.epoch().to_string()),
@@ -485,7 +486,7 @@ impl InvariantChecker {
                         drift(format!("durable {what}={stored} but memory has {live}"));
                     }
                 }
-                if !durable.image.same_replica(&memory.image) {
+                if durable.image.encode() != memory.image.encode() {
                     drift("durable area image differs from memory".into());
                 }
                 if durable.role() != Role::Primary
@@ -526,13 +527,13 @@ impl InvariantChecker {
                 out.push(InvariantViolation::ReplicaDivergence { area, primary, backup, detail })
             };
             for ((what, theirs), (_, ours)) in
-                facts(replica.durable()).into_iter().skip(2).zip(facts(ctrl.durable()).into_iter().skip(2))
+                facts(replica.durable()).into_iter().skip(4).zip(facts(ctrl.durable()).into_iter().skip(4))
             {
                 if theirs != ours {
                     diverged(format!("replica {what}={theirs} but the primary has {ours}"));
                 }
             }
-            if !replica.durable().image.same_replica(&ctrl.durable().image) {
+            if replica.durable().image.encode() != ctrl.durable().image.encode() {
                 diverged("replica image differs from the primary's".into());
             }
         }

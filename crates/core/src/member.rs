@@ -1045,7 +1045,7 @@ mod tests {
         };
         g.sim.invoke(m, |m: &mut Member, ctx| drive(ctx, &m.node_keys, &mut m.keys, &mut m.epoch));
         g.sim.invoke(child, |ac: &mut AreaController, ctx| {
-            drive(ctx, &ac.node_keys, &mut ac.durable.image.parent_keys, &mut ac.parent_epoch)
+            drive(ctx, &ac.node_keys, &mut ac.parent_keys, &mut ac.parent_epoch)
         });
     }
 }

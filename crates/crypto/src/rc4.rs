@@ -2,7 +2,8 @@
 //!
 //! Section V-E of the paper evaluates Mykil on hand-held devices by
 //! encrypting a 16 MB file with RC4 (~50 MB/s on a 600 MHz Celeron).
-//! The `ve_rc4_throughput` bench regenerates that experiment.
+//! The end-to-end benchmark's `crypto.rc4_1k_us` row (key schedule
+//! plus a 1 KiB keystream, `e2ebench/src/units.rs`) measures it.
 //!
 //! RC4 is broken for real-world confidentiality; it is reproduced here
 //! only because the paper used it.

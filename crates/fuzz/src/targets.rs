@@ -316,6 +316,9 @@ fn seeds_durable_replay() -> Vec<(&'static str, Vec<u8>)> {
             old_primary: 1,
         },
         AcWalRecord::Demoted { new_primary: 1, seed: Seed::from_bytes([0xa4; 32]) },
+        AcWalRecord::Enrol { child_area: 2, node: 8, seed: Seed::from_bytes([0xa5; 32]) },
+        AcWalRecord::Parent { node: 9, area: 0, group: 1 },
+        AcWalRecord::Backup { node: 1, pubkey: vec![4; 8] },
     ];
     let mut ac_frames = vec![ac_ckpt.to_bytes()];
     ac_frames.extend(ac_wal.iter().map(|r| r.to_bytes()));
@@ -343,8 +346,9 @@ fn seeds_durable_replay() -> Vec<(&'static str, Vec<u8>)> {
     // Seeds that reach the tree: a primary checkpoint taken inside a
     // batch window (client 21 left, its leaf still waits for the
     // flush); the same area as a backup's live replica, with the
-    // records its primary ships next — the flush, a rotation — and the
-    // promotion that makes it this node's own; and a flush whose seed
+    // records its primary ships next — the flush, a rotation, a child
+    // enrolment, a repointed parent — the promotion that makes it this
+    // node's own and the backup it adopts; and a flush whose seed
     // is short, which must end the replay. The fold itself builds them
     // — joins need a public key that parses (256-bit odd modulus, e = 3).
     let join = |client: u64| {
@@ -375,10 +379,13 @@ fn seeds_durable_replay() -> Vec<(&'static str, Vec<u8>)> {
     };
     let flush = AcWalRecord::Flush { seed: Seed::from_bytes([0xb1; 32]) }.to_bytes();
     let rotate = AcWalRecord::Rotate { seed: Seed::from_bytes([0xb2; 32]) }.to_bytes();
+    let enrol = AcWalRecord::Enrol { child_area: 1, node: 4, seed: Seed::from_bytes([0xb3; 32]) };
+    let repoint = AcWalRecord::Parent { node: 5, area: 0, group: 0 };
     let promoted = AcWalRecord::Promoted {
         takeover_epoch: 1,
         old_primary: 1,
     };
+    let adopted = AcWalRecord::Backup { node: 1, pubkey: vec![5; 8] };
     let short_seed = flush.get(..flush.len() - 1).unwrap_or(&[]).to_vec();
 
     vec![
@@ -389,7 +396,18 @@ fn seeds_durable_replay() -> Vec<(&'static str, Vec<u8>)> {
         ("seed-departed-leaf.bin", frame_up(1, std::slice::from_ref(&departed_leaf))),
         (
             "seed-backup-promoted.bin",
-            frame_up(1, &[replica.to_bytes(), flush, rotate, promoted.to_bytes()]),
+            frame_up(
+                1,
+                &[
+                    replica.to_bytes(),
+                    flush,
+                    rotate,
+                    enrol.to_bytes(),
+                    repoint.to_bytes(),
+                    promoted.to_bytes(),
+                    adopted.to_bytes(),
+                ],
+            ),
         ),
         ("seed-short-seed.bin", frame_up(1, &[departed_leaf, short_seed, join(22)])),
     ]
