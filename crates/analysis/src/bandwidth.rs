@@ -32,12 +32,6 @@ pub fn mykil_leave_bytes(p: &Params) -> u64 {
     tree_leave_bytes(p, p.area_size())
 }
 
-/// Join event, multicast part: all three protocols multicast one
-/// re-encrypted group/area key.
-pub fn join_multicast_bytes(p: &Params) -> u64 {
-    p.key_len
-}
-
 /// Join event, unicast key path to the newcomer (LKH and Mykil only;
 /// the paper's `16·17 = 272 B` for LKH, `16·12` for a Mykil area).
 pub fn tree_join_unicast_bytes(p: &Params, leaves: u64) -> u64 {
@@ -178,7 +172,6 @@ mod tests {
         // Paper: 16*17 = 272 B for LKH; 16*12/13 for Mykil.
         assert_eq!(lkh_join_unicast_bytes(&p()), 272);
         assert_eq!(mykil_join_unicast_bytes(&p()), 208);
-        assert_eq!(join_multicast_bytes(&p()), 16);
     }
 
     #[test]

@@ -28,7 +28,7 @@ pub mod traffic;
 
 pub use iolus::IolusGroup;
 pub use lkh::FlatLkh;
-pub use mykil_model::{ColdAreaModel, MykilModel};
+pub use mykil_model::MykilModel;
 pub use traffic::RekeyTraffic;
 
 use mykil_tree::MemberId;

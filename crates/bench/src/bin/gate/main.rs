@@ -2,15 +2,10 @@
 //!
 //! ```text
 //! gate rekey                   # rekey hot path, both tree backends, wire, RSA
-//! gate scale                   # flash-crowd join + mass leave, 100k and 1M
-//! gate mobility                # mobility storms under a chaos fault plan
 //! gate paper                   # every number of EXPERIMENTS.md, n = 100,000
-//!      --smoke                 #   first scenario only (bounded CI wall time)
 //!      --write                 #   (re)write the subcommand's BENCH_*.json
 //!      --check <path>          #   fail (exit 1) on regression against it
 //!      --out <path>            #   also dump the fresh JSON (CI artifact)
-//!      --dump-dir <dir>        #   on failure, leave the fault plan and the
-//!                              #   per-area ledger dump there
 //! ```
 //!
 //! Every row is measured [`gate::REPS`] times in this process (twice
@@ -23,7 +18,6 @@
 
 mod paper;
 mod rekey;
-mod scale;
 
 use mykil_bench::alloc_track::CountingAllocator;
 use mykil_bench::gate;
@@ -32,7 +26,7 @@ use mykil_bench::gate;
 static ALLOC: CountingAllocator = CountingAllocator;
 
 fn main() {
-    let gates = [rekey::GATE, scale::SCALE, scale::MOBILITY, paper::PAPER];
+    let gates = [rekey::GATE, paper::PAPER];
     let code = gate::command(&gates, std::env::args().skip(1)).unwrap_or_else(|why| {
         eprintln!("{why}");
         2
@@ -50,12 +44,12 @@ mod tests {
         std::fs::read_to_string(&path).expect(&path)
     }
 
-    /// The four committed baselines read back under the rules of the
+    /// The two committed baselines read back under the rules of the
     /// subcommand that writes them: every declared row is there with
     /// every `Exact` column, and each file passes against itself.
     #[test]
     fn committed_baselines_carry_every_declared_row_and_exact_column() {
-        for gate in [rekey::GATE, scale::SCALE, scale::MOBILITY, paper::PAPER] {
+        for gate in [rekey::GATE, paper::PAPER] {
             let path = gate.baseline;
             let table = read_json(&read_root(path)).expect(path);
             for (row, columns, _) in gate.rows {
@@ -72,7 +66,7 @@ mod tests {
                 }
             }
             assert_eq!(
-                check(&gate, false, &table, Some(&table)),
+                check(&gate, &table, Some(&table)),
                 Verdict::default(),
                 "{path}"
             );

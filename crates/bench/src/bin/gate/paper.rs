@@ -71,39 +71,39 @@ const VACANT: Columns = &[
 ];
 
 const ROWS: &[Row] = &[
-    ("fig8_iolus", BY_AREAS, |_, _| exact(fig8_iolus(N))),
-    ("fig8_lkh", BY_AREAS, |_, _| exact([fig8_lkh(N, ARITY); 9])),
-    ("fig8_mykil", BY_AREAS, |_, _| exact(fig8_mykil(N, ARITY))),
-    ("fig8_iolus_analytic", BY_AREAS, |_, _| {
+    ("fig8_iolus", BY_AREAS, |_| exact(fig8_iolus(N))),
+    ("fig8_lkh", BY_AREAS, |_| exact([fig8_lkh(N, ARITY); 9])),
+    ("fig8_mykil", BY_AREAS, |_| exact(fig8_mykil(N, ARITY))),
+    ("fig8_iolus_analytic", BY_AREAS, |_| {
         analytic(|r| r.iolus)
     }),
-    ("fig8_lkh_analytic", BY_AREAS, |_, _| analytic(|r| r.lkh)),
-    ("fig8_mykil_analytic", BY_AREAS, |_, _| {
+    ("fig8_lkh_analytic", BY_AREAS, |_| analytic(|r| r.lkh)),
+    ("fig8_mykil_analytic", BY_AREAS, |_| {
         analytic(|r| r.mykil)
     }),
-    ("sweep_areas", BY_MEMBERS, |_, _| sweep(|r| r.areas)),
-    ("sweep_iolus", BY_MEMBERS, |_, _| sweep(|r| r.iolus)),
-    ("sweep_lkh", BY_MEMBERS, |_, _| sweep(|r| r.lkh)),
-    ("sweep_mykil", BY_MEMBERS, |_, _| sweep(|r| r.mykil)),
-    ("fig10_lkh_sequential", BY_AREAS, |_, _| {
+    ("sweep_areas", BY_MEMBERS, |_| sweep(|r| r.areas)),
+    ("sweep_iolus", BY_MEMBERS, |_| sweep(|r| r.iolus)),
+    ("sweep_lkh", BY_MEMBERS, |_| sweep(|r| r.lkh)),
+    ("sweep_mykil", BY_MEMBERS, |_| sweep(|r| r.mykil)),
+    ("fig10_lkh_sequential", BY_AREAS, |_| {
         exact([fig10_lkh_sequential(N, 10, ARITY); 9])
     }),
-    ("fig10_mykil_best", BY_AREAS, |_, _| {
+    ("fig10_mykil_best", BY_AREAS, |_| {
         exact(fig10_mykil(N, 10, ARITY, clustered_members))
     }),
-    ("fig10_mykil_worst", BY_AREAS, |_, _| {
+    ("fig10_mykil_worst", BY_AREAS, |_| {
         exact(fig10_mykil(N, 10, ARITY, spread_members))
     }),
-    ("va_iolus", STORAGE, |_, _| storage(&iolus(N / AREAS))),
-    ("va_lkh", STORAGE, |_, _| storage(&lkh(N, ARITY))),
-    ("va_mykil", STORAGE, |_, _| storage(&mykil(N, AREAS, ARITY))),
-    ("vb_iolus", UPDATES, |name, _| updates(name)),
-    ("vb_lkh", UPDATES, |name, _| updates(name)),
-    ("vb_mykil", UPDATES, |name, _| updates(name)),
+    ("va_iolus", STORAGE, |_| storage(&iolus(N / AREAS))),
+    ("va_lkh", STORAGE, |_| storage(&lkh(N, ARITY))),
+    ("va_mykil", STORAGE, |_| storage(&mykil(N, AREAS, ARITY))),
+    ("vb_iolus", UPDATES, |name| updates(name)),
+    ("vb_lkh", UPDATES, |name| updates(name)),
+    ("vb_mykil", UPDATES, |name| updates(name)),
     (
         "vc_join_unicast",
         &[("lkh", Exact), ("mykil", Exact)],
-        |_, _| {
+        |_| {
             let p = Params {
                 members: N,
                 ..Params::paper()
@@ -115,7 +115,7 @@ const ROWS: &[Row] = &[
     (
         "batching_key_update",
         &[("batched", Exact), ("immediate", Exact)],
-        |_, _| {
+        |_| {
             let (batched, immediate) = batching_savings(7, 5);
             exact([batched, immediate])
         },
@@ -128,32 +128,32 @@ const ROWS: &[Row] = &[
             ("rejoin_us", Exact),
             ("rejoin_fast_us", Exact),
         ],
-        |_, _| {
+        |_| {
             let l = vd_latency();
             exact([l.join, l.join_blinding, l.rejoin, l.rejoin_fast].map(Duration::as_micros))
         },
     ),
-    ("vd_predicted", LATENCY, |_, _| {
+    ("vd_predicted", LATENCY, |_| {
         exact(latency::paper_predictions().map(|(_, secs)| (secs * 1e6).round() as u64))
     }),
-    ("churn_steady", CHURN, |_, _| {
+    ("churn_steady", CHURN, |_| {
         churn(ChurnSchedule::steady(1, N, 20, 5, 5))
     }),
-    ("churn_flash_crowd", CHURN, |_, _| {
+    ("churn_flash_crowd", CHURN, |_| {
         churn(ChurnSchedule::flash_crowd(N, 500, 0))
     }),
-    ("churn_end_of_month", CHURN, |_, _| {
+    ("churn_end_of_month", CHURN, |_| {
         churn(ChurnSchedule::end_of_month(2, N, 200))
     }),
     (
         "ablation_arity",
         &[("2", Exact), ("4", Exact), ("8", Exact)],
-        |_, _| {
+        |_| {
             exact([2, 4, 8].map(|arity| leave_bytes(&mut mykil(N, AREAS, arity), MemberId(N / 2))))
         },
     ),
-    ("ablation_keep_vacant", VACANT, |_, _| vacant(false)),
-    ("ablation_prune", VACANT, |_, _| vacant(true)),
+    ("ablation_keep_vacant", VACANT, |_| vacant(false)),
+    ("ablation_prune", VACANT, |_| vacant(true)),
 ];
 
 pub const PAPER: Gate = Gate {
@@ -161,17 +161,12 @@ pub const PAPER: Gate = Gate {
     baseline: "BENCH_paper.json",
     noun: "rows",
     rows: ROWS,
-    smoke_rows: ROWS.len(),
     ratios: &[],
 };
 
 fn exact(values: impl IntoIterator<Item = u64>) -> Rep {
     let values = values.into_iter().map(Value::Int).collect();
-    Rep {
-        secs: 0.0,
-        values,
-        artifacts: Vec::new(),
-    }
+    Rep { secs: 0.0, values }
 }
 
 fn analytic(pick: fn(&LeaveBandwidthRow) -> u64) -> Rep {

@@ -42,18 +42,17 @@ const fn row(name: &'static str, workload: Workload) -> Row {
     (name, COLUMNS, workload)
 }
 
-/// No shorter run: `--smoke` measures them all.
 const ROWS: &[Row] = &[
-    row("rekey_single_leave", |_, _| rekey_single_leave(Explicit)),
-    row("rekey_single_leave_khf", |_, _| rekey_single_leave(Khf)),
-    row("rekey_batch_mixed", |_, _| rekey_batch_mixed(Explicit)),
-    row("rekey_batch_mixed_khf", |_, _| rekey_batch_mixed(Khf)),
-    row("resident_keys_5000", |_, _| resident_keys_5000(Explicit)),
-    row("resident_keys_5000_khf", |_, _| resident_keys_5000(Khf)),
-    row("wire_encode_decode", |_, _| wire_encode_decode()),
-    row("rsa768_private", |_, _| rsa_op(768, true, 2000)),
-    row("rsa768_public", |_, _| rsa_op(768, false, 20_000)),
-    row("rsa2048_private", |_, _| rsa_op(2048, true, 200)),
+    row("rekey_single_leave", |_| rekey_single_leave(Explicit)),
+    row("rekey_single_leave_khf", |_| rekey_single_leave(Khf)),
+    row("rekey_batch_mixed", |_| rekey_batch_mixed(Explicit)),
+    row("rekey_batch_mixed_khf", |_| rekey_batch_mixed(Khf)),
+    row("resident_keys_5000", |_| resident_keys_5000(Explicit)),
+    row("resident_keys_5000_khf", |_| resident_keys_5000(Khf)),
+    row("wire_encode_decode", |_| wire_encode_decode()),
+    row("rsa768_private", |_| rsa_op(768, true, 2000)),
+    row("rsa768_public", |_| rsa_op(768, false, 20_000)),
+    row("rsa2048_private", |_| rsa_op(2048, true, 200)),
 ];
 
 pub const GATE: Gate = Gate {
@@ -61,7 +60,6 @@ pub const GATE: Gate = Gate {
     baseline: "BENCH_rekey.json",
     noun: "workloads",
     rows: ROWS,
-    smoke_rows: ROWS.len(),
     ratios: &[
         khf_time("rekey_single_leave", "rekey_single_leave_khf", 25),
         khf_time("rekey_batch_mixed", "rekey_batch_mixed_khf", 25),
@@ -91,7 +89,6 @@ fn rep(ops: u64, elapsed: Duration, bytes: u64, allocs: u64, resident_key_bytes:
             Value::Int(allocs),
             Value::Int(resident_key_bytes as u64),
         ],
-        artifacts: Vec::new(),
     }
 }
 

@@ -109,8 +109,8 @@ pub fn fig8_analytic(n: u64) -> Vec<LeaveBandwidthRow> {
         .collect()
 }
 
-/// Group sizes for the million-member sweep (ISSUE 7): the paper's
-/// figures stop at 100,000; the scale harness extends them to 1M.
+/// Group sizes for the million-member sweep: the paper's figures stop
+/// at 100,000; the sweep extends them to 1M.
 pub const SWEEP_GROUP_SIZES: [u64; 6] =
     [10_000, 50_000, 100_000, 250_000, 500_000, 1_000_000];
 
@@ -120,8 +120,8 @@ pub const SWEEP_GROUP_SIZES: [u64; 6] =
 pub struct GroupSizeRow {
     /// Total group size.
     pub members: u64,
-    /// Areas at this size (~1,000 members per area, the scale
-    /// harness's shape; never below the paper's 20).
+    /// Areas at this size (~1,000 members per area; never below the
+    /// paper's 20).
     pub areas: u64,
     /// Iolus leave cost in key bytes.
     pub iolus: u64,
@@ -135,8 +135,7 @@ pub struct GroupSizeRow {
 /// analytic: real trees at 1M are pointless here because the figures
 /// measure key bytes, which the closed forms reproduce exactly (the
 /// measured/analytic agreement is pinned at small scale by
-/// `fig8_measured_tracks_analytic`). Uses ~1,000-member areas, the
-/// same shape `ScaleConfig::paper_million` simulates.
+/// `fig8_measured_tracks_analytic`). Uses ~1,000-member areas.
 pub fn fig8_group_size_sweep() -> Vec<GroupSizeRow> {
     SWEEP_GROUP_SIZES
         .iter()

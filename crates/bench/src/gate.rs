@@ -1,7 +1,7 @@
 //! The regression gate: one table, one renderer, one baseline reader,
 //! one checker and one command-line tail behind the `gate` binary's
-//! `rekey`, `scale`, `mobility` and `paper` subcommands (DESIGN.md §10,
-//! "The regression gate").
+//! `rekey` and `paper` subcommands (DESIGN.md §10, "The regression
+//! gate").
 //!
 //! A subcommand is a [`Gate`]: the rows a full run produces, each with
 //! its columns (each with a [`Rule`]) and its workload; and the
@@ -57,21 +57,16 @@ pub struct Ratio {
     pub limit: Limit,
 }
 
-/// Files left under `--dump-dir` when the gate fails: name and body.
-pub type Artifacts = Vec<(String, String)>;
-
-/// One repetition of one row: the wall time of its measured region,
-/// its cells in the order of the row's [`Columns`], and its failure
-/// evidence, if it has any.
+/// One repetition of one row: the wall time of its measured region
+/// and its cells in the order of the row's [`Columns`].
 pub struct Rep {
     pub secs: f64,
     pub values: Vec<Value>,
-    pub artifacts: Artifacts,
 }
 
 /// Measures one repetition of the row it is declared for, given the
-/// row's name and `--dump-dir`.
-pub type Workload = fn(&str, Option<&str>) -> Rep;
+/// row's name.
+pub type Workload = fn(&str) -> Rep;
 
 /// The columns a row carries, each with its rule.
 pub type Columns = &'static [(&'static str, Rule)];
@@ -86,22 +81,14 @@ pub struct Gate {
     pub name: &'static str,
     /// The committed baseline `--write` refreshes.
     pub baseline: &'static str,
-    /// What the baseline calls its rows (`"workloads"`, `"scenarios"`).
+    /// What the baseline calls its rows (`"workloads"`, `"rows"`).
     pub noun: &'static str,
-    /// Every row a full run produces; `--smoke` runs the first
-    /// `smoke_rows` of them and is compared against those only.
+    /// Every row a run produces.
     pub rows: &'static [Row],
-    pub smoke_rows: usize,
     pub ratios: &'static [Ratio],
 }
 
 impl Gate {
-    /// The rows this run declares it produces.
-    fn rows_run(&self, smoke: bool) -> &'static [Row] {
-        let all = self.rows.len();
-        &self.rows[..if smoke { self.smoke_rows } else { all }]
-    }
-
     /// In-process repetitions per row: [`REPS`] when a row records a
     /// time, whose fastest repetition is the one reported; two when
     /// every cell is a count, which is all it takes to prove the counts
@@ -150,7 +137,7 @@ fn cell(cells: &[(String, Value)], column: &str) -> Option<Value> {
 /// In-process repetitions per row of a gate that records times.
 pub const REPS: usize = 7;
 
-/// Runs every row of `gate` (or its smoke prefix) [`Gate::reps`] times,
+/// Runs every row of `gate` [`Gate::reps`] times,
 /// round-robin so that a slow stretch of a shared host falls on every
 /// row alike, and keeps the fastest repetition of each — the estimator
 /// `e2ebench` uses: the minimum is the run least disturbed.
@@ -160,12 +147,11 @@ pub const REPS: usize = 7;
 /// An `Exact` column that differs between two repetitions of one row:
 /// the workload is not deterministic and nothing it reports can be
 /// gated.
-pub fn run(gate: &Gate, opts: &Opts) -> Result<(Table, Artifacts), String> {
-    let declared = gate.rows_run(opts.smoke);
-    let measure = |&(name, _, workload): &Row| workload(name, opts.dump_dir.as_deref());
-    let mut best: Vec<Rep> = declared.iter().map(measure).collect();
+pub fn run(gate: &Gate) -> Result<Table, String> {
+    let measure = |&(name, _, workload): &Row| workload(name);
+    let mut best: Vec<Rep> = gate.rows.iter().map(measure).collect();
     for _ in 1..gate.reps() {
-        for (row, best) in declared.iter().zip(&mut best) {
+        for (row, best) in gate.rows.iter().zip(&mut best) {
             let rep = measure(row);
             let pairs = best.values.iter().zip(&rep.values);
             for (&(column, rule), (a, b)) in row.1.iter().zip(pairs) {
@@ -179,15 +165,14 @@ pub fn run(gate: &Gate, opts: &Opts) -> Result<(Table, Artifacts), String> {
         }
     }
     let backend = mykil_crypto::sha256::backend().to_string();
-    let (mut rows, mut artifacts) = (Vec::new(), Vec::new());
-    for (&(name, columns, _), rep) in declared.iter().zip(best) {
+    let mut rows = Vec::new();
+    for (&(name, columns, _), rep) in gate.rows.iter().zip(best) {
         assert_eq!(rep.values.len(), columns.len(), "{name}");
         let cells = columns.iter().zip(rep.values);
         let cells = cells.map(|(c, v)| (c.0.to_string(), v)).collect();
         rows.push((name.to_string(), cells));
-        artifacts.extend(rep.artifacts);
     }
-    Ok((Table { backend, rows }, artifacts))
+    Ok(Table { backend, rows })
 }
 
 /// The baseline file for `table`, one row per line.
@@ -274,15 +259,14 @@ impl Verdict {
         });
     }
 
-    /// Cell by cell. Baseline rows past the smoke prefix are exempt
-    /// from a smoke run because the gate declares them so.
-    fn compare_cells(&mut self, gate: &Gate, smoke: bool, fresh: &Table, baseline: &Table) {
+    /// Cell by cell.
+    fn compare_cells(&mut self, gate: &Gate, fresh: &Table, baseline: &Table) {
         for (name, _) in &baseline.rows {
             if !gate.rows.iter().any(|r| r.0 == name) {
                 self.fail(name, "*", ONE_SIDED);
             }
         }
-        for &(name, columns, _) in gate.rows_run(smoke) {
+        for &(name, columns, _) in gate.rows {
             let (Some(cells), Some(base_cells)) = (fresh.row(name), baseline.row(name)) else {
                 self.fail(name, "*", ONE_SIDED);
                 continue;
@@ -311,14 +295,14 @@ impl Verdict {
 /// ratio against `baseline` when there is one, and against the
 /// structural ratio limits always. A row or a gated column present on
 /// one side and absent on the other is a regression.
-pub fn check(gate: &Gate, smoke: bool, fresh: &Table, baseline: Option<&Table>) -> Verdict {
+pub fn check(gate: &Gate, fresh: &Table, baseline: Option<&Table>) -> Verdict {
     let mut v = Verdict::default();
     if let Some(baseline) = baseline {
-        v.compare_cells(gate, smoke, fresh, baseline);
+        v.compare_cells(gate, fresh, baseline);
     }
     for r in gate.ratios {
         let pair = format!("{} / {}", r.of, r.over);
-        // A smoke run lacks one side.
+        // A table lacking a side fails as a missing row, above.
         let Some(ratio) = fresh.ratio(r) else {
             continue;
         };
@@ -350,19 +334,17 @@ pub fn check(gate: &Gate, smoke: bool, fresh: &Table, baseline: Option<&Table>) 
 /// The flags every subcommand takes.
 #[derive(Debug, Default, PartialEq)]
 pub struct Opts {
-    pub smoke: bool,
     pub write: bool,
     pub check: Option<String>,
     pub out: Option<String>,
-    pub dump_dir: Option<String>,
 }
 
 /// Splits the command line into the subcommand and its flags.
 ///
 /// # Errors
 ///
-/// No or an unknown subcommand, an unknown flag, a flag without its
-/// value, or `--smoke --write` (a baseline holds every row).
+/// No or an unknown subcommand, an unknown flag, or a flag without its
+/// value.
 pub fn parse_args(
     gates: &[Gate],
     mut args: impl Iterator<Item = String>,
@@ -374,36 +356,18 @@ pub fn parse_args(
     while let Some(a) = args.next() {
         let mut value = || args.next().ok_or(format!("{a} needs a value"));
         match a.as_str() {
-            "--smoke" => o.smoke = true,
             "--write" => o.write = true,
             "--check" => o.check = Some(value()?),
             "--out" => o.out = Some(value()?),
-            "--dump-dir" => o.dump_dir = Some(value()?),
             other => return Err(format!("unknown argument: {other}")),
         }
-    }
-    if o.smoke && o.write {
-        return Err("--smoke --write would drop rows from the baseline".into());
     }
     Ok((gate, o))
 }
 
-/// Writes failure evidence under `--dump-dir`, when one was given.
-pub fn write_artifacts(dump_dir: Option<&str>, files: &Artifacts) {
-    let Some(dir) = dump_dir else { return };
-    for (name, body) in files {
-        let path = format!("{dir}/{name}");
-        match std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, body)) {
-            Ok(()) => eprintln!("wrote failure artifact {path}"),
-            Err(e) => eprintln!("cannot write {path}: {e}"),
-        }
-    }
-}
-
 /// The whole command: parse, run the subcommand's rows, print the table
 /// as the JSON it would commit and the ratios, serve `--out`, `--write`
-/// and `--check`. Returns the exit code: 0 pass, 1 regression (failure
-/// evidence left under `--dump-dir`).
+/// and `--check`. Returns the exit code: 0 pass, 1 regression.
 ///
 /// # Errors
 ///
@@ -412,7 +376,7 @@ pub fn write_artifacts(dump_dir: Option<&str>, files: &Artifacts) {
 pub fn command(gates: &[Gate], args: impl Iterator<Item = String>) -> Result<i32, String> {
     let (gate, opts) = parse_args(gates, args).map_err(|why| {
         let subs: Vec<&str> = gates.iter().map(|g| g.name).collect();
-        let flags = "[--smoke] [--write] [--check <baseline>] [--out <path>] [--dump-dir <dir>]";
+        let flags = "[--write] [--check <baseline>] [--out <path>]";
         format!("{why}\nusage: gate <{}> {flags}", subs.join("|"))
     })?;
     // Before the run: an unreadable baseline should not cost one.
@@ -422,8 +386,7 @@ pub fn command(gates: &[Gate], args: impl Iterator<Item = String>) -> Result<i32
         table.map_err(|e| format!("cannot read baseline {path}: {e}"))
     };
     let baseline = opts.check.as_ref().map(read).transpose()?;
-    let (table, artifacts) =
-        run(gate, &opts).map_err(|drift| format!("not deterministic: {drift}"))?;
+    let table = run(gate).map_err(|drift| format!("not deterministic: {drift}"))?;
     let json = render_json(gate, &table);
     print!("{json}");
     for r in gate.ratios {
@@ -436,7 +399,7 @@ pub fn command(gates: &[Gate], args: impl Iterator<Item = String>) -> Result<i32
         std::fs::write(path, &json).map_err(|e| format!("cannot write {path}: {e}"))?;
         println!("wrote {path}");
     }
-    let verdict = check(gate, opts.smoke, &table, baseline.as_ref());
+    let verdict = check(gate, &table, baseline.as_ref());
     for note in &verdict.notes {
         println!("note: {note}");
     }
@@ -450,7 +413,6 @@ pub fn command(gates: &[Gate], args: impl Iterator<Item = String>) -> Result<i32
     for r in &verdict.regressions {
         println!("  {}: {}: {}", r.row, r.column, r.why);
     }
-    write_artifacts(opts.dump_dir.as_deref(), &artifacts);
     Ok(1)
 }
 
@@ -459,7 +421,7 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
 
-    fn fixed(_: &str, _: Option<&str>) -> Rep {
+    fn fixed(_: &str) -> Rep {
         unreachable!("the checker never runs a workload")
     }
 
@@ -485,7 +447,6 @@ mod tests {
         baseline: "unused.json",
         noun: "rows",
         rows: &[("a", COLUMNS, fixed), ("b", COLUMNS, fixed)],
-        smoke_rows: 1,
         ratios: &[DRIFT, BELOW],
     };
 
@@ -531,7 +492,7 @@ mod tests {
     #[test]
     fn a_run_equal_to_its_baseline_passes() {
         assert_eq!(
-            check(&G, false, &table(), Some(&table())),
+            check(&G, &table(), Some(&table())),
             Verdict::default()
         );
     }
@@ -541,7 +502,7 @@ mod tests {
         for count in [999, 1001] {
             let mut fresh = table();
             fresh.rows[0] = row("a", count, 200, 3000.0);
-            let v = check(&G, false, &fresh, Some(&table()));
+            let v = check(&G, &fresh, Some(&table()));
             assert_eq!(failed(&v), [("a", "count")]);
             assert!(v.regressions[0]
                 .why
@@ -554,14 +515,14 @@ mod tests {
         // Both rows ten times slower: no absolute time is compared.
         let mut fresh = table();
         fresh.rows = vec![row("a", 1000, 200, 300.0), row("b", 100, 200, 200.0)];
-        assert_eq!(check(&G, false, &fresh, Some(&table())), Verdict::default());
+        assert_eq!(check(&G, &fresh, Some(&table())), Verdict::default());
         // And an Info column the baseline lacks is not a gated one.
         let mut base = table();
         base.rows[1].1.pop();
         base.rows[0].1.pop();
         let info_only = Gate { ratios: &[], ..G };
         assert_eq!(
-            check(&info_only, false, &table(), Some(&base)),
+            check(&info_only, &table(), Some(&base)),
             Verdict::default()
         );
     }
@@ -571,21 +532,21 @@ mod tests {
         // Baseline ratio 1.5, bound 1.875: 1.87 passes, 1.88 does not.
         let mut fresh = table();
         fresh.rows[0] = row("a", 1000, 200, 3740.0);
-        assert_eq!(check(&G, false, &fresh, Some(&table())), Verdict::default());
+        assert_eq!(check(&G, &fresh, Some(&table())), Verdict::default());
         fresh.rows[0] = row("a", 1000, 200, 3760.0);
-        let v = check(&G, false, &fresh, Some(&table()));
+        let v = check(&G, &fresh, Some(&table()));
         assert_eq!(failed(&v), [("a / b", "per_sec")]);
         // Tightening the bound below the measured ratio: a faster `b`
         // in the baseline lowers the ratio the run is held to.
         let mut tight = table();
         tight.rows[1] = row("b", 100, 200, 2600.0);
         assert_eq!(
-            failed(&check(&G, false, &table(), Some(&tight))),
+            failed(&check(&G, &table(), Some(&tight))),
             [("a / b", "per_sec")]
         );
         // Measured on another SHA-256 back end, the same excess is a note.
         fresh.backend = "x86-sha-ext".into();
-        let v = check(&G, false, &fresh, Some(&table()));
+        let v = check(&G, &fresh, Some(&table()));
         assert!(v.regressions.is_empty());
         assert!(v.notes[0].contains("a / b") && v.notes[0].contains("portable"));
     }
@@ -595,13 +556,13 @@ mod tests {
         let mut fresh = table();
         fresh.rows[1] = row("b", 250, 200, 2000.0);
         assert_eq!(
-            failed(&check(&G, false, &fresh, None)),
+            failed(&check(&G, &fresh, None)),
             [("b / a", "count")]
         );
         fresh.backend = "x86-sha-ext".into();
-        let v = check(&G, false, &fresh, Some(&table()));
+        let v = check(&G, &fresh, Some(&table()));
         assert_eq!(failed(&v), [("b", "count"), ("b / a", "count")]);
-        assert_eq!(check(&G, false, &table(), None), Verdict::default());
+        assert_eq!(check(&G, &table(), None), Verdict::default());
     }
 
     #[test]
@@ -610,23 +571,20 @@ mod tests {
         short.rows.pop();
         // In the baseline, not produced by the run.
         assert_eq!(
-            failed(&check(&G, false, &short, Some(&table()))),
+            failed(&check(&G, &short, Some(&table()))),
             [("b", "*")]
         );
         // Produced by the run, not in the baseline: the row, and the
         // ratio that needs it.
-        let v = check(&G, false, &table(), Some(&short));
+        let v = check(&G, &table(), Some(&short));
         assert_eq!(failed(&v), [("b", "*"), ("a / b", "per_sec")]);
         // A baseline row the gate does not declare.
         let mut extra = table();
         extra.rows.push(row("c", 1, 1, 1.0));
         assert_eq!(
-            failed(&check(&G, false, &table(), Some(&extra))),
+            failed(&check(&G, &table(), Some(&extra))),
             [("c", "*")]
         );
-        // A smoke run is compared with the rows it declares, `a` only.
-        assert_eq!(check(&G, true, &short, Some(&table())), Verdict::default());
-        assert_eq!(failed(&check(&G, true, &short, Some(&extra))), [("c", "*")]);
     }
 
     #[test]
@@ -635,11 +593,11 @@ mod tests {
         short.rows[0].1.remove(0);
         // In the baseline, not produced by the run; then the reverse.
         assert_eq!(
-            failed(&check(&G, false, &short, Some(&table()))),
+            failed(&check(&G, &short, Some(&table()))),
             [("a", "count")]
         );
         assert_eq!(
-            failed(&check(&G, false, &table(), Some(&short))),
+            failed(&check(&G, &table(), Some(&short))),
             [("a", "count")]
         );
         // A baseline column the gate does not declare.
@@ -647,12 +605,12 @@ mod tests {
         extra.rows[0]
             .1
             .push(("allocs_per_op".into(), Value::Real(7.001)));
-        let v = check(&G, false, &table(), Some(&extra));
+        let v = check(&G, &table(), Some(&extra));
         assert_eq!(failed(&v), [("a", "allocs_per_op")]);
         // A time column a ratio needs.
         let mut untimed = table();
         untimed.rows[1].1.pop();
-        let v = check(&G, false, &table(), Some(&untimed));
+        let v = check(&G, &table(), Some(&untimed));
         assert_eq!(failed(&v), [("a / b", "per_sec")]);
     }
 
@@ -660,54 +618,44 @@ mod tests {
 
     fn rep(secs: f64, count: u64, heap: u64) -> Rep {
         let values = vec![Value::Int(count), Value::Int(heap), Value::Real(1.0 / secs)];
-        let artifacts = vec![(format!("{secs}.txt"), String::new())];
-        Rep {
-            secs,
-            values,
-            artifacts,
-        }
+        Rep { secs, values }
     }
 
     #[test]
     fn run_keeps_the_fastest_repetition_and_rejects_a_drifting_count() {
         // Repetition k of REPS takes |k - 3| + 1 seconds: the fourth is
         // the fastest, and its ungated cells are the ones kept.
-        fn steady(_: &str, _: Option<&str>) -> Rep {
+        fn steady(_: &str) -> Rep {
             let k = CALLS.fetch_add(1, Ordering::Relaxed);
             rep(k.abs_diff(3) as f64 + 1.0, 7, 100 + k)
         }
         // The fifth repetition counts one more.
-        fn drifting(name: &str, _: Option<&str>) -> Rep {
+        fn drifting(name: &str) -> Rep {
             static CALLS: AtomicU64 = AtomicU64::new(0);
             assert_eq!(name, "a");
             rep(1.0, 7 + CALLS.fetch_add(1, Ordering::Relaxed) / 4, 100)
         }
-        let smoke = Opts {
-            smoke: true,
-            ..Opts::default()
-        };
         let gate = Gate {
-            rows: &[("a", COLUMNS, steady), ("b", COLUMNS, fixed)],
+            rows: &[("a", COLUMNS, steady)],
             ..G
         };
-        let (table, artifacts) = run(&gate, &smoke).expect("deterministic");
+        let table = run(&gate).expect("deterministic");
         assert_eq!(CALLS.load(Ordering::Relaxed), REPS as u64);
         assert_eq!(table.rows, [row("a", 7, 103, 1.0)]);
-        assert_eq!(artifacts, [("1.txt".to_string(), String::new())]);
         assert_eq!(table.backend, mykil_crypto::sha256::backend());
 
         let gate = Gate {
-            rows: &[("a", COLUMNS, drifting), ("b", COLUMNS, fixed)],
+            rows: &[("a", COLUMNS, drifting)],
             ..G
         };
-        let drift = run(&gate, &smoke).expect_err("count moved");
+        let drift = run(&gate).expect_err("count moved");
         assert_eq!(drift, "a: count: 7, then 8");
     }
 
     #[test]
     fn rows_carry_their_own_columns_and_counts_run_twice() {
         static CALLS: AtomicU64 = AtomicU64::new(0);
-        fn count(name: &str, _: Option<&str>) -> Rep {
+        fn count(name: &str) -> Rep {
             CALLS.fetch_add(1, Ordering::Relaxed);
             let values = if name == "wide" {
                 vec![1, 2, 3]
@@ -715,11 +663,7 @@ mod tests {
                 vec![4]
             };
             let values = values.into_iter().map(Value::Int).collect();
-            Rep {
-                secs: 0.0,
-                values,
-                artifacts: Vec::new(),
-            }
+            Rep { secs: 0.0, values }
         }
         const WIDE: Columns = &[("x", Rule::Exact), ("y", Rule::Exact), ("z", Rule::Exact)];
         let gate = Gate {
@@ -731,41 +675,38 @@ mod tests {
             ..G
         };
         assert_eq!((G.reps(), gate.reps()), (REPS, 2));
-        let (table, _) = run(&gate, &Opts::default()).expect("deterministic");
+        let table = run(&gate).expect("deterministic");
         assert_eq!(CALLS.load(Ordering::Relaxed), 4);
         let names =
             |cells: &[(String, Value)]| cells.iter().map(|c| c.0.clone()).collect::<Vec<_>>();
         assert_eq!(names(&table.rows[0].1), ["x", "y", "z"]);
         assert_eq!(table.rows[1].1, [("w".to_string(), Value::Int(4))]);
         assert_eq!(
-            check(&gate, false, &table, Some(&table)),
+            check(&gate, &table, Some(&table)),
             Verdict::default()
         );
         // A column of one row in another row of the baseline.
         let mut base = read_json(&render_json(&gate, &table)).expect("reads back");
         base.rows[1].1.push(("x".into(), Value::Int(1)));
         assert_eq!(
-            failed(&check(&gate, false, &table, Some(&base))),
+            failed(&check(&gate, &table, Some(&base))),
             [("narrow", "x")]
         );
     }
 
     #[test]
-    fn command_line_is_five_flags_and_a_subcommand() {
+    fn command_line_is_three_flags_and_a_subcommand() {
         let parse = |line: &str| parse_args(&[G], line.split_whitespace().map(String::from));
-        let (gate, opts) =
-            parse("t --smoke --check b.json --out o.json --dump-dir d").expect("valid");
+        let (gate, opts) = parse("t --check b.json --out o.json").expect("valid");
         assert_eq!(gate.name, "t");
         let expected = Opts {
-            smoke: true,
             write: false,
             check: Some("b.json".into()),
             out: Some("o.json".into()),
-            dump_dir: Some("d".into()),
         };
         assert_eq!(opts, expected);
         assert!(parse("t --write").expect("valid").1.write);
-        for bad in ["", "u", "t --mobility", "t --check", "t --smoke --write"] {
+        for bad in ["", "u", "t --mobility", "t --check", "t --smoke", "t --dump-dir d"] {
             assert!(parse(bad).is_err(), "{bad}");
         }
     }

@@ -402,6 +402,38 @@ impl GroupHandle {
         self.add_member(device_seed, false)
     }
 
+    /// Adds `count` manual members (see [`Self::register_member_manual`])
+    /// whose key pairs cycle over `pool` pairs drawn from
+    /// `Drbg::from_seed(seed)` at the group's key size, so a large
+    /// group costs `pool` keygens instead of `count`. Member `i` of the
+    /// call presents `subscriber-<i>`. Returns the nodes in order.
+    #[doc(hidden)]
+    pub fn add_pooled_members(&mut self, count: usize, pool: usize, seed: u64) -> Vec<NodeId> {
+        let mut keyrng = Drbg::from_seed(seed);
+        #[expect(clippy::expect_used, reason = "deployment harness, not peer input")]
+        let pool: Vec<RsaKeyPair> = (0..pool)
+            .map(|_| RsaKeyPair::generate(self.key_bits, &mut keyrng).expect("member keygen"))
+            .collect();
+        (0..count)
+            .map(|i| {
+                let member = Member::new(
+                    self.cfg,
+                    self.cost,
+                    pool[i % pool.len()].clone(),
+                    self.rs_pub.public().clone(),
+                    self.rs_node,
+                    DeviceId::from_seed(self.next_device),
+                    format!("subscriber-{i}").into_bytes(),
+                    false,
+                );
+                self.next_device += 1;
+                let id = self.sim.add_node(member);
+                self.members.push(id);
+                id
+            })
+            .collect()
+    }
+
     fn add_member(&mut self, device_seed: u64, auto: bool) -> NodeId {
         #[expect(clippy::expect_used, reason = "deployment harness, not peer input")]
         let pair = RsaKeyPair::generate(self.key_bits, &mut self.keyrng).expect("member keygen");

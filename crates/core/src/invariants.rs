@@ -51,8 +51,6 @@
 use crate::area::{AcDurable, AreaController, Role, AC_MEMBER_BASE};
 use crate::durable::{replay_ac, replay_rs, RsCheckpoint};
 use crate::group::GroupHandle;
-use crate::scale::{AreaState, ScaleEvent, ScaleGroup};
-use mykil_baselines::{ColdAreaModel, RekeyTraffic};
 use mykil_net::NodeId;
 use std::collections::BTreeMap;
 
@@ -133,79 +131,6 @@ pub enum InvariantViolation {
         /// What diverged.
         detail: String,
     },
-    /// A hybrid-scale area's live membership (cold aggregate + hot
-    /// set) disagrees with its own admission/departure counters:
-    /// members were lost or duplicated somewhere between the hot
-    /// handshakes and the cold aggregate.
-    ScaleConservation {
-        /// Area index.
-        area: usize,
-        /// `joins - hot_leaves - cold_leaves`.
-        expected: u64,
-        /// `cold + hot` actually live.
-        seen: u64,
-    },
-    /// A hybrid-scale area performed a departure without rotating the
-    /// area key: the forward-secrecy analog for the aggregate model,
-    /// where every leave batch must bump the epoch exactly once.
-    ScaleEpochStuck {
-        /// Area index.
-        area: usize,
-        /// Epoch an independent replay of the counters reaches.
-        expected: u64,
-        /// Epoch the controller's aggregate actually holds.
-        seen: u64,
-    },
-    /// The scale harness's rekey-byte ledger diverged from an
-    /// independent closed-form replay of the membership history —
-    /// either the controllers' accumulated traffic or the simulator's
-    /// stats counters drifted.
-    ScaleLedgerDrift {
-        /// Which ledger drifted (e.g. `"scale-rekey-multicast-bytes"`).
-        counter: &'static str,
-        /// Bytes the independent replay predicts.
-        expected: u64,
-        /// Bytes the ledger records.
-        seen: u64,
-    },
-    /// Mobility conservation: globally, every move-out must be matched
-    /// by exactly one move-in — a mismatch means a mover vanished
-    /// mid-transfer or was admitted twice.
-    ScaleMoveImbalance {
-        /// Total move-outs across all areas.
-        moves_out: u64,
-        /// Total move-ins across all areas.
-        moves_in: u64,
-    },
-    /// Post-fault re-convergence: a faulted scale-area controller is
-    /// still crashed, still refusing requests, or restarted without
-    /// recording a completed recovery for every process incarnation.
-    ScaleRecoveryIncomplete {
-        /// Area index.
-        area: usize,
-        /// Crash/restart cycles the simulator counted.
-        restarts: u64,
-        /// Completed recoveries the controller recorded.
-        recovered: u64,
-    },
-    /// A durable scale-area controller's live state disagrees with a
-    /// refold of its own journal: a crash now would recover to a
-    /// different membership or byte ledger than the one being served.
-    ScaleJournalDrift {
-        /// Area index.
-        area: usize,
-        /// What diverged.
-        detail: String,
-    },
-    /// The scale directory's journal replica disagrees with the
-    /// controller's journal at a quiescent point: a takeover from the
-    /// replica would lose or invent acknowledged events.
-    ScaleDirectoryDrift {
-        /// Area index.
-        area: usize,
-        /// What diverged.
-        detail: String,
-    },
 }
 
 impl std::fmt::Display for InvariantViolation {
@@ -249,58 +174,6 @@ impl std::fmt::Display for InvariantViolation {
             InvariantViolation::RsDurabilityDrift { detail } => write!(
                 f,
                 "rs durability drift: {detail}"
-            ),
-            InvariantViolation::ScaleConservation {
-                area,
-                expected,
-                seen,
-            } => write!(
-                f,
-                "scale conservation: area {area} counters say {expected} live members \
-                 but cold+hot holds {seen}"
-            ),
-            InvariantViolation::ScaleEpochStuck {
-                area,
-                expected,
-                seen,
-            } => write!(
-                f,
-                "scale epoch stuck: area {area} should be at key epoch {expected} \
-                 after its departures but is at {seen}"
-            ),
-            InvariantViolation::ScaleLedgerDrift {
-                counter,
-                expected,
-                seen,
-            } => write!(
-                f,
-                "scale ledger drift: {counter} replay predicts {expected} bytes \
-                 but ledger records {seen}"
-            ),
-            InvariantViolation::ScaleMoveImbalance {
-                moves_out,
-                moves_in,
-            } => write!(
-                f,
-                "scale move imbalance: {moves_out} members moved out of their areas \
-                 but {moves_in} moved in"
-            ),
-            InvariantViolation::ScaleRecoveryIncomplete {
-                area,
-                restarts,
-                recovered,
-            } => write!(
-                f,
-                "scale recovery incomplete: area {area} restarted {restarts} time(s) \
-                 but completed {recovered} recover(ies)"
-            ),
-            InvariantViolation::ScaleJournalDrift { area, detail } => write!(
-                f,
-                "scale journal drift: area {area}: {detail}"
-            ),
-            InvariantViolation::ScaleDirectoryDrift { area, detail } => write!(
-                f,
-                "scale directory drift: area {area}: {detail}"
             ),
         }
     }
@@ -572,245 +445,4 @@ impl InvariantChecker {
 
         out
     }
-}
-
-/// Checks the hybrid-scale invariants against a [`ScaleGroup`]
-/// (ISSUEs 7 and 8): per-area membership conservation (now including
-/// inter-area moves), global move balance, the epoch-rotation
-/// forward-secrecy analog, post-fault re-convergence, and byte-exact
-/// agreement between three independently-maintained ledgers — the
-/// controllers' accumulated [`RekeyTraffic`], the simulator's stats
-/// counters, and a fresh closed-form replay of each area's history.
-///
-/// The replay is exact (not a bound) because controllers charge every
-/// rekey at the *total* area size `cold + hot`: promotion and demotion
-/// preserve that total, so the byte sequence depends only on the event
-/// sequence, not on how the handshakes interleaved. In durable mode
-/// the replay refolds each area's full journal through
-/// [`AreaState::apply`] — the same code the live controller ran — and
-/// additionally demands that the refold reproduces the served state
-/// (journal drift) and that the directory's replica matches the
-/// journal (directory drift). In volatile mode the journal holds only
-/// the moves, and the replay runs the per-area scalars in phase order:
-/// joins, then the journaled moves, then hot leaves, then cold
-/// batches. Stateless, unlike [`InvariantChecker`]: call at any
-/// quiescent point.
-pub fn check_scale(g: &ScaleGroup) -> Vec<InvariantViolation> {
-    let mut out = Vec::new();
-    let cfg = g.config();
-    let mut replay_total = RekeyTraffic::default();
-    let mut modeled_total = RekeyTraffic::default();
-    let mut moves_out_total = 0u64;
-    let mut moves_in_total = 0u64;
-
-    for (area, ctrl) in g.controllers().enumerate() {
-        moves_out_total += ctrl.moves_out();
-        moves_in_total += ctrl.moves_in();
-
-        if cfg.durable {
-            // Post-fault re-convergence: every crash/restart cycle the
-            // simulator counted must have a matching completed
-            // recovery, and the controller must be serving again.
-            let node = g.controller_ids()[area];
-            let restarts = g.sim.restart_count(node);
-            let recovered = ctrl.recovery_samples().len() as u64;
-            if g.sim.is_crashed(node) || !ctrl.converged() || recovered != restarts {
-                out.push(InvariantViolation::ScaleRecoveryIncomplete {
-                    area,
-                    restarts,
-                    recovered,
-                });
-                // Mid-recovery state explains nothing; the remaining
-                // per-area checks would only cascade.
-                continue;
-            }
-        }
-
-        // Conservation: the controller's own counters must explain
-        // exactly the members it still holds.
-        let admitted = ctrl.joins() + ctrl.moves_in();
-        let departed = ctrl.hot_leaves() + ctrl.cold_leaves() + ctrl.moves_out();
-        let expected_live = admitted.saturating_sub(departed);
-        if ctrl.live_members() != expected_live {
-            out.push(InvariantViolation::ScaleConservation {
-                area,
-                expected: expected_live,
-                seen: ctrl.live_members(),
-            });
-        }
-
-        let replay = if cfg.durable {
-            // Durable mode: refold the full journal through the same
-            // AreaState::apply the live controller ran. The refold
-            // must reproduce the served state exactly — otherwise a
-            // crash now would recover to a different area.
-            let s = AreaState::replay(cfg, ctrl.seeded(), ctrl.journal());
-            let live = ctrl.state();
-            if s.live() != live.live()
-                || s.joins != live.joins
-                || s.hot_leaves != live.hot_leaves
-                || s.cold_leaves != live.cold_leaves
-                || s.moves_out != live.moves_out
-                || s.moves_in != live.moves_in
-                || s.hot != live.hot
-            {
-                out.push(InvariantViolation::ScaleJournalDrift {
-                    area,
-                    detail: format!(
-                        "journal refolds to live={} joins={} hot_leaves={} cold_leaves={} \
-                         moves_out={} moves_in={} but controller serves live={} joins={} \
-                         hot_leaves={} cold_leaves={} moves_out={} moves_in={}",
-                        s.live(),
-                        s.joins,
-                        s.hot_leaves,
-                        s.cold_leaves,
-                        s.moves_out,
-                        s.moves_in,
-                        live.live(),
-                        live.joins,
-                        live.hot_leaves,
-                        live.cold_leaves,
-                        live.moves_out,
-                        live.moves_in,
-                    ),
-                });
-            }
-            s.cold
-        } else {
-            // Volatile mode: independent replay in phase order — J
-            // joins at sizes 1..=J, the journaled moves in order, then
-            // H hot leaves at descending pre-departure sizes, then
-            // batches of `cold_batch` until the drained count is
-            // reached.
-            let mut replay = ColdAreaModel::new(cfg.key_len, cfg.rsa_len, cfg.arity);
-            for _ in 0..ctrl.joins() {
-                replay.join();
-            }
-            for ev in ctrl.journal() {
-                match ev {
-                    ScaleEvent::MoveOut(_) => {
-                        let size = replay.cold_members();
-                        replay.charge_move_out_at(size);
-                        replay.release(1);
-                    }
-                    ScaleEvent::MoveIn(_) => {
-                        replay.absorb(1);
-                        let size = replay.cold_members();
-                        replay.charge_move_in_at(size);
-                    }
-                    _ => {} // volatile journals hold only moves
-                }
-            }
-            for _ in 0..ctrl.hot_leaves() {
-                let size = replay.cold_members();
-                replay.charge_single_leave_at(size);
-                replay.release(1);
-            }
-            let mut drained = 0;
-            while drained < ctrl.cold_leaves() {
-                let k = cfg
-                    .cold_batch
-                    .min(replay.cold_members())
-                    .min(ctrl.cold_leaves() - drained);
-                if k == 0 {
-                    break; // counters are inconsistent; conservation catches it
-                }
-                replay.batch_leave(k);
-                drained += k;
-            }
-            replay
-        };
-
-        if ctrl.cold().epoch() != replay.epoch() {
-            out.push(InvariantViolation::ScaleEpochStuck {
-                area,
-                expected: replay.epoch(),
-                seen: ctrl.cold().epoch(),
-            });
-        }
-        replay_total += replay.traffic();
-        modeled_total += ctrl.cold().traffic();
-    }
-
-    // Mobility conservation: globally, outs and ins must pair up.
-    if moves_out_total != moves_in_total {
-        out.push(InvariantViolation::ScaleMoveImbalance {
-            moves_out: moves_out_total,
-            moves_in: moves_in_total,
-        });
-    }
-
-    // Directory agreement: at a quiescent point the replica must hold
-    // exactly the journal the controller acknowledged events from.
-    if let Some(dir) = g.directory() {
-        for (area, ctrl) in g.controllers().enumerate() {
-            if dir.seeded(area) != ctrl.seeded() {
-                out.push(InvariantViolation::ScaleDirectoryDrift {
-                    area,
-                    detail: format!(
-                        "replica seeded={} but controller seeded={}",
-                        dir.seeded(area),
-                        ctrl.seeded()
-                    ),
-                });
-            }
-            if dir.journal(area) != ctrl.journal() {
-                out.push(InvariantViolation::ScaleDirectoryDrift {
-                    area,
-                    detail: format!(
-                        "replica journal has {} event(s) but controller journal has {} \
-                         (or contents differ)",
-                        dir.journal(area).len(),
-                        ctrl.journal().len()
-                    ),
-                });
-            }
-        }
-    }
-
-    // The three ledgers must agree byte-for-byte: replay vs the
-    // controllers' accumulators vs the simulator's stats counters.
-    let stats = g.sim.stats();
-    let checks: [(&'static str, u64, u64); 6] = [
-        (
-            "scale-model-multicast-bytes",
-            replay_total.multicast_bytes,
-            modeled_total.multicast_bytes,
-        ),
-        (
-            "scale-model-unicast-bytes",
-            replay_total.unicast_bytes,
-            modeled_total.unicast_bytes,
-        ),
-        (
-            "scale-rekey-multicast-bytes",
-            replay_total.multicast_bytes,
-            stats.counter("scale-rekey-multicast-bytes"),
-        ),
-        (
-            "scale-rekey-unicast-bytes",
-            replay_total.unicast_bytes,
-            stats.counter("scale-rekey-unicast-bytes"),
-        ),
-        (
-            "scale-moves-out",
-            moves_out_total,
-            stats.counter("scale-moves-out"),
-        ),
-        (
-            "scale-moves-in",
-            moves_in_total,
-            stats.counter("scale-moves-in"),
-        ),
-    ];
-    for (counter, expected, seen) in checks {
-        if expected != seen {
-            out.push(InvariantViolation::ScaleLedgerDrift {
-                counter,
-                expected,
-                seen,
-            });
-        }
-    }
-    out
 }

@@ -74,7 +74,6 @@ pub mod msg;
 mod node_keys;
 pub mod registration;
 pub mod rekey;
-pub mod scale;
 pub mod ticket;
 mod timer;
 pub mod welcome;

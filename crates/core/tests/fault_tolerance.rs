@@ -5,9 +5,7 @@
 
 use mykil::area::Role;
 use mykil::config::{BatchPolicy, MykilConfig, RejoinPolicy};
-use mykil::crypto_cost::CryptoCost;
 use mykil::group::GroupBuilder;
-use mykil::identity::DeviceId;
 use mykil::invariants::InvariantChecker;
 use mykil::member::{Member, MemberPhase};
 use mykil::msg::RejoinDenyReason;
@@ -263,31 +261,8 @@ fn promoted_backup_does_not_evict_the_area_it_inherits() {
 fn steady_state_replication_cost(size: usize) -> (u64, u64, u64, u64) {
     const OPS: usize = 4;
     let cfg = MykilConfig { batch_policy: BatchPolicy::Immediate, ..MykilConfig::test() };
-    let cost = CryptoCost::pentium3();
-    let mut g = GroupBuilder::new(36).config(cfg).cost(cost).areas(1).replicated(true).build();
-    let mut keyrng = mykil_crypto::drbg::Drbg::from_seed(36);
-    let pool: Vec<_> = (0..4)
-        .map(|_| mykil_crypto::rsa::RsaKeyPair::generate(768, &mut keyrng).expect("keygen"))
-        .collect();
-    let rs_pub = g.registration_server().public_key().clone();
-    let rs_node = g.rs();
-    let nodes: Vec<_> = (0..size + OPS)
-        .map(|i| {
-            let member = Member::new(
-                cfg,
-                cost,
-                pool[i % pool.len()].clone(),
-                rs_pub.clone(),
-                rs_node,
-                DeviceId::from_seed(i as u64),
-                format!("subscriber-{i}").into_bytes(),
-                false,
-            );
-            let id = g.sim.add_node(member);
-            g.members.push(id);
-            id
-        })
-        .collect();
+    let mut g = GroupBuilder::new(36).config(cfg).areas(1).replicated(true).build();
+    let nodes = g.add_pooled_members(size + OPS, 4, 36);
     for &node in &nodes[..size] {
         g.sim.invoke(node, |m: &mut Member, ctx| m.start_join(ctx));
         g.run_for(Duration::from_millis(40));

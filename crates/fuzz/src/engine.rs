@@ -49,7 +49,7 @@ const INTERESTING_U64: [u64; 6] = [
     1,
     u32::MAX as u64,
     u32::MAX as u64 + 1,
-    u64::MAX / 9, // ScaleEvent::WIRE_LEN boundary for event counts
+    u64::MAX / 9, // a count of 9-byte records whose length overflows u64
     u64::MAX,
 ];
 

@@ -1,4 +1,4 @@
-//! The six fuzz targets and their structure-aware seed corpora.
+//! The five fuzz targets and their structure-aware seed corpora.
 //!
 //! Every target is a total function of its input bytes: the contract
 //! under test is "no panic, no hang, no allocation proportional to a
@@ -24,7 +24,6 @@ use mykil::durable::{
     replay_ac, replay_rs, AcCheckpoint, AcWalRecord, RsCheckpoint, RsWalRecord, Seed,
 };
 use mykil::msg::{Msg, SyncBody};
-use mykil::scale::{decode_checkpoint, encode_checkpoint, AreaState, ScaleConfig, ScaleEvent};
 use mykil::welcome::Welcome;
 use mykil::wire::{Reader, Writer};
 use mykil_crypto::drbg::Drbg;
@@ -59,11 +58,6 @@ pub fn all() -> Vec<Target> {
             name: "durable-replay",
             run: run_durable_replay,
             seeds: seeds_durable_replay,
-        },
-        Target {
-            name: "area-replay",
-            run: run_area_replay,
-            seeds: seeds_area_replay,
         },
         Target {
             name: "fault-plan",
@@ -410,65 +404,6 @@ fn seeds_durable_replay() -> Vec<(&'static str, Vec<u8>)> {
             ),
         ),
         ("seed-short-seed.bin", frame_up(1, &[departed_leaf, short_seed, join(22)])),
-    ]
-}
-
-// ---------------------------------------------------------------------
-// area-replay: scale checkpoint decode + journal refold
-// ---------------------------------------------------------------------
-
-/// Mirrors the validated recovery path: decode the checkpoint, and
-/// only refold journals whose seeded base passes the same
-/// `seeded <= cfg.members` bound `on_restarted` enforces — an
-/// unvalidated `seeded` would make `AreaState::replay` loop for up to
-/// 2^64 iterations, which is the bug the committed
-/// `regression-huge-seeded.bin` fixture pins.
-fn run_area_replay(data: &[u8]) {
-    let _ = ScaleEvent::decode(data);
-    if let Some((seeded, journal)) = decode_checkpoint(data) {
-        let mut cfg = ScaleConfig::paper_million();
-        cfg.members = 4096;
-        cfg.areas = 4;
-        if seeded <= cfg.members {
-            let state = AreaState::replay(&cfg, seeded, &journal);
-            let _ = state.live();
-        }
-    }
-}
-
-fn seeds_area_replay() -> Vec<(&'static str, Vec<u8>)> {
-    let journal = [
-        ScaleEvent::Join(1),
-        ScaleEvent::Join(2),
-        ScaleEvent::Demote(1),
-        ScaleEvent::Promote(9),
-        ScaleEvent::HotLeave(9),
-        ScaleEvent::ColdBatch(2),
-        ScaleEvent::MoveOut(5),
-        ScaleEvent::MoveIn(6),
-    ];
-    let valid = encode_checkpoint(3, &journal);
-
-    // Regression fixture: a checkpoint whose claimed event count is
-    // inflated far past the actual body. The original decoder passed
-    // the claimed count straight to `Vec::with_capacity` (capacity
-    // overflow panic / OOM abort); `decode_checkpoint` now rejects any
-    // count that disagrees with the body length.
-    let mut inflated = Vec::new();
-    inflated.extend_from_slice(&3u64.to_le_bytes());
-    inflated.extend_from_slice(&u64::MAX.to_le_bytes());
-
-    // Regression fixture: a well-formed checkpoint claiming a seeded
-    // base population of 2^64-1. Decodes fine — the hang guard lives in
-    // the recovery validation (`seeded <= cfg.members`), which this
-    // target mirrors and `on_restarted` enforces before refolding.
-    let huge_seeded = encode_checkpoint(u64::MAX, &[]);
-
-    vec![
-        ("seed-valid.bin", valid),
-        ("seed-empty-journal.bin", encode_checkpoint(7, &[])),
-        ("regression-inflated-count.bin", inflated),
-        ("regression-huge-seeded.bin", huge_seeded),
     ]
 }
 

@@ -458,21 +458,6 @@ impl ChaosDriver {
     /// run into back-to-back `run_until` windows injects every fault
     /// exactly once regardless of where the window boundaries land.
     pub fn run_until(&mut self, sim: &mut Simulator, deadline: Time) {
-        self.run_until_observed(sim, deadline, |_, _| {});
-    }
-
-    /// Like [`Self::run_until`], but calls `observe` immediately after
-    /// each fault is applied (the simulator is at the fault's virtual
-    /// time, the fault has taken effect, and no later event has run).
-    /// Harnesses use this to snapshot ledgers at crash instants — e.g.
-    /// the scale storm records byte counters per AC crash so the
-    /// degraded window can be measured without replaying the run.
-    pub fn run_until_observed(
-        &mut self,
-        sim: &mut Simulator,
-        deadline: Time,
-        mut observe: impl FnMut(&mut Simulator, &TimedFault),
-    ) {
         while let Some(tf) = self.plan.faults.get(self.next) {
             if tf.at > deadline {
                 break;
@@ -482,7 +467,6 @@ impl ChaosDriver {
             sim.run_until(tf.at);
             sim.record_fault(tf.fault.to_string());
             tf.fault.apply(sim);
-            observe(sim, &tf);
         }
         sim.run_until(deadline);
     }

@@ -85,7 +85,6 @@ fn retired_rules_stay_switched_on_where_they_held() {
         "core/src/registration.rs",
         "core/src/area/mod.rs",
         "core/src/area/replication.rs",
-        "core/src/scale.rs",
     ) {
         let lints = [
             "not",
