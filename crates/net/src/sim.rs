@@ -1,7 +1,7 @@
 //! The simulator core: node table, event loop, and failure injection.
 
 use crate::context::{Action, Context, MsgToken};
-use crate::event::{Event, EventHandle, EventKind, EventQueue, Payload, Transport};
+use crate::event::{Event, EventKind, EventQueue, Payload, Transport};
 use crate::id::{GroupId, NodeId};
 use crate::latency::LatencyModel;
 use crate::stats::Stats;
@@ -67,12 +67,6 @@ pub trait Node: Any {
 /// Messages a receiver remembers per sender for duplicate suppression.
 const DEDUP_WINDOW: usize = 128;
 
-/// Default idle horizon after which a per-pair dedup window is evicted.
-/// Far longer than any retransmission schedule (6 attempts of the
-/// default policy span ~3.2 s), so eviction never unmasks a duplicate
-/// that the reliable layer could still produce.
-const DEDUP_IDLE_HORIZON_MICROS: u64 = 30_000_000;
-
 /// Nominal wire size of a reliable-layer ack (tag byte + u64 id).
 const ACK_WIRE_BYTES: usize = 9;
 
@@ -88,22 +82,18 @@ struct PendingReliable {
 }
 
 /// Recently seen reliable msg ids from one peer (insertion-ordered so
-/// the oldest is evicted when the window is full). `last_seen` lets the
-/// simulator evict whole windows for pairs that stopped talking —
-/// without it the map grows one window per communicating pair forever,
-/// which is unbounded memory at million-member scale.
+/// the oldest is evicted when the window is full). A window lives as
+/// long as its `(receiver, sender)` pair, holding at most
+/// `DEDUP_WINDOW` ids.
 #[derive(Debug, Default)]
 struct DedupWindow {
     seen: BTreeSet<u64>,
     order: VecDeque<u64>,
-    last_seen: Time,
 }
 
 impl DedupWindow {
-    /// Records `msg_id` at `now`; returns `false` when it was already
-    /// present.
-    fn fresh(&mut self, msg_id: u64, now: Time) -> bool {
-        self.last_seen = now;
+    /// Records `msg_id`; returns `false` when it was already present.
+    fn fresh(&mut self, msg_id: u64) -> bool {
         if !self.seen.insert(msg_id) {
             return false;
         }
@@ -144,11 +134,6 @@ pub struct Simulator {
     next_msg_id: u64,
     pending_reliable: BTreeMap<u64, PendingReliable>,
     dedup: BTreeMap<(NodeId, NodeId), DedupWindow>,
-    /// Windows idle past this horizon are evicted by a periodic sweep.
-    dedup_idle_horizon: Duration,
-    /// When the last eviction sweep ran (sweeps are time-driven and
-    /// deterministic: no RNG, ordered map iteration).
-    last_dedup_sweep: Time,
     reliable_base: Duration,
     reliable_max_attempts: u32,
     events_processed: u64,
@@ -159,10 +144,10 @@ pub struct Simulator {
     /// Per-node timer scale in permille (1000 = nominal); nodes absent
     /// from the map run their timers at nominal speed.
     timer_skew: BTreeMap<NodeId, u32>,
-    /// Pending timers per node, keyed by token and holding the wheel
-    /// handle: cancellation (explicit or by crash) removes the event
-    /// from the queue in O(1) — there is no tombstone set to leak.
-    armed_timers: BTreeMap<NodeId, BTreeMap<u64, EventHandle>>,
+    /// Armed timer tokens per node. Cancelling (explicitly or by a
+    /// crash) removes the token; the timer's event stays queued and is
+    /// dropped when it surfaces with its token no longer armed.
+    armed_timers: BTreeMap<NodeId, BTreeSet<u64>>,
     /// Completed crash/restart cycles per node. Recovery is allowed to
     /// roll volatile counters backwards (a corrupt checkpoint falls
     /// back to an older slot), so monotonicity checkers use this to
@@ -203,8 +188,6 @@ impl Simulator {
             next_msg_id: 0,
             pending_reliable: BTreeMap::new(),
             dedup: BTreeMap::new(),
-            dedup_idle_horizon: Duration::from_micros(DEDUP_IDLE_HORIZON_MICROS),
-            last_dedup_sweep: Time::ZERO,
             reliable_base: Duration::from_millis(50),
             reliable_max_attempts: 6,
             events_processed: 0,
@@ -218,32 +201,27 @@ impl Simulator {
         }
     }
 
+    /// Timer bookkeeping consistency: every armed `(node, token)` pair
+    /// has exactly one queued timer event. Queued events whose token is
+    /// no longer armed are the cancelled ones, dropped when they
+    /// surface; chaos soaks assert this after runs full of crashes.
+    pub fn timer_accounting_consistent(&self) -> bool {
+        let mut queued: BTreeMap<(NodeId, u64), usize> = BTreeMap::new();
+        for event in self.queue.iter() {
+            if let EventKind::Timer { token, .. } = event.kind {
+                *queued.entry((event.dst, token)).or_default() += 1;
+            }
+        }
+        self.armed_timers.iter().all(|(&node, tokens)| {
+            tokens
+                .iter()
+                .all(|&token| queued.get(&(node, token)) == Some(&1))
+        })
+    }
+
     /// Configures the reliable-delivery layer: first retransmission
     /// after `base` (doubling each attempt), giving up after
     /// `max_attempts` total transmissions. Defaults: 50 ms, 6 attempts.
-    /// Overrides the idle horizon after which per-pair dedup windows
-    /// are evicted (zero disables eviction entirely).
-    pub fn set_dedup_idle_horizon(&mut self, horizon: Duration) {
-        self.dedup_idle_horizon = horizon;
-    }
-
-    /// Number of live per-pair dedup windows (also exported as the
-    /// `dedup-windows` stat whenever an eviction sweep runs).
-    pub fn dedup_windows(&self) -> usize {
-        self.dedup.len()
-    }
-
-    /// Timer bookkeeping consistency: every armed `(node, token)` pair
-    /// holds a handle to exactly one pending timer event in the wheel,
-    /// and the wheel holds no timer event outside the armed map. The
-    /// pre-wheel scheduler kept a `cancelled` tombstone set that leaked
-    /// entries for timers dropped by a crash; chaos soaks assert this
-    /// to pin the fix.
-    pub fn timer_accounting_consistent(&self) -> bool {
-        let armed: usize = self.armed_timers.values().map(|m| m.len()).sum();
-        armed == self.queue.pending_timers()
-    }
-
     pub fn set_reliable_policy(&mut self, base: Duration, max_attempts: u32) {
         self.reliable_base = base;
         self.reliable_max_attempts = max_attempts.max(1);
@@ -361,13 +339,7 @@ impl Simulator {
     pub fn crash(&mut self, node: NodeId) {
         let was_crashed = self.topo.is_crashed(node);
         self.topo.crash(node);
-        if let Some(timers) = self.armed_timers.remove(&node) {
-            // O(1) removal straight from the wheel: nothing is left
-            // behind to fire, and no tombstone set can leak.
-            for handle in timers.into_values() {
-                self.queue.cancel(handle);
-            }
-        }
+        self.armed_timers.remove(&node);
         let dead: Vec<u64> = self
             .pending_reliable
             .iter()
@@ -595,12 +567,12 @@ impl Simulator {
     /// (e.g. periodic timers keep the queue non-empty forever).
     pub fn run_until_quiet(&mut self, max: u64) -> bool {
         for _ in 0..max {
-            if self.queue.is_empty() {
+            if self.queue.len() == 0 {
                 return true;
             }
             self.step();
         }
-        self.queue.is_empty()
+        self.queue.len() == 0
     }
 
     /// Processes a single event. Returns `false` when the queue is
@@ -635,13 +607,13 @@ impl Simulator {
                 return;
             }
             EventKind::Timer { token, .. } => {
-                // A firing timer is by definition still armed: cancels
-                // (explicit or via crash) removed the event from the
-                // wheel, so no tombstone check is needed here.
-                if let Some(set) = self.armed_timers.get_mut(&dst) {
-                    set.remove(token);
-                }
-                if self.topo.is_crashed(dst) {
+                // Disarm on firing; a token already disarmed was
+                // cancelled, explicitly or by a crash.
+                let armed = self
+                    .armed_timers
+                    .get_mut(&dst)
+                    .is_some_and(|tokens| tokens.remove(token));
+                if !armed || self.topo.is_crashed(dst) {
                     return;
                 }
             }
@@ -682,9 +654,7 @@ impl Simulator {
                 // Always ack — a duplicate usually means our previous
                 // ack was lost, so the sender needs another one.
                 self.send_ack(dst, from, msg_id);
-                self.maybe_sweep_dedup();
-                let now = self.now;
-                if !self.dedup.entry((dst, from)).or_default().fresh(msg_id, now) {
+                if !self.dedup.entry((dst, from)).or_default().fresh(msg_id) {
                     self.stats.bump("reliable-dup-dropped", 1);
                     self.record(TraceEvent::Dropped {
                         at: self.now,
@@ -830,28 +800,6 @@ impl Simulator {
 
     /// Emits the network-layer ack for a received reliable frame. Acks
     /// travel the same lossy network as everything else.
-    /// Evicts dedup windows idle past the configured horizon. Runs at
-    /// most once per horizon, from the reliable receive path, so the
-    /// sweep schedule is a pure function of the event timeline
-    /// (deterministic across replays; no RNG, ordered iteration).
-    fn maybe_sweep_dedup(&mut self) {
-        let horizon = self.dedup_idle_horizon.as_micros();
-        if horizon == 0
-            || self.now.as_micros() - self.last_dedup_sweep.as_micros() < horizon
-        {
-            return;
-        }
-        self.last_dedup_sweep = self.now;
-        let cutoff = self.now.as_micros().saturating_sub(horizon);
-        let before = self.dedup.len();
-        self.dedup.retain(|_, w| w.last_seen.as_micros() >= cutoff);
-        let evicted = before - self.dedup.len();
-        if evicted > 0 {
-            self.stats.bump("dedup-evicted", evicted as u64);
-        }
-        self.stats.set("dedup-windows", self.dedup.len() as u64);
-    }
-
     fn send_ack(&mut self, acker: NodeId, to: NodeId, msg_id: u64) {
         self.stats.record_send("reliable-ack", ACK_WIRE_BYTES, 1);
         self.transmit(
@@ -1011,23 +959,19 @@ impl Simulator {
                         ),
                         None => delay,
                     };
-                    let handle = self.queue.push(
+                    self.queue.push(
                         self.now + after + delay,
                         src,
                         EventKind::Timer { tag, token },
                     );
-                    self.armed_timers.entry(src).or_default().insert(token, handle);
+                    self.armed_timers.entry(src).or_default().insert(token);
                 }
                 Action::CancelTimer { token } => {
-                    // Tokens are node-scoped in practice but globally
-                    // unique, so removing from the caller's map is
-                    // exact; the wheel drops the event immediately.
-                    if let Some(handle) = self
-                        .armed_timers
-                        .get_mut(&src)
-                        .and_then(|timers| timers.remove(&token))
-                    {
-                        self.queue.cancel(handle);
+                    // Tokens are globally unique, so removing from the
+                    // caller's set is exact; the queued event is dropped
+                    // when it surfaces.
+                    if let Some(tokens) = self.armed_timers.get_mut(&src) {
+                        tokens.remove(&token);
                     }
                 }
                 Action::JoinGroup { group } => {
@@ -1724,12 +1668,9 @@ mod reliable_tests {
         assert_eq!(n.fires, 0, "a timer armed before the crash leaked through restart");
     }
 
-    /// Satellite fix (ISSUE 7): the pre-wheel scheduler tracked cancels
-    /// in a `cancelled` tombstone set that only shrank when the doomed
-    /// event *fired* — timers dropped by a crash leaked their tokens
-    /// forever. The wheel cancels in place; after any mix of explicit
-    /// cancels, crashes, and fires the armed-timer bookkeeping must
-    /// exactly mirror the queue with no residue.
+    /// After any mix of explicit cancels, crashes and fires the armed
+    /// tokens exactly mirror the queued timer events, and every
+    /// cancelled event is dropped when it surfaces.
     #[test]
     fn cancelled_and_crashed_timers_leave_no_residue() {
         struct Armer {
@@ -1775,49 +1716,84 @@ mod reliable_tests {
             sim.armed_timers.get(&b).is_none_or(|m| m.is_empty()),
             "fired timers left armed-timer entries behind"
         );
-        assert_eq!(sim.queue.pending_timers(), 0, "timer events leaked in the queue");
+        assert_eq!(sim.queue.len(), 0, "cancelled timer events were never dropped");
     }
 
-    /// Satellite fix (ISSUE 7): dedup windows for pairs that stopped
-    /// talking are evicted after the idle horizon, and the stats
-    /// surface both the eviction count and the live-window gauge.
+    /// Cancelling a timer that already fired cancels nothing: a second
+    /// timer armed for the same deadline still fires.
     #[test]
-    fn idle_dedup_windows_are_evicted() {
-        struct Pinger {
-            target: NodeId,
-            rounds: u32,
+    fn cancelling_a_fired_timer_leaves_its_twin_armed() {
+        struct Twins {
+            first: Option<crate::context::TimerToken>,
+            fired: Vec<u64>,
         }
-        impl Node for Pinger {
+        impl Node for Twins {
             fn on_start(&mut self, ctx: &mut Context<'_>) {
-                ctx.send_reliable(self.target, "ping", vec![0]);
-                ctx.set_timer(Duration::from_secs(1), 0);
+                self.first = Some(ctx.set_timer(Duration::from_millis(10), 1));
+                ctx.set_timer(Duration::from_millis(10), 2);
             }
             fn on_message(&mut self, _ctx: &mut Context<'_>, _from: NodeId, _bytes: &[u8]) {}
-            fn on_timer(&mut self, ctx: &mut Context<'_>, _tag: u64) {
-                if self.rounds > 0 {
-                    self.rounds -= 1;
-                    ctx.send_reliable(self.target, "ping", vec![0]);
-                    ctx.set_timer(Duration::from_secs(1), 0);
+            fn on_timer(&mut self, ctx: &mut Context<'_>, tag: u64) {
+                self.fired.push(tag);
+                if let (1, Some(first)) = (tag, self.first) {
+                    ctx.cancel_timer(first);
                 }
             }
         }
-        let mut sim = Simulator::new(35);
-        sim.set_dedup_idle_horizon(Duration::from_secs(5));
-        let sink_a = sim.add_node(Counter { got: 0 });
-        let sink_b = sim.add_node(Counter { got: 0 });
-        // One burst to sink_a, then silence towards it; steady pings to
-        // sink_b keep the simulation (and the sweep) running.
-        sim.add_node(Pinger { target: sink_a, rounds: 0 });
-        sim.add_node(Pinger { target: sink_b, rounds: 30 });
-        assert!(sim.run_until_quiet(1_000_000));
-        // The (sink_a, pinger) window went idle > 5s before the last
-        // sweep and must be gone; the (sink_b, pinger) window survives.
-        assert_eq!(sim.dedup_windows(), 1);
-        assert!(sim.stats().counter("dedup-evicted") >= 1);
-        assert_eq!(sim.stats().counter("dedup-windows"), 1);
-        // Both sinks still saw every payload exactly once.
-        assert_eq!(sim.node::<Counter>(sink_a).got, 1);
-        assert_eq!(sim.node::<Counter>(sink_b).got, 31);
+        let mut sim = Simulator::new(36);
+        let node = sim.add_node(Twins {
+            first: None,
+            fired: Vec::new(),
+        });
+        sim.run_for(Duration::from_millis(20));
+        assert_eq!(sim.node::<Twins>(node).fired, vec![1, 2]);
+        // Once more from outside, after both fired: still nothing.
+        sim.invoke(node, |n: &mut Twins, ctx| {
+            if let Some(first) = n.first {
+                ctx.cancel_timer(first);
+            }
+            ctx.set_timer(Duration::from_millis(10), 3);
+        });
+        assert!(sim.timer_accounting_consistent());
+        sim.run_for(Duration::from_millis(20));
+        assert_eq!(sim.node::<Twins>(node).fired, vec![1, 2, 3]);
+        assert!(sim.timer_accounting_consistent());
+    }
+
+    /// A node that crashes with timers armed and restarts at once,
+    /// re-arming a timer for the deadline one of the old ones had: the
+    /// old timers are dropped and the new one fires exactly once.
+    #[test]
+    fn a_timer_rearmed_on_restart_fires_once_and_the_crashed_ones_never() {
+        struct Rearmer {
+            fired: Vec<u64>,
+        }
+        impl Node for Rearmer {
+            fn on_start(&mut self, ctx: &mut Context<'_>) {
+                ctx.set_timer(Duration::from_millis(50), 1);
+                ctx.set_timer(Duration::from_millis(80), 2);
+            }
+            fn on_message(&mut self, _ctx: &mut Context<'_>, _from: NodeId, _bytes: &[u8]) {}
+            fn on_timer(&mut self, _ctx: &mut Context<'_>, tag: u64) {
+                self.fired.push(tag);
+            }
+            fn on_restarted(&mut self, ctx: &mut Context<'_>) {
+                // Restarted at 10 ms: due at 50 ms, like tag 1.
+                ctx.set_timer(Duration::from_millis(40), 3);
+            }
+        }
+        let mut sim = Simulator::new(37);
+        let node = sim.add_node(Rearmer { fired: Vec::new() });
+        sim.run_for(Duration::from_millis(10));
+        assert!(sim.timer_accounting_consistent());
+        sim.crash(node);
+        assert!(sim.timer_accounting_consistent());
+        assert!(sim.restart(node));
+        assert!(sim.timer_accounting_consistent());
+        while sim.step() {
+            assert!(sim.timer_accounting_consistent());
+        }
+        assert_eq!(sim.node::<Rearmer>(node).fired, vec![3]);
     }
 }
 

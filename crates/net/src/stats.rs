@@ -53,13 +53,6 @@ impl Stats {
         self.by_kind.get(kind).copied().unwrap_or_default()
     }
 
-    /// Sets the custom metric `key` to an absolute value — for gauges
-    /// like `dedup-windows` that report a current level rather than an
-    /// accumulating count.
-    pub fn set(&mut self, key: &'static str, value: u64) {
-        self.custom.insert(key, value);
-    }
-
     /// A custom counter's value (zero if never bumped).
     pub fn counter(&self, key: &str) -> u64 {
         self.custom.get(key).copied().unwrap_or(0)
