@@ -32,7 +32,7 @@ impl AreaController {
             );
             self.last_area_mcast = ctx.now();
         }
-        Timer::IdleAlive.arm(ctx, self.cfg.t_idle);
+        Timer::IdleAlive.arm(&mut self.timers, ctx, self.cfg.t_idle);
     }
 
     /// Periodic sweep: evict silent or expired members, time out
@@ -75,7 +75,7 @@ impl AreaController {
             self.resolve_unverified_rejoin(ctx, node);
         }
 
-        Timer::Sweep.arm(ctx, self.cfg.t_active);
+        Timer::Sweep.arm(&mut self.timers, ctx, self.cfg.t_active);
     }
 
     /// Freshness timer: flush pending updates even without data traffic
@@ -87,7 +87,7 @@ impl AreaController {
         } else if self.cfg.idle_freshness_rekey && self.durable.image.tree.member_count() > 0 {
             self.freshness_rotate(ctx);
         }
-        Timer::Rekey.arm(ctx, self.cfg.rekey_interval);
+        Timer::Rekey.arm(&mut self.timers, ctx, self.cfg.rekey_interval);
     }
 
     /// Rotates only the area key, multicast under its previous value —
@@ -113,7 +113,7 @@ impl AreaController {
         {
             self.start_parent_switch(ctx);
         }
-        Timer::ParentCheck.arm(ctx, self.cfg.t_idle);
+        Timer::ParentCheck.arm(&mut self.timers, ctx, self.cfg.t_idle);
     }
 
     /// Picks the next preferred parent and sends a signed area-join

@@ -42,6 +42,7 @@ use crate::identity::{AreaId, ClientId, DeviceId};
 use crate::msg::{Msg, RejoinDenyReason};
 use crate::node_keys::NodeKeys;
 use crate::rekey::KeyState;
+use crate::timer::PendingTimers;
 use mykil_crypto::envelope::EnvelopeKey;
 use mykil_crypto::keys::SymmetricKey;
 use mykil_crypto::rsa::{RsaKeyPair, RsaPublicKey};
@@ -274,6 +275,8 @@ pub struct AreaController {
     pub(crate) backup_presumed_dead: bool,
     /// Reliable-send token of the outstanding `Demote`, if any.
     pub(crate) pending_demote: Option<MsgToken>,
+    /// The timer kinds with a firing queued.
+    pub(crate) timers: PendingTimers,
 
     /// Operation counters.
     pub stats: AcStats,
@@ -335,6 +338,7 @@ impl AreaController {
             last_backup_ack: Time::ZERO,
             backup_presumed_dead: false,
             pending_demote: None,
+            timers: PendingTimers::default(),
             stats: AcStats::default(),
             tree_seed,
             deploy,
@@ -477,23 +481,25 @@ impl AreaController {
     /// Restarts the liveness clocks and arms the timers of the current
     /// role: at start-up, after recovery, and whenever the role changes
     /// hands. The other role's timers die on their next firing
-    /// (`on_timer` checks the role for each kind).
+    /// (`on_timer` checks the role for each kind). A kind still queued
+    /// from an earlier stint in this role keeps that chain: `arm` does
+    /// not start a second one.
     pub(crate) fn resume_role(&mut self, ctx: &mut Context<'_>) {
         self.last_heard_parent = ctx.now();
         self.last_heartbeat = ctx.now();
         self.last_backup_ack = ctx.now();
         match self.durable.role {
             Role::Primary => {
-                Timer::IdleAlive.arm(ctx, self.cfg.t_idle);
-                Timer::Sweep.arm(ctx, self.cfg.t_active);
-                Timer::Rekey.arm(ctx, self.cfg.rekey_interval);
-                Timer::ParentCheck.arm(ctx, self.cfg.t_idle);
+                Timer::IdleAlive.arm(&mut self.timers, ctx, self.cfg.t_idle);
+                Timer::Sweep.arm(&mut self.timers, ctx, self.cfg.t_active);
+                Timer::Rekey.arm(&mut self.timers, ctx, self.cfg.rekey_interval);
+                Timer::ParentCheck.arm(&mut self.timers, ctx, self.cfg.t_idle);
                 if self.durable.backup.is_some() {
-                    Timer::Heartbeat.arm(ctx, self.cfg.heartbeat_interval);
+                    Timer::Heartbeat.arm(&mut self.timers, ctx, self.cfg.heartbeat_interval);
                 }
             }
             Role::Backup { .. } => {
-                Timer::BackupWatch.arm(ctx, self.cfg.heartbeat_interval);
+                Timer::BackupWatch.arm(&mut self.timers, ctx, self.cfg.heartbeat_interval);
             }
         }
     }
@@ -724,7 +730,7 @@ impl Node for AreaController {
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_>, tag: u64) {
-        let Some(timer) = Timer::from_tag(tag) else {
+        let Some(timer) = Timer::fired(&mut self.timers, tag) else {
             return;
         };
         let primary = self.durable.role == Role::Primary;

@@ -47,6 +47,7 @@ use crate::durable::{
     AcCheckpoint, AcWalRecord, Seed, CHECKPOINT_WAL_RECORDS, SYNC_BACKLOG_RECORDS,
 };
 use crate::identity::{AreaId, ClientId, DeviceId};
+use crate::timer::PendingTimers;
 use mykil_crypto::rsa::RsaPublicKey;
 use mykil_net::{Context, GroupId, NodeId, SecretBytes, Time};
 use mykil_tree::{AreaTree, MemberId, RekeyPlan};
@@ -423,6 +424,7 @@ impl AreaController {
         self.last_backup_ack = Time::ZERO;
         self.backup_presumed_dead = false;
         self.pending_demote = None;
+        self.timers = PendingTimers::default();
     }
 
     /// Post-recovery key resynchronization (primary role).

@@ -265,7 +265,7 @@ impl AreaController {
                 self.owe_image();
             }
         }
-        Timer::Heartbeat.arm(ctx, self.cfg.heartbeat_interval);
+        Timer::Heartbeat.arm(&mut self.timers, ctx, self.cfg.heartbeat_interval);
     }
 
     /// Backup liveness tracking (primary role): `HeartbeatAck` refreshes
@@ -420,7 +420,7 @@ impl AreaController {
         if silence >= threshold {
             self.take_over(ctx, primary);
         } else {
-            Timer::BackupWatch.arm(ctx, self.cfg.heartbeat_interval);
+            Timer::BackupWatch.arm(&mut self.timers, ctx, self.cfg.heartbeat_interval);
         }
     }
 
@@ -590,7 +590,7 @@ impl AreaController {
         // the original takeover announcement; repeat it now that both
         // sides can hear it.
         self.announce_takeover(ctx);
-        Timer::Heartbeat.arm(ctx, self.cfg.heartbeat_interval);
+        Timer::Heartbeat.arm(&mut self.timers, ctx, self.cfg.heartbeat_interval);
         self.sync_backup(ctx);
     }
 

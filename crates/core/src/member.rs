@@ -23,6 +23,7 @@ use crate::identity::{AreaId, ClientId, DeviceId};
 use crate::msg::{Msg, RejoinDenyReason};
 use crate::node_keys::{takeover_signed_bytes, NodeKeys};
 use crate::rekey::{decode_path, receive_key_update, KeyState};
+use crate::timer::PendingTimers;
 use crate::welcome::Welcome;
 use crate::wire::{self, Writer};
 use mykil_crypto::envelope;
@@ -111,6 +112,8 @@ pub struct Member {
     refresh_owed: bool,
     /// When the current phase was entered (handshake retry timer).
     phase_since: Time,
+    /// The timer kinds with a firing queued.
+    timers: PendingTimers,
     /// Key paths that arrived before the welcome (a small unicast can
     /// overtake the larger join-step-7 message); replayed after install.
     stashed_paths: Vec<Vec<(u32, SymmetricKey)>>,
@@ -186,6 +189,7 @@ impl Member {
             last_refresh_request: Time::ZERO,
             refresh_owed: false,
             phase_since: Time::ZERO,
+            timers: PendingTimers::default(),
             stashed_paths: Vec::new(),
             next_seq: 0,
             rejoin_target: None,
@@ -707,8 +711,8 @@ impl Node for Member {
         if self.auto {
             self.start_join(ctx);
         }
-        Timer::Alive.arm(ctx, self.cfg.t_active);
-        Timer::Disconnect.arm(ctx, self.cfg.t_idle);
+        Timer::Alive.arm(&mut self.timers, ctx, self.cfg.t_active);
+        Timer::Disconnect.arm(&mut self.timers, ctx, self.cfg.t_idle);
     }
 
     fn on_message(&mut self, ctx: &mut Context<'_>, from: NodeId, bytes: &[u8]) {
@@ -830,14 +834,15 @@ impl Node for Member {
         self.last_sent_ac = Time::ZERO;
         self.last_refresh_request = Time::ZERO;
         self.phase_since = Time::ZERO;
+        self.timers = PendingTimers::default();
     }
 
     fn on_restarted(&mut self, ctx: &mut Context<'_>) {
         ctx.stats().bump("member-restarts", 1);
         // The crash dropped both liveness timers; re-arm them and let
         // the disconnect detector start from a fresh clock.
-        Timer::Alive.arm(ctx, self.cfg.t_active);
-        Timer::Disconnect.arm(ctx, self.cfg.t_idle);
+        Timer::Alive.arm(&mut self.timers, ctx, self.cfg.t_active);
+        Timer::Disconnect.arm(&mut self.timers, ctx, self.cfg.t_idle);
         self.last_heard_ac = ctx.now();
         if !self.auto {
             // Manually driven members never self-initiate a handshake;
@@ -853,7 +858,7 @@ impl Node for Member {
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_>, tag: u64) {
-        let Some(timer) = Timer::from_tag(tag) else {
+        let Some(timer) = Timer::fired(&mut self.timers, tag) else {
             return;
         };
         match timer {
@@ -866,7 +871,7 @@ impl Node for Member {
                         ctx.send(ac, "alive", Msg::MemberAlive { client }.to_bytes());
                     }
                 }
-                Timer::Alive.arm(ctx, self.cfg.t_active);
+                Timer::Alive.arm(&mut self.timers, ctx, self.cfg.t_active);
             }
             Timer::Disconnect => {
                 // Subscription expiry: re-register through the RS (the
@@ -890,7 +895,7 @@ impl Node for Member {
                 } else if self.auto && self.handshake_stuck(ctx.now()) {
                     self.retry_handshake(ctx);
                 }
-                Timer::Disconnect.arm(ctx, self.cfg.t_idle);
+                Timer::Disconnect.arm(&mut self.timers, ctx, self.cfg.t_idle);
             }
         }
     }

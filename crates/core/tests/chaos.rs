@@ -172,10 +172,11 @@ fn chaos_soak_invariants_hold_across_seeds() {
             continue;
         }
 
-        // Scheduler hygiene: after a soak full of crashes every armed
-        // timer token still has exactly one queued event.
-        if !g.sim.timer_accounting_consistent() {
-            eprintln!("seed {label}: timer bookkeeping left residue after the soak");
+        // Timer hygiene: after a soak full of crashes, restarts and
+        // role changes, no node runs a timer kind as two chains.
+        let twice = g.sim.duplicate_timers();
+        if !twice.is_empty() {
+            eprintln!("seed {label}: (node, timer tag) running as two chains: {twice:?}");
             failed.push(label);
         }
     }
@@ -225,6 +226,37 @@ fn split_brain_heal_replays_from_dumped_schedule() {
         vec![],
         "invariants violated after split-brain reconciliation"
     );
+}
+
+/// Replay regression: seed 49's role flap, shrunk by hand. Area 0's
+/// backup (node 4) takes over at 6.4 s, is fenced back at 7.25 s and
+/// takes over again at 7.65 s, while its first stint's 2 s `Rekey`
+/// firing is still queued: arming the role must not start a second
+/// chain.
+#[test]
+fn role_flap_runs_each_timer_kind_once() {
+    const SCHEDULE: &str = "\
+# seed 49, shrunk: the area-0 pair changes hands three times.
+6000000 partition 4 1
+6500000 heal
+6700000 partition 1 1
+7200000 heal
+7300000 partition 4 1
+7900000 heal
+";
+    let plan = FaultPlan::parse(SCHEDULE).expect("schedule parses");
+    let mut g = soak_group(49);
+    assert_eq!(g.backups[0].index(), 4, "canonical node layout drifted");
+    let mut driver = ChaosDriver::new(plan);
+    driver.run_until(&mut g.sim, Time::from_secs(10));
+    g.run_for(Duration::from_secs(4));
+
+    // The flap happened: node 4 ends primary, node 1 its backup.
+    assert!(g.stats().counter("ac-takeovers") >= 3);
+    assert_eq!(g.backup(0).role(), Role::Primary);
+    assert_eq!(g.ac(0).role(), Role::Backup { primary: g.backups[0] });
+    assert_eq!(g.sim.duplicate_timers(), vec![]);
+    assert_eq!(InvariantChecker::new().check(&g), vec![]);
 }
 
 /// The registration server crashes while a member's join is in

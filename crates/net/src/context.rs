@@ -7,10 +7,6 @@ use crate::storage::{Recovered, StableStore};
 use crate::time::{Duration, Time};
 use mykil_crypto::drbg::Drbg;
 
-/// Handle to a pending timer, used to cancel it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct TimerToken(pub(crate) u64);
-
 /// Handle to a reliable send (see [`Context::send_reliable`]): identifies
 /// the message in the [`Node`](crate::Node) ack/expiry callbacks and can
 /// cancel a pending retransmission via [`Context::cancel_reliable`].
@@ -50,11 +46,7 @@ pub(crate) enum Action {
     SetTimer {
         delay: Duration,
         tag: u64,
-        token: u64,
         after: Duration,
-    },
-    CancelTimer {
-        token: u64,
     },
     JoinGroup {
         group: GroupId,
@@ -97,7 +89,6 @@ pub struct Context<'a> {
     pub(crate) stats: &'a mut Stats,
     pub(crate) actions: Vec<Action>,
     pub(crate) compute: Duration,
-    pub(crate) next_token: &'a mut u64,
     pub(crate) next_msg_id: &'a mut u64,
     pub(crate) storage: &'a mut dyn StableStore,
 }
@@ -216,22 +207,19 @@ impl<'a> Context<'a> {
     }
 
     /// Schedules [`Node::on_timer`](crate::Node::on_timer) with `tag`
-    /// after `delay`; returns a token for cancellation.
-    pub fn set_timer(&mut self, delay: Duration, tag: u64) -> TimerToken {
-        let token = *self.next_token;
-        *self.next_token += 1;
+    /// after `delay`.
+    ///
+    /// A timer cannot be cancelled. It belongs to the node's current
+    /// incarnation: once the node crashes it never fires, even if the
+    /// node has restarted by its deadline. A node that must not run two
+    /// chains of one periodic timer keeps track of what it armed (the
+    /// protocol roles arm each kind at most once).
+    pub fn set_timer(&mut self, delay: Duration, tag: u64) {
         self.actions.push(Action::SetTimer {
             delay,
             tag,
-            token,
             after: self.compute,
         });
-        TimerToken(token)
-    }
-
-    /// Cancels a pending timer; a no-op if it already fired.
-    pub fn cancel_timer(&mut self, token: TimerToken) {
-        self.actions.push(Action::CancelTimer { token: token.0 });
     }
 
     /// Subscribes this node to a multicast group.

@@ -2,10 +2,11 @@
 //! is the insertion counter, so simultaneous events pop in the order
 //! they were scheduled (this is what makes runs deterministic).
 //!
-//! The queue cancels nothing. A timer that was cancelled, or whose node
-//! crashed, stays queued and the simulator drops it when it surfaces,
-//! because its token is no longer armed — as it drops the retransmission
-//! of an acknowledged message.
+//! The queue cancels nothing. A timer or restart notification whose
+//! node has crashed since it was queued stays queued, and the simulator
+//! drops it when it surfaces, because the incarnation it carries is no
+//! longer the node's — as it drops the retransmission of an
+//! acknowledged message.
 
 use crate::id::NodeId;
 use crate::time::Time;
@@ -54,16 +55,18 @@ pub(crate) enum EventKind {
         kind: &'static str,
         transport: Transport,
     },
-    /// Fire a timer with the given tag.
-    Timer { tag: u64, token: u64 },
+    /// Fire a timer with the given tag, armed by the node's
+    /// `incarnation`-th run (its restart count when the timer was set).
+    Timer { tag: u64, incarnation: u64 },
     /// Retry a reliable send (`dst` is the original sender); a no-op if
     /// the message was acknowledged or cancelled in the meantime.
     Retransmit { msg_id: u64 },
     /// Invoke `on_start` for a node added while the simulation runs.
     Start,
-    /// Invoke `on_restarted` for a node that recovered from a crash
-    /// (skipped if the node crashed again before the event fires).
-    Restarted,
+    /// Invoke `on_restarted` for a node that recovered from a crash, as
+    /// its `incarnation`-th run (skipped if the node crashed again,
+    /// whether or not it has restarted since).
+    Restarted { incarnation: u64 },
 }
 
 #[derive(Debug)]
@@ -129,7 +132,7 @@ impl EventQueue {
     }
 
     /// Every queued event, in no particular order (for the simulator's
-    /// timer accounting check, not the hot path).
+    /// duplicate-timer check, not the hot path).
     pub fn iter(&self) -> impl Iterator<Item = &Event> {
         self.heap.iter()
     }
@@ -143,7 +146,7 @@ mod tests {
         q.push(
             Time::from_micros(at_us),
             NodeId::from_index(0),
-            EventKind::Timer { tag, token: 0 },
+            EventKind::Timer { tag, incarnation: 0 },
         );
     }
 
@@ -267,7 +270,7 @@ mod tests {
                 queue.push(
                     Time::from_micros(at),
                     NodeId::from_index(0),
-                    EventKind::Timer { tag, token: 0 },
+                    EventKind::Timer { tag, incarnation: 0 },
                 );
                 reference.push(at, tag);
                 tag += 1;

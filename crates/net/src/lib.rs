@@ -70,7 +70,7 @@ mod topology;
 mod trace;
 
 pub use chaos::{ChaosDriver, ChaosOptions, FaultPlan, FaultSpec, TimedFault};
-pub use context::{Context, MsgToken, TimerToken};
+pub use context::{Context, MsgToken};
 pub use file_store::{crc32, scratch_dir, FileStore};
 pub use id::{GroupId, NodeId};
 pub use latency::LatencyModel;

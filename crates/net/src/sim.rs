@@ -24,7 +24,7 @@ pub trait Node: Any {
     fn on_start(&mut self, _ctx: &mut Context<'_>) {}
 
     /// Called after the node recovers from a crash (see
-    /// [`Simulator::restart`]). A crash cancels every timer the node had
+    /// [`Simulator::restart`]). A crash retires every timer the node had
     /// pending and wipes volatile state (see
     /// [`Node::on_crashed_volatile_reset`]), so implementors must re-arm
     /// their periodic timers here and reconstruct state from stable
@@ -130,7 +130,6 @@ pub struct Simulator {
     rng: Drbg,
     now: Time,
     latency: LatencyModel,
-    next_token: u64,
     next_msg_id: u64,
     pending_reliable: BTreeMap<u64, PendingReliable>,
     dedup: BTreeMap<(NodeId, NodeId), DedupWindow>,
@@ -144,15 +143,10 @@ pub struct Simulator {
     /// Per-node timer scale in permille (1000 = nominal); nodes absent
     /// from the map run their timers at nominal speed.
     timer_skew: BTreeMap<NodeId, u32>,
-    /// Armed timer tokens per node. Cancelling (explicitly or by a
-    /// crash) removes the token; the timer's event stays queued and is
-    /// dropped when it surfaces with its token no longer armed.
-    armed_timers: BTreeMap<NodeId, BTreeSet<u64>>,
-    /// Completed crash/restart cycles per node. Recovery is allowed to
-    /// roll volatile counters backwards (a corrupt checkpoint falls
-    /// back to an older slot), so monotonicity checkers use this to
-    /// scope their baselines to one process incarnation.
-    restart_counts: BTreeMap<NodeId, u64>,
+    /// Completed crash/restart cycles per node, parallel to `nodes`:
+    /// the number of its current incarnation, which its timer and
+    /// restart events carry (see [`Self::restart_count`]).
+    incarnations: Vec<u64>,
 }
 
 impl std::fmt::Debug for Simulator {
@@ -184,7 +178,6 @@ impl Simulator {
             rng: Drbg::from_seed(seed),
             now: Time::ZERO,
             latency,
-            next_token: 0,
             next_msg_id: 0,
             pending_reliable: BTreeMap::new(),
             dedup: BTreeMap::new(),
@@ -196,27 +189,27 @@ impl Simulator {
             reorder_per_mille: 0,
             reorder_window: Duration::ZERO,
             timer_skew: BTreeMap::new(),
-            armed_timers: BTreeMap::new(),
-            restart_counts: BTreeMap::new(),
+            incarnations: Vec::new(),
         }
     }
 
-    /// Timer bookkeeping consistency: every armed `(node, token)` pair
-    /// has exactly one queued timer event. Queued events whose token is
-    /// no longer armed are the cancelled ones, dropped when they
-    /// surface; chaos soaks assert this after runs full of crashes.
-    pub fn timer_accounting_consistent(&self) -> bool {
-        let mut queued: BTreeMap<(NodeId, u64), usize> = BTreeMap::new();
+    /// Each `(node, tag)` with two or more live firings queued (live:
+    /// the node is up and in the incarnation that armed it), i.e. a
+    /// periodic timer running as two chains. The protocol's roles arm
+    /// each kind at most once; chaos soaks assert this is empty.
+    pub fn duplicate_timers(&self) -> Vec<(NodeId, u64)> {
+        let mut live: BTreeMap<(NodeId, u64), usize> = BTreeMap::new();
         for event in self.queue.iter() {
-            if let EventKind::Timer { token, .. } = event.kind {
-                *queued.entry((event.dst, token)).or_default() += 1;
+            if let EventKind::Timer { tag, incarnation } = event.kind {
+                if self.is_current(event.dst, incarnation) {
+                    *live.entry((event.dst, tag)).or_default() += 1;
+                }
             }
         }
-        self.armed_timers.iter().all(|(&node, tokens)| {
-            tokens
-                .iter()
-                .all(|&token| queued.get(&(node, token)) == Some(&1))
-        })
+        live.into_iter()
+            .filter(|&(_, firings)| firings > 1)
+            .map(|(timer, _)| timer)
+            .collect()
     }
 
     /// Configures the reliable-delivery layer: first retransmission
@@ -233,6 +226,7 @@ impl Simulator {
     pub fn add_node<N: Node>(&mut self, node: N) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(Some(Box::new(node)));
+        self.incarnations.push(0);
         self.storage.push(FaultyStore::new(match &mut self.storage_factory {
             Some(make) => make(id),
             None => Box::new(SimStore::new()),
@@ -325,10 +319,11 @@ impl Simulator {
         self.topo.heal_partitions();
     }
 
-    /// Crashes a node: it stops sending and receiving, every timer it
-    /// had pending is cancelled, and its pending reliable sends are
-    /// cancelled (a crashed sender's transport state dies with it;
-    /// each cancellation bumps the `reliable-cancelled` stat).
+    /// Crashes a node: it stops sending and receiving, its incarnation
+    /// ends (no timer it had pending fires, nor a restart notification
+    /// still queued), and its pending reliable sends are cancelled (a
+    /// crashed sender's transport state dies with it; each cancellation
+    /// bumps the `reliable-cancelled` stat).
     ///
     /// The node's *volatile* state dies with the process: any armed
     /// storage fault is applied to its [`StableStore`] (unsynced tail
@@ -339,7 +334,6 @@ impl Simulator {
     pub fn crash(&mut self, node: NodeId) {
         let was_crashed = self.topo.is_crashed(node);
         self.topo.crash(node);
-        self.armed_timers.remove(&node);
         let dead: Vec<u64> = self
             .pending_reliable
             .iter()
@@ -363,28 +357,40 @@ impl Simulator {
     }
 
     /// Restarts a crashed node and returns `true` when the node was
-    /// actually down (`recovered`); in that case [`Node::on_restarted`]
-    /// is scheduled so the node can re-arm timers and resynchronize.
-    /// Restarting a live node is a no-op returning `false`.
+    /// actually down (`recovered`); in that case a new incarnation
+    /// begins and [`Node::on_restarted`] is scheduled so the node can
+    /// re-arm timers and resynchronize (once, for the newest
+    /// incarnation). Restarting a live node is a no-op returning `false`.
     pub fn restart(&mut self, node: NodeId) -> bool {
         let recovered = self.topo.is_crashed(node);
         self.topo.restart(node);
         if recovered {
-            *self.restart_counts.entry(node).or_insert(0) += 1;
-            self.queue.push(self.now, node, EventKind::Restarted);
+            self.incarnations[node.index()] += 1;
+            let incarnation = self.incarnations[node.index()];
+            self.queue
+                .push(self.now, node, EventKind::Restarted { incarnation });
         }
         recovered
     }
 
     /// Completed crash/restart cycles for `node` (0 when it has never
-    /// been restarted).
+    /// been restarted): the number of its current incarnation. Recovery
+    /// may roll volatile counters backwards (a corrupt checkpoint falls
+    /// back to an older slot), so monotonicity checkers use this to
+    /// scope their baselines to one incarnation.
     pub fn restart_count(&self, node: NodeId) -> u64 {
-        self.restart_counts.get(&node).copied().unwrap_or(0)
+        self.incarnations[node.index()]
     }
 
     /// Whether the node is currently crashed.
     pub fn is_crashed(&self, node: NodeId) -> bool {
         self.topo.is_crashed(node)
+    }
+
+    /// Whether an event queued by `node`'s `incarnation`-th run may
+    /// still reach it: the node is up and has not restarted since.
+    fn is_current(&self, node: NodeId, incarnation: u64) -> bool {
+        !self.topo.is_crashed(node) && incarnation == self.restart_count(node)
     }
 
     /// Cuts the directed link `from -> to`.
@@ -521,7 +527,6 @@ impl Simulator {
             stats: &mut self.stats,
             actions: Vec::new(),
             compute: Duration::ZERO,
-            next_token: &mut self.next_token,
             next_msg_id: &mut self.next_msg_id,
             storage: &mut self.storage[id.index()],
         };
@@ -590,8 +595,9 @@ impl Simulator {
 
     fn dispatch(&mut self, event: Event) {
         let Event { dst, kind, .. } = event;
-        // Drop deliveries/timers for crashed nodes (messages in flight
-        // to a node that crashed are lost, like a closed TCP socket).
+        // Drop deliveries for crashed nodes (messages in flight to a
+        // node that crashed are lost, like a closed TCP socket), and the
+        // timers and restart notifications of an ended incarnation.
         match &kind {
             EventKind::Deliver {
                 from, kind: mkind, ..
@@ -606,19 +612,10 @@ impl Simulator {
                 });
                 return;
             }
-            EventKind::Timer { token, .. } => {
-                // Disarm on firing; a token already disarmed was
-                // cancelled, explicitly or by a crash.
-                let armed = self
-                    .armed_timers
-                    .get_mut(&dst)
-                    .is_some_and(|tokens| tokens.remove(token));
-                if !armed || self.topo.is_crashed(dst) {
-                    return;
-                }
-            }
-            EventKind::Restarted if self.topo.is_crashed(dst) => {
-                return; // crashed again before the notification fired
+            EventKind::Timer { incarnation, .. } | EventKind::Restarted { incarnation }
+                if !self.is_current(dst, *incarnation) =>
+            {
+                return;
             }
             EventKind::Retransmit { msg_id } => {
                 let msg_id = *msg_id;
@@ -679,7 +676,6 @@ impl Simulator {
             stats: &mut self.stats,
             actions: Vec::new(),
             compute: Duration::ZERO,
-            next_token: &mut self.next_token,
             next_msg_id: &mut self.next_msg_id,
             storage: &mut self.storage[dst.index()],
         };
@@ -701,13 +697,13 @@ impl Simulator {
                 node: dst,
                 tag: *tag,
             }),
-            EventKind::Start | EventKind::Restarted | EventKind::Retransmit { .. } => None,
+            EventKind::Start | EventKind::Restarted { .. } | EventKind::Retransmit { .. } => None,
         };
         match kind {
             EventKind::Deliver { from, bytes, .. } => boxed.on_message(&mut ctx, from, &bytes),
             EventKind::Timer { tag, .. } => boxed.on_timer(&mut ctx, tag),
             EventKind::Start => boxed.on_start(&mut ctx),
-            EventKind::Restarted => boxed.on_restarted(&mut ctx),
+            EventKind::Restarted { .. } => boxed.on_restarted(&mut ctx),
             EventKind::Retransmit { .. } => {} // handled above
         }
         let actions = std::mem::take(&mut ctx.actions);
@@ -732,7 +728,6 @@ impl Simulator {
             stats: &mut self.stats,
             actions: Vec::new(),
             compute: Duration::ZERO,
-            next_token: &mut self.next_token,
             next_msg_id: &mut self.next_msg_id,
             storage: &mut self.storage[id.index()],
         };
@@ -947,32 +942,19 @@ impl Simulator {
                         self.transmit(src, to, kind, bytes.clone(), after, Transport::Plain);
                     }
                 }
-                Action::SetTimer {
-                    delay,
-                    tag,
-                    token,
-                    after,
-                } => {
+                Action::SetTimer { delay, tag, after } => {
                     let delay = match self.timer_skew.get(&src) {
                         Some(&per_mille) => Duration::from_micros(
                             delay.as_micros().saturating_mul(per_mille as u64) / 1000,
                         ),
                         None => delay,
                     };
+                    let incarnation = self.restart_count(src);
                     self.queue.push(
                         self.now + after + delay,
                         src,
-                        EventKind::Timer { tag, token },
+                        EventKind::Timer { tag, incarnation },
                     );
-                    self.armed_timers.entry(src).or_default().insert(token);
-                }
-                Action::CancelTimer { token } => {
-                    // Tokens are globally unique, so removing from the
-                    // caller's set is exact; the queued event is dropped
-                    // when it surfaces.
-                    if let Some(tokens) = self.armed_timers.get_mut(&src) {
-                        tokens.remove(&token);
-                    }
                 }
                 Action::JoinGroup { group } => {
                     self.groups[group.index()].insert(src);
@@ -1094,38 +1076,28 @@ mod tests {
         assert_eq!(sim.node::<Pinger>(pinger).pongs, 1);
     }
 
-    struct Ticker {
-        fired: Vec<u64>,
-        cancel_me: Option<crate::context::TimerToken>,
+    pub(super) struct Ticker {
+        pub(super) fired: Vec<u64>,
     }
 
     impl Node for Ticker {
         fn on_start(&mut self, ctx: &mut Context<'_>) {
-            ctx.set_timer(Duration::from_millis(5), 1);
-            let tok = ctx.set_timer(Duration::from_millis(10), 2);
             ctx.set_timer(Duration::from_millis(15), 3);
-            self.cancel_me = Some(tok);
+            ctx.set_timer(Duration::from_millis(5), 1);
+            ctx.set_timer(Duration::from_millis(10), 2);
         }
         fn on_message(&mut self, _ctx: &mut Context<'_>, _from: NodeId, _bytes: &[u8]) {}
-        fn on_timer(&mut self, ctx: &mut Context<'_>, tag: u64) {
+        fn on_timer(&mut self, _ctx: &mut Context<'_>, tag: u64) {
             self.fired.push(tag);
-            if tag == 1 {
-                if let Some(tok) = self.cancel_me.take() {
-                    ctx.cancel_timer(tok);
-                }
-            }
         }
     }
 
     #[test]
-    fn timers_fire_in_order_and_cancel() {
+    fn timers_fire_in_order() {
         let mut sim = Simulator::new(5);
-        let t = sim.add_node(Ticker {
-            fired: Vec::new(),
-            cancel_me: None,
-        });
+        let t = sim.add_node(Ticker { fired: Vec::new() });
         sim.run_until(Time::from_millis(100));
-        assert_eq!(sim.node::<Ticker>(t).fired, vec![1, 3]);
+        assert_eq!(sim.node::<Ticker>(t).fired, vec![1, 2, 3]);
     }
 
     struct Caster {
@@ -1635,129 +1607,37 @@ mod reliable_tests {
         assert_eq!(sim.node::<TwoPeers>(sender).expired, vec![second]);
     }
 
+    /// A node that stays down past its timers' deadlines and restarts
+    /// after them: none of them fires late. `Ticker` does not re-arm in
+    /// `on_restarted`, so any firing is a leak of the crashed run.
     #[test]
     fn crash_cancels_armed_timers_across_restart() {
-        /// Arms one long timer on first start; deliberately does *not*
-        /// re-arm in `on_restarted`, so any fire after the
-        /// crash/restart cycle is a leak of the pre-crash timer.
-        struct OneShot {
-            fires: u32,
-            restarts: u32,
-        }
-        impl Node for OneShot {
-            fn on_start(&mut self, ctx: &mut Context<'_>) {
-                ctx.set_timer(Duration::from_millis(50), 7);
-            }
-            fn on_message(&mut self, _ctx: &mut Context<'_>, _from: NodeId, _bytes: &[u8]) {}
-            fn on_timer(&mut self, _ctx: &mut Context<'_>, _tag: u64) {
-                self.fires += 1;
-            }
-            fn on_restarted(&mut self, _ctx: &mut Context<'_>) {
-                self.restarts += 1;
-            }
-        }
+        use super::tests::Ticker;
         let mut sim = Simulator::new(33);
-        let node = sim.add_node(OneShot { fires: 0, restarts: 0 });
-        sim.run_for(Duration::from_millis(10));
+        let node = sim.add_node(Ticker { fired: Vec::new() });
+        sim.run_for(Duration::from_millis(1));
         sim.crash(node);
         sim.run_for(Duration::from_millis(10));
         assert!(sim.restart(node));
         sim.run_for(Duration::from_millis(200));
-        let n = sim.node::<OneShot>(node);
-        assert_eq!(n.restarts, 1);
-        assert_eq!(n.fires, 0, "a timer armed before the crash leaked through restart");
+        assert_eq!(sim.node::<Ticker>(node).fired, vec![], "a pre-crash timer leaked");
     }
 
-    /// After any mix of explicit cancels, crashes and fires the armed
-    /// tokens exactly mirror the queued timer events, and every
-    /// cancelled event is dropped when it surfaces.
+    /// A crash is the only cancel: the crashed incarnation's timers
+    /// never fire, even after a restart, and leave nothing queued.
     #[test]
     fn cancelled_and_crashed_timers_leave_no_residue() {
-        struct Armer {
-            tokens: Vec<crate::context::TimerToken>,
-        }
-        impl Node for Armer {
-            fn on_start(&mut self, ctx: &mut Context<'_>) {
-                // Eight long-lived timers; two cancelled immediately.
-                self.tokens = (0..8)
-                    .map(|tag| {
-                        // Tag 0 slightly earlier so it fires first and
-                        // can cancel a sibling from inside a handler.
-                        let delay = Duration::from_secs(if tag == 0 { 59 } else { 60 });
-                        ctx.set_timer(delay, tag)
-                    })
-                    .collect();
-                ctx.cancel_timer(self.tokens[1]);
-                ctx.cancel_timer(self.tokens[2]);
-            }
-            fn on_message(&mut self, _ctx: &mut Context<'_>, _from: NodeId, _bytes: &[u8]) {}
-            fn on_timer(&mut self, ctx: &mut Context<'_>, tag: u64) {
-                if tag == 0 {
-                    ctx.cancel_timer(self.tokens[3]);
-                }
-            }
-        }
+        use super::tests::Ticker;
         let mut sim = Simulator::new(34);
-        let a = sim.add_node(Armer { tokens: Vec::new() });
-        let b = sim.add_node(Armer { tokens: Vec::new() });
+        let a = sim.add_node(Ticker { fired: Vec::new() });
+        let b = sim.add_node(Ticker { fired: Vec::new() });
         sim.run_for(Duration::from_millis(1));
-        assert!(sim.timer_accounting_consistent());
-        // Crash one armer with all eight timers pending.
         sim.crash(a);
-        assert!(sim.timer_accounting_consistent());
-        assert!(
-            !sim.armed_timers.contains_key(&a),
-            "crashed node left armed-timer entries behind"
-        );
-        // Let the surviving armer's timers fire (tag 0 cancels tag 3).
-        sim.run_for(Duration::from_secs(120));
-        assert!(sim.timer_accounting_consistent());
-        assert!(
-            sim.armed_timers.get(&b).is_none_or(|m| m.is_empty()),
-            "fired timers left armed-timer entries behind"
-        );
-        assert_eq!(sim.queue.len(), 0, "cancelled timer events were never dropped");
-    }
-
-    /// Cancelling a timer that already fired cancels nothing: a second
-    /// timer armed for the same deadline still fires.
-    #[test]
-    fn cancelling_a_fired_timer_leaves_its_twin_armed() {
-        struct Twins {
-            first: Option<crate::context::TimerToken>,
-            fired: Vec<u64>,
-        }
-        impl Node for Twins {
-            fn on_start(&mut self, ctx: &mut Context<'_>) {
-                self.first = Some(ctx.set_timer(Duration::from_millis(10), 1));
-                ctx.set_timer(Duration::from_millis(10), 2);
-            }
-            fn on_message(&mut self, _ctx: &mut Context<'_>, _from: NodeId, _bytes: &[u8]) {}
-            fn on_timer(&mut self, ctx: &mut Context<'_>, tag: u64) {
-                self.fired.push(tag);
-                if let (1, Some(first)) = (tag, self.first) {
-                    ctx.cancel_timer(first);
-                }
-            }
-        }
-        let mut sim = Simulator::new(36);
-        let node = sim.add_node(Twins {
-            first: None,
-            fired: Vec::new(),
-        });
-        sim.run_for(Duration::from_millis(20));
-        assert_eq!(sim.node::<Twins>(node).fired, vec![1, 2]);
-        // Once more from outside, after both fired: still nothing.
-        sim.invoke(node, |n: &mut Twins, ctx| {
-            if let Some(first) = n.first {
-                ctx.cancel_timer(first);
-            }
-            ctx.set_timer(Duration::from_millis(10), 3);
-        });
-        assert!(sim.timer_accounting_consistent());
-        sim.run_for(Duration::from_millis(20));
-        assert_eq!(sim.node::<Twins>(node).fired, vec![1, 2, 3]);
-        assert!(sim.timer_accounting_consistent());
+        assert!(sim.restart(a));
+        sim.run_for(Duration::from_secs(1));
+        assert_eq!(sim.node::<Ticker>(a).fired, vec![], "a crashed incarnation's timer fired");
+        assert_eq!(sim.node::<Ticker>(b).fired, vec![1, 2, 3]);
+        assert_eq!(sim.queue.len(), 0, "retired timer events were never dropped");
     }
 
     /// A node that crashes with timers armed and restarts at once,
@@ -1785,15 +1665,52 @@ mod reliable_tests {
         let mut sim = Simulator::new(37);
         let node = sim.add_node(Rearmer { fired: Vec::new() });
         sim.run_for(Duration::from_millis(10));
-        assert!(sim.timer_accounting_consistent());
         sim.crash(node);
-        assert!(sim.timer_accounting_consistent());
         assert!(sim.restart(node));
-        assert!(sim.timer_accounting_consistent());
         while sim.step() {
-            assert!(sim.timer_accounting_consistent());
+            assert!(sim.duplicate_timers().is_empty());
         }
         assert_eq!(sim.node::<Rearmer>(node).fired, vec![3]);
+    }
+
+    /// Crash, restart, crash, restart at one instant: only the second
+    /// restart's notification is delivered, so `on_restarted` runs once
+    /// and the periodic timer it arms runs as one chain.
+    #[test]
+    fn a_double_restart_at_one_instant_restarts_once() {
+        struct Periodic {
+            restarts: u32,
+            fired: u32,
+        }
+        impl Node for Periodic {
+            fn on_message(&mut self, _ctx: &mut Context<'_>, _from: NodeId, _bytes: &[u8]) {}
+            fn on_restarted(&mut self, ctx: &mut Context<'_>) {
+                self.restarts += 1;
+                ctx.set_timer(Duration::from_millis(10), 1);
+            }
+            fn on_timer(&mut self, ctx: &mut Context<'_>, _tag: u64) {
+                self.fired += 1;
+                ctx.set_timer(Duration::from_millis(10), 1);
+            }
+        }
+        let mut sim = Simulator::new(38);
+        let node = sim.add_node(Periodic {
+            restarts: 0,
+            fired: 0,
+        });
+        sim.run_for(Duration::from_millis(10));
+        for _ in 0..2 {
+            sim.crash(node);
+            assert!(sim.restart(node));
+        }
+        assert_eq!(sim.restart_count(node), 2);
+        sim.run_for(Duration::from_millis(5));
+        assert!(sim.duplicate_timers().is_empty());
+        // Restarted at 10 ms: fires at 20, 30, ..., 100 ms.
+        sim.run_until(Time::from_millis(100));
+        let n = sim.node::<Periodic>(node);
+        assert_eq!(n.restarts, 1, "on_restarted ran for an ended incarnation too");
+        assert_eq!(n.fired, 9);
     }
 }
 
