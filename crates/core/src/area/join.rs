@@ -154,15 +154,17 @@ impl AreaController {
         self.recorded_members.insert(client, self.durable.image.epoch);
         self.update_needed = true;
 
-        let backup = self.durable.backup.as_ref();
+        // The pair's other node stands by for whichever of the two runs
+        // the area: the member's key for the next takeover.
+        let standby = self.peer.as_ref();
         Ok(Welcome {
             nonce_echo,
             client,
             area: self.deploy.area,
             group_raw: self.deploy.group.index() as u32,
             ac_node: ctx.id().index() as u32,
-            backup_node: backup.map_or(u32::MAX, |(b, _)| b.index() as u32),
-            backup_pubkey: backup.map_or_else(Vec::new, |(_, pubkey)| pubkey.clone()),
+            backup_node: standby.map_or(u32::MAX, |(node, _)| node.index() as u32),
+            backup_pubkey: standby.map_or_else(Vec::new, |(_, key)| key.to_bytes()),
             ticket: ticket.0,
             path,
             epoch: self.durable.image.epoch,

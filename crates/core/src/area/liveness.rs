@@ -393,8 +393,8 @@ impl AreaController {
         }
     }
 
-    /// A neighboring controller's backup took over; repoint the parent
-    /// link if it was our parent.
+    /// A neighboring area changed hands; repoint the parent link if it
+    /// was our parent.
     pub(crate) fn handle_neighbor_takeover(
         &mut self,
         ctx: &mut Context<'_>,
@@ -407,12 +407,13 @@ impl AreaController {
         if parent.area != area || parent.node == from {
             return;
         }
-        // Validate against the deployment's backup key for that area —
-        // a takeover claim must come from the area's registered backup.
-        let Some(expected) = self.deploy.backups.by_area(area) else {
-            return;
-        };
-        if expected.pubkey != pubkey {
+        // Validate against the deployment's keys for that area — a
+        // takeover claim must come from either node of the area's pair.
+        let deployed = [&self.deploy.directory, &self.deploy.backups]
+            .into_iter()
+            .filter_map(|dir| dir.by_area(area))
+            .any(|info| info.node == from.index() as u32 && info.pubkey == pubkey);
+        if !deployed {
             return;
         }
         let Ok(pk) = mykil_crypto::rsa::RsaPublicKey::from_bytes(pubkey) else {

@@ -63,7 +63,7 @@ crate::timer::timer_kinds! {
         Sweep = 2,
         /// Primary: the periodic (freshness) rekey.
         Rekey = 3,
-        /// Primary: heartbeat the backup.
+        /// Primary: heartbeat the peer.
         Heartbeat = 4,
         /// Backup: watch the primary's heartbeats, take over when they stop.
         BackupWatch = 5,
@@ -81,11 +81,8 @@ pub const AC_MEMBER_BASE: u64 = 1 << 48;
 pub enum Role {
     /// Active controller.
     Primary,
-    /// Replica synchronized from the given primary (Section IV-C).
-    Backup {
-        /// The primary controller's address.
-        primary: NodeId,
-    },
+    /// Replica synchronized from the pair's other node (Section IV-C).
+    Backup,
 }
 
 /// A member as the AC sees it.
@@ -147,19 +144,16 @@ pub struct AcDeployment {
     pub group: GroupId,
     /// Initial parent link, if not the root area.
     pub parent: Option<ParentLink>,
-    /// Backup replica address, if replicated.
-    pub backup: Option<NodeId>,
-    /// Backup replica public key (encoded), if replicated.
-    pub backup_pubkey: Vec<u8>,
-    /// Primary/backup role.
+    /// Primary/backup role. A deployed primary's peer is its area's row
+    /// in `backups`, a deployed backup's its area's row in `directory`.
     pub role: Role,
     /// Registration server address (takeover notifications).
     pub rs_node: NodeId,
     /// Directory of all (primary) ACs — the paper assumes controllers
     /// know one another's public keys.
     pub directory: AcDirectory,
-    /// Directory of backup controllers (area → backup node + key), used
-    /// to validate takeover announcements from neighbors.
+    /// Directory of backup controllers (area → backup node + key): with
+    /// `directory`, each area's controller pair.
     pub backups: AcDirectory,
     /// Preferred alternative parents for failover, in order.
     pub preferred_parents: Vec<ParentLink>,
@@ -203,6 +197,9 @@ pub struct AreaController {
     /// crash-wipe can rebuild the same pristine tree before recovery
     /// replays storage on top of it.
     pub(crate) tree_seed: u64,
+    /// The other controller of this area's pair and its deployment key,
+    /// if replicated: resolved once, from the deployment record.
+    pub(crate) peer: Option<(NodeId, RsaPublicKey)>,
     /// Everything a checkpoint plus a WAL suffix reproduce; every other
     /// field is volatile (see `persist`).
     pub(crate) durable: AcDurable,
@@ -246,6 +243,9 @@ pub struct AreaController {
 
     // Replication.
     pub(crate) repl_key: EnvelopeKey,
+    /// The highest takeover epoch heard from the peer since start-up: a
+    /// takeover claims one above both it and this node's own.
+    pub(crate) heard_epoch: u64,
     pub(crate) hb_seq: u64,
     pub(crate) last_heartbeat: Time,
     /// Records committed since the last checkpoint: what a recovery
@@ -270,8 +270,9 @@ pub struct AreaController {
     pub(crate) hb_floor: u64,
     /// When the backup last acknowledged a heartbeat (primary role).
     pub(crate) last_backup_ack: Time,
-    /// Set after `failover_threshold` unacknowledged heartbeats; stops
-    /// `StateSync` traffic to the dead backup until it acks again.
+    /// Set after `failover_threshold` unacknowledged heartbeats, and by
+    /// a takeover; stops `StateSync` traffic to the peer until it acks
+    /// a heartbeat as backup again.
     pub(crate) backup_presumed_dead: bool,
     /// Reliable-send token of the outstanding `Demote`, if any.
     pub(crate) pending_demote: Option<MsgToken>,
@@ -307,6 +308,14 @@ impl AreaController {
     ) -> AreaController {
         let repl_key =
             EnvelopeKey::new(&k_shared.derive(format!("repl-{}", deploy.area.0).as_bytes()));
+        let peers = match deploy.role {
+            Role::Primary => &deploy.backups,
+            Role::Backup => &deploy.directory,
+        };
+        let peer = peers.by_area(deploy.area).and_then(|info| {
+            let key = RsaPublicKey::from_bytes(&info.pubkey).ok()?;
+            Some((NodeId::from_index(info.node as usize), key))
+        });
         AreaController {
             durable: Self::deployed_state(&cfg, &deploy, tree_seed),
             node_keys: NodeKeys::new(keypair, cost, cfg.rsa_bits),
@@ -328,6 +337,7 @@ impl AreaController {
             seen_order: VecDeque::new(),
             last_area_mcast: Time::ZERO,
             repl_key,
+            heard_epoch: 0,
             hb_seq: 0,
             last_heartbeat: Time::ZERO,
             wal_records: 0,
@@ -341,6 +351,7 @@ impl AreaController {
             timers: PendingTimers::default(),
             stats: AcStats::default(),
             tree_seed,
+            peer,
             deploy,
         }
     }
@@ -474,8 +485,9 @@ impl AreaController {
             .and_then(|info| RsaPublicKey::from_bytes(&info.pubkey).ok())
     }
 
-    fn is_backup(&self) -> bool {
-        matches!(self.durable.role, Role::Backup { .. })
+    /// The pair's other node, if replicated.
+    pub(crate) fn peer_node(&self) -> Option<NodeId> {
+        self.peer.as_ref().map(|(node, _)| *node)
     }
 
     /// Restarts the liveness clocks and arms the timers of the current
@@ -494,11 +506,11 @@ impl AreaController {
                 Timer::Sweep.arm(&mut self.timers, ctx, self.cfg.t_active);
                 Timer::Rekey.arm(&mut self.timers, ctx, self.cfg.rekey_interval);
                 Timer::ParentCheck.arm(&mut self.timers, ctx, self.cfg.t_idle);
-                if self.durable.backup.is_some() {
+                if self.peer.is_some() {
                     Timer::Heartbeat.arm(&mut self.timers, ctx, self.cfg.heartbeat_interval);
                 }
             }
-            Role::Backup { .. } => {
+            Role::Backup => {
                 Timer::BackupWatch.arm(&mut self.timers, ctx, self.cfg.heartbeat_interval);
             }
         }
@@ -528,7 +540,7 @@ impl Node for AreaController {
                 self.last_heard_parent = ctx.now();
             }
         }
-        if self.is_backup() {
+        if self.durable.role == Role::Backup {
             self.on_backup_message(ctx, from, msg);
             return;
         }
@@ -578,8 +590,8 @@ impl Node for AreaController {
             }
             // A primary receiving primary heartbeats: the sender also
             // believes it runs this area (split brain after a heal).
-            Msg::Heartbeat { seq, takeover_epoch } => {
-                self.handle_stale_primary_heartbeat(ctx, from, seq, takeover_epoch)
+            Msg::Heartbeat { takeover_epoch, .. } => {
+                self.handle_peer_claim(ctx, from, takeover_epoch)
             }
             Msg::Demote { area, takeover_epoch, sig } => {
                 self.handle_demote(ctx, from, area, takeover_epoch, &sig)

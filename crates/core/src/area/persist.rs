@@ -54,29 +54,25 @@ use mykil_tree::{AreaTree, MemberId, RekeyPlan};
 use std::collections::BTreeSet;
 
 /// Everything about an area controller that survives a crash.
+///
+/// Which node is the counterpart is no part of it: each area's two
+/// controllers are a pair fixed at deployment, and the role with its
+/// takeover epoch is all that says which of the two runs the area.
 #[derive(Debug, Clone)]
 pub struct AcDurable {
     pub(crate) role: Role,
-    /// Fencing epoch for split-brain reconciliation: bumped on every
-    /// takeover, carried in heartbeats, and compared after a heal — the
-    /// lower-epoch primary demotes itself (Section IV-C extension).
+    /// Fencing epoch for split-brain reconciliation: claimed by every
+    /// takeover above any this node holds or has heard, carried in
+    /// heartbeats and in `Demote`, adopted by the side that steps down.
+    /// Of two primaries the higher `(takeover_epoch, node)` keeps the
+    /// area (Section IV-C extension).
     pub(crate) takeover_epoch: u64,
-    /// The counterpart's takeover epoch as last seen in heartbeat
-    /// traffic (a backup tracks its primary; a primary its backup).
-    pub(crate) peer_takeover_epoch: u64,
     /// Replication sequence (primary role): one step per record that
     /// changes the area and per full image sent, so a retransmitted or
     /// reordered `StateSync` can never regress the backup.
     pub(crate) sync_seq: u64,
     /// Highest replication sequence applied (backup role).
     pub(crate) applied_sync_seq: u64,
-    /// After a takeover: the primary this node took over from, i.e. the
-    /// only node whose stale heartbeats warrant a signed `Demote`.
-    pub(crate) stale_peer: Option<NodeId>,
-    /// Backup replica address and encoded public key, if replicated —
-    /// the one part of the deployment record that changes at run time
-    /// (lost at promotion, adopted after a demotion is acknowledged).
-    pub(crate) backup: Option<(NodeId, Vec<u8>)>,
     /// The area: as this node runs it (primary role), or its live
     /// replica of the primary's (backup role) — the last image adopted,
     /// folded over every record shipped since.
@@ -85,19 +81,12 @@ pub struct AcDurable {
 
 impl AcDurable {
     /// The state a controller is deployed with.
-    pub(crate) fn deployed(
-        role: Role,
-        backup: Option<(NodeId, Vec<u8>)>,
-        image: AreaImage,
-    ) -> AcDurable {
+    pub(crate) fn deployed(role: Role, image: AreaImage) -> AcDurable {
         AcDurable {
             role,
             takeover_epoch: 0,
-            peer_takeover_epoch: 0,
             sync_seq: 0,
             applied_sync_seq: 0,
-            stale_peer: None,
-            backup,
             image,
         }
     }
@@ -127,11 +116,6 @@ impl AcDurable {
         &self.image.tree
     }
 
-    /// The backup replica's address, if replicated.
-    pub(crate) fn backup_node(&self) -> Option<NodeId> {
-        self.backup.as_ref().map(|(node, _)| *node)
-    }
-
     /// Clients that left or were evicted since the last flush: their
     /// rows are gone and their leaves wait for the next batched rekey.
     /// Child controllers (`id >= AC_MEMBER_BASE`) never have rows.
@@ -148,22 +132,11 @@ impl AcDurable {
 
     /// Serializes the full-state checkpoint for the current role.
     pub fn encode(&self) -> Vec<u8> {
-        let (primary, primary_node) = match self.role {
-            Role::Primary => (true, 0),
-            Role::Backup { primary } => (false, primary.index() as u32),
-        };
         AcCheckpoint {
-            primary,
-            primary_node,
+            primary: self.role == Role::Primary,
             takeover_epoch: self.takeover_epoch,
-            peer_takeover_epoch: self.peer_takeover_epoch,
             sync_seq: self.sync_seq,
             applied_sync_seq: self.applied_sync_seq,
-            stale_peer: self.stale_peer.map(|n| n.index() as u32),
-            backup: self
-                .backup
-                .as_ref()
-                .map(|(n, pubkey)| (n.index() as u32, pubkey.clone())),
             snapshot: self.image.encode(),
         }
         .to_bytes()
@@ -172,21 +145,11 @@ impl AcDurable {
     /// Parses [`Self::encode`]'s bytes; `None` on corruption.
     pub(crate) fn decode(bytes: &[u8], now: Time) -> Option<AcDurable> {
         let cp = AcCheckpoint::from_bytes(bytes)?;
-        let role = if cp.primary {
-            Role::Primary
-        } else {
-            Role::Backup { primary: NodeId::from_index(cp.primary_node as usize) }
-        };
         Some(AcDurable {
-            role,
+            role: if cp.primary { Role::Primary } else { Role::Backup },
             takeover_epoch: cp.takeover_epoch,
-            peer_takeover_epoch: cp.peer_takeover_epoch,
             sync_seq: cp.sync_seq,
             applied_sync_seq: cp.applied_sync_seq,
-            stale_peer: cp.stale_peer.map(|n| NodeId::from_index(n as usize)),
-            backup: cp
-                .backup
-                .map(|(node, pubkey)| (NodeId::from_index(node as usize), pubkey)),
             image: AreaImage::decode(&cp.snapshot, now)?,
         })
     }
@@ -203,7 +166,7 @@ impl AcDurable {
             // of it this node stands.
             match self.role {
                 Role::Primary => self.sync_seq += 1,
-                Role::Backup { .. } => self.applied_sync_seq += 1,
+                Role::Backup => self.applied_sync_seq += 1,
             }
         }
         match rec {
@@ -248,15 +211,9 @@ impl AcDurable {
                 self.image.epoch += 1;
                 Ok(self.image.tree.rotate_area_key(&mut seed.rng()))
             }
-            AcWalRecord::Promoted {
-                takeover_epoch,
-                old_primary,
-            } => {
+            AcWalRecord::Epoch { epoch, step_down: None } => {
                 self.role = Role::Primary;
-                self.takeover_epoch = *takeover_epoch;
-                self.stale_peer = Some(NodeId::from_index(*old_primary as usize));
-                // This node no longer has a backup of its own.
-                self.backup = None;
+                self.takeover_epoch = *epoch;
                 // A replica's rows never hear their members; the
                 // silence so far was this node's role, not theirs.
                 for row in self.image.members.values_mut() {
@@ -264,13 +221,12 @@ impl AcDurable {
                 }
                 Ok(RekeyPlan::default())
             }
-            AcWalRecord::Demoted { new_primary, seed } => {
-                self.role = Role::Backup {
-                    primary: NodeId::from_index(*new_primary as usize),
-                };
+            AcWalRecord::Epoch { epoch, step_down: Some(seed) } => {
+                self.role = Role::Backup;
+                self.takeover_epoch = *epoch;
                 // Replica bookkeeping from the primary stint must not
-                // block the new primary's first image, and the area it
-                // ran is the winner's now.
+                // block the winner's first image, and the area this
+                // node ran is the winner's now.
                 self.applied_sync_seq = 0;
                 let (cfg, parent) = (self.image.tree.config(), self.image.parent.take());
                 self.image = AreaImage::blank(cfg, parent, &mut seed.rng());
@@ -288,12 +244,6 @@ impl AcDurable {
                     area: AreaId(*area),
                     group: GroupId::from_index(*group as usize),
                 });
-                Ok(RekeyPlan::default())
-            }
-            AcWalRecord::Backup { node, pubkey } => {
-                self.backup = Some((NodeId::from_index(*node as usize), pubkey.clone()));
-                // The fenced peer is this node's backup now.
-                self.stale_peer = None;
                 Ok(RekeyPlan::default())
             }
         }
@@ -341,7 +291,6 @@ impl AreaController {
         let mut rng = mykil_crypto::drbg::Drbg::from_seed(tree_seed);
         AcDurable::deployed(
             deploy.role,
-            deploy.backup.map(|node| (node, deploy.backup_pubkey.clone())),
             AreaImage::blank(cfg.tree, deploy.parent.clone(), &mut rng),
         )
     }
@@ -396,9 +345,10 @@ impl AreaController {
     /// What survives is the durable local configuration a real node
     /// would read back from its config files at boot: `cfg`, `cost`,
     /// the keypair, the RS public key, `K_shared` (and the replication
-    /// key derived from it), the deployment record, and the
-    /// deployment-time tree seed. The `stats` counters also survive —
-    /// they are harness-side diagnostics, not protocol state.
+    /// key derived from it), the deployment record with the peer
+    /// resolved from it, and the deployment-time tree seed. The `stats`
+    /// counters also survive — they are harness-side diagnostics, not
+    /// protocol state.
     pub(crate) fn wipe_volatile(&mut self) {
         self.durable = Self::deployed_state(&self.cfg, &self.deploy, self.tree_seed);
         self.pending_admissions.clear();
@@ -415,6 +365,7 @@ impl AreaController {
         self.seen_data.clear();
         self.seen_order.clear();
         self.last_area_mcast = Time::ZERO;
+        self.heard_epoch = 0;
         self.hb_seq = 0;
         self.last_heartbeat = Time::ZERO;
         self.wal_records = 0;
@@ -482,14 +433,16 @@ mod tests {
             7 => AcWalRecord::Rotate { seed },
             8 => AcWalRecord::Enrol { child_area: (client % 3) as u32, node: client as u32, seed },
             9 => AcWalRecord::Parent { node: client as u32, area: 0, group: client as u32 },
-            _ => AcWalRecord::Backup { node: client as u32, pubkey: pubkey(client as u8) },
+            // Mostly a takeover; now and then a step-down, which blanks
+            // the area.
+            _ => AcWalRecord::Epoch { epoch: client, step_down: (client == 1).then_some(seed) },
         }
     }
 
     fn blank(backend: TreeBackend) -> AcDurable {
         let cfg = TreeConfig::quad().with_backend(backend);
         let image = AreaImage::blank(cfg, None, &mut Drbg::from_seed(5));
-        AcDurable::deployed(Role::Primary, None, image)
+        AcDurable::deployed(Role::Primary, image)
     }
 
     fn fold(mut state: AcDurable, log: &[AcWalRecord]) -> AcDurable {
@@ -500,7 +453,7 @@ mod tests {
     }
 
     /// What a replica must reproduce: every byte of the checkpoint —
-    /// image, backup link, sequences — the queued departures, the epoch.
+    /// image, role, sequences — the queued departures, the epoch.
     fn facts(state: &AcDurable) -> (Vec<u8>, Vec<MemberId>, u64) {
         (state.encode(), state.departed().collect(), state.epoch())
     }

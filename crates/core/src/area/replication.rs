@@ -176,7 +176,7 @@ impl AreaController {
     /// retransmissions are cancelled) because it carries everything
     /// that one did; nothing is sent while the backup is presumed dead.
     pub(crate) fn sync_backup(&mut self, ctx: &mut Context<'_>) {
-        let Some(backup) = self.durable.backup_node() else {
+        let Some(backup) = self.peer_node() else {
             return;
         };
         if self.durable.role != Role::Primary || self.backup_presumed_dead {
@@ -234,10 +234,11 @@ impl AreaController {
     }
 
     /// Primary heartbeat tick. Heartbeats keep flowing to a presumed-
-    /// dead backup (they are cheap and detect its recovery); only the
-    /// `StateSync` traffic stops.
+    /// dead peer (they are cheap and detect its recovery, and a peer
+    /// that also claims the area hears this node's epoch in them); only
+    /// the `StateSync` traffic stops.
     pub(crate) fn tick_heartbeat(&mut self, ctx: &mut Context<'_>) {
-        if let Some(backup) = self.durable.backup_node() {
+        if let Some(backup) = self.peer_node() {
             self.hb_seq += 1;
             self.hb_floor = self.acked_sync_seq();
             ctx.send(
@@ -283,10 +284,10 @@ impl AreaController {
         takeover_epoch: u64,
         applied_sync_seq: u64,
     ) {
-        if self.durable.backup_node() != Some(from) {
+        if self.peer_node() != Some(from) {
             return;
         }
-        self.durable.peer_takeover_epoch = self.durable.peer_takeover_epoch.max(takeover_epoch);
+        self.heard_epoch = self.heard_epoch.max(takeover_epoch);
         self.last_backup_ack = ctx.now();
         if self.backup_presumed_dead {
             self.backup_presumed_dead = false;
@@ -303,16 +304,13 @@ impl AreaController {
 
     /// Message dispatch while in the backup role.
     pub(crate) fn on_backup_message(&mut self, ctx: &mut Context<'_>, from: NodeId, msg: Msg) {
-        let Role::Backup { primary } = self.durable.role else {
-            return;
-        };
+        let from_peer = self.peer_node() == Some(from);
         match msg {
-            Msg::Heartbeat { seq, takeover_epoch } if from == primary => {
+            Msg::Heartbeat { seq, takeover_epoch } if from_peer => {
                 self.last_heartbeat = ctx.now();
                 // Remember the primary's fencing epoch so a later
                 // takeover fences strictly above it.
-                let peer_epoch = &mut self.durable.peer_takeover_epoch;
-                *peer_epoch = (*peer_epoch).max(takeover_epoch);
+                self.heard_epoch = self.heard_epoch.max(takeover_epoch);
                 ctx.send(
                     from,
                     "replication",
@@ -324,7 +322,7 @@ impl AreaController {
                     .to_bytes(),
                 );
             }
-            Msg::StateSync { ct } if from == primary => {
+            Msg::StateSync { ct } if from_peer => {
                 self.last_heartbeat = ctx.now();
                 let Ok(plain) = self.repl_key.open(&ct) else { return };
                 let Some(body) = SyncBody::from_bytes(&plain) else { return };
@@ -409,16 +407,13 @@ impl AreaController {
     /// Backup watchdog: take over after `failover_threshold` missed
     /// heartbeats.
     pub(crate) fn tick_backup_watch(&mut self, ctx: &mut Context<'_>) {
-        let Role::Backup { primary } = self.durable.role else {
-            return;
-        };
         let silence = ctx.now().since(self.last_heartbeat);
         let threshold = self
             .cfg
             .heartbeat_interval
             .saturating_mul(self.cfg.failover_threshold as u64);
         if silence >= threshold {
-            self.take_over(ctx, primary);
+            self.take_over(ctx);
         } else {
             Timer::BackupWatch.arm(&mut self.timers, ctx, self.cfg.heartbeat_interval);
         }
@@ -427,7 +422,7 @@ impl AreaController {
     /// Becomes the area's controller: restore replicated state, announce
     /// to the area, the registration server and the parent, and start
     /// the primary timers.
-    fn take_over(&mut self, ctx: &mut Context<'_>, old_primary: NodeId) {
+    fn take_over(&mut self, ctx: &mut Context<'_>) {
         // The promotion must be durable before it is announced: a
         // promoted backup that crashes and forgets it was primary would
         // leave the area with no controller at all. WAL first, then the
@@ -435,20 +430,18 @@ impl AreaController {
         // to a lying disk, the older slot plus this record still
         // replays the promotion. The replica is live: applying the
         // record only changes whose area it is and restarts the
-        // members' liveness clocks.
-        let promoted = AcWalRecord::Promoted {
-            // Fence strictly above anything the old primary ever
-            // announced: after a partition heal, whichever of the two
-            // primaries holds the lower epoch demotes itself
-            // (split-brain reconciliation).
-            takeover_epoch: self.durable.takeover_epoch.max(self.durable.peer_takeover_epoch) + 1,
-            old_primary: old_primary.index() as u32,
-        };
-        let _ = self.wal_commit_record(ctx, &promoted);
+        // members' liveness clocks. The epoch fences strictly above
+        // anything the peer ever announced here: after a heal, whichever
+        // of the two primaries holds the lower epoch is demoted.
+        let epoch = self.durable.takeover_epoch.max(self.heard_epoch) + 1;
+        let _ = self.wal_commit_record(ctx, &AcWalRecord::Epoch { epoch, step_down: None });
         self.adopt_departures();
         self.stats.takeovers += 1;
         ctx.stats().bump("ac-takeovers", 1);
         self.persist_checkpoint(ctx);
+        // The peer fell silent: it gets no `StateSync` until it answers
+        // a heartbeat as backup, or acknowledges a `Demote`.
+        self.backup_presumed_dead = true;
 
         self.announce_takeover(ctx);
 
@@ -479,22 +472,24 @@ impl AreaController {
         self.last_area_mcast = ctx.now();
     }
 
-    /// A primary received a primary heartbeat: the sender also believes
-    /// it runs this area. If it is the node this one took over from and
-    /// its fencing epoch is lower, send it a signed `Demote` (reliably —
-    /// the heal may still be flaky).
-    pub(crate) fn handle_stale_primary_heartbeat(
-        &mut self,
-        ctx: &mut Context<'_>,
-        from: NodeId,
-        _seq: u64,
-        takeover_epoch: u64,
-    ) {
-        if takeover_epoch >= self.durable.takeover_epoch || self.durable.stale_peer != Some(from) {
+    /// Whether `(epoch, node)` outranks this node's own claim: the
+    /// higher takeover epoch keeps the area, the higher node id breaks
+    /// a tie.
+    fn outranks(&self, ctx: &Context<'_>, epoch: u64, node: NodeId) -> bool {
+        (epoch, node) > (self.durable.takeover_epoch, ctx.id())
+    }
+
+    /// A primary received its peer's heartbeat: the peer also believes
+    /// it runs this area. If this node's claim outranks the peer's, send
+    /// it a signed `Demote` (reliably — the heal may still be flaky);
+    /// otherwise the peer's own `Demote` is on its way.
+    pub(crate) fn handle_peer_claim(&mut self, ctx: &mut Context<'_>, from: NodeId, epoch: u64) {
+        if self.peer_node() != Some(from) {
             return;
         }
-        if self.pending_demote.is_some() {
-            return; // one fence in flight is enough
+        self.heard_epoch = self.heard_epoch.max(epoch);
+        if self.outranks(ctx, epoch, from) || self.pending_demote.is_some() {
+            return; // outranked, or one fence in flight is enough
         }
         ctx.stats().bump("ac-demote-sent", 1);
         let signed = demote_signed_bytes(self.deploy.area, self.durable.takeover_epoch);
@@ -512,42 +507,34 @@ impl AreaController {
         self.pending_demote = Some(token);
     }
 
-    /// A primary received a `Demote`: its old backup took over behind a
-    /// partition and holds a higher fencing epoch. Verify the claim
-    /// against the deployment's backup key and step down to the backup
-    /// role, to be re-imaged through the normal StateSync path.
+    /// A primary received a `Demote`: its peer took over behind a
+    /// partition or a crash and holds the higher claim. Verify it under
+    /// the peer's deployment key, adopt the peer's epoch and step down to
+    /// the backup role, to be re-imaged through the normal StateSync
+    /// path.
     pub(crate) fn handle_demote(
         &mut self,
         ctx: &mut Context<'_>,
         from: NodeId,
-        area: crate::identity::AreaId,
+        area: AreaId,
         takeover_epoch: u64,
         sig: &[u8],
     ) {
-        let Some((backup, backup_pubkey)) = &self.durable.backup else {
+        let Some((peer, peer_key)) = &self.peer else {
             return;
         };
-        if area != self.deploy.area
-            || takeover_epoch <= self.durable.takeover_epoch
-            || *backup != from
-        {
+        if area != self.deploy.area || *peer != from || !self.outranks(ctx, takeover_epoch, from) {
             return;
         }
-        let Ok(pk) = RsaPublicKey::from_bytes(backup_pubkey) else {
-            return;
-        };
-        if !self.node_keys.verify(ctx, &pk, &demote_signed_bytes(area, takeover_epoch), sig) {
+        let signed = demote_signed_bytes(area, takeover_epoch);
+        if !self.node_keys.verify(ctx, peer_key, &signed, sig) {
             return;
         }
         // Epoch fence lost: step down. Losing the fence must stick
         // across a crash, or a recovered node would come back up
         // believing it still runs the area.
-        let demoted = AcWalRecord::Demoted {
-            new_primary: from.index() as u32,
-            seed: Seed::draw(ctx.rng()),
-        };
-        let _ = self.wal_commit_record(ctx, &demoted);
-        self.durable.peer_takeover_epoch = takeover_epoch;
+        let step_down = Some(Seed::draw(ctx.rng()));
+        let _ = self.wal_commit_record(ctx, &AcWalRecord::Epoch { epoch: takeover_epoch, step_down });
         // The batch window belonged to the area just handed over.
         self.update_needed = false;
         self.buffered_join_updates.clear();
@@ -557,6 +544,7 @@ impl AreaController {
         // state-syncs, mainly) must not race its images.
         ctx.cancel_reliable_to(from);
         self.pending_sync = None;
+        self.pending_demote = None;
         self.owe_image();
         if let Some((_, token)) = self.pending_parent_join.take() {
             ctx.cancel_reliable(token);
@@ -569,28 +557,20 @@ impl AreaController {
         self.resume_role(ctx);
     }
 
-    /// The stale primary acknowledged the `Demote` (the gates on both
-    /// sides mirror each other, so delivery implies acceptance): adopt
-    /// it as this node's backup and bring it up to date.
+    /// The peer acknowledged the `Demote` (the gates on both sides
+    /// mirror each other, so delivery implies acceptance): it is this
+    /// node's backup again, and is brought up to date.
     pub(crate) fn handle_demote_acked(&mut self, ctx: &mut Context<'_>) {
-        let Some(peer) = self.durable.stale_peer else {
-            return;
-        };
-        let Some(pk) = self.directory_pubkey(peer) else {
-            return;
-        };
-        let adopted = AcWalRecord::Backup { node: peer.index() as u32, pubkey: pk.to_bytes() };
-        let _ = self.wal_commit_record(ctx, &adopted);
         self.last_backup_ack = ctx.now();
         self.backup_presumed_dead = false;
         ctx.stats().bump("ac-demote-acked", 1);
-        // `Demoted` blanked the peer's area: it attaches with an image.
+        // Stepping down blanked the peer's area: it attaches with an
+        // image.
         self.owe_image();
         // Members and child controllers in the stale partition missed
         // the original takeover announcement; repeat it now that both
         // sides can hear it.
         self.announce_takeover(ctx);
-        Timer::Heartbeat.arm(&mut self.timers, ctx, self.cfg.heartbeat_interval);
         self.sync_backup(ctx);
     }
 
@@ -648,6 +628,39 @@ mod tests {
         assert_eq!(image.child_ac_members, expect_children);
         assert_eq!(image.epoch, expect_epoch);
         assert_eq!(image.encode(), bytes, "snapshot does not re-encode to itself");
+    }
+
+    /// Two primaries at one takeover epoch: the higher node id keeps
+    /// the area. Each hears the other's heartbeats, but a heartbeat
+    /// never makes a node step down; the winner's signed `Demote` does,
+    /// and the loser stands by at the winner's epoch.
+    #[test]
+    fn at_equal_epochs_the_higher_node_keeps_the_area() {
+        use crate::area::Role;
+        use crate::durable::AcWalRecord;
+        use crate::invariants::InvariantChecker;
+
+        let mut g = GroupBuilder::new(99).areas(1).replicated(true).build();
+        let m = g.register_member(1);
+        g.settle();
+        let (low, high) = (g.primaries[0], g.backups[0]);
+        assert!(low < high);
+        // The backup claims the area at the primary's own epoch, without
+        // the takeover that would claim one above it.
+        g.sim.invoke(high, |ac: &mut AreaController, ctx| {
+            let claim = AcWalRecord::Epoch { epoch: 0, step_down: None };
+            ac.wal_commit_record(ctx, &claim).expect("a claim always applies");
+            ac.resume_role(ctx);
+        });
+        g.run_for(mykil_net::Duration::from_secs(2));
+
+        let (winner, loser) = (g.sim.node::<AreaController>(high), g.ac(0));
+        assert_eq!((winner.role(), loser.role()), (Role::Primary, Role::Backup));
+        assert_eq!(loser.durable.takeover_epoch, 0);
+        assert_eq!(g.stats().counter("ac-demotions"), 1);
+        // The winner's repeated announcement moved the member over.
+        assert!(g.is_member(m));
+        assert_eq!(InvariantChecker::new().check(&g), vec![]);
     }
 
     /// A stale (lower-sequence) sync — e.g. a delayed retransmission

@@ -14,8 +14,7 @@
 //! - **WAL records** ([`AcWalRecord`], [`RsWalRecord`]) are committed
 //!   *before* a state change is acknowledged to a peer: member
 //!   admissions, leaves, evictions, child-controller enrolments, parent
-//!   and backup links, role transitions, client-id assignment,
-//!   directory updates.
+//!   links, role transitions, client-id assignment, directory updates.
 //! - **Checkpoints** ([`AcCheckpoint`], [`RsCheckpoint`]) capture full
 //!   state and truncate the log: when the log has grown past
 //!   [`CHECKPOINT_WAL_RECORDS`], at role changes, after recovery, and
@@ -133,13 +132,11 @@ impl std::fmt::Debug for Seed {
 const AC_WAL_JOIN: u8 = 1;
 const AC_WAL_LEAVE: u8 = 2;
 const AC_WAL_EVICT: u8 = 3;
-const AC_WAL_PROMOTED: u8 = 4;
-const AC_WAL_DEMOTED: u8 = 5;
+const AC_WAL_EPOCH: u8 = 4;
 const AC_WAL_FLUSH: u8 = 6;
 const AC_WAL_ROTATE: u8 = 7;
 const AC_WAL_ENROL: u8 = 8;
 const AC_WAL_PARENT: u8 = 9;
-const AC_WAL_BACKUP: u8 = 10;
 
 /// One durable membership, hierarchy or role delta, logged by an area
 /// controller before the change is acknowledged.
@@ -181,20 +178,16 @@ pub enum AcWalRecord {
         /// Seed of the new area key.
         seed: Seed,
     },
-    /// This node promoted itself from backup to primary.
-    Promoted {
-        /// The fencing epoch claimed by the promotion.
-        takeover_epoch: u64,
-        /// The primary taken over from (raw node index) — the only peer
-        /// whose stale heartbeats warrant a signed `Demote`.
-        old_primary: u32,
-    },
-    /// This node accepted an epoch-fenced demotion to backup.
-    Demoted {
-        /// The surviving primary (raw node index).
-        new_primary: u32,
-        /// Seed of the blank tree that replaces the area handed over.
-        seed: Seed,
+    /// The area changed hands within the controller pair: this node
+    /// took it over at `epoch`, or stepped down under the peer that
+    /// holds `epoch` and adopted that epoch as its own.
+    Epoch {
+        /// The takeover epoch this node holds from now on.
+        epoch: u64,
+        /// `None`: this node runs the area. `Some`: it stands by, and
+        /// the area it ran gives way to a blank tree drawn from this
+        /// seed until the winner's image arrives.
+        step_down: Option<Seed>,
     },
     /// A child area's controller enrolled in (or re-enrolled into) the tree.
     Enrol {
@@ -214,13 +207,6 @@ pub enum AcWalRecord {
         /// The parent area's multicast group (raw index).
         group: u32,
     },
-    /// This node adopted a backup replica: the demoted peer it fenced.
-    Backup {
-        /// The backup's node address (raw index).
-        node: u32,
-        /// The backup's encoded public key.
-        pubkey: Vec<u8>,
-    },
 }
 
 impl AcWalRecord {
@@ -237,9 +223,7 @@ impl AcWalRecord {
             | AcWalRecord::Rotate { .. }
             | AcWalRecord::Enrol { .. }
             | AcWalRecord::Parent { .. } => true,
-            AcWalRecord::Promoted { .. }
-            | AcWalRecord::Demoted { .. }
-            | AcWalRecord::Backup { .. } => false,
+            AcWalRecord::Epoch { .. } => false,
         }
     }
 
@@ -278,23 +262,22 @@ impl AcWalRecord {
             AcWalRecord::Rotate { seed } => {
                 w.u8(AC_WAL_ROTATE).raw(&seed.0);
             }
-            AcWalRecord::Promoted {
-                takeover_epoch,
-                old_primary,
-            } => {
-                w.u8(AC_WAL_PROMOTED).u64(*takeover_epoch).u32(*old_primary);
-            }
-            AcWalRecord::Demoted { new_primary, seed } => {
-                w.u8(AC_WAL_DEMOTED).u32(*new_primary).raw(&seed.0);
+            AcWalRecord::Epoch { epoch, step_down } => {
+                w.u8(AC_WAL_EPOCH).u64(*epoch);
+                match step_down {
+                    Some(seed) => {
+                        w.u8(1).raw(&seed.0);
+                    }
+                    None => {
+                        w.u8(0);
+                    }
+                }
             }
             AcWalRecord::Enrol { child_area, node, seed } => {
                 w.u8(AC_WAL_ENROL).u32(*child_area).u32(*node).raw(&seed.0);
             }
             AcWalRecord::Parent { node, area, group } => {
                 w.u8(AC_WAL_PARENT).u32(*node).u32(*area).u32(*group);
-            }
-            AcWalRecord::Backup { node, pubkey } => {
-                w.u8(AC_WAL_BACKUP).u32(*node).bytes(pubkey);
             }
         }
         w.into_bytes()
@@ -337,13 +320,13 @@ impl AcWalRecord {
             AC_WAL_ROTATE => AcWalRecord::Rotate {
                 seed: Seed(r.array().ok()?),
             },
-            AC_WAL_PROMOTED => AcWalRecord::Promoted {
-                takeover_epoch: r.u64().ok()?,
-                old_primary: r.u32().ok()?,
-            },
-            AC_WAL_DEMOTED => AcWalRecord::Demoted {
-                new_primary: r.u32().ok()?,
-                seed: Seed(r.array().ok()?),
+            AC_WAL_EPOCH => AcWalRecord::Epoch {
+                epoch: r.u64().ok()?,
+                step_down: match r.u8().ok()? {
+                    0 => None,
+                    1 => Some(Seed(r.array().ok()?)),
+                    _ => return None,
+                },
             },
             AC_WAL_ENROL => AcWalRecord::Enrol {
                 child_area: r.u32().ok()?,
@@ -354,10 +337,6 @@ impl AcWalRecord {
                 node: r.u32().ok()?,
                 area: r.u32().ok()?,
                 group: r.u32().ok()?,
-            },
-            AC_WAL_BACKUP => AcWalRecord::Backup {
-                node: r.u32().ok()?,
-                pubkey: r.bytes().ok()?.to_vec(),
             },
             _ => return None,
         };
@@ -376,28 +355,20 @@ impl AcWalRecord {
 /// The membership/tree/hierarchy payload is the area image in the
 /// format a primary ships to its backup on (re)attach; a backup
 /// checkpoints its live replica of the primary's area the same way.
-/// Everything else is the replication/fencing state that the image
-/// deliberately leaves out — in particular `stale_peer`, without which
-/// a recovered promoted backup could no longer fence the old primary it
-/// took over from.
+/// Everything else is the role state that the image deliberately
+/// leaves out: the role, the takeover epoch that fences it, and the
+/// replication sequences. Who the counterpart is needs no field: the
+/// controller pair is fixed at deployment.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AcCheckpoint {
     /// Role at checkpoint time.
     pub primary: bool,
-    /// The primary this node replicates (raw index; backup role only).
-    pub primary_node: u32,
     /// Fencing epoch.
     pub takeover_epoch: u64,
-    /// Counterpart's fencing epoch as last seen.
-    pub peer_takeover_epoch: u64,
     /// Replication sequence reached (primary role).
     pub sync_seq: u64,
     /// Highest replication sequence applied (backup role).
     pub applied_sync_seq: u64,
-    /// The demoted peer this node still fences, if any (raw index).
-    pub stale_peer: Option<u32>,
-    /// Backup replica address and encoded public key, if replicated.
-    pub backup: Option<(u32, Vec<u8>)>,
     /// The area image: the area a primary runs, a backup's replica of
     /// it (the blank area it was deployed with, before the first sync).
     pub snapshot: Vec<u8>,
@@ -408,74 +379,31 @@ impl AcCheckpoint {
     /// [`mykil_net::StableStore::checkpoint`].
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = Writer::new();
-        if self.primary {
-            w.u8(0);
-        } else {
-            w.u8(1).u32(self.primary_node);
-        }
-        w.u64(self.takeover_epoch)
-            .u64(self.peer_takeover_epoch)
+        w.u8(u8::from(!self.primary))
+            .u64(self.takeover_epoch)
             .u64(self.sync_seq)
-            .u64(self.applied_sync_seq);
-        match self.stale_peer {
-            Some(n) => {
-                w.u8(1).u32(n);
-            }
-            None => {
-                w.u8(0);
-            }
-        }
-        match &self.backup {
-            Some((node, pubkey)) => {
-                w.u8(1).u32(*node).bytes(pubkey);
-            }
-            None => {
-                w.u8(0);
-            }
-        }
-        w.bytes(&self.snapshot);
+            .u64(self.applied_sync_seq)
+            .bytes(&self.snapshot);
         w.into_bytes()
     }
 
     /// Parses a checkpoint read back by recovery; `None` on corruption.
     pub fn from_bytes(bytes: &[u8]) -> Option<AcCheckpoint> {
         let mut r = Reader::new(bytes);
-        let (primary, primary_node) = match r.u8().ok()? {
-            0 => (true, 0),
-            1 => (false, r.u32().ok()?),
+        let primary = match r.u8().ok()? {
+            0 => true,
+            1 => false,
             _ => return None,
         };
-        let takeover_epoch = r.u64().ok()?;
-        let peer_takeover_epoch = r.u64().ok()?;
-        let sync_seq = r.u64().ok()?;
-        let applied_sync_seq = r.u64().ok()?;
-        let stale_peer = match r.u8().ok()? {
-            0 => None,
-            1 => Some(r.u32().ok()?),
-            _ => return None,
-        };
-        let backup = match r.u8().ok()? {
-            0 => None,
-            1 => {
-                let node = r.u32().ok()?;
-                let pubkey = r.bytes().ok()?.to_vec();
-                Some((node, pubkey))
-            }
-            _ => return None,
-        };
-        let snapshot = r.bytes().ok()?.to_vec();
-        r.finish().ok()?;
-        Some(AcCheckpoint {
+        let cp = AcCheckpoint {
             primary,
-            primary_node,
-            takeover_epoch,
-            peer_takeover_epoch,
-            sync_seq,
-            applied_sync_seq,
-            stale_peer,
-            backup,
-            snapshot,
-        })
+            takeover_epoch: r.u64().ok()?,
+            sync_seq: r.u64().ok()?,
+            applied_sync_seq: r.u64().ok()?,
+            snapshot: r.bytes().ok()?.to_vec(),
+        };
+        r.finish().ok()?;
+        Some(cp)
     }
 }
 
@@ -595,7 +523,7 @@ pub fn replay_ac(checkpoint: Option<&[u8]>, wal: &[Vec<u8>]) -> Option<AcDurable
         Some(bytes) => AcDurable::decode(bytes, Time::ZERO)?,
         None => {
             let blank = AreaImage::blank(TreeConfig::default(), None, &mut Drbg::from_seed(0));
-            AcDurable::deployed(Role::Primary, None, blank)
+            AcDurable::deployed(Role::Primary, blank)
         }
     };
     state.fold(wal, Time::ZERO);
@@ -660,14 +588,10 @@ pub(crate) mod tests {
             AcWalRecord::Evict { client: 43 },
             AcWalRecord::Flush { seed: Seed([3; 32]) },
             AcWalRecord::Rotate { seed: Seed([4; 32]) },
-            AcWalRecord::Promoted {
-                takeover_epoch: 3,
-                old_primary: 1,
-            },
-            AcWalRecord::Demoted { new_primary: 2, seed: Seed([5; 32]) },
+            AcWalRecord::Epoch { epoch: 3, step_down: None },
+            AcWalRecord::Epoch { epoch: 4, step_down: Some(Seed([5; 32])) },
             AcWalRecord::Enrol { child_area: 3, node: 6, seed: Seed([6; 32]) },
             AcWalRecord::Parent { node: 4, area: 1, group: 2 },
-            AcWalRecord::Backup { node: 5, pubkey: vec![0xAB, 0xCD] },
         ];
         for rec in records {
             let bytes = rec.to_bytes();
@@ -686,6 +610,12 @@ pub(crate) mod tests {
         // A seed is all or nothing.
         let bytes = AcWalRecord::Flush { seed: Seed([7; 32]) }.to_bytes();
         assert_eq!(AcWalRecord::from_bytes(&bytes[..bytes.len() - 1]), None);
+        let step_down = AcWalRecord::Epoch { epoch: 2, step_down: Some(Seed([7; 32])) };
+        let mut bytes = step_down.to_bytes();
+        assert_eq!(AcWalRecord::from_bytes(&bytes[..bytes.len() - 1]), None);
+        // A role flag is 0 (takes over) or 1 (steps down, seed follows).
+        bytes[9] = 2;
+        assert_eq!(AcWalRecord::from_bytes(&bytes), None);
     }
 
     #[test]
@@ -698,13 +628,9 @@ pub(crate) mod tests {
     fn ac_checkpoint_round_trips_both_roles() {
         let primary = AcCheckpoint {
             primary: true,
-            primary_node: 0,
             takeover_epoch: 2,
-            peer_takeover_epoch: 1,
             sync_seq: 17,
             applied_sync_seq: 0,
-            stale_peer: Some(4),
-            backup: Some((5, vec![0xAB, 0xCD])),
             snapshot: vec![1, 2, 3],
         };
         assert_eq!(
@@ -713,13 +639,9 @@ pub(crate) mod tests {
         );
         let backup = AcCheckpoint {
             primary: false,
-            primary_node: 3,
-            takeover_epoch: 0,
-            peer_takeover_epoch: 2,
+            takeover_epoch: 2,
             sync_seq: 0,
             applied_sync_seq: 9,
-            stale_peer: None,
-            backup: None,
             snapshot: Vec::new(),
         };
         assert_eq!(AcCheckpoint::from_bytes(&backup.to_bytes()), Some(backup));
@@ -812,27 +734,19 @@ pub(crate) mod tests {
         primary.image.epoch = 7;
         let cp = AcCheckpoint {
             primary: false,
-            primary_node: 2,
-            takeover_epoch: 0,
-            peer_takeover_epoch: 1,
+            takeover_epoch: 1,
             sync_seq: 0,
             applied_sync_seq: 4,
-            stale_peer: None,
-            backup: None,
             snapshot: primary.image.encode(),
         };
         let standby = replay_ac(Some(&cp.to_bytes()), &[]).unwrap();
-        assert_eq!(standby.role(), Role::Backup { primary: mykil_net::NodeId::from_index(2) });
+        assert_eq!(standby.role(), Role::Backup);
         assert_eq!(standby.departed().map(|m| m.0).collect::<Vec<_>>(), vec![32]);
         // A backup's checkpoint round-trips.
         assert_eq!(standby.encode(), cp.to_bytes());
 
         let shipped = [join(33), AcWalRecord::Flush { seed: Seed([9; 32]) }.to_bytes()];
-        let promoted = AcWalRecord::Promoted {
-            takeover_epoch: 2,
-            old_primary: 2,
-        }
-        .to_bytes();
+        let promoted = AcWalRecord::Epoch { epoch: 2, step_down: None }.to_bytes();
         let wal = [shipped.as_slice(), &[promoted]].concat();
         let state = replay_ac(Some(&cp.to_bytes()), &wal).unwrap();
         assert_eq!(state.role(), Role::Primary);

@@ -236,12 +236,6 @@ impl GroupBuilder {
                     area: AreaId(i as u32),
                     group: groups[i],
                     parent,
-                    backup: self.replicated.then(|| backup_node(i)),
-                    backup_pubkey: if self.replicated {
-                        backup_pairs[i].public().to_bytes()
-                    } else {
-                        Vec::new()
-                    },
                     role: Role::Primary,
                     rs_node,
                     directory: directory.clone(),
@@ -296,9 +290,7 @@ impl GroupBuilder {
                     area: AreaId(i as u32),
                     group: groups[i],
                     parent,
-                    backup: None,
-                    backup_pubkey: Vec::new(),
-                    role: Role::Backup { primary: ac_node(i) },
+                    role: Role::Backup,
                     rs_node,
                     directory: directory.clone(),
                     backups: backups_dir.clone(),

@@ -26,13 +26,12 @@
 //! 5. **Durability** — a live controller's stable storage (newest
 //!    valid checkpoint plus WAL suffix) replays — through
 //!    [`replay_ac`], the fold recovery itself runs — to its in-memory
-//!    durable state: same role and fencing epoch, same backup link and
-//!    stale-peer fence, same parent link, same member rows (so no
-//!    durably-evicted client is still counted, and none is lost), same
-//!    rekey epoch, the same area image byte for byte (every key in the
-//!    tree: records carry their seeds), for a backup the same applied
-//!    replication sequence, and for a primary a replication sequence no
-//!    newer than memory. The same holds for the registration server's
+//!    durable state: same role and fencing epoch, same parent link,
+//!    same member rows (so no durably-evicted client is still counted,
+//!    and none is lost), same rekey epoch, the same area image byte for
+//!    byte (every key in the tree: records carry their seeds), for a
+//!    backup the same applied replication sequence, and for a primary a
+//!    replication sequence no newer than memory. The same holds for the registration server's
 //!    client-id counter and directory. This catches state mutated
 //!    outside the write-ahead discipline: what the node would silently
 //!    lose in a crash.
@@ -188,16 +187,14 @@ fn controllers(g: &GroupHandle, area: usize) -> impl Iterator<Item = (NodeId, &A
 
 /// The readable facts of a durable state, for naming what differs
 /// before the byte-for-byte image comparison says that something does.
-/// The first four are the node's own (a backup has no backup); the rest, the area's.
-fn facts(d: &AcDurable) -> [(&'static str, String); 8] {
+/// The first two are the node's own; the rest, the area's.
+fn facts(d: &AcDurable) -> [(&'static str, String); 6] {
     let clients: Vec<u64> =
         d.tree().members().map(|m| m.0).filter(|id| *id < AC_MEMBER_BASE).collect();
     let parent = d.image.parent.as_ref().map(|p| (p.node, p.area));
     [
         ("role", format!("{:?}", d.role())),
         ("takeover_epoch", d.takeover_epoch().to_string()),
-        ("backup", format!("{:?}", d.backup_node())),
-        ("stale_peer", format!("{:?}", d.stale_peer)),
         ("parent", format!("{parent:?}")),
         ("members", format!("{:?}", d.member_ids())),
         ("epoch", d.epoch().to_string()),
@@ -383,16 +380,12 @@ impl InvariantChecker {
         // holds the primary's area.
         for (area, live_ctrl) in live.iter().enumerate() {
             // After a takeover and a demotion the deployed pair has
-            // swapped roles: the replica is whoever the primary names.
+            // swapped roles: the replica is the pair's other node.
             let Some((primary, ctrl)) = *live_ctrl else { continue };
-            let peer = ctrl.durable().backup_node();
-            let Some((backup, replica)) = controllers(g, area).find(|(n, _)| Some(*n) == peer)
-            else {
+            let Some((backup, replica)) = controllers(g, area).find(|(n, _)| *n != primary) else {
                 continue;
             };
-            if g.sim.is_crashed(backup)
-                || replica.role() != (Role::Backup { primary })
-                || !ctrl.backup_in_sync()
+            if g.sim.is_crashed(backup) || replica.role() != Role::Backup || !ctrl.backup_in_sync()
             {
                 continue;
             }
@@ -400,7 +393,7 @@ impl InvariantChecker {
                 out.push(InvariantViolation::ReplicaDivergence { area, primary, backup, detail })
             };
             for ((what, theirs), (_, ours)) in
-                facts(replica.durable()).into_iter().skip(4).zip(facts(ctrl.durable()).into_iter().skip(4))
+                facts(replica.durable()).into_iter().skip(2).zip(facts(ctrl.durable()).into_iter().skip(2))
             {
                 if theirs != ours {
                     diverged(format!("replica {what}={theirs} but the primary has {ours}"));

@@ -95,7 +95,8 @@ pub struct Member {
     ac_node: Option<NodeId>,
     ac_pub: Option<RsaPublicKey>,
     group: Option<GroupId>,
-    backup_node: Option<NodeId>,
+    /// The key of the pair's other controller, which stands by to take
+    /// the area over (none when the area is not replicated).
     backup_pub: Option<RsaPublicKey>,
     ticket: Option<Vec<u8>>,
     /// When the current membership expires (from the welcome payload).
@@ -177,7 +178,6 @@ impl Member {
             ac_node: None,
             ac_pub: None,
             group: None,
-            backup_node: None,
             backup_pub: None,
             ticket: None,
             membership_expires: None,
@@ -333,7 +333,6 @@ impl Member {
         self.area = None;
         self.ac_node = None;
         self.ac_pub = None;
-        self.backup_node = None;
         self.backup_pub = None;
         ctx.stats().bump("member-voluntary-leaves", 1);
         true
@@ -449,13 +448,9 @@ impl Member {
         self.area = Some(welcome.area);
         self.ac_node = Some(NodeId::from_index(welcome.ac_node as usize));
         self.group = Some(GroupId::from_index(welcome.group_raw as usize));
-        if welcome.backup_node != u32::MAX {
-            self.backup_node = Some(NodeId::from_index(welcome.backup_node as usize));
-            self.backup_pub = RsaPublicKey::from_bytes(&welcome.backup_pubkey).ok();
-        } else {
-            self.backup_node = None;
-            self.backup_pub = None;
-        }
+        self.backup_pub = (welcome.backup_node != u32::MAX)
+            .then(|| RsaPublicKey::from_bytes(&welcome.backup_pubkey).ok())
+            .flatten();
         self.ticket = Some(welcome.ticket);
         self.membership_expires = Some(Time::from_micros(welcome.valid_until_us));
         self.keys.clear();
@@ -621,18 +616,17 @@ impl Member {
             return;
         }
         let signed = takeover_signed_bytes(area);
-        // The backup's key moves over only once its signature checks out.
-        let node_keys = &self.node_keys;
-        let Some(backup_pub) =
-            self.backup_pub.take_if(|key| node_keys.verify(ctx, key, &signed, sig))
-        else {
+        // The keys trade places only once the standby's signature checks
+        // out.
+        let Some(standby) = &self.backup_pub else { return };
+        if !self.node_keys.verify(ctx, standby, &signed, sig) {
             return;
-        };
-        // The backup is now our AC.
-        let pubkey = backup_pub.to_bytes();
+        }
+        // The standby is now our AC, and the controller it replaced
+        // stands by for the next takeover.
+        let pubkey = standby.to_bytes();
+        std::mem::swap(&mut self.ac_pub, &mut self.backup_pub);
         self.ac_node = Some(from);
-        self.ac_pub = Some(backup_pub);
-        self.backup_node = None;
         self.last_heard_ac = ctx.now();
         // Keep the cached directory pointing at the live controller, so
         // a later ticket rejoin toward this area resolves its key.

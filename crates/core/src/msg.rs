@@ -175,40 +175,40 @@ pub enum Msg {
     /// Member's alive unicast to its AC (`T_active`).
     MemberAlive { client: ClientId },
 
-    /// Primary → backup liveness probe. Carries the sender's takeover
-    /// epoch so a stale primary surviving a partition heal discovers a
-    /// newer promotion (split-brain fencing, see `area::replication`).
+    /// Primary → its peer, liveness probe. Carries the sender's
+    /// takeover epoch, so that of two primaries after a partition heal
+    /// or a restart the one with the higher claim learns of the other
+    /// and fences it (split-brain fencing, see `area::replication`).
     Heartbeat { seq: u64, takeover_epoch: u64 },
     /// Backup → primary response, echoing the responder's takeover
-    /// epoch (a backup that was promoted during a partition answers
-    /// with a higher epoch than the stale primary's own) and the
-    /// replication sequence it has applied (a backup that lost state
+    /// epoch (a later takeover claims above it) and the replication
+    /// sequence it has applied (a backup that lost state
     /// answers with less than the primary has trimmed).
     HeartbeatAck { seq: u64, takeover_epoch: u64, applied_sync_seq: u64 },
     /// Primary → backup state synchronization: a [`SyncBody`] sealed
     /// under the replication key.
     StateSync { ct: Vec<u8> },
-    /// Backup announces takeover to the area (signed).
+    /// A controller announces it took the area over from the other
+    /// node of its pair (signed).
     Takeover {
         /// The area whose controller failed.
         area: AreaId,
-        /// Signature by the backup's key over the area id.
+        /// Signature by the new controller's key over the area id.
         sig: Vec<u8>,
-        /// The backup's public key (members verify against the copy
-        /// received at join time).
+        /// The new controller's public key (members verify against the
+        /// standby key received at join time).
         pubkey: Vec<u8>,
     },
-    /// Promoted primary → stale primary: "a takeover with this epoch
-    /// superseded you; demote yourself to backup and resync" (signed by
-    /// the promoted backup's key, which the stale primary can verify
-    /// against its own deployment record).
+    /// The primary with the higher `(takeover epoch, node)` → its peer,
+    /// which also claims the area: "this epoch supersedes you; adopt it
+    /// and step down to backup" (signed by the sender's key, which the
+    /// peer verifies against its own deployment record).
     Demote {
         /// The contested area.
         area: AreaId,
         /// The superseding takeover epoch.
         takeover_epoch: u64,
-        /// Signature over area ‖ takeover_epoch by the promoted
-        /// backup's key.
+        /// Signature over area ‖ takeover_epoch by the sender's key.
         sig: Vec<u8>,
     },
 }

@@ -63,7 +63,8 @@ pub struct RegistrationServer {
     wiped_pending: u64,
     next_client: u64,
     next_area: usize,
-    /// Backup-controller public keys per area, for takeover validation.
+    /// Backup-controller public keys per area: with `directory_initial`,
+    /// each area's controller pair, for takeover validation.
     backup_keys: BTreeMap<AreaId, RsaPublicKey>,
     /// Counters exposed for tests and reports.
     pub stats: RegistrationStats,
@@ -263,13 +264,19 @@ impl RegistrationServer {
         pubkey: &[u8],
         from: NodeId,
     ) {
-        // The backup signs the area id with its own key; the RS trusts
-        // the key it was configured with at deployment (the directory
-        // carries primary keys, so the builder registers backup keys via
+        // Either controller of the area's pair may take it over, and
+        // signs the area id with its own key; the RS trusts the two keys
+        // it was configured with at deployment (the directory carries
+        // primary keys, so the builder registers backup keys via
         // `register_backup`).
-        let accepted = self.backup_keys.get(&area).is_some_and(|expected| {
-            expected.to_bytes() == pubkey
-                && self.node_keys.verify(ctx, expected, &takeover_signed_bytes(area), sig)
+        let primary_key = self
+            .directory_initial
+            .by_area(area)
+            .filter(|info| info.pubkey == pubkey)
+            .and_then(|info| RsaPublicKey::from_bytes(&info.pubkey).ok());
+        let backup_key = self.backup_keys.get(&area).filter(|key| key.to_bytes() == pubkey);
+        let accepted = primary_key.as_ref().or(backup_key).is_some_and(|expected| {
+            self.node_keys.verify(ctx, expected, &takeover_signed_bytes(area), sig)
         });
         if !accepted {
             self.stats.rejected_messages += 1;

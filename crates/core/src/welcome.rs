@@ -38,9 +38,10 @@ pub struct Welcome {
     pub group_raw: u32,
     /// The area controller's address.
     pub ac_node: u32,
-    /// The backup controller's address (`u32::MAX` when unreplicated).
+    /// The pair's other controller, standing by (`u32::MAX` when
+    /// unreplicated).
     pub backup_node: u32,
-    /// The backup controller's public key (empty when unreplicated).
+    /// The standby controller's public key (empty when unreplicated).
     pub backup_pubkey: Vec<u8>,
     /// The member's sealed ticket.
     pub ticket: Vec<u8>,

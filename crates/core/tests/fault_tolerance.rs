@@ -3,9 +3,10 @@
 //! policies, disconnect-triggered automatic rejoin, member eviction,
 //! AC parent switching, and primary-backup failover.
 
-use mykil::area::Role;
+use mykil::area::{AreaController, Role};
 use mykil::config::{BatchPolicy, MykilConfig, RejoinPolicy};
 use mykil::group::GroupBuilder;
+use mykil::identity::AreaId;
 use mykil::invariants::InvariantChecker;
 use mykil::member::{Member, MemberPhase};
 use mykil::msg::RejoinDenyReason;
@@ -362,6 +363,52 @@ fn takeover_inside_a_batch_window_still_rekeys_the_leaver_out() {
         "the departed member's leaf outlived the flush"
     );
     assert_eq!(promoted.stats.rekeys, rekeys_before + 1, "no key update was multicast");
+    assert_eq!(InvariantChecker::new().check(&g), vec![]);
+}
+
+/// Either node of an area's pair may take the area over, any number
+/// of times. Four fail-overs alternate the two controllers of area 1 of
+/// a two-area replicated group, each crashed controller restarting to
+/// be demoted into the standby. After each, the registration server's
+/// directory names the live primary, and every member of the area
+/// follows it: a member swaps its controller and standby keys on the
+/// signed takeover, so it can verify the next one.
+#[test]
+fn alternating_failovers_strand_no_member() {
+    let mut g = GroupBuilder::new(29).areas(2).replicated(true).build();
+    let members: Vec<_> = (1..=4).map(|i| g.register_member(i)).collect();
+    g.settle();
+    let area1: Vec<_> =
+        members.into_iter().filter(|&m| g.member(m).area() == Some(AreaId(1))).collect();
+    assert!(!area1.is_empty(), "no member was placed in area 1");
+
+    let pair = [g.primaries[1], g.backups[1]];
+    for round in 0..4 {
+        let (crashed, standby) = (pair[round % 2], pair[(round + 1) % 2]);
+        g.sim.crash(crashed);
+        g.run_for(Duration::from_secs(3));
+        let live = g.sim.node::<AreaController>(standby);
+        assert_eq!(live.role(), Role::Primary, "round {round}: the standby never took over");
+        let named = g.registration_server().directory().by_area(AreaId(1)).map(|row| row.node);
+        assert_eq!(
+            named,
+            Some(standby.index() as u32),
+            "round {round}: the directory does not name the live primary"
+        );
+        let key = live.area_key();
+        for &m in &area1 {
+            assert!(g.is_member(m), "round {round}: member {m:?} was stranded");
+            let held = g.member(m).current_area_key();
+            assert!(held.as_ref() == Some(&key), "round {round}: {m:?} holds a stale key");
+        }
+
+        assert!(g.sim.restart(crashed));
+        g.run_for(Duration::from_secs(3));
+        let role = g.sim.node::<AreaController>(crashed).role();
+        assert_eq!(role, Role::Backup, "round {round}: the restarted controller kept the area");
+    }
+    assert_eq!(g.stats().counter("ac-takeovers"), 4);
+    assert_eq!(g.stats().counter("ac-evictions"), 0, "a member was evicted");
     assert_eq!(InvariantChecker::new().check(&g), vec![]);
 }
 

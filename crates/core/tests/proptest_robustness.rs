@@ -38,11 +38,8 @@ fn legal_wal(steps: &[(u8, u64)]) -> Vec<Vec<u8>> {
             4 => AcWalRecord::Evict { client },
             5 | 6 => AcWalRecord::Flush { seed },
             7 => AcWalRecord::Rotate { seed },
-            8 => AcWalRecord::Promoted {
-                takeover_epoch: client,
-                old_primary: 1,
-            },
-            _ => AcWalRecord::Demoted { new_primary: 1, seed },
+            8 => AcWalRecord::Epoch { epoch: client, step_down: None },
+            _ => AcWalRecord::Epoch { epoch: client, step_down: Some(seed) },
         };
         wal.push(record.to_bytes());
     }
@@ -156,13 +153,9 @@ proptest! {
                 .expect("no checkpoint to reject");
             AcCheckpoint {
                 primary: false,
-                primary_node: 1,
                 takeover_epoch: 0,
-                peer_takeover_epoch: 0,
                 sync_seq: 0,
                 applied_sync_seq: 1,
-                stale_peer: None,
-                backup: None,
                 snapshot: AcCheckpoint::from_bytes(&primary.encode())
                     .expect("own checkpoint decodes")
                     .snapshot,

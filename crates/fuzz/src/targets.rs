@@ -283,13 +283,9 @@ fn frame_up(flags: u8, frames: &[Vec<u8>]) -> Vec<u8> {
 fn seeds_durable_replay() -> Vec<(&'static str, Vec<u8>)> {
     let ac_ckpt = AcCheckpoint {
         primary: true,
-        primary_node: 0,
         takeover_epoch: 3,
-        peer_takeover_epoch: 2,
         sync_seq: 7,
         applied_sync_seq: 6,
-        stale_peer: Some(4),
-        backup: Some((5, vec![1, 2, 3, 4])),
         snapshot: vec![9; 24],
     };
     let ac_wal = [
@@ -305,14 +301,10 @@ fn seeds_durable_replay() -> Vec<(&'static str, Vec<u8>)> {
         AcWalRecord::Evict { client: 11 },
         AcWalRecord::Flush { seed: Seed::from_bytes([0xa2; 32]) },
         AcWalRecord::Rotate { seed: Seed::from_bytes([0xa3; 32]) },
-        AcWalRecord::Promoted {
-            takeover_epoch: 4,
-            old_primary: 1,
-        },
-        AcWalRecord::Demoted { new_primary: 1, seed: Seed::from_bytes([0xa4; 32]) },
+        AcWalRecord::Epoch { epoch: 4, step_down: None },
+        AcWalRecord::Epoch { epoch: 5, step_down: Some(Seed::from_bytes([0xa4; 32])) },
         AcWalRecord::Enrol { child_area: 2, node: 8, seed: Seed::from_bytes([0xa5; 32]) },
         AcWalRecord::Parent { node: 9, area: 0, group: 1 },
-        AcWalRecord::Backup { node: 1, pubkey: vec![4; 8] },
     ];
     let mut ac_frames = vec![ac_ckpt.to_bytes()];
     ac_frames.extend(ac_wal.iter().map(|r| r.to_bytes()));
@@ -341,9 +333,9 @@ fn seeds_durable_replay() -> Vec<(&'static str, Vec<u8>)> {
     // batch window (client 21 left, its leaf still waits for the
     // flush); the same area as a backup's live replica, with the
     // records its primary ships next — the flush, a rotation, a child
-    // enrolment, a repointed parent — the promotion that makes it this
-    // node's own and the backup it adopts; and a flush whose seed
-    // is short, which must end the replay. The fold itself builds them
+    // enrolment, a repointed parent — and the promotion that makes it
+    // this node's own; and a flush whose seed is short, which must end
+    // the replay. The fold itself builds them
     // — joins need a public key that parses (256-bit odd modulus, e = 3).
     let join = |client: u64| {
         let mut pubkey = Writer::new();
@@ -362,24 +354,16 @@ fn seeds_durable_replay() -> Vec<(&'static str, Vec<u8>)> {
     let departed_leaf = replay_ac(None, &in_window).map(|s| s.encode()).unwrap_or_default();
     let replica = AcCheckpoint {
         primary: false,
-        primary_node: 1,
         takeover_epoch: 0,
-        peer_takeover_epoch: 0,
         sync_seq: 0,
         applied_sync_seq: 9,
-        stale_peer: None,
-        backup: None,
         snapshot: AcCheckpoint::from_bytes(&departed_leaf).map(|c| c.snapshot).unwrap_or_default(),
     };
     let flush = AcWalRecord::Flush { seed: Seed::from_bytes([0xb1; 32]) }.to_bytes();
     let rotate = AcWalRecord::Rotate { seed: Seed::from_bytes([0xb2; 32]) }.to_bytes();
     let enrol = AcWalRecord::Enrol { child_area: 1, node: 4, seed: Seed::from_bytes([0xb3; 32]) };
     let repoint = AcWalRecord::Parent { node: 5, area: 0, group: 0 };
-    let promoted = AcWalRecord::Promoted {
-        takeover_epoch: 1,
-        old_primary: 1,
-    };
-    let adopted = AcWalRecord::Backup { node: 1, pubkey: vec![5; 8] };
+    let promoted = AcWalRecord::Epoch { epoch: 1, step_down: None };
     let short_seed = flush.get(..flush.len() - 1).unwrap_or(&[]).to_vec();
 
     vec![
@@ -399,7 +383,6 @@ fn seeds_durable_replay() -> Vec<(&'static str, Vec<u8>)> {
                     enrol.to_bytes(),
                     repoint.to_bytes(),
                     promoted.to_bytes(),
-                    adopted.to_bytes(),
                 ],
             ),
         ),
