@@ -219,11 +219,10 @@ pub struct AreaController {
     pub(crate) recorded_members: BTreeMap<ClientId, u64>,
 
     // Hierarchy state.
-    /// This controller's keys in its parent area's tree. Volatile: the
-    /// enrolment that follows recovery or a takeover rekeys the path.
+    /// This controller's keys in its parent area's tree, at the parent
+    /// epoch they reach. Volatile: the enrolment that follows recovery
+    /// or a takeover rekeys the path.
     pub(crate) parent_keys: KeyState,
-    /// Last parent-area rekey epoch applied (ordering guard).
-    pub(crate) parent_epoch: u64,
     pub(crate) last_heard_parent: Time,
     /// In-flight parent switch/enrollment: the only node whose
     /// `AreaJoinAck` will be accepted, plus the reliable-send token of
@@ -328,7 +327,6 @@ impl AreaController {
             buffered_join_updates: BTreeMap::new(),
             recorded_members: BTreeMap::new(),
             parent_keys: KeyState::new(),
-            parent_epoch: 0,
             last_heard_parent: Time::ZERO,
             pending_parent_join: None,
             parent_switch_cursor: 0,
@@ -563,7 +561,7 @@ impl Node for AreaController {
                 body,
                 sig,
             } => self.handle_parent_key_update(ctx, from, area, epoch, &body, &sig),
-            Msg::KeyUnicast { ct } => self.handle_parent_key_unicast(ctx, &ct),
+            Msg::KeyUnicast { ct } => self.handle_parent_key_unicast(ctx, from, &ct),
             Msg::KeyRefreshRequest { client } => self.handle_key_refresh(ctx, from, client),
             Msg::LeaveRequest { ct } => self.handle_leave_request(ctx, from, &ct),
             Msg::MemberAlive { client } => {
@@ -575,11 +573,11 @@ impl Node for AreaController {
             }
             Msg::AcAlive { area, epoch } => {
                 // A parent alive with a newer epoch means we missed a
-                // parent-area key update.
+                // parent-area key update; one that finds a refresh still
+                // owed (lost, or its path lost) asks again.
                 let parent = self.durable.image.parent.as_ref();
                 let is_parent = parent.is_some_and(|p| p.node == from && p.area == area);
-                if is_parent && epoch > self.parent_epoch {
-                    self.parent_epoch = epoch;
+                if is_parent && self.parent_keys.beacon(epoch) {
                     self.request_parent_key_refresh(ctx);
                 }
             }
@@ -738,6 +736,12 @@ impl Node for AreaController {
                 ctx.join_group(p.group);
                 self.request_parent_enrollment(ctx, &p);
             }
+        } else {
+            // The fold stopped at the first frame it could not read,
+            // and a record appended behind that frame would be lost to
+            // the next recovery. Like every recovery, a backup's ends in
+            // a checkpoint before it commits anything else.
+            self.persist_checkpoint(ctx);
         }
     }
 

@@ -357,7 +357,6 @@ impl AreaController {
         self.buffered_join_updates.clear();
         self.recorded_members.clear();
         self.parent_keys.clear();
-        self.parent_epoch = 0;
         self.last_heard_parent = Time::ZERO;
         self.pending_parent_join = None;
         self.parent_switch_cursor = 0;

@@ -8,7 +8,7 @@ use mykil::config::{BatchPolicy, MykilConfig, RejoinPolicy};
 use mykil::group::GroupBuilder;
 use mykil::identity::AreaId;
 use mykil::invariants::InvariantChecker;
-use mykil::member::{Member, MemberPhase};
+use mykil::member::Member;
 use mykil::msg::RejoinDenyReason;
 use mykil_net::Duration;
 use mykil_tree::MemberId;
@@ -87,10 +87,7 @@ fn active_member_rejoin_elsewhere_is_denied_cohort_defense() {
     g.run_for(Duration::from_millis(50));
     g.move_member(m, 1 - home);
     g.settle();
-    assert_eq!(
-        g.member_phase(m),
-        MemberPhase::Denied(RejoinDenyReason::StillMemberElsewhere)
-    );
+    assert_eq!(g.member(m).denied(), Some(RejoinDenyReason::StillMemberElsewhere));
     assert_eq!(g.ac(1 - home).stats.rejoins_denied, 1);
 }
 
@@ -113,10 +110,7 @@ fn partition_policy_deny_refuses_unverifiable_rejoin() {
 
     g.move_member(m, away);
     g.run_for(Duration::from_secs(4));
-    assert_eq!(
-        g.member_phase(m),
-        MemberPhase::Denied(RejoinDenyReason::PartitionedStrict)
-    );
+    assert_eq!(g.member(m).denied(), Some(RejoinDenyReason::PartitionedStrict));
 }
 
 #[test]
