@@ -430,6 +430,8 @@ impl AreaController {
         // just died.
         let link = ParentLink { node: from, area, group: parent.group };
         self.commit_parent(ctx, &link);
+        self.parent_keys.restart_lineage();
+        self.request_parent_key_refresh(ctx);
     }
 }
 
@@ -529,6 +531,36 @@ mod tests {
 
         let replica = &g.backup(1).durable.image;
         assert_eq!(replica.parent.as_ref().map(|p| p.node), Some(promoted));
+    }
+
+    /// A child controller whose parent area changes hands restarts its
+    /// parent lineage, as a member does: the promoted parent's replica
+    /// never received the rotation before the crash, so its epoch
+    /// trails the one the child's keys reached, and its next update is
+    /// still applied.
+    #[test]
+    fn a_neighbour_takeover_restarts_the_parent_lineage() {
+        use mykil_net::Duration;
+
+        let mut g = GroupBuilder::new(97).areas(2).replicated(true).build();
+        g.settle();
+        let (primary, backup) = (g.primaries[0], g.backups[0]);
+        g.sim.cut_link(primary, backup);
+        g.sim.invoke(primary, |ac: &mut AreaController, ctx| ac.freshness_rotate(ctx));
+        g.run_for(Duration::from_millis(20));
+        assert_eq!(g.ac(1).parent_area_key(), Some(g.ac(0).area_key()));
+        let reached = g.ac(1).parent_keys.epoch;
+        g.sim.crash(primary);
+        g.run_for(Duration::from_secs(1));
+
+        let promoted = g.sim.node::<AreaController>(backup);
+        assert_eq!(g.ac(1).parent().map(|p| p.node), Some(backup), "area 1 never repointed");
+        assert!(promoted.epoch() < reached, "the promoted replica does not trail");
+        g.sim.invoke(backup, |ac: &mut AreaController, ctx| ac.freshness_rotate(ctx));
+        g.run_for(Duration::from_millis(20));
+        let promoted = g.sim.node::<AreaController>(backup);
+        assert_eq!(g.ac(1).parent_area_key(), Some(promoted.area_key()), "update dropped");
+        assert_eq!(g.ac(1).parent_keys.epoch, promoted.epoch());
     }
 
     /// A restarted child controller re-enrols with its parent by a

@@ -37,7 +37,7 @@ mod replication;
 use crate::config::{BatchPolicy, MykilConfig};
 use crate::crypto_cost::CryptoCost;
 use crate::directory::AcDirectory;
-use crate::durable::RECOVERY_EPOCH_JUMP;
+use crate::durable::{SyncPosition, RECOVERY_EPOCH_JUMP};
 use crate::identity::{AreaId, ClientId, DeviceId};
 use crate::msg::{Msg, RejoinDenyReason};
 use crate::node_keys::NodeKeys;
@@ -51,6 +51,7 @@ use mykil_tree::{AreaTree, MemberId};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 pub use persist::AcDurable;
+pub(crate) use persist::BAD_CHECKPOINT;
 pub(crate) use replication::AreaImage;
 
 crate::timer::timer_kinds! {
@@ -245,28 +246,28 @@ pub struct AreaController {
     /// The highest takeover epoch heard from the peer since start-up: a
     /// takeover claims one above both it and this node's own.
     pub(crate) heard_epoch: u64,
-    pub(crate) hb_seq: u64,
     pub(crate) last_heartbeat: Time,
     /// Records committed since the last checkpoint: what a recovery
     /// would replay. Past `CHECKPOINT_WAL_RECORDS` the log is compacted.
     pub(crate) wal_records: usize,
-    /// Records that changed the area and that the backup has not
-    /// acknowledged, oldest first (primary role); the newest one's
-    /// replication sequence is `durable.sync_seq`. Each holds its seed.
-    pub(crate) sync_backlog: VecDeque<SecretBytes>,
+    /// Records that changed the area since the position the backup last
+    /// acknowledged or the image last shipped, oldest first (primary
+    /// role), each with the position it follows; the newest one leads to
+    /// `durable.position`. Each holds its seed.
+    pub(crate) sync_backlog: VecDeque<(SyncPosition, SecretBytes)>,
     /// The backup must adopt a full image before records mean anything
-    /// to it: set whenever it (re)attaches or the area changed without a
-    /// record, cleared when an image is acknowledged. While set, nothing
-    /// is queued in `sync_backlog`.
+    /// to it: set whenever it (re)attaches or reports a position this
+    /// node never held, cleared when the image is shipped. While set,
+    /// nothing is queued in `sync_backlog`.
     pub(crate) image_owed: bool,
-    /// The outstanding `StateSync` — its reliable-send token, the
-    /// sequence it brings the backup to, whether it is a full image —
-    /// cancelled when a newer one supersedes it.
-    pub(crate) pending_sync: Option<(MsgToken, u64, bool)>,
-    /// The sequence the backup had acknowledged when the latest
-    /// heartbeat left: an answer to that heartbeat reporting less means
-    /// the backup lost state it once held.
-    pub(crate) hb_floor: u64,
+    /// The position the backup last reported, when this node held it.
+    pub(crate) acked: Option<SyncPosition>,
+    /// The sequence shipped so far: the next sync ships the backlog's
+    /// records past it.
+    pub(crate) shipped: u64,
+    /// `shipped` as the previous heartbeat ack was read: an ack that
+    /// reports less means something shipped before it was lost.
+    pub(crate) shipped_at_ack: u64,
     /// When the backup last acknowledged a heartbeat (primary role).
     pub(crate) last_backup_ack: Time,
     /// Set after `failover_threshold` unacknowledged heartbeats, and by
@@ -336,13 +337,13 @@ impl AreaController {
             last_area_mcast: Time::ZERO,
             repl_key,
             heard_epoch: 0,
-            hb_seq: 0,
             last_heartbeat: Time::ZERO,
             wal_records: 0,
             sync_backlog: VecDeque::new(),
             image_owed: true,
-            pending_sync: None,
-            hb_floor: 0,
+            acked: None,
+            shipped: 0,
+            shipped_at_ack: 0,
             last_backup_ack: Time::ZERO,
             backup_presumed_dead: false,
             pending_demote: None,
@@ -377,7 +378,7 @@ impl AreaController {
     }
 
     /// The state a crash would have to reproduce: role, fencing epoch,
-    /// replication sequences, member rows, tree (the invariant checks
+    /// replication position, member rows, tree (the invariant checks
     /// compare it with a replay of stable storage).
     pub fn durable(&self) -> &AcDurable {
         &self.durable
@@ -583,14 +584,12 @@ impl Node for AreaController {
             }
             Msg::AreaJoinReq { ct, sig } => self.handle_area_join_req(ctx, from, &ct, &sig),
             Msg::AreaJoinAck { ct, sig } => self.handle_area_join_ack(ctx, from, &ct, &sig),
-            Msg::HeartbeatAck { seq, takeover_epoch, applied_sync_seq } => {
-                self.handle_heartbeat_ack(ctx, from, seq, takeover_epoch, applied_sync_seq)
+            Msg::HeartbeatAck { takeover_epoch, position } => {
+                self.handle_heartbeat_ack(ctx, from, takeover_epoch, position)
             }
             // A primary receiving primary heartbeats: the sender also
             // believes it runs this area (split brain after a heal).
-            Msg::Heartbeat { takeover_epoch, .. } => {
-                self.handle_peer_claim(ctx, from, takeover_epoch)
-            }
+            Msg::Heartbeat { takeover_epoch } => self.handle_peer_claim(ctx, from, takeover_epoch),
             Msg::Demote { area, takeover_epoch, sig } => {
                 self.handle_demote(ctx, from, area, takeover_epoch, &sig)
             }
@@ -627,13 +626,6 @@ impl Node for AreaController {
     }
 
     fn on_reliable_acked(&mut self, ctx: &mut Context<'_>, _peer: NodeId, msg: MsgToken) {
-        if let Some((_, upto, image)) = self.pending_sync.take_if(|(token, ..)| *token == msg) {
-            // The backup holds everything up to `upto`: drop the records
-            // at or below it (an image left none queued).
-            let newer = (self.durable.sync_seq - upto) as usize;
-            self.sync_backlog.drain(..self.sync_backlog.len().saturating_sub(newer));
-            self.image_owed &= !image;
-        }
         if self.pending_demote == Some(msg) {
             self.pending_demote = None;
             self.handle_demote_acked(ctx);
@@ -647,13 +639,6 @@ impl Node for AreaController {
         _kind: &'static str,
         msg: MsgToken,
     ) {
-        if self.pending_sync.take_if(|(token, ..)| *token == msg).is_some() {
-            // The backup never acknowledged the sync; what it carried
-            // stays owed, and heartbeat-ack tracking decides whether the
-            // backup is presumed dead or gets it again.
-            ctx.stats().bump("ac-state-sync-expired", 1);
-            return;
-        }
         if self.pending_demote == Some(msg) {
             // The stale primary went unreachable again; the next of its
             // heartbeats to arrive restarts the fence.
@@ -680,39 +665,26 @@ impl Node for AreaController {
 
     fn on_restarted(&mut self, ctx: &mut Context<'_>) {
         ctx.stats().bump("ac-restarts", 1);
-        // The crash wiped all volatile state and left the deployed
-        // durable state (`wipe_volatile`); stable storage replaces it:
-        // the newest valid checkpoint, folded over the WAL suffix. Note
-        // the recovered role may differ from the deployment role — a
-        // promoted backup recovers as primary.
-        let rec = ctx.load();
-        let now = ctx.now();
-        let mut recovered = false;
-        if let Some((_seq, bytes)) = &rec.checkpoint {
-            match AcDurable::decode(bytes, now) {
-                Some(state) => {
-                    self.durable = state;
-                    recovered = true;
-                }
-                None => ctx.stats().bump("ac-recovery-bad-checkpoint", 1),
-            }
-        }
-        let (folded, refused) = self.durable.fold(&rec.wal, now);
-        self.wal_records = rec.wal.len();
-        if folded < rec.wal.len() {
-            ctx.stats().bump("ac-recovery-bad-wal-record", 1);
-        }
-        for counter in refused {
+        // The crash wiped all volatile state (`wipe_volatile`); stable
+        // storage replaces the durable state: the newest valid
+        // checkpoint, else the deployed state, folded over the WAL
+        // suffix. Note the recovered role may differ from the deployment
+        // role — a promoted backup recovers as primary.
+        let stored = ctx.load();
+        let restored = self.replay(&stored, ctx.now());
+        self.durable = restored.state;
+        self.wal_records = stored.wal.len();
+        for counter in restored.counters {
             ctx.stats().bump(counter, 1);
         }
-        recovered |= folded > 0;
+        let recovered = restored.recovered;
         if recovered {
             ctx.stats().bump("ac-recoveries", 1);
             if self.durable.role == Role::Primary {
-                // Both counters can lag their durable image; re-fence
-                // them (see `RECOVERY_EPOCH_JUMP`).
+                // Both counters can lag what the last incarnation used;
+                // re-fence them (see `RECOVERY_EPOCH_JUMP`).
                 self.durable.image.epoch += RECOVERY_EPOCH_JUMP;
-                self.durable.sync_seq += RECOVERY_EPOCH_JUMP;
+                self.durable.position.seq += RECOVERY_EPOCH_JUMP;
             }
             self.adopt_departures();
         }

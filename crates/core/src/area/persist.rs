@@ -19,15 +19,16 @@
 //!
 //! `AcDurable::apply` is the only code that gives a record its meaning,
 //! and it has four kinds of caller. A live handler builds the record
-//! and hands it to [`AreaController::wal_commit_record`], which commits
-//! and then applies it — `apply` is private to this file so that no
-//! handler can apply what it has not committed. A backup hands the same
+//! and hands it to [`AreaController::wal_commit_record`], which applies
+//! and commits it in one turn — `apply` is private to this file so that
+//! no handler can apply what it does not commit. A backup hands the same
 //! function the records its primary ships, so its `image` is a live
-//! replica, byte for byte. `on_restarted` assigns [`AcDurable::decode`]
-//! of the newest valid checkpoint (else the deployed state the crash
-//! wipe left), folded over the WAL suffix by [`AcDurable::fold`].
-//! [`crate::durable::replay_ac`] is the same decode and fold without a
-//! node around it, for the durability invariant and the fuzzer.
+//! replica, byte for byte. `on_restarted` assigns what
+//! [`AreaController::replay`] returns: [`AcDurable::decode`] of the
+//! newest valid checkpoint (else the deployed state), folded over the
+//! WAL suffix. The durability invariant compares memory with the same
+//! call, and [`crate::durable::replay_ac`] is the same fold without a
+//! node around it, for the fuzzer and the benchmark.
 //!
 //! A departure queued in a batch window (Section III-E) needs no queue
 //! of its own: `Leave`/`Evict` remove the member row and leave the leaf,
@@ -44,12 +45,12 @@ use super::replication::AreaImage;
 use super::{AcDeployment, AreaController, MemberRecord, ParentLink, Role, AC_MEMBER_BASE};
 use crate::config::MykilConfig;
 use crate::durable::{
-    AcCheckpoint, AcWalRecord, Seed, CHECKPOINT_WAL_RECORDS, SYNC_BACKLOG_RECORDS,
+    AcCheckpoint, AcWalRecord, Seed, SyncPosition, CHECKPOINT_WAL_RECORDS, SYNC_BACKLOG_RECORDS,
 };
 use crate::identity::{AreaId, ClientId, DeviceId};
 use crate::timer::PendingTimers;
 use mykil_crypto::rsa::RsaPublicKey;
-use mykil_net::{Context, GroupId, NodeId, SecretBytes, Time};
+use mykil_net::{Context, GroupId, NodeId, Recovered, SecretBytes, Time};
 use mykil_tree::{AreaTree, MemberId, RekeyPlan};
 use std::collections::BTreeSet;
 
@@ -67,12 +68,12 @@ pub struct AcDurable {
     /// Of two primaries the higher `(takeover_epoch, node)` keeps the
     /// area (Section IV-C extension).
     pub(crate) takeover_epoch: u64,
-    /// Replication sequence (primary role): one step per record that
-    /// changes the area and per full image sent, so a retransmitted or
-    /// reordered `StateSync` can never regress the backup.
-    pub(crate) sync_seq: u64,
-    /// Highest replication sequence applied (backup role).
-    pub(crate) applied_sync_seq: u64,
+    /// Where `image` stands in the replication log, on either role: a
+    /// step per record that changes the area and per image shipped, so
+    /// a reordered or repeated `StateSync` can never regress the backup,
+    /// and a digest of the steps, so the backup's acknowledgement names
+    /// the area it holds.
+    pub(crate) position: SyncPosition,
     /// The area: as this node runs it (primary role), or its live
     /// replica of the primary's (backup role) — the last image adopted,
     /// folded over every record shipped since.
@@ -85,8 +86,7 @@ impl AcDurable {
         AcDurable {
             role,
             takeover_epoch: 0,
-            sync_seq: 0,
-            applied_sync_seq: 0,
+            position: SyncPosition::default(),
             image,
         }
     }
@@ -135,8 +135,7 @@ impl AcDurable {
         AcCheckpoint {
             primary: self.role == Role::Primary,
             takeover_epoch: self.takeover_epoch,
-            sync_seq: self.sync_seq,
-            applied_sync_seq: self.applied_sync_seq,
+            position: self.position,
             snapshot: self.image.encode(),
         }
         .to_bytes()
@@ -148,26 +147,27 @@ impl AcDurable {
         Some(AcDurable {
             role: if cp.primary { Role::Primary } else { Role::Backup },
             takeover_epoch: cp.takeover_epoch,
-            sync_seq: cp.sync_seq,
-            applied_sync_seq: cp.applied_sync_seq,
+            position: cp.position,
             image: AreaImage::decode(&cp.snapshot, now)?,
         })
     }
 
-    /// The transition function: what one durable record does to the
-    /// state. Returns what the live path needs from the change — the
-    /// rekey plan of the record's tree operation, empty where it has
-    /// none — or, when the record changed less than it says, the
-    /// counter recovery reports that under. Every key it makes comes
-    /// from the record's seed: two folds of one log agree byte for byte.
-    fn apply(&mut self, rec: &AcWalRecord, now: Time) -> Result<RekeyPlan, &'static str> {
+    /// The transition function: what one durable record (`bytes`, as
+    /// committed) does to the state. Returns what the live path needs
+    /// from the change — the rekey plan of the record's tree operation,
+    /// empty where it has none — or, when the record changed less than
+    /// it says, the counter recovery reports that under. Every key it
+    /// makes comes from the record's seed: two folds of one log agree
+    /// byte for byte.
+    fn apply(
+        &mut self,
+        rec: &AcWalRecord,
+        bytes: &[u8],
+        now: Time,
+    ) -> Result<RekeyPlan, &'static str> {
         if rec.changes_area() {
-            // One step of the replication sequence, on whichever side
-            // of it this node stands.
-            match self.role {
-                Role::Primary => self.sync_seq += 1,
-                Role::Backup => self.applied_sync_seq += 1,
-            }
+            // One step of the replication log, on either role.
+            self.position = self.position.after(bytes);
         }
         match rec {
             AcWalRecord::Join {
@@ -224,10 +224,10 @@ impl AcDurable {
             AcWalRecord::Epoch { epoch, step_down: Some(seed) } => {
                 self.role = Role::Backup;
                 self.takeover_epoch = *epoch;
-                // Replica bookkeeping from the primary stint must not
-                // block the winner's first image, and the area this
-                // node ran is the winner's now.
-                self.applied_sync_seq = 0;
+                // The area this node ran is the winner's now, and the
+                // position it stood at must not block the winner's first
+                // image.
+                self.position = SyncPosition::default();
                 let (cfg, parent) = (self.image.tree.config(), self.image.parent.take());
                 self.image = AreaImage::blank(cfg, parent, &mut seed.rng());
                 Ok(RekeyPlan::default())
@@ -261,23 +261,46 @@ impl AcDurable {
         self.image.tree.join(member, rng).map_err(|_| "ac-recovery-join-failed")
     }
 
-    /// Folds a WAL suffix over the state. An unparseable record ends
-    /// the replay — everything after it is suspect, as after a torn
-    /// tail — so a first count below `wal.len()` says one was met; the
-    /// second value lists, by recovery counter, the records that
-    /// changed less than they say.
-    pub(crate) fn fold(&mut self, wal: &[Vec<u8>], now: Time) -> (usize, Vec<&'static str>) {
-        let mut refused = Vec::new();
-        let mut folded = 0;
+    /// Recovery's fold: the newest valid checkpoint — else `base`, the
+    /// state a crash leaves — folded over the WAL suffix. An
+    /// unparseable record ends the replay: everything after it is
+    /// suspect, as after a torn tail.
+    pub(crate) fn restore(
+        base: AcDurable,
+        checkpoint: Option<&[u8]>,
+        wal: &[Vec<u8>],
+        now: Time,
+    ) -> Restored {
+        let decoded = checkpoint.map(|bytes| AcDurable::decode(bytes, now));
+        let mut counters = Vec::new();
+        if let Some(None) = decoded {
+            counters.push(BAD_CHECKPOINT);
+        }
+        let mut recovered = matches!(decoded, Some(Some(_)));
+        let mut state = decoded.flatten().unwrap_or(base);
         for raw in wal {
             let Some(rec) = AcWalRecord::from_bytes(raw) else {
+                counters.push("ac-recovery-bad-wal-record");
                 break;
             };
-            refused.extend(self.apply(&rec, now).err());
-            folded += 1;
+            counters.extend(state.apply(&rec, raw, now).err());
+            recovered = true;
         }
-        (folded, refused)
+        Restored { state, recovered, counters }
     }
+}
+
+/// The recovery counter of a checkpoint that did not parse.
+pub(crate) const BAD_CHECKPOINT: &str = "ac-recovery-bad-checkpoint";
+
+/// What [`AcDurable::restore`] rebuilt from stable storage.
+pub(crate) struct Restored {
+    pub state: AcDurable,
+    /// A checkpoint parsed or a record folded: the base was replaced.
+    pub recovered: bool,
+    /// Recovery counters: a checkpoint that did not parse, a record that
+    /// ended the fold, records that changed less than they say.
+    pub counters: Vec<&'static str>,
 }
 
 impl AreaController {
@@ -295,11 +318,22 @@ impl AreaController {
         )
     }
 
-    /// Commits one WAL record (append + fsync) to stable storage, then
-    /// applies it: the only way a live handler — or a backup folding
-    /// its primary's log — changes what a record describes. A primary
-    /// queues a record that changes the area for its backup (the next
-    /// [`Self::sync_backup`] ships the queue); a log grown past
+    /// What recovery would rebuild from `stored`: recovery's fold over
+    /// this node's deployed state. `on_restarted` assigns it, and the
+    /// durability invariant compares memory with it.
+    pub(crate) fn replay(&self, stored: &Recovered, now: Time) -> Restored {
+        let base = Self::deployed_state(&self.cfg, &self.deploy, self.tree_seed);
+        let checkpoint = stored.checkpoint.as_ref().map(|(_, bytes)| bytes.as_slice());
+        AcDurable::restore(base, checkpoint, &stored.wal, now)
+    }
+
+    /// Applies one WAL record and commits it (append + fsync) to stable
+    /// storage in the same turn, before any of its effects leave the
+    /// node: the only way a live handler — or a backup folding its
+    /// primary's log — changes what a record describes. A primary
+    /// queues a record that changes the area for its backup, with the
+    /// position it follows (the next [`Self::sync_backup`] ships what
+    /// the queue holds unshipped); a log grown past
     /// [`CHECKPOINT_WAL_RECORDS`] is compacted here.
     pub(crate) fn wal_commit_record(
         &mut self,
@@ -310,13 +344,14 @@ impl AreaController {
         // While an image is owed the backup learns of this record from
         // the image.
         if self.durable.role == Role::Primary && rec.changes_area() && !self.image_owed {
-            self.sync_backlog.push_back(SecretBytes::new(bytes.clone()));
+            let from = self.durable.position;
+            self.sync_backlog.push_back((from, SecretBytes::new(bytes.clone())));
             if self.sync_backlog.len() > SYNC_BACKLOG_RECORDS {
                 self.owe_image();
             }
         }
+        let out = self.durable.apply(rec, &bytes, ctx.now());
         ctx.wal_commit(bytes);
-        let out = self.durable.apply(rec, ctx.now());
         self.wal_records += 1;
         if self.wal_records > CHECKPOINT_WAL_RECORDS {
             self.persist_checkpoint(ctx);
@@ -365,12 +400,9 @@ impl AreaController {
         self.seen_order.clear();
         self.last_area_mcast = Time::ZERO;
         self.heard_epoch = 0;
-        self.hb_seq = 0;
         self.last_heartbeat = Time::ZERO;
         self.wal_records = 0;
         self.owe_image();
-        self.pending_sync = None;
-        self.hb_floor = 0;
         self.last_backup_ack = Time::ZERO;
         self.backup_presumed_dead = false;
         self.pending_demote = None;
@@ -446,13 +478,13 @@ mod tests {
 
     fn fold(mut state: AcDurable, log: &[AcWalRecord]) -> AcDurable {
         for rec in log {
-            let _ = state.apply(rec, Time::ZERO);
+            let _ = state.apply(rec, &rec.to_bytes(), Time::ZERO);
         }
         state
     }
 
     /// What a replica must reproduce: every byte of the checkpoint —
-    /// image, role, sequences — the queued departures, the epoch.
+    /// image, role, position — the queued departures, the epoch.
     fn facts(state: &AcDurable) -> (Vec<u8>, Vec<MemberId>, u64) {
         (state.encode(), state.departed().collect(), state.epoch())
     }
@@ -493,5 +525,61 @@ mod tests {
                 resumed.departed().collect::<Vec<_>>(), whole.departed().collect::<Vec<_>>()
             );
         }
+    }
+
+    /// Two recoveries of a primary from one durable base — the first
+    /// one's checkpoint and rotation lost to a lying disk — ship their
+    /// re-attach images at one sequence. The backup, which folded the
+    /// first incarnation's rotation past it, drops the second image as
+    /// stale, and the second incarnation's own rotation with it; its
+    /// heartbeat ack names a position the primary never held (the same
+    /// sequence over another area, or one ahead of it), and the primary
+    /// sends one image above it.
+    fn two_recoveries_from_one_base(rotate_again: bool) {
+        use crate::group::GroupBuilder;
+        use crate::invariants::InvariantChecker;
+        use mykil_net::{Duration, StoreFault};
+
+        let mut g = GroupBuilder::new(93).areas(1).replicated(true).build();
+        g.settle();
+        let (primary, backup) = (g.primaries[0], g.backups[0]);
+        g.sim.crash(primary);
+        g.sim.inject_storage_fault(primary, StoreFault::LostTail);
+        assert!(g.sim.restart(primary));
+        g.run_for(Duration::from_millis(1));
+        g.sim.invoke(primary, |ac: &mut AreaController, ctx| ac.freshness_rotate(ctx));
+        g.run_for(Duration::from_millis(50));
+        let first = g.ac(0).durable.position;
+        assert_eq!(g.backup(0).durable.position, first);
+
+        g.sim.crash(primary);
+        assert!(g.sim.restart(primary));
+        g.run_for(Duration::from_millis(1));
+        if rotate_again {
+            g.sim.invoke(primary, |ac: &mut AreaController, ctx| ac.freshness_rotate(ctx));
+        }
+        let second = g.ac(0).durable.position;
+        assert_eq!(second.seq, first.seq - u64::from(!rotate_again), "not one base");
+        assert_ne!(second, first);
+        let images = g.stats().counter("state-sync-images");
+        g.run_for(Duration::from_secs(1));
+        assert_eq!(g.sim.node::<AreaController>(backup).role(), Role::Backup);
+        assert_eq!(g.stats().counter("ac-backup-lost-state"), 1);
+        assert_eq!(g.stats().counter("state-sync-images"), images + 1);
+        let (p, b) = (g.ac(0), g.backup(0));
+        assert!(p.backup_in_sync() && b.durable.position == p.durable.position);
+        assert!(b.durable.position.seq > first.seq);
+        assert!(b.durable.image.encode() == p.durable.image.encode());
+        assert_eq!(InvariantChecker::new().check(&g), vec![]);
+    }
+
+    #[test]
+    fn two_recoveries_from_one_base_owe_one_image() {
+        two_recoveries_from_one_base(true);
+    }
+
+    #[test]
+    fn a_backup_ahead_of_its_primary_adopts_its_image() {
+        two_recoveries_from_one_base(false);
     }
 }

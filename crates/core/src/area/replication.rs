@@ -9,13 +9,15 @@
 //!
 //! Replication is log shipping. The backup's [`AreaImage`] is a live
 //! replica: it adopts a full image when it (re)attaches — start-up,
-//! revival, the primary's recovery, adoption after a demotion, a gap it
-//! reports, a backlog past `SYNC_BACKLOG_RECORDS`; between images the
-//! primary ships the WAL records that changed the area (members, tree,
-//! child enrolments, the parent link), seeds included, and the backup
-//! commits and folds them through the same `wal_commit_record`. One
-//! `StateSync` body ([`SyncBody`]) carries either, under one seal and
-//! one monotonic sequence.
+//! revival, the primary's recovery, adoption after a demotion, a
+//! position the primary never held, a backlog past
+//! `SYNC_BACKLOG_RECORDS`; between images the primary ships the WAL
+//! records that changed the area (members, tree, child enrolments, the
+//! parent link), seeds included, and the backup commits and folds them
+//! through the same `wal_commit_record`. One `StateSync` body
+//! ([`SyncBody`]) carries either, under one seal, sent once. Both sides
+//! stand at a [`SyncPosition`], and the backup's heartbeat ack, which
+//! names its own, is the only acknowledgement.
 
 // `Msg` dispatch lists every variant, so a new wire message does not
 // compile until each role triages it.
@@ -28,13 +30,13 @@
 )]
 
 use super::{AreaController, MemberRecord, ParentLink, Role, Timer};
-use crate::durable::{AcWalRecord, Seed};
+use crate::durable::{AcWalRecord, Seed, SyncPosition};
 use crate::identity::{AreaId, ClientId, DeviceId};
 use crate::msg::{Msg, SyncBody};
 use crate::node_keys::{demote_signed_bytes, takeover_signed_bytes};
 use crate::wire::{Reader, Writer};
 use mykil_crypto::rsa::RsaPublicKey;
-use mykil_net::{Context, GroupId, NodeId, SecretBytes, Time};
+use mykil_net::{Context, GroupId, NodeId, Time};
 use mykil_tree::{AreaTree, TreeConfig};
 use rand::RngCore;
 use std::collections::BTreeMap;
@@ -167,14 +169,12 @@ impl AreaImage {
 impl AreaController {
     /// Brings the backup up to date (called after every key update,
     /// membership change, or hierarchy change): ships the records
-    /// committed since the backup's last acknowledgement, or — while an
-    /// image is owed — the full area image.
-    ///
-    /// Either rides the reliable channel under a monotonic sequence, so
-    /// a retransmitted or reordered stale sync can never regress the
-    /// backup. A newer sync supersedes the outstanding one (its
-    /// retransmissions are cancelled) because it carries everything
-    /// that one did; nothing is sent while the backup is presumed dead.
+    /// committed since the last shipment, or — while an image is owed —
+    /// the full area image, under the sequence it brings the backup to,
+    /// so that a reordered or repeated sync can never regress it. The
+    /// backup's heartbeat acks say what arrived
+    /// ([`Self::handle_heartbeat_ack`]); nothing is sent while it is
+    /// presumed dead.
     pub(crate) fn sync_backup(&mut self, ctx: &mut Context<'_>) {
         let Some(backup) = self.peer_node() else {
             return;
@@ -184,53 +184,48 @@ impl AreaController {
         }
         let image;
         let body = if self.image_owed {
-            // An image is a step of the sequence no record takes.
-            self.durable.sync_seq += 1;
-            ctx.stats().bump("state-sync-images", 1);
+            // An image is a step of the sequence no record takes, and
+            // starts the digest chain afresh.
             image = self.durable.image.encode();
-            SyncBody::Image { seq: self.durable.sync_seq, image: &image }
-        } else if self.sync_backlog.is_empty() {
-            return;
+            self.durable.position = SyncPosition::image(self.durable.position.seq + 1, &image);
+            self.image_owed = false;
+            ctx.stats().bump("state-sync-images", 1);
+            SyncBody::Image { seq: self.durable.position.seq, image: &image }
         } else {
-            ctx.stats().bump("state-sync-records", self.sync_backlog.len() as u64);
-            let records = self.sync_backlog.iter().map(SecretBytes::as_slice).collect();
-            SyncBody::Records { seq: self.durable.sync_seq, records }
+            let shipped = self.shipped;
+            let records: Vec<&[u8]> = self
+                .sync_backlog
+                .iter()
+                .filter(|(from, _)| from.seq >= shipped)
+                .map(|(_, rec)| rec.as_slice())
+                .collect();
+            if records.is_empty() {
+                return;
+            }
+            ctx.stats().bump("state-sync-records", records.len() as u64);
+            SyncBody::Records { seq: self.durable.position.seq, records }
         };
         self.node_keys.charge_symmetric(ctx, 1);
         let ct = self.repl_key.seal(&body.to_bytes(), ctx.rng());
-        if let Some((old, ..)) = self.pending_sync.take() {
-            ctx.cancel_reliable(old);
-        }
-        let token = ctx.send_reliable(backup, "state-sync", Msg::StateSync { ct }.to_bytes());
-        self.pending_sync = Some((token, self.durable.sync_seq, self.image_owed));
+        self.shipped = self.durable.position.seq;
+        ctx.send(backup, "state-sync", Msg::StateSync { ct }.to_bytes());
     }
 
-    /// Stops queueing records for the backup: the next sync ships a
-    /// full image, and so does every later one until the backup
-    /// acknowledges an image.
+    /// Stops queueing records for the backup, which holds nothing this
+    /// node can build on: the next sync ships a full image, and nothing
+    /// shipped before it counts.
     pub(crate) fn owe_image(&mut self) {
         self.image_owed = true;
+        self.acked = None;
         self.sync_backlog.clear();
+        (self.shipped, self.shipped_at_ack) = (0, 0);
     }
 
-    /// The replication sequence the backup has acknowledged (nothing,
-    /// while it is owed an image).
-    fn acked_sync_seq(&self) -> u64 {
-        if self.image_owed {
-            0
-        } else {
-            self.durable.sync_seq - self.sync_backlog.len() as u64
-        }
-    }
-
-    /// Whether the backup holds this node's area: nothing queued, owed
-    /// or in flight for a backup believed alive. The replica-equality
-    /// invariant compares the two images only then.
+    /// Whether the backup holds this node's area: it acknowledged the
+    /// position this node stands at, and is not presumed dead. The
+    /// replica-equality invariant compares the two images only then.
     pub fn backup_in_sync(&self) -> bool {
-        !self.image_owed
-            && self.sync_backlog.is_empty()
-            && self.pending_sync.is_none()
-            && !self.backup_presumed_dead
+        self.acked == Some(self.durable.position) && !self.backup_presumed_dead
     }
 
     /// Primary heartbeat tick. Heartbeats keep flowing to a presumed-
@@ -239,16 +234,10 @@ impl AreaController {
     /// the `StateSync` traffic stops.
     pub(crate) fn tick_heartbeat(&mut self, ctx: &mut Context<'_>) {
         if let Some(backup) = self.peer_node() {
-            self.hb_seq += 1;
-            self.hb_floor = self.acked_sync_seq();
             ctx.send(
                 backup,
                 "replication",
-                Msg::Heartbeat {
-                    seq: self.hb_seq,
-                    takeover_epoch: self.durable.takeover_epoch,
-                }
-                .to_bytes(),
+                Msg::Heartbeat { takeover_epoch: self.durable.takeover_epoch }.to_bytes(),
             );
             let threshold = self
                 .cfg
@@ -257,32 +246,33 @@ impl AreaController {
             if !self.backup_presumed_dead && ctx.now().since(self.last_backup_ack) >= threshold {
                 self.backup_presumed_dead = true;
                 ctx.stats().bump("backup-presumed-dead", 1);
-                // The dead backup cannot ack in-flight syncs; stop
-                // their retransmissions instead of letting each run out
-                // its retry budget against a black hole. It re-attaches
-                // with an image.
-                ctx.cancel_reliable_to(backup);
-                self.pending_sync = None;
+                // It re-attaches with an image.
                 self.owe_image();
             }
         }
         Timer::Heartbeat.arm(&mut self.timers, ctx, self.cfg.heartbeat_interval);
     }
 
-    /// Backup liveness tracking (primary role): `HeartbeatAck` refreshes
-    /// the ack clock, and an ack from a presumed-dead backup revives it
-    /// with an immediate full image. So does an answer to the latest
-    /// heartbeat that reports less than the backup had acknowledged
-    /// when that heartbeat left — it restarted from an older checkpoint
-    /// slot, and the records it lacks are trimmed. A sync that ran out
-    /// its retries is sent again.
+    /// The one acknowledgement of replication (primary role): the
+    /// backup's heartbeat ack names the position its replica stands at,
+    /// refreshes the liveness clock and revives a presumed-dead backup.
+    ///
+    /// - A position this node held — where it stands, or one its backlog
+    ///   follows — trims the backlog up to there; short of what had been
+    ///   shipped when the previous ack was read, the rest is shipped
+    ///   again. (Not when the heartbeat left: a heartbeat can overtake
+    ///   the larger `StateSync` shipped just before it.)
+    /// - A position this node never held — the same sequence over
+    ///   another area, one past where it stands, one below its backlog —
+    ///   owes an image at a sequence above both, which the backup cannot
+    ///   drop as stale; unless it is only below an image shipped since
+    ///   the previous ack was read, still on its way.
     pub(crate) fn handle_heartbeat_ack(
         &mut self,
         ctx: &mut Context<'_>,
         from: NodeId,
-        seq: u64,
         takeover_epoch: u64,
-        applied_sync_seq: u64,
+        at: SyncPosition,
     ) {
         if self.peer_node() != Some(from) {
             return;
@@ -292,21 +282,33 @@ impl AreaController {
         if self.backup_presumed_dead {
             self.backup_presumed_dead = false;
             ctx.stats().bump("ac-backup-recovered", 1);
-            self.sync_backup(ctx);
-        } else if seq == self.hb_seq && applied_sync_seq < self.hb_floor {
-            ctx.stats().bump("ac-backup-lost-state", 1);
-            self.owe_image();
-            self.sync_backup(ctx);
-        } else if self.pending_sync.is_none() {
-            self.sync_backup(ctx);
         }
+        let first = self.sync_backlog.front().map_or(self.durable.position, |(from, _)| *from);
+        let on_its_way = self.shipped_at_ack < first.seq && first.seq <= self.shipped;
+        if at == self.durable.position || self.sync_backlog.iter().any(|(from, _)| *from == at) {
+            self.sync_backlog.retain(|(from, _)| from.seq >= at.seq);
+            self.acked = Some(at);
+            self.image_owed = false;
+            if at.seq < self.shipped_at_ack {
+                ctx.stats().bump("ac-state-sync-reshipped", 1);
+                self.shipped = at.seq;
+            }
+        } else if at.seq >= first.seq || !on_its_way {
+            if !self.image_owed {
+                ctx.stats().bump("ac-backup-lost-state", 1);
+            }
+            self.durable.position.seq = self.durable.position.seq.max(at.seq);
+            self.owe_image();
+        }
+        self.sync_backup(ctx);
+        self.shipped_at_ack = self.shipped;
     }
 
     /// Message dispatch while in the backup role.
     pub(crate) fn on_backup_message(&mut self, ctx: &mut Context<'_>, from: NodeId, msg: Msg) {
         let from_peer = self.peer_node() == Some(from);
         match msg {
-            Msg::Heartbeat { seq, takeover_epoch } if from_peer => {
+            Msg::Heartbeat { takeover_epoch } if from_peer => {
                 self.last_heartbeat = ctx.now();
                 // Remember the primary's fencing epoch so a later
                 // takeover fences strictly above it.
@@ -315,9 +317,8 @@ impl AreaController {
                     from,
                     "replication",
                     Msg::HeartbeatAck {
-                        seq,
                         takeover_epoch: self.durable.takeover_epoch,
-                        applied_sync_seq: self.durable.applied_sync_seq,
+                        position: self.durable.position,
                     }
                     .to_bytes(),
                 );
@@ -368,14 +369,16 @@ impl AreaController {
     /// Monotonic-sequence guard: a reordered or stale sync must not
     /// overwrite a newer state, and records apply only on top of the
     /// sequence they follow — a gap is left for the primary to read off
-    /// the next `HeartbeatAck` and answer with an image.
+    /// the next `HeartbeatAck` and fill. Records fold through
+    /// `wal_commit_record`, which moves the position a step each; an
+    /// image sets it.
     fn apply_sync(&mut self, ctx: &mut Context<'_>, body: SyncBody<'_>) {
-        let applied = self.durable.applied_sync_seq;
+        let applied = self.durable.position.seq;
         match body {
-            SyncBody::Image { seq, image } if seq > applied => {
-                let Some(image) = AreaImage::decode(image, ctx.now()) else { return };
+            SyncBody::Image { seq, image: bytes } if seq > applied => {
+                let Some(image) = AreaImage::decode(bytes, ctx.now()) else { return };
                 self.durable.image = image;
-                self.durable.applied_sync_seq = seq;
+                self.durable.position = SyncPosition::image(seq, bytes);
                 // No record describes an image: it is durable as a
                 // checkpoint, or a post-crash takeover promotes whatever
                 // the replica held before it.
@@ -540,11 +543,11 @@ impl AreaController {
         self.buffered_join_updates.clear();
         self.recorded_members.clear();
         self.backup_presumed_dead = false;
-        // Outstanding primary-role reliables toward the winner (stale
-        // state-syncs, mainly) must not race its images.
-        ctx.cancel_reliable_to(from);
-        self.pending_sync = None;
-        self.pending_demote = None;
+        // A `Demote` this node sent while it held the higher claim is
+        // stale now; its retransmissions stop.
+        if let Some(token) = self.pending_demote.take() {
+            ctx.cancel_reliable(token);
+        }
         self.owe_image();
         if let Some((_, token)) = self.pending_parent_join.take() {
             ctx.cancel_reliable(token);
@@ -676,7 +679,7 @@ mod tests {
         g.register_member(1);
         g.settle();
         let backup_node = g.backups[0];
-        let applied = g.sim.node::<AreaController>(backup_node).durable.applied_sync_seq;
+        let applied = g.sim.node::<AreaController>(backup_node).durable.position.seq;
         assert!(applied > 1, "backup never applied a sync");
         let state = g.sim.node::<AreaController>(backup_node).durable.image.encode();
 
@@ -699,7 +702,7 @@ mod tests {
             });
         }
         let b = g.sim.node::<AreaController>(backup_node);
-        assert_eq!(b.durable.applied_sync_seq, applied, "stale seq must not apply");
+        assert_eq!(b.durable.position.seq, applied, "stale seq must not apply");
         assert!(b.durable.image.encode() == state, "stale sync overwrote state");
         assert_eq!(g.stats().counter("backup-stale-sync-dropped"), 3);
         assert_eq!(g.stats().counter("backup-sync-gap"), 1);
@@ -735,7 +738,7 @@ mod tests {
         let (p, b) = (g.sim.node::<AreaController>(primary), g.backup(0));
         assert!(p.backup_in_sync());
         assert!(b.durable.image.encode() == p.durable.image.encode());
-        assert_eq!(b.durable.applied_sync_seq, p.durable.sync_seq);
+        assert_eq!(b.durable.position, p.durable.position);
     }
 
     /// Regression: a primary whose backup died must stop burning
@@ -752,8 +755,7 @@ mod tests {
         let primary = g.primaries[0];
         let backup_node = g.backups[0];
 
-        // Kill the backup; heartbeat acks stop and the in-flight
-        // reliable syncs run out their retry budget.
+        // Kill the backup; heartbeat acks stop.
         g.sim.crash(backup_node);
         g.run_for(Duration::from_secs(4));
         assert_eq!(g.stats().counter("backup-presumed-dead"), 1);

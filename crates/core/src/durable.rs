@@ -31,8 +31,9 @@
 //! [`AcDurable`](crate::area::AcDurable) (see `area/persist.rs`), for
 //! the registration server by [`replay_rs`]. Live handlers, crash
 //! recovery (`on_restarted` assigns what the fold returns) and the
-//! durability invariant checker ([`replay_ac`], [`replay_rs`]) all run
-//! that one function, so at every quiescent point a replay of a live
+//! durability invariant checker (the same fold over the same deployed
+//! base for a controller, [`replay_rs`] for the server) all run that one
+//! function, so at every quiescent point a replay of a live
 //! node's stable storage must equal its in-memory durable state — same
 //! role and fencing epoch, same membership, no acknowledged change
 //! lost, no evicted member resurrected.
@@ -48,11 +49,13 @@
     )
 )]
 
-use crate::area::{AcDurable, AreaImage, Role};
+use crate::area::{AcDurable, AreaImage, Role, BAD_CHECKPOINT};
 use crate::directory::AcDirectory;
+use crate::error::ProtocolError;
 use crate::wire::{Reader, Writer};
 use mykil_crypto::ct;
 use mykil_crypto::drbg::Drbg;
+use mykil_crypto::sha256::Sha256;
 use mykil_net::Time;
 use mykil_tree::TreeConfig;
 use rand::RngCore;
@@ -60,13 +63,16 @@ use rand::RngCore;
 /// Fencing jump applied to a recovered primary's rekey epoch and
 /// replication sequence.
 ///
-/// Both counters may lag their durable image: `sync_seq` is bumped by
-/// every full image sent, which no record describes, and a lying-fsync
+/// Both counters may lag what the pre-crash incarnation used: an image
+/// shipped is a step of the sequence no record takes, and a lying-fsync
 /// crash can roll the whole image back to an older consistent prefix.
 /// Resuming with a stale counter would make members (epoch guard) and
 /// the backup (stale-`StateSync` guard) silently discard the recovered
-/// primary's traffic. Jumping far past any value the pre-crash
-/// incarnation could have used re-fences both channels.
+/// primary's traffic, and the re-attach image would need a second one
+/// above the backup's first heartbeat ack. It fences, but does not
+/// identify: two recoveries from one rolled-back base land on the same
+/// counters with different areas, which the backup's ack tells apart by
+/// its [`SyncPosition`] digest.
 pub const RECOVERY_EPOCH_JUMP: u64 = 1 << 20;
 
 /// A controller checkpoints once its WAL holds more records than this:
@@ -77,6 +83,55 @@ pub const CHECKPOINT_WAL_RECORDS: usize = 128;
 /// A primary that holds more unacknowledged records than this for its
 /// backup stops queueing them and owes it a full image instead.
 pub const SYNC_BACKLOG_RECORDS: usize = 64;
+
+/// Bytes of a replication digest (SHA-256, truncated).
+pub const SYNC_DIGEST_LEN: usize = 16;
+
+/// Where a controller stands in its area's replication log: how many
+/// steps the log has taken, and a digest of what they were.
+///
+/// A primary's position is where its image stands, a backup's where its
+/// replica stands. Every record that changes the area takes one step and
+/// chains its bytes into the digest; an image restarts the chain from
+/// its own bytes, at the sequence it is shipped at. Two controllers at
+/// one position hold one area, so a backup acknowledges what it holds,
+/// not only how far it got (Raft's log matching, MLS's confirmed
+/// transcript hash).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SyncPosition {
+    /// Steps taken: one per record that changed the area, one per image
+    /// shipped, and the recovery fence's jump.
+    pub seq: u64,
+    /// The digest chain up to here.
+    pub digest: [u8; SYNC_DIGEST_LEN],
+}
+
+impl SyncPosition {
+    /// Where an image shipped at `seq` stands.
+    pub fn image(seq: u64, image: &[u8]) -> SyncPosition {
+        SyncPosition { seq, digest: truncated(&Sha256::digest(image)) }
+    }
+
+    /// One record further.
+    pub fn after(self, record: &[u8]) -> SyncPosition {
+        let mut h = Sha256::new();
+        h.update(&self.digest);
+        h.update(record);
+        SyncPosition { seq: self.seq + 1, digest: truncated(&h.finalize()) }
+    }
+
+    pub(crate) fn write(&self, w: &mut Writer) {
+        w.u64(self.seq).raw(&self.digest);
+    }
+
+    pub(crate) fn read(r: &mut Reader<'_>) -> Result<SyncPosition, ProtocolError> {
+        Ok(SyncPosition { seq: r.u64()?, digest: r.array()? })
+    }
+}
+
+fn truncated(full: &[u8; 32]) -> [u8; SYNC_DIGEST_LEN] {
+    full.first_chunk().copied().unwrap_or_default()
+}
 
 /// The seed of the generator a record's tree operation draws its keys
 /// from. Drawn by the live handler that builds the record; every fold
@@ -357,7 +412,7 @@ impl AcWalRecord {
 /// checkpoints its live replica of the primary's area the same way.
 /// Everything else is the role state that the image deliberately
 /// leaves out: the role, the takeover epoch that fences it, and the
-/// replication sequences. Who the counterpart is needs no field: the
+/// replication position. Who the counterpart is needs no field: the
 /// controller pair is fixed at deployment.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AcCheckpoint {
@@ -365,10 +420,8 @@ pub struct AcCheckpoint {
     pub primary: bool,
     /// Fencing epoch.
     pub takeover_epoch: u64,
-    /// Replication sequence reached (primary role).
-    pub sync_seq: u64,
-    /// Highest replication sequence applied (backup role).
-    pub applied_sync_seq: u64,
+    /// Where the image stands in the replication log.
+    pub position: SyncPosition,
     /// The area image: the area a primary runs, a backup's replica of
     /// it (the blank area it was deployed with, before the first sync).
     pub snapshot: Vec<u8>,
@@ -379,11 +432,9 @@ impl AcCheckpoint {
     /// [`mykil_net::StableStore::checkpoint`].
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = Writer::new();
-        w.u8(u8::from(!self.primary))
-            .u64(self.takeover_epoch)
-            .u64(self.sync_seq)
-            .u64(self.applied_sync_seq)
-            .bytes(&self.snapshot);
+        w.u8(u8::from(!self.primary)).u64(self.takeover_epoch);
+        self.position.write(&mut w);
+        w.bytes(&self.snapshot);
         w.into_bytes()
     }
 
@@ -398,8 +449,7 @@ impl AcCheckpoint {
         let cp = AcCheckpoint {
             primary,
             takeover_epoch: r.u64().ok()?,
-            sync_seq: r.u64().ok()?,
-            applied_sync_seq: r.u64().ok()?,
+            position: SyncPosition::read(&mut r).ok()?,
             snapshot: r.bytes().ok()?.to_vec(),
         };
         r.finish().ok()?;
@@ -508,26 +558,21 @@ impl RsCheckpoint {
 // ---------------------------------------------------------------------
 
 /// Replays an area controller's stable storage (as returned by
-/// [`mykil_net::StableStore::load`]) into the state recovery would
-/// assign: the decoded checkpoint — or, without one, a lone primary of
-/// an empty area — folded over the WAL suffix by the controller's own
-/// transition function. `None` only when the checkpoint exists but
+/// [`mykil_net::StableStore::load`]) without a node around it: recovery's
+/// own fold ([`AcDurable`]'s, the one `on_restarted` and the durability
+/// invariant run over a controller's deployed state), over a lone
+/// primary of an empty area. `None` only when the checkpoint exists but
 /// does not parse; an unparseable WAL record ends the replay early
 /// (torn-tail handling).
 ///
-/// No node is needed: every key comes from the checkpoint or from a
-/// record's seed (only the empty area assumed without a checkpoint
-/// draws its root from a fixed one), and liveness clocks start at zero.
+/// Every key comes from the checkpoint or from a record's seed (only the
+/// empty area assumed without a checkpoint draws its root from a fixed
+/// one), and liveness clocks start at zero.
 pub fn replay_ac(checkpoint: Option<&[u8]>, wal: &[Vec<u8>]) -> Option<AcDurable> {
-    let mut state = match checkpoint {
-        Some(bytes) => AcDurable::decode(bytes, Time::ZERO)?,
-        None => {
-            let blank = AreaImage::blank(TreeConfig::default(), None, &mut Drbg::from_seed(0));
-            AcDurable::deployed(Role::Primary, blank)
-        }
-    };
-    state.fold(wal, Time::ZERO);
-    Some(state)
+    let blank = AreaImage::blank(TreeConfig::default(), None, &mut Drbg::from_seed(0));
+    let base = AcDurable::deployed(Role::Primary, blank);
+    let restored = AcDurable::restore(base, checkpoint, wal, Time::ZERO);
+    (!restored.counters.contains(&BAD_CHECKPOINT)).then_some(restored.state)
 }
 
 /// Folds the registration server's WAL suffix over `state` — its
@@ -629,8 +674,7 @@ pub(crate) mod tests {
         let primary = AcCheckpoint {
             primary: true,
             takeover_epoch: 2,
-            sync_seq: 17,
-            applied_sync_seq: 0,
+            position: SyncPosition::image(17, &[4, 5]),
             snapshot: vec![1, 2, 3],
         };
         assert_eq!(
@@ -640,8 +684,7 @@ pub(crate) mod tests {
         let backup = AcCheckpoint {
             primary: false,
             takeover_epoch: 2,
-            sync_seq: 0,
-            applied_sync_seq: 9,
+            position: SyncPosition::default().after(&[6]),
             snapshot: Vec::new(),
         };
         assert_eq!(AcCheckpoint::from_bytes(&backup.to_bytes()), Some(backup));
@@ -735,8 +778,7 @@ pub(crate) mod tests {
         let cp = AcCheckpoint {
             primary: false,
             takeover_epoch: 1,
-            sync_seq: 0,
-            applied_sync_seq: 4,
+            position: primary.position,
             snapshot: primary.image.encode(),
         };
         let standby = replay_ac(Some(&cp.to_bytes()), &[]).unwrap();
@@ -751,15 +793,16 @@ pub(crate) mod tests {
         let state = replay_ac(Some(&cp.to_bytes()), &wal).unwrap();
         assert_eq!(state.role(), Role::Primary);
         assert_eq!(state.takeover_epoch(), 2);
-        assert_eq!(state.applied_sync_seq, 6);
+        assert_eq!(state.position.seq, 5);
         assert_eq!(state.member_ids(), BTreeSet::from([31, 33]));
         assert_eq!(state.epoch(), 8);
         assert_eq!(state.departed().count(), 0);
 
-        // The primary folding the same records stands on the same keys.
+        // The primary folding the same records stands on the same keys,
+        // at the same position.
         let cp_primary = primary.encode();
         let ahead = replay_ac(Some(&cp_primary), &shipped).unwrap();
-        assert_eq!(ahead.sync_seq, primary.sync_seq + 2);
+        assert_eq!(ahead.position, state.position);
         assert_eq!(ahead.image.encode(), state.image.encode());
     }
 

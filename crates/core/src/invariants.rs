@@ -18,28 +18,29 @@
 //!    controller per area holds the `Primary` role (epoch-fenced
 //!    demotion reconciled any split brain).
 //! 4. **Replication monotonicity** — a controller's replication
-//!    sequence numbers never move backwards within one takeover
-//!    lineage; a reset is legal only when the node's role, its
-//!    takeover epoch, or its process incarnation changed (promotion,
-//!    demotion, or a crash/restart cycle — recovery from an older
-//!    checkpoint slot may legally rewind `applied_sync_seq`).
+//!    position never moves backwards within one takeover lineage; a
+//!    reset is legal only when the node's role, its takeover epoch, or
+//!    its process incarnation changed (promotion, demotion, or a
+//!    crash/restart cycle — recovery from an older checkpoint slot may
+//!    legally rewind it).
 //! 5. **Durability** — a live controller's stable storage (newest
-//!    valid checkpoint plus WAL suffix) replays — through
-//!    [`replay_ac`], the fold recovery itself runs — to its in-memory
-//!    durable state: same role and fencing epoch, same parent link,
-//!    same member rows (so no durably-evicted client is still counted,
-//!    and none is lost), same rekey epoch, the same area image byte for
-//!    byte (every key in the tree: records carry their seeds), for a
-//!    backup the same applied replication sequence, and for a primary a
-//!    replication sequence no newer than memory. The same holds for the registration server's
-//!    client-id counter and directory. This catches state mutated
-//!    outside the write-ahead discipline: what the node would silently
-//!    lose in a crash.
+//!    valid checkpoint plus WAL suffix) replays — through the fold
+//!    recovery itself runs, over the same deployed base
+//!    (`AreaController::replay`) — to its in-memory durable state: same
+//!    role and fencing epoch, same parent link, same member rows (so no
+//!    durably-evicted client is still counted, and none is lost), same
+//!    rekey epoch, the same area image byte for byte (every key in the
+//!    tree: records carry their seeds), for a backup the same
+//!    replication position, and for a primary a replication sequence no
+//!    newer than memory (an image shipped moves it without a record).
+//!    The same holds for the registration server's client-id counter
+//!    and directory. This catches state mutated outside the write-ahead
+//!    discipline: what the node would silently lose in a crash.
 //! 6. **Replica equality** — wherever a live primary believes its live
-//!    backup in sync (nothing queued, owed or in flight), the backup's
-//!    image is the primary's, byte for byte: folding the shipped
-//!    records over the last image lands exactly where the primary
-//!    stands.
+//!    backup in sync (the backup acknowledged the position the primary
+//!    stands at), the backup's image is the primary's, byte for byte:
+//!    folding the shipped records over the last image lands exactly
+//!    where the primary stands.
 //!
 //! The checker is stateful (for the monotonicity baseline): create one
 //! per scenario and call [`InvariantChecker::check`] at every
@@ -47,10 +48,10 @@
 //! harness artifact — pair it with the serialized `FaultPlan` that
 //! produced it for replay.
 
-use crate::area::{AcDurable, AreaController, Role, AC_MEMBER_BASE};
-use crate::durable::{replay_ac, replay_rs, RsCheckpoint};
+use crate::area::{AcDurable, AreaController, Role, AC_MEMBER_BASE, BAD_CHECKPOINT};
+use crate::durable::{replay_rs, RsCheckpoint};
 use crate::group::GroupHandle;
-use mykil_net::NodeId;
+use mykil_net::{NodeId, Time};
 use std::collections::BTreeMap;
 
 /// One violated invariant, with enough context to debug a soak
@@ -90,14 +91,12 @@ pub enum InvariantViolation {
         /// The client whose row is gone and whose leaf is not.
         client: u64,
     },
-    /// A replication sequence number moved backwards within one
-    /// takeover lineage.
+    /// A replication position moved backwards within one takeover
+    /// lineage.
     ReplicationRegression {
         /// The controller node.
         node: NodeId,
-        /// Which counter regressed (`"sync_seq"` / `"applied_sync_seq"`).
-        counter: &'static str,
-        /// Value at the previous quiescent check.
+        /// The position's sequence at the previous quiescent check.
         prev: u64,
         /// Value now.
         seen: u64,
@@ -153,14 +152,9 @@ impl std::fmt::Display for InvariantViolation {
                 "forward secrecy: area {area} controller {node:?} keeps the leaf of departed \
                  client {client} and owes no flush"
             ),
-            InvariantViolation::ReplicationRegression {
-                node,
-                counter,
-                prev,
-                seen,
-            } => write!(
+            InvariantViolation::ReplicationRegression { node, prev, seen } => write!(
                 f,
-                "replication regression: {node:?} {counter} went {prev} -> {seen}"
+                "replication regression: {node:?} position went {prev} -> {seen}"
             ),
             InvariantViolation::DurabilityDrift { node, area, detail } => write!(
                 f,
@@ -207,8 +201,8 @@ fn facts(d: &AcDurable) -> [(&'static str, String); 6] {
 struct ReplBaseline {
     takeover_epoch: u64,
     is_primary: bool,
-    sync_seq: u64,
-    applied_sync_seq: u64,
+    /// The replication position's sequence.
+    seq: u64,
     /// Process incarnation ([`mykil_net::Simulator::restart_count`])
     /// the counters were sampled in.
     restarts: u64,
@@ -294,36 +288,24 @@ impl InvariantChecker {
                 let now = ReplBaseline {
                     takeover_epoch: durable.takeover_epoch,
                     is_primary: durable.role == Role::Primary,
-                    sync_seq: durable.sync_seq,
-                    applied_sync_seq: durable.applied_sync_seq,
+                    seq: durable.position.seq,
                     restarts: g.sim.restart_count(node),
                 };
                 if let Some(prev) = self.repl.get(&node) {
                     // Promotion/demotion starts a new lineage; within
-                    // one, both counters may only grow. A crash/restart
+                    // one, the position may only grow. A crash/restart
                     // cycle also starts a new lineage: recovery from an
                     // older checkpoint slot (the newest was corrupted)
-                    // may legally rewind the counters.
+                    // may legally rewind it.
                     let same_lineage = prev.takeover_epoch == now.takeover_epoch
                         && prev.is_primary == now.is_primary
                         && prev.restarts == now.restarts;
-                    if same_lineage {
-                        if now.sync_seq < prev.sync_seq {
-                            out.push(InvariantViolation::ReplicationRegression {
-                                node,
-                                counter: "sync_seq",
-                                prev: prev.sync_seq,
-                                seen: now.sync_seq,
-                            });
-                        }
-                        if now.applied_sync_seq < prev.applied_sync_seq {
-                            out.push(InvariantViolation::ReplicationRegression {
-                                node,
-                                counter: "applied_sync_seq",
-                                prev: prev.applied_sync_seq,
-                                seen: now.applied_sync_seq,
-                            });
-                        }
+                    if same_lineage && now.seq < prev.seq {
+                        out.push(InvariantViolation::ReplicationRegression {
+                            node,
+                            prev: prev.seq,
+                            seen: now.seq,
+                        });
                     }
                 }
                 self.repl.insert(node, now);
@@ -343,14 +325,12 @@ impl InvariantChecker {
                 let mut drift = |detail: String| {
                     out.push(InvariantViolation::DurabilityDrift { node, area, detail })
                 };
-                let rec = g.sim.storage(node).load();
-                let Some(durable) =
-                    replay_ac(rec.checkpoint.as_ref().map(|(_, b)| b.as_slice()), &rec.wal)
-                else {
+                let restored = ctrl.replay(&g.sim.storage(node).load(), Time::ZERO);
+                if restored.counters.contains(&BAD_CHECKPOINT) {
                     drift("stable storage does not replay".into());
                     continue;
-                };
-                let memory = ctrl.durable();
+                }
+                let (durable, memory) = (restored.state, ctrl.durable());
                 for ((what, stored), (_, live)) in facts(&durable).into_iter().zip(facts(memory)) {
                     if stored != live {
                         drift(format!("durable {what}={stored} but memory has {live}"));
@@ -359,18 +339,16 @@ impl InvariantChecker {
                 if durable.image.encode() != memory.image.encode() {
                     drift("durable area image differs from memory".into());
                 }
-                if durable.role() != Role::Primary
-                    && durable.applied_sync_seq != memory.applied_sync_seq
-                {
+                if durable.role() != Role::Primary && durable.position != memory.position {
                     drift(format!(
-                        "durable applied_sync_seq={} but memory has {}",
-                        durable.applied_sync_seq, memory.applied_sync_seq
+                        "durable position {:?} but memory has {:?}",
+                        durable.position, memory.position
                     ));
                 }
-                if durable.sync_seq > memory.sync_seq {
+                if durable.position.seq > memory.position.seq {
                     drift(format!(
-                        "durable sync_seq={} ahead of memory {}",
-                        durable.sync_seq, memory.sync_seq
+                        "durable position {} ahead of memory {}",
+                        durable.position.seq, memory.position.seq
                     ));
                 }
             }

@@ -678,11 +678,7 @@ impl Member {
             node: from.index() as u32,
             pubkey,
         });
-        // Its rekey lineage restarts from its replica, which may trail
-        // (or, behind a partition, diverge from) the epochs our keys
-        // reached: forget the epoch and any refresh owed in the old
-        // lineage, and owe one in the new.
-        (session.keys.epoch, session.keys.owed, session.keys.overtaken) = (0, Some(0), false);
+        session.keys.restart_lineage();
         self.request_key_refresh(ctx);
     }
 

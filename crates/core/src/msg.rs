@@ -20,9 +20,11 @@
 //! reliable channel (`Context::send_reliable` — retransmission with
 //! exponential backoff plus receiver-side dedup):
 //! [`Msg::AreaJoinReq`]/[`Msg::AreaJoinAck`] (parent switch and
-//! post-takeover re-enrollment), [`Msg::StateSync`] (primary → backup,
-//! with a monotonic sequence guard), the unicast [`Msg::Takeover`]
-//! announcement to the registration server, and [`Msg::LeaveRequest`].
+//! post-takeover re-enrollment), [`Msg::Demote`], the unicast
+//! [`Msg::Takeover`] announcement to the registration server, and
+//! [`Msg::LeaveRequest`]. [`Msg::StateSync`] is fire-and-forget too: the
+//! backup's [`Msg::HeartbeatAck`] names the position it holds, and the
+//! primary re-ships from there.
 
 // A wire/codec module: it parses hostile bytes, so a narrowing cast or a
 // panicking slice access outside tests is a finding.
@@ -44,6 +46,7 @@
     )
 )]
 
+use crate::durable::SyncPosition;
 use crate::error::ProtocolError;
 use crate::identity::{AreaId, ClientId};
 use crate::wire::{Reader, Writer};
@@ -179,12 +182,13 @@ pub enum Msg {
     /// takeover epoch, so that of two primaries after a partition heal
     /// or a restart the one with the higher claim learns of the other
     /// and fences it (split-brain fencing, see `area::replication`).
-    Heartbeat { seq: u64, takeover_epoch: u64 },
-    /// Backup → primary response, echoing the responder's takeover
-    /// epoch (a later takeover claims above it) and the replication
-    /// sequence it has applied (a backup that lost state
-    /// answers with less than the primary has trimmed).
-    HeartbeatAck { seq: u64, takeover_epoch: u64, applied_sync_seq: u64 },
+    Heartbeat { takeover_epoch: u64 },
+    /// Backup → primary response: the responder's takeover epoch (a
+    /// later takeover claims above it) and the replication position its
+    /// replica stands at — the one acknowledgement of replication: the
+    /// primary trims what the backup holds, re-ships what it lacks, and
+    /// owes an image for an area it never held.
+    HeartbeatAck { takeover_epoch: u64, position: SyncPosition },
     /// Primary → backup state synchronization: a [`SyncBody`] sealed
     /// under the replication key.
     StateSync { ct: Vec<u8> },
@@ -279,18 +283,12 @@ impl Msg {
             Msg::MemberAlive { client } => {
                 w.u8(51).u64(client.0);
             }
-            Msg::Heartbeat {
-                seq,
-                takeover_epoch,
-            } => {
-                w.u8(60).u64(*seq).u64(*takeover_epoch);
+            Msg::Heartbeat { takeover_epoch } => {
+                w.u8(60).u64(*takeover_epoch);
             }
-            Msg::HeartbeatAck {
-                seq,
-                takeover_epoch,
-                applied_sync_seq,
-            } => {
-                w.u8(61).u64(*seq).u64(*takeover_epoch).u64(*applied_sync_seq);
+            Msg::HeartbeatAck { takeover_epoch, position } => {
+                w.u8(61).u64(*takeover_epoch);
+                position.write(&mut w);
             }
             Msg::StateSync { ct } => ct_only!(w, 62, ct),
             Msg::Takeover { area, sig, pubkey } => {
@@ -354,14 +352,10 @@ impl Msg {
                 epoch: r.u64()?,
             },
             51 => Msg::MemberAlive { client: ClientId(r.u64()?) },
-            60 => Msg::Heartbeat {
-                seq: r.u64()?,
-                takeover_epoch: r.u64()?,
-            },
+            60 => Msg::Heartbeat { takeover_epoch: r.u64()? },
             61 => Msg::HeartbeatAck {
-                seq: r.u64()?,
                 takeover_epoch: r.u64()?,
-                applied_sync_seq: r.u64()?,
+                position: SyncPosition::read(&mut r)?,
             },
             62 => Msg::StateSync { ct: r.bytes()?.to_vec() },
             63 => Msg::Takeover {
@@ -545,8 +539,11 @@ mod tests {
         });
         round_trip(Msg::AcAlive { area: AreaId(1), epoch: 9 });
         round_trip(Msg::MemberAlive { client: ClientId(2) });
-        round_trip(Msg::Heartbeat { seq: 5, takeover_epoch: 2 });
-        round_trip(Msg::HeartbeatAck { seq: 5, takeover_epoch: 3, applied_sync_seq: 9 });
+        round_trip(Msg::Heartbeat { takeover_epoch: 2 });
+        round_trip(Msg::HeartbeatAck {
+            takeover_epoch: 3,
+            position: SyncPosition { seq: 9, digest: [7; 16] },
+        });
         round_trip(Msg::StateSync { ct: vec![1, 2] });
         round_trip(Msg::Takeover {
             area: AreaId(2),
@@ -566,7 +563,7 @@ mod tests {
         assert!(Msg::from_bytes(&[255]).is_err());
         assert!(Msg::from_bytes(&[1, 0, 0]).is_err()); // truncated len
         // Trailing garbage after a valid message.
-        let mut bytes = Msg::Heartbeat { seq: 1, takeover_epoch: 0 }.to_bytes();
+        let mut bytes = Msg::Heartbeat { takeover_epoch: 0 }.to_bytes();
         bytes.push(0);
         assert!(Msg::from_bytes(&bytes).is_err());
     }
@@ -600,7 +597,7 @@ mod tests {
             "alive"
         );
         assert_eq!(
-            Msg::Heartbeat { seq: 0, takeover_epoch: 0 }.kind(),
+            Msg::Heartbeat { takeover_epoch: 0 }.kind(),
             "replication"
         );
     }

@@ -392,6 +392,15 @@ impl KeyState {
         self.owed.is_some()
     }
 
+    /// The keys' controller changed hands: its rekey lineage restarts
+    /// from the promoted node's replica, which may trail (or, behind a
+    /// partition, diverge from) the epoch these keys reached. Forgets
+    /// the epoch and any refresh owed in the old lineage and owes one in
+    /// the new, which the receiver asks for.
+    pub(crate) fn restart_lineage(&mut self) {
+        (self.epoch, self.owed, self.overtaken) = (0, Some(0), false);
+    }
+
     /// A path from the receiver's own controller: installs it, settles
     /// any refresh owed and lifts the epoch to the highest one heard. A
     /// path that an update may have overtaken settles nothing: the

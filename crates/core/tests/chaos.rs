@@ -18,9 +18,9 @@
 use mykil::area::Role;
 use mykil::config::{BatchPolicy, MykilConfig};
 use mykil::group::{GroupBuilder, GroupHandle};
-use mykil::invariants::InvariantChecker;
+use mykil::invariants::{InvariantChecker, InvariantViolation};
 use mykil_crypto::sha256::Sha256;
-use mykil_net::{ChaosDriver, ChaosOptions, Duration, FaultPlan, Time};
+use mykil_net::{ChaosDriver, ChaosOptions, Duration, FaultPlan, StoreFault, Time};
 
 /// Number of seeds the soak covers by default. The `CHAOS_SEEDS` env
 /// var overrides it (CI keeps PR runs small and soaks more seeds
@@ -239,6 +239,44 @@ fn soak_seed_668_owes_a_refresh_until_a_path_arrives() {
 #[test]
 fn soak_seed_703_checkpoints_a_recovered_backup() {
     assert_soak_seed_passes(703);
+}
+
+// Two recoveries of one primary started from one durable base (the
+// first one's checkpoint lost to a torn write) and shipped different
+// areas at one replication sequence; the backup dropped the second as
+// stale while its delivery counted as in sync (`ReplicaDivergence`).
+#[test]
+fn soak_seed_212_reimages_a_backup_past_a_repeated_fence() {
+    assert_soak_seed_passes(212);
+}
+
+/// Invariant 5 replays a controller's storage over the state recovery
+/// starts from, its deployed one, not a lone primary of an empty area.
+/// A lone corrupted checkpoint, with no crash after it, sends the
+/// replay to the older slot or to that base. It reads as drift only in
+/// what the lost checkpoint alone held (a backup's adopted image and its
+/// position, deployment-time enrolments), never in the role, epochs,
+/// parent link or members; and a crash and restart after it leave
+/// every invariant whole.
+#[test]
+fn a_lone_corrupt_checkpoint_drifts_only_in_what_it_alone_held() {
+    let deployed = soak_group(703);
+    let nodes = deployed.primaries.iter().chain(&deployed.backups);
+    for &node in nodes {
+        let mut g = soak_group(703);
+        g.sim.inject_storage_fault(node, StoreFault::CorruptCheckpoint);
+        for v in InvariantChecker::new().check(&g) {
+            let InvariantViolation::DurabilityDrift { detail, .. } = &v else {
+                panic!("{node:?} before a crash: {v}");
+            };
+            let held = ["durable area image", "durable position"];
+            assert!(held.iter().any(|d| detail.starts_with(d)), "{node:?} before a crash: {v}");
+        }
+        g.sim.crash(node);
+        assert!(g.sim.restart(node));
+        g.run_for(Duration::from_secs(5));
+        assert_eq!(InvariantChecker::new().check(&g), vec![], "{node:?} after a restart");
+    }
 }
 
 /// Replay regression: the partition/heal schedule that forces a
@@ -515,13 +553,13 @@ fn chaos_soak_replay_is_byte_identical() {
 const REPLAY_DIGESTS: [(u64, usize, &str); 2] = [
     (
         3,
-        6_878,
-        "9f0c53e8147eccbef49d7f34fa1f2fe86991127f6c5e1c7bbf95e2413ae29b69",
+        6_879,
+        "b7eaad361fb1a1a52e7b11b46b36526a3cddad2897cbeaeebc45089b938a1bbc",
     ),
     (
         11,
-        6_895,
-        "ff9004cd4df2a0f2cba59d80853e98f5e2f103fc2fa9a3981881321c3078a702",
+        6_894,
+        "fb6deb0555d12e9bac92c3658b2ceeaa6d04655861843de50b381f4ae3fbe4ef",
     ),
 ];
 

@@ -6,7 +6,7 @@
 //! cannot parse or verify.
 
 use mykil::area::{AcDurable, AreaController};
-use mykil::durable::{replay_ac, AcCheckpoint, AcWalRecord, Seed};
+use mykil::durable::{replay_ac, AcCheckpoint, AcWalRecord, Seed, SyncPosition};
 use mykil::group::GroupBuilder;
 use mykil::member::Member;
 use mykil::registration::RegistrationServer;
@@ -154,8 +154,7 @@ proptest! {
             AcCheckpoint {
                 primary: false,
                 takeover_epoch: 0,
-                sync_seq: 0,
-                applied_sync_seq: 1,
+                position: SyncPosition { seq: 1, digest: [0; 16] },
                 snapshot: AcCheckpoint::from_bytes(&primary.encode())
                     .expect("own checkpoint decodes")
                     .snapshot,

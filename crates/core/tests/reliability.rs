@@ -231,3 +231,30 @@ fn lossy_failover_acceptance() {
         "no duplicate was ever suppressed — dedup untested by this run"
     );
 }
+
+/// `StateSync` goes out once, with no transport retry: a sync lost on a
+/// cut link is shipped again once a heartbeat ack shows the backup short
+/// of it, as records, not as an image.
+#[test]
+fn a_state_sync_lost_on_a_cut_link_is_reshipped() {
+    use mykil::member::Member;
+
+    let mut g = GroupBuilder::new(43).areas(1).replicated(true).build();
+    let (stays, leaves) = (g.register_member(1), g.register_member(2));
+    g.settle();
+    let (primary, backup) = (g.primaries[0], g.backups[0]);
+    let images = g.stats().counter("state-sync-images");
+    g.sim.cut_link(primary, backup);
+    assert!(g.sim.invoke(leaves, |m: &mut Member, ctx| m.leave(ctx)));
+    g.run_for(Duration::from_millis(5));
+    g.sim.restore_link(primary, backup);
+    assert!(!g.ac(0).backup_in_sync());
+    assert_eq!(g.backup(0).member_count(), 2, "the sync got through the cut");
+
+    g.run_for(Duration::from_millis(300));
+    assert!(g.stats().counter("ac-state-sync-reshipped") >= 1);
+    assert_eq!(g.stats().counter("state-sync-images"), images);
+    assert!(g.ac(0).backup_in_sync());
+    assert_eq!(g.backup(0).member_count(), 1);
+    assert!(g.is_member(stays) && !g.is_member(leaves));
+}

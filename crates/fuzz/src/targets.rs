@@ -21,7 +21,7 @@
 
 use mykil::directory::AcDirectory;
 use mykil::durable::{
-    replay_ac, replay_rs, AcCheckpoint, AcWalRecord, RsCheckpoint, RsWalRecord, Seed,
+    replay_ac, replay_rs, AcCheckpoint, AcWalRecord, RsCheckpoint, RsWalRecord, Seed, SyncPosition,
 };
 use mykil::msg::{Msg, SyncBody};
 use mykil::welcome::Welcome;
@@ -284,8 +284,7 @@ fn seeds_durable_replay() -> Vec<(&'static str, Vec<u8>)> {
     let ac_ckpt = AcCheckpoint {
         primary: true,
         takeover_epoch: 3,
-        sync_seq: 7,
-        applied_sync_seq: 6,
+        position: SyncPosition { seq: 7, digest: [6; 16] },
         snapshot: vec![9; 24],
     };
     let ac_wal = [
@@ -355,8 +354,7 @@ fn seeds_durable_replay() -> Vec<(&'static str, Vec<u8>)> {
     let replica = AcCheckpoint {
         primary: false,
         takeover_epoch: 0,
-        sync_seq: 0,
-        applied_sync_seq: 9,
+        position: SyncPosition { seq: 9, digest: [0; 16] },
         snapshot: AcCheckpoint::from_bytes(&departed_leaf).map(|c| c.snapshot).unwrap_or_default(),
     };
     let flush = AcWalRecord::Flush { seed: Seed::from_bytes([0xb1; 32]) }.to_bytes();

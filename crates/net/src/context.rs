@@ -34,9 +34,6 @@ pub(crate) enum Action {
     CancelReliable {
         msg_id: u64,
     },
-    CancelReliableTo {
-        peer: NodeId,
-    },
     Multicast {
         group: GroupId,
         kind: &'static str,
@@ -184,15 +181,6 @@ impl<'a> Context<'a> {
     /// Neither the ack nor the expiry callback fires afterwards.
     pub fn cancel_reliable(&mut self, token: MsgToken) {
         self.actions.push(Action::CancelReliable { msg_id: token.0 });
-    }
-
-    /// Cancels every pending reliable send from this node to `peer`
-    /// (e.g. after observing the peer crash or evicting it): their
-    /// retransmit timers stop firing and neither the ack nor the expiry
-    /// callback runs. Each cancelled send bumps the
-    /// `reliable-cancelled` stat.
-    pub fn cancel_reliable_to(&mut self, peer: NodeId) {
-        self.actions.push(Action::CancelReliableTo { peer });
     }
 
     /// Multicasts `bytes` to every current member of `group` except the

@@ -911,18 +911,6 @@ impl Simulator {
                 Action::CancelReliable { msg_id } => {
                     self.pending_reliable.remove(&msg_id);
                 }
-                Action::CancelReliableTo { peer } => {
-                    let dead: Vec<u64> = self
-                        .pending_reliable
-                        .iter()
-                        .filter(|(_, p)| p.src == src && p.to == peer)
-                        .map(|(id, _)| *id)
-                        .collect();
-                    for id in dead {
-                        self.pending_reliable.remove(&id);
-                        self.stats.bump("reliable-cancelled", 1);
-                    }
-                }
                 Action::Multicast {
                     group,
                     kind,
@@ -1556,55 +1544,6 @@ mod reliable_tests {
         let s = sim.node::<RelSender>(sender);
         assert!(s.acked.is_empty());
         assert!(s.expired.is_empty(), "expiry fired on a crashed sender");
-    }
-
-    #[test]
-    fn cancel_reliable_to_cancels_only_that_peers_sends() {
-        /// Sends one reliable to each of two dead peers, then drops the
-        /// first peer (as an evicting controller would) at t=5ms.
-        struct TwoPeers {
-            first: NodeId,
-            second: NodeId,
-            expired: Vec<NodeId>,
-        }
-        impl Node for TwoPeers {
-            fn on_start(&mut self, ctx: &mut Context<'_>) {
-                ctx.send_reliable(self.first, "rel-a", vec![1]);
-                ctx.send_reliable(self.first, "rel-b", vec![2]);
-                ctx.send_reliable(self.second, "rel-c", vec![3]);
-                ctx.set_timer(Duration::from_millis(5), 0);
-            }
-            fn on_message(&mut self, _ctx: &mut Context<'_>, _from: NodeId, _bytes: &[u8]) {}
-            fn on_timer(&mut self, ctx: &mut Context<'_>, _tag: u64) {
-                ctx.cancel_reliable_to(self.first);
-            }
-            fn on_reliable_expired(
-                &mut self,
-                _ctx: &mut Context<'_>,
-                to: NodeId,
-                _kind: &'static str,
-                _msg: MsgToken,
-            ) {
-                self.expired.push(to);
-            }
-        }
-        let mut sim = Simulator::new(32);
-        sim.set_reliable_policy(Duration::from_millis(10), 3);
-        let first = sim.add_node(Counter { got: 0 });
-        let second = sim.add_node(Counter { got: 0 });
-        sim.crash(first);
-        sim.crash(second);
-        let sender = sim.add_node(TwoPeers {
-            first,
-            second,
-            expired: Vec::new(),
-        });
-        assert!(sim.run_until_quiet(1_000_000));
-        // Both sends to `first` were cancelled silently; the one to
-        // `second` ran its course and expired.
-        assert_eq!(sim.stats().counter("reliable-cancelled"), 2);
-        assert_eq!(sim.stats().counter("reliable-expired"), 1);
-        assert_eq!(sim.node::<TwoPeers>(sender).expired, vec![second]);
     }
 
     /// A node that stays down past its timers' deadlines and restarts
